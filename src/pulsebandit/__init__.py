@@ -74,10 +74,7 @@ from .environments import (
     bump_function,
     generate_history,
     load_replay_log,
-    lower_bound_step,
-    replay_step,
     save_replay_log,
-    synth_step,
 )
 from .agents import (
     AgentKind,
@@ -96,7 +93,6 @@ from .agents import (
 )
 from .harness import (
     ExperimentConfig,
-    RegretRecord,
     load_config,
     pretrain,
     run_experiment,
@@ -164,15 +160,12 @@ __all__ = [
     "estimate_dt_band",
     # environments
     "SyntheticEnv",
-    "synth_step",
     "LowerBoundEnv",
-    "lower_bound_step",
     "bump_function",
     "ReplayLog",
     "ReplayStream",
     "save_replay_log",
     "load_replay_log",
-    "replay_step",
     "generate_history",
     # agents
     "DtSource",
@@ -190,7 +183,6 @@ __all__ = [
     "theta_in_ball",
     # harness
     "ExperimentConfig",
-    "RegretRecord",
     "load_config",
     "pretrain",
     "run_trial",

@@ -40,15 +40,12 @@ from .features import (
 __all__ = [
     "EnvironmentStep",
     "SyntheticEnv",
-    "synth_step",
     "bump_function",
     "LowerBoundEnv",
-    "lower_bound_step",
     "ReplayLog",
     "load_replay_log",
     "save_replay_log",
     "ReplayStream",
-    "replay_step",
     "generate_history",
 ]
 
@@ -224,11 +221,6 @@ class SyntheticEnv:
         return self.xi_sd
 
 
-def synth_step(env, rng):
-    """One exogenous step of a SyntheticEnv."""
-    return env.step(rng)
-
-
 def bump_function(beta=1.0, amplitude=0.5):
     """f(o) = amplitude * (1 - ||o||_inf)_+^beta, supported on the unit cube.
 
@@ -349,11 +341,6 @@ class LowerBoundEnv:
 
     def oracle_sd_w(self):
         return self.w_noise_sd
-
-
-def lower_bound_step(env, rng):
-    """One exogenous step of a LowerBoundEnv."""
-    return env.step(rng)
 
 
 # -- replay -------------------------------------------------------------------
@@ -503,11 +490,6 @@ class ReplayStream:
             return float(self.log.rewards[row])
 
         return candidates, reveal
-
-
-def replay_step(stream, k):
-    """Candidate row indices plus a reveal(choice) closure."""
-    return stream.step(k)
 
 
 def generate_history(make_env, n_traj, t0, base_seed, seed_labels=("pretrain",)):

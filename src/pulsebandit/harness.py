@@ -36,6 +36,7 @@ import numpy as np
 from . import __version__
 from .agents import (
     AgentKind,
+    AgentState,
     DtSource,
     GammaSchedule,
     SelectionForm,
@@ -45,14 +46,13 @@ from .agents import (
 )
 from .calibration import GaussianConditional, estimate_dt_band, gaussian_dt
 from .environments import LowerBoundEnv, ReplayStream, SyntheticEnv, bump_function, generate_history, load_replay_log
-from .errors import ConfigError, EndOfLog
+from .errors import ConfigError
 from .features import arm_feature_matrix, calibrate_feat_norm_bound
 from .imputation import (
     ImputerKind,
     expected_feature_matrix,
     fit_kernel,
     fit_linear_ar,
-    full_observer,
     load_imputer,
     null_imputer,
     oracle_imputer,
@@ -61,7 +61,6 @@ from .imputation import (
 from .rng import substream
 
 __all__ = [
-    "RegretRecord",
     "ExperimentConfig",
     "load_config",
     "pretrain",
@@ -76,20 +75,6 @@ MA_WINDOW = 100
 SCHEMA_VERSION = 1
 FEAT_NORM_DRY_RUN_STEPS = 10_000
 FEAT_NORM_QUANTILE = 0.999
-
-
-@dataclass(frozen=True)
-class RegretRecord:
-    """One raw CSV row."""
-
-    trial: int
-    t: int
-    agent: str
-    arm: int
-    reward: float
-    inst_regret: float
-    cum_regret: float
-    ma_reward_100: float
 
 
 # -- config -------------------------------------------------------------------
@@ -399,6 +384,18 @@ class ExperimentConfig:
                     f"{where}.dt_source",
                     f"must be one of {sorted(_DT_SOURCES)}, got {dt_source!r}",
                 )
+            if self.environment["kind"] == "replay":
+                # a log holds only logged rewards: no optimal arm, no
+                # conditional law of W for the oracle charge, and replay
+                # pretraining estimates no plug-in band
+                if AgentKind(kind) is AgentKind.ORACLE_BEST:
+                    raise ConfigError(f"{where}.kind", "oracle_best is undefined for replay logs")
+                if DtSource(dt_source) in (DtSource.ORACLE, DtSource.PLUG_IN):
+                    raise ConfigError(
+                        f"{where}.dt_source",
+                        f"{dt_source} divergence is undefined for replay logs; "
+                        "use zero or constant",
+                    )
             form = spec.get("selection_form", "closed_form")
             if form not in _SELECTION_FORMS:
                 raise ConfigError(
@@ -496,7 +493,11 @@ class ExperimentConfig:
         }
 
     def config_hash(self):
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """Identity of the experiment: where its outputs go and how many
+        processes compute them change neither its results nor its hash."""
+        identity = self.to_dict()
+        del identity["output"], identity["workers"]
+        canonical = json.dumps(identity, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def make_env(self):
@@ -740,26 +741,135 @@ def _pretrain_replay(config):
     }
 
 
-# -- trials ---------------------------------------------------------------------
+# -- the decision loop ----------------------------------------------------------
 
 
-def _dt_value(agent, spec, step, imputer, hist_window):
+@dataclass(frozen=True)
+class _View:
+    """The features one agent decides on.
+
+    `features(ctx)` is the (n_arms, dim) feature matrix of a step's
+    context and `oracle_dt(ctx)` the divergence between the true
+    conditional law of W there and the agent's model of it (simulate only:
+    replay logs expose no such law).
+    """
+
+    dim: int
+    bound: float
+    features: object
+    imputer: object = None
+    oracle_dt: object = None
+
+
+@dataclass(frozen=True)
+class _Seat:
+    """One configured agent in the loop: its state, view, choice stream, and
+    the per-step divergence `charge(ctx)` that its observe receives."""
+
+    agent: AgentState
+    view: _View
+    rng: object
+    charge: object
+
+
+def _seat_agents(config, trial_index, arm_count, view_for, plug_in_dt):
+    """Build every configured agent, in config order, with its view.
+
+    `view_for(kind, name)` returns the agent's view, or None for the kinds
+    that decide without features (oracle_best, uniform_random).
+    """
+    seats = []
+    for spec in config.agents:
+        name = spec["name"]
+        kind = AgentKind(spec["kind"])
+        view = view_for(kind, name)
+        schedule = charge = None
+        if view is not None:
+            dt_source = DtSource(spec["dt_source"])
+            schedule = GammaSchedule(
+                lam=config.schedule["lambda"],
+                sigma_eta=config.schedule["sigma_eta"],
+                delta=config.schedule["delta"],
+                feat_norm_bound=view.bound,
+                dim=view.dim,
+                dt_source=dt_source,
+                constant_dt=spec["constant_dt"],
+                sigma_eps=config.schedule["sigma_eps"],
+                scale=config.gamma_scale,
+            )
+            if dt_source is DtSource.ORACLE:
+                charge = view.oracle_dt
+            elif dt_source is DtSource.PLUG_IN:
+                charge = lambda ctx: plug_in_dt
+            else:  # ZERO ignores the value, CONSTANT adds its own
+                charge = lambda ctx: None
+        agent = make_agent(
+            name=name,
+            kind=kind,
+            arm_count=arm_count,
+            dim=None if view is None else view.dim,
+            schedule=schedule,
+            imputer=None if view is None else view.imputer,
+            selection_form=SelectionForm(spec["selection_form"]),
+        )
+        rng = substream(config.base_seed, "trial", trial_index, "agent", name)
+        seats.append(_Seat(agent, view, rng, charge))
+    return seats
+
+
+def _decide(seats, horizon, contexts):
+    """The decision loop of simulate and replay, step-major.
+
+    `contexts(i)` gives, for each seat in order, the context of step i that
+    its view reads, the optimal arm (None when unknown) and `pay(arm)`,
+    which returns the chosen arm's reward.  Simulate hands every seat the
+    same environment step; replay hands each seat its own k candidates.
+    Returns (arms, rewards), one row per seat.
+    """
+    arms = np.empty((len(seats), horizon), dtype=int)
+    rewards = np.empty((len(seats), horizon))
+    for i in range(horizon):
+        for j, (seat, (ctx, optimal_arm, pay)) in enumerate(zip(seats, contexts(i))):
+            feats = None if seat.view is None else seat.view.features(ctx)
+            arm = select_arm(seat.agent, feats, optimal_arm=optimal_arm, rng=seat.rng)
+            reward = pay(arm)
+            if seat.view is not None:
+                observe(seat.agent, feats[arm], reward, dt_value=seat.charge(ctx))
+            arms[j, i] = arm
+            rewards[j, i] = reward
+    return arms, rewards
+
+
+def _add_running_columns(cols):
+    """Derive an agent's running columns from its per-step ones, in place:
+    cumulative regret (both flavors) and the moving-average reward where
+    regret is known, the cumulative click-through rate where it is not."""
+    reward = cols["reward"]
+    if "inst_regret" in cols:
+        cols["cum_regret"] = np.cumsum(cols["inst_regret"])
+        cols["cond_cum"] = np.cumsum(cols["cond_inst"])
+        cols["ma_reward"] = np.array(
+            [reward[max(0, i + 1 - MA_WINDOW) : i + 1].mean() for i in range(len(reward))]
+        )
+    else:
+        cols["cum_ctr"] = np.cumsum(reward) / np.arange(1, len(reward) + 1)
+    return cols
+
+
+# -- simulate -----------------------------------------------------------------------
+
+
+def _dt_value(step, imputer, hist_window):
     """Per-step divergence between the true conditional law of W and the
-    agent's own imputation model, Gaussian closed form."""
-    src = agent.schedule.dt_source
-    if src in (DtSource.ZERO, DtSource.CONSTANT):
-        return None
-    if src is DtSource.PLUG_IN:
-        return None  # handled by caller with the pretrained constant
-    if agent.kind is AgentKind.OFUL_FULL:
-        return 0.0
+    agent's model of it, Gaussian closed form.  An agent without an imputer
+    sees the observed features only and models W as N(0, true sd)."""
     if step.cond_mean_w is None or step.cond_sd_w is None:
         raise ConfigError(
             "agents.dt_source", "oracle divergence needs an environment conditional law"
         )
     truth_sd = float(step.cond_sd_w)
     truth_mean = np.asarray(step.cond_mean_w, dtype=float)
-    if agent.kind is AgentKind.OFUL_OBSERVED:
+    if imputer is None:
         model_mean = np.zeros_like(truth_mean)
         model_sd = np.full(truth_mean.shape, truth_sd)
     else:
@@ -781,14 +891,6 @@ def _dt_value(agent, spec, step, imputer, hist_window):
     return total
 
 
-def _history_window(imputer):
-    if imputer is None:
-        return 1
-    if imputer.kind == ImputerKind.LINEAR_AR:
-        return imputer.params["lag"] + 1
-    return 1
-
-
 def run_trial(config, trial_index, fitted_imputer, plug_in_dt, feat_norm_bound):
     """All configured agents over one exogenous context stream.
 
@@ -800,193 +902,144 @@ def run_trial(config, trial_index, fitted_imputer, plug_in_dt, feat_norm_bound):
     rng_env = substream(config.base_seed, "trial", trial_index, "env")
     env.reset(rng_env)
     fmap = env.feature_map
-    dim = fmap.output_dim
     horizon = config.horizon
+    fallbacks_before = 0 if fitted_imputer is None else fitted_imputer.fallback_count
 
-    sched_cfg = dict(config.schedule)
-    sched_cfg["feat_norm_bound"] = feat_norm_bound
-
-    agents = []
-    for spec in config.agents:
-        kind = AgentKind(spec["kind"])
-        schedule = None
-        imputer = None
-        if kind in (AgentKind.PULSE_UCB, AgentKind.OFUL_OBSERVED, AgentKind.OFUL_FULL):
-            schedule = GammaSchedule(
-                lam=sched_cfg["lambda"],
-                sigma_eta=sched_cfg["sigma_eta"],
-                delta=sched_cfg["delta"],
-                feat_norm_bound=feat_norm_bound,
-                dim=dim,
-                dt_source=DtSource(spec["dt_source"]),
-                constant_dt=spec["constant_dt"],
-                sigma_eps=sched_cfg["sigma_eps"],
-                scale=config.gamma_scale,
-            )
-        if kind is AgentKind.PULSE_UCB:
-            if config.imputer["kind"] == ImputerKind.ORACLE:
-                imputer = oracle_imputer(env, mc_samples=config.imputer["mc_samples"])
-                imputer.analytic = config.imputer["analytic"]
-            else:
-                imputer = fitted_imputer
-        elif kind is AgentKind.OFUL_FULL:
-            imputer = full_observer(env.d_s, env.d_w)
-        agent = make_agent(
-            name=spec["name"],
-            kind=kind,
-            arm_count=fmap.arm_count,
-            dim=dim if schedule is not None else None,
-            schedule=schedule,
-            imputer=imputer,
-            selection_form=SelectionForm(spec["selection_form"]),
-        )
-        agents.append((agent, spec))
-
-    choice_rngs = {
-        spec["name"]: substream(config.base_seed, "trial", trial_index, "agent", spec["name"])
-        for _, spec in agents
-    }
-    mc_rngs = {
-        spec["name"]: substream(config.base_seed, "trial", trial_index, "mc", spec["name"])
-        for _, spec in agents
-    }
-
-    names = [spec["name"] for _, spec in agents]
-    out = {
-        name: {
-            "arm": np.empty(horizon, dtype=int),
-            "reward": np.empty(horizon),
-            "inst_regret": np.empty(horizon),
-            "cum_regret": np.empty(horizon),
-            "ma_reward": np.empty(horizon),
-            "cond_inst": np.empty(horizon),
-            "cond_cum": np.empty(horizon),
-        }
-        for name in names
-    }
-    cums = {name: 0.0 for name in names}
-    cond_cums = {name: 0.0 for name in names}
-    reward_hist = {name: np.empty(horizon) for name in names}
-    has_cond = True
-    max_abs_reward = 0.0
-
-    history = np.empty((horizon, env.d_s))
+    if config.imputer["kind"] == ImputerKind.ORACLE:
+        imputer = oracle_imputer(env, mc_samples=config.imputer["mc_samples"])
+        imputer.analytic = config.imputer["analytic"]
+    else:
+        imputer = fitted_imputer
+    lagged = imputer is not None and imputer.kind == ImputerKind.LINEAR_AR
+    window = imputer.params["lag"] + 1 if lagged else 1
     zeros_w = np.zeros(env.d_w)
 
-    for i in range(horizon):
+    # a step context is (environment step, observed history window)
+    full_view = _View(
+        dim=fmap.output_dim,
+        bound=feat_norm_bound,
+        features=lambda ctx: arm_feature_matrix(fmap, ctx[0].full_context, ctx[0].observed),
+        oracle_dt=lambda ctx: 0.0,  # the agent sees W itself
+    )
+    observed_view = _View(
+        dim=fmap.output_dim,
+        bound=feat_norm_bound,
+        features=lambda ctx: arm_feature_matrix(
+            fmap, fmap.assemble_context(ctx[0].observed, zeros_w), ctx[0].observed
+        ),
+        oracle_dt=lambda ctx: _dt_value(ctx[0], None, None),
+    )
+
+    def view_for(kind, name):
+        if kind is AgentKind.OFUL_FULL:
+            return full_view
+        if kind is AgentKind.OFUL_OBSERVED:
+            return observed_view
+        if kind is not AgentKind.PULSE_UCB:
+            return None
+        mc_rng = substream(config.base_seed, "trial", trial_index, "mc", name)
+        return _View(
+            dim=fmap.output_dim,
+            bound=feat_norm_bound,
+            features=lambda ctx: expected_feature_matrix(imputer, fmap, ctx[1], rng=mc_rng),
+            imputer=imputer,
+            oracle_dt=lambda ctx: _dt_value(ctx[0], imputer, ctx[1]),
+        )
+
+    seats = _seat_agents(config, trial_index, fmap.arm_count, view_for, plug_in_dt)
+    history = np.empty((horizon, env.d_s))
+    steps = []
+
+    def contexts(i):
         step = env.step(rng_env)
         history[i] = step.observed
-        max_abs_reward = max(max_abs_reward, float(np.abs(step.potential_rewards).max()))
-        if step.cond_arm_means is None:
-            has_cond = False
-        full_feats = None
-        observed_feats = None
+        steps.append(step)
+        ctx = (step, history[max(0, i + 1 - window) : i + 1])
 
-        for agent, spec in agents:
-            name = spec["name"]
-            kind = agent.kind
-            if kind is AgentKind.PULSE_UCB:
-                win = _history_window(agent.imputer)
-                hist_window = history[max(0, i + 1 - win) : i + 1]
-                feats = expected_feature_matrix(
-                    agent.imputer, fmap, hist_window, rng=mc_rngs[name]
-                )
-            elif kind is AgentKind.OFUL_OBSERVED:
-                if observed_feats is None:
-                    y0 = fmap.assemble_context(step.observed, zeros_w)
-                    observed_feats = arm_feature_matrix(fmap, y0, step.observed)
-                feats = observed_feats
-            elif kind is AgentKind.OFUL_FULL:
-                if full_feats is None:
-                    full_feats = arm_feature_matrix(fmap, step.full_context, step.observed)
-                feats = full_feats
-            else:
-                feats = None
+        def pay(arm):
+            return float(step.potential_rewards[arm])
 
-            arm = select_arm(
-                agent,
-                feats,
-                optimal_arm=step.optimal_arm,
-                rng=choice_rngs[name],
-            )
-            reward = float(step.potential_rewards[arm])
-            inst = step.optimal_mean - float(step.arm_means[arm])
+        return [(ctx, step.optimal_arm, pay)] * len(seats)
 
-            if agent.is_ucb:
-                if agent.schedule.dt_source is DtSource.PLUG_IN:
-                    dt = plug_in_dt
-                else:
-                    win = _history_window(agent.imputer)
-                    dt = _dt_value(
-                        agent, spec, step, agent.imputer, history[max(0, i + 1 - win) : i + 1]
-                    )
-                observe(agent, feats[arm], reward, dt_value=dt)
+    arms, rewards = _decide(seats, horizon, contexts)
 
-            cums[name] += inst
-            reward_hist[name][i] = reward
-            lo = max(0, i - (MA_WINDOW - 1))
-            rec = out[name]
-            rec["arm"][i] = arm
-            rec["reward"][i] = reward
-            rec["inst_regret"][i] = inst
-            rec["cum_regret"][i] = cums[name]
-            rec["ma_reward"][i] = reward_hist[name][lo : i + 1].mean()
-            if step.cond_arm_means is not None:
-                cond_inst = float(step.cond_arm_means.max() - step.cond_arm_means[arm])
-                cond_cums[name] += cond_inst
-                rec["cond_inst"][i] = cond_inst
-                rec["cond_cum"][i] = cond_cums[name]
+    rows = np.arange(horizon)
+    arm_means = np.stack([s.arm_means for s in steps])
+    optimal_means = np.array([s.optimal_mean for s in steps])
+    has_cond = all(s.cond_arm_means is not None for s in steps)
+    if has_cond:
+        cond_means = np.stack([s.cond_arm_means for s in steps])
+    out = {}
+    for j, seat in enumerate(seats):
+        cols = {
+            "arm": arms[j],
+            "reward": rewards[j],
+            "inst_regret": optimal_means - arm_means[rows, arms[j]],
+            "cond_inst": (
+                cond_means.max(axis=1) - cond_means[rows, arms[j]]
+                if has_cond
+                else np.full(horizon, np.nan)
+            ),
+        }
+        out[seat.agent.name] = _add_running_columns(cols)
 
     return {
         "agents": out,
-        "names": names,
+        "names": list(out),
         "has_conditional": has_cond,
-        "max_abs_reward": max_abs_reward,
+        "max_abs_reward": float(np.abs(np.stack([s.potential_rewards for s in steps])).max()),
         "final_dt_cumsum": {
-            spec["name"]: (agent.schedule.dt_cumsum if agent.schedule else None)
-            for agent, spec in agents
+            seat.agent.name: (seat.agent.schedule.dt_cumsum if seat.agent.schedule else None)
+            for seat in seats
         },
+        "kernel_fallbacks": (
+            0 if fitted_imputer is None else fitted_imputer.fallback_count - fallbacks_before
+        ),
     }
 
 
-# -- experiment -------------------------------------------------------------------
+# -- outputs ----------------------------------------------------------------------
+
+# (CSV header, per-agent column) of each per-decision output
+_RAW_COLUMNS = (
+    ("arm", "arm"),
+    ("reward", "reward"),
+    ("inst_regret", "inst_regret"),
+    ("cum_regret", "cum_regret"),
+    ("ma_reward_100", "ma_reward"),
+)
+_CONDITIONAL_COLUMNS = (("cond_inst_regret", "cond_inst"), ("cond_cum_regret", "cond_cum"))
+_REPLAY_COLUMNS = (("choice", "arm"), ("reward", "reward"), ("cum_ctr", "cum_ctr"))
 
 
 def _fmt(v):
     return repr(float(v))
 
 
-def _write_raw_csv(path, config, results):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("trial,t,agent,arm,reward,inst_regret,cum_regret,ma_reward_100\n")
-        for trial_index in sorted(results):
-            res = results[trial_index]
-            names = res["names"]
-            horizon = len(res["agents"][names[0]]["reward"])
-            for i in range(horizon):
-                for name in names:
-                    rec = res["agents"][name]
-                    fh.write(
-                        f"{trial_index},{i + 1},{name},{rec['arm'][i]},"
-                        f"{_fmt(rec['reward'][i])},{_fmt(rec['inst_regret'][i])},"
-                        f"{_fmt(rec['cum_regret'][i])},{_fmt(rec['ma_reward'][i])}\n"
-                    )
+def _cells(values):
+    fmt = str if values.dtype.kind in "iu" else repr
+    return [fmt(v) for v in values.tolist()]
 
 
-def _write_conditional_csv(path, results):
+def _write_rows(path, results, columns):
+    """One CSV row per (trial, t, agent) holding the given columns.
+
+    Integers print as such and floats in shortest round-trip form.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("trial,t,agent,cond_inst_regret,cond_cum_regret\n")
+        fh.write(",".join(["trial", "t", "agent"] + [h for h, _ in columns]) + "\n")
         for trial_index in sorted(results):
             res = results[trial_index]
-            names = res["names"]
-            horizon = len(res["agents"][names[0]]["reward"])
-            for i in range(horizon):
-                for name in names:
-                    rec = res["agents"][name]
-                    fh.write(
-                        f"{trial_index},{i + 1},{name},"
-                        f"{_fmt(rec['cond_inst'][i])},{_fmt(rec['cond_cum'][i])}\n"
-                    )
+            lines = {
+                name: [
+                    ",".join(cells)
+                    for cells in zip(*(_cells(res["agents"][name][key]) for _, key in columns))
+                ]
+                for name in res["names"]
+            }
+            for i in range(len(lines[res["names"][0]])):
+                for name in res["names"]:
+                    fh.write(f"{trial_index},{i + 1},{name},{lines[name][i]}\n")
 
 
 def _se(values):
@@ -996,35 +1049,65 @@ def _se(values):
     return values.std(axis=0, ddof=1) / math.sqrt(values.shape[0])
 
 
-def _write_aggregate_csv(path, config, results):
-    """Per (agent, t) mean and standard error over trials.
+def _write_aggregate_csv(path, results, keys):
+    """Per (agent, t) mean and standard error over trials of each column.
 
     Trials enter in index order, so the aggregate is invariant to the
-    scheduling order in which trials were computed.
+    scheduling order in which trials were computed.  Returns each agent's
+    final {column: (mean, se)}.
     """
     trials = sorted(results)
-    names = results[trials[0]]["names"]
-    horizon = len(results[trials[0]]["agents"][names[0]]["reward"])
-    summary = {}
+    finals = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("agent,t,mean_cum_regret,se_cum_regret,mean_ma_reward,se_ma_reward\n")
-        for name in names:
-            cum = np.stack([results[tr]["agents"][name]["cum_regret"] for tr in trials])
-            ma = np.stack([results[tr]["agents"][name]["ma_reward"] for tr in trials])
-            mean_cum = cum.mean(axis=0)
-            se_cum = _se(cum)
-            mean_ma = ma.mean(axis=0)
-            se_ma = _se(ma)
-            for i in range(horizon):
-                fh.write(
-                    f"{name},{i + 1},{_fmt(mean_cum[i])},{_fmt(se_cum[i])},"
-                    f"{_fmt(mean_ma[i])},{_fmt(se_ma[i])}\n"
-                )
-            summary[name] = {
-                "mean_final_cum_regret": float(mean_cum[-1]),
-                "se_final_cum_regret": float(se_cum[-1]),
+        fh.write("agent,t," + ",".join(f"mean_{key},se_{key}" for key in keys) + "\n")
+        for name in results[trials[0]]["names"]:
+            stats = []
+            for key in keys:
+                values = np.stack([results[tr]["agents"][name][key] for tr in trials])
+                stats += [values.mean(axis=0), _se(values)]
+            for i in range(len(stats[0])):
+                fh.write(f"{name},{i + 1}," + ",".join(_fmt(s[i]) for s in stats) + "\n")
+            finals[name] = {
+                key: (float(stats[2 * j][-1]), float(stats[2 * j + 1][-1]))
+                for j, key in enumerate(keys)
             }
-    return summary
+    return finals
+
+
+def _write_metadata(out_dir, config, overrides_echo, facts):
+    """metadata.json: the resolved config plus the run's facts.
+
+    The config hash covers the resolved config (see config_hash);
+    timestamps and environment-dependent run facts stay outside it.
+    """
+    metadata = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "run_metadata",
+        "config": config.to_dict(),
+        "run": {
+            "config_sha256": config.config_hash(),
+            "package_version": __version__,
+            **facts,
+            "overrides": list(overrides_echo),
+            "timestamp_utc": datetime.now(timezone.utc).isoformat(),
+        },
+    }
+    path = os.path.join(out_dir, "metadata.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(metadata, fh, indent=1)
+        fh.write("\n")
+    return path
+
+
+def _output_dir(config, out_dir):
+    out_dir = out_dir or config.output_dir
+    if out_dir is None:
+        raise ConfigError("output.dir", "no output directory configured")
+    os.makedirs(out_dir, exist_ok=True)
+    return out_dir
+
+
+# -- experiment -------------------------------------------------------------------
 
 
 def _trial_task(args):
@@ -1038,22 +1121,21 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
 
     Returns a summary dict with output paths and final mean regrets.
     """
-    out_dir = out_dir or config.output_dir
-    if out_dir is None:
-        raise ConfigError("output.dir", "no output directory configured")
     if config.environment["kind"] == "replay":
         return run_replay(config, out_dir=out_dir, overrides_echo=overrides_echo)
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _output_dir(config, out_dir)
 
     pre = pretrain(config)
     bound = pre["feat_norm_bound"]
+    imputer = pre["imputer"]
+    pretrain_fallbacks = None if imputer is None else imputer.fallback_count
 
     results = {}
     if config.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         tasks = [
-            (config.to_dict(), tr, pre["imputer"], pre["plug_in_dt"], bound)
+            (config.to_dict(), tr, imputer, pre["plug_in_dt"], bound)
             for tr in range(config.trials)
         ]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -1061,40 +1143,45 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
                 results[trial_index] = res
     else:
         for tr in range(config.trials):
-            results[tr] = run_trial(config, tr, pre["imputer"], pre["plug_in_dt"], bound)
+            results[tr] = run_trial(config, tr, imputer, pre["plug_in_dt"], bound)
 
     raw_path = os.path.join(out_dir, "raw_records.csv")
     agg_path = os.path.join(out_dir, "aggregate.csv")
-    _write_raw_csv(raw_path, config, results)
-    summary = _write_aggregate_csv(agg_path, config, results)
+    _write_rows(raw_path, results, _RAW_COLUMNS)
+    finals = _write_aggregate_csv(agg_path, results, ("cum_regret", "ma_reward"))
+    summary = {
+        name: {
+            "mean_final_cum_regret": final["cum_regret"][0],
+            "se_final_cum_regret": final["cum_regret"][1],
+        }
+        for name, final in finals.items()
+    }
 
     cond_path = None
     if config.record_conditional_regret and all(
         results[tr]["has_conditional"] for tr in results
     ):
         cond_path = os.path.join(out_dir, "conditional_regret.csv")
-        _write_conditional_csv(cond_path, results)
+        _write_rows(cond_path, results, _CONDITIONAL_COLUMNS)
 
     imputer_path = None
     imputer_sha = None
-    if pre["imputer"] is not None and pre["imputer"].kind in (
+    if imputer is not None and imputer.kind in (
         ImputerKind.LINEAR_AR,
         ImputerKind.KERNEL,
         ImputerKind.NULL,
     ):
         imputer_path = os.path.join(out_dir, "imputer.json")
-        save_imputer(pre["imputer"], imputer_path)
+        save_imputer(imputer, imputer_path)
         with open(imputer_path, "rb") as fh:
             imputer_sha = hashlib.sha256(fh.read()).hexdigest()
 
     max_abs_reward = max(results[tr]["max_abs_reward"] for tr in results)
-    metadata = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "run_metadata",
-        "config": config.to_dict(),
-        "run": {
-            "config_sha256": config.config_hash(),
-            "package_version": __version__,
+    meta_path = _write_metadata(
+        out_dir,
+        config,
+        overrides_echo,
+        {
             "regret_flavor": "realized_mean_gap",
             "gamma_scale": config.gamma_scale,
             "feat_norm_bound": bound,
@@ -1105,22 +1192,19 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
                 "kind": config.imputer["kind"],
                 "saved_to": "imputer.json" if imputer_path else None,
                 "sha256": imputer_sha,
+                # pretrain's queries plus each trial's own, whichever
+                # process ran the trial
                 "kernel_fallbacks": (
-                    pre["imputer"].fallback_count if pre["imputer"] is not None else None
+                    None
+                    if imputer is None
+                    else pretrain_fallbacks
+                    + sum(results[tr]["kernel_fallbacks"] for tr in results)
                 ),
             },
             "final_dt_cumsum_trial0": results[0]["final_dt_cumsum"],
             "summary": summary,
-            "overrides": list(overrides_echo),
-            "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         },
-    }
-    # the config hash covers the resolved config only; timestamps and
-    # environment-dependent run facts stay outside it
-    meta_path = os.path.join(out_dir, "metadata.json")
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(metadata, fh, indent=1)
-        fh.write("\n")
+    )
 
     return {
         "raw_path": raw_path,
@@ -1135,32 +1219,52 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
 # -- replay -----------------------------------------------------------------------
 
 
-def _replay_agent_dim(kind, log, d_w):
-    if kind == "oful_full":
-        return log.d_full
-    if kind == "pulse_ucb":
-        return log.d_s + d_w
-    return log.d_s  # observed view
+def _replay_views(config, log, imputer):
+    """The feature view of each configured UCB kind over the online rows.
+
+    A view's features are rows of one table built once per log: the full
+    features, the observed ones, or the observed ones followed by the
+    imputed conditional mean of W.  Its feature-norm bound is a quantile of
+    the table's row norms (no rng involved).
+    """
+    kinds = {AgentKind(spec["kind"]) for spec in config.agents}
+    tables = {}
+    if AgentKind.OFUL_FULL in kinds:
+        tables[AgentKind.OFUL_FULL] = log.full
+    if AgentKind.OFUL_OBSERVED in kinds:
+        tables[AgentKind.OFUL_OBSERVED] = log.observed
+    if AgentKind.PULSE_UCB in kinds:
+        if imputer is None:
+            raise ConfigError("imputer.kind", "pulse_ucb replay needs a fitted imputer")
+        mus = np.stack(
+            [imputer.conditional_mean(log.observed[j][None, :]) for j in range(log.n_rows)]
+        )
+        tables[AgentKind.PULSE_UCB] = np.concatenate([log.observed, mus], axis=1)
+    return {
+        kind: _View(
+            dim=table.shape[1],
+            bound=float(np.quantile(np.linalg.norm(table, axis=1), FEAT_NORM_QUANTILE)),
+            features=lambda candidates, table=table: table[candidates],
+            imputer=imputer if kind is AgentKind.PULSE_UCB else None,
+        )
+        for kind, table in tables.items()
+    }
 
 
 def run_replay(config, out_dir=None, overrides_echo=()):
     """Offline replay: per step, k logged candidates, the chosen row's
     reward revealed, cumulative click-through rate tracked per agent.
 
-    Each agent replays the online portion independently on its own
-    candidate stream; trials are independent seeds.
+    Each agent replays the online portion on its own candidate stream, so
+    its rows do not depend on which other agents run; trials are
+    independent seeds.
     """
-    out_dir = out_dir or config.output_dir
-    if out_dir is None:
-        raise ConfigError("output.dir", "no output directory configured")
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _output_dir(config, out_dir)
 
     pre = _pretrain_replay(config)
     log = pre["log"]
     n0 = pre["n_pretrain_rows"]
     k = config.environment["k"]
-    imputer = pre["imputer"]
-    d_w = 0 if log.full is None else log.d_full - log.d_s
 
     online = np.arange(n0, log.n_rows)
     if online.shape[0] < k:
@@ -1174,158 +1278,59 @@ def run_replay(config, out_dir=None, overrides_echo=()):
         pool_ids=log.pool_ids[online],
         row_ids=log.row_ids[online],
     )
+    # each step consumes one row, so this many steps never exhaust the log
     max_steps = online_log.n_rows - k + 1
     horizon = max_steps if config.horizon is None else min(config.horizon, max_steps)
-
-    # per-view feature norm bounds from the online rows (no rng involved)
-    bounds = {}
-    for spec in config.agents:
-        kind = spec["kind"]
-        if kind in ("oracle_best",):
-            raise ConfigError("agents.kind", "oracle_best is undefined for replay logs")
-        if kind == "oful_full":
-            norms = np.linalg.norm(online_log.full, axis=1)
-        elif kind == "pulse_ucb":
-            if imputer is None:
-                raise ConfigError("imputer.kind", "pulse_ucb replay needs a fitted imputer")
-            mus = np.stack(
-                [
-                    imputer.conditional_mean(online_log.observed[j][None, :])
-                    for j in range(online_log.n_rows)
-                ]
-            )
-            norms = np.linalg.norm(
-                np.concatenate([online_log.observed, mus], axis=1), axis=1
-            )
-        else:
-            norms = np.linalg.norm(online_log.observed, axis=1)
-        bounds[spec["name"]] = float(np.quantile(norms, FEAT_NORM_QUANTILE))
+    views = _replay_views(config, online_log, pre["imputer"])
 
     results = {}
     for trial_index in range(config.trials):
-        per_agent = {}
-        for spec in config.agents:
-            name = spec["name"]
-            kind = spec["kind"]
-            stream = ReplayStream(
-                online_log, substream(config.base_seed, "trial", trial_index, "replay", name)
+        seats = _seat_agents(
+            config, trial_index, k, lambda kind, name: views.get(kind), pre["plug_in_dt"]
+        )
+        streams = [
+            ReplayStream(
+                online_log,
+                substream(config.base_seed, "trial", trial_index, "replay", seat.agent.name),
             )
-            dim = _replay_agent_dim(kind, online_log, d_w)
-            schedule = None
-            if kind in ("pulse_ucb", "oful_observed", "oful_full"):
-                if spec["dt_source"] == "oracle":
-                    raise ConfigError(
-                        "agents.dt_source", "replay logs expose no oracle conditional law"
-                    )
-                schedule = GammaSchedule(
-                    lam=config.schedule["lambda"],
-                    sigma_eta=config.schedule["sigma_eta"],
-                    delta=config.schedule["delta"],
-                    feat_norm_bound=bounds[name],
-                    dim=dim,
-                    dt_source=DtSource(spec["dt_source"]),
-                    constant_dt=spec["constant_dt"],
-                    sigma_eps=config.schedule["sigma_eps"],
-                    scale=config.gamma_scale,
-                )
-            agent = make_agent(
-                name=name,
-                kind=AgentKind(kind),
-                arm_count=k,
-                dim=dim if schedule is not None else None,
-                schedule=schedule,
-                imputer=imputer if kind == "pulse_ucb" else None,
-                selection_form=SelectionForm(spec["selection_form"]),
-            )
-            choice_rng = substream(
-                config.base_seed, "trial", trial_index, "agent", name
-            )
-            rewards = np.empty(horizon)
-            choices = np.empty(horizon, dtype=int)
-            for i in range(horizon):
-                try:
-                    candidates, reveal = stream.step(k)
-                except EndOfLog:
-                    raise ConfigError("horizon", "replay log exhausted before horizon")
-                if kind == "oful_full":
-                    feats = online_log.full[candidates]
-                elif kind == "pulse_ucb":
-                    mus = np.stack(
-                        [
-                            imputer.conditional_mean(
-                                online_log.observed[c][None, :]
-                            )
-                            for c in candidates
-                        ]
-                    )
-                    feats = np.concatenate(
-                        [online_log.observed[candidates], mus], axis=1
-                    )
-                elif kind == "oful_observed":
-                    feats = online_log.observed[candidates]
-                else:
-                    feats = None
-                choice = select_arm(agent, feats, rng=choice_rng)
-                reward = reveal(choice)
-                if agent.is_ucb:
-                    observe(agent, feats[choice], reward, dt_value=None)
-                rewards[i] = reward
-                choices[i] = choice
-            per_agent[name] = {
-                "reward": rewards,
-                "choice": choices,
-                "cum_ctr": np.cumsum(rewards) / np.arange(1, horizon + 1),
-            }
-        results[trial_index] = per_agent
+            for seat in seats
+        ]
+
+        def contexts(i):
+            for stream in streams:
+                candidates, reveal = stream.step(k)
+                yield candidates, None, reveal
+
+        arms, rewards = _decide(seats, horizon, contexts)
+        agents = {
+            seat.agent.name: _add_running_columns({"arm": arms[j], "reward": rewards[j]})
+            for j, seat in enumerate(seats)
+        }
+        results[trial_index] = {"agents": agents, "names": list(agents)}
 
     raw_path = os.path.join(out_dir, "raw_replay.csv")
-    with open(raw_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("trial,t,agent,choice,reward,cum_ctr\n")
-        for tr in sorted(results):
-            for i in range(horizon):
-                for spec in config.agents:
-                    name = spec["name"]
-                    rec = results[tr][name]
-                    fh.write(
-                        f"{tr},{i + 1},{name},{rec['choice'][i]},"
-                        f"{_fmt(rec['reward'][i])},{_fmt(rec['cum_ctr'][i])}\n"
-                    )
-
+    _write_rows(raw_path, results, _REPLAY_COLUMNS)
     agg_path = os.path.join(out_dir, "aggregate_replay.csv")
-    summary = {}
-    with open(agg_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("agent,t,mean_cum_ctr,se_cum_ctr\n")
-        for spec in config.agents:
-            name = spec["name"]
-            ctr = np.stack([results[tr][name]["cum_ctr"] for tr in sorted(results)])
-            mean_ctr = ctr.mean(axis=0)
-            se_ctr = _se(ctr)
-            for i in range(horizon):
-                fh.write(f"{name},{i + 1},{_fmt(mean_ctr[i])},{_fmt(se_ctr[i])}\n")
-            summary[name] = {"final_mean_cum_ctr": float(mean_ctr[-1])}
-
-    metadata = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "run_metadata",
-        "config": config.to_dict(),
-        "run": {
-            "config_sha256": config.config_hash(),
-            "package_version": __version__,
+    finals = _write_aggregate_csv(agg_path, results, ("cum_ctr",))
+    summary = {
+        name: {"final_mean_cum_ctr": final["cum_ctr"][0]} for name, final in finals.items()
+    }
+    meta_path = _write_metadata(
+        out_dir,
+        config,
+        overrides_echo,
+        {
             "protocol": "k_candidate_replay",
             "k": k,
             "n_pretrain_rows": n0,
             "n_online_rows": int(online_log.n_rows),
             "horizon": horizon,
-            "feat_norm_bounds": bounds,
+            "feat_norm_bounds": {
+                seat.agent.name: seat.view.bound for seat in seats if seat.view is not None
+            },
             "summary": summary,
-            "overrides": list(overrides_echo),
-            "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         },
-    }
-    meta_path = os.path.join(out_dir, "metadata.json")
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(metadata, fh, indent=1)
-        fh.write("\n")
+    )
 
     return {
         "raw_path": raw_path,

@@ -121,6 +121,12 @@ def test_run_trial_deterministic_and_regret_signs():
     oracle = a["agents"]["oracle_best"]
     assert np.all(oracle["inst_regret"] == 0.0)
     assert a["agents"]["uniform_random"]["cum_regret"][-1] > 0.0
+    # running regret equals the step-by-step sum it is derived from
+    for name in a["names"]:
+        total = 0.0
+        for inst, cum in zip(a["agents"][name]["inst_regret"], a["agents"][name]["cum_regret"]):
+            total += inst
+            assert cum == total
     # different trial index gives a different draw
     c = run_trial(cfg, 1, imp, plug, bound)
     assert not np.array_equal(a["agents"]["uniform_random"]["reward"],
@@ -243,14 +249,18 @@ def test_replay_runs_and_is_deterministic(tmp_path):
 
 
 def test_replay_rejects_ill_posed_agents(tmp_path):
+    # caught when the config is built, so validate-config reports them too
     raw = replay_raw(tmp_path)
     raw["agents"].append({"name": "cheat", "kind": "oracle_best"})
-    with pytest.raises(ConfigError):
-        run_replay(ExperimentConfig(raw), out_dir=str(tmp_path / "bad"))
-    raw = replay_raw(tmp_path)
-    raw["agents"][0]["dt_source"] = "oracle"
-    with pytest.raises(ConfigError):
-        run_replay(ExperimentConfig(raw), out_dir=str(tmp_path / "bad2"))
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(raw)
+    assert err.value.field == "agents[3].kind"
+    for i, source in ((0, "oracle"), (1, "plug_in")):
+        raw = replay_raw(tmp_path)
+        raw["agents"][i]["dt_source"] = source
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(raw)
+        assert err.value.field == f"agents[{i}].dt_source"
 
 
 def test_replay_horizon_capped_by_pool(tmp_path):
@@ -268,3 +278,71 @@ def test_synthetic_config_rejects_missing_path_for_replay():
     with pytest.raises(ConfigError) as err:
         ExperimentConfig(raw)
     assert "path" in str(err.value)
+
+
+def test_config_hash_ignores_output_dir_and_workers():
+    base = ExperimentConfig(tiny_raw(output={"dir": "a"}))
+    for other in (tiny_raw(output={"dir": "elsewhere"}), tiny_raw(workers=3)):
+        cfg = ExperimentConfig(other)
+        assert cfg.config_hash() == base.config_hash()
+    # both stay in the resolved config, so reruns from metadata keep them
+    assert ExperimentConfig(tiny_raw(workers=3)).to_dict()["workers"] == 3
+    assert base.to_dict()["output"] == {"dir": "a"}
+    assert ExperimentConfig(tiny_raw(trials=3)).config_hash() != base.config_hash()
+
+
+def test_kernel_fallbacks_do_not_depend_on_workers(tmp_path):
+    import importlib.resources as ir
+    import pulsebandit.configs as configs
+    path = str(ir.files(configs) / "lower_bound_dgp.json")
+    overrides = ("imputer.bandwidth=0.05", "trials=2", "horizon=200",
+                 "schedule.feat_norm_bound=2.0")
+    counts = []
+    for workers in (1, 2):
+        cfg = load_config(path, overrides=overrides + (f"workers={workers}",))
+        res = run_experiment(cfg, out_dir=str(tmp_path / f"w{workers}"))
+        meta = json.loads(open(res["metadata_path"]).read())
+        counts.append(meta["run"]["imputer"]["kernel_fallbacks"])
+    assert counts[0] == counts[1] > 0
+
+
+def _count_decisions(monkeypatch):
+    import pulsebandit.harness as harness
+    calls = []
+    original = harness.select_arm
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "select_arm", counted)
+    return calls
+
+
+def test_every_decision_goes_through_harness_select_arm(tmp_path, monkeypatch):
+    # the benchmark marks the first decision by swapping harness.select_arm
+    calls = _count_decisions(monkeypatch)
+    raw = tiny_raw(horizon=15)
+    run_experiment(ExperimentConfig(raw), out_dir=str(tmp_path / "sim"))
+    assert len(calls) == raw["trials"] * 15 * len(raw["agents"])
+
+    del calls[:]
+    raw = replay_raw(tmp_path, horizon=12)
+    run_replay(ExperimentConfig(raw), out_dir=str(tmp_path / "rep"))
+    assert len(calls) == raw["trials"] * 12 * len(raw["agents"])
+
+
+def test_replay_agent_rows_do_not_depend_on_other_agents(tmp_path):
+    # each replay agent has its own candidate and choice streams, which is
+    # what lets the loop interleave agents step by step
+    both = run_replay(ExperimentConfig(replay_raw(tmp_path)), out_dir=str(tmp_path / "all"))
+    raw = replay_raw(tmp_path)
+    raw["agents"] = [{"name": "pulse_ucb", "kind": "pulse_ucb"}]
+    alone = run_replay(ExperimentConfig(raw), out_dir=str(tmp_path / "alone"))
+
+    def rows(path):
+        with open(path) as fh:
+            return [line for line in fh if line.split(",")[2] == "pulse_ucb"]
+
+    assert rows(both["raw_path"]) == rows(alone["raw_path"])
+    assert len(rows(alone["raw_path"])) == 2 * 50
