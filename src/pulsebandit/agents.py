@@ -30,10 +30,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ConfigError, InputError, ParameterError, UsageError
-from .linalg import new_ridge_state, quadratic_form_inv, rank_one_update
+from .linalg import _sigma_inv, new_ridge_state, quadratic_form_inv, rank_one_update
 
 __all__ = [
     "DtSource",
@@ -222,55 +221,47 @@ def current_gamma(agent):
     return gamma_at(agent.schedule, t)
 
 
-def _sigma_inv(agent, v):
-    z = solve_triangular(agent.ridge.factor, v, lower=True, check_finite=False)
-    return solve_triangular(agent.ridge.factor.T, z, lower=False, check_finite=False)
-
-
 def arm_ucb_scores(agent, arm_features):
     """Optimistic score of every candidate arm under the agent's form.
 
     Closed form evaluates theta_hat . x + sqrt(gamma x^T Sigma^{-1} x)
     directly; ball maximization materializes the maximizing theta on the
     confidence ball and scores through it, cross-checking membership.
-    Both forms agree up to floating point.
+    Both forms agree up to floating point, and both take every arm's
+    x^T Sigma^{-1} x from one stacked solve.
     """
     if not agent.is_ucb:
         raise UsageError(f"{agent.kind.value} agents have no UCB scores")
     feats = np.asarray(arm_features, dtype=float)
-    if feats.ndim != 2 or feats.shape[1] != agent.ridge.dim:
+    if feats.ndim != 2:
         raise InputError(
             f"arm features must have shape (n_arms, {agent.ridge.dim}), got {feats.shape}"
         )
-    if not np.all(np.isfinite(feats)):
-        raise InputError("arm features contain non-finite entries")
+    quads = quadratic_form_inv(agent.ridge, feats)
 
     gamma = current_gamma(agent)
     agent.last_gamma = gamma
     root_gamma = math.sqrt(gamma)
     theta = agent.ridge.theta_hat
+    if agent.selection_form is SelectionForm.CLOSED_FORM:
+        return feats @ theta + root_gamma * np.sqrt(quads)
 
     scores = np.empty(feats.shape[0])
-    for a in range(feats.shape[0]):
-        x = feats[a]
-        quad = quadratic_form_inv(agent.ridge, x)
-        if agent.selection_form is SelectionForm.CLOSED_FORM:
-            scores[a] = float(theta @ x) + root_gamma * math.sqrt(quad)
-        else:
-            if quad == 0.0:
-                scores[a] = float(theta @ x)
-                continue
-            # explicit maximizer over the ball, then cross-check membership
-            direction = _sigma_inv(agent, x) / math.sqrt(quad)
-            theta_star = theta + root_gamma * direction
-            diff = theta_star - theta
-            radius = float(diff @ (agent.ridge.gram @ diff))
-            if radius > gamma * (1.0 + _BALL_CHECK_RTOL):
-                raise InputError(
-                    "ball-maximization optimizer left the confidence ball "
-                    f"({radius} > {gamma})"
-                )
-            scores[a] = float(theta_star @ x)
+    for a, (x, quad) in enumerate(zip(feats, quads.tolist())):
+        if quad == 0.0:
+            scores[a] = float(theta @ x)
+            continue
+        # explicit maximizer over the ball, then cross-check membership
+        direction = _sigma_inv(agent.ridge, x) / math.sqrt(quad)
+        theta_star = theta + root_gamma * direction
+        diff = theta_star - theta
+        radius = float(diff @ (agent.ridge.gram @ diff))
+        if radius > gamma * (1.0 + _BALL_CHECK_RTOL):
+            raise InputError(
+                "ball-maximization optimizer left the confidence ball "
+                f"({radius} > {gamma})"
+            )
+        scores[a] = float(theta_star @ x)
     return scores
 
 

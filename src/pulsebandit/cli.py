@@ -1,8 +1,8 @@
 """Command-line front end.
 
-    pulsebandit simulate --config cfg.json [--set key=value ...] [--out DIR]
+    pulsebandit simulate --config cfg.json [--set key=value ...] [--out DIR] [--profile PATH]
     pulsebandit pretrain --config cfg.json --out DIR
-    pulsebandit replay   --config cfg.json --out DIR
+    pulsebandit replay   --config cfg.json --out DIR [--profile PATH]
     pulsebandit calibrate --config cfg.json --out DIR
     pulsebandit sweep    --config cfg.json --param key=[v1,v2] --out DIR
     pulsebandit validate-config --config cfg.json
@@ -56,8 +56,18 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None, help="override base seed")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
-    common(sub.add_parser("simulate", help="run the configured experiment"))
-    common(sub.add_parser("replay", help="replay a logged dataset"))
+    for name, text in (
+        ("simulate", "run the configured experiment"),
+        ("replay", "replay a logged dataset"),
+    ):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument(
+            "--profile",
+            default=None,
+            metavar="PATH",
+            help="write a cProfile dump of the run to PATH (read it with pstats)",
+        )
     common(sub.add_parser("pretrain", help="fit and save the imputer"), needs_out=True)
     common(sub.add_parser("calibrate", help="estimate the divergence band"), needs_out=True)
     sweep = sub.add_parser("sweep", help="run one experiment per parameter value")
@@ -88,6 +98,23 @@ def _say(args, message):
         print(message)
 
 
+def _profiled(args, run, *run_args, **run_kwargs):
+    """run(*run_args, **run_kwargs), under cProfile when --profile is given.
+
+    The dump covers this process only (not `workers` > 1 trial processes)
+    and is written even when the run fails.
+    """
+    if args.profile is None:
+        return run(*run_args, **run_kwargs)
+    import cProfile
+
+    profiler = cProfile.Profile()
+    try:
+        return profiler.runcall(run, *run_args, **run_kwargs)
+    finally:
+        profiler.dump_stats(args.profile)
+
+
 def _cmd_validate(args):
     config, _ = _load(args)
     _say(args, f"ok: {config.name} (hash {config.config_hash()[:12]})")
@@ -98,7 +125,7 @@ def _cmd_validate(args):
 
 def _cmd_simulate(args):
     config, overrides = _load(args)
-    result = run_experiment(config, overrides_echo=overrides)
+    result = _profiled(args, run_experiment, config, overrides_echo=overrides)
     for name, stats in result["summary"].items():
         if "mean_final_cum_regret" in stats:
             _say(
@@ -116,7 +143,7 @@ def _cmd_replay(args):
     config, overrides = _load(args)
     if config.environment["kind"] != "replay":
         raise ConfigError("environment.kind", "the replay command needs a replay config")
-    result = run_replay(config, overrides_echo=overrides)
+    result = _profiled(args, run_replay, config, overrides_echo=overrides)
     for name, stats in result["summary"].items():
         _say(args, f"{name}: final CTR {stats['final_mean_cum_ctr']:.4f}")
     _say(args, f"wrote {result['raw_path']}")

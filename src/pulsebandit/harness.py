@@ -731,12 +731,13 @@ def _pretrain_replay(config):
         imputer.analytic = config.imputer["analytic"]
     elif config.imputer["kind"] == ImputerKind.NULL and log.full is not None:
         imputer = null_imputer(log.d_s, log.d_full - log.d_s)
+    bound = config.schedule["feat_norm_bound"]
     return {
         "imputer": imputer,
         "log": log,
         "n_pretrain_rows": n0,
-        "feat_norm_bound": None,
-        "feat_norm_diagnostics": {"source": "per_agent_view"},
+        "feat_norm_bound": bound,
+        "feat_norm_diagnostics": {"source": "per_agent_view" if bound is None else "config"},
         "plug_in_dt": None,
     }
 
@@ -1201,7 +1202,10 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
                     + sum(results[tr]["kernel_fallbacks"] for tr in results)
                 ),
             },
-            "final_dt_cumsum_trial0": results[0]["final_dt_cumsum"],
+            "final_dt_cumsum": {
+                name: [results[tr]["final_dt_cumsum"][name] for tr in sorted(results)]
+                for name in results[0]["final_dt_cumsum"]
+            },
             "summary": summary,
         },
     )
@@ -1224,9 +1228,11 @@ def _replay_views(config, log, imputer):
 
     A view's features are rows of one table built once per log: the full
     features, the observed ones, or the observed ones followed by the
-    imputed conditional mean of W.  Its feature-norm bound is a quantile of
+    imputed conditional mean of W.  Its feature-norm bound is
+    `schedule.feat_norm_bound` when the config sets one, else a quantile of
     the table's row norms (no rng involved).
     """
+    bound = config.schedule["feat_norm_bound"]
     kinds = {AgentKind(spec["kind"]) for spec in config.agents}
     tables = {}
     if AgentKind.OFUL_FULL in kinds:
@@ -1243,7 +1249,11 @@ def _replay_views(config, log, imputer):
     return {
         kind: _View(
             dim=table.shape[1],
-            bound=float(np.quantile(np.linalg.norm(table, axis=1), FEAT_NORM_QUANTILE)),
+            bound=(
+                float(np.quantile(np.linalg.norm(table, axis=1), FEAT_NORM_QUANTILE))
+                if bound is None
+                else bound
+            ),
             features=lambda candidates, table=table: table[candidates],
             imputer=imputer if kind is AgentKind.PULSE_UCB else None,
         )
@@ -1328,6 +1338,7 @@ def run_replay(config, out_dir=None, overrides_echo=()):
             "feat_norm_bounds": {
                 seat.agent.name: seat.view.bound for seat in seats if seat.view is not None
             },
+            "feat_norm_diagnostics": pre["feat_norm_diagnostics"],
             "summary": summary,
         },
     )

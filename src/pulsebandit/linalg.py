@@ -11,6 +11,10 @@ Sigma_t.  The log-determinant is advanced with Sylvester's identity
     det(Sigma + x x^T) = det(Sigma) * (1 + x^T Sigma^{-1} x),
 
 so each update costs one triangular solve instead of a refactorization.
+Triangular solves call LAPACK's dtrtrs directly, with the arguments scipy's
+triangular-solve wrapper passes for a C-ordered lower factor but without its
+per-call argument handling; the rank-one factor update runs on Python
+floats, since at these dimensions numpy's per-slice overhead dominates.
 A full Cholesky refactorization is forced every `REFACTOR_INTERVAL`
 updates, and whenever a diagonal pivot of the factor degrades, to bound
 floating-point drift.  Matrices are dense; dimensions here are tiny.
@@ -19,7 +23,7 @@ floating-point drift.  Matrices are dense; dimensions here are tiny.
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import InputError, NumericalError, ParameterError
 
@@ -110,21 +114,54 @@ def _check_vector(state, v, name):
     v = np.asarray(v, dtype=float)
     if v.shape != (state.dim,):
         raise InputError(f"{name} must have shape ({state.dim},), got {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InputError(f"{name} contains non-finite entries")
     return v
 
 
-def quadratic_form_inv(state, v):
-    """v^T Sigma^{-1} v via one triangular solve against the factor.
+def _solve(factor, b, trans):
+    """factor^{-1} b (trans=1) or factor^{-T} b (trans=0), factor C-ordered lower.
 
-    Returns exactly 0.0 iff v is the zero vector.
+    `factor.T` is the Fortran-ordered upper triangle LAPACK reads in place;
+    b may be one vector or a (dim, k) block of right-hand sides.
     """
-    v = _check_vector(state, v, "v")
-    if not np.any(v):
-        return 0.0
-    z = solve_triangular(state.factor, v, lower=True, check_finite=False)
+    x, info = dtrtrs(factor.T, b, lower=0, trans=trans)
+    if info != 0:
+        raise NumericalError(f"triangular solve failed (LAPACK info {info})")
+    return x
+
+
+def _sigma_inv(state, v):
+    """Sigma^{-1} v through the factor: two triangular solves."""
+    return _solve(state.factor, _solve(state.factor, v, 1), 0)
+
+
+def _quad(factor, v):
+    # a zero v solves to exact zeros, so its form is exactly 0.0
+    z = _solve(factor, v, 1)
     return float(z @ z)
+
+
+def quadratic_form_inv(state, v):
+    """v^T Sigma^{-1} v via a triangular solve against the factor.
+
+    `v` is one (dim,) vector, giving a float that is exactly 0.0 for the
+    zero vector, or a (k, dim) stack, giving the k forms as a (k,)
+    array from one solve against all k right-hand sides.  That block solve
+    rounds differently from k single solves, by a few ulps.
+    """
+    v = np.asarray(v, dtype=float)
+    stacked = v.ndim == 2 and v.shape[1] == state.dim
+    if not stacked and v.shape != (state.dim,):
+        raise InputError(
+            f"v must have shape ({state.dim},) or (k, {state.dim}), got {v.shape}"
+        )
+    if not np.isfinite(v).all():
+        raise InputError("v contains non-finite entries")
+    if not stacked:
+        return _quad(state.factor, v)
+    z = _solve(state.factor, v.T, 1)
+    return np.einsum("ij,ij->j", z, z)
 
 
 def _refactor(state):
@@ -137,31 +174,29 @@ def _refactor(state):
     state._since_refactor = 0
 
 
-def _chol_update(L, x):
-    """In-place rank-one update: L L^T + x x^T -> L' L'^T, L lower."""
-    d = L.shape[0]
-    v = x.copy()
+def _chol_update(rows, x):
+    """In-place rank-one update: L L^T + x x^T -> L' L'^T, L lower.
+
+    `rows` is L as a list of row lists of floats and `x` a list of floats.
+    Each entry is computed as (l + s v) / c, then v as c v - s l', in that
+    order, so the result equals numpy's column-slice form bit for bit.
+    """
+    d = len(rows)
+    v = list(x)
     for k in range(d):
-        lkk = L[k, k]
-        r = math.hypot(lkk, v[k])
-        if r <= 0.0 or not math.isfinite(r):
+        lkk = rows[k][k]
+        vk = v[k]
+        r = math.hypot(lkk, vk)
+        if lkk <= 0.0 or not math.isfinite(r):
             raise NumericalError("cholesky rank-one update hit a nonpositive pivot")
         c = r / lkk
-        s = v[k] / lkk
-        L[k, k] = r
-        if k + 1 < d:
-            L[k + 1 :, k] = (L[k + 1 :, k] + s * v[k + 1 :]) / c
-            v[k + 1 :] = c * v[k + 1 :] - s * L[k + 1 :, k]
-
-
-def _resolve_theta(state):
-    if not np.any(state.xr_sum):
-        state.theta_hat = np.zeros(state.dim)
-        return
-    z = solve_triangular(state.factor, state.xr_sum, lower=True, check_finite=False)
-    state.theta_hat = solve_triangular(
-        state.factor.T, z, lower=False, check_finite=False
-    )
+        s = vk / lkk
+        rows[k][k] = r
+        for i in range(k + 1, d):
+            row = rows[i]
+            lik = (row[k] + s * v[i]) / c
+            row[k] = lik
+            v[i] = c * v[i] - s * lik
 
 
 def rank_one_update(state, x, reward):
@@ -176,7 +211,7 @@ def rank_one_update(state, x, reward):
     if not math.isfinite(reward):
         raise InputError(f"reward must be finite, got {reward!r}")
 
-    quad = quadratic_form_inv(state, x)
+    quad = _quad(state.factor, x)
     state.log_det += math.log1p(quad)
     state.gram += np.outer(x, x)
     state.xr_sum += reward * x
@@ -185,16 +220,20 @@ def rank_one_update(state, x, reward):
     if state._since_refactor >= REFACTOR_INTERVAL:
         _refactor(state)
     else:
+        rows = state.factor.tolist()
         try:
-            _chol_update(state.factor, x)
+            _chol_update(rows, x.tolist())
         except NumericalError:
             _refactor(state)
-        diag = np.diagonal(state.factor)
-        if np.any(diag * diag < PIVOT_FLOOR * state.lam):
-            _refactor(state)
+        else:
+            floor = PIVOT_FLOOR * state.lam
+            if any(row[k] * row[k] < floor for k, row in enumerate(rows)):
+                _refactor(state)
+            else:
+                state.factor = np.array(rows)
 
     state.update_count += 1
-    _resolve_theta(state)
+    state.theta_hat = _sigma_inv(state, state.xr_sum)
     return state
 
 

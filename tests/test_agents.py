@@ -12,6 +12,7 @@ from pulsebandit import (
     ParameterError,
     SelectionForm,
     UsageError,
+    arm_ucb_scores,
     current_gamma,
     gamma_at,
     gamma_zero,
@@ -213,3 +214,28 @@ def test_ucb_agent_rejects_missing_features():
         select_arm(agent, np.zeros((2, 3)))  # wrong feature dimension
     with pytest.raises(InputError):
         select_arm(agent, np.array([[1.0, np.nan]]))
+
+
+def test_twenty_candidates_forms_agree_and_duplicates_tie_low():
+    # 20 candidates (the replay_k20 stack): each row appears twice, at i and
+    # i + 10, so the chosen arm must be below 10 in both selection forms
+    rng = substream(43, "k20")
+    for _ in range(100):
+        dim = int(rng.choice([1, 3, 4, 5, 9]))
+        cf = make_agent("cf", AgentKind.OFUL_FULL, arm_count=20, dim=dim,
+                        schedule=simple_schedule(dim=dim, feat_norm_bound=1.5))
+        bm = make_agent("bm", AgentKind.OFUL_FULL, arm_count=20, dim=dim,
+                        schedule=simple_schedule(dim=dim, feat_norm_bound=1.5),
+                        selection_form=SelectionForm.BALL_MAXIMIZATION)
+        for _ in range(int(rng.integers(0, 40))):
+            x = rng.standard_normal(dim)
+            r = rng.standard_normal()
+            observe(cf, x, r)
+            observe(bm, x, r)
+        distinct = rng.standard_normal((20, dim))
+        assert select_arm(cf, distinct) == select_arm(bm, distinct)
+        twice = np.concatenate([distinct[:10], distinct[:10]])
+        for agent in (cf, bm):
+            scores = arm_ucb_scores(agent, twice)
+            assert np.array_equal(scores[:10], scores[10:])
+            assert select_arm(agent, twice) == int(np.argmax(scores[:10]))

@@ -153,6 +153,28 @@ def test_replay_cli_roundtrip(tmp_path):
     cfg = tmp_path / "replay.json"
     cfg.write_text(json.dumps(raw))
     out = tmp_path / "rep"
-    assert main(["replay", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    dump = tmp_path / "replay.prof"
+    assert main(["replay", "--config", str(cfg), "--out", str(out), "--quiet",
+                 "--profile", str(dump)]) == 0
     assert (out / "raw_replay.csv").exists()
     assert (out / "aggregate_replay.csv").exists()
+    import pstats
+    assert "run_replay" in {name for _, _, name in pstats.Stats(str(dump)).stats}
+
+
+def test_profile_flag_writes_a_pstats_dump(tmp_path):
+    import pstats
+
+    cfg = write_tiny(tmp_path)
+    plain, profiled = tmp_path / "plain", tmp_path / "profiled"
+    dump = tmp_path / "run.prof"
+    assert main(["simulate", "--config", cfg, "--out", str(plain), "--quiet"]) == 0
+    assert main(["simulate", "--config", cfg, "--out", str(profiled), "--quiet",
+                 "--profile", str(dump)]) == 0
+    funcs = {name for _, _, name in pstats.Stats(str(dump)).stats}
+    assert {"run_experiment", "run_trial", "rank_one_update"} <= funcs
+    assert filecmp.cmp(plain / "raw_records.csv", profiled / "raw_records.csv",
+                       shallow=False)
+    hashes = [json.loads((d / "metadata.json").read_text())["run"]["config_sha256"]
+              for d in (plain, profiled)]
+    assert hashes[0] == hashes[1]

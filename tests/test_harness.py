@@ -346,3 +346,31 @@ def test_replay_agent_rows_do_not_depend_on_other_agents(tmp_path):
 
     assert rows(both["raw_path"]) == rows(alone["raw_path"])
     assert len(rows(alone["raw_path"])) == 2 * 50
+
+
+def test_replay_uses_config_feat_norm_bound(tmp_path):
+    unset = run_replay(ExperimentConfig(replay_raw(tmp_path)),
+                       out_dir=str(tmp_path / "unset"))
+    raw = replay_raw(tmp_path)
+    raw["schedule"]["feat_norm_bound"] = 1.0
+    pinned = run_replay(ExperimentConfig(raw), out_dir=str(tmp_path / "pinned"))
+    meta_unset = json.loads(open(unset["metadata_path"]).read())["run"]
+    meta_pinned = json.loads(open(pinned["metadata_path"]).read())["run"]
+    assert meta_unset["feat_norm_diagnostics"] == {"source": "per_agent_view"}
+    assert all(b > 1.0 for b in meta_unset["feat_norm_bounds"].values())
+    assert meta_pinned["feat_norm_diagnostics"] == {"source": "config"}
+    assert meta_pinned["feat_norm_bounds"] == {"oful_full": 1.0, "pulse_ucb": 1.0}
+    assert not filecmp.cmp(unset["raw_path"], pinned["raw_path"], shallow=False)
+
+
+def test_final_dt_cumsum_reports_every_trial(tmp_path):
+    cfg = ExperimentConfig(tiny_raw(trials=2))
+    res = run_experiment(cfg, out_dir=str(tmp_path / "dt"))
+    sums = json.loads(open(res["metadata_path"]).read())["run"]["final_dt_cumsum"]
+    imputer, plug_in_dt, bound = fitted(cfg)
+    for trial in range(2):
+        out = run_trial(cfg, trial, imputer, plug_in_dt, bound)
+        for name, value in out["final_dt_cumsum"].items():
+            assert sums[name][trial] == value
+    assert sums["oracle_best"] == [None, None]
+    assert sums["pulse_ucb"][0] != sums["pulse_ucb"][1]

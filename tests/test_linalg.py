@@ -12,6 +12,7 @@ from pulsebandit import (
     quadratic_form_inv,
     rank_one_update,
 )
+from pulsebandit.linalg import PIVOT_FLOOR, REFACTOR_INTERVAL
 
 
 def dense_oracle(dim, lam, updates):
@@ -198,3 +199,106 @@ def test_potential_bound_rejects_bad_args():
         potential_bound_check(state, -1, 1.0)
     with pytest.raises(ParameterError):
         potential_bound_check(state, 10, -1.0)
+
+
+class _SliceReference:
+    """The ridge kernel as scipy's `solve_triangular` wrapper and numpy
+    column-slice updates compute it; the direct LAPACK kernel must match it
+    bit for bit on single vectors."""
+
+    def __init__(self, dim, lam):
+        self.lam = lam
+        self.gram = np.eye(dim) * lam
+        self.factor = np.eye(dim) * math.sqrt(lam)
+        self.xr_sum = np.zeros(dim)
+        self.theta_hat = np.zeros(dim)
+        self.since = 0
+
+    def quad(self, v):
+        from scipy.linalg import solve_triangular
+
+        if not np.any(v):
+            return 0.0
+        z = solve_triangular(self.factor, v, lower=True, check_finite=False)
+        return float(z @ z)
+
+    def _chol_update(self, x):
+        L, v = self.factor, x.copy()
+        d = L.shape[0]
+        for k in range(d):
+            lkk = L[k, k]
+            r = math.hypot(lkk, v[k])
+            c = r / lkk
+            s = v[k] / lkk
+            L[k, k] = r
+            if k + 1 < d:
+                L[k + 1 :, k] = (L[k + 1 :, k] + s * v[k + 1 :]) / c
+                v[k + 1 :] = c * v[k + 1 :] - s * L[k + 1 :, k]
+
+    def update(self, x, reward):
+        from scipy.linalg import solve_triangular
+
+        self.gram += np.outer(x, x)
+        self.xr_sum += reward * x
+        self.since += 1
+        if self.since >= REFACTOR_INTERVAL:
+            self.factor, self.since = np.linalg.cholesky(self.gram), 0
+        else:
+            self._chol_update(x)
+            diag = np.diagonal(self.factor)
+            if np.any(diag * diag < PIVOT_FLOOR * self.lam):
+                self.factor, self.since = np.linalg.cholesky(self.gram), 0
+        if np.any(self.xr_sum):
+            z = solve_triangular(self.factor, self.xr_sum, lower=True, check_finite=False)
+            self.theta_hat = solve_triangular(
+                self.factor.T, z, lower=False, check_finite=False
+            )
+
+
+@pytest.mark.parametrize("dim,steps", [(1, 200), (3, 600), (4, 200), (5, 200), (9, 200)])
+def test_single_vector_kernel_is_bitwise_the_slice_reference(dim, steps):
+    # dim 3 runs past REFACTOR_INTERVAL; every 50th update (the first one
+    # included, while the reward sum is still zero) and probe is zero
+    rng = np.random.default_rng(100 + dim)
+    lam = 0.8
+    state = new_ridge_state(dim, lam)
+    ref = _SliceReference(dim, lam)
+    for step in range(steps):
+        x = np.zeros(dim) if step % 50 == 0 else rng.standard_normal(dim)
+        r = float(rng.standard_normal())
+        assert quadratic_form_inv(state, x) == ref.quad(x)
+        rank_one_update(state, x, r)
+        ref.update(x, r)
+        assert np.array_equal(state.factor, ref.factor)
+        assert np.array_equal(state.theta_hat, ref.theta_hat)
+        assert state.factor.flags.c_contiguous and state.factor.dtype == np.float64
+        probe = np.zeros(dim) if step % 50 == 7 else rng.standard_normal(dim)
+        assert quadratic_form_inv(state, probe) == ref.quad(probe)
+    assert state.update_count == steps
+
+
+def test_stacked_forms_match_single_forms():
+    rng = np.random.default_rng(17)
+    for dim in (1, 3, 4, 5, 9):
+        state = new_ridge_state(dim, 1.1)
+        for _ in range(40):
+            rank_one_update(state, rng.standard_normal(dim), rng.standard_normal())
+        stack = rng.standard_normal((20, dim))
+        stack[3] = 0.0
+        forms = quadratic_form_inv(state, stack)
+        assert forms.shape == (20,)
+        singles = np.array([quadratic_form_inv(state, v) for v in stack])
+        assert forms[3] == 0.0 and singles[3] == 0.0
+        np.testing.assert_allclose(forms, singles, rtol=1e-14, atol=0.0)
+
+
+def test_stacked_forms_reject_bad_stacks():
+    state = new_ridge_state(3, 1.0)
+    stack = np.ones((4, 3))
+    stack[2, 1] = np.nan
+    with pytest.raises(InputError):
+        quadratic_form_inv(state, stack)
+    with pytest.raises(InputError):
+        quadratic_form_inv(state, np.ones((4, 2)))
+    with pytest.raises(InputError):
+        quadratic_form_inv(state, np.ones((2, 4, 3)))
