@@ -38,6 +38,7 @@ from .features import (
     identity_map,
     lower_bound_two_arm_map,
     phi,
+    phi_batch,
     register_custom_map,
     synthetic_interaction_map,
 )
@@ -70,6 +71,7 @@ from .environments import (
     LowerBoundEnv,
     ReplayLog,
     ReplayStream,
+    Rollout,
     SyntheticEnv,
     bump_function,
     generate_history,
@@ -128,6 +130,7 @@ __all__ = [
     "MapKind",
     "FeatureMap",
     "phi",
+    "phi_batch",
     "arm_feature_matrix",
     "synthetic_interaction_map",
     "lower_bound_two_arm_map",
@@ -159,6 +162,7 @@ __all__ = [
     "BandEstimate",
     "estimate_dt_band",
     # environments
+    "Rollout",
     "SyntheticEnv",
     "LowerBoundEnv",
     "bump_function",

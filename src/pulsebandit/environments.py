@@ -5,7 +5,10 @@ Y_t, the observed part S_t, per-arm potential rewards that share a single
 noise draw eta_t, the realized-optimal arm (ties to the lower index), and
 its mean reward.  Context streams are exogenous: they are pure functions
 of (seed, t) and never depend on chosen actions, so the same stream can be
-replayed against any set of agents.
+replayed against any set of agents.  The generative environments produce
+their steps as Rollouts, T steps of arrays at a time; `step` is the
+one-step rollout, and any split of a stream into rollouts gives the same
+steps.
 
 SyntheticEnv: scalar S_t follows an ARMA(2, 2) recursion; the late
 coordinate W_t is a linear (optionally sinusoidally perturbed) function of
@@ -24,6 +27,7 @@ features, and a binary reward; a replay stream serves k-candidate steps,
 consuming only the chosen row.
 """
 
+import cmath
 import csv
 import math
 from dataclasses import dataclass, field
@@ -32,14 +36,17 @@ import numpy as np
 
 from .errors import EndOfLog, EnvError, InputError, ParameterError
 from .features import (
-    arm_feature_matrix,
+    arm_feature_matrix,  # unused: rollouts build features with phi_batch; kept for tracers
     lower_bound_two_arm_map,
+    phi_batch,
     synthetic_interaction_map,
 )
 
 __all__ = [
     "EnvironmentStep",
+    "Rollout",
     "SyntheticEnv",
+    "ar_root_moduli",
     "bump_function",
     "LowerBoundEnv",
     "ReplayLog",
@@ -77,23 +84,80 @@ class EnvironmentStep:
     cond_arm_means: np.ndarray = None
 
 
-def _finish_step(t, y, s, arm_means, eta, cond_mean_w, cond_sd_w, cond_arm_means):
-    arm_means = np.asarray(arm_means, dtype=float)
-    if not np.all(np.isfinite(arm_means)):
+@dataclass(frozen=True)
+class Rollout:
+    """T consecutive steps of an environment, as arrays.
+
+    Every field mirrors the EnvironmentStep field of the same name with a
+    leading T axis (cond_sd_w, constant over steps, stays a scalar); row i
+    is the step with index t[i].  `step_at(i)` reads row i out as an
+    EnvironmentStep.
+    """
+
+    t: np.ndarray
+    full_context: np.ndarray
+    observed: np.ndarray
+    potential_rewards: np.ndarray
+    arm_means: np.ndarray
+    optimal_arm: np.ndarray
+    optimal_mean: np.ndarray
+    cond_mean_w: np.ndarray
+    cond_sd_w: float
+    cond_arm_means: np.ndarray
+
+    def step_at(self, i):
+        return EnvironmentStep(
+            t=int(self.t[i]),
+            full_context=self.full_context[i],
+            observed=self.observed[i],
+            potential_rewards=self.potential_rewards[i],
+            arm_means=self.arm_means[i],
+            optimal_arm=int(self.optimal_arm[i]),
+            optimal_mean=float(self.optimal_mean[i]),
+            cond_mean_w=self.cond_mean_w[i],
+            cond_sd_w=self.cond_sd_w,
+            cond_arm_means=self.cond_arm_means[i],
+        )
+
+
+def _rollout(env, t_end, contexts, eta, cond_sd_w):
+    """Rollout of T steps ending at step t_end from their contexts.
+
+    `contexts` is (2, T, d_Y): each step's full context with the realized W,
+    then with W at its conditional mean; `eta` is the (T,) shared reward
+    noise.  Arm means of both come from one feature block.
+    """
+    n = contexts.shape[1]
+    flat = contexts.reshape(2 * n, -1)
+    feats = phi_batch(env.feature_map, flat, flat[:, : env.d_s])
+    arm_means, cond_arm_means = (feats @ env.theta_star).reshape(2, n, -1)
+    if not np.isfinite(arm_means).all():
         raise EnvError("environment produced non-finite arm means")
-    optimal_arm = int(np.argmax(arm_means))  # first maximum: lowest index
-    return EnvironmentStep(
-        t=t,
-        full_context=y,
-        observed=s,
-        potential_rewards=arm_means + eta,
+    optimal_arm = np.argmax(arm_means, axis=1)  # first maximum: lowest index
+    full = contexts[0]
+    return Rollout(
+        t=np.arange(t_end - n + 1, t_end + 1),
+        full_context=full,
+        observed=full[:, : env.d_s],
+        potential_rewards=arm_means + eta[:, None],
         arm_means=arm_means,
         optimal_arm=optimal_arm,
-        optimal_mean=float(arm_means[optimal_arm]),
-        cond_mean_w=cond_mean_w,
+        optimal_mean=arm_means[np.arange(n), optimal_arm],
+        cond_mean_w=contexts[1, :, env.d_s :],
         cond_sd_w=cond_sd_w,
         cond_arm_means=cond_arm_means,
     )
+
+
+def ar_root_moduli(ar1, ar2):
+    """Moduli of the roots of 1 - ar1 z - ar2 z^2.  The AR part is
+    stationary when every root lies outside the unit circle.
+
+    The roots are 1 / u for the nonzero roots u of u^2 - ar1 u - ar2.
+    """
+    disc = cmath.sqrt(ar1 * ar1 + 4.0 * ar2)
+    roots_u = ((ar1 + disc) / 2.0, (ar1 - disc) / 2.0)
+    return np.array([1.0 / abs(u) for u in roots_u if u != 0])
 
 
 class SyntheticEnv:
@@ -141,6 +205,11 @@ class SyntheticEnv:
             self.rho = float(nonlinearity)
             if not math.isfinite(self.rho):
                 raise ParameterError(f"nonlinearity must be 'linear' or a finite rho")
+        if (ar_root_moduli(self.ar1, self.ar2) <= 1.0).any():
+            raise ParameterError(
+                f"arma AR part (ar1, ar2) = ({self.ar1}, {self.ar2}) is not stationary: "
+                "1 - ar1 z - ar2 z^2 has a root on or inside the unit circle"
+            )
         self.feature_map = synthetic_interaction_map()
         self._s1 = self._s2 = 0.0
         self._e1 = self._e2 = 0.0
@@ -150,30 +219,35 @@ class SyntheticEnv:
     # stationarity: roots of 1 - ar1 z - ar2 z^2 must lie outside the unit
     # circle; for the default coefficients both roots have modulus 2
     def ar_root_moduli(self):
-        roots = np.roots([-self.ar2, -self.ar1, 1.0])
-        return np.abs(roots)
+        return ar_root_moduli(self.ar1, self.ar2)
 
     def reset(self, rng):
         self._s1 = self._s2 = 0.0
         self._e1 = self._e2 = 0.0
         self._t = 0
         self._last_cond_mean = None
-        for _ in range(BURN_IN_STEPS):
-            self._advance_s(rng)
+        if self.innovation_sd > 0:
+            self._arma((rng.standard_normal(BURN_IN_STEPS) * self.innovation_sd).tolist())
+        else:
+            self._arma([0.0] * BURN_IN_STEPS)
         return self
 
-    def _advance_s(self, rng):
-        e = rng.normal(0.0, self.innovation_sd) if self.innovation_sd > 0 else 0.0
-        s = (
-            self.ar1 * self._s1
-            + self.ar2 * self._s2
-            + e
-            + self.ma1 * self._e1
-            + self.ma2 * self._e2
-        )
-        self._s2, self._s1 = self._s1, s
-        self._e2, self._e1 = self._e1, e
-        return s
+    def _arma(self, innovations):
+        """Advance S over the given innovations e_t; returns the S values.
+
+        Runs on Python floats: the operation order of the recursion is
+        fixed, so every platform rounds it alike.
+        """
+        ar1, ar2, ma1, ma2 = self.ar1, self.ar2, self.ma1, self.ma2
+        s1, s2, e1, e2 = self._s1, self._s2, self._e1, self._e2
+        out = []
+        for e in innovations:
+            s = ar1 * s1 + ar2 * s2 + e + ma1 * e1 + ma2 * e2
+            out.append(s)
+            s2, s1 = s1, s
+            e2, e1 = e1, e
+        self._s1, self._s2, self._e1, self._e2 = s1, s2, e1, e2
+        return out
 
     def conditional_mean_w(self, s_t, s_lag1, s_lag2):
         """E[W_t | S history]; exact because W depends on S only through x_t."""
@@ -183,32 +257,41 @@ class SyntheticEnv:
             mu += math.sin(self.rho * x2)
         return mu
 
-    def step(self, rng):
-        s_lag1, s_lag2 = self._s1, self._s2
-        s = self._advance_s(rng)
-        mu = self.conditional_mean_w(s, s_lag1, s_lag2)
-        xi = rng.normal(0.0, self.xi_sd) if self.xi_sd > 0 else 0.0
-        w = mu + xi
-        eta = rng.normal(0.0, self.eta_sd) if self.eta_sd > 0 else 0.0
-        self._t += 1
-        self._last_cond_mean = mu
+    def rollout(self, rng, n_steps):
+        """The next `n_steps` steps as a Rollout, continuing from the
+        current state.
 
-        y = np.array([s, w])
-        s_vec = np.array([s])
-        feats = arm_feature_matrix(self.feature_map, y, s_vec)
-        arm_means = feats @ self.theta_star
-        cond_feats = arm_feature_matrix(self.feature_map, np.array([s, mu]), s_vec)
-        cond_arm_means = cond_feats @ self.theta_star
-        return _finish_step(
-            self._t,
-            y,
-            s_vec,
-            arm_means,
-            eta,
-            np.array([mu]),
-            self.xi_sd,
-            cond_arm_means,
-        )
+        Each step draws e_t, xi_t and eta_t in that order, skipping a draw
+        whose sd is 0; the draws are taken as one standard-normal block
+        scaled by column, which gives the same numbers as one
+        N(0, sd^2) draw at a time.  Any split of a rollout into shorter
+        ones, or into single steps, gives the same steps.
+        """
+        n_steps = int(n_steps)
+        if n_steps < 1:
+            raise ParameterError("a rollout needs at least one step")
+        sds = np.array([self.innovation_sd, self.xi_sd, self.eta_sd])
+        live = sds > 0
+        draws = np.zeros((3, n_steps))
+        draws[live] = sds[live, None] * rng.standard_normal((n_steps, int(live.sum()))).T
+        e, xi, eta = draws
+
+        # lags[i], lags[i + 1], lags[i + 2] are S_{t-2}, S_{t-1}, S_t of step i
+        lags = [self._s2, self._s1]
+        s = self._arma(e.tolist())
+        lags += s
+        mu = [self.conditional_mean_w(s_t, lags[i + 1], lags[i]) for i, s_t in enumerate(s)]
+        self._t += n_steps
+        self._last_cond_mean = mu[-1]
+
+        contexts = np.empty((2, n_steps, 2))
+        contexts[:, :, 0] = s
+        contexts[1, :, 1] = mu
+        contexts[0, :, 1] = contexts[1, :, 1] + xi
+        return _rollout(self, self._t, contexts, eta, self.xi_sd)
+
+    def step(self, rng):
+        return self.rollout(rng, 1).step_at(0)
 
     # oracle accessors used by the oracle imputer, valid for the most
     # recent step only
@@ -298,41 +381,38 @@ class LowerBoundEnv:
         self._last_cond_mean = None
         return self
 
-    def step(self, rng):
-        v = int(rng.integers(0, 2))
-        if v == 0:
-            q = np.zeros(self.d_lin)
-            o = rng.uniform(-1.0, 1.0, self.d_non)
-        else:
-            q = np.zeros(self.d_lin)
-            q[int(rng.integers(0, self.d_lin))] = 1.0
-            o = self.o0.copy()
-        f_o = float(self.f(o))
-        if not math.isfinite(f_o):
-            raise EnvError("f returned a non-finite value")
-        w = f_o + (rng.normal(0.0, self.w_noise_sd) if self.w_noise_sd > 0 else 0.0)
-        eta = rng.normal(0.0, self.reward_sd) if self.reward_sd > 0 else 0.0
-        self._t += 1
-        self._last_cond_mean = f_o
+    def rollout(self, rng, n_steps):
+        """The next `n_steps` steps as a Rollout.
 
-        y = np.concatenate([q, o, [w]])
-        s_vec = y[: self.d_s].copy()
-        feats = arm_feature_matrix(self.feature_map, y, s_vec)
-        arm_means = feats @ self.theta_star
-        y_cond = np.concatenate([q, o, [f_o]])
-        cond_arm_means = (
-            arm_feature_matrix(self.feature_map, y_cond, s_vec) @ self.theta_star
-        )
-        return _finish_step(
-            self._t,
-            y,
-            s_vec,
-            arm_means,
-            eta,
-            np.array([f_o]),
-            self.w_noise_sd,
-            cond_arm_means,
-        )
+        The draws stay one step at a time, in step order (coin, then the
+        branch's draws, then the W noise and the reward noise), because
+        which draws a step makes depends on its coin.
+        """
+        n_steps = int(n_steps)
+        if n_steps < 1:
+            raise ParameterError("a rollout needs at least one step")
+        contexts = np.zeros((2, n_steps, self.d_s + 1))
+        eta = np.empty(n_steps)
+        for i in range(n_steps):
+            y = contexts[0, i]  # (Q, O, W), filled in place
+            if int(rng.integers(0, 2)) == 0:
+                y[self.d_lin : self.d_s] = rng.uniform(-1.0, 1.0, self.d_non)
+            else:
+                y[int(rng.integers(0, self.d_lin))] = 1.0
+                y[self.d_lin : self.d_s] = self.o0
+            f_o = float(self.f(y[self.d_lin : self.d_s]))
+            if not math.isfinite(f_o):
+                raise EnvError("f returned a non-finite value")
+            contexts[1, i, -1] = f_o
+            y[-1] = f_o + (rng.normal(0.0, self.w_noise_sd) if self.w_noise_sd > 0 else 0.0)
+            eta[i] = rng.normal(0.0, self.reward_sd) if self.reward_sd > 0 else 0.0
+        self._t += n_steps
+        self._last_cond_mean = f_o
+        contexts[1, :, : self.d_s] = contexts[0, :, : self.d_s]
+        return _rollout(self, self._t, contexts, eta, self.w_noise_sd)
+
+    def step(self, rng):
+        return self.rollout(rng, 1).step_at(0)
 
     def oracle_mean_w(self):
         if self._last_cond_mean is None:
@@ -511,8 +591,7 @@ def generate_history(make_env, n_traj, t0, base_seed, seed_labels=("pretrain",))
         env = make_env()
         rng = substream(base_seed, *seed_labels, i)
         env.reset(rng)
-        for t in range(t0):
-            step = env.step(rng)
-            s[i, t] = step.observed
-            w[i, t] = step.full_context[env.d_s :]
+        rollout = env.rollout(rng, t0)
+        s[i] = rollout.observed
+        w[i] = rollout.full_context[:, env.d_s :]
     return HistoricalDataset(s=s, w=w, seed=base_seed)

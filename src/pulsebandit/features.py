@@ -26,6 +26,7 @@ __all__ = [
     "register_custom_map",
     "custom_map",
     "phi",
+    "phi_batch",
     "arm_feature_matrix",
     "calibrate_feat_norm_bound",
 ]
@@ -163,9 +164,70 @@ def custom_map(name):
     return _CUSTOM_REGISTRY[name]
 
 
-def phi(feature_map, full_context, observed, arm):
-    """Feature vector Phi(Y, a).  Pure; identical inputs give identical
-    outputs bit for bit."""
+def phi_batch(feature_map, full_contexts, observed):
+    """Features of every arm at every step: a (T, arm_count, output_dim)
+    block whose [t, a] row is Phi(Y_t, a).
+
+    `full_contexts` is (T, d_S + d_W) and `observed` holds one observed
+    row per step (read by custom maps only).  The block is validated once:
+    contexts must have the map's layout and be finite, and a custom map's
+    rows must have its output dimension.  Pure; identical inputs give
+    identical outputs bit for bit.
+    """
+    y = np.asarray(full_contexts, dtype=float)
+    expected = feature_map.d_s + feature_map.d_w
+    if y.ndim != 2 or y.shape[1] != expected:
+        raise InputError(
+            f"full contexts must have shape (T, {expected}), got {y.shape}"
+        )
+    if not np.isfinite(y).all():
+        raise InputError("full context contains non-finite entries")
+
+    kind = feature_map.kind
+    n, arms, dim = y.shape[0], feature_map.arm_count, feature_map.output_dim
+    if kind is MapKind.SYNTHETIC_INTERACTION:
+        # (1, S, W, S * a) with a = -1 for arm 0 and a = +1 for arm 1
+        s = y[:, 0]
+        out = np.empty((n, 2, 4))
+        out[:, :, 0] = 1.0
+        out[:, :, 1:3] = y[:, None, :]
+        out[:, 0, 3] = -s
+        out[:, 1, 3] = s
+        return out
+    if kind is MapKind.LOWER_BOUND_TWO_ARM:
+        d_lin = feature_map.params["d_lin"]
+        out = np.zeros((n, 2, dim))
+        out[:, 0] = y
+        out[:, 1, :d_lin] = -y[:, :d_lin]
+        return out
+    if kind is MapKind.IDENTITY:
+        return np.repeat(y[:, None, :], arms, axis=1)
+    if kind is MapKind.CUSTOM:
+        fn = feature_map.params["fn"]
+        s = np.asarray(observed, dtype=float)
+        rows = [
+            np.asarray(fn(y[t], s[t], a), dtype=float) for t in range(n) for a in range(arms)
+        ]
+        for row in rows:
+            if row.shape != (dim,):
+                raise InputError(
+                    f"custom map returned shape {row.shape}, expected ({dim},)"
+                )
+        return np.array(rows).reshape(n, arms, dim)
+    raise ParameterError(f"unknown feature map kind {kind!r}")
+
+
+def _one_context(feature_map, full_context, observed):
+    """A single (Y, S) pair as the one-step block phi_batch takes."""
+    y = np.atleast_1d(np.asarray(full_context, dtype=float))
+    expected = feature_map.d_s + feature_map.d_w
+    if y.shape != (expected,):
+        raise InputError(f"full context must have shape ({expected},), got {y.shape}")
+    return y[None, :], np.asarray(observed, dtype=float)[None]
+
+
+def _arm_index(feature_map, arm):
+    """`arm` as an int, checked against the map's arm count."""
     if not isinstance(arm, (int, np.integer)) or isinstance(arm, bool):
         raise InputError(f"arm must be an integer index, got {arm!r}")
     arm = int(arm)
@@ -173,46 +235,18 @@ def phi(feature_map, full_context, observed, arm):
         raise InputError(
             f"arm index {arm} out of range for {feature_map.arm_count} arms"
         )
-    y = np.atleast_1d(np.asarray(full_context, dtype=float))
-    expected = feature_map.d_s + feature_map.d_w
-    if y.shape != (expected,):
-        raise InputError(f"full context must have shape ({expected},), got {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise InputError("full context contains non-finite entries")
+    return arm
 
-    kind = feature_map.kind
-    if kind is MapKind.SYNTHETIC_INTERACTION:
-        s, w = y[0], y[1]
-        a = -1.0 if arm == 0 else 1.0
-        return np.array([1.0, s, w, s * a])
-    if kind is MapKind.LOWER_BOUND_TWO_ARM:
-        d_lin = feature_map.params["d_lin"]
-        if arm == 0:
-            return y.copy()
-        out = np.zeros(feature_map.output_dim)
-        out[:d_lin] = -y[:d_lin]
-        return out
-    if kind is MapKind.IDENTITY:
-        return y.copy()
-    if kind is MapKind.CUSTOM:
-        out = np.asarray(
-            feature_map.params["fn"](y, np.asarray(observed, dtype=float), arm),
-            dtype=float,
-        )
-        if out.shape != (feature_map.output_dim,):
-            raise InputError(
-                f"custom map returned shape {out.shape}, "
-                f"expected ({feature_map.output_dim},)"
-            )
-        return out
-    raise ParameterError(f"unknown feature map kind {kind!r}")
+
+def phi(feature_map, full_context, observed, arm):
+    """Feature vector Phi(Y, a): row `arm` of the one-step phi_batch."""
+    arm = _arm_index(feature_map, arm)
+    return phi_batch(feature_map, *_one_context(feature_map, full_context, observed))[0, arm]
 
 
 def arm_feature_matrix(feature_map, full_context, observed):
     """Stack of phi over all arm indices; row a is arm a's features."""
-    return np.stack(
-        [phi(feature_map, full_context, observed, a) for a in range(feature_map.arm_count)]
-    )
+    return phi_batch(feature_map, *_one_context(feature_map, full_context, observed))[0]
 
 
 def calibrate_feat_norm_bound(feature_map, step_fn, n_steps=10_000, quantile=0.999):
@@ -228,14 +262,20 @@ def calibrate_feat_norm_bound(feature_map, step_fn, n_steps=10_000, quantile=0.9
         raise ParameterError("n_steps must be positive")
     if not 0.0 < quantile <= 1.0:
         raise ParameterError("quantile must lie in (0, 1]")
-    norms = np.empty(n_steps)
-    inf_violations = 0
+    ys = np.empty((n_steps, feature_map.d_s + feature_map.d_w))
+    ss = np.empty((n_steps, feature_map.d_s))
     for i in range(n_steps):
         y, s = step_fn()
-        mat = arm_feature_matrix(feature_map, y, s)
-        norms[i] = np.sqrt((mat * mat).sum(axis=1).max())
-        if np.abs(mat).max() > 1.0:
-            inf_violations += 1
+        if np.shape(y) != ys.shape[1:] or np.shape(s) != ss.shape[1:]:
+            raise InputError(
+                f"dry-run step {i} has context shapes {np.shape(y)} and {np.shape(s)}, "
+                f"expected {ys.shape[1:]} and {ss.shape[1:]}"
+            )
+        ys[i] = y
+        ss[i] = s
+    mats = phi_batch(feature_map, ys, ss)
+    norms = np.sqrt((mats * mats).sum(axis=2).max(axis=1))
+    inf_violations = int((np.abs(mats).max(axis=(1, 2)) > 1.0).sum())
     bound = float(np.quantile(norms, quantile))
     diagnostics = {
         "n_steps": int(n_steps),

@@ -28,10 +28,13 @@ import hashlib
 import json
 import math
 import os
+import sys
+import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .agents import (
@@ -45,7 +48,15 @@ from .agents import (
     select_arm,
 )
 from .calibration import GaussianConditional, estimate_dt_band, gaussian_dt
-from .environments import LowerBoundEnv, ReplayStream, SyntheticEnv, bump_function, generate_history, load_replay_log
+from .environments import (
+    LowerBoundEnv,
+    ReplayStream,
+    SyntheticEnv,
+    ar_root_moduli,
+    bump_function,
+    generate_history,
+    load_replay_log,
+)
 from .errors import ConfigError
 from .features import arm_feature_matrix, calibrate_feat_norm_bound
 from .imputation import (
@@ -243,6 +254,13 @@ class ExperimentConfig:
             ]
             if len(resolved["arma"]) != 4:
                 raise ConfigError("environment.arma", "must have four entries")
+            ar1, ar2 = resolved["arma"][:2]
+            if (ar_root_moduli(ar1, ar2) <= 1.0).any():
+                raise ConfigError(
+                    "environment.arma",
+                    f"AR part ({ar1}, {ar2}) is not stationary: "
+                    "1 - ar1 z - ar2 z^2 has a root on or inside the unit circle",
+                )
             resolved["innovation_sd"] = _as_float(
                 env.get("innovation_sd", 0.1), "environment.innovation_sd", nonnegative=True
             )
@@ -637,14 +655,11 @@ def pretrain(config):
         env = config.make_env()
         rng = substream(config.pretrain["seed"], "feat-norm")
         env.reset(rng)
-
-        def step_fn():
-            step = env.step(rng)
-            return step.full_context, step.observed
-
+        rollout = env.rollout(rng, FEAT_NORM_DRY_RUN_STEPS)
+        pairs = zip(rollout.full_context, rollout.observed)
         bound, diagnostics = calibrate_feat_norm_bound(
             env.feature_map,
-            step_fn,
+            lambda: next(pairs),
             n_steps=FEAT_NORM_DRY_RUN_STEPS,
             quantile=FEAT_NORM_QUANTILE,
         )
@@ -1075,11 +1090,12 @@ def _write_aggregate_csv(path, results, keys):
     return finals
 
 
-def _write_metadata(out_dir, config, overrides_echo, facts):
+def _write_metadata(out_dir, config, overrides_echo, facts, timings):
     """metadata.json: the resolved config plus the run's facts.
 
     The config hash covers the resolved config (see config_hash);
-    timestamps and environment-dependent run facts stay outside it.
+    timestamps, stage wall times (`timings`, seconds), library versions and
+    other environment-dependent run facts stay outside it.
     """
     metadata = {
         "schema_version": SCHEMA_VERSION,
@@ -1091,6 +1107,12 @@ def _write_metadata(out_dir, config, overrides_echo, facts):
             **facts,
             "overrides": list(overrides_echo),
             "timestamp_utc": datetime.now(timezone.utc).isoformat(),
+            "timings_s": timings,
+            "versions": {
+                "python": sys.version.split()[0],
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+            },
         },
     }
     path = os.path.join(out_dir, "metadata.json")
@@ -1126,7 +1148,10 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
         return run_replay(config, out_dir=out_dir, overrides_echo=overrides_echo)
     out_dir = _output_dir(config, out_dir)
 
+    clock = time.perf_counter()
     pre = pretrain(config)
+    timings = {"pretrain": time.perf_counter() - clock}
+    clock = time.perf_counter()
     bound = pre["feat_norm_bound"]
     imputer = pre["imputer"]
     pretrain_fallbacks = None if imputer is None else imputer.fallback_count
@@ -1145,6 +1170,8 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
     else:
         for tr in range(config.trials):
             results[tr] = run_trial(config, tr, imputer, pre["plug_in_dt"], bound)
+    timings["trials"] = time.perf_counter() - clock
+    clock = time.perf_counter()
 
     raw_path = os.path.join(out_dir, "raw_records.csv")
     agg_path = os.path.join(out_dir, "aggregate.csv")
@@ -1178,6 +1205,7 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
             imputer_sha = hashlib.sha256(fh.read()).hexdigest()
 
     max_abs_reward = max(results[tr]["max_abs_reward"] for tr in results)
+    timings["write"] = time.perf_counter() - clock
     meta_path = _write_metadata(
         out_dir,
         config,
@@ -1208,6 +1236,7 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
             },
             "summary": summary,
         },
+        timings,
     )
 
     return {
@@ -1271,6 +1300,7 @@ def run_replay(config, out_dir=None, overrides_echo=()):
     """
     out_dir = _output_dir(config, out_dir)
 
+    clock = time.perf_counter()
     pre = _pretrain_replay(config)
     log = pre["log"]
     n0 = pre["n_pretrain_rows"]
@@ -1292,6 +1322,8 @@ def run_replay(config, out_dir=None, overrides_echo=()):
     max_steps = online_log.n_rows - k + 1
     horizon = max_steps if config.horizon is None else min(config.horizon, max_steps)
     views = _replay_views(config, online_log, pre["imputer"])
+    timings = {"pretrain": time.perf_counter() - clock}
+    clock = time.perf_counter()
 
     results = {}
     for trial_index in range(config.trials):
@@ -1317,6 +1349,8 @@ def run_replay(config, out_dir=None, overrides_echo=()):
             for j, seat in enumerate(seats)
         }
         results[trial_index] = {"agents": agents, "names": list(agents)}
+    timings["trials"] = time.perf_counter() - clock
+    clock = time.perf_counter()
 
     raw_path = os.path.join(out_dir, "raw_replay.csv")
     _write_rows(raw_path, results, _REPLAY_COLUMNS)
@@ -1325,6 +1359,7 @@ def run_replay(config, out_dir=None, overrides_echo=()):
     summary = {
         name: {"final_mean_cum_ctr": final["cum_ctr"][0]} for name, final in finals.items()
     }
+    timings["write"] = time.perf_counter() - clock
     meta_path = _write_metadata(
         out_dir,
         config,
@@ -1341,6 +1376,7 @@ def run_replay(config, out_dir=None, overrides_echo=()):
             "feat_norm_diagnostics": pre["feat_norm_diagnostics"],
             "summary": summary,
         },
+        timings,
     )
 
     return {

@@ -40,7 +40,8 @@ from .errors import (
     PersistenceError,
     UsageError,
 )
-from .features import phi
+from .features import phi  # unused: features come from phi_batch; kept for tracers
+from .features import _arm_index, phi_batch
 
 __all__ = [
     "ImputerKind",
@@ -372,8 +373,7 @@ class ImputedFeatures:
     mc_se: np.ndarray = None
 
 
-def expected_features(imputer, feature_map, observed_history, arm, rng=None):
-    """phi_hat(t, a): expected features of arm `arm` under the imputer."""
+def _check_imputes_for(imputer, feature_map):
     if imputer.kind == ImputerKind.FULL_OBSERVER:
         raise UsageError(
             "full-observer agents bypass imputation; expected_features is undefined"
@@ -383,32 +383,49 @@ def expected_features(imputer, feature_map, observed_history, arm, rng=None):
             f"imputer layout ({imputer.d_s}, {imputer.d_w}) does not match "
             f"feature map layout ({feature_map.d_s}, {feature_map.d_w})"
         )
+
+
+def _imputed_block(imputer, feature_map, hist):
+    """(1, arm_count, output_dim) features at the imputed conditional mean,
+    from one conditional_mean query."""
+    s_t = hist[-1]
+    y = feature_map.assemble_context(s_t, imputer.conditional_mean(hist))
+    return phi_batch(feature_map, y[None, :], s_t[None, :])
+
+
+def expected_features(imputer, feature_map, observed_history, arm, rng=None):
+    """phi_hat(t, a): expected features of arm `arm` under the imputer."""
+    _check_imputes_for(imputer, feature_map)
+    arm = _arm_index(feature_map, arm)
     hist = _as_history(observed_history, imputer.d_s)
     s_t = hist[-1]
 
     if imputer.analytic and feature_map.affine_in_w:
-        mu = imputer.conditional_mean(hist)
-        y = feature_map.assemble_context(s_t, mu)
-        return ImputedFeatures(phi(feature_map, y, s_t, arm), n_samples=0)
+        return ImputedFeatures(_imputed_block(imputer, feature_map, hist)[0, arm], n_samples=0)
 
     if rng is None:
         raise InputError("Monte-Carlo expected features require an rng")
     draws = imputer.sample(hist, rng, imputer.mc_samples)
-    feats = np.stack(
-        [
-            phi(feature_map, feature_map.assemble_context(s_t, w_draw), s_t, arm)
-            for w_draw in draws
-        ]
-    )
-    n = feats.shape[0]
+    n = draws.shape[0]
+    contexts = np.concatenate([np.broadcast_to(s_t, (n, s_t.shape[0])), draws], axis=1)
+    block = phi_batch(feature_map, contexts, contexts[:, : s_t.shape[0]])
+    feats = np.ascontiguousarray(block[:, arm])
     se = feats.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(feats.shape[1])
     return ImputedFeatures(feats.mean(axis=0), n_samples=n, mc_se=se)
 
 
 def expected_feature_matrix(imputer, feature_map, observed_history, rng=None):
-    """Stack of expected features over all arms; row a is arm a."""
+    """Stack of expected features over all arms; row a is arm a.
+
+    The analytic path makes one conditional_mean query for all arms; the
+    Monte-Carlo path draws each arm's samples in turn, arm 0 first.
+    """
+    _check_imputes_for(imputer, feature_map)
+    hist = _as_history(observed_history, imputer.d_s)
+    if imputer.analytic and feature_map.affine_in_w:
+        return _imputed_block(imputer, feature_map, hist)[0]
     rows = [
-        expected_features(imputer, feature_map, observed_history, a, rng=rng).phi_hat
+        expected_features(imputer, feature_map, hist, a, rng=rng).phi_hat
         for a in range(feature_map.arm_count)
     ]
     return np.stack(rows)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulsebandit import (
     EndOfLog,
@@ -15,6 +17,7 @@ from pulsebandit import (
     bump_function,
     generate_history,
     load_replay_log,
+    phi,
     save_replay_log,
     substream,
 )
@@ -256,3 +259,177 @@ def test_lower_bound_step_draw_reproducibility():
         s1, s2 = e1.step(r1), e2.step(r2)
         np.testing.assert_array_equal(s1.full_context, s2.full_context)
         np.testing.assert_array_equal(s1.potential_rewards, s2.potential_rewards)
+
+
+# -- rollouts -------------------------------------------------------------------
+
+
+def assert_bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def scalar_synthetic_steps(env, rng, n_steps):
+    """Reference law of SyntheticEnv, one draw and one arm at a time: reset's
+    burn-in, then per step N(0, sd^2) draws of e, xi and eta (each skipped
+    when its sd is 0), libm sin, and per-arm phi."""
+    fmap = env.feature_map
+
+    def draw(sd):
+        return rng.normal(0.0, sd) if sd > 0 else 0.0
+
+    s1 = s2 = e1 = e2 = 0.0
+
+    def advance():
+        nonlocal s1, s2, e1, e2
+        e = draw(env.innovation_sd)
+        s = env.ar1 * s1 + env.ar2 * s2 + e + env.ma1 * e1 + env.ma2 * e2
+        s2, s1 = s1, s
+        e2, e1 = e1, e
+        return s
+
+    for _ in range(50):
+        advance()
+    steps = []
+    for t in range(1, n_steps + 1):
+        lag1, lag2 = s1, s2
+        s = advance()
+        x2 = (s + lag1 + lag2) / 3
+        mu = env.beta_star[0] + env.beta_star[1] * x2
+        if env.rho is not None:
+            mu += math.sin(env.rho * x2)
+        w = mu + draw(env.xi_sd)
+        eta = draw(env.eta_sd)
+        y, s_vec = np.array([s, w]), np.array([s])
+        means = np.stack([phi(fmap, y, s_vec, a) for a in range(2)]) @ env.theta_star
+        cond = np.stack([phi(fmap, np.array([s, mu]), s_vec, a) for a in range(2)])
+        steps.append(
+            dict(t=t, full=y, observed=s_vec, means=means, rewards=means + eta,
+                 cond_mean=np.array([mu]), cond_means=cond @ env.theta_star)
+        )
+    return steps
+
+
+def scalar_lower_bound_steps(env, rng, n_steps):
+    """Reference law of LowerBoundEnv, one step at a time with per-arm phi."""
+    fmap = env.feature_map
+    steps = []
+    for t in range(1, n_steps + 1):
+        q = np.zeros(env.d_lin)
+        if int(rng.integers(0, 2)) == 0:
+            o = rng.uniform(-1.0, 1.0, env.d_non)
+        else:
+            q[int(rng.integers(0, env.d_lin))] = 1.0
+            o = env.o0.copy()
+        f_o = float(env.f(o))
+        w = f_o + (rng.normal(0.0, env.w_noise_sd) if env.w_noise_sd > 0 else 0.0)
+        eta = rng.normal(0.0, env.reward_sd) if env.reward_sd > 0 else 0.0
+        y = np.concatenate([q, o, [w]])
+        y_cond = np.concatenate([q, o, [f_o]])
+        s_vec = y[: env.d_s]
+        means = np.stack([phi(fmap, y, s_vec, a) for a in range(2)]) @ env.theta_star
+        cond = np.stack([phi(fmap, y_cond, s_vec, a) for a in range(2)])
+        steps.append(
+            dict(t=t, full=y, observed=s_vec, means=means, rewards=means + eta,
+                 cond_mean=np.array([f_o]), cond_means=cond @ env.theta_star)
+        )
+    return steps
+
+
+def assert_rollout_is(rollout, steps):
+    assert rollout.t.shape == (len(steps),)
+    for i, ref in enumerate(steps):
+        assert rollout.t[i] == ref["t"]
+        assert_bitwise(rollout.full_context[i], ref["full"])
+        assert_bitwise(rollout.observed[i], ref["observed"])
+        assert_bitwise(rollout.arm_means[i], ref["means"])
+        assert_bitwise(rollout.potential_rewards[i], ref["rewards"])
+        assert_bitwise(rollout.cond_mean_w[i], ref["cond_mean"])
+        assert_bitwise(rollout.cond_arm_means[i], ref["cond_means"])
+        optimal = int(np.argmax(ref["means"]))
+        assert rollout.optimal_arm[i] == optimal
+        assert rollout.optimal_mean[i] == ref["means"][optimal]
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {},
+        {"nonlinearity": 0.1},
+        {"nonlinearity": 1.0},
+        {"nonlinearity": 10.0},
+        {"innovation_sd": 0.0},
+        {"xi_sd": 0.0, "nonlinearity": 1.0},
+        {"eta_sd": 0.0},
+    ],
+)
+def test_synthetic_rollout_matches_scalar_reference(params):
+    env = SyntheticEnv(**params)
+    ref = scalar_synthetic_steps(env, substream(41, "env"), 500)
+    rng = substream(41, "env")
+    env.reset(rng)
+    rollout = env.rollout(rng, 500)
+    assert_rollout_is(rollout, ref)
+    assert rollout.cond_sd_w == env.xi_sd
+    assert env.oracle_mean_w()[0] == ref[-1]["cond_mean"][0]
+
+
+@pytest.mark.parametrize("params", [{}, {"w_noise_sd": 0.05}, {"reward_sd": 0.0}])
+def test_lower_bound_rollout_matches_per_step_draws(params):
+    env = LowerBoundEnv(d_lin=3, d_non=2, **params)
+    ref = scalar_lower_bound_steps(env, substream(42, "lb"), 400)
+    rng = substream(42, "lb")
+    env.reset(rng)
+    rollout = env.rollout(rng, 400)
+    assert_rollout_is(rollout, ref)
+    assert env.oracle_mean_w()[0] == ref[-1]["cond_mean"][0]
+
+
+def make_env(kind):
+    return SyntheticEnv(nonlinearity=1.0) if kind == "synthetic" else LowerBoundEnv(2, 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["synthetic", "lower_bound"]),
+    a=st.integers(1, 40),
+    b=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_rollouts_split_anywhere_give_the_same_steps(kind, a, b, seed):
+    envs, rngs = [], []
+    for _ in range(3):
+        env, rng = make_env(kind), substream(seed, "split")
+        env.reset(rng)
+        envs.append(env)
+        rngs.append(rng)
+    first, second = envs[0].rollout(rngs[0], a), envs[0].rollout(rngs[0], b)
+    whole = envs[1].rollout(rngs[1], a + b)
+    stepped = [envs[2].step(rngs[2]) for _ in range(a + b)]
+    for name in ("t", "full_context", "observed", "potential_rewards", "arm_means",
+                 "optimal_arm", "optimal_mean", "cond_mean_w", "cond_arm_means"):
+        joined = np.concatenate([getattr(first, name), getattr(second, name)])
+        assert_bitwise(joined, getattr(whole, name))
+        assert_bitwise(np.stack([getattr(s, name) for s in stepped]), getattr(whole, name))
+    assert envs[0].oracle_mean_w()[0] == envs[2].oracle_mean_w()[0] == whole.cond_mean_w[-1, 0]
+    # the streams are left in the same place
+    assert rngs[0].random() == rngs[1].random() == rngs[2].random()
+
+
+def test_rollout_needs_a_step():
+    env = SyntheticEnv()
+    rng = substream(0, "env")
+    env.reset(rng)
+    with pytest.raises(ParameterError):
+        env.rollout(rng, 0)
+    with pytest.raises(ParameterError):
+        LowerBoundEnv(1, 1).rollout(rng, 0)
+
+
+@pytest.mark.parametrize(
+    "arma", [(1.5, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (0.5, 0.6, 0.0, 0.0)]
+)
+def test_nonstationary_arma_rejected(arma):
+    with pytest.raises(ParameterError, match="stationary"):
+        SyntheticEnv(arma=arma)

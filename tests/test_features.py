@@ -11,6 +11,7 @@ from pulsebandit import (
     identity_map,
     lower_bound_two_arm_map,
     phi,
+    phi_batch,
     register_custom_map,
     synthetic_interaction_map,
 )
@@ -115,6 +116,8 @@ def test_calibrate_feat_norm_bound_validates():
         calibrate_feat_norm_bound(fmap, lambda: None, n_steps=0)
     with pytest.raises(ParameterError):
         calibrate_feat_norm_bound(fmap, lambda: None, quantile=1.5)
+    with pytest.raises(InputError):
+        calibrate_feat_norm_bound(fmap, lambda: (np.zeros(3), np.zeros(1)), n_steps=5)
 
 
 def test_feature_map_bound_attachment():
@@ -123,3 +126,82 @@ def test_feature_map_bound_attachment():
     fm2 = fmap.with_feat_norm_bound(2.5)
     assert fm2.feat_norm_bound == 2.5
     assert fmap.feat_norm_bound is None
+
+
+def _four_kinds():
+    def cubic(y, s, arm):
+        return np.array([y[0] ** 3, s[0] * (arm - 1.0), y[1]])
+
+    register_custom_map("test-cubic", cubic, output_dim=3, arm_count=3,
+                        d_s=1, d_w=1, affine_in_w=True)
+    return [
+        synthetic_interaction_map(),
+        lower_bound_two_arm_map(2, 3),
+        identity_map(4, 3, d_w=1),
+        custom_map("test-cubic"),
+    ]
+
+
+@pytest.mark.parametrize("fmap", _four_kinds(), ids=lambda m: m.kind.value)
+def test_phi_batch_rows_are_phi(fmap):
+    rng = np.random.default_rng(5)
+    n, d_y = 25, fmap.d_s + fmap.d_w
+    ys = rng.uniform(-2.0, 2.0, (n, d_y))
+    block = phi_batch(fmap, ys, ys[:, : fmap.d_s])
+    assert block.shape == (n, fmap.arm_count, fmap.output_dim)
+    for t in range(n):
+        mat = arm_feature_matrix(fmap, ys[t], ys[t, : fmap.d_s])
+        assert mat.tobytes() == block[t].tobytes()
+        for a in range(fmap.arm_count):
+            assert phi(fmap, ys[t], ys[t, : fmap.d_s], a).tobytes() == block[t, a].tobytes()
+
+
+def test_phi_batch_interaction_formula():
+    ys = np.array([[0.2, 0.5], [-0.3, 0.1]])
+    block = phi_batch(synthetic_interaction_map(), ys, ys[:, :1])
+    np.testing.assert_array_equal(
+        block,
+        [[[1.0, 0.2, 0.5, -0.2], [1.0, 0.2, 0.5, 0.2]],
+         [[1.0, -0.3, 0.1, 0.3], [1.0, -0.3, 0.1, -0.3]]],
+    )
+
+
+def test_phi_batch_validates_the_block():
+    fmap = synthetic_interaction_map()
+    with pytest.raises(InputError):
+        phi_batch(fmap, np.zeros((3, 3)), np.zeros((3, 1)))
+    with pytest.raises(InputError):
+        phi_batch(fmap, np.zeros(2), np.zeros(1))
+    bad = np.zeros((4, 2))
+    bad[2, 1] = np.inf
+    with pytest.raises(InputError):
+        phi_batch(fmap, bad, bad[:, :1])
+    register_custom_map("test-short", lambda y, s, arm: np.zeros(1 + arm), output_dim=1,
+                        arm_count=2, d_s=1, d_w=0, affine_in_w=False)
+    with pytest.raises(InputError):
+        phi_batch(custom_map("test-short"), np.zeros((2, 1)), np.zeros((2, 1)))
+
+
+def test_calibrate_feat_norm_bound_matches_per_step_reference():
+    fmap = lower_bound_two_arm_map(2, 2)
+    rng = np.random.default_rng(9)
+    ys = rng.uniform(-1.2, 1.2, (500, 5))
+    rows = iter(ys)
+
+    def step_fn():
+        y = next(rows)
+        return y, y[:4]
+
+    bound, diag = calibrate_feat_norm_bound(fmap, step_fn, n_steps=500, quantile=0.9)
+    norms, violations = [], 0
+    for y in ys:
+        mat = np.stack([phi(fmap, y, y[:4], a) for a in range(2)])
+        norms.append(np.sqrt((mat * mat).sum(axis=1).max()))
+        violations += int(np.abs(mat).max() > 1.0)
+    assert bound == float(np.quantile(np.array(norms), 0.9))
+    assert diag == {
+        "n_steps": 500,
+        "quantile": 0.9,
+        "max_feature_norm": float(max(norms)),
+        "sup_norm_violation_rate": violations / 500,
+    }

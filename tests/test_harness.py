@@ -374,3 +374,36 @@ def test_final_dt_cumsum_reports_every_trial(tmp_path):
             assert sums[name][trial] == value
     assert sums["oracle_best"] == [None, None]
     assert sums["pulse_ucb"][0] != sums["pulse_ucb"][1]
+
+
+@pytest.mark.parametrize("arma", [[1.5, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+def test_nonstationary_arma_is_a_config_error(arma):
+    raw = tiny_raw()
+    raw["environment"]["arma"] = arma
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(raw)
+    assert err.value.field == "environment.arma"
+
+
+def test_metadata_records_stage_timings_and_versions(tmp_path):
+    cfg = ExperimentConfig(tiny_raw(horizon=10, trials=1))
+    simulated = run_experiment(cfg, out_dir=str(tmp_path / "sim"))
+    replayed = run_replay(
+        ExperimentConfig(replay_raw(tmp_path, horizon=10, trials=1)),
+        out_dir=str(tmp_path / "rep"),
+    )
+    for result in (simulated, replayed):
+        with open(result["metadata_path"]) as fh:
+            meta = json.load(fh)
+        timings = meta["run"]["timings_s"]
+        assert set(timings) == {"pretrain", "trials", "write"}
+        assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+        assert set(meta["run"]["versions"]) == {"python", "numpy", "scipy"}
+        assert "timings_s" not in meta["config"] and "versions" not in meta["config"]
+        # the hash is the config's own: rebuilding it from the metadata agrees
+        assert meta["run"]["config_sha256"] == load_config(meta).config_hash()
+    rerun = run_experiment(cfg, out_dir=str(tmp_path / "sim2"))
+    hashes = [
+        json.load(open(r["metadata_path"]))["run"]["config_sha256"] for r in (simulated, rerun)
+    ]
+    assert hashes[0] == hashes[1]

@@ -18,6 +18,7 @@ from pulsebandit import (
     full_observer,
     load_imputer,
     null_imputer,
+    phi,
     save_imputer,
     substream,
     synthetic_interaction_map,
@@ -287,3 +288,33 @@ def test_expected_feature_matrix_shape():
     mat = expected_feature_matrix(imp, fmap, np.array([[0.3]]))
     assert mat.shape == (2, 4)
     np.testing.assert_allclose(mat[1], [1.0, 0.3, 0.0, 0.3])
+
+
+def test_expected_feature_matrix_makes_one_query_per_decision():
+    s = np.array([[[0.0]], [[0.05]], [[1.0]]])
+    w = np.array([[[1.0]], [[3.0]], [[10.0]]])
+    imp = fit_kernel(HistoricalDataset(s=s, w=w), bandwidth=0.2)
+    fmap = synthetic_interaction_map()
+    far = np.array([[50.0]])
+    mat = expected_feature_matrix(imp, fmap, far)
+    assert imp.fallback_count == 1  # one query, not one per arm
+    for a in range(2):
+        assert mat[a].tobytes() == expected_features(imp, fmap, far, a).phi_hat.tobytes()
+
+
+def test_monte_carlo_matrix_matches_per_draw_reference():
+    imp = Imputer(
+        kind=ImputerKind.LINEAR_AR, d_s=1, d_w=1, mc_samples=16, analytic=False,
+        params={"lag": 1, "intercept": np.array([0.2]), "coef": np.array([[0.6], [-0.3]]),
+                "noise_sd": np.array([0.05])},
+    )
+    fmap = synthetic_interaction_map()
+    hist = np.array([[0.4], [-0.7]])
+    mat = expected_feature_matrix(imp, fmap, hist, rng=substream(34, "mc"))
+    rng = substream(34, "mc")  # each arm draws its samples in turn, arm 0 first
+    for a in range(2):
+        draws = imp.sample(hist, rng, 16)
+        feats = np.stack(
+            [phi(fmap, fmap.assemble_context(hist[-1], w), hist[-1], a) for w in draws]
+        )
+        assert mat[a].tobytes() == feats.mean(axis=0).tobytes()
