@@ -35,7 +35,6 @@ from .features import (
     arm_feature_matrix,
     calibrate_feat_norm_bound,
     custom_map,
-    identity_map,
     lower_bound_two_arm_map,
     phi,
     phi_batch,
@@ -51,7 +50,6 @@ from .imputation import (
     expected_features,
     fit_kernel,
     fit_linear_ar,
-    full_observer,
     load_imputer,
     null_imputer,
     oracle_imputer,
@@ -134,7 +132,6 @@ __all__ = [
     "arm_feature_matrix",
     "synthetic_interaction_map",
     "lower_bound_two_arm_map",
-    "identity_map",
     "register_custom_map",
     "custom_map",
     "calibrate_feat_norm_bound",
@@ -147,7 +144,6 @@ __all__ = [
     "fit_kernel",
     "null_imputer",
     "oracle_imputer",
-    "full_observer",
     "expected_features",
     "expected_feature_matrix",
     "save_imputer",

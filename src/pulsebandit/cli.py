@@ -23,13 +23,13 @@ from .environments import generate_history
 from .errors import ConfigError, PulseBanditError
 from .harness import (
     _band_target_fitter,
+    _save_imputer,
     load_config,
     pretrain,
     run_experiment,
     run_replay,
     run_sweep,
 )
-from .imputation import ImputerKind, save_imputer
 
 __all__ = ["main", "build_parser"]
 
@@ -156,14 +156,7 @@ def _cmd_pretrain(args):
     config, _ = _load(args)
     pre = pretrain(config)
     os.makedirs(args.out, exist_ok=True)
-    saved = None
-    if pre["imputer"] is not None and pre["imputer"].kind in (
-        ImputerKind.LINEAR_AR,
-        ImputerKind.KERNEL,
-        ImputerKind.NULL,
-    ):
-        saved = os.path.join(args.out, "imputer.json")
-        save_imputer(pre["imputer"], saved)
+    saved = _save_imputer(pre["imputer"], args.out)
     doc = {
         "imputer_kind": config.imputer["kind"],
         "imputer_path": saved,

@@ -216,11 +216,6 @@ class SyntheticEnv:
         self._t = 0
         self._last_cond_mean = None
 
-    # stationarity: roots of 1 - ar1 z - ar2 z^2 must lie outside the unit
-    # circle; for the default coefficients both roots have modulus 2
-    def ar_root_moduli(self):
-        return ar_root_moduli(self.ar1, self.ar2)
-
     def reset(self, rng):
         self._s1 = self._s2 = 0.0
         self._e1 = self._e2 = 0.0
@@ -540,7 +535,6 @@ class ReplayStream:
         self.log = log
         self.rng = rng
         self._remaining = list(range(log.n_rows))
-        self.consumed = 0
 
     @property
     def n_remaining(self):
@@ -565,7 +559,6 @@ class ReplayStream:
                 raise InputError(f"choice {choice} out of range for {k} candidates")
             row = candidates[choice]
             self._remaining.remove(row)
-            self.consumed += 1
             spent.append(row)
             return float(self.log.rewards[row])
 

@@ -22,7 +22,6 @@ __all__ = [
     "FeatureMap",
     "synthetic_interaction_map",
     "lower_bound_two_arm_map",
-    "identity_map",
     "register_custom_map",
     "custom_map",
     "phi",
@@ -35,7 +34,6 @@ __all__ = [
 class MapKind(Enum):
     SYNTHETIC_INTERACTION = "synthetic_interaction"
     LOWER_BOUND_TWO_ARM = "lower_bound_two_arm"
-    IDENTITY = "identity"
     CUSTOM = "custom"
 
 
@@ -47,8 +45,7 @@ class FeatureMap:
     observed prefix and W the late-observed suffix.  `affine_in_w` records
     whether every coordinate of Phi is affine in W for each fixed (S, a);
     when true, expected features under an imputer reduce to evaluating Phi
-    at the imputed conditional mean.  `feat_norm_bound` is the norm bound B
-    used by confidence schedules; None until calibrated or set.
+    at the imputed conditional mean.
     """
 
     kind: MapKind
@@ -57,7 +54,6 @@ class FeatureMap:
     d_s: int
     d_w: int
     affine_in_w: bool
-    feat_norm_bound: float = None
     params: dict = field(default_factory=dict)
 
     def assemble_context(self, observed, w):
@@ -69,21 +65,6 @@ class FeatureMap:
         if w.shape != (self.d_w,):
             raise InputError(f"late part must have shape ({self.d_w},), got {w.shape}")
         return np.concatenate([s, w])
-
-    def with_feat_norm_bound(self, bound):
-        bound = float(bound)
-        if not np.isfinite(bound) or bound <= 0:
-            raise ParameterError(f"feat_norm_bound must be positive, got {bound!r}")
-        return FeatureMap(
-            self.kind,
-            self.output_dim,
-            self.arm_count,
-            self.d_s,
-            self.d_w,
-            self.affine_in_w,
-            bound,
-            self.params,
-        )
 
 
 def synthetic_interaction_map():
@@ -115,23 +96,6 @@ def lower_bound_two_arm_map(d_lin, d_non):
         d_w=1,
         affine_in_w=True,
         params={"d_lin": int(d_lin), "d_non": int(d_non)},
-    )
-
-
-def identity_map(dim, arm_count, d_w=0):
-    """Phi(Y, a) = Y for every arm.  Used by replay where each candidate
-    row carries its own feature vector."""
-    if dim < 1 or arm_count < 1:
-        raise ParameterError("dim and arm_count must be positive")
-    if not 0 <= d_w <= dim:
-        raise ParameterError("d_w must lie in [0, dim]")
-    return FeatureMap(
-        kind=MapKind.IDENTITY,
-        output_dim=dim,
-        arm_count=arm_count,
-        d_s=dim - d_w,
-        d_w=d_w,
-        affine_in_w=True,
     )
 
 
@@ -200,8 +164,6 @@ def phi_batch(feature_map, full_contexts, observed):
         out[:, 0] = y
         out[:, 1, :d_lin] = -y[:, :d_lin]
         return out
-    if kind is MapKind.IDENTITY:
-        return np.repeat(y[:, None, :], arms, axis=1)
     if kind is MapKind.CUSTOM:
         fn = feature_map.params["fn"]
         s = np.asarray(observed, dtype=float)

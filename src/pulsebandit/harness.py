@@ -38,6 +38,7 @@ import scipy
 
 from . import __version__
 from .agents import (
+    DEFAULT_SIGMA_EPS,
     AgentKind,
     AgentState,
     DtSource,
@@ -60,6 +61,7 @@ from .environments import (
 from .errors import ConfigError
 from .features import arm_feature_matrix, calibrate_feat_norm_bound
 from .imputation import (
+    DEFAULT_MC_SAMPLES,
     ImputerKind,
     expected_feature_matrix,
     fit_kernel,
@@ -90,11 +92,10 @@ FEAT_NORM_QUANTILE = 0.999
 
 # -- config -------------------------------------------------------------------
 
-
-def _req(d, key, where):
-    if key not in d:
-        raise ConfigError(f"{where}{key}", "is required")
-    return d[key]
+# A section table lists each field once as (key, default, parse).  The
+# reader hands parse(value, field) the given value, or the default when the
+# key is absent, with `field` the dotted name used in errors.
+_REQUIRED = object()  # default of a field that must be given
 
 
 def _as_int(v, field_name, minimum=None):
@@ -119,396 +120,272 @@ def _as_float(v, field_name, positive=False, nonnegative=False):
     return v
 
 
-_AGENT_KINDS = {k.value for k in AgentKind}
-_DT_SOURCES = {s.value for s in DtSource}
-_SELECTION_FORMS = {f.value for f in SelectionForm}
-_IMPUTER_KINDS = set(ImputerKind.ALL) - {ImputerKind.FULL_OBSERVER}
-_ENV_KINDS = {"synthetic", "lower_bound", "replay"}
+def _int(minimum):
+    return lambda v, field_name: _as_int(v, field_name, minimum)
+
+
+def _float(positive=False, nonnegative=False):
+    return lambda v, field_name: _as_float(v, field_name, positive, nonnegative)
+
+
+def _unit_interval(right):
+    """A number in (0, 1) or, with right = "]", in (0, 1]."""
+
+    def parse(v, field_name):
+        v = _as_float(v, field_name)
+        if not (0.0 < v < 1.0 or (right == "]" and v == 1.0)):
+            raise ConfigError(field_name, f"must lie in (0, 1{right}, got {v}")
+        return v
+
+    return parse
+
+
+def _optional(parse):
+    return lambda v, field_name: None if v is None else parse(v, field_name)
+
+
+def _choice(values):
+    values = tuple(values)
+
+    def parse(v, field_name):
+        if not isinstance(v, str) or v not in values:
+            raise ConfigError(field_name, f"must be one of {sorted(values)}, got {v!r}")
+        return v
+
+    return parse
+
+
+def _floats(length=None):
+    def parse(v, field_name):
+        if not isinstance(v, (list, tuple)):
+            raise ConfigError(field_name, f"must be a list of numbers, got {v!r}")
+        if length is not None and len(v) != length:
+            raise ConfigError(field_name, f"must have {length} entries, got {len(v)}")
+        return [_as_float(x, field_name) for x in v]
+
+    return parse
+
+
+def _bool(v, field_name):
+    if not isinstance(v, bool):
+        raise ConfigError(field_name, f"must be true or false, got {v!r}")
+    return v
+
+
+def _text(v, field_name):
+    return str(v)
+
+
+def _path(v, field_name):
+    if not isinstance(v, str):
+        raise ConfigError(field_name, "must be a string path")
+    return v
+
+
+def _schema_version(v, field_name):
+    if v != SCHEMA_VERSION:
+        raise ConfigError(field_name, f"must be {SCHEMA_VERSION}, got {v!r}")
+    return SCHEMA_VERSION
+
+
+def _nonlinearity(v, field_name):
+    return v if v == "linear" else _as_float(v, field_name)
+
+
+def _arma(v, field_name):
+    arma = _floats(4)(v, field_name)
+    ar1, ar2 = arma[:2]
+    if (ar_root_moduli(ar1, ar2) <= 1.0).any():
+        raise ConfigError(
+            field_name,
+            f"AR part ({ar1}, {ar2}) is not stationary: "
+            "1 - ar1 z - ar2 z^2 has a root on or inside the unit circle",
+        )
+    return arma
+
+
+def _section(raw, where, table):
+    """The mapping `raw` parsed against `table`, as a dict in table order.
+
+    Fields are named `where.key` in errors.  A missing required key and a
+    key the table does not list are ConfigErrors.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(where, "must be a mapping")
+    prefix = f"{where}." if where else ""
+    out = {}
+    for key, default, parse in table:
+        value = raw.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(prefix + key, "is required")
+        out[key] = parse(value, prefix + key)
+    for key in raw:
+        if key not in out:
+            raise ConfigError(f"{prefix}{key}", "is not recognized")
+    return out
+
+
+def _table(table):
+    return lambda raw, where: _section(raw, where, table)
+
+
+_ENV_KIND = ("kind", _REQUIRED, _choice(("synthetic", "lower_bound", "replay")))
+_ENVIRONMENTS = {
+    "synthetic": (
+        _ENV_KIND,
+        ("nonlinearity", "linear", _nonlinearity),
+        ("arma", [0.75, -0.25, 0.65, 0.35], _arma),
+        ("innovation_sd", 0.1, _float(nonnegative=True)),
+        ("beta_star", [0.50, -0.14], _floats()),
+        ("theta_star", [0.65, 1.52, -0.23, -0.23], _floats()),
+        ("xi_sd", 0.1, _float(nonnegative=True)),
+        ("eta_sd", 0.05, _float(nonnegative=True)),
+    ),
+    "lower_bound": (
+        _ENV_KIND,
+        ("d_lin", _REQUIRED, _int(1)),
+        ("d_non", _REQUIRED, _int(1)),
+        ("bump_beta", 1.0, _float(positive=True)),
+        ("bump_amplitude", 0.5, _float(positive=True)),
+        ("theta_q_magnitude", None, _optional(_float(positive=True))),
+        ("scaling_horizon", 1000, _int(1)),
+        ("reward_sd", 0.1, _float(nonnegative=True)),
+        ("w_noise_sd", 0.0, _float(nonnegative=True)),
+    ),
+    "replay": (_ENV_KIND, ("path", _REQUIRED, _text), ("k", 20, _int(1))),
+}
+
+
+def _environment(raw, where):
+    # the kind picks the table; any other kind fails on the kind field
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    table = _ENVIRONMENTS.get(kind) if isinstance(kind, str) else None
+    return _section(raw, where, table or (_ENV_KIND,))
+
+
+_SCHEDULE = (
+    ("lambda", 1.0, _float(positive=True)),
+    ("delta", 0.1, _unit_interval("]")),
+    ("sigma_eta", 0.0, _float(nonnegative=True)),
+    ("sigma_eps", DEFAULT_SIGMA_EPS, _float(nonnegative=True)),
+    ("feat_norm_bound", None, _optional(_float(positive=True))),
+)
+_IMPUTER = (
+    ("kind", ImputerKind.ORACLE, _choice(ImputerKind.ALL)),
+    ("lag", 0, _int(0)),
+    ("ridge_eps", 1e-10, _float(nonnegative=True)),
+    ("bandwidth", None, _optional(_float(positive=True))),
+    ("beta", 1.0, _float(positive=True)),
+    ("mc_samples", DEFAULT_MC_SAMPLES, _int(1)),
+    ("analytic", True, _bool),
+    ("path", None, _optional(_text)),
+)
+# a null name or dt_source takes its default after the table pass
+_AGENT = (
+    ("name", None, _optional(_text)),
+    ("kind", _REQUIRED, _choice(k.value for k in AgentKind)),
+    ("dt_source", None, _optional(_choice(s.value for s in DtSource))),
+    ("constant_dt", 0.0, _float(nonnegative=True)),
+    ("selection_form", "closed_form", _choice(f.value for f in SelectionForm)),
+)
+
+
+def _agents(raw, where):
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(where, "must be a nonempty list")
+    return [_section(spec, f"{where}[{i}]", _AGENT) for i, spec in enumerate(raw)]
+
+
+_PRETRAIN = (
+    ("n", 0, _int(0)),
+    ("t0", 0, _int(0)),
+    ("seed", None, _optional(_int(0))),  # null: base_seed
+    ("fraction", 0.2, _unit_interval(")")),
+)
+# grid_points is read by `pulsebandit calibrate` only; simulate's plug-in
+# band uses the estimator's default grid
+_CALIBRATION = (
+    ("alpha", 0.1, _unit_interval(")")),
+    ("bootstrap_draws", 200, _int(10)),
+    ("split_seed", 0, _int(0)),
+    ("bandwidth", None, _optional(_float(positive=True))),
+    ("grid_points", None, _optional(_int(9))),
+)
+# the top level, in to_dict order; every entry is an ExperimentConfig attribute
+_CONFIG = (
+    ("schema_version", _REQUIRED, _schema_version),
+    ("name", "experiment", _text),
+    ("base_seed", 0, _int(0)),
+    ("horizon", None, _optional(_int(1))),  # null: the whole log, replay only
+    ("trials", 1, _int(1)),
+    ("gamma_scale", 1.0, _float(positive=True)),
+    ("environment", _REQUIRED, _environment),
+    ("schedule", {}, _table(_SCHEDULE)),
+    ("imputer", {}, _table(_IMPUTER)),
+    ("agents", _REQUIRED, _agents),
+    ("pretrain", {}, _table(_PRETRAIN)),
+    ("calibration", {}, _table(_CALIBRATION)),
+    ("output", {}, _table((("dir", None, _optional(_path)),))),
+    ("record_conditional_regret", True, _bool),
+    ("workers", 1, _int(1)),
+)
+_FITTED_IMPUTERS = (ImputerKind.LINEAR_AR, ImputerKind.KERNEL)
 
 
 class ExperimentConfig:
     """Fully resolved experiment description.
 
-    Built from a plain dict (see load_config); unknown keys are rejected so
-    typos surface as config errors instead of silently applied defaults.
+    Its attributes are the top-level config fields, sections as dicts.
+    Unknown keys are rejected so typos surface as config errors instead of
+    silently applied defaults.
     """
 
     def __init__(self, raw):
-        if not isinstance(raw, dict):
-            raise ConfigError("", "config must be a mapping")
-        raw = copy.deepcopy(raw)
-        # metadata documents embed the config they were produced from
-        if raw.get("kind") == "run_metadata" and "config" in raw:
-            raw = raw["config"]
+        vars(self).update(_section(raw, "", _CONFIG))
+        env_kind = self.environment["kind"]
+        replay = env_kind == "replay"
+        if self.horizon is None and not replay:
+            raise ConfigError("horizon", "is required")
+        if self.pretrain["seed"] is None:
+            self.pretrain["seed"] = self.base_seed
 
-        known = {
-            "schema_version",
-            "name",
-            "base_seed",
-            "horizon",
-            "trials",
-            "gamma_scale",
-            "environment",
-            "schedule",
-            "imputer",
-            "agents",
-            "pretrain",
-            "calibration",
-            "output",
-            "record_conditional_regret",
-            "workers",
-        }
-        for key in raw:
-            if key not in known:
-                raise ConfigError(key, "is not a recognized config entry")
-
-        version = _req(raw, "schema_version", "")
-        if version != SCHEMA_VERSION:
-            raise ConfigError(
-                "schema_version", f"must be {SCHEMA_VERSION}, got {version!r}"
-            )
-        self.name = str(raw.get("name", "experiment"))
-        self.base_seed = _as_int(raw.get("base_seed", 0), "base_seed", minimum=0)
-        self.trials = _as_int(raw.get("trials", 1), "trials", minimum=1)
-        self.gamma_scale = _as_float(
-            raw.get("gamma_scale", 1.0), "gamma_scale", positive=True
-        )
-        self.workers = _as_int(raw.get("workers", 1), "workers", minimum=1)
-        self.record_conditional_regret = bool(
-            raw.get("record_conditional_regret", True)
-        )
-
-        env = _req(raw, "environment", "")
-        if not isinstance(env, dict):
-            raise ConfigError("environment", "must be a mapping")
-        kind = _req(env, "kind", "environment.")
-        if kind not in _ENV_KINDS:
-            raise ConfigError(
-                "environment.kind", f"must be one of {sorted(_ENV_KINDS)}, got {kind!r}"
-            )
-        self.environment = self._resolve_environment(env)
-
-        if kind == "replay":
-            self.horizon = (
-                None
-                if raw.get("horizon") is None
-                else _as_int(raw["horizon"], "horizon", minimum=1)
-            )
-        else:
-            self.horizon = _as_int(_req(raw, "horizon", ""), "horizon", minimum=1)
-
-        self.schedule = self._resolve_schedule(raw.get("schedule", {}))
-        self.imputer = self._resolve_imputer(raw.get("imputer", {}))
-        self.agents = self._resolve_agents(_req(raw, "agents", ""))
-        self.pretrain = self._resolve_pretrain(raw.get("pretrain", {}))
-        self.calibration = self._resolve_calibration(raw.get("calibration", {}))
-
-        out = raw.get("output", {})
-        if not isinstance(out, dict):
-            raise ConfigError("output", "must be a mapping")
-        self.output_dir = out.get("dir")
-        if self.output_dir is not None and not isinstance(self.output_dir, str):
-            raise ConfigError("output.dir", "must be a string path")
-
-    # -- section resolvers --------------------------------------------------
-
-    @staticmethod
-    def _resolve_environment(env):
-        kind = env["kind"]
-        known = {
-            "synthetic": {
-                "kind",
-                "nonlinearity",
-                "arma",
-                "innovation_sd",
-                "beta_star",
-                "theta_star",
-                "xi_sd",
-                "eta_sd",
-            },
-            "lower_bound": {
-                "kind",
-                "d_lin",
-                "d_non",
-                "bump_beta",
-                "bump_amplitude",
-                "theta_q_magnitude",
-                "reward_sd",
-                "w_noise_sd",
-                "scaling_horizon",
-            },
-            "replay": {"kind", "path", "k"},
-        }[kind]
-        for key in env:
-            if key not in known:
-                raise ConfigError(f"environment.{key}", "is not recognized")
-        resolved = {"kind": kind}
-        if kind == "synthetic":
-            nl = env.get("nonlinearity", "linear")
-            if nl != "linear":
-                nl = _as_float(nl, "environment.nonlinearity")
-            resolved["nonlinearity"] = nl
-            resolved["arma"] = [
-                _as_float(v, "environment.arma")
-                for v in env.get("arma", [0.75, -0.25, 0.65, 0.35])
-            ]
-            if len(resolved["arma"]) != 4:
-                raise ConfigError("environment.arma", "must have four entries")
-            ar1, ar2 = resolved["arma"][:2]
-            if (ar_root_moduli(ar1, ar2) <= 1.0).any():
-                raise ConfigError(
-                    "environment.arma",
-                    f"AR part ({ar1}, {ar2}) is not stationary: "
-                    "1 - ar1 z - ar2 z^2 has a root on or inside the unit circle",
-                )
-            resolved["innovation_sd"] = _as_float(
-                env.get("innovation_sd", 0.1), "environment.innovation_sd", nonnegative=True
-            )
-            resolved["beta_star"] = [
-                _as_float(v, "environment.beta_star")
-                for v in env.get("beta_star", [0.50, -0.14])
-            ]
-            resolved["theta_star"] = [
-                _as_float(v, "environment.theta_star")
-                for v in env.get("theta_star", [0.65, 1.52, -0.23, -0.23])
-            ]
-            resolved["xi_sd"] = _as_float(
-                env.get("xi_sd", 0.1), "environment.xi_sd", nonnegative=True
-            )
-            resolved["eta_sd"] = _as_float(
-                env.get("eta_sd", 0.05), "environment.eta_sd", nonnegative=True
-            )
-        elif kind == "lower_bound":
-            resolved["d_lin"] = _as_int(_req(env, "d_lin", "environment."), "environment.d_lin", 1)
-            resolved["d_non"] = _as_int(_req(env, "d_non", "environment."), "environment.d_non", 1)
-            resolved["bump_beta"] = _as_float(
-                env.get("bump_beta", 1.0), "environment.bump_beta", positive=True
-            )
-            resolved["bump_amplitude"] = _as_float(
-                env.get("bump_amplitude", 0.5), "environment.bump_amplitude", positive=True
-            )
-            resolved["theta_q_magnitude"] = (
-                None
-                if env.get("theta_q_magnitude") is None
-                else _as_float(
-                    env["theta_q_magnitude"], "environment.theta_q_magnitude", positive=True
-                )
-            )
-            resolved["scaling_horizon"] = _as_int(
-                env.get("scaling_horizon", 1000), "environment.scaling_horizon", 1
-            )
-            resolved["reward_sd"] = _as_float(
-                env.get("reward_sd", 0.1), "environment.reward_sd", nonnegative=True
-            )
-            resolved["w_noise_sd"] = _as_float(
-                env.get("w_noise_sd", 0.0), "environment.w_noise_sd", nonnegative=True
-            )
-        else:
-            resolved["path"] = str(_req(env, "path", "environment."))
-            resolved["k"] = _as_int(env.get("k", 20), "environment.k", minimum=1)
-        return resolved
-
-    @staticmethod
-    def _resolve_schedule(sched):
-        if not isinstance(sched, dict):
-            raise ConfigError("schedule", "must be a mapping")
-        known = {"lambda", "delta", "sigma_eta", "sigma_eps", "feat_norm_bound"}
-        for key in sched:
-            if key not in known:
-                raise ConfigError(f"schedule.{key}", "is not recognized")
-        out = {
-            "lambda": _as_float(sched.get("lambda", 1.0), "schedule.lambda", positive=True),
-            "delta": _as_float(sched.get("delta", 0.1), "schedule.delta"),
-            "sigma_eta": _as_float(
-                sched.get("sigma_eta", 0.0), "schedule.sigma_eta", nonnegative=True
-            ),
-            "sigma_eps": _as_float(
-                sched.get("sigma_eps", 2.0), "schedule.sigma_eps", nonnegative=True
-            ),
-            "feat_norm_bound": None
-            if sched.get("feat_norm_bound") is None
-            else _as_float(
-                sched["feat_norm_bound"], "schedule.feat_norm_bound", positive=True
-            ),
-        }
-        if not 0.0 < out["delta"] <= 1.0:
-            raise ConfigError("schedule.delta", f"must lie in (0, 1], got {out['delta']}")
-        return out
-
-    @staticmethod
-    def _resolve_imputer(imp):
-        if not isinstance(imp, dict):
-            raise ConfigError("imputer", "must be a mapping")
-        known = {
-            "kind",
-            "lag",
-            "ridge_eps",
-            "bandwidth",
-            "beta",
-            "mc_samples",
-            "analytic",
-            "path",
-        }
-        for key in imp:
-            if key not in known:
-                raise ConfigError(f"imputer.{key}", "is not recognized")
-        kind = imp.get("kind", "oracle")
-        if kind not in _IMPUTER_KINDS:
-            raise ConfigError(
-                "imputer.kind", f"must be one of {sorted(_IMPUTER_KINDS)}, got {kind!r}"
-            )
-        return {
-            "kind": kind,
-            "lag": _as_int(imp.get("lag", 0), "imputer.lag", minimum=0),
-            "ridge_eps": _as_float(
-                imp.get("ridge_eps", 1e-10), "imputer.ridge_eps", nonnegative=True
-            ),
-            "bandwidth": None
-            if imp.get("bandwidth") is None
-            else _as_float(imp["bandwidth"], "imputer.bandwidth", positive=True),
-            "beta": _as_float(imp.get("beta", 1.0), "imputer.beta", positive=True),
-            "mc_samples": _as_int(imp.get("mc_samples", 64), "imputer.mc_samples", 1),
-            "analytic": bool(imp.get("analytic", True)),
-            "path": None if imp.get("path") is None else str(imp["path"]),
-        }
-
-    def _resolve_agents(self, agents):
-        if not isinstance(agents, list) or not agents:
-            raise ConfigError("agents", "must be a nonempty list")
-        default_dt = "oracle" if self.environment["kind"] == "synthetic" else "zero"
-        resolved = []
         names = set()
-        for i, spec in enumerate(agents):
+        for i, agent in enumerate(self.agents):
             where = f"agents[{i}]"
-            if not isinstance(spec, dict):
-                raise ConfigError(where, "must be a mapping")
-            known = {"name", "kind", "dt_source", "constant_dt", "selection_form"}
-            for key in spec:
-                if key not in known:
-                    raise ConfigError(f"{where}.{key}", "is not recognized")
-            kind = _req(spec, "kind", where + ".")
-            if kind not in _AGENT_KINDS:
-                raise ConfigError(
-                    f"{where}.kind",
-                    f"must be one of {sorted(_AGENT_KINDS)}, got {kind!r}",
-                )
-            name = str(spec.get("name", kind))
-            if name in names:
-                raise ConfigError(f"{where}.name", f"duplicate agent name {name!r}")
-            names.add(name)
-            dt_source = spec.get("dt_source", default_dt)
-            if dt_source not in _DT_SOURCES:
-                raise ConfigError(
-                    f"{where}.dt_source",
-                    f"must be one of {sorted(_DT_SOURCES)}, got {dt_source!r}",
-                )
-            if self.environment["kind"] == "replay":
+            if agent["name"] is None:
+                agent["name"] = agent["kind"]
+            if agent["name"] in names:
+                raise ConfigError(f"{where}.name", f"duplicate agent name {agent['name']!r}")
+            names.add(agent["name"])
+            if agent["dt_source"] is None:
+                agent["dt_source"] = "oracle" if env_kind == "synthetic" else "zero"
+            if replay:
                 # a log holds only logged rewards: no optimal arm, no
                 # conditional law of W for the oracle charge, and replay
                 # pretraining estimates no plug-in band
-                if AgentKind(kind) is AgentKind.ORACLE_BEST:
+                if agent["kind"] == AgentKind.ORACLE_BEST.value:
                     raise ConfigError(f"{where}.kind", "oracle_best is undefined for replay logs")
-                if DtSource(dt_source) in (DtSource.ORACLE, DtSource.PLUG_IN):
+                if agent["dt_source"] in (DtSource.ORACLE.value, DtSource.PLUG_IN.value):
                     raise ConfigError(
                         f"{where}.dt_source",
-                        f"{dt_source} divergence is undefined for replay logs; "
+                        f"{agent['dt_source']} divergence is undefined for replay logs; "
                         "use zero or constant",
                     )
-            form = spec.get("selection_form", "closed_form")
-            if form not in _SELECTION_FORMS:
-                raise ConfigError(
-                    f"{where}.selection_form",
-                    f"must be one of {sorted(_SELECTION_FORMS)}, got {form!r}",
-                )
-            resolved.append(
-                {
-                    "name": name,
-                    "kind": kind,
-                    "dt_source": dt_source,
-                    "constant_dt": _as_float(
-                        spec.get("constant_dt", 0.0),
-                        f"{where}.constant_dt",
-                        nonnegative=True,
-                    ),
-                    "selection_form": form,
-                }
-            )
-        return resolved
 
-    def _resolve_pretrain(self, pre):
-        if not isinstance(pre, dict):
-            raise ConfigError("pretrain", "must be a mapping")
-        known = {"n", "t0", "seed", "fraction"}
-        for key in pre:
-            if key not in known:
-                raise ConfigError(f"pretrain.{key}", "is not recognized")
-        out = {
-            "n": _as_int(pre.get("n", 0), "pretrain.n", minimum=0),
-            "t0": _as_int(pre.get("t0", 0), "pretrain.t0", minimum=0),
-            "seed": _as_int(pre.get("seed", self.base_seed), "pretrain.seed", minimum=0),
-            "fraction": _as_float(pre.get("fraction", 0.2), "pretrain.fraction"),
-        }
-        if not 0.0 < out["fraction"] < 1.0:
-            raise ConfigError(
-                "pretrain.fraction", f"must lie in (0, 1), got {out['fraction']}"
-            )
-        needs_fit = self.imputer["kind"] in (ImputerKind.LINEAR_AR, ImputerKind.KERNEL)
         if (
-            needs_fit
-            and self.environment["kind"] != "replay"
+            self.imputer["kind"] in _FITTED_IMPUTERS
+            and not replay
             and self.imputer["path"] is None
-            and (out["n"] < 1 or out["t0"] < 1)
+            and (self.pretrain["n"] < 1 or self.pretrain["t0"] < 1)
         ):
             raise ConfigError(
                 "pretrain.n", "fitted imputers need pretrain.n >= 1 and pretrain.t0 >= 1"
             )
-        return out
-
-    @staticmethod
-    def _resolve_calibration(cal):
-        if not isinstance(cal, dict):
-            raise ConfigError("calibration", "must be a mapping")
-        known = {"alpha", "bootstrap_draws", "split_seed", "bandwidth", "grid_points"}
-        for key in cal:
-            if key not in known:
-                raise ConfigError(f"calibration.{key}", "is not recognized")
-        alpha = _as_float(cal.get("alpha", 0.1), "calibration.alpha")
-        if not 0.0 < alpha < 1.0:
-            raise ConfigError("calibration.alpha", f"must lie in (0, 1), got {alpha}")
-        return {
-            "alpha": alpha,
-            "bootstrap_draws": _as_int(
-                cal.get("bootstrap_draws", 200), "calibration.bootstrap_draws", 10
-            ),
-            "split_seed": _as_int(cal.get("split_seed", 0), "calibration.split_seed", 0),
-            "bandwidth": None
-            if cal.get("bandwidth") is None
-            else _as_float(cal["bandwidth"], "calibration.bandwidth", positive=True),
-            "grid_points": None
-            if cal.get("grid_points") is None
-            else _as_int(cal["grid_points"], "calibration.grid_points", 9),
-        }
 
     # -- views ----------------------------------------------------------------
 
     def to_dict(self):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "name": self.name,
-            "base_seed": self.base_seed,
-            "horizon": self.horizon,
-            "trials": self.trials,
-            "gamma_scale": self.gamma_scale,
-            "environment": copy.deepcopy(self.environment),
-            "schedule": copy.deepcopy(self.schedule),
-            "imputer": copy.deepcopy(self.imputer),
-            "agents": copy.deepcopy(self.agents),
-            "pretrain": copy.deepcopy(self.pretrain),
-            "calibration": copy.deepcopy(self.calibration),
-            "output": {"dir": self.output_dir},
-            "record_conditional_regret": self.record_conditional_regret,
-            "workers": self.workers,
-        }
+        return {key: copy.deepcopy(getattr(self, key)) for key, _, _ in _CONFIG}
 
     def config_hash(self):
         """Identity of the experiment: where its outputs go and how many
@@ -547,6 +424,17 @@ class ExperimentConfig:
         raise ConfigError("environment.kind", "replay configs do not build an env")
 
 
+def _set_dotted(raw, key, value):
+    """raw[a][b]...[z] = value for the dotted key "a.b. ... .z"; a missing
+    or non-mapping section on the way becomes an empty mapping."""
+    *sections, last = key.split(".")
+    for part in sections:
+        if not isinstance(raw.get(part), dict):
+            raw[part] = {}
+        raw = raw[part]
+    raw[last] = value
+
+
 def load_config(path_or_dict, overrides=()):
     """ExperimentConfig from a JSON file path or a dict, plus overrides.
 
@@ -555,6 +443,7 @@ def load_config(path_or_dict, overrides=()):
     config is: its embedded config is extracted, which is what makes
     bit-exact reruns from metadata possible.
     """
+    base = None
     if isinstance(path_or_dict, dict):
         raw = copy.deepcopy(path_or_dict)
     else:
@@ -565,23 +454,19 @@ def load_config(path_or_dict, overrides=()):
             raise ConfigError("", f"cannot read config: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError("", f"config is not valid JSON: {exc}")
-        if raw.get("kind") == "run_metadata" and "config" in raw:
-            raw = raw["config"]
-        else:
-            # relative data paths are resolved against the config file
-            base = os.path.dirname(os.path.abspath(path_or_dict))
-
-            def _resolve(section, key):
-                node = raw.get(section)
-                if (
-                    isinstance(node, dict)
-                    and isinstance(node.get(key), str)
-                    and not os.path.isabs(node[key])
-                ):
-                    node[key] = os.path.normpath(os.path.join(base, node[key]))
-
-            _resolve("environment", "path")
-            _resolve("imputer", "path")
+        base = os.path.dirname(os.path.abspath(path_or_dict))
+    if isinstance(raw, dict) and raw.get("kind") == "run_metadata" and "config" in raw:
+        # the embedded config is resolved: its data paths are absolute
+        raw, base = raw["config"], None
+    if not isinstance(raw, dict):
+        raise ConfigError("", "must be a mapping")
+    if base is not None:
+        # relative data paths are resolved against the config file
+        for section in ("environment", "imputer"):
+            node = raw.get(section)
+            path = node.get("path") if isinstance(node, dict) else None
+            if isinstance(path, str) and not os.path.isabs(path):
+                node["path"] = os.path.normpath(os.path.join(base, path))
     for item in overrides:
         if "=" not in item:
             raise ConfigError("--set", f"override {item!r} is not of the form key=value")
@@ -590,13 +475,7 @@ def load_config(path_or_dict, overrides=()):
             parsed = json.loads(value)
         except json.JSONDecodeError:
             parsed = value
-        node = raw
-        parts = key.split(".")
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                node[part] = {}
-            node = node[part]
-        node[parts[-1]] = parsed
+        _set_dotted(raw, key, parsed)
     return ExperimentConfig(raw)
 
 
@@ -624,28 +503,14 @@ def pretrain(config):
         imputer = load_imputer(imp_cfg["path"])
     elif imp_cfg["kind"] == ImputerKind.NULL:
         imputer = null_imputer(probe.d_s, probe.d_w, mc_samples=imp_cfg["mc_samples"])
-    elif imp_cfg["kind"] in (ImputerKind.LINEAR_AR, ImputerKind.KERNEL):
+    elif imp_cfg["kind"] in _FITTED_IMPUTERS:
         dataset = generate_history(
             config.make_env,
             config.pretrain["n"],
             config.pretrain["t0"],
             config.pretrain["seed"],
         )
-        if imp_cfg["kind"] == ImputerKind.LINEAR_AR:
-            imputer = fit_linear_ar(
-                dataset,
-                lag=imp_cfg["lag"],
-                ridge_eps=imp_cfg["ridge_eps"],
-                mc_samples=imp_cfg["mc_samples"],
-            )
-        else:
-            imputer = fit_kernel(
-                dataset,
-                bandwidth=imp_cfg["bandwidth"],
-                beta=imp_cfg["beta"],
-                mc_samples=imp_cfg["mc_samples"],
-            )
-        imputer.analytic = imp_cfg["analytic"]
+        imputer = _fit_imputer(imp_cfg, dataset, lag=imp_cfg["lag"])
 
     # feature-norm bound B: config value, or the dry-run empirical quantile
     if config.schedule["feat_norm_bound"] is not None:
@@ -691,24 +556,33 @@ def pretrain(config):
     }
 
 
-def _band_target_fitter(config):
-    imp_cfg = config.imputer
-
-    def fit(dataset_half):
-        if imp_cfg["kind"] == ImputerKind.LINEAR_AR:
-            # band data are i.i.d. pairs; audit the lag-0 projection
-            return fit_linear_ar(dataset_half, lag=0, ridge_eps=imp_cfg["ridge_eps"])
-        return fit_kernel(
-            dataset_half, bandwidth=imp_cfg["bandwidth"], beta=imp_cfg["beta"]
+def _fit_imputer(imp_cfg, dataset, lag):
+    """The configured linear-AR or kernel imputer fit on `dataset`; `lag`
+    is the linear-AR lag order."""
+    if imp_cfg["kind"] == ImputerKind.LINEAR_AR:
+        imputer = fit_linear_ar(
+            dataset, lag=lag, ridge_eps=imp_cfg["ridge_eps"], mc_samples=imp_cfg["mc_samples"]
         )
+    else:
+        imputer = fit_kernel(
+            dataset,
+            bandwidth=imp_cfg["bandwidth"],
+            beta=imp_cfg["beta"],
+            mc_samples=imp_cfg["mc_samples"],
+        )
+    imputer.analytic = imp_cfg["analytic"]
+    return imputer
 
-    return fit
+
+def _band_target_fitter(config):
+    # band data are i.i.d. pairs; a linear-AR target audits the lag-0 projection
+    return lambda dataset_half: _fit_imputer(config.imputer, dataset_half, lag=0)
 
 
 def _pretrain_replay(config):
     log = load_replay_log(config.environment["path"])
     n0 = int(round(config.pretrain["fraction"] * log.n_rows))
-    needs_fit = config.imputer["kind"] in (ImputerKind.LINEAR_AR, ImputerKind.KERNEL)
+    needs_fit = config.imputer["kind"] in _FITTED_IMPUTERS
     uses_full = needs_fit or any(a["kind"] == "oful_full" for a in config.agents)
     if uses_full and log.full is None:
         raise ConfigError(
@@ -729,21 +603,7 @@ def _pretrain_replay(config):
         dataset = HistoricalDataset(
             s=log.observed[:n0][:, None, :], w=log.full[:n0, d_s:][:, None, :]
         )
-        if config.imputer["kind"] == ImputerKind.LINEAR_AR:
-            imputer = fit_linear_ar(
-                dataset,
-                lag=0,
-                ridge_eps=config.imputer["ridge_eps"],
-                mc_samples=config.imputer["mc_samples"],
-            )
-        else:
-            imputer = fit_kernel(
-                dataset,
-                bandwidth=config.imputer["bandwidth"],
-                beta=config.imputer["beta"],
-                mc_samples=config.imputer["mc_samples"],
-            )
-        imputer.analytic = config.imputer["analytic"]
+        imputer = _fit_imputer(config.imputer, dataset, lag=0)
     elif config.imputer["kind"] == ImputerKind.NULL and log.full is not None:
         imputer = null_imputer(log.d_s, log.d_full - log.d_s)
     bound = config.schedule["feat_norm_bound"]
@@ -1122,8 +982,18 @@ def _write_metadata(out_dir, config, overrides_echo, facts, timings):
     return path
 
 
+def _save_imputer(imputer, out_dir):
+    """Write a persistable imputer to out_dir/imputer.json; the path, or
+    None when there is nothing to save."""
+    if imputer is None or imputer.kind not in ImputerKind.PERSISTABLE:
+        return None
+    path = os.path.join(out_dir, "imputer.json")
+    save_imputer(imputer, path)
+    return path
+
+
 def _output_dir(config, out_dir):
-    out_dir = out_dir or config.output_dir
+    out_dir = out_dir or config.output["dir"]
     if out_dir is None:
         raise ConfigError("output.dir", "no output directory configured")
     os.makedirs(out_dir, exist_ok=True)
@@ -1192,15 +1062,9 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
         cond_path = os.path.join(out_dir, "conditional_regret.csv")
         _write_rows(cond_path, results, _CONDITIONAL_COLUMNS)
 
-    imputer_path = None
+    imputer_path = _save_imputer(imputer, out_dir)
     imputer_sha = None
-    if imputer is not None and imputer.kind in (
-        ImputerKind.LINEAR_AR,
-        ImputerKind.KERNEL,
-        ImputerKind.NULL,
-    ):
-        imputer_path = os.path.join(out_dir, "imputer.json")
-        save_imputer(imputer, imputer_path)
+    if imputer_path is not None:
         with open(imputer_path, "rb") as fh:
             imputer_sha = hashlib.sha256(fh.read()).hexdigest()
 
@@ -1400,15 +1264,10 @@ def run_sweep(config, param_key, values, out_dir, overrides_echo=()):
     child_summaries = []
     for value in values:
         child_raw = config.to_dict()
-        node = child_raw
-        parts = param_key.split(".")
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise ConfigError(param_key, f"no section {part!r} in the config")
-            node = node[part]
-        node[parts[-1]] = value
-        child_raw["name"] = f"{config.name}__{parts[-1]}={value}"
-        child_dir = os.path.join(out_dir, f"{parts[-1]}={value}")
+        _set_dotted(child_raw, param_key, value)
+        leaf = param_key.rsplit(".", 1)[-1]
+        child_raw["name"] = f"{config.name}__{leaf}={value}"
+        child_dir = os.path.join(out_dir, f"{leaf}={value}")
         child_raw["output"] = {"dir": child_dir}
         child = ExperimentConfig(child_raw)
         result = run_experiment(child, out_dir=child_dir, overrides_echo=overrides_echo)

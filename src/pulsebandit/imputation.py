@@ -22,9 +22,7 @@ Two estimators can be fit from historical full-context trajectories:
 Both store a residual standard deviation and sample from a Gaussian with
 that scale around the conditional mean.  The Oracle imputer wraps a live
 environment and returns the environment's own conditional mean bit for
-bit; it cannot be persisted.  The Null imputer imputes W = 0.  The
-FullObserver kind marks agents that bypass imputation entirely and is
-rejected by expected_features.
+bit; it cannot be persisted.  The Null imputer imputes W = 0.
 """
 
 import json
@@ -52,7 +50,6 @@ __all__ = [
     "fit_kernel",
     "null_imputer",
     "oracle_imputer",
-    "full_observer",
     "expected_features",
     "expected_feature_matrix",
     "save_imputer",
@@ -68,9 +65,10 @@ class ImputerKind:
     LINEAR_AR = "linear_ar"
     KERNEL = "kernel"
     NULL = "null"
-    FULL_OBSERVER = "full_observer"
 
-    ALL = (ORACLE, LINEAR_AR, KERNEL, NULL, FULL_OBSERVER)
+    ALL = (ORACLE, LINEAR_AR, KERNEL, NULL)
+    # kinds save_imputer can write; an oracle holds a live environment
+    PERSISTABLE = (LINEAR_AR, KERNEL, NULL)
 
 
 @dataclass
@@ -351,11 +349,6 @@ def oracle_imputer(env, mc_samples=DEFAULT_MC_SAMPLES):
     )
 
 
-def full_observer(d_s, d_w):
-    """Marker for agents that observe W directly and never impute."""
-    return Imputer(kind=ImputerKind.FULL_OBSERVER, d_s=d_s, d_w=d_w)
-
-
 # -- expected features -------------------------------------------------------
 
 
@@ -374,10 +367,6 @@ class ImputedFeatures:
 
 
 def _check_imputes_for(imputer, feature_map):
-    if imputer.kind == ImputerKind.FULL_OBSERVER:
-        raise UsageError(
-            "full-observer agents bypass imputation; expected_features is undefined"
-        )
     if imputer.d_s != feature_map.d_s or imputer.d_w != feature_map.d_w:
         raise InputError(
             f"imputer layout ({imputer.d_s}, {imputer.d_w}) does not match "
@@ -444,10 +433,10 @@ def save_imputer(imputer, path):
     """Write a fitted imputer as a structured text document.
 
     Arrays are stored as flat row-major decimal lists; floats round-trip
-    bit-exactly through the shortest-repr encoding.  Oracle and
-    full-observer imputers hold live handles and cannot be persisted.
+    bit-exactly through the shortest-repr encoding.  Oracle imputers hold
+    a live environment and cannot be persisted.
     """
-    if imputer.kind in (ImputerKind.ORACLE, ImputerKind.FULL_OBSERVER):
+    if imputer.kind not in ImputerKind.PERSISTABLE:
         raise UsageError(f"imputer kind {imputer.kind!r} is not persistable")
     doc = {
         "format_version": FORMAT_VERSION,
@@ -514,7 +503,7 @@ def load_imputer(path):
             field="format_version",
         )
     kind = _require(doc, "kind", "")
-    if kind not in (ImputerKind.LINEAR_AR, ImputerKind.KERNEL, ImputerKind.NULL):
+    if kind not in ImputerKind.PERSISTABLE:
         raise PersistenceError(f"unsupported value {kind!r}", field="kind")
     d_s = int(_require(doc, "d_s", ""))
     d_w = int(_require(doc, "d_w", ""))
@@ -523,9 +512,8 @@ def load_imputer(path):
     raw = _require(doc, "params", "")
 
     if kind == ImputerKind.NULL:
-        return null_imputer(d_s, d_w, mc_samples=mc_samples)
-
-    if kind == ImputerKind.LINEAR_AR:
+        params = {}
+    elif kind == ImputerKind.LINEAR_AR:
         lag = int(_require(raw, "lag", "params."))
         params = {
             "lag": lag,

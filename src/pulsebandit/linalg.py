@@ -86,19 +86,6 @@ class RidgeState:
         self.update_count = 0
         self._since_refactor = 0
 
-    def clone(self):
-        other = RidgeState.__new__(RidgeState)
-        other.dim = self.dim
-        other.lam = self.lam
-        other.gram = self.gram.copy()
-        other.factor = self.factor.copy()
-        other.xr_sum = self.xr_sum.copy()
-        other.theta_hat = self.theta_hat.copy()
-        other.log_det = self.log_det
-        other.update_count = self.update_count
-        other._since_refactor = self._since_refactor
-        return other
-
 
 def new_ridge_state(dim, lam):
     """Fresh state with gram = lam * I."""

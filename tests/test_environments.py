@@ -21,6 +21,7 @@ from pulsebandit import (
     save_replay_log,
     substream,
 )
+from pulsebandit.environments import ar_root_moduli
 
 
 def arma_variance_oracle(ar1, ar2, ma1, ma2, sigma, terms=4000):
@@ -36,7 +37,7 @@ def arma_variance_oracle(ar1, ar2, ma1, ma2, sigma, terms=4000):
 
 def test_ar_roots_have_modulus_two():
     env = SyntheticEnv()
-    np.testing.assert_allclose(env.ar_root_moduli(), [2.0, 2.0], atol=1e-12)
+    np.testing.assert_allclose(ar_root_moduli(env.ar1, env.ar2), [2.0, 2.0], atol=1e-12)
 
 
 def test_stationary_variance_matches_ma_expansion():

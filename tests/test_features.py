@@ -8,7 +8,6 @@ from pulsebandit import (
     arm_feature_matrix,
     calibrate_feat_norm_bound,
     custom_map,
-    identity_map,
     lower_bound_two_arm_map,
     phi,
     phi_batch,
@@ -76,13 +75,6 @@ def test_assemble_context_concatenates():
     np.testing.assert_allclose(y, [0.4, 0.7])
 
 
-def test_identity_map_ignores_arm():
-    fmap = identity_map(3, 4, d_w=1)
-    y = np.array([1.0, 2.0, 3.0])
-    for arm in range(4):
-        np.testing.assert_allclose(phi(fmap, y, y[:2], arm), y)
-
-
 def test_custom_map_registration_roundtrip():
     def my_phi(y, s, arm):
         return np.array([y[0] * (arm + 1.0)])
@@ -120,15 +112,7 @@ def test_calibrate_feat_norm_bound_validates():
         calibrate_feat_norm_bound(fmap, lambda: (np.zeros(3), np.zeros(1)), n_steps=5)
 
 
-def test_feature_map_bound_attachment():
-    fmap = synthetic_interaction_map()
-    assert fmap.feat_norm_bound is None
-    fm2 = fmap.with_feat_norm_bound(2.5)
-    assert fm2.feat_norm_bound == 2.5
-    assert fmap.feat_norm_bound is None
-
-
-def _four_kinds():
+def _map_kinds():
     def cubic(y, s, arm):
         return np.array([y[0] ** 3, s[0] * (arm - 1.0), y[1]])
 
@@ -137,12 +121,11 @@ def _four_kinds():
     return [
         synthetic_interaction_map(),
         lower_bound_two_arm_map(2, 3),
-        identity_map(4, 3, d_w=1),
         custom_map("test-cubic"),
     ]
 
 
-@pytest.mark.parametrize("fmap", _four_kinds(), ids=lambda m: m.kind.value)
+@pytest.mark.parametrize("fmap", _map_kinds(), ids=lambda m: m.kind.value)
 def test_phi_batch_rows_are_phi(fmap):
     rng = np.random.default_rng(5)
     n, d_y = 25, fmap.d_s + fmap.d_w

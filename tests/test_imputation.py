@@ -15,7 +15,6 @@ from pulsebandit import (
     expected_features,
     fit_kernel,
     fit_linear_ar,
-    full_observer,
     load_imputer,
     null_imputer,
     phi,
@@ -189,13 +188,6 @@ def test_null_imputer_returns_zero():
     np.testing.assert_allclose(imp.conditional_mean(np.zeros((4, 2))), np.zeros(3))
 
 
-def test_full_observer_cannot_impute():
-    imp = full_observer(1, 1)
-    fmap = synthetic_interaction_map()
-    with pytest.raises(UsageError):
-        expected_features(imp, fmap, np.array([[0.0]]), arm=0)
-
-
 def test_history_shape_validation():
     imp = null_imputer(2, 1)
     with pytest.raises(InputError):
@@ -242,6 +234,28 @@ def test_save_load_kernel_roundtrip_bitexact(tmp_path):
     q = np.array([[0.2]])
     assert back.conditional_mean(q)[0] == imp.conditional_mean(q)[0]
     assert back.params["bandwidth"] == imp.params["bandwidth"]
+
+
+@pytest.mark.parametrize("kind", ["linear_ar", "kernel", "null"])
+def test_save_load_roundtrip_keeps_every_field(tmp_path, kind):
+    rng = substream(58, "persist", kind)
+    s = rng.standard_normal((40, 5, 1))
+    data = HistoricalDataset(s=s, w=0.5 * s + rng.normal(0, 0.1, s.shape))
+    if kind == "linear_ar":
+        imp = fit_linear_ar(data, lag=1, mc_samples=7)
+    elif kind == "kernel":
+        imp = fit_kernel(data, mc_samples=7)
+    else:
+        imp = null_imputer(1, 1, mc_samples=7)
+    imp.analytic = False
+    path = tmp_path / f"{kind}.json"
+    save_imputer(imp, str(path))
+    back = load_imputer(str(path))
+    assert (back.kind, back.d_s, back.d_w) == (imp.kind, imp.d_s, imp.d_w)
+    assert (back.mc_samples, back.analytic) == (7, False)
+    assert back.params.keys() == imp.params.keys()
+    for key, value in imp.params.items():
+        assert np.asarray(back.params[key]).tobytes() == np.asarray(value).tobytes(), key
 
 
 def test_corrupt_imputer_file_names_field(tmp_path):

@@ -158,15 +158,6 @@ def test_refactor_consistency_across_interval():
     assert abs(state.log_det - logdet) < 1e-9
 
 
-def test_clone_is_independent():
-    state = new_ridge_state(2, 1.0)
-    rank_one_update(state, np.array([1.0, 2.0]), 1.0)
-    twin = state.clone()
-    rank_one_update(twin, np.array([3.0, -1.0]), 0.5)
-    assert twin.update_count == 2 and state.update_count == 1
-    assert not np.array_equal(twin.gram, state.gram)
-
-
 def test_invalid_inputs_raise():
     with pytest.raises(ParameterError):
         new_ridge_state(0, 1.0)
