@@ -1,8 +1,11 @@
 """Reproducible multi-trial experiment harness.
 
 One trial = one exogenous context stream faced by every configured agent
-simultaneously (common random numbers): each agent sees the same steps and
-the same shared reward noise, but only its permitted view of the context.
+(common random numbers): each agent sees the same steps and the same
+shared reward noise, but only its permitted view of the context.  No
+choice changes the stream, so a trial takes it as one rollout, builds each
+view's features for the whole horizon at once, and then runs the agents
+one after another, each through the per-agent loop that replay uses too.
 
 * pulse_ucb      expected features under the configured imputer,
 * oful_observed  features with the late block W forced to 0,
@@ -32,9 +35,11 @@ import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import repeat
 
 import numpy as np
 import scipy
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__
 from .agents import (
@@ -51,6 +56,7 @@ from .agents import (
 from .calibration import GaussianConditional, estimate_dt_band, gaussian_dt
 from .environments import (
     LowerBoundEnv,
+    ReplayLog,
     ReplayStream,
     SyntheticEnv,
     ar_root_moduli,
@@ -59,11 +65,15 @@ from .environments import (
     load_replay_log,
 )
 from .errors import ConfigError
-from .features import arm_feature_matrix, calibrate_feat_norm_bound
+from .features import arm_feature_matrix  # unused: views come from phi_batch; kept for tracers
+from .features import calibrate_feat_norm_bound, phi_batch
+from .imputation import expected_feature_matrix  # unused: see arm_feature_matrix
 from .imputation import (
     DEFAULT_MC_SAMPLES,
+    HistoricalDataset,
     ImputerKind,
-    expected_feature_matrix,
+    _conditional_means,
+    _expected_feature_block,
     fit_kernel,
     fit_linear_ar,
     load_imputer,
@@ -359,6 +369,17 @@ class ExperimentConfig:
             names.add(agent["name"])
             if agent["dt_source"] is None:
                 agent["dt_source"] = "oracle" if env_kind == "synthetic" else "zero"
+            if (
+                agent["kind"] == AgentKind.PULSE_UCB.value
+                and agent["dt_source"] == DtSource.ORACLE.value
+                and self.imputer["kind"] == ImputerKind.NULL
+            ):
+                # a null model puts all of W's mass on 0: sd 0, so the
+                # Gaussian divergence from the true law is undefined
+                raise ConfigError(
+                    f"{where}.dt_source",
+                    "oracle divergence is undefined for a null imputer; use zero or constant",
+                )
             if replay:
                 # a log holds only logged rewards: no optimal arm, no
                 # conditional law of W for the oracle charge, and replay
@@ -501,16 +522,15 @@ def pretrain(config):
     probe = config.make_env()
     if imp_cfg["path"] is not None:
         imputer = load_imputer(imp_cfg["path"])
-    elif imp_cfg["kind"] == ImputerKind.NULL:
-        imputer = null_imputer(probe.d_s, probe.d_w, mc_samples=imp_cfg["mc_samples"])
-    elif imp_cfg["kind"] in _FITTED_IMPUTERS:
-        dataset = generate_history(
-            config.make_env,
-            config.pretrain["n"],
-            config.pretrain["t0"],
-            config.pretrain["seed"],
-        )
-        imputer = _fit_imputer(imp_cfg, dataset, lag=imp_cfg["lag"])
+    elif imp_cfg["kind"] != ImputerKind.ORACLE:
+        if imp_cfg["kind"] in _FITTED_IMPUTERS:
+            dataset = generate_history(
+                config.make_env,
+                config.pretrain["n"],
+                config.pretrain["t0"],
+                config.pretrain["seed"],
+            )
+        imputer = _build_imputer(imp_cfg, probe.d_s, probe.d_w, dataset, lag=imp_cfg["lag"])
 
     # feature-norm bound B: config value, or the dry-run empirical quantile
     if config.schedule["feat_norm_bound"] is not None:
@@ -556,10 +576,13 @@ def pretrain(config):
     }
 
 
-def _fit_imputer(imp_cfg, dataset, lag):
-    """The configured linear-AR or kernel imputer fit on `dataset`; `lag`
-    is the linear-AR lag order."""
-    if imp_cfg["kind"] == ImputerKind.LINEAR_AR:
+def _build_imputer(imp_cfg, d_s, d_w, dataset=None, lag=0):
+    """The configured null imputer over (d_s, d_w), or linear-AR or kernel
+    imputer fit on `dataset`, with the config's Monte-Carlo sample count
+    and analytic flag; `lag` is the linear-AR lag order."""
+    if imp_cfg["kind"] == ImputerKind.NULL:
+        imputer = null_imputer(d_s, d_w, mc_samples=imp_cfg["mc_samples"])
+    elif imp_cfg["kind"] == ImputerKind.LINEAR_AR:
         imputer = fit_linear_ar(
             dataset, lag=lag, ridge_eps=imp_cfg["ridge_eps"], mc_samples=imp_cfg["mc_samples"]
         )
@@ -576,7 +599,7 @@ def _fit_imputer(imp_cfg, dataset, lag):
 
 def _band_target_fitter(config):
     # band data are i.i.d. pairs; a linear-AR target audits the lag-0 projection
-    return lambda dataset_half: _fit_imputer(config.imputer, dataset_half, lag=0)
+    return lambda half: _build_imputer(config.imputer, half.d_s, half.d_w, half)
 
 
 def _pretrain_replay(config):
@@ -588,24 +611,19 @@ def _pretrain_replay(config):
         raise ConfigError(
             "environment.path", "log has no full-feature columns y_* but they are needed"
         )
-    imputer = None
+    imputer = dataset = None
     if needs_fit:
         if n0 < 2:
             raise ConfigError("pretrain.fraction", "too few pretraining rows")
-        d_s = log.d_s
-        d_w = log.d_full - d_s
-        if d_w < 1:
+        if log.d_full <= log.d_s:
             raise ConfigError(
                 "environment.path", "full features must extend the observed features"
             )
-        from .imputation import HistoricalDataset
-
         dataset = HistoricalDataset(
-            s=log.observed[:n0][:, None, :], w=log.full[:n0, d_s:][:, None, :]
+            s=log.observed[:n0][:, None, :], w=log.full[:n0, log.d_s :][:, None, :]
         )
-        imputer = _fit_imputer(config.imputer, dataset, lag=0)
-    elif config.imputer["kind"] == ImputerKind.NULL and log.full is not None:
-        imputer = null_imputer(log.d_s, log.d_full - log.d_s)
+    if needs_fit or (config.imputer["kind"] == ImputerKind.NULL and log.full is not None):
+        imputer = _build_imputer(config.imputer, log.d_s, log.d_full - log.d_s, dataset)
     bound = config.schedule["feat_norm_bound"]
     return {
         "imputer": imputer,
@@ -622,33 +640,28 @@ def _pretrain_replay(config):
 
 @dataclass(frozen=True)
 class _View:
-    """The features one agent decides on.
-
-    `features(ctx)` is the (n_arms, dim) feature matrix of a step's
-    context and `oracle_dt(ctx)` the divergence between the true
-    conditional law of W there and the agent's model of it (simulate only:
-    replay logs expose no such law).
+    """The features one agent decides on: in simulate the trial's (T,
+    n_arms, dim) block, in replay one row per log row.  `w_law` is the
+    agent's model of the law of W at each step of a simulated trial, as
+    (means (T, d_W), sd (d_W,)), or None when it sees W itself.
     """
 
-    dim: int
     bound: float
-    features: object
+    features: np.ndarray
     imputer: object = None
-    oracle_dt: object = None
+    w_law: tuple = None
 
 
 @dataclass(frozen=True)
 class _Seat:
-    """One configured agent in the loop: its state, view, choice stream, and
-    the per-step divergence `charge(ctx)` that its observe receives."""
+    """One configured agent in the loop: its state, view and choice stream."""
 
     agent: AgentState
     view: _View
     rng: object
-    charge: object
 
 
-def _seat_agents(config, trial_index, arm_count, view_for, plug_in_dt):
+def _seat_agents(config, trial_index, arm_count, view_for):
     """Build every configured agent, in config order, with its view.
 
     `view_for(kind, name)` returns the agent's view, or None for the kinds
@@ -659,60 +672,52 @@ def _seat_agents(config, trial_index, arm_count, view_for, plug_in_dt):
         name = spec["name"]
         kind = AgentKind(spec["kind"])
         view = view_for(kind, name)
-        schedule = charge = None
+        dim = schedule = None
         if view is not None:
-            dt_source = DtSource(spec["dt_source"])
+            dim = view.features.shape[-1]
             schedule = GammaSchedule(
                 lam=config.schedule["lambda"],
                 sigma_eta=config.schedule["sigma_eta"],
                 delta=config.schedule["delta"],
                 feat_norm_bound=view.bound,
-                dim=view.dim,
-                dt_source=dt_source,
+                dim=dim,
+                dt_source=DtSource(spec["dt_source"]),
                 constant_dt=spec["constant_dt"],
                 sigma_eps=config.schedule["sigma_eps"],
                 scale=config.gamma_scale,
             )
-            if dt_source is DtSource.ORACLE:
-                charge = view.oracle_dt
-            elif dt_source is DtSource.PLUG_IN:
-                charge = lambda ctx: plug_in_dt
-            else:  # ZERO ignores the value, CONSTANT adds its own
-                charge = lambda ctx: None
         agent = make_agent(
             name=name,
             kind=kind,
             arm_count=arm_count,
-            dim=None if view is None else view.dim,
+            dim=dim,
             schedule=schedule,
             imputer=None if view is None else view.imputer,
             selection_form=SelectionForm(spec["selection_form"]),
         )
         rng = substream(config.base_seed, "trial", trial_index, "agent", name)
-        seats.append(_Seat(agent, view, rng, charge))
+        seats.append(_Seat(agent, view, rng))
     return seats
 
 
-def _decide(seats, horizon, contexts):
-    """The decision loop of simulate and replay, step-major.
+def _play(seat, horizon, steps):
+    """One seat's decision loop over its whole horizon, for simulate and
+    replay alike.
 
-    `contexts(i)` gives, for each seat in order, the context of step i that
-    its view reads, the optimal arm (None when unknown) and `pay(arm)`,
-    which returns the chosen arm's reward.  Simulate hands every seat the
-    same environment step; replay hands each seat its own k candidates.
-    Returns (arms, rewards), one row per seat.
+    `steps` yields, per decision, the feature matrix of the seat's view
+    (None for kinds without one), the optimal arm (None when unknown),
+    `pay(arm)`, which returns the chosen arm's reward, and the divergence
+    value that observe receives.  Returns (arms, rewards).
     """
-    arms = np.empty((len(seats), horizon), dtype=int)
-    rewards = np.empty((len(seats), horizon))
-    for i in range(horizon):
-        for j, (seat, (ctx, optimal_arm, pay)) in enumerate(zip(seats, contexts(i))):
-            feats = None if seat.view is None else seat.view.features(ctx)
-            arm = select_arm(seat.agent, feats, optimal_arm=optimal_arm, rng=seat.rng)
-            reward = pay(arm)
-            if seat.view is not None:
-                observe(seat.agent, feats[arm], reward, dt_value=seat.charge(ctx))
-            arms[j, i] = arm
-            rewards[j, i] = reward
+    arms = np.empty(horizon, dtype=int)
+    rewards = np.empty(horizon)
+    for i, (feats, optimal_arm, pay, dt_value) in zip(range(horizon), steps):
+        arm = select_arm(seat.agent, feats, optimal_arm=optimal_arm, rng=seat.rng)
+        reward = pay(arm)
+        if seat.view is not None:
+            observe(seat.agent, feats[arm], reward, dt_value=dt_value)
+        arms[i] = arm
+        rewards[i] = reward
     return arms, rewards
 
 
@@ -724,9 +729,12 @@ def _add_running_columns(cols):
     if "inst_regret" in cols:
         cols["cum_regret"] = np.cumsum(cols["inst_regret"])
         cols["cond_cum"] = np.cumsum(cols["cond_inst"])
-        cols["ma_reward"] = np.array(
-            [reward[max(0, i + 1 - MA_WINDOW) : i + 1].mean() for i in range(len(reward))]
-        )
+        # rows before the first full window average the prefix; each mean
+        # sums its own window, as a slice mean would, not a running sum
+        window = min(MA_WINDOW, len(reward))
+        ma = [reward[: i + 1].mean() for i in range(window - 1)]
+        ma.extend(sliding_window_view(reward, window).mean(axis=1))
+        cols["ma_reward"] = np.array(ma)
     else:
         cols["cum_ctr"] = np.cumsum(reward) / np.arange(1, len(reward) + 1)
     return cols
@@ -735,36 +743,31 @@ def _add_running_columns(cols):
 # -- simulate -----------------------------------------------------------------------
 
 
-def _dt_value(step, imputer, hist_window):
-    """Per-step divergence between the true conditional law of W and the
-    agent's model of it, Gaussian closed form.  An agent without an imputer
-    sees the observed features only and models W as N(0, true sd)."""
-    if step.cond_mean_w is None or step.cond_sd_w is None:
-        raise ConfigError(
-            "agents.dt_source", "oracle divergence needs an environment conditional law"
-        )
-    truth_sd = float(step.cond_sd_w)
-    truth_mean = np.asarray(step.cond_mean_w, dtype=float)
-    if imputer is None:
-        model_mean = np.zeros_like(truth_mean)
-        model_sd = np.full(truth_mean.shape, truth_sd)
-    else:
-        model_mean = np.asarray(imputer.conditional_mean(hist_window), dtype=float)
-        model_sd = np.asarray(imputer.conditional_sd(), dtype=float)
+def _oracle_charges(rollout, w_law):
+    """(T,) divergence between the true conditional law of W at each step
+    and the agent's model `w_law` of it, the Gaussian closed form summed
+    over the coordinates of W; zero for an agent that sees W itself."""
+    truth = rollout.cond_mean_w
+    truth_sd = float(rollout.cond_sd_w)
+    # a degenerate truth (sd 0) is at divergence 0 from an exact model only
+    if w_law is None or (truth_sd == 0.0 and np.array_equal(w_law[0], truth)):
+        return np.zeros(truth.shape[0])
+    means, sd = w_law
     if truth_sd == 0.0:
-        if np.array_equal(model_mean, truth_mean):
-            return 0.0
         raise ConfigError(
             "agents.dt_source",
             "oracle divergence is undefined for a degenerate conditional law",
         )
-    total = 0.0
-    for k in range(truth_mean.shape[0]):
-        total += gaussian_dt(
-            GaussianConditional(float(truth_mean[k]), truth_sd),
-            GaussianConditional(float(model_mean[k]), float(model_sd[k])),
-        )
-    return total
+    sd = sd.tolist()
+    charges = np.empty(truth.shape[0])
+    for i, (truth_row, mean_row) in enumerate(zip(truth.tolist(), means.tolist())):
+        total = 0.0
+        for mu, mu_hat, sd_hat in zip(truth_row, mean_row, sd):
+            total += gaussian_dt(
+                GaussianConditional(mu, truth_sd), GaussianConditional(mu_hat, sd_hat)
+            )
+        charges[i] = total
+    return charges
 
 
 def run_trial(config, trial_index, fitted_imputer, plug_in_dt, feat_norm_bound):
@@ -772,98 +775,75 @@ def run_trial(config, trial_index, fitted_imputer, plug_in_dt, feat_norm_bound):
 
     Returns {agent_name: arrays} plus trial-level diagnostics.  The
     environment stream is a pure function of (base_seed, trial_index); each
-    agent draws only from its own labeled substreams.
+    agent draws only from its own labeled substreams.  No choice changes
+    the stream, so the trial takes it as one rollout, builds every view
+    from it once, and then runs each agent over the whole horizon in turn.
     """
     env = config.make_env()
     rng_env = substream(config.base_seed, "trial", trial_index, "env")
     env.reset(rng_env)
-    fmap = env.feature_map
     horizon = config.horizon
+    rollout = env.rollout(rng_env, horizon)
+    fmap = env.feature_map
+    observed = rollout.observed
     fallbacks_before = 0 if fitted_imputer is None else fitted_imputer.fallback_count
 
-    if config.imputer["kind"] == ImputerKind.ORACLE:
-        imputer = oracle_imputer(env, mc_samples=config.imputer["mc_samples"])
-        imputer.analytic = config.imputer["analytic"]
-    else:
-        imputer = fitted_imputer
-    lagged = imputer is not None and imputer.kind == ImputerKind.LINEAR_AR
-    window = imputer.params["lag"] + 1 if lagged else 1
-    zeros_w = np.zeros(env.d_w)
-
-    # a step context is (environment step, observed history window)
-    full_view = _View(
-        dim=fmap.output_dim,
-        bound=feat_norm_bound,
-        features=lambda ctx: arm_feature_matrix(fmap, ctx[0].full_context, ctx[0].observed),
-        oracle_dt=lambda ctx: 0.0,  # the agent sees W itself
-    )
-    observed_view = _View(
-        dim=fmap.output_dim,
-        bound=feat_norm_bound,
-        features=lambda ctx: arm_feature_matrix(
-            fmap, fmap.assemble_context(ctx[0].observed, zeros_w), ctx[0].observed
+    # the observed view zeroes W and models it as N(0, true sd)
+    truth_sd = np.full(env.d_w, float(rollout.cond_sd_w))
+    zeros_w = np.zeros_like(rollout.cond_mean_w)
+    views = {
+        AgentKind.OFUL_FULL: _View(feat_norm_bound, phi_batch(fmap, rollout.full_context, observed)),
+        AgentKind.OFUL_OBSERVED: _View(
+            feat_norm_bound,
+            phi_batch(fmap, np.concatenate([observed, zeros_w], axis=1), observed),
+            w_law=(zeros_w, truth_sd),
         ),
-        oracle_dt=lambda ctx: _dt_value(ctx[0], None, None),
-    )
+    }
+    if any(spec["kind"] == AgentKind.PULSE_UCB.value for spec in config.agents):
+        if config.imputer["kind"] == ImputerKind.ORACLE:
+            imputer = oracle_imputer(env, mc_samples=config.imputer["mc_samples"])
+            imputer.analytic = config.imputer["analytic"]
+            imputed_law = (rollout.cond_mean_w, truth_sd)
+        else:
+            imputer = fitted_imputer
+            imputed_law = (_conditional_means(imputer, observed), imputer.conditional_sd())
 
     def view_for(kind, name):
-        if kind is AgentKind.OFUL_FULL:
-            return full_view
-        if kind is AgentKind.OFUL_OBSERVED:
-            return observed_view
         if kind is not AgentKind.PULSE_UCB:
-            return None
+            return views.get(kind)
         mc_rng = substream(config.base_seed, "trial", trial_index, "mc", name)
         return _View(
-            dim=fmap.output_dim,
-            bound=feat_norm_bound,
-            features=lambda ctx: expected_feature_matrix(imputer, fmap, ctx[1], rng=mc_rng),
+            feat_norm_bound,
+            _expected_feature_block(imputer, fmap, observed, imputed_law, rng=mc_rng),
             imputer=imputer,
-            oracle_dt=lambda ctx: _dt_value(ctx[0], imputer, ctx[1]),
+            w_law=imputed_law,
         )
 
-    seats = _seat_agents(config, trial_index, fmap.arm_count, view_for, plug_in_dt)
-    history = np.empty((horizon, env.d_s))
-    steps = []
-
-    def contexts(i):
-        step = env.step(rng_env)
-        history[i] = step.observed
-        steps.append(step)
-        ctx = (step, history[max(0, i + 1 - window) : i + 1])
-
-        def pay(arm):
-            return float(step.potential_rewards[arm])
-
-        return [(ctx, step.optimal_arm, pay)] * len(seats)
-
-    arms, rewards = _decide(seats, horizon, contexts)
-
+    seats = _seat_agents(config, trial_index, fmap.arm_count, view_for)
     rows = np.arange(horizon)
-    arm_means = np.stack([s.arm_means for s in steps])
-    optimal_means = np.array([s.optimal_mean for s in steps])
-    has_cond = all(s.cond_arm_means is not None for s in steps)
-    if has_cond:
-        cond_means = np.stack([s.cond_arm_means for s in steps])
+    optimal_arms = rollout.optimal_arm.tolist()
+    cond_means = rollout.cond_arm_means
     out = {}
-    for j, seat in enumerate(seats):
+    for seat in seats:
+        view = seat.view
+        dt_values = repeat(plug_in_dt)  # ZERO ignores the value, CONSTANT adds its own
+        if view is not None and seat.agent.schedule.dt_source is DtSource.ORACLE:
+            dt_values = _oracle_charges(rollout, view.w_law)
+        features = repeat(None) if view is None else view.features
+        pays = (row.item for row in rollout.potential_rewards)
+        arms, rewards = _play(seat, horizon, zip(features, optimal_arms, pays, dt_values))
         cols = {
-            "arm": arms[j],
-            "reward": rewards[j],
-            "inst_regret": optimal_means - arm_means[rows, arms[j]],
-            "cond_inst": (
-                cond_means.max(axis=1) - cond_means[rows, arms[j]]
-                if has_cond
-                else np.full(horizon, np.nan)
-            ),
+            "arm": arms,
+            "reward": rewards,
+            "inst_regret": rollout.optimal_mean - rollout.arm_means[rows, arms],
+            "cond_inst": cond_means.max(axis=1) - cond_means[rows, arms],
         }
         out[seat.agent.name] = _add_running_columns(cols)
 
     return {
         "agents": out,
         "names": list(out),
-        "has_conditional": has_cond,
-        "max_abs_reward": float(np.abs(np.stack([s.potential_rewards for s in steps])).max()),
+        "max_abs_reward": float(np.abs(rollout.potential_rewards).max()),
         "final_dt_cumsum": {
             seat.agent.name: (seat.agent.schedule.dt_cumsum if seat.agent.schedule else None)
             for seat in seats
@@ -1056,9 +1036,7 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
     }
 
     cond_path = None
-    if config.record_conditional_regret and all(
-        results[tr]["has_conditional"] for tr in results
-    ):
+    if config.record_conditional_regret:
         cond_path = os.path.join(out_dir, "conditional_regret.csv")
         _write_rows(cond_path, results, _CONDITIONAL_COLUMNS)
 
@@ -1141,17 +1119,25 @@ def _replay_views(config, log, imputer):
         tables[AgentKind.PULSE_UCB] = np.concatenate([log.observed, mus], axis=1)
     return {
         kind: _View(
-            dim=table.shape[1],
             bound=(
                 float(np.quantile(np.linalg.norm(table, axis=1), FEAT_NORM_QUANTILE))
                 if bound is None
                 else bound
             ),
-            features=lambda candidates, table=table: table[candidates],
+            features=table,
             imputer=imputer if kind is AgentKind.PULSE_UCB else None,
         )
         for kind, table in tables.items()
     }
+
+
+def _replay_steps(seat, stream, k):
+    """What `_play` takes per decision of a replay trial: the seat's own
+    stream of k logged candidates, whose reveal pays the chosen one."""
+    table = None if seat.view is None else seat.view.features
+    while True:
+        candidates, reveal = stream.step(k)
+        yield None if table is None else table[candidates], None, reveal, None
 
 
 def run_replay(config, out_dir=None, overrides_echo=()):
@@ -1173,8 +1159,6 @@ def run_replay(config, out_dir=None, overrides_echo=()):
     online = np.arange(n0, log.n_rows)
     if online.shape[0] < k:
         raise ConfigError("environment.k", "online portion smaller than k")
-    from .environments import ReplayLog
-
     online_log = ReplayLog(
         observed=log.observed[online],
         rewards=log.rewards[online],
@@ -1191,27 +1175,15 @@ def run_replay(config, out_dir=None, overrides_echo=()):
 
     results = {}
     for trial_index in range(config.trials):
-        seats = _seat_agents(
-            config, trial_index, k, lambda kind, name: views.get(kind), pre["plug_in_dt"]
-        )
-        streams = [
-            ReplayStream(
+        seats = _seat_agents(config, trial_index, k, lambda kind, name: views.get(kind))
+        agents = {}
+        for seat in seats:
+            stream = ReplayStream(
                 online_log,
                 substream(config.base_seed, "trial", trial_index, "replay", seat.agent.name),
             )
-            for seat in seats
-        ]
-
-        def contexts(i):
-            for stream in streams:
-                candidates, reveal = stream.step(k)
-                yield candidates, None, reveal
-
-        arms, rewards = _decide(seats, horizon, contexts)
-        agents = {
-            seat.agent.name: _add_running_columns({"arm": arms[j], "reward": rewards[j]})
-            for j, seat in enumerate(seats)
-        }
+            arms, rewards = _play(seat, horizon, _replay_steps(seat, stream, k))
+            agents[seat.agent.name] = _add_running_columns({"arm": arms, "reward": rewards})
         results[trial_index] = {"agents": agents, "names": list(agents)}
     timings["trials"] = time.perf_counter() - clock
     clock = time.perf_counter()

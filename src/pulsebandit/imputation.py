@@ -374,14 +374,6 @@ def _check_imputes_for(imputer, feature_map):
         )
 
 
-def _imputed_block(imputer, feature_map, hist):
-    """(1, arm_count, output_dim) features at the imputed conditional mean,
-    from one conditional_mean query."""
-    s_t = hist[-1]
-    y = feature_map.assemble_context(s_t, imputer.conditional_mean(hist))
-    return phi_batch(feature_map, y[None, :], s_t[None, :])
-
-
 def expected_features(imputer, feature_map, observed_history, arm, rng=None):
     """phi_hat(t, a): expected features of arm `arm` under the imputer."""
     _check_imputes_for(imputer, feature_map)
@@ -390,7 +382,8 @@ def expected_features(imputer, feature_map, observed_history, arm, rng=None):
     s_t = hist[-1]
 
     if imputer.analytic and feature_map.affine_in_w:
-        return ImputedFeatures(_imputed_block(imputer, feature_map, hist)[0, arm], n_samples=0)
+        phi_hat = expected_feature_matrix(imputer, feature_map, hist)[arm]
+        return ImputedFeatures(phi_hat, n_samples=0)
 
     if rng is None:
         raise InputError("Monte-Carlo expected features require an rng")
@@ -406,18 +399,51 @@ def expected_features(imputer, feature_map, observed_history, arm, rng=None):
 def expected_feature_matrix(imputer, feature_map, observed_history, rng=None):
     """Stack of expected features over all arms; row a is arm a.
 
-    The analytic path makes one conditional_mean query for all arms; the
-    Monte-Carlo path draws each arm's samples in turn, arm 0 first.
+    The one-step case of the block below, from one conditional_mean query.
+    """
+    hist = _as_history(observed_history, imputer.d_s)
+    law = (imputer.conditional_mean(hist)[None, :], imputer.conditional_sd())
+    return _expected_feature_block(imputer, feature_map, hist[-1:], law, rng=rng)[0]
+
+
+def _conditional_means(imputer, observed):
+    """(T, d_W) model conditional means of W over a (T, d_S) observed
+    stream: one conditional_mean query per step, over the rows it reads
+    (the last lag + 1 for a linear-AR model, the last one otherwise).  Not
+    for an oracle imputer, which knows only its environment's latest step.
+    """
+    window = imputer.params["lag"] + 1 if imputer.kind == ImputerKind.LINEAR_AR else 1
+    return np.stack(
+        [imputer.conditional_mean(observed[max(0, i + 1 - window) : i + 1])
+         for i in range(observed.shape[0])]
+    )
+
+
+def _expected_feature_block(imputer, feature_map, observed, law, rng=None):
+    """Expected features of every arm at T steps: a (T, arm_count,
+    output_dim) block whose [t, a] row is phi_hat(t, a).
+
+    `observed` is the (T, d_S) observed part of each step and `law` the
+    model's conditional law of W there, as (means (T, d_W), sd (d_W,)).
+    The analytic path evaluates Phi at the means.  The Monte-Carlo path
+    draws mc_samples Gaussians per (step, arm) in one standard-normal
+    block, step by step and arm 0 first, and averages each arm's features
+    over its own draws.
     """
     _check_imputes_for(imputer, feature_map)
-    hist = _as_history(observed_history, imputer.d_s)
+    means, sd = law
     if imputer.analytic and feature_map.affine_in_w:
-        return _imputed_block(imputer, feature_map, hist)[0]
-    rows = [
-        expected_features(imputer, feature_map, hist, a, rng=rng).phi_hat
-        for a in range(feature_map.arm_count)
-    ]
-    return np.stack(rows)
+        return phi_batch(feature_map, np.concatenate([observed, means], axis=1), observed)
+    if rng is None:
+        raise InputError("Monte-Carlo expected features require an rng")
+    n_steps, d_s = observed.shape
+    arms, n = feature_map.arm_count, imputer.mc_samples
+    draws = means[:, None, None, :] + rng.standard_normal((n_steps, arms, n, imputer.d_w)) * sd
+    s = np.broadcast_to(observed[:, None, None, :], draws.shape[:3] + (d_s,))
+    contexts = np.concatenate([s, draws], axis=3).reshape(n_steps * arms * n, -1)
+    block = phi_batch(feature_map, contexts, contexts[:, :d_s]).reshape(n_steps, arms, n, arms, -1)
+    # the draws of arm a feed arm a's features only
+    return np.stack([block[:, a, :, a] for a in range(arms)], axis=1).mean(axis=2)
 
 
 # -- persistence --------------------------------------------------------------

@@ -348,6 +348,12 @@ def configs(draw):
     ):
         # fitted imputers need pretraining data unless they are loaded
         raw.setdefault("pretrain", {}).update(n=draw(count), t0=draw(count))
+    if imputer.get("kind") == "null":
+        # a null model has no oracle divergence
+        default = "oracle" if kind == "synthetic" else "zero"
+        for agent in agents:
+            if agent["kind"] == "pulse_ucb" and agent.get("dt_source", default) == "oracle":
+                agent["dt_source"] = "zero"
     return raw
 
 

@@ -148,13 +148,16 @@ def test_common_random_numbers_across_agent_lists():
 
 
 def test_moving_average_window():
-    cfg = ExperimentConfig(tiny_raw(horizon=150, trials=1))
-    imp, plug, bound = fitted(cfg)
-    out = run_trial(cfg, 0, imp, plug, bound)
-    r = out["agents"]["oracle_best"]["reward"]
-    ma = out["agents"]["oracle_best"]["ma_reward"]
-    assert ma[10] == pytest.approx(np.mean(r[:11]), abs=1e-12)
-    assert ma[149] == pytest.approx(np.mean(r[50:150]), abs=1e-12)
+    # exactly the mean of each row's own window, also below one full window
+    for horizon in (150, 40):
+        cfg = ExperimentConfig(tiny_raw(horizon=horizon, trials=1))
+        imp, plug, bound = fitted(cfg)
+        out = run_trial(cfg, 0, imp, plug, bound)
+        for agent in out["agents"].values():
+            r, ma = agent["reward"], agent["ma_reward"]
+            assert ma.shape == (horizon,)
+            for i in range(horizon):
+                assert ma[i] == r[max(0, i - 99) : i + 1].mean()
 
 
 def test_run_experiment_outputs(tmp_path):
@@ -334,7 +337,7 @@ def test_every_decision_goes_through_harness_select_arm(tmp_path, monkeypatch):
 
 def test_replay_agent_rows_do_not_depend_on_other_agents(tmp_path):
     # each replay agent has its own candidate and choice streams, which is
-    # what lets the loop interleave agents step by step
+    # what lets the loop run the agents one after another
     both = run_replay(ExperimentConfig(replay_raw(tmp_path)), out_dir=str(tmp_path / "all"))
     raw = replay_raw(tmp_path)
     raw["agents"] = [{"name": "pulse_ucb", "kind": "pulse_ucb"}]
@@ -407,3 +410,96 @@ def test_metadata_records_stage_timings_and_versions(tmp_path):
         json.load(open(r["metadata_path"]))["run"]["config_sha256"] for r in (simulated, rerun)
     ]
     assert hashes[0] == hashes[1]
+
+
+def test_oracle_imputer_trial_matches_a_per_step_reference():
+    # no golden config uses the oracle imputer; pin its Monte-Carlo path
+    # against a loop over the public per-step API
+    from pulsebandit import (
+        AgentKind, DtSource, GammaSchedule, GaussianConditional, expected_feature_matrix,
+        gaussian_dt, make_agent, observe, oracle_imputer, select_arm, substream,
+    )
+    raw = tiny_raw(horizon=60, trials=1)
+    raw["imputer"] = {"kind": "oracle", "analytic": False, "mc_samples": 6}
+    raw["schedule"]["feat_norm_bound"] = 2.0
+    raw["agents"] = [{"name": "pulse", "kind": "pulse_ucb", "dt_source": "oracle"}]
+    cfg = ExperimentConfig(raw)
+    out = run_trial(cfg, 0, None, None, 2.0)["agents"]["pulse"]
+
+    env = cfg.make_env()
+    rng_env = substream(123, "trial", 0, "env")
+    env.reset(rng_env)
+    imp = oracle_imputer(env, mc_samples=6)
+    imp.analytic = False
+    mc = substream(123, "trial", 0, "mc", "pulse")
+    schedule = GammaSchedule(lam=1.0, sigma_eta=0.05, delta=0.1, feat_norm_bound=2.0, dim=4,
+                             dt_source=DtSource.ORACLE, sigma_eps=1.0, scale=0.02)
+    agent = make_agent("pulse", AgentKind.PULSE_UCB, 2, dim=4, schedule=schedule, imputer=imp)
+    arms, rewards = [], []
+    for _ in range(60):
+        step = env.step(rng_env)
+        feats = expected_feature_matrix(imp, env.feature_map, step.observed[None, :], rng=mc)
+        arm = select_arm(agent, feats)
+        reward = float(step.potential_rewards[arm])
+        dt = gaussian_dt(
+            GaussianConditional(float(step.cond_mean_w[0]), step.cond_sd_w),
+            GaussianConditional(float(imp.conditional_mean(step.observed)[0]),
+                                float(imp.conditional_sd()[0])),
+        )
+        observe(agent, feats[arm], reward, dt_value=dt)
+        arms.append(arm)
+        rewards.append(reward)
+    assert out["arm"].tolist() == arms
+    assert out["reward"].tolist() == rewards
+    assert len(set(arms)) == 2
+
+
+def test_run_trial_takes_one_rollout_and_no_steps(monkeypatch):
+    from pulsebandit.environments import SyntheticEnv
+    cfg = ExperimentConfig(tiny_raw(horizon=30, trials=3))
+    imp, plug, bound = fitted(cfg)
+    rollouts = []
+    original = SyntheticEnv.rollout
+
+    def counted(self, rng, n_steps):
+        rollouts.append(n_steps)
+        return original(self, rng, n_steps)
+
+    def no_step(self, rng):
+        raise AssertionError("run_trial stepped the environment")
+
+    monkeypatch.setattr(SyntheticEnv, "rollout", counted)
+    monkeypatch.setattr(SyntheticEnv, "step", no_step)
+    for trial in range(3):
+        run_trial(cfg, trial, imp, plug, bound)
+    assert rollouts == [30, 30, 30]
+
+
+def test_null_imputer_with_oracle_pulse_is_a_config_error():
+    raw = tiny_raw()
+    raw["imputer"] = {"kind": "null"}
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(raw)
+    assert err.value.field == "agents[2].dt_source"
+    raw["agents"][2]["dt_source"] = "zero"
+    ExperimentConfig(raw)
+
+
+def test_null_imputer_keeps_its_config(tmp_path):
+    from pulsebandit.harness import _pretrain_replay
+    null = {"kind": "null", "analytic": False, "mc_samples": 5}
+    raw = tiny_raw(horizon=10, trials=1)
+    raw["imputer"] = dict(null)
+    raw["agents"][2]["dt_source"] = "zero"
+    cfg = ExperimentConfig(raw)
+    imputer = pretrain(cfg)["imputer"]
+    assert (imputer.kind, imputer.analytic, imputer.mc_samples) == ("null", False, 5)
+    res = run_experiment(cfg, out_dir=str(tmp_path / "sim"))
+    saved = json.loads(open(tmp_path / "sim" / "imputer.json").read())
+    assert (saved["analytic"], saved["mc_samples"]) == (False, 5)
+    assert res["summary"]
+
+    raw = replay_raw(tmp_path)
+    raw["imputer"] = dict(null)
+    imputer = _pretrain_replay(ExperimentConfig(raw))["imputer"]
+    assert (imputer.kind, imputer.analytic, imputer.mc_samples) == ("null", False, 5)

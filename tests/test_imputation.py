@@ -332,3 +332,21 @@ def test_monte_carlo_matrix_matches_per_draw_reference():
             [phi(fmap, fmap.assemble_context(hist[-1], w), hist[-1], a) for w in draws]
         )
         assert mat[a].tobytes() == feats.mean(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("analytic", [True, False])
+def test_feature_block_matches_one_step_matrices(analytic):
+    # T steps at once equal T one-step calls: lag windows, draws and means
+    from pulsebandit.imputation import _conditional_means, _expected_feature_block
+    rng = np.random.default_rng(5)
+    data = make_linear_dataset(rng, 30, 12, coef=[0.6, -0.3], intercept=0.2, noise_sd=0.1)
+    imp = fit_linear_ar(data, lag=2, mc_samples=9)
+    imp.analytic = analytic
+    fmap = synthetic_interaction_map()
+    observed = rng.standard_normal((25, 1))
+    law = (_conditional_means(imp, observed), imp.conditional_sd())
+    block = _expected_feature_block(imp, fmap, observed, law, rng=substream(6, "mc"))
+    mc = substream(6, "mc")
+    for i in range(25):
+        one = expected_feature_matrix(imp, fmap, observed[max(0, i - 2) : i + 1], rng=mc)
+        assert block[i].tobytes() == one.tobytes()
