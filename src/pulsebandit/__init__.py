@@ -43,11 +43,9 @@ from .features import (
 )
 from .imputation import (
     HistoricalDataset,
-    ImputedFeatures,
     Imputer,
     ImputerKind,
     expected_feature_matrix,
-    expected_features,
     fit_kernel,
     fit_linear_ar,
     load_imputer,
@@ -139,12 +137,10 @@ __all__ = [
     "ImputerKind",
     "Imputer",
     "HistoricalDataset",
-    "ImputedFeatures",
     "fit_linear_ar",
     "fit_kernel",
     "null_imputer",
     "oracle_imputer",
-    "expected_features",
     "expected_feature_matrix",
     "save_imputer",
     "load_imputer",

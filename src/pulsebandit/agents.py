@@ -228,7 +228,8 @@ def arm_ucb_scores(agent, arm_features):
     directly; ball maximization materializes the maximizing theta on the
     confidence ball and scores through it, cross-checking membership.
     Both forms agree up to floating point, and both take every arm's
-    x^T Sigma^{-1} x from one stacked solve.
+    x^T Sigma^{-1} x from one stacked solve; ball maximization takes every
+    maximizer from one more.
     """
     if not agent.is_ucb:
         raise UsageError(f"{agent.kind.value} agents have no UCB scores")
@@ -246,22 +247,21 @@ def arm_ucb_scores(agent, arm_features):
     if agent.selection_form is SelectionForm.CLOSED_FORM:
         return feats @ theta + root_gamma * np.sqrt(quads)
 
-    scores = np.empty(feats.shape[0])
-    for a, (x, quad) in enumerate(zip(feats, quads.tolist())):
-        if quad == 0.0:
-            scores[a] = float(theta @ x)
-            continue
-        # explicit maximizer over the ball, then cross-check membership
-        direction = _sigma_inv(agent.ridge, x) / math.sqrt(quad)
-        theta_star = theta + root_gamma * direction
-        diff = theta_star - theta
-        radius = float(diff @ (agent.ridge.gram @ diff))
-        if radius > gamma * (1.0 + _BALL_CHECK_RTOL):
-            raise InputError(
-                "ball-maximization optimizer left the confidence ball "
-                f"({radius} > {gamma})"
-            )
-        scores[a] = float(theta_star @ x)
+    # an arm with a zero form has the ball's center as its maximizer
+    scores = feats @ theta
+    live = quads != 0.0
+    x = feats[live]
+    # explicit maximizers over the ball, then cross-check membership
+    directions = _sigma_inv(agent.ridge, x.T).T / np.sqrt(quads[live])[:, None]
+    theta_star = theta + root_gamma * directions
+    diff = theta_star - theta
+    radius = np.einsum("ij,ij->i", diff @ agent.ridge.gram, diff)
+    if (radius > gamma * (1.0 + _BALL_CHECK_RTOL)).any():
+        raise InputError(
+            "ball-maximization optimizer left the confidence ball "
+            f"({radius.max()} > {gamma})"
+        )
+    scores[live] = np.einsum("ij,ij->i", theta_star, x)
     return scores
 
 

@@ -101,8 +101,8 @@ def _say(args, message):
 def _profiled(args, run, *run_args, **run_kwargs):
     """run(*run_args, **run_kwargs), under cProfile when --profile is given.
 
-    The dump covers this process only (not `workers` > 1 trial processes)
-    and is written even when the run fails.
+    The dump covers the whole run, every trial included, and is written
+    even when the run fails.
     """
     if args.profile is None:
         return run(*run_args, **run_kwargs)

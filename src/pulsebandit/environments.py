@@ -587,4 +587,4 @@ def generate_history(make_env, n_traj, t0, base_seed, seed_labels=("pretrain",))
         rollout = env.rollout(rng, t0)
         s[i] = rollout.observed
         w[i] = rollout.full_context[:, env.d_s :]
-    return HistoricalDataset(s=s, w=w, seed=base_seed)
+    return HistoricalDataset(s=s, w=w)

@@ -211,30 +211,27 @@ def arm_feature_matrix(feature_map, full_context, observed):
     return phi_batch(feature_map, *_one_context(feature_map, full_context, observed))[0]
 
 
-def calibrate_feat_norm_bound(feature_map, step_fn, n_steps=10_000, quantile=0.999):
+def calibrate_feat_norm_bound(feature_map, full_contexts, observed, quantile=0.999):
     """Empirical feature-norm bound B from a dry run.
 
-    `step_fn()` must yield one (full_context, observed) pair per call from
-    the target context law.  Returns (bound, diagnostics) where the bound
-    is the `quantile` quantile of max-over-arms Euclidean feature norms and
-    diagnostics reports the sup-norm violation rate of the nominal
-    ||Phi||_inf <= 1 assumption (monitored, never enforced).
+    `full_contexts` (n, d_S + d_W) and `observed` (n, d_S) hold one row per
+    dry-run step drawn from the target context law.  Returns (bound,
+    diagnostics) where the bound is the `quantile` quantile of
+    max-over-arms Euclidean feature norms and diagnostics reports the
+    sup-norm violation rate of the nominal ||Phi||_inf <= 1 assumption
+    (monitored, never enforced).
     """
-    if n_steps < 1:
-        raise ParameterError("n_steps must be positive")
     if not 0.0 < quantile <= 1.0:
         raise ParameterError("quantile must lie in (0, 1]")
-    ys = np.empty((n_steps, feature_map.d_s + feature_map.d_w))
-    ss = np.empty((n_steps, feature_map.d_s))
-    for i in range(n_steps):
-        y, s = step_fn()
-        if np.shape(y) != ys.shape[1:] or np.shape(s) != ss.shape[1:]:
-            raise InputError(
-                f"dry-run step {i} has context shapes {np.shape(y)} and {np.shape(s)}, "
-                f"expected {ys.shape[1:]} and {ss.shape[1:]}"
-            )
-        ys[i] = y
-        ss[i] = s
+    ys = np.asarray(full_contexts, dtype=float)
+    ss = np.asarray(observed, dtype=float)
+    width = feature_map.d_s + feature_map.d_w
+    n_steps = len(ys) if ys.ndim == 2 and ys.shape[1] == width else 0
+    if n_steps < 1 or ss.shape != (n_steps, feature_map.d_s):
+        raise InputError(
+            f"dry-run contexts have shapes {ys.shape} and {ss.shape}, expected "
+            f"(n, {width}) and (n, {feature_map.d_s}) with n >= 1"
+        )
     mats = phi_batch(feature_map, ys, ss)
     norms = np.sqrt((mats * mats).sum(axis=2).max(axis=1))
     inf_violations = int((np.abs(mats).max(axis=(1, 2)) > 1.0).sum())

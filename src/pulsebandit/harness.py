@@ -337,7 +337,6 @@ _CONFIG = (
     ("calibration", {}, _table(_CALIBRATION)),
     ("output", {}, _table((("dir", None, _optional(_path)),))),
     ("record_conditional_regret", True, _bool),
-    ("workers", 1, _int(1)),
 )
 _FITTED_IMPUTERS = (ImputerKind.LINEAR_AR, ImputerKind.KERNEL)
 
@@ -409,10 +408,10 @@ class ExperimentConfig:
         return {key: copy.deepcopy(getattr(self, key)) for key, _, _ in _CONFIG}
 
     def config_hash(self):
-        """Identity of the experiment: where its outputs go and how many
-        processes compute them change neither its results nor its hash."""
+        """Identity of the experiment: where its outputs go changes neither
+        its results nor its hash."""
         identity = self.to_dict()
-        del identity["output"], identity["workers"]
+        del identity["output"]
         canonical = json.dumps(identity, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -479,6 +478,10 @@ def load_config(path_or_dict, overrides=()):
     if isinstance(raw, dict) and raw.get("kind") == "run_metadata" and "config" in raw:
         # the embedded config is resolved: its data paths are absolute
         raw, base = raw["config"], None
+        if isinstance(raw, dict):
+            # metadata of older versions names the retired `workers` field,
+            # a trial-process count that changed no result
+            raw.pop("workers", None)
     if not isinstance(raw, dict):
         raise ConfigError("", "must be a mapping")
     if base is not None:
@@ -541,12 +544,8 @@ def pretrain(config):
         rng = substream(config.pretrain["seed"], "feat-norm")
         env.reset(rng)
         rollout = env.rollout(rng, FEAT_NORM_DRY_RUN_STEPS)
-        pairs = zip(rollout.full_context, rollout.observed)
         bound, diagnostics = calibrate_feat_norm_bound(
-            env.feature_map,
-            lambda: next(pairs),
-            n_steps=FEAT_NORM_DRY_RUN_STEPS,
-            quantile=FEAT_NORM_QUANTILE,
+            env.feature_map, rollout.full_context, rollout.observed, FEAT_NORM_QUANTILE
         )
         diagnostics["source"] = "dry_run"
 
@@ -884,8 +883,7 @@ def _write_rows(path, results, columns):
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(["trial", "t", "agent"] + [h for h, _ in columns]) + "\n")
-        for trial_index in sorted(results):
-            res = results[trial_index]
+        for trial_index, res in enumerate(results):
             lines = {
                 name: [
                     ",".join(cells)
@@ -908,18 +906,16 @@ def _se(values):
 def _write_aggregate_csv(path, results, keys):
     """Per (agent, t) mean and standard error over trials of each column.
 
-    Trials enter in index order, so the aggregate is invariant to the
-    scheduling order in which trials were computed.  Returns each agent's
-    final {column: (mean, se)}.
+    `results` lists the trials in index order.  Returns each agent's final
+    {column: (mean, se)}.
     """
-    trials = sorted(results)
     finals = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("agent,t," + ",".join(f"mean_{key},se_{key}" for key in keys) + "\n")
-        for name in results[trials[0]]["names"]:
+        for name in results[0]["names"]:
             stats = []
             for key in keys:
-                values = np.stack([results[tr]["agents"][name][key] for tr in trials])
+                values = np.stack([res["agents"][name][key] for res in results])
                 stats += [values.mean(axis=0), _se(values)]
             for i in range(len(stats[0])):
                 fh.write(f"{name},{i + 1}," + ",".join(_fmt(s[i]) for s in stats) + "\n")
@@ -983,12 +979,6 @@ def _output_dir(config, out_dir):
 # -- experiment -------------------------------------------------------------------
 
 
-def _trial_task(args):
-    config_dict, trial_index, imputer, plug_in_dt, bound = args
-    config = ExperimentConfig(config_dict)
-    return trial_index, run_trial(config, trial_index, imputer, plug_in_dt, bound)
-
-
 def run_experiment(config, out_dir=None, overrides_echo=()):
     """Pretrain, run all trials, and write raw/aggregate/metadata files.
 
@@ -1006,20 +996,9 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
     imputer = pre["imputer"]
     pretrain_fallbacks = None if imputer is None else imputer.fallback_count
 
-    results = {}
-    if config.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        tasks = [
-            (config.to_dict(), tr, imputer, pre["plug_in_dt"], bound)
-            for tr in range(config.trials)
-        ]
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for trial_index, res in pool.map(_trial_task, tasks):
-                results[trial_index] = res
-    else:
-        for tr in range(config.trials):
-            results[tr] = run_trial(config, tr, imputer, pre["plug_in_dt"], bound)
+    results = [
+        run_trial(config, tr, imputer, pre["plug_in_dt"], bound) for tr in range(config.trials)
+    ]
     timings["trials"] = time.perf_counter() - clock
     clock = time.perf_counter()
 
@@ -1046,7 +1025,7 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
         with open(imputer_path, "rb") as fh:
             imputer_sha = hashlib.sha256(fh.read()).hexdigest()
 
-    max_abs_reward = max(results[tr]["max_abs_reward"] for tr in results)
+    max_abs_reward = max(res["max_abs_reward"] for res in results)
     timings["write"] = time.perf_counter() - clock
     meta_path = _write_metadata(
         out_dir,
@@ -1063,17 +1042,15 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
                 "kind": config.imputer["kind"],
                 "saved_to": "imputer.json" if imputer_path else None,
                 "sha256": imputer_sha,
-                # pretrain's queries plus each trial's own, whichever
-                # process ran the trial
+                # pretrain's queries plus each trial's own
                 "kernel_fallbacks": (
                     None
                     if imputer is None
-                    else pretrain_fallbacks
-                    + sum(results[tr]["kernel_fallbacks"] for tr in results)
+                    else pretrain_fallbacks + sum(res["kernel_fallbacks"] for res in results)
                 ),
             },
             "final_dt_cumsum": {
-                name: [results[tr]["final_dt_cumsum"][name] for tr in sorted(results)]
+                name: [res["final_dt_cumsum"][name] for res in results]
                 for name in results[0]["final_dt_cumsum"]
             },
             "summary": summary,
@@ -1173,7 +1150,7 @@ def run_replay(config, out_dir=None, overrides_echo=()):
     timings = {"pretrain": time.perf_counter() - clock}
     clock = time.perf_counter()
 
-    results = {}
+    results = []
     for trial_index in range(config.trials):
         seats = _seat_agents(config, trial_index, k, lambda kind, name: views.get(kind))
         agents = {}
@@ -1184,7 +1161,7 @@ def run_replay(config, out_dir=None, overrides_echo=()):
             )
             arms, rewards = _play(seat, horizon, _replay_steps(seat, stream, k))
             agents[seat.agent.name] = _add_running_columns({"arm": arms, "reward": rewards})
-        results[trial_index] = {"agents": agents, "names": list(agents)}
+        results.append({"agents": agents, "names": list(agents)})
     timings["trials"] = time.perf_counter() - clock
     clock = time.perf_counter()
 

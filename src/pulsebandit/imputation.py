@@ -39,18 +39,16 @@ from .errors import (
     UsageError,
 )
 from .features import phi  # unused: features come from phi_batch; kept for tracers
-from .features import _arm_index, phi_batch
+from .features import phi_batch
 
 __all__ = [
     "ImputerKind",
     "HistoricalDataset",
     "Imputer",
-    "ImputedFeatures",
     "fit_linear_ar",
     "fit_kernel",
     "null_imputer",
     "oracle_imputer",
-    "expected_features",
     "expected_feature_matrix",
     "save_imputer",
     "load_imputer",
@@ -82,8 +80,6 @@ class HistoricalDataset:
 
     s: np.ndarray
     w: np.ndarray
-    seed: int = 0
-    env_id: str = ""
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=float)
@@ -352,48 +348,12 @@ def oracle_imputer(env, mc_samples=DEFAULT_MC_SAMPLES):
 # -- expected features -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ImputedFeatures:
-    """Expected feature vector with Monte-Carlo metadata.
-
-    n_samples is 0 when the value was computed analytically (feature map
-    affine in W and the imputer flagged analytic); mc_se is the
-    per-coordinate standard error of the Monte-Carlo mean, or None.
-    """
-
-    phi_hat: np.ndarray
-    n_samples: int
-    mc_se: np.ndarray = None
-
-
 def _check_imputes_for(imputer, feature_map):
     if imputer.d_s != feature_map.d_s or imputer.d_w != feature_map.d_w:
         raise InputError(
             f"imputer layout ({imputer.d_s}, {imputer.d_w}) does not match "
             f"feature map layout ({feature_map.d_s}, {feature_map.d_w})"
         )
-
-
-def expected_features(imputer, feature_map, observed_history, arm, rng=None):
-    """phi_hat(t, a): expected features of arm `arm` under the imputer."""
-    _check_imputes_for(imputer, feature_map)
-    arm = _arm_index(feature_map, arm)
-    hist = _as_history(observed_history, imputer.d_s)
-    s_t = hist[-1]
-
-    if imputer.analytic and feature_map.affine_in_w:
-        phi_hat = expected_feature_matrix(imputer, feature_map, hist)[arm]
-        return ImputedFeatures(phi_hat, n_samples=0)
-
-    if rng is None:
-        raise InputError("Monte-Carlo expected features require an rng")
-    draws = imputer.sample(hist, rng, imputer.mc_samples)
-    n = draws.shape[0]
-    contexts = np.concatenate([np.broadcast_to(s_t, (n, s_t.shape[0])), draws], axis=1)
-    block = phi_batch(feature_map, contexts, contexts[:, : s_t.shape[0]])
-    feats = np.ascontiguousarray(block[:, arm])
-    se = feats.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(feats.shape[1])
-    return ImputedFeatures(feats.mean(axis=0), n_samples=n, mc_se=se)
 
 
 def expected_feature_matrix(imputer, feature_map, observed_history, rng=None):

@@ -214,13 +214,8 @@ def test_a4_confidence_ball_coverage(acceptance_report):
     fmap = synthetic_interaction_map()
     env_b = SyntheticEnv(nonlinearity="linear")
     env_b.reset(substream(2024, "feat-norm"))
-    draws = substream(2024, "feat-norm", "draws")
-
-    def step_fn():
-        step = env_b.step(draws)
-        return step.full_context, step.observed
-
-    bound, _ = calibrate_feat_norm_bound(fmap, step_fn, n_steps=4000)
+    dry_run = env_b.rollout(substream(2024, "feat-norm", "draws"), 4000)
+    bound, _ = calibrate_feat_norm_bound(fmap, dry_run.full_context, dry_run.observed)
 
     trials, horizon = 200, 500
     covered = 0

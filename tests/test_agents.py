@@ -239,3 +239,26 @@ def test_twenty_candidates_forms_agree_and_duplicates_tie_low():
             scores = arm_ucb_scores(agent, twice)
             assert np.array_equal(scores[:10], scores[10:])
             assert select_arm(agent, twice) == int(np.argmax(scores[:10]))
+
+
+def test_ball_maximization_zero_arm_and_membership_check():
+    rng = substream(44, "ball")
+    kw = dict(dim=3, feat_norm_bound=1.5)
+    cf = make_agent("cf", AgentKind.OFUL_FULL, arm_count=4, dim=3, schedule=simple_schedule(**kw))
+    bm = make_agent("bm", AgentKind.OFUL_FULL, arm_count=4, dim=3, schedule=simple_schedule(**kw),
+                    selection_form=SelectionForm.BALL_MAXIMIZATION)
+    for _ in range(12):
+        x, r = rng.standard_normal(3), rng.standard_normal()
+        observe(cf, x, r)
+        observe(bm, x, r)
+    feats = rng.standard_normal((4, 3))
+    feats[2] = 0.0  # a zero form: scored at the ball's center
+    scores = arm_ucb_scores(bm, feats)
+    assert scores[2] == 0.0
+    np.testing.assert_allclose(scores, arm_ucb_scores(cf, feats), rtol=0, atol=1e-12)
+    # a Gram matrix that disagrees with the factor puts the maximizers
+    # outside the ball, which the cross-check refuses
+    bm.ridge.gram *= 4.0
+    with pytest.raises(InputError, match="left the confidence ball"):
+        arm_ucb_scores(bm, feats)
+    assert arm_ucb_scores(bm, feats[2:3]).tolist() == [0.0]

@@ -73,7 +73,6 @@ BAD = {
     ("synthetic", "calibration"): [3],
     ("synthetic", "output"): ["dir"],
     ("synthetic", "record_conditional_regret"): ["no", "False", 1, None],
-    ("synthetic", "workers"): [0, 1.5],
     ("synthetic", "schedule.lambda"): [0.0, "1"],
     ("synthetic", "schedule.delta"): [0.0, 1.5, -0.1],
     ("synthetic", "schedule.sigma_eta"): [-0.1, "x"],
@@ -332,7 +331,6 @@ def configs(draw):
         "calibration": section(CALIBRATION),
         "output": section({"dir": optional(st.text(max_size=8))}),
         "record_conditional_regret": st.booleans(),
-        "workers": st.integers(min_value=1, max_value=8),
     }
     raw = draw(section(top))
     raw.update(

@@ -90,12 +90,8 @@ def test_custom_map_registration_roundtrip():
 
 def test_calibrate_feat_norm_bound_constant_stream():
     fmap = synthetic_interaction_map()
-    y = np.array([0.2, 0.5])
-
-    def step_fn():
-        return y, y[:1]
-
-    bound, diag = calibrate_feat_norm_bound(fmap, step_fn, n_steps=50, quantile=1.0)
+    ys = np.tile([0.2, 0.5], (50, 1))
+    bound, diag = calibrate_feat_norm_bound(fmap, ys, ys[:, :1], quantile=1.0)
     expected = float(np.linalg.norm([1.0, 0.2, 0.5, 0.2]))
     assert bound == pytest.approx(expected, rel=1e-12)
     assert diag["max_feature_norm"] == pytest.approx(expected, rel=1e-12)
@@ -104,12 +100,14 @@ def test_calibrate_feat_norm_bound_constant_stream():
 
 def test_calibrate_feat_norm_bound_validates():
     fmap = synthetic_interaction_map()
+    ys = np.zeros((5, 2))
     with pytest.raises(ParameterError):
-        calibrate_feat_norm_bound(fmap, lambda: None, n_steps=0)
-    with pytest.raises(ParameterError):
-        calibrate_feat_norm_bound(fmap, lambda: None, quantile=1.5)
-    with pytest.raises(InputError):
-        calibrate_feat_norm_bound(fmap, lambda: (np.zeros(3), np.zeros(1)), n_steps=5)
+        calibrate_feat_norm_bound(fmap, ys, ys[:, :1], quantile=1.5)
+    # wrong context width, wrong observed width, mismatched rows, no rows
+    for full, observed in ((np.zeros((5, 3)), ys[:, :1]), (ys, ys), (ys, ys[:4, :1]),
+                           (ys[:0], ys[:0, :1]), (np.zeros(2), np.zeros(1))):
+        with pytest.raises(InputError):
+            calibrate_feat_norm_bound(fmap, full, observed)
 
 
 def _map_kinds():
@@ -169,13 +167,7 @@ def test_calibrate_feat_norm_bound_matches_per_step_reference():
     fmap = lower_bound_two_arm_map(2, 2)
     rng = np.random.default_rng(9)
     ys = rng.uniform(-1.2, 1.2, (500, 5))
-    rows = iter(ys)
-
-    def step_fn():
-        y = next(rows)
-        return y, y[:4]
-
-    bound, diag = calibrate_feat_norm_bound(fmap, step_fn, n_steps=500, quantile=0.9)
+    bound, diag = calibrate_feat_norm_bound(fmap, ys, ys[:, :4], quantile=0.9)
     norms, violations = [], 0
     for y in ys:
         mat = np.stack([phi(fmap, y, y[:4], a) for a in range(2)])

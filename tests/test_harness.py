@@ -185,15 +185,6 @@ def test_single_trial_has_zero_se(tmp_path):
     assert np.all(agg["se_cum_regret"] == 0.0)
 
 
-def test_workers_do_not_change_results(tmp_path):
-    res1 = run_experiment(ExperimentConfig(tiny_raw()),
-                          out_dir=str(tmp_path / "w1"))
-    res2 = run_experiment(ExperimentConfig(tiny_raw(workers=2)),
-                          out_dir=str(tmp_path / "w2"))
-    assert filecmp.cmp(res1["raw_path"],
-                       res2["raw_path"], shallow=False)
-
-
 def test_metadata_rerun_is_bit_exact(tmp_path):
     res1 = run_experiment(ExperimentConfig(tiny_raw()),
                           out_dir=str(tmp_path / "first"))
@@ -203,6 +194,36 @@ def test_metadata_rerun_is_bit_exact(tmp_path):
                        res2["raw_path"], shallow=False)
     assert filecmp.cmp(res1["aggregate_path"],
                        res2["aggregate_path"], shallow=False)
+
+
+def test_metadata_naming_workers_reruns_bit_exact(tmp_path):
+    # metadata of older versions names the retired `workers` field
+    first = run_experiment(ExperimentConfig(tiny_raw()), out_dir=str(tmp_path / "first"))
+    with open(first["metadata_path"]) as fh:
+        meta = json.load(fh)
+    meta["config"]["workers"] = 1
+    path = tmp_path / "old_metadata.json"
+    path.write_text(json.dumps(meta))
+    again = run_experiment(load_config(str(path)), out_dir=str(tmp_path / "again"))
+    assert filecmp.cmp(first["raw_path"], again["raw_path"], shallow=False)
+    # only a run-metadata document drops it; a config naming it is refused
+    with pytest.raises(ConfigError) as err:
+        load_config(meta["config"])
+    assert err.value.field == "workers"
+
+
+def test_run_experiment_runs_trials_in_index_order(tmp_path, monkeypatch):
+    import pulsebandit.harness as harness
+    seen = []
+    original = harness.run_trial
+
+    def recorded(config, trial_index, *args):
+        seen.append(trial_index)
+        return original(config, trial_index, *args)
+
+    monkeypatch.setattr(harness, "run_trial", recorded)
+    run_experiment(ExperimentConfig(tiny_raw(horizon=10, trials=4)), out_dir=str(tmp_path))
+    assert seen == [0, 1, 2, 3]
 
 
 def test_conditional_regret_toggle(tmp_path):
@@ -285,28 +306,32 @@ def test_synthetic_config_rejects_missing_path_for_replay():
 
 def test_config_hash_ignores_output_dir_and_workers():
     base = ExperimentConfig(tiny_raw(output={"dir": "a"}))
-    for other in (tiny_raw(output={"dir": "elsewhere"}), tiny_raw(workers=3)):
-        cfg = ExperimentConfig(other)
-        assert cfg.config_hash() == base.config_hash()
-    # both stay in the resolved config, so reruns from metadata keep them
-    assert ExperimentConfig(tiny_raw(workers=3)).to_dict()["workers"] == 3
+    cfg = ExperimentConfig(tiny_raw(output={"dir": "elsewhere"}))
+    assert cfg.config_hash() == base.config_hash()
+    # it stays in the resolved config, so reruns from metadata keep it
     assert base.to_dict()["output"] == {"dir": "a"}
     assert ExperimentConfig(tiny_raw(trials=3)).config_hash() != base.config_hash()
+    # trials run in one process, so a process count is an unknown key
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(tiny_raw(workers=3))
+    assert err.value.field == "workers"
 
 
 def test_kernel_fallbacks_do_not_depend_on_workers(tmp_path):
     import importlib.resources as ir
     import pulsebandit.configs as configs
     path = str(ir.files(configs) / "lower_bound_dgp.json")
-    overrides = ("imputer.bandwidth=0.05", "trials=2", "horizon=200",
-                 "schedule.feat_norm_bound=2.0")
-    counts = []
-    for workers in (1, 2):
-        cfg = load_config(path, overrides=overrides + (f"workers={workers}",))
-        res = run_experiment(cfg, out_dir=str(tmp_path / f"w{workers}"))
-        meta = json.loads(open(res["metadata_path"]).read())
-        counts.append(meta["run"]["imputer"]["kernel_fallbacks"])
-    assert counts[0] == counts[1] > 0
+    cfg = load_config(path, overrides=("imputer.bandwidth=0.05", "trials=2", "horizon=200",
+                                       "schedule.feat_norm_bound=2.0"))
+    res = run_experiment(cfg, out_dir=str(tmp_path / "run"))
+    meta = json.loads(open(res["metadata_path"]).read())
+    # the count is pretrain's fallbacks plus each trial's own
+    imputer, plug_in_dt, bound = fitted(cfg)
+    pretrain_count = imputer.fallback_count
+    trial_counts = [run_trial(cfg, tr, imputer, plug_in_dt, bound)["kernel_fallbacks"]
+                    for tr in range(2)]
+    assert meta["run"]["imputer"]["kernel_fallbacks"] == pretrain_count + sum(trial_counts)
+    assert meta["run"]["imputer"]["kernel_fallbacks"] == 206
 
 
 def _count_decisions(monkeypatch):

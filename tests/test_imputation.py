@@ -12,7 +12,6 @@ from pulsebandit import (
     PersistenceError,
     UsageError,
     expected_feature_matrix,
-    expected_features,
     fit_kernel,
     fit_linear_ar,
     load_imputer,
@@ -79,10 +78,9 @@ def test_expected_features_analytic_matches_map():
     )
     fmap = synthetic_interaction_map()
     hist = np.array([[0.4]])
-    out = expected_features(imp, fmap, hist, arm=1)
+    out = expected_feature_matrix(imp, fmap, hist)  # analytic path: no rng needed
     mu = 0.5 - 0.14 * 0.4
-    np.testing.assert_allclose(out.phi_hat, [1.0, 0.4, mu, 0.4], atol=1e-15)
-    assert out.n_samples == 0  # analytic path, no Monte Carlo
+    np.testing.assert_allclose(out[1], [1.0, 0.4, mu, 0.4], atol=1e-15)
 
 
 def test_expected_features_mc_agrees_with_analytic():
@@ -101,17 +99,13 @@ def test_expected_features_mc_agrees_with_analytic():
     )
     fmap = synthetic_interaction_map()
     hist = np.array([[0.4]])
-    out = expected_features(analytic, fmap, hist, arm=0)
-    assert out.n_samples == 0  # closed form, no Monte Carlo
-
-    out_mc = expected_features(sampler, fmap, hist, arm=0, rng=substream(33, "mc"))
-    assert out_mc.n_samples == 4000
-    np.testing.assert_allclose(out_mc.phi_hat, out.phi_hat, atol=5e-3)
-    assert out_mc.mc_se is not None
+    out = expected_feature_matrix(analytic, fmap, hist)  # closed form: no rng needed
+    out_mc = expected_feature_matrix(sampler, fmap, hist, rng=substream(33, "mc"))
+    np.testing.assert_allclose(out_mc, out, atol=5e-3)
 
     # the sampling path refuses to run without its own rng
     with pytest.raises(InputError):
-        expected_features(sampler, fmap, hist, arm=0)
+        expected_feature_matrix(sampler, fmap, hist)
 
 
 def test_lag_zero_padding_before_history_fills():
@@ -312,8 +306,9 @@ def test_expected_feature_matrix_makes_one_query_per_decision():
     far = np.array([[50.0]])
     mat = expected_feature_matrix(imp, fmap, far)
     assert imp.fallback_count == 1  # one query, not one per arm
+    fallback = fmap.assemble_context(far[-1], imp.params["global_mean"])
     for a in range(2):
-        assert mat[a].tobytes() == expected_features(imp, fmap, far, a).phi_hat.tobytes()
+        assert mat[a].tobytes() == phi(fmap, fallback, far[-1], a).tobytes()
 
 
 def test_monte_carlo_matrix_matches_per_draw_reference():
