@@ -176,8 +176,11 @@ def _cmd_calibrate(args):
     import os
 
     config, _ = _load(args)
-    if config.environment["kind"] == "replay":
-        raise ConfigError("environment.kind", "calibrate needs a generative environment")
+    if config.environment["kind"] != "synthetic":
+        # a replay log has no generator, and lower_bound has d_S = d_lin + d_non >= 2
+        raise ConfigError(
+            "environment.kind", "calibrate's band needs a synthetic environment (d_S = 1)"
+        )
     if config.pretrain["n"] < 2 or config.pretrain["t0"] < 1:
         raise ConfigError("pretrain.n", "calibrate needs pretrain.n >= 2 and t0 >= 1")
     dataset = generate_history(
@@ -188,10 +191,7 @@ def _cmd_calibrate(args):
     )
     query_points = None
     if config.calibration["grid_points"] is not None:
-        flat_s = dataset.s.reshape(-1, dataset.d_s)
-        if dataset.d_s != 1:
-            raise ConfigError("calibration.grid_points", "explicit grids need d_S = 1")
-        lo, hi = np.quantile(flat_s[:, 0], [0.05, 0.95])
+        lo, hi = np.quantile(dataset.s.ravel(), [0.05, 0.95])
         query_points = np.linspace(lo, hi, config.calibration["grid_points"])[:, None]
     band = estimate_dt_band(
         dataset,

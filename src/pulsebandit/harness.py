@@ -379,6 +379,13 @@ class ExperimentConfig:
                     f"{where}.dt_source",
                     "oracle divergence is undefined for a null imputer; use zero or constant",
                 )
+            if env_kind == "lower_bound" and agent["dt_source"] == DtSource.PLUG_IN.value:
+                d_s = self.environment["d_lin"] + self.environment["d_non"]
+                raise ConfigError(
+                    f"{where}.dt_source",
+                    "plug_in divergence needs d_S = 1; this lower_bound environment has "
+                    f"d_S = d_lin + d_non = {d_s}",
+                )
             if replay:
                 # a log holds only logged rewards: no optimal arm, no
                 # conditional law of W for the oracle charge, and replay
@@ -994,7 +1001,6 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
     clock = time.perf_counter()
     bound = pre["feat_norm_bound"]
     imputer = pre["imputer"]
-    pretrain_fallbacks = None if imputer is None else imputer.fallback_count
 
     results = [
         run_trial(config, tr, imputer, pre["plug_in_dt"], bound) for tr in range(config.trials)
@@ -1042,11 +1048,8 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
                 "kind": config.imputer["kind"],
                 "saved_to": "imputer.json" if imputer_path else None,
                 "sha256": imputer_sha,
-                # pretrain's queries plus each trial's own
                 "kernel_fallbacks": (
-                    None
-                    if imputer is None
-                    else pretrain_fallbacks + sum(res["kernel_fallbacks"] for res in results)
+                    None if imputer is None else sum(res["kernel_fallbacks"] for res in results)
                 ),
             },
             "final_dt_cumsum": {

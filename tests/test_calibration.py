@@ -178,6 +178,10 @@ def test_band_rejects_bad_grid():
         estimate_dt_band(data, alpha=1.5)
     with pytest.raises(ParameterError):
         estimate_dt_band(data, bootstrap_draws=3)
+    # the box-kernel reference is one-dimensional
+    wide = HistoricalDataset(s=np.zeros((100, 1, 2)), w=np.zeros((100, 1, 1)))
+    with pytest.raises(InputError, match="d_S = 1"):
+        estimate_dt_band(wide)
 
 
 def test_band_empirical_modulus_reports_refinement_stability():
@@ -186,3 +190,111 @@ def test_band_empirical_modulus_reports_refinement_stability():
     # neighbouring grid points are a quarter-bandwidth apart; the sup can
     # move by at most one inter-point jump under refinement
     assert band.empirical_modulus < band.dhat
+
+
+# -- sorted windows against a dense box count ----------------------------------
+
+
+def dense_box(s, points, h):
+    """inside[j, i] = 1{ |points_j - s_i| <= h/2 }: the O(n^2) reference."""
+    return np.abs(points[:, None] - s[None, :]) <= 0.5 * h
+
+
+def dense_band(data, grid, split_seed, bootstrap_draws=200, alpha=0.1):
+    """Centers, half-widths and empty-window count of the default band on
+    `grid`, by a dense box count and the dense multiplier product."""
+    s, w = data.flatten()
+    half = s.shape[0] // 2
+    i0 = np.random.default_rng(split_seed).permutation(s.shape[0])[:half]
+    s0, w0 = s[i0, 0], w[i0]
+    h = half ** (-1.0 / 3.0)
+    inside = dense_box(s0, grid, h)
+    counts = np.maximum(inside.sum(axis=1), 1)
+    centers = inside @ w0 / counts[:, None]
+    centers[inside.sum(axis=1) == 0] = w0.mean(axis=0)
+    own = dense_box(s0, s0, h)
+    own_counts = own.sum(axis=1)
+    resid = w0 - own @ w0 / own_counts[:, None]
+    sigma_sq = (resid * resid).sum(axis=0) / (1.0 - 1.0 / own_counts).sum()
+    se = np.sqrt(sigma_sq[None, :] / counts[:, None])
+    multipliers = np.random.default_rng(split_seed).standard_normal((bootstrap_draws, half))
+    widths = np.empty_like(centers)
+    for k in range(w0.shape[1]):
+        boot = multipliers @ (inside * resid[:, k] / counts[:, None]).T
+        sup = (np.abs(boot) / se[:, k]).max(axis=1)
+        widths[:, k] = np.quantile(sup, 1.0 - alpha / w0.shape[1]) * se[:, k]
+    return centers, widths, int((inside.sum(axis=1) == 0).sum())
+
+
+def window_cases():
+    """(s, w, points, h): random data; duplicate s; points exactly at
+    g +- h/2 (all values dyadic, so exact); windows beyond the data; and
+    the 10-point minimum."""
+    rng = substream(39, "windows")
+    s = rng.normal(0.0, 1.0, 400)
+    yield s, rng.normal(3.0, 1.0, (400, 2)), np.linspace(-3.0, 3.0, 41), 0.3
+    s = rng.integers(-6, 7, 300) * 0.25
+    yield s, rng.normal(0.0, 1.0, (300, 1)), np.arange(-8, 9) * 0.25, 0.5
+    s = np.arange(-16, 17) * 0.125
+    yield s, rng.normal(0.0, 1.0, (33, 1)), np.arange(-4, 5) * 0.25, 0.5
+    s = rng.uniform(-1.0, 1.0, 50)
+    yield s, rng.normal(0.0, 1.0, (50, 1)), np.array([-5.0, -1.5, 0.0, 1.5, 5.0]), 0.2
+    s = rng.normal(0.0, 1.0, 10)
+    yield s, rng.normal(0.0, 1.0, (10, 1)), np.linspace(-2.0, 2.0, 9), 0.8
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_sorted_windows_match_dense_box_count(case):
+    from pulsebandit.calibration import _box_windows, _window_sums
+
+    s, w, points, h = list(window_cases())[case]
+    order = np.argsort(s, kind="stable")
+    s_sorted, w_sorted = s[order], w[order]
+    for at in (points, s_sorted):
+        inside = dense_box(s_sorted, at, h)
+        lo, hi = _box_windows(s_sorted, at, h)
+        np.testing.assert_array_equal(hi - lo, inside.sum(axis=1))
+        counts = np.maximum(hi - lo, 1)[:, None]
+        np.testing.assert_allclose(
+            _window_sums(w_sorted, lo, hi) / counts, inside @ w_sorted / counts,
+            rtol=0, atol=1e-12,
+        )
+    assert (hi - lo).min() >= 1  # each own window holds its own point
+    if case == 3:
+        assert (dense_box(s_sorted, points, h).sum(axis=1) == 0).sum() == 4
+
+
+def band_datasets():
+    rng = substream(40, "band")
+    s = rng.uniform(-2.0, 2.0, (600, 1, 1))
+    w = np.concatenate([3.0 + np.sin(s), rng.normal(0.0, 0.3, (600, 1, 1))], axis=2)
+    yield HistoricalDataset(s=s, w=w + rng.normal(0.0, 0.2, w.shape))
+    s = rng.integers(-4, 5, (400, 1, 1)) * 0.25  # duplicates on a dyadic lattice
+    yield HistoricalDataset(s=s, w=0.5 * s + rng.normal(0.0, 0.2, s.shape))
+    s = np.where(rng.random((300, 1, 1)) < 0.5, -1.0, 1.0)  # a gap: empty windows
+    yield HistoricalDataset(s=s, w=s + rng.normal(0.0, 0.2, s.shape))
+    s = rng.normal(0.0, 1.0, (10, 1, 1))
+    yield HistoricalDataset(s=s, w=s + rng.normal(0.0, 0.2, s.shape))
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_band_matches_dense_reference(case):
+    data = list(band_datasets())[case]
+    band = estimate_dt_band(data, split_seed=case)
+    centers, widths, empty = dense_band(data, band.grid[:, 0], split_seed=case)
+    np.testing.assert_allclose(band.centers, centers, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(band.half_widths, widths, rtol=1e-12, atol=0)
+    assert band.metadata["grid_points_without_support"] == empty
+    if case == 2:
+        assert empty > 0
+
+
+def test_calibration_demo_plug_in_dt_is_pinned():
+    # recorded with the dense box count; the sorted windows agree to rounding
+    import importlib.resources as ir
+
+    import pulsebandit.configs as configs
+    from pulsebandit.harness import load_config, pretrain
+
+    cfg = load_config(str(ir.files(configs) / "calibration_demo.json"))
+    assert pretrain(cfg)["plug_in_dt"] == pytest.approx(0.002133885479790829, rel=1e-12)

@@ -129,6 +129,13 @@ def test_calibrate_writes_band(tmp_path):
     assert np.all(rows["half_width_0"] >= 0.0)
 
 
+def test_calibrate_rejects_lower_bound_by_field(tmp_path, capsys):
+    # the band needs d_S = 1; lower_bound has d_S = d_lin + d_non
+    cfg = write_tiny(tmp_path, environment={"kind": "lower_bound", "d_lin": 1, "d_non": 1})
+    assert main(["calibrate", "--config", cfg, "--out", str(tmp_path / "cal")]) == 1
+    assert "environment.kind" in capsys.readouterr().err
+
+
 def test_replay_cli_roundtrip(tmp_path):
     import importlib.resources as ir
     import pulsebandit.configs as configs

@@ -117,6 +117,8 @@ BAD = {
     ("lower_bound", "environment.scaling_horizon"): [0],
     ("lower_bound", "environment.reward_sd"): [-1.0],
     ("lower_bound", "environment.w_noise_sd"): [-1.0],
+    # the plug-in band needs d_S = 1, and lower_bound has d_S = d_lin + d_non
+    ("lower_bound", "agents[0].dt_source"): ["plug_in"],
     ("replay", "environment.kind"): [None],
     ("replay", "environment.path"): [MISSING],
     ("replay", "environment.k"): [0, "20"],
@@ -148,8 +150,12 @@ def _table_fields():
     return fields
 
 
+# cases of a field under an environment kind whose table does not list it
+CROSS_KIND = {("lower_bound", "agents[0].dt_source")}
+
+
 def test_every_table_field_has_a_case():
-    assert _table_fields() == set(BAD) | TEXT
+    assert _table_fields() | CROSS_KIND == set(BAD) | TEXT
 
 
 @pytest.mark.parametrize(
@@ -303,7 +309,9 @@ def configs(draw):
     sources = ["zero", "constant"]
     if kind != "replay":
         agent_kinds.append("oracle_best")
-        sources += ["oracle", "plug_in"]
+        sources.append("oracle")
+    if kind == "synthetic":
+        sources.append("plug_in")  # the plug-in band needs d_S = 1
     agents = draw(
         st.lists(
             section(

@@ -317,7 +317,7 @@ def test_config_hash_ignores_output_dir_and_workers():
     assert err.value.field == "workers"
 
 
-def test_kernel_fallbacks_do_not_depend_on_workers(tmp_path):
+def test_kernel_fallbacks_sum_per_trial_counts(tmp_path):
     import importlib.resources as ir
     import pulsebandit.configs as configs
     path = str(ir.files(configs) / "lower_bound_dgp.json")
@@ -325,12 +325,12 @@ def test_kernel_fallbacks_do_not_depend_on_workers(tmp_path):
                                        "schedule.feat_norm_bound=2.0"))
     res = run_experiment(cfg, out_dir=str(tmp_path / "run"))
     meta = json.loads(open(res["metadata_path"]).read())
-    # the count is pretrain's fallbacks plus each trial's own
+    # pretraining queries no imputer, so the count is the trials' own
     imputer, plug_in_dt, bound = fitted(cfg)
-    pretrain_count = imputer.fallback_count
+    assert imputer.fallback_count == 0
     trial_counts = [run_trial(cfg, tr, imputer, plug_in_dt, bound)["kernel_fallbacks"]
                     for tr in range(2)]
-    assert meta["run"]["imputer"]["kernel_fallbacks"] == pretrain_count + sum(trial_counts)
+    assert meta["run"]["imputer"]["kernel_fallbacks"] == sum(trial_counts)
     assert meta["run"]["imputer"]["kernel_fallbacks"] == 206
 
 
