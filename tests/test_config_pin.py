@@ -59,6 +59,10 @@ PINNED = {
         "d72f57c8086122872551292093ae262b799be545bfa65c3c2208ba25e8323c25",
         "85a1d1a05d95cc2a0ac80dbb7ea2e802193d86e881ba5fac2a3304f3ca665fdb",
     ),
+    "LONG": (
+        "c4629b44e1c81e59c7552212b532fb9c8049efa8a0e5142bc9b964973c5c1669",
+        "7bca2ce0632b7a872d4ec44c6f6e01b6cd69e71dc3c991decec7d31eab15839b",
+    ),
     "REPLAY": (
         "8a93cf91cf2e1681db6ed2a25c1620d7edc4c3b513bd474a7d868daae64f0e16",
         "8e2dd55b7421b9104764ac80d92691993a36d58d502d8e2cb4c8a8aaa38446af",

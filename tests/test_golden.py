@@ -5,10 +5,12 @@ it cannot see a change that alters every number consistently.  These
 digests pin the raw outputs themselves.  A change that alters the numerics
 on purpose updates the digests and says why in CHANGES.md.
 
-Between them the three configs cover all five agent kinds, every
-divergence source (oracle, plug_in, constant, zero), both selection forms,
+Between them the configs cover all five agent kinds, every divergence
+source (oracle, plug_in, constant, zero), both selection forms,
 Monte-Carlo and analytic expected features, the linear-AR and kernel
-imputers, the feature-norm dry run, and every replay feature view.
+imputers, the feature-norm dry run, and every replay feature view.  The
+fourth, LONG, runs 4 trials past `REFACTOR_INTERVAL` decisions, so forced
+refactors and a batch of more than two trials are pinned too.
 """
 
 import hashlib
@@ -72,6 +74,38 @@ LOWER_BOUND = {
     ],
 }
 
+LONG = {
+    "schema_version": 1,
+    "name": "golden_long",
+    "base_seed": 606,
+    "horizon": 600,
+    "trials": 4,
+    "gamma_scale": 0.02,
+    "environment": {"kind": "synthetic", "nonlinearity": "linear"},
+    "schedule": {"lambda": 1.0, "delta": 0.1, "sigma_eta": 0.05, "sigma_eps": 1.0},
+    "imputer": {"kind": "linear_ar", "lag": 1},
+    "pretrain": {"n": 40, "t0": 20, "seed": 9},
+    "calibration": {"bootstrap_draws": 10, "split_seed": 4},
+    "agents": [
+        {"name": "pulse_oracle", "kind": "pulse_ucb", "dt_source": "oracle"},
+        {
+            "name": "pulse_plug_in",
+            "kind": "pulse_ucb",
+            "dt_source": "plug_in",
+            "selection_form": "ball_maximization",
+        },
+        {"name": "oful_observed", "kind": "oful_observed"},
+        {
+            "name": "oful_full_const",
+            "kind": "oful_full",
+            "dt_source": "constant",
+            "constant_dt": 0.001,
+        },
+        {"name": "oracle_best", "kind": "oracle_best"},
+        {"name": "uniform_random", "kind": "uniform_random"},
+    ],
+}
+
 REPLAY = {
     "schema_version": 1,
     "name": "golden_replay",
@@ -109,6 +143,13 @@ def test_lower_bound_raw_records_digest(tmp_path):
     res = run_experiment(ExperimentConfig(LOWER_BOUND), out_dir=str(tmp_path))
     assert _sha256(res["raw_path"]) == (
         "00df1eda00f1dcecbdadb78a02aa1a41721b197b97895c967dd1524b358bda54"
+    )
+
+
+def test_long_raw_records_digest(tmp_path):
+    res = run_experiment(ExperimentConfig(LONG), out_dir=str(tmp_path))
+    assert _sha256(res["raw_path"]) == (
+        "5640f1c8df4f3b0d57a137775eee482bf33d7414926f853f2ea5a8c7a3fd9b8d"
     )
 
 
