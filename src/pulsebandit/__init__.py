@@ -97,6 +97,7 @@ from .harness import (
     run_replay,
     run_sweep,
     run_trial,
+    run_trials,
 )
 
 __all__ = [
@@ -182,6 +183,7 @@ __all__ = [
     "load_config",
     "pretrain",
     "run_trial",
+    "run_trials",
     "run_experiment",
     "run_replay",
     "run_sweep",

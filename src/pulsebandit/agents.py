@@ -23,16 +23,30 @@ attained at theta* = theta_hat + sqrt(gamma) Sigma^{-1} phi / ||phi||_{Sigma^-1}
 both selection forms are implemented and must agree, the ball form also
 cross-checks that its optimizer lies in the ball.  Ties go to the lowest
 arm index.
+
+An agent made with `trials=n` plays n independent trials in lockstep on a
+`RidgeStack`: it takes (n, n_arms, dim) features per decision, returns n
+arms, and its divergence sum and radius are (n,) arrays.  Trial i's
+choices and state equal those of a one-trial agent fed trial i's data, bit
+for bit.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from .errors import ConfigError, InputError, ParameterError, UsageError
-from .linalg import _sigma_inv, new_ridge_state, quadratic_form_inv, rank_one_update
+from .linalg import (
+    _sigma_inv,
+    new_ridge_stack,
+    new_ridge_state,
+    quadratic_form_inv,
+    rank_one_update,
+    stack_quadratic_forms,
+    stack_rank_one_update,
+)
 
 __all__ = [
     "DtSource",
@@ -80,7 +94,7 @@ class GammaSchedule:
     constant_dt: float = 0.0
     sigma_eps: float = DEFAULT_SIGMA_EPS
     scale: float = 1.0
-    dt_cumsum: float = 0.0
+    dt_cumsum: float = 0.0  # an (n,) array for an agent of n lockstep trials
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > 0):
@@ -162,6 +176,7 @@ class AgentState:
     schedule: GammaSchedule = None
     imputer: object = None
     selection_form: SelectionForm = SelectionForm.CLOSED_FORM
+    trials: int = None  # lockstep trial count; None for a one-trial agent
     # diagnostics
     last_gamma: float = field(default=None, repr=False)
 
@@ -178,8 +193,14 @@ def make_agent(
     schedule=None,
     imputer=None,
     selection_form=SelectionForm.CLOSED_FORM,
+    trials=None,
 ):
-    """Assemble an agent; UCB kinds require dim and schedule."""
+    """Assemble an agent; UCB kinds require dim and schedule.
+
+    With `trials` set, the agent plays that many trials in lockstep, its
+    ridge state a RidgeStack and its schedule a copy whose divergence sum
+    is per trial.
+    """
     kind = AgentKind(kind)
     selection_form = SelectionForm(selection_form)
     if arm_count < 1:
@@ -191,7 +212,11 @@ def make_agent(
             raise ParameterError(
                 f"schedule.dim = {schedule.dim} does not match feature dim {dim}"
             )
-        ridge = new_ridge_state(dim, schedule.lam)
+        if trials is None:
+            ridge = new_ridge_state(dim, schedule.lam)
+        else:
+            ridge = new_ridge_stack(trials, dim, schedule.lam)
+            schedule = replace(schedule, dt_cumsum=np.full(ridge.trials, schedule.dt_cumsum))
     else:
         ridge = None
     if kind is AgentKind.PULSE_UCB and imputer is None:
@@ -204,6 +229,7 @@ def make_agent(
         schedule=schedule,
         imputer=imputer,
         selection_form=selection_form,
+        trials=trials,
     )
 
 
@@ -211,14 +237,36 @@ def current_gamma(agent):
     """Radius of the ball used for the next selection.
 
     Before any observation this is gamma_1^(0); after t observations it is
-    gamma_t with dt_cumsum through step t.
+    gamma_t with dt_cumsum through step t.  A lockstep agent gets one
+    radius per trial.
     """
     if not agent.is_ucb:
         raise UsageError(f"{agent.kind.value} agents have no confidence schedule")
     t = agent.ridge.update_count
     if t == 0:
-        return agent.schedule.scale * gamma_zero(agent.schedule, 1)
+        gamma = agent.schedule.scale * gamma_zero(agent.schedule, 1)
+        return gamma if agent.trials is None else np.full(agent.trials, gamma)
     return gamma_at(agent.schedule, t)
+
+
+def _ball_scores(factor, gram, theta, gamma, feats, quads):
+    """Scores through the explicit maximizers over one trial's ball."""
+    # an arm with a zero form has the ball's center as its maximizer
+    scores = feats @ theta
+    live = quads != 0.0
+    x = feats[live]
+    # explicit maximizers over the ball, then cross-check membership
+    directions = _sigma_inv(factor, x.T).T / np.sqrt(quads[live])[:, None]
+    theta_star = theta + math.sqrt(gamma) * directions
+    diff = theta_star - theta
+    radius = np.einsum("ij,ij->i", diff @ gram, diff)
+    if (radius > gamma * (1.0 + _BALL_CHECK_RTOL)).any():
+        raise InputError(
+            "ball-maximization optimizer left the confidence ball "
+            f"({radius.max()} > {gamma})"
+        )
+    scores[live] = np.einsum("ij,ij->i", theta_star, x)
+    return scores
 
 
 def arm_ucb_scores(agent, arm_features):
@@ -229,40 +277,36 @@ def arm_ucb_scores(agent, arm_features):
     confidence ball and scores through it, cross-checking membership.
     Both forms agree up to floating point, and both take every arm's
     x^T Sigma^{-1} x from one stacked solve; ball maximization takes every
-    maximizer from one more.
+    maximizer from one more.  A lockstep agent takes (trials, n_arms, dim)
+    features and scores every trial's arms as one (trials, n_arms) array.
     """
     if not agent.is_ucb:
         raise UsageError(f"{agent.kind.value} agents have no UCB scores")
     feats = np.asarray(arm_features, dtype=float)
-    if feats.ndim != 2:
-        raise InputError(
-            f"arm features must have shape (n_arms, {agent.ridge.dim}), got {feats.shape}"
-        )
-    quads = quadratic_form_inv(agent.ridge, feats)
+    ridge = agent.ridge
+    lockstep = agent.trials is not None
+    if feats.ndim != (3 if lockstep else 2):
+        shape = f"({agent.trials}, n_arms, {ridge.dim})" if lockstep else f"(n_arms, {ridge.dim})"
+        raise InputError(f"arm features must have shape {shape}, got {feats.shape}")
+    if lockstep:
+        quads = stack_quadratic_forms(ridge, feats)
+    else:
+        quads = quadratic_form_inv(ridge, feats)
 
     gamma = current_gamma(agent)
     agent.last_gamma = gamma
-    root_gamma = math.sqrt(gamma)
-    theta = agent.ridge.theta_hat
-    if agent.selection_form is SelectionForm.CLOSED_FORM:
-        return feats @ theta + root_gamma * np.sqrt(quads)
-
-    # an arm with a zero form has the ball's center as its maximizer
-    scores = feats @ theta
-    live = quads != 0.0
-    x = feats[live]
-    # explicit maximizers over the ball, then cross-check membership
-    directions = _sigma_inv(agent.ridge, x.T).T / np.sqrt(quads[live])[:, None]
-    theta_star = theta + root_gamma * directions
-    diff = theta_star - theta
-    radius = np.einsum("ij,ij->i", diff @ agent.ridge.gram, diff)
-    if (radius > gamma * (1.0 + _BALL_CHECK_RTOL)).any():
-        raise InputError(
-            "ball-maximization optimizer left the confidence ball "
-            f"({radius.max()} > {gamma})"
-        )
-    scores[live] = np.einsum("ij,ij->i", theta_star, x)
-    return scores
+    theta = ridge.theta_hat
+    if agent.selection_form is SelectionForm.BALL_MAXIMIZATION:
+        if not lockstep:
+            return _ball_scores(ridge.factor, ridge.gram, theta, gamma, feats, quads)
+        return np.stack([
+            _ball_scores(*trial)
+            for trial in zip(ridge.factor, ridge.gram, theta, gamma, feats, quads)
+        ])
+    if not lockstep:
+        return feats @ theta + math.sqrt(gamma) * np.sqrt(quads)
+    # one matrix-vector product per trial, as the one-trial form takes
+    return (feats @ theta[:, :, None])[..., 0] + np.sqrt(gamma)[:, None] * np.sqrt(quads)
 
 
 def select_arm(agent, arm_features, optimal_arm=None, rng=None):
@@ -271,17 +315,24 @@ def select_arm(agent, arm_features, optimal_arm=None, rng=None):
     UCB agents maximize the optimistic score over the current ball;
     oracle-best agents require the environment's optimal arm injected;
     uniform-random agents require their own rng.  Exact score ties resolve
-    to the lowest index.
+    to the lowest index.  A lockstep agent returns a (trials,) array of
+    arms; its optimal arm is one per trial and its rng a list of the
+    trials' own generators.
     """
+    lockstep = agent.trials is not None
     if agent.kind is AgentKind.ORACLE_BEST:
         if optimal_arm is None:
             raise UsageError("oracle_best requires the optimal arm to be injected")
-        return int(optimal_arm)
+        return np.array(optimal_arm, dtype=int) if lockstep else int(optimal_arm)
     if agent.kind is AgentKind.UNIFORM_RANDOM:
         if rng is None:
             raise UsageError("uniform_random requires an rng")
+        if lockstep:
+            return np.array([r.integers(0, agent.arm_count) for r in rng], dtype=int)
         return int(rng.integers(0, agent.arm_count))
     scores = arm_ucb_scores(agent, arm_features)
+    if lockstep:
+        return np.argmax(scores, axis=1)  # first maximum per trial
     return int(np.argmax(scores))  # first maximum: lowest index
 
 
@@ -290,11 +341,15 @@ def observe(agent, chosen_features, reward, dt_value=None):
 
     dt_value feeds the divergence accumulator for ORACLE and PLUG_IN
     schedules; CONSTANT adds its configured value and ZERO ignores
-    everything.
+    everything.  A lockstep agent takes (trials, dim) features, (trials,)
+    rewards and one dt_value per trial or one for all.
     """
     if not agent.is_ucb:
         raise UsageError(f"{agent.kind.value} agents do not update")
-    rank_one_update(agent.ridge, chosen_features, reward)
+    if agent.trials is None:
+        rank_one_update(agent.ridge, chosen_features, reward)
+    else:
+        stack_rank_one_update(agent.ridge, chosen_features, reward)
     sched = agent.schedule
     if sched.dt_source is DtSource.ZERO:
         return agent
@@ -305,8 +360,8 @@ def observe(agent, chosen_features, reward, dt_value=None):
         raise InputError(
             f"dt_source {sched.dt_source.value} requires a dt_value at observe time"
         )
-    dt_value = float(dt_value)
-    if not math.isfinite(dt_value) or dt_value < 0:
+    dt_value = float(dt_value) if agent.trials is None else np.asarray(dt_value, dtype=float)
+    if not np.all(np.isfinite(dt_value) & (dt_value >= 0)):
         raise InputError(f"dt_value must be finite and nonnegative, got {dt_value!r}")
     sched.dt_cumsum += dt_value
     return agent

@@ -3,9 +3,11 @@
 One trial = one exogenous context stream faced by every configured agent
 (common random numbers): each agent sees the same steps and the same
 shared reward noise, but only its permitted view of the context.  No
-choice changes the stream, so a trial takes it as one rollout, builds each
-view's features for the whole horizon at once, and then runs the agents
-one after another, each through the per-agent loop that replay uses too.
+choice changes the stream, so a trial takes it as one rollout and builds
+each view's features for the whole horizon at once.  Once every trial is
+built, each agent plays all trials in lockstep, one decision per step for
+every trial at once, through the per-agent loop that replay uses too
+(replay runs one trial at a time).
 
 * pulse_ucb      expected features under the configured imputer,
 * oful_observed  features with the late block W forced to 0,
@@ -49,6 +51,7 @@ from .agents import (
     DtSource,
     GammaSchedule,
     SelectionForm,
+    current_gamma,
     make_agent,
     observe,
     select_arm,
@@ -88,6 +91,7 @@ __all__ = [
     "load_config",
     "pretrain",
     "run_trial",
+    "run_trials",
     "run_experiment",
     "run_replay",
     "run_sweep",
@@ -386,6 +390,21 @@ class ExperimentConfig:
                     "plug_in divergence needs d_S = 1; this lower_bound environment has "
                     f"d_S = d_lin + d_non = {d_s}",
                 )
+            fitted_here = (
+                self.imputer["kind"] in _FITTED_IMPUTERS and self.imputer["path"] is None
+            )
+            if (
+                env_kind == "synthetic"
+                and agent["dt_source"] == DtSource.PLUG_IN.value
+                and not fitted_here
+            ):
+                # the band is estimated on the pretraining history, which
+                # only a fitted imputer that is not loaded generates
+                raise ConfigError(
+                    f"{where}.dt_source",
+                    "plug_in divergence needs a linear_ar or kernel imputer fit on "
+                    "pretraining data, not an oracle, null or loaded one",
+                )
             if replay:
                 # a log holds only logged rewards: no optimal arm, no
                 # conditional law of W for the oracle charge, and replay
@@ -558,11 +577,7 @@ def pretrain(config):
 
     plug_in_dt = None
     if any(a["dt_source"] == "plug_in" for a in config.agents):
-        if dataset is None:
-            raise ConfigError(
-                "agents.dt_source",
-                "plug_in divergence needs a fitted imputer with pretraining data",
-            )
+        # ExperimentConfig saw to it that the history exists
         band = estimate_dt_band(
             dataset,
             alpha=config.calibration["alpha"],
@@ -646,10 +661,12 @@ def _pretrain_replay(config):
 
 @dataclass(frozen=True)
 class _View:
-    """The features one agent decides on: in simulate the trial's (T,
-    n_arms, dim) block, in replay one row per log row.  `w_law` is the
-    agent's model of the law of W at each step of a simulated trial, as
-    (means (T, d_W), sd (d_W,)), or None when it sees W itself.
+    """The features one agent decides on: in simulate one trial's (T,
+    n_arms, dim) block, or every trial's as (T, trials, n_arms, dim) for a
+    lockstep agent; in replay one row per log row.  `w_law` is the agent's
+    model of the law of W at each step of one simulated trial, as (means
+    (T, d_W), sd (d_W,)), from which the trial's oracle charges are built;
+    None when the agent sees W itself, and on lockstep and replay views.
     """
 
     bound: float
@@ -660,19 +677,25 @@ class _View:
 
 @dataclass(frozen=True)
 class _Seat:
-    """One configured agent in the loop: its state, view and choice stream."""
+    """One configured agent in the loop: its state, view and choice stream
+    (for a lockstep agent, the list of its trials' streams)."""
 
     agent: AgentState
     view: _View
     rng: object
 
 
-def _seat_agents(config, trial_index, arm_count, view_for):
+def _seat_agents(config, trials, arm_count, view_for):
     """Build every configured agent, in config order, with its view.
 
-    `view_for(kind, name)` returns the agent's view, or None for the kinds
-    that decide without features (oracle_best, uniform_random).
+    `trials` is one trial index, for agents on the single-state kernel, or
+    a list of trial indices, for agents that play those trials in
+    lockstep.  `view_for(kind, name)` returns the agent's view, or None
+    for the kinds that decide without features (oracle_best,
+    uniform_random).
     """
+    lockstep = isinstance(trials, list)
+    indices = trials if lockstep else [trials]
     seats = []
     for spec in config.agents:
         name = spec["name"]
@@ -700,9 +723,10 @@ def _seat_agents(config, trial_index, arm_count, view_for):
             schedule=schedule,
             imputer=None if view is None else view.imputer,
             selection_form=SelectionForm(spec["selection_form"]),
+            trials=len(indices) if lockstep else None,
         )
-        rng = substream(config.base_seed, "trial", trial_index, "agent", name)
-        seats.append(_Seat(agent, view, rng))
+        rngs = [substream(config.base_seed, "trial", i, "agent", name) for i in indices]
+        seats.append(_Seat(agent, view, rngs if lockstep else rngs[0]))
     return seats
 
 
@@ -713,17 +737,24 @@ def _play(seat, horizon, steps):
     `steps` yields, per decision, the feature matrix of the seat's view
     (None for kinds without one), the optimal arm (None when unknown),
     `pay(arm)`, which returns the chosen arm's reward, and the divergence
-    value that observe receives.  Returns (arms, rewards).
+    value that observe receives.  For a lockstep seat each of these holds
+    every trial's entry, and `pay` takes and returns one per trial.
+    Returns (arms, rewards), each (horizon,) for a one-trial seat and
+    (trials, horizon) for a lockstep one.
     """
-    arms = np.empty(horizon, dtype=int)
-    rewards = np.empty(horizon)
+    trials = seat.agent.trials
+    shape = (horizon,) if trials is None else (trials, horizon)
+    arms = np.empty(shape, dtype=int)
+    rewards = np.empty(shape)
+    lanes = None if trials is None else np.arange(trials)
     for i, (feats, optimal_arm, pay, dt_value) in zip(range(horizon), steps):
         arm = select_arm(seat.agent, feats, optimal_arm=optimal_arm, rng=seat.rng)
         reward = pay(arm)
         if seat.view is not None:
-            observe(seat.agent, feats[arm], reward, dt_value=dt_value)
-        arms[i] = arm
-        rewards[i] = reward
+            chosen = feats[arm] if lanes is None else feats[lanes, arm]
+            observe(seat.agent, chosen, reward, dt_value=dt_value)
+        arms[..., i] = arm
+        rewards[..., i] = reward
     return arms, rewards
 
 
@@ -776,20 +807,31 @@ def _oracle_charges(rollout, w_law):
     return charges
 
 
-def run_trial(config, trial_index, fitted_imputer, plug_in_dt, feat_norm_bound):
-    """All configured agents over one exogenous context stream.
+@dataclass(frozen=True)
+class _Trial:
+    """One simulated trial before any decision: its rollout, each agent's
+    view of it (None for the kinds without one) and, for the agents on
+    the oracle divergence, their (T,) charges."""
 
-    Returns {agent_name: arrays} plus trial-level diagnostics.  The
-    environment stream is a pure function of (base_seed, trial_index); each
-    agent draws only from its own labeled substreams.  No choice changes
-    the stream, so the trial takes it as one rollout, builds every view
-    from it once, and then runs each agent over the whole horizon in turn.
+    rollout: object
+    arm_count: int
+    views: dict
+    charges: dict
+    kernel_fallbacks: int
+
+
+def _build_trial(config, trial_index, fitted_imputer, feat_norm_bound):
+    """The trial's rollout and every view of it, from its own substreams.
+
+    The environment stream is a pure function of (base_seed, trial_index)
+    and each agent's Monte-Carlo draws come from its own labeled
+    substream, so what a trial builds does not depend on the other trials
+    or on the agent list.
     """
     env = config.make_env()
     rng_env = substream(config.base_seed, "trial", trial_index, "env")
     env.reset(rng_env)
-    horizon = config.horizon
-    rollout = env.rollout(rng_env, horizon)
+    rollout = env.rollout(rng_env, config.horizon)
     fmap = env.feature_map
     observed = rollout.observed
     fallbacks_before = 0 if fitted_imputer is None else fitted_imputer.fallback_count
@@ -814,50 +856,127 @@ def run_trial(config, trial_index, fitted_imputer, plug_in_dt, feat_norm_bound):
             imputer = fitted_imputer
             imputed_law = (_conditional_means(imputer, observed), imputer.conditional_sd())
 
-    def view_for(kind, name):
-        if kind is not AgentKind.PULSE_UCB:
-            return views.get(kind)
-        mc_rng = substream(config.base_seed, "trial", trial_index, "mc", name)
-        return _View(
-            feat_norm_bound,
-            _expected_feature_block(imputer, fmap, observed, imputed_law, rng=mc_rng),
-            imputer=imputer,
-            w_law=imputed_law,
-        )
+    agent_views = {}
+    charges = {}
+    for spec in config.agents:
+        name, kind = spec["name"], AgentKind(spec["kind"])
+        if kind is AgentKind.PULSE_UCB:
+            mc_rng = substream(config.base_seed, "trial", trial_index, "mc", name)
+            view = _View(
+                feat_norm_bound,
+                _expected_feature_block(imputer, fmap, observed, imputed_law, rng=mc_rng),
+                imputer=imputer,
+                w_law=imputed_law,
+            )
+        else:
+            view = views.get(kind)
+        agent_views[name] = view
+        if view is not None and spec["dt_source"] == DtSource.ORACLE.value:
+            charges[name] = _oracle_charges(rollout, view.w_law)
 
-    seats = _seat_agents(config, trial_index, fmap.arm_count, view_for)
-    rows = np.arange(horizon)
-    optimal_arms = rollout.optimal_arm.tolist()
-    cond_means = rollout.cond_arm_means
-    out = {}
+    return _Trial(
+        rollout,
+        fmap.arm_count,
+        agent_views,
+        charges,
+        0 if fitted_imputer is None else fitted_imputer.fallback_count - fallbacks_before,
+    )
+
+
+def _stacked_view(views):
+    """The trials' views of one agent as one lockstep view, features
+    (T, trials, n_arms, dim); None for an agent without a view."""
+    if views[0] is None:
+        return None
+    return _View(
+        views[0].bound,
+        np.stack([view.features for view in views], axis=1),
+        imputer=views[0].imputer,
+    )
+
+
+def run_trials(config, trial_indices, fitted_imputer, plug_in_dt, feat_norm_bound):
+    """All configured agents over the given trials, played in lockstep.
+
+    Every trial's rollout, views and oracle charges are built first, each
+    from the trial's own substreams.  Then each agent plays all the trials
+    at once, one decision per step for every trial, so the loop's Python
+    overhead is paid once per (agent, step), not per (trial, agent, step).
+    Returns one dict per trial, in the order given, each exactly what the
+    trial gives when run alone: {agent_name: arrays} plus trial-level
+    diagnostics.
+    """
+    trial_indices = list(trial_indices)
+    built = [
+        _build_trial(config, i, fitted_imputer, feat_norm_bound) for i in trial_indices
+    ]
+    horizon = config.horizon
+    lanes = np.arange(len(built))
+    optimal_arms = np.stack([trial.rollout.optimal_arm for trial in built], axis=1)
+    potential = np.stack([trial.rollout.potential_rewards for trial in built], axis=1)
+    seats = _seat_agents(
+        config,
+        trial_indices,
+        built[0].arm_count,
+        lambda kind, name: _stacked_view([trial.views[name] for trial in built]),
+    )
+    played = {}
     for seat in seats:
-        view = seat.view
+        name = seat.agent.name
         dt_values = repeat(plug_in_dt)  # ZERO ignores the value, CONSTANT adds its own
-        if view is not None and seat.agent.schedule.dt_source is DtSource.ORACLE:
-            dt_values = _oracle_charges(rollout, view.w_law)
-        features = repeat(None) if view is None else view.features
-        pays = (row.item for row in rollout.potential_rewards)
-        arms, rewards = _play(seat, horizon, zip(features, optimal_arms, pays, dt_values))
-        cols = {
-            "arm": arms,
-            "reward": rewards,
-            "inst_regret": rollout.optimal_mean - rollout.arm_means[rows, arms],
-            "cond_inst": cond_means.max(axis=1) - cond_means[rows, arms],
-        }
-        out[seat.agent.name] = _add_running_columns(cols)
+        if name in built[0].charges:
+            dt_values = np.stack([trial.charges[name] for trial in built], axis=1)
+        features = repeat(None) if seat.view is None else seat.view.features
+        pays = ((lambda arm, step=step: step[lanes, arm]) for step in potential)
+        played[name] = _play(seat, horizon, zip(features, optimal_arms, pays, dt_values))
 
-    return {
-        "agents": out,
-        "names": list(out),
-        "max_abs_reward": float(np.abs(rollout.potential_rewards).max()),
-        "final_dt_cumsum": {
-            seat.agent.name: (seat.agent.schedule.dt_cumsum if seat.agent.schedule else None)
-            for seat in seats
-        },
-        "kernel_fallbacks": (
-            0 if fitted_imputer is None else fitted_imputer.fallback_count - fallbacks_before
-        ),
-    }
+    finals = {seat.agent.name: _finals(seat.agent) for seat in seats}
+    rows = np.arange(horizon)
+    results = []
+    for lane, trial in enumerate(built):
+        rollout = trial.rollout
+        cond_means = rollout.cond_arm_means
+        out = {}
+        for name, (arms, rewards) in played.items():
+            cols = {
+                "arm": arms[lane],
+                "reward": rewards[lane],
+                "inst_regret": rollout.optimal_mean - rollout.arm_means[rows, arms[lane]],
+                "cond_inst": cond_means.max(axis=1) - cond_means[rows, arms[lane]],
+            }
+            out[name] = _add_running_columns(cols)
+        results.append(
+            {
+                "agents": out,
+                "names": list(out),
+                "max_abs_reward": float(np.abs(rollout.potential_rewards).max()),
+                "final_dt_cumsum": {
+                    name: None if dt is None else float(dt[lane])
+                    for name, (dt, _) in finals.items()
+                },
+                "final_gamma": {
+                    name: None if gamma is None else float(gamma[lane])
+                    for name, (_, gamma) in finals.items()
+                },
+                "kernel_fallbacks": trial.kernel_fallbacks,
+            }
+        )
+    return results
+
+
+def _finals(agent):
+    """(divergence sum, radius gamma) after the agent's last observation,
+    one per trial for a lockstep agent; (None, None) for the kinds without
+    a confidence schedule."""
+    if not agent.is_ucb:
+        return None, None
+    return agent.schedule.dt_cumsum, current_gamma(agent)
+
+
+def run_trial(config, trial_index, fitted_imputer, plug_in_dt, feat_norm_bound):
+    """All configured agents over one exogenous context stream: the
+    one-trial case of run_trials."""
+    return run_trials(config, [trial_index], fitted_imputer, plug_in_dt, feat_norm_bound)[0]
 
 
 # -- outputs ----------------------------------------------------------------------
@@ -933,6 +1052,11 @@ def _write_aggregate_csv(path, results, keys):
     return finals
 
 
+def _per_trial(results, key):
+    """{agent: [the trial's value of `key`, one per trial]}."""
+    return {name: [res[key][name] for res in results] for name in results[0][key]}
+
+
 def _write_metadata(out_dir, config, overrides_echo, facts, timings):
     """metadata.json: the resolved config plus the run's facts.
 
@@ -1002,9 +1126,7 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
     bound = pre["feat_norm_bound"]
     imputer = pre["imputer"]
 
-    results = [
-        run_trial(config, tr, imputer, pre["plug_in_dt"], bound) for tr in range(config.trials)
-    ]
+    results = run_trials(config, range(config.trials), imputer, pre["plug_in_dt"], bound)
     timings["trials"] = time.perf_counter() - clock
     clock = time.perf_counter()
 
@@ -1052,10 +1174,8 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
                     None if imputer is None else sum(res["kernel_fallbacks"] for res in results)
                 ),
             },
-            "final_dt_cumsum": {
-                name: [res["final_dt_cumsum"][name] for res in results]
-                for name in results[0]["final_dt_cumsum"]
-            },
+            "final_dt_cumsum": _per_trial(results, "final_dt_cumsum"),
+            "final_gamma": _per_trial(results, "final_gamma"),
             "summary": summary,
         },
         timings,
@@ -1164,7 +1284,8 @@ def run_replay(config, out_dir=None, overrides_echo=()):
             )
             arms, rewards = _play(seat, horizon, _replay_steps(seat, stream, k))
             agents[seat.agent.name] = _add_running_columns({"arm": arms, "reward": rewards})
-        results.append({"agents": agents, "names": list(agents)})
+        gammas = {seat.agent.name: _finals(seat.agent)[1] for seat in seats}
+        results.append({"agents": agents, "names": list(agents), "final_gamma": gammas})
     timings["trials"] = time.perf_counter() - clock
     clock = time.perf_counter()
 
@@ -1190,6 +1311,7 @@ def run_replay(config, out_dir=None, overrides_echo=()):
                 seat.agent.name: seat.view.bound for seat in seats if seat.view is not None
             },
             "feat_norm_diagnostics": pre["feat_norm_diagnostics"],
+            "final_gamma": _per_trial(results, "final_gamma"),
             "summary": summary,
         },
         timings,

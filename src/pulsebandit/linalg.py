@@ -18,6 +18,15 @@ floats, since at these dimensions numpy's per-slice overhead dominates.
 A full Cholesky refactorization is forced every `REFACTOR_INTERVAL`
 updates, and whenever a diagonal pivot of the factor degrades, to bound
 floating-point drift.  Matrices are dense; dimensions here are tiny.
+
+`RidgeStack` holds the states of many independent problems of one
+dimension, one per trial, and advances them in lockstep: one call updates
+every trial.  It computes what the single-state kernel computes, bit for
+bit: the rank-one factor update runs elementwise over the trial axis in
+`_chol_update`'s operation order with `math.hypot` pivots, every
+triangular solve is the per-trial LAPACK call the single state makes, and
+the refactor counter, pivot-floor check and refactor fallback act per
+trial.
 """
 
 import math
@@ -29,9 +38,13 @@ from .errors import InputError, NumericalError, ParameterError
 
 __all__ = [
     "RidgeState",
+    "RidgeStack",
     "new_ridge_state",
+    "new_ridge_stack",
     "rank_one_update",
+    "stack_rank_one_update",
     "quadratic_form_inv",
+    "stack_quadratic_forms",
     "potential_bound_check",
     "REFACTOR_INTERVAL",
 ]
@@ -87,14 +100,61 @@ class RidgeState:
         self._since_refactor = 0
 
 
-def new_ridge_state(dim, lam):
-    """Fresh state with gram = lam * I."""
+class RidgeStack:
+    """Ridge states of `trials` independent problems, updated in lockstep.
+
+    The attributes are RidgeState's with a leading trial axis: `gram` and
+    `factor` are (trials, dim, dim), `xr_sum` and `theta_hat` (trials,
+    dim), `log_det` (trials,).  Every trial takes one update per call, so
+    `update_count` is shared; the refactor counter is per trial, since a
+    trial refactors early when its own factor degrades.
+    """
+
+    __slots__ = (
+        "trials",
+        "dim",
+        "lam",
+        "gram",
+        "factor",
+        "xr_sum",
+        "theta_hat",
+        "log_det",
+        "update_count",
+        "_since_refactor",
+    )
+
+    def __init__(self, trials, dim, lam):
+        self.trials = trials
+        self.dim = dim
+        self.lam = lam
+        self.gram = np.tile(np.eye(dim) * lam, (trials, 1, 1))
+        self.factor = np.tile(np.eye(dim) * math.sqrt(lam), (trials, 1, 1))
+        self.xr_sum = np.zeros((trials, dim))
+        self.theta_hat = np.zeros((trials, dim))
+        self.log_det = np.full(trials, dim * math.log(lam))
+        self.update_count = 0
+        self._since_refactor = np.zeros(trials, dtype=int)
+
+
+def _check_dim_lam(dim, lam):
     if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
         raise ParameterError(f"dim must be a positive integer, got {dim!r}")
     lam = float(lam)
     if not math.isfinite(lam) or lam <= 0.0:
         raise ParameterError(f"lambda must be finite and positive, got {lam!r}")
-    return RidgeState(int(dim), lam)
+    return int(dim), lam
+
+
+def new_ridge_state(dim, lam):
+    """Fresh state with gram = lam * I."""
+    return RidgeState(*_check_dim_lam(dim, lam))
+
+
+def new_ridge_stack(trials, dim, lam):
+    """`trials` fresh states with gram = lam * I, as one RidgeStack."""
+    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool) or trials < 1:
+        raise ParameterError(f"trials must be a positive integer, got {trials!r}")
+    return RidgeStack(int(trials), *_check_dim_lam(dim, lam))
 
 
 def _check_vector(state, v, name):
@@ -118,15 +178,21 @@ def _solve(factor, b, trans):
     return x
 
 
-def _sigma_inv(state, v):
+def _sigma_inv(factor, v):
     """Sigma^{-1} v through the factor: two triangular solves."""
-    return _solve(state.factor, _solve(state.factor, v, 1), 0)
+    return _solve(factor, _solve(factor, v, 1), 0)
 
 
 def _quad(factor, v):
     # a zero v solves to exact zeros, so its form is exactly 0.0
     z = _solve(factor, v, 1)
     return float(z @ z)
+
+
+def _forms(factor, v):
+    """The forms of the k rows of v from one solve against all of them."""
+    z = _solve(factor, v.T, 1)
+    return np.einsum("ij,ij->j", z, z)
 
 
 def quadratic_form_inv(state, v):
@@ -147,17 +213,36 @@ def quadratic_form_inv(state, v):
         raise InputError("v contains non-finite entries")
     if not stacked:
         return _quad(state.factor, v)
-    z = _solve(state.factor, v.T, 1)
-    return np.einsum("ij,ij->j", z, z)
+    return _forms(state.factor, v)
 
 
-def _refactor(state):
+def stack_quadratic_forms(stack, v):
+    """Every trial's forms v^T Sigma^{-1} v of its own k rows.
+
+    `v` is (trials, k, dim) and the result (trials, k); row i is what
+    quadratic_form_inv gives for trial i's state and rows.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 3 or v.shape[0] != stack.trials or v.shape[2] != stack.dim:
+        raise InputError(
+            f"v must have shape ({stack.trials}, k, {stack.dim}), got {v.shape}"
+        )
+    if not np.isfinite(v).all():
+        raise InputError("v contains non-finite entries")
+    return np.stack([_forms(factor, rows) for factor, rows in zip(stack.factor, v)])
+
+
+def _cholesky(gram):
     try:
-        state.factor = np.linalg.cholesky(state.gram)
+        return np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             "gram matrix lost positive definiteness; state is inconsistent"
         ) from exc
+
+
+def _refactor(state):
+    state.factor = _cholesky(state.gram)
     state._since_refactor = 0
 
 
@@ -220,8 +305,78 @@ def rank_one_update(state, x, reward):
                 state.factor = np.array(rows)
 
     state.update_count += 1
-    state.theta_hat = _sigma_inv(state, state.xr_sum)
+    state.theta_hat = _sigma_inv(state.factor, state.xr_sum)
     return state
+
+
+def _stack_chol_update(factor, x, floor):
+    """`_chol_update` of every trial at once, in place on the (trials, d,
+    d) `factor` with the rows of x (trials, d).
+
+    Each step is elementwise over the trial axis, in `_chol_update`'s
+    operation order, with its `math.hypot` pivots.  Returns the mask of
+    trials whose factor must be rebuilt: those that hit a nonpositive or
+    non-finite pivot, whose entries are then meaningless, and those with a
+    squared pivot below `floor`.  Pivot k's l_kk is the input's diagonal
+    entry, since no earlier step writes it, and its r is the output's, so
+    both pivot checks read the diagonals.
+    """
+    trials, d = x.shape
+    bad = (np.diagonal(factor, axis1=1, axis2=2) <= 0.0).any(axis=1)
+    v = x.copy()
+    # a bad trial's entries may divide by zero or overflow; its factor is rebuilt
+    with np.errstate(all="ignore"):
+        for k in range(d):
+            lkk = factor[:, k, k]
+            vk = v[:, k]
+            r = np.fromiter(map(math.hypot, lkk.tolist(), vk.tolist()), float, trials)
+            c = r / lkk
+            s = vk / lkk
+            factor[:, k, k] = r
+            if k + 1 < d:
+                c, s = c[:, None], s[:, None]
+                lik = (factor[:, k + 1 :, k] + s * v[:, k + 1 :]) / c
+                factor[:, k + 1 :, k] = lik
+                v[:, k + 1 :] = c * v[:, k + 1 :] - s * lik
+        diag = np.diagonal(factor, axis1=1, axis2=2)
+        return bad | (~np.isfinite(diag) | (diag * diag < floor)).any(axis=1)
+
+
+def stack_rank_one_update(stack, x, reward):
+    """Fold one observation per trial into the stack, in place.
+
+    Row i of `x` (trials, dim) and `reward[i]` go to trial i, as
+    rank_one_update would fold them into trial i's own state.  A trial
+    refactors when its own counter reaches REFACTOR_INTERVAL, its update
+    hits a bad pivot, or a squared pivot falls below the floor, and only
+    that trial's counter restarts.  Returns the same (mutated) stack.
+    """
+    x = np.asarray(x, dtype=float)
+    reward = np.asarray(reward, dtype=float)
+    if x.shape != (stack.trials, stack.dim):
+        raise InputError(f"x must have shape ({stack.trials}, {stack.dim}), got {x.shape}")
+    if reward.shape != (stack.trials,):
+        raise InputError(f"reward must have shape ({stack.trials},), got {reward.shape}")
+    if not np.isfinite(x).all():
+        raise InputError("x contains non-finite entries")
+    if not np.isfinite(reward).all():
+        raise InputError("reward contains non-finite entries")
+
+    factor = stack.factor
+    stack.log_det += [math.log1p(_quad(f, v)) for f, v in zip(factor, x)]
+    stack.gram += x[:, :, None] * x[:, None, :]
+    stack.xr_sum += reward[:, None] * x
+    stack._since_refactor += 1
+
+    rebuild = _stack_chol_update(factor, x, PIVOT_FLOOR * stack.lam)
+    rebuild |= stack._since_refactor >= REFACTOR_INTERVAL
+    for i in np.flatnonzero(rebuild):
+        factor[i] = _cholesky(stack.gram[i])
+        stack._since_refactor[i] = 0
+
+    stack.update_count += 1
+    stack.theta_hat = np.stack([_sigma_inv(f, b) for f, b in zip(factor, stack.xr_sum)])
+    return stack
 
 
 def potential_bound_check(state, horizon, feat_norm_bound):

@@ -179,7 +179,7 @@ def test_profile_flag_writes_a_pstats_dump(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(profiled), "--quiet",
                  "--profile", str(dump)]) == 0
     funcs = {name for _, _, name in pstats.Stats(str(dump)).stats}
-    assert {"run_experiment", "run_trial", "rank_one_update"} <= funcs
+    assert {"run_experiment", "run_trials", "stack_rank_one_update"} <= funcs
     assert filecmp.cmp(plain / "raw_records.csv", profiled / "raw_records.csv",
                        shallow=False)
     hashes = [json.loads((d / "metadata.json").read_text())["run"]["config_sha256"]

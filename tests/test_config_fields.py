@@ -87,7 +87,8 @@ BAD = {
     ("synthetic", "imputer.analytic"): ["False", 0, "yes"],
     ("synthetic", "agents[0]"): ["oful_full", None],
     ("synthetic", "agents[0].kind"): ["robot", ["oful_full"], MISSING],
-    ("synthetic", "agents[0].dt_source"): ["psychic"],
+    # plug_in needs a fitted imputer; the default imputer is the oracle
+    ("synthetic", "agents[0].dt_source"): ["psychic", "plug_in"],
     ("synthetic", "agents[0].constant_dt"): [-1.0, "x"],
     ("synthetic", "agents[0].selection_form"): ["lasso", None],
     ("synthetic", "pretrain.n"): [-1, "5"],
@@ -359,6 +360,11 @@ def configs(draw):
         default = "oracle" if kind == "synthetic" else "zero"
         for agent in agents:
             if agent["kind"] == "pulse_ucb" and agent.get("dt_source", default) == "oracle":
+                agent["dt_source"] = "zero"
+    if imputer.get("kind") not in ("linear_ar", "kernel") or imputer.get("path") is not None:
+        # the plug-in band needs a history that only a fitted imputer generates
+        for agent in agents:
+            if agent.get("dt_source") == "plug_in":
                 agent["dt_source"] = "zero"
     return raw
 

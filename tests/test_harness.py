@@ -213,17 +213,23 @@ def test_metadata_naming_workers_reruns_bit_exact(tmp_path):
 
 
 def test_run_experiment_runs_trials_in_index_order(tmp_path, monkeypatch):
+    # every trial is built, in index order, before the first decision
     import pulsebandit.harness as harness
     seen = []
-    original = harness.run_trial
+    build, decide = harness._build_trial, harness.select_arm
 
-    def recorded(config, trial_index, *args):
+    def recorded_build(config, trial_index, *args):
         seen.append(trial_index)
-        return original(config, trial_index, *args)
+        return build(config, trial_index, *args)
 
-    monkeypatch.setattr(harness, "run_trial", recorded)
+    def recorded_decide(agent, *args, **kwargs):
+        seen.append("decide")
+        return decide(agent, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "_build_trial", recorded_build)
+    monkeypatch.setattr(harness, "select_arm", recorded_decide)
     run_experiment(ExperimentConfig(tiny_raw(horizon=10, trials=4)), out_dir=str(tmp_path))
-    assert seen == [0, 1, 2, 3]
+    assert seen == [0, 1, 2, 3] + ["decide"] * 10 * 4
 
 
 def test_conditional_regret_toggle(tmp_path):
@@ -335,29 +341,32 @@ def test_kernel_fallbacks_sum_per_trial_counts(tmp_path):
 
 
 def _count_decisions(monkeypatch):
+    """Every harness.select_arm call, as the number of trials it decides."""
     import pulsebandit.harness as harness
     calls = []
     original = harness.select_arm
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(agent, *args, **kwargs):
+        arms = original(agent, *args, **kwargs)
+        calls.append(1 if agent.trials is None else len(arms))
+        return arms
 
     monkeypatch.setattr(harness, "select_arm", counted)
     return calls
 
 
 def test_every_decision_goes_through_harness_select_arm(tmp_path, monkeypatch):
-    # the benchmark marks the first decision by swapping harness.select_arm
+    # the benchmark marks the first decision by swapping harness.select_arm;
+    # simulate decides for all trials of an agent in one call, replay for one
     calls = _count_decisions(monkeypatch)
     raw = tiny_raw(horizon=15)
     run_experiment(ExperimentConfig(raw), out_dir=str(tmp_path / "sim"))
-    assert len(calls) == raw["trials"] * 15 * len(raw["agents"])
+    assert calls == [raw["trials"]] * 15 * len(raw["agents"])
 
     del calls[:]
     raw = replay_raw(tmp_path, horizon=12)
     run_replay(ExperimentConfig(raw), out_dir=str(tmp_path / "rep"))
-    assert len(calls) == raw["trials"] * 12 * len(raw["agents"])
+    assert calls == [1] * raw["trials"] * 12 * len(raw["agents"])
 
 
 def test_replay_agent_rows_do_not_depend_on_other_agents(tmp_path):
@@ -402,6 +411,34 @@ def test_final_dt_cumsum_reports_every_trial(tmp_path):
             assert sums[name][trial] == value
     assert sums["oracle_best"] == [None, None]
     assert sums["pulse_ucb"][0] != sums["pulse_ucb"][1]
+
+
+def test_final_gamma_reports_every_trial(tmp_path):
+    from pulsebandit import GammaSchedule, gamma_at
+    from pulsebandit.agents import DtSource
+
+    cfg = ExperimentConfig(tiny_raw(trials=3))
+    res = run_experiment(cfg, out_dir=str(tmp_path / "sim"))
+    meta = json.loads(open(res["metadata_path"]).read())
+    gammas = meta["run"]["final_gamma"]
+    imputer, plug_in_dt, bound = fitted(cfg)
+    for trial in range(3):
+        out = run_trial(cfg, trial, imputer, plug_in_dt, bound)
+        assert {name: values[trial] for name, values in gammas.items()} == out["final_gamma"]
+        # the radius after the last observation: gamma_T with the trial's divergence sum
+        schedule = GammaSchedule(lam=1.0, sigma_eta=0.05, delta=0.1, feat_norm_bound=bound,
+                                 dim=4, dt_source=DtSource.ORACLE, sigma_eps=1.0, scale=0.02,
+                                 dt_cumsum=out["final_dt_cumsum"]["pulse_ucb"])
+        assert out["final_gamma"]["pulse_ucb"] == gamma_at(schedule, 40)
+    assert gammas["oracle_best"] == gammas["uniform_random"] == [None] * 3
+    assert len(set(gammas["pulse_ucb"])) == 3  # oracle charges differ by trial
+    assert "final_gamma" not in meta["config"]
+
+    replayed = run_replay(ExperimentConfig(replay_raw(tmp_path)), out_dir=str(tmp_path / "rep"))
+    gammas = json.loads(open(replayed["metadata_path"]).read())["run"]["final_gamma"]
+    assert set(gammas) == {"oful_full", "pulse_ucb", "uniform_random"}
+    assert gammas["uniform_random"] == [None, None]
+    assert all(isinstance(g, float) and g > 0 for g in gammas["pulse_ucb"])
 
 
 @pytest.mark.parametrize("arma", [[1.5, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
@@ -507,6 +544,24 @@ def test_null_imputer_with_oracle_pulse_is_a_config_error():
         ExperimentConfig(raw)
     assert err.value.field == "agents[2].dt_source"
     raw["agents"][2]["dt_source"] = "zero"
+    ExperimentConfig(raw)
+
+
+@pytest.mark.parametrize(
+    "imputer",
+    [{"kind": "oracle"}, {"kind": "null"}, {"kind": "linear_ar", "path": "imputer.json"}],
+)
+def test_plug_in_without_a_fitted_imputer_is_a_config_error(imputer):
+    # the plug-in band is estimated on the pretraining history, which an
+    # oracle, null or loaded imputer never generates
+    raw = tiny_raw()
+    raw["imputer"] = imputer
+    raw["agents"][2]["dt_source"] = "zero"
+    raw["agents"][1]["dt_source"] = "plug_in"
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(raw)
+    assert err.value.field == "agents[1].dt_source"
+    raw["agents"][1]["dt_source"] = "zero"
     ExperimentConfig(raw)
 
 

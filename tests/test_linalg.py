@@ -293,3 +293,132 @@ def test_stacked_forms_reject_bad_stacks():
         quadratic_form_inv(state, np.ones((4, 2)))
     with pytest.raises(InputError):
         quadratic_form_inv(state, np.ones((2, 4, 3)))
+
+
+# -- lockstep trials ----------------------------------------------------------
+
+
+def _lockstep_pair(trials, dim, k, form, lam=0.8):
+    """A lockstep agent over `trials` trials and one one-trial agent per trial."""
+    from dataclasses import replace
+
+    from pulsebandit import AgentKind, DtSource, GammaSchedule, make_agent
+
+    schedule = GammaSchedule(lam=lam, sigma_eta=0.1, delta=0.1, feat_norm_bound=2.0, dim=dim,
+                             dt_source=DtSource.ORACLE, scale=0.05)
+    kw = dict(dim=dim, selection_form=form)
+    singles = [make_agent("a", AgentKind.OFUL_FULL, k, schedule=replace(schedule), **kw)
+               for _ in range(trials)]
+    lockstep = make_agent("a", AgentKind.OFUL_FULL, k, schedule=schedule, trials=trials, **kw)
+    return lockstep, singles
+
+
+def _assert_same_states(stack, states):
+    for key in ("factor", "gram", "theta_hat", "log_det", "_since_refactor"):
+        assert np.array_equal(getattr(stack, key), [getattr(s, key) for s in states]), key
+    assert {s.update_count for s in states} == {stack.update_count}
+
+
+@pytest.mark.parametrize(
+    "trials, dim, k, form",
+    [
+        (1, 1, 1, "closed_form"),
+        (1, 9, 20, "ball_maximization"),
+        (3, 3, 2, "ball_maximization"),
+        (3, 5, 20, "closed_form"),
+        (20, 4, 2, "closed_form"),
+        (20, 9, 2, "closed_form"),
+    ],
+)
+def test_lockstep_kernel_is_bitwise_the_single_kernel(trials, dim, k, form):
+    # 600 steps pass REFACTOR_INTERVAL; every 50th step trial 0 sees only
+    # zero rows (so observes one) and every other trial's arm 0 is zero
+    from pulsebandit import arm_ucb_scores, current_gamma, observe, select_arm
+
+    rng = np.random.default_rng(1000 * trials + 10 * dim + k)
+    lockstep, singles = _lockstep_pair(trials, dim, k, form)
+    for step in range(600):
+        feats = rng.standard_normal((trials, k, dim))
+        if step % 50 == 0:
+            feats[0] = 0.0
+            feats[1::2, 0] = 0.0
+        scores = arm_ucb_scores(lockstep, feats)
+        assert np.array_equal(scores, np.stack([arm_ucb_scores(a, f) for a, f in zip(singles, feats)]))
+        arms = select_arm(lockstep, feats)
+        assert arms.tolist() == [select_arm(a, f) for a, f in zip(singles, feats)]
+        chosen = feats[np.arange(trials), arms]
+        rewards = rng.standard_normal(trials)
+        dts = rng.uniform(0.0, 0.01, trials)
+        observe(lockstep, chosen, rewards, dt_value=dts)
+        for i, agent in enumerate(singles):
+            observe(agent, chosen[i], rewards[i], dt_value=dts[i])
+        _assert_same_states(lockstep.ridge, [a.ridge for a in singles])
+        assert lockstep.schedule.dt_cumsum.tolist() == [a.schedule.dt_cumsum for a in singles]
+    assert current_gamma(lockstep).tolist() == [current_gamma(a) for a in singles]
+    # every trial took the forced refactor at update REFACTOR_INTERVAL
+    assert lockstep.ridge._since_refactor.tolist() == [600 - REFACTOR_INTERVAL] * trials
+
+
+def test_lockstep_refactors_only_the_trials_that_need_it():
+    # after 40 updates, trial 1's factor gets a pivot below the floor (and
+    # a zero update that keeps it there) and trial 2's a negative pivot,
+    # which fails the rank-one update; only they refactor, and from then
+    # on each counter reaches REFACTOR_INTERVAL on its own
+    from pulsebandit.linalg import new_ridge_stack, stack_rank_one_update
+
+    rng = np.random.default_rng(21)
+    dim, lam = 3, 1.0
+    stack = new_ridge_stack(3, dim, lam)
+    states = [new_ridge_state(dim, lam) for _ in range(3)]
+    for step in range(560):
+        x = rng.standard_normal((3, dim))
+        r = rng.standard_normal(3)
+        if step == 40:
+            for factor in (stack.factor[1], states[1].factor):
+                factor[2, 2] = 0.5 * math.sqrt(PIVOT_FLOOR * lam)
+            for factor in (stack.factor[2], states[2].factor):
+                factor[1, 1] = -1.0
+            x[1] = 0.0
+        stack_rank_one_update(stack, x, r)
+        for state, xi, ri in zip(states, x, r):
+            rank_one_update(state, xi, ri)
+        _assert_same_states(stack, states)
+        if step == 40:
+            assert stack._since_refactor.tolist() == [41, 0, 0]
+    assert stack._since_refactor.tolist() == [560 - REFACTOR_INTERVAL, 7, 7]
+    for i in range(3):
+        np.testing.assert_allclose(stack.factor[i] @ stack.factor[i].T, stack.gram[i], rtol=1e-12)
+
+
+def test_lockstep_ball_membership_check_still_raises():
+    from pulsebandit import arm_ucb_scores, observe
+
+    rng = np.random.default_rng(22)
+    lockstep, _ = _lockstep_pair(3, 3, 4, "ball_maximization")
+    for _ in range(12):
+        observe(lockstep, rng.standard_normal((3, 3)), rng.standard_normal(3),
+                dt_value=np.zeros(3))
+    feats = rng.standard_normal((3, 4, 3))
+    arm_ucb_scores(lockstep, feats)
+    # a Gram matrix that disagrees with its factor, in one trial only
+    lockstep.ridge.gram[1] *= 4.0
+    with pytest.raises(InputError, match="left the confidence ball"):
+        arm_ucb_scores(lockstep, feats)
+
+
+def test_lockstep_kernel_rejects_bad_input():
+    from pulsebandit.linalg import new_ridge_stack, stack_quadratic_forms, stack_rank_one_update
+
+    with pytest.raises(ParameterError):
+        new_ridge_stack(0, 2, 1.0)
+    stack = new_ridge_stack(2, 3, 1.0)
+    with pytest.raises(InputError):
+        stack_rank_one_update(stack, np.ones((3, 3)), np.zeros(3))
+    with pytest.raises(InputError):
+        stack_rank_one_update(stack, np.ones((2, 3)), np.array([0.0, np.inf]))
+    with pytest.raises(InputError):
+        stack_quadratic_forms(stack, np.ones((2, 3)))
+    bad = np.ones((2, 4, 3))
+    bad[1, 2, 0] = np.nan
+    with pytest.raises(InputError):
+        stack_quadratic_forms(stack, bad)
