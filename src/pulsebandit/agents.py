@@ -285,12 +285,13 @@ def arm_ucb_scores(agent, arm_features):
     feats = np.asarray(arm_features, dtype=float)
     ridge = agent.ridge
     lockstep = agent.trials is not None
-    if feats.ndim != (3 if lockstep else 2):
-        shape = f"({agent.trials}, n_arms, {ridge.dim})" if lockstep else f"(n_arms, {ridge.dim})"
-        raise InputError(f"arm features must have shape {shape}, got {feats.shape}")
     if lockstep:
         quads = stack_quadratic_forms(ridge, feats)
     else:
+        if feats.ndim != 2:
+            raise InputError(
+                f"arm features must have shape (n_arms, {ridge.dim}), got {feats.shape}"
+            )
         quads = quadratic_form_inv(ridge, feats)
 
     gamma = current_gamma(agent)

@@ -362,6 +362,11 @@ class ExperimentConfig:
         if self.pretrain["seed"] is None:
             self.pretrain["seed"] = self.base_seed
 
+        # the plug-in band is estimated on the pretraining history, which
+        # only a fitted imputer that is not loaded generates
+        fits_on_history = (
+            self.imputer["kind"] in _FITTED_IMPUTERS and self.imputer["path"] is None
+        )
         names = set()
         for i, agent in enumerate(self.agents):
             where = f"agents[{i}]"
@@ -390,16 +395,11 @@ class ExperimentConfig:
                     "plug_in divergence needs d_S = 1; this lower_bound environment has "
                     f"d_S = d_lin + d_non = {d_s}",
                 )
-            fitted_here = (
-                self.imputer["kind"] in _FITTED_IMPUTERS and self.imputer["path"] is None
-            )
             if (
                 env_kind == "synthetic"
                 and agent["dt_source"] == DtSource.PLUG_IN.value
-                and not fitted_here
+                and not fits_on_history
             ):
-                # the band is estimated on the pretraining history, which
-                # only a fitted imputer that is not loaded generates
                 raise ConfigError(
                     f"{where}.dt_source",
                     "plug_in divergence needs a linear_ar or kernel imputer fit on "
@@ -661,18 +661,14 @@ def _pretrain_replay(config):
 
 @dataclass(frozen=True)
 class _View:
-    """The features one agent decides on: in simulate one trial's (T,
-    n_arms, dim) block, or every trial's as (T, trials, n_arms, dim) for a
-    lockstep agent; in replay one row per log row.  `w_law` is the agent's
-    model of the law of W at each step of one simulated trial, as (means
-    (T, d_W), sd (d_W,)), from which the trial's oracle charges are built;
-    None when the agent sees W itself, and on lockstep and replay views.
+    """The features one agent decides on: in simulate every trial's (T,
+    n_arms, dim) block, stacked as (T, trials, n_arms, dim); in replay one
+    row per log row.
     """
 
     bound: float
     features: np.ndarray
     imputer: object = None
-    w_law: tuple = None
 
 
 @dataclass(frozen=True)
@@ -810,17 +806,19 @@ def _oracle_charges(rollout, w_law):
 @dataclass(frozen=True)
 class _Trial:
     """One simulated trial before any decision: its rollout, each agent's
-    view of it (None for the kinds without one) and, for the agents on
-    the oracle divergence, their (T,) charges."""
+    (T, n_arms, dim) features (None for the kinds without a view), the
+    pulse_ucb imputer and, for the agents on the oracle divergence, their
+    (T,) charges."""
 
     rollout: object
     arm_count: int
-    views: dict
+    features: dict
+    imputer: object
     charges: dict
     kernel_fallbacks: int
 
 
-def _build_trial(config, trial_index, fitted_imputer, feat_norm_bound):
+def _build_trial(config, trial_index, fitted_imputer):
     """The trial's rollout and every view of it, from its own substreams.
 
     The environment stream is a pure function of (base_seed, trial_index)
@@ -839,59 +837,49 @@ def _build_trial(config, trial_index, fitted_imputer, feat_norm_bound):
     # the observed view zeroes W and models it as N(0, true sd)
     truth_sd = np.full(env.d_w, float(rollout.cond_sd_w))
     zeros_w = np.zeros_like(rollout.cond_mean_w)
-    views = {
-        AgentKind.OFUL_FULL: _View(feat_norm_bound, phi_batch(fmap, rollout.full_context, observed)),
-        AgentKind.OFUL_OBSERVED: _View(
-            feat_norm_bound,
-            phi_batch(fmap, np.concatenate([observed, zeros_w], axis=1), observed),
-            w_law=(zeros_w, truth_sd),
+    blocks = {
+        AgentKind.OFUL_FULL: phi_batch(fmap, rollout.full_context, observed),
+        AgentKind.OFUL_OBSERVED: phi_batch(
+            fmap, np.concatenate([observed, zeros_w], axis=1), observed
         ),
     }
+    # each view's model of the law of W per step, (means (T, d_W), sd
+    # (d_W,)); None for the view that sees W itself
+    w_laws = {AgentKind.OFUL_FULL: None, AgentKind.OFUL_OBSERVED: (zeros_w, truth_sd)}
+    imputer = None
     if any(spec["kind"] == AgentKind.PULSE_UCB.value for spec in config.agents):
         if config.imputer["kind"] == ImputerKind.ORACLE:
             imputer = oracle_imputer(env, mc_samples=config.imputer["mc_samples"])
             imputer.analytic = config.imputer["analytic"]
-            imputed_law = (rollout.cond_mean_w, truth_sd)
+            w_laws[AgentKind.PULSE_UCB] = (rollout.cond_mean_w, truth_sd)
         else:
             imputer = fitted_imputer
-            imputed_law = (_conditional_means(imputer, observed), imputer.conditional_sd())
+            w_laws[AgentKind.PULSE_UCB] = (
+                _conditional_means(imputer, observed),
+                imputer.conditional_sd(),
+            )
 
-    agent_views = {}
+    features = {}
     charges = {}
     for spec in config.agents:
         name, kind = spec["name"], AgentKind(spec["kind"])
         if kind is AgentKind.PULSE_UCB:
             mc_rng = substream(config.base_seed, "trial", trial_index, "mc", name)
-            view = _View(
-                feat_norm_bound,
-                _expected_feature_block(imputer, fmap, observed, imputed_law, rng=mc_rng),
-                imputer=imputer,
-                w_law=imputed_law,
+            features[name] = _expected_feature_block(
+                imputer, fmap, observed, w_laws[kind], rng=mc_rng
             )
         else:
-            view = views.get(kind)
-        agent_views[name] = view
-        if view is not None and spec["dt_source"] == DtSource.ORACLE.value:
-            charges[name] = _oracle_charges(rollout, view.w_law)
+            features[name] = blocks.get(kind)
+        if features[name] is not None and spec["dt_source"] == DtSource.ORACLE.value:
+            charges[name] = _oracle_charges(rollout, w_laws[kind])
 
     return _Trial(
         rollout,
         fmap.arm_count,
-        agent_views,
+        features,
+        imputer,
         charges,
         0 if fitted_imputer is None else fitted_imputer.fallback_count - fallbacks_before,
-    )
-
-
-def _stacked_view(views):
-    """The trials' views of one agent as one lockstep view, features
-    (T, trials, n_arms, dim); None for an agent without a view."""
-    if views[0] is None:
-        return None
-    return _View(
-        views[0].bound,
-        np.stack([view.features for view in views], axis=1),
-        imputer=views[0].imputer,
     )
 
 
@@ -907,19 +895,20 @@ def run_trials(config, trial_indices, fitted_imputer, plug_in_dt, feat_norm_boun
     diagnostics.
     """
     trial_indices = list(trial_indices)
-    built = [
-        _build_trial(config, i, fitted_imputer, feat_norm_bound) for i in trial_indices
-    ]
+    built = [_build_trial(config, i, fitted_imputer) for i in trial_indices]
     horizon = config.horizon
     lanes = np.arange(len(built))
     optimal_arms = np.stack([trial.rollout.optimal_arm for trial in built], axis=1)
     potential = np.stack([trial.rollout.potential_rewards for trial in built], axis=1)
-    seats = _seat_agents(
-        config,
-        trial_indices,
-        built[0].arm_count,
-        lambda kind, name: _stacked_view([trial.views[name] for trial in built]),
-    )
+
+    def view_for(kind, name):
+        if built[0].features[name] is None:
+            return None
+        imputer = built[0].imputer if kind is AgentKind.PULSE_UCB else None
+        stacked = np.stack([trial.features[name] for trial in built], axis=1)
+        return _View(feat_norm_bound, stacked, imputer=imputer)
+
+    seats = _seat_agents(config, trial_indices, built[0].arm_count, view_for)
     played = {}
     for seat in seats:
         name = seat.agent.name
@@ -927,7 +916,8 @@ def run_trials(config, trial_indices, fitted_imputer, plug_in_dt, feat_norm_boun
         if name in built[0].charges:
             dt_values = np.stack([trial.charges[name] for trial in built], axis=1)
         features = repeat(None) if seat.view is None else seat.view.features
-        pays = ((lambda arm, step=step: step[lanes, arm]) for step in potential)
+        # each step pays every trial's chosen arm
+        pays = ((lambda arms, step=step: step[lanes, arms]) for step in potential)
         played[name] = _play(seat, horizon, zip(features, optimal_arms, pays, dt_values))
 
     finals = {seat.agent.name: _finals(seat.agent) for seat in seats}
