@@ -67,6 +67,10 @@ PINNED = {
         "8a93cf91cf2e1681db6ed2a25c1620d7edc4c3b513bd474a7d868daae64f0e16",
         "8e2dd55b7421b9104764ac80d92691993a36d58d502d8e2cb4c8a8aaa38446af",
     ),
+    "LONG_REPLAY": (
+        "84d4ceaf11197f9291a5a9ec5e37c485192fe824aa12459a8bd5b2aef3845cef",
+        "d2bb5ada6edcf435d68b608368081ce2f0861ae7827ab5d7ff3a4da34f127467",
+    ),
 }
 
 

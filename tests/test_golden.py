@@ -8,9 +8,10 @@ on purpose updates the digests and says why in CHANGES.md.
 Between them the configs cover all five agent kinds, every divergence
 source (oracle, plug_in, constant, zero), both selection forms,
 Monte-Carlo and analytic expected features, the linear-AR and kernel
-imputers, the feature-norm dry run, and every replay feature view.  The
-fourth, LONG, runs 4 trials past `REFACTOR_INTERVAL` decisions, so forced
-refactors and a batch of more than two trials are pinned too.
+imputers, the feature-norm dry run, and every replay feature view.  LONG
+and LONG_REPLAY run 4 and 3 trials past `REFACTOR_INTERVAL` decisions, so
+forced refactors and batches of more than two trials are pinned for
+simulate and replay alike.
 """
 
 import hashlib
@@ -126,6 +127,14 @@ REPLAY = {
     ],
 }
 
+LONG_REPLAY = {
+    **REPLAY,
+    "name": "golden_long_replay",
+    "base_seed": 909,
+    "horizon": 600,
+    "trials": 3,
+}
+
 
 def _sha256(path):
     with open(path, "rb") as fh:
@@ -157,4 +166,11 @@ def test_replay_raw_digest(tmp_path):
     res = run_replay(ExperimentConfig(REPLAY), out_dir=str(tmp_path))
     assert _sha256(res["raw_path"]) == (
         "2048b182b3e15d6622a351e62d0a24177743e4f5c00184514b68e30a1339fc8b"
+    )
+
+
+def test_long_replay_raw_digest(tmp_path):
+    res = run_replay(ExperimentConfig(LONG_REPLAY), out_dir=str(tmp_path))
+    assert _sha256(res["raw_path"]) == (
+        "33d8cbfa39cb69f38ccf9dc874c0f22a44e8deff17d11614abaeace421b1c9f0"
     )
