@@ -28,7 +28,8 @@ An agent made with `trials=n` plays n independent trials in lockstep on a
 `RidgeStack`: it takes (n, n_arms, dim) features per decision, returns n
 arms, and its divergence sum and radius are (n,) arrays.  Trial i's
 choices and state equal those of a one-trial agent fed trial i's data, bit
-for bit.
+for bit, since the stacked update runs the one-trial `_chol_update` and
+triangular solves on each trial.
 """
 
 import math

@@ -6,8 +6,7 @@ shared reward noise, but only its permitted view of the context.  No
 choice changes the stream, so a trial takes it as one rollout and builds
 each view's features for the whole horizon at once.  Once every trial is
 built, each agent plays all trials in lockstep, one decision per step for
-every trial at once, through the per-agent loop that replay uses too
-(replay runs one trial at a time).
+every trial at once, through the per-agent loop that replay uses too.
 
 * pulse_ucb      expected features under the configured imputer,
 * oful_observed  features with the late block W forced to 0,
@@ -417,6 +416,18 @@ class ExperimentConfig:
                         f"{agent['dt_source']} divergence is undefined for replay logs; "
                         "use zero or constant",
                     )
+                if (
+                    agent["kind"] == AgentKind.PULSE_UCB.value
+                    and self.imputer["kind"] == ImputerKind.ORACLE
+                ):
+                    raise ConfigError(
+                        "imputer.kind",
+                        "a replay log has no true law of W for an oracle imputer; "
+                        "pulse_ucb replay needs linear_ar, kernel or null",
+                    )
+
+        if replay and self.imputer["path"] is not None:
+            raise ConfigError("imputer.path", "replay fits its imputer on the log; it loads none")
 
         if (
             self.imputer["kind"] in _FITTED_IMPUTERS
@@ -663,7 +674,7 @@ def _pretrain_replay(config):
 class _View:
     """The features one agent decides on: in simulate every trial's (T,
     n_arms, dim) block, stacked as (T, trials, n_arms, dim); in replay one
-    row per log row.
+    row per log row, shared by all trials.
     """
 
     bound: float
@@ -673,8 +684,8 @@ class _View:
 
 @dataclass(frozen=True)
 class _Seat:
-    """One configured agent in the loop: its state, view and choice stream
-    (for a lockstep agent, the list of its trials' streams)."""
+    """One configured agent in the loop: its lockstep state over all trials,
+    its view and the list of its trials' choice streams."""
 
     agent: AgentState
     view: _View
@@ -682,16 +693,12 @@ class _Seat:
 
 
 def _seat_agents(config, trials, arm_count, view_for):
-    """Build every configured agent, in config order, with its view.
+    """Build every configured agent, in config order, with its view, each
+    to play the listed trials in lockstep.
 
-    `trials` is one trial index, for agents on the single-state kernel, or
-    a list of trial indices, for agents that play those trials in
-    lockstep.  `view_for(kind, name)` returns the agent's view, or None
-    for the kinds that decide without features (oracle_best,
-    uniform_random).
+    `view_for(kind, name)` returns the agent's view, or None for the kinds
+    that decide without features (oracle_best, uniform_random).
     """
-    lockstep = isinstance(trials, list)
-    indices = trials if lockstep else [trials]
     seats = []
     for spec in config.agents:
         name = spec["name"]
@@ -719,39 +726,74 @@ def _seat_agents(config, trials, arm_count, view_for):
             schedule=schedule,
             imputer=None if view is None else view.imputer,
             selection_form=SelectionForm(spec["selection_form"]),
-            trials=len(indices) if lockstep else None,
+            trials=len(trials),
         )
-        rngs = [substream(config.base_seed, "trial", i, "agent", name) for i in indices]
-        seats.append(_Seat(agent, view, rngs if lockstep else rngs[0]))
+        rngs = [substream(config.base_seed, "trial", i, "agent", name) for i in trials]
+        seats.append(_Seat(agent, view, rngs))
     return seats
 
 
 def _play(seat, horizon, steps):
-    """One seat's decision loop over its whole horizon, for simulate and
-    replay alike.
+    """One seat's decision loop over its whole horizon, every trial at each
+    step, for simulate and replay alike.
 
-    `steps` yields, per decision, the feature matrix of the seat's view
-    (None for kinds without one), the optimal arm (None when unknown),
-    `pay(arm)`, which returns the chosen arm's reward, and the divergence
-    value that observe receives.  For a lockstep seat each of these holds
-    every trial's entry, and `pay` takes and returns one per trial.
-    Returns (arms, rewards), each (horizon,) for a one-trial seat and
-    (trials, horizon) for a lockstep one.
+    `steps` yields, per decision, the (trials, n_arms, dim) features of the
+    seat's view (None for kinds without one), the optimal arm per trial
+    (None when unknown), `pay(arms)`, which takes the chosen arm per trial
+    and returns their rewards, and the divergence value that observe
+    receives.  Returns (arms, rewards), each (trials, horizon).
     """
-    trials = seat.agent.trials
-    shape = (horizon,) if trials is None else (trials, horizon)
+    shape = (seat.agent.trials, horizon)
     arms = np.empty(shape, dtype=int)
     rewards = np.empty(shape)
-    lanes = None if trials is None else np.arange(trials)
+    lanes = np.arange(seat.agent.trials)
     for i, (feats, optimal_arm, pay, dt_value) in zip(range(horizon), steps):
         arm = select_arm(seat.agent, feats, optimal_arm=optimal_arm, rng=seat.rng)
         reward = pay(arm)
         if seat.view is not None:
-            chosen = feats[arm] if lanes is None else feats[lanes, arm]
-            observe(seat.agent, chosen, reward, dt_value=dt_value)
-        arms[..., i] = arm
-        rewards[..., i] = reward
+            observe(seat.agent, feats[lanes, arm], reward, dt_value=dt_value)
+        arms[:, i] = arm
+        rewards[:, i] = reward
     return arms, rewards
+
+
+def _play_trials(seats, horizon, steps_for, columns):
+    """Play every seat over all its trials, then split the play by trial.
+
+    `steps_for(seat)` gives the seat's per-decision steps for `_play`, and
+    `columns(lane, arms)` the extra per-step columns of the arms chosen in
+    one trial lane.  Returns one dict per lane: each agent's columns,
+    running ones included, under "agents", the agent names, and each
+    agent's divergence sum and radius after its last observation (None for
+    the kinds without a confidence schedule).
+    """
+    played = {seat.agent.name: _play(seat, horizon, steps_for(seat)) for seat in seats}
+    trials = seats[0].agent.trials
+    finals = {
+        seat.agent.name: (
+            (seat.agent.schedule.dt_cumsum.tolist(), current_gamma(seat.agent).tolist())
+            if seat.agent.is_ucb
+            else ([None] * trials,) * 2
+        )
+        for seat in seats
+    }
+    results = []
+    for lane in range(trials):
+        agents = {
+            name: _add_running_columns(
+                {"arm": arms[lane], "reward": rewards[lane], **columns(lane, arms[lane])}
+            )
+            for name, (arms, rewards) in played.items()
+        }
+        results.append(
+            {
+                "agents": agents,
+                "names": list(agents),
+                "final_dt_cumsum": {name: dt[lane] for name, (dt, _) in finals.items()},
+                "final_gamma": {name: gamma[lane] for name, (_, gamma) in finals.items()},
+            }
+        )
+    return results
 
 
 def _add_running_columns(cols):
@@ -834,20 +876,23 @@ def _build_trial(config, trial_index, fitted_imputer):
     observed = rollout.observed
     fallbacks_before = 0 if fitted_imputer is None else fitted_imputer.fallback_count
 
-    # the observed view zeroes W and models it as N(0, true sd)
+    # each configured view's features and its model of the law of W per
+    # step, (means (T, d_W), sd (d_W,)); None for the view that sees W itself
+    kinds = {AgentKind(spec["kind"]) for spec in config.agents}
     truth_sd = np.full(env.d_w, float(rollout.cond_sd_w))
-    zeros_w = np.zeros_like(rollout.cond_mean_w)
-    blocks = {
-        AgentKind.OFUL_FULL: phi_batch(fmap, rollout.full_context, observed),
-        AgentKind.OFUL_OBSERVED: phi_batch(
+    blocks = {}
+    w_laws = {AgentKind.OFUL_FULL: None}
+    if AgentKind.OFUL_FULL in kinds:
+        blocks[AgentKind.OFUL_FULL] = phi_batch(fmap, rollout.full_context, observed)
+    if AgentKind.OFUL_OBSERVED in kinds:
+        # the observed view zeroes W and models it as N(0, true sd)
+        zeros_w = np.zeros_like(rollout.cond_mean_w)
+        blocks[AgentKind.OFUL_OBSERVED] = phi_batch(
             fmap, np.concatenate([observed, zeros_w], axis=1), observed
-        ),
-    }
-    # each view's model of the law of W per step, (means (T, d_W), sd
-    # (d_W,)); None for the view that sees W itself
-    w_laws = {AgentKind.OFUL_FULL: None, AgentKind.OFUL_OBSERVED: (zeros_w, truth_sd)}
+        )
+        w_laws[AgentKind.OFUL_OBSERVED] = (zeros_w, truth_sd)
     imputer = None
-    if any(spec["kind"] == AgentKind.PULSE_UCB.value for spec in config.agents):
+    if AgentKind.PULSE_UCB in kinds:
         if config.imputer["kind"] == ImputerKind.ORACLE:
             imputer = oracle_imputer(env, mc_samples=config.imputer["mc_samples"])
             imputer.analytic = config.imputer["analytic"]
@@ -909,8 +954,8 @@ def run_trials(config, trial_indices, fitted_imputer, plug_in_dt, feat_norm_boun
         return _View(feat_norm_bound, stacked, imputer=imputer)
 
     seats = _seat_agents(config, trial_indices, built[0].arm_count, view_for)
-    played = {}
-    for seat in seats:
+
+    def steps_for(seat):
         name = seat.agent.name
         dt_values = repeat(plug_in_dt)  # ZERO ignores the value, CONSTANT adds its own
         if name in built[0].charges:
@@ -918,49 +963,23 @@ def run_trials(config, trial_indices, fitted_imputer, plug_in_dt, feat_norm_boun
         features = repeat(None) if seat.view is None else seat.view.features
         # each step pays every trial's chosen arm
         pays = ((lambda arms, step=step: step[lanes, arms]) for step in potential)
-        played[name] = _play(seat, horizon, zip(features, optimal_arms, pays, dt_values))
+        return zip(features, optimal_arms, pays, dt_values)
 
-    finals = {seat.agent.name: _finals(seat.agent) for seat in seats}
     rows = np.arange(horizon)
-    results = []
-    for lane, trial in enumerate(built):
-        rollout = trial.rollout
+
+    def regret_columns(lane, arms):
+        rollout = built[lane].rollout
         cond_means = rollout.cond_arm_means
-        out = {}
-        for name, (arms, rewards) in played.items():
-            cols = {
-                "arm": arms[lane],
-                "reward": rewards[lane],
-                "inst_regret": rollout.optimal_mean - rollout.arm_means[rows, arms[lane]],
-                "cond_inst": cond_means.max(axis=1) - cond_means[rows, arms[lane]],
-            }
-            out[name] = _add_running_columns(cols)
-        results.append(
-            {
-                "agents": out,
-                "names": list(out),
-                "max_abs_reward": float(np.abs(rollout.potential_rewards).max()),
-                "final_dt_cumsum": {
-                    name: None if dt is None else float(dt[lane])
-                    for name, (dt, _) in finals.items()
-                },
-                "final_gamma": {
-                    name: None if gamma is None else float(gamma[lane])
-                    for name, (_, gamma) in finals.items()
-                },
-                "kernel_fallbacks": trial.kernel_fallbacks,
-            }
-        )
+        return {
+            "inst_regret": rollout.optimal_mean - rollout.arm_means[rows, arms],
+            "cond_inst": cond_means.max(axis=1) - cond_means[rows, arms],
+        }
+
+    results = _play_trials(seats, horizon, steps_for, regret_columns)
+    for res, trial in zip(results, built):
+        res["max_abs_reward"] = float(np.abs(trial.rollout.potential_rewards).max())
+        res["kernel_fallbacks"] = trial.kernel_fallbacks
     return results
-
-
-def _finals(agent):
-    """(divergence sum, radius gamma) after the agent's last observation,
-    one per trial for a lockstep agent; (None, None) for the kinds without
-    a confidence schedule."""
-    if not agent.is_ucb:
-        return None, None
-    return agent.schedule.dt_cumsum, current_gamma(agent)
 
 
 def run_trial(config, trial_index, fitted_imputer, plug_in_dt, feat_norm_bound):
@@ -1221,22 +1240,31 @@ def _replay_views(config, log, imputer):
     }
 
 
-def _replay_steps(seat, stream, k):
-    """What `_play` takes per decision of a replay trial: the seat's own
-    stream of k logged candidates, whose reveal pays the chosen one."""
+def _replay_steps(config, seat, log, k):
+    """What `_play` takes per decision of a replay seat: each trial's own
+    stream of k candidates from `log`, whose reveal pays the arm chosen in
+    that trial."""
+    streams = [
+        ReplayStream(log, substream(config.base_seed, "trial", i, "replay", seat.agent.name))
+        for i in range(config.trials)
+    ]
     table = None if seat.view is None else seat.view.features
     while True:
-        candidates, reveal = stream.step(k)
-        yield None if table is None else table[candidates], None, reveal, None
+        candidates, reveals = zip(*(stream.step(k) for stream in streams))
+
+        def pay(arms, reveals=reveals):
+            return [reveal(arm) for reveal, arm in zip(reveals, arms)]
+
+        yield None if table is None else table[np.array(candidates)], None, pay, None
 
 
 def run_replay(config, out_dir=None, overrides_echo=()):
     """Offline replay: per step, k logged candidates, the chosen row's
     reward revealed, cumulative click-through rate tracked per agent.
 
-    Each agent replays the online portion on its own candidate stream, so
-    its rows do not depend on which other agents run; trials are
-    independent seeds.
+    Each agent replays the online portion on its own candidate stream per
+    trial, so its rows do not depend on which other agents or trials run;
+    trials are independent seeds, played in lockstep.
     """
     out_dir = _output_dir(config, out_dir)
 
@@ -1263,19 +1291,10 @@ def run_replay(config, out_dir=None, overrides_echo=()):
     timings = {"pretrain": time.perf_counter() - clock}
     clock = time.perf_counter()
 
-    results = []
-    for trial_index in range(config.trials):
-        seats = _seat_agents(config, trial_index, k, lambda kind, name: views.get(kind))
-        agents = {}
-        for seat in seats:
-            stream = ReplayStream(
-                online_log,
-                substream(config.base_seed, "trial", trial_index, "replay", seat.agent.name),
-            )
-            arms, rewards = _play(seat, horizon, _replay_steps(seat, stream, k))
-            agents[seat.agent.name] = _add_running_columns({"arm": arms, "reward": rewards})
-        gammas = {seat.agent.name: _finals(seat.agent)[1] for seat in seats}
-        results.append({"agents": agents, "names": list(agents), "final_gamma": gammas})
+    seats = _seat_agents(config, list(range(config.trials)), k, lambda kind, name: views.get(kind))
+    results = _play_trials(
+        seats, horizon, lambda seat: _replay_steps(config, seat, online_log, k), lambda *_: {}
+    )
     timings["trials"] = time.perf_counter() - clock
     clock = time.perf_counter()
 

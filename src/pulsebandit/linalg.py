@@ -22,11 +22,10 @@ floating-point drift.  Matrices are dense; dimensions here are tiny.
 `RidgeStack` holds the states of many independent problems of one
 dimension, one per trial, and advances them in lockstep: one call updates
 every trial.  It computes what the single-state kernel computes, bit for
-bit: the rank-one factor update runs elementwise over the trial axis in
-`_chol_update`'s operation order with `math.hypot` pivots, every
-triangular solve is the per-trial LAPACK call the single state makes, and
-the refactor counter, pivot-floor check and refactor fallback act per
-trial.
+bit, because it runs the same functions: each trial's rank-one factor
+update is `_chol_update` on that trial's rows, every triangular solve is
+the per-trial LAPACK call the single state makes, and the refactor
+counter, pivot-floor check and refactor fallback act per trial.
 """
 
 import math
@@ -309,39 +308,6 @@ def rank_one_update(state, x, reward):
     return state
 
 
-def _stack_chol_update(factor, x, floor):
-    """`_chol_update` of every trial at once, in place on the (trials, d,
-    d) `factor` with the rows of x (trials, d).
-
-    Each step is elementwise over the trial axis, in `_chol_update`'s
-    operation order, with its `math.hypot` pivots.  Returns the mask of
-    trials whose factor must be rebuilt: those that hit a nonpositive or
-    non-finite pivot, whose entries are then meaningless, and those with a
-    squared pivot below `floor`.  Pivot k's l_kk is the input's diagonal
-    entry, since no earlier step writes it, and its r is the output's, so
-    both pivot checks read the diagonals.
-    """
-    trials, d = x.shape
-    bad = (np.diagonal(factor, axis1=1, axis2=2) <= 0.0).any(axis=1)
-    v = x.copy()
-    # a bad trial's entries may divide by zero or overflow; its factor is rebuilt
-    with np.errstate(all="ignore"):
-        for k in range(d):
-            lkk = factor[:, k, k]
-            vk = v[:, k]
-            r = np.fromiter(map(math.hypot, lkk.tolist(), vk.tolist()), float, trials)
-            c = r / lkk
-            s = vk / lkk
-            factor[:, k, k] = r
-            if k + 1 < d:
-                c, s = c[:, None], s[:, None]
-                lik = (factor[:, k + 1 :, k] + s * v[:, k + 1 :]) / c
-                factor[:, k + 1 :, k] = lik
-                v[:, k + 1 :] = c * v[:, k + 1 :] - s * lik
-        diag = np.diagonal(factor, axis1=1, axis2=2)
-        return bad | (~np.isfinite(diag) | (diag * diag < floor)).any(axis=1)
-
-
 def stack_rank_one_update(stack, x, reward):
     """Fold one observation per trial into the stack, in place.
 
@@ -362,18 +328,27 @@ def stack_rank_one_update(stack, x, reward):
     if not np.isfinite(reward).all():
         raise InputError("reward contains non-finite entries")
 
-    factor = stack.factor
-    stack.log_det += [math.log1p(_quad(f, v)) for f, v in zip(factor, x)]
+    stack.log_det += [math.log1p(_quad(f, v)) for f, v in zip(stack.factor, x)]
     stack.gram += x[:, :, None] * x[:, None, :]
     stack.xr_sum += reward[:, None] * x
     stack._since_refactor += 1
 
-    rebuild = _stack_chol_update(factor, x, PIVOT_FLOOR * stack.lam)
+    rows = stack.factor.tolist()
+    rebuild = np.zeros(stack.trials, dtype=bool)
+    for i, (trial_rows, trial_x) in enumerate(zip(rows, x.tolist())):
+        try:
+            _chol_update(trial_rows, trial_x)
+        except NumericalError:
+            rebuild[i] = True
+    factor = np.array(rows)
+    diag = np.diagonal(factor, axis1=1, axis2=2)
+    rebuild |= (diag * diag < PIVOT_FLOOR * stack.lam).any(axis=1)
     rebuild |= stack._since_refactor >= REFACTOR_INTERVAL
     for i in np.flatnonzero(rebuild):
         factor[i] = _cholesky(stack.gram[i])
         stack._since_refactor[i] = 0
 
+    stack.factor = factor
     stack.update_count += 1
     stack.theta_hat = np.stack([_sigma_inv(f, b) for f, b in zip(factor, stack.xr_sum)])
     return stack

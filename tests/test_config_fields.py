@@ -23,12 +23,17 @@ ENVIRONMENTS = {
 
 
 def base(env_kind="synthetic"):
-    return {
+    raw = {
         "schema_version": 1,
         "horizon": 10,
         "environment": dict(ENVIRONMENTS[env_kind]),
         "agents": [{"kind": "oful_full"}],
     }
+    if env_kind == "replay":
+        # a pulse_ucb agent on a fitted imputer, whose kind replay checks
+        raw["imputer"] = {"kind": "linear_ar"}
+        raw["agents"] = [{"kind": "pulse_ucb"}]
+    return raw
 
 
 class _Missing:
@@ -123,6 +128,10 @@ BAD = {
     ("replay", "environment.kind"): [None],
     ("replay", "environment.path"): [MISSING],
     ("replay", "environment.k"): [0, "20"],
+    # a replay log has no true law of W for an oracle imputer (the default)
+    ("replay", "imputer.kind"): ["oracle", MISSING],
+    # replay fits its imputer on the log and would ignore a loaded one
+    ("replay", "imputer.path"): ["imputer.json"],
 }
 
 # fields that take any value and keep it as a string
@@ -152,7 +161,11 @@ def _table_fields():
 
 
 # cases of a field under an environment kind whose table does not list it
-CROSS_KIND = {("lower_bound", "agents[0].dt_source")}
+CROSS_KIND = {
+    ("lower_bound", "agents[0].dt_source"),
+    ("replay", "imputer.kind"),
+    ("replay", "imputer.path"),
+}
 
 
 def test_every_table_field_has_a_case():
@@ -350,6 +363,15 @@ def configs(draw):
     if kind != "replay" or draw(st.booleans()):
         raw["horizon"] = draw(count if kind != "replay" else optional(count))
     imputer = raw.get("imputer", {})
+    if kind == "replay":
+        # replay fits its imputer on the log and loads none; a pulse_ucb
+        # agent needs that fitted (or null) model, not the oracle
+        imputer.pop("path", None)
+        if imputer.get("kind", "oracle") == "oracle" and any(
+            agent["kind"] == "pulse_ucb" for agent in agents
+        ):
+            kinds = st.sampled_from(["linear_ar", "kernel", "null"])
+            imputer = raw["imputer"] = {**imputer, "kind": draw(kinds)}
     if kind != "replay" and imputer.get("kind") in ("linear_ar", "kernel") and not imputer.get(
         "path"
     ):

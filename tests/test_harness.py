@@ -348,7 +348,7 @@ def _count_decisions(monkeypatch):
 
     def counted(agent, *args, **kwargs):
         arms = original(agent, *args, **kwargs)
-        calls.append(1 if agent.trials is None else len(arms))
+        calls.append(len(arms))
         return arms
 
     monkeypatch.setattr(harness, "select_arm", counted)
@@ -357,16 +357,35 @@ def _count_decisions(monkeypatch):
 
 def test_every_decision_goes_through_harness_select_arm(tmp_path, monkeypatch):
     # the benchmark marks the first decision by swapping harness.select_arm;
-    # simulate decides for all trials of an agent in one call, replay for one
+    # simulate and replay alike decide for all trials of an agent in one call
     calls = _count_decisions(monkeypatch)
     raw = tiny_raw(horizon=15)
     run_experiment(ExperimentConfig(raw), out_dir=str(tmp_path / "sim"))
     assert calls == [raw["trials"]] * 15 * len(raw["agents"])
 
     del calls[:]
-    raw = replay_raw(tmp_path, horizon=12)
+    raw = replay_raw(tmp_path, horizon=12, trials=3)
     run_replay(ExperimentConfig(raw), out_dir=str(tmp_path / "rep"))
-    assert calls == [1] * raw["trials"] * 12 * len(raw["agents"])
+    assert calls == [raw["trials"]] * 12 * len(raw["agents"])
+
+
+def test_replay_trial_rows_do_not_depend_on_the_trial_count(tmp_path):
+    # lockstep trials each draw from their own candidate and choice streams
+    def rows_by_trial(trials):
+        res = run_replay(ExperimentConfig(replay_raw(tmp_path, trials=trials)),
+                         out_dir=str(tmp_path / f"t{trials}"))
+        by_trial = {}
+        with open(res["raw_path"]) as fh:
+            next(fh)
+            for line in fh:
+                by_trial.setdefault(line.split(",")[0], []).append(line)
+        return by_trial
+
+    alone, three = rows_by_trial(1), rows_by_trial(3)
+    assert list(alone) == ["0"] and list(three) == ["0", "1", "2"]
+    assert three["0"] == alone["0"]
+    strip = [[line.split(",", 1)[1] for line in three[t]] for t in ("0", "1", "2")]
+    assert strip[0] != strip[1] and strip[1] != strip[2]
 
 
 def test_replay_agent_rows_do_not_depend_on_other_agents(tmp_path):
@@ -535,6 +554,29 @@ def test_run_trial_takes_one_rollout_and_no_steps(monkeypatch):
     for trial in range(3):
         run_trial(cfg, trial, imp, plug, bound)
     assert rollouts == [30, 30, 30]
+
+
+def test_trials_build_only_the_configured_views(monkeypatch):
+    # pulse_ucb takes expected features from its imputer and oful_full the
+    # full-context block, so no trial builds the observed view's block
+    import pulsebandit.harness as harness
+    raw = tiny_raw(horizon=20, trials=3)
+    raw["agents"] = [
+        {"name": "pulse_ucb", "kind": "pulse_ucb", "dt_source": "oracle"},
+        {"name": "oful_full", "kind": "oful_full", "dt_source": "oracle"},
+    ]
+    cfg = ExperimentConfig(raw)
+    imp, plug, bound = fitted(cfg)
+    built = []
+    original = harness.phi_batch
+
+    def counted(fmap, contexts, observed):
+        built.append(contexts.shape)
+        return original(fmap, contexts, observed)
+
+    monkeypatch.setattr(harness, "phi_batch", counted)
+    harness.run_trials(cfg, range(3), imp, plug, bound)
+    assert len(built) == 3
 
 
 def test_null_imputer_with_oracle_pulse_is_a_config_error():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulsebandit import (
     InputError,
@@ -422,3 +424,52 @@ def test_lockstep_kernel_rejects_bad_input():
     bad[1, 2, 0] = np.nan
     with pytest.raises(InputError):
         stack_quadratic_forms(stack, bad)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    trials=st.integers(1, 4),
+    dim=st.integers(1, 6),
+    lam=st.floats(0.1, 10.0),
+    interval=st.integers(2, 8),
+    steps=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    events=st.lists(
+        st.tuples(st.integers(0, 39), st.integers(0, 3), st.sampled_from(["zero", "floor", "bad"])),
+        max_size=12,
+    ),
+)
+def test_ridge_stack_invariants(trials, dim, lam, interval, steps, seed, events):
+    # events zero a trial's row at a step and may first plant a pivot below
+    # the floor or a nonpositive one in its factor; the zero row keeps the
+    # planted pivot in place and the Sylvester increment exact, so the
+    # update must refactor that trial.  A small REFACTOR_INTERVAL forces
+    # the periodic refactor too.
+    from pulsebandit import linalg
+
+    rng = np.random.default_rng(seed)
+    stack = linalg.new_ridge_stack(trials, dim, lam)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "REFACTOR_INTERVAL", interval)
+        for step in range(steps):
+            x = rng.uniform(-2.0, 2.0, (trials, dim))
+            for at, trial, event in events:
+                if at != step or trial >= trials:
+                    continue
+                x[trial] = 0.0
+                k = rng.integers(dim)
+                if event == "floor":
+                    stack.factor[trial, k, k] = 0.5 * math.sqrt(PIVOT_FLOOR * lam)
+                elif event == "bad":
+                    stack.factor[trial, k, k] = -1.0
+            linalg.stack_rank_one_update(stack, x, rng.standard_normal(trials))
+            assert (stack._since_refactor < interval).all()
+            for i in range(trials):
+                gram, factor, theta = stack.gram[i], stack.factor[i], stack.theta_hat[i]
+                scale = np.abs(gram).max()
+                np.testing.assert_allclose(factor @ factor.T, gram, rtol=1e-10, atol=1e-10 * scale)
+                sign, logdet = np.linalg.slogdet(gram)
+                assert sign > 0
+                assert abs(stack.log_det[i] - logdet) <= 1e-9 * max(1.0, abs(logdet))
+                residual = np.abs(gram @ theta - stack.xr_sum[i]).max()
+                assert residual <= 1e-9 * (scale * np.abs(theta).max() + 1.0)
