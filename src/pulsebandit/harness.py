@@ -773,7 +773,7 @@ def _play_trials(seats, horizon, steps_for, columns):
         seat.agent.name: (
             (seat.agent.schedule.dt_cumsum.tolist(), current_gamma(seat.agent).tolist())
             if seat.agent.is_ucb
-            else ([None] * trials,) * 2
+            else ([None] * trials, [None] * trials)
         )
         for seat in seats
     }

@@ -567,16 +567,16 @@ def test_trials_build_only_the_configured_views(monkeypatch):
     ]
     cfg = ExperimentConfig(raw)
     imp, plug, bound = fitted(cfg)
-    built = []
+    calls = []
     original = harness.phi_batch
 
-    def counted(fmap, contexts, observed):
-        built.append(contexts.shape)
-        return original(fmap, contexts, observed)
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
 
     monkeypatch.setattr(harness, "phi_batch", counted)
     harness.run_trials(cfg, range(3), imp, plug, bound)
-    assert len(built) == 3
+    assert len(calls) == 3
 
 
 def test_null_imputer_with_oracle_pulse_is_a_config_error():
