@@ -26,14 +26,16 @@ arm index.
 
 An agent made with `trials=n` plays n independent trials in lockstep on a
 `RidgeStack`: it takes (n, n_arms, dim) features per decision, returns n
-arms, and its divergence sum and radius are (n,) arrays.  Trial i's
-choices and state equal those of a one-trial agent fed trial i's data, bit
-for bit, since the stacked update runs the one-trial `_chol_update` and
-triangular solves on each trial.
+arms, and its divergence sum and radius are (n,) arrays.  The stack tracks
+each trial's Sigma^{-1} by Sherman-Morrison updates and re-inverts a trial
+from its exact Gram matrix every `REFACTOR_INTERVAL` updates or when its
+inverse loses health, so trial i's scores and state agree with those of a
+one-trial agent fed trial i's data to rounding (see `linalg`), not bit for
+bit; its divergence sum and radius agree exactly.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -175,11 +177,8 @@ class AgentState:
     arm_count: int
     ridge: object = None
     schedule: GammaSchedule = None
-    imputer: object = None
     selection_form: SelectionForm = SelectionForm.CLOSED_FORM
     trials: int = None  # lockstep trial count; None for a one-trial agent
-    # diagnostics
-    last_gamma: float = field(default=None, repr=False)
 
     @property
     def is_ucb(self):
@@ -196,7 +195,9 @@ def make_agent(
     selection_form=SelectionForm.CLOSED_FORM,
     trials=None,
 ):
-    """Assemble an agent; UCB kinds require dim and schedule.
+    """Assemble an agent; UCB kinds require dim and schedule, and pulse_ucb
+    an imputer (checked here only: the agent takes its imputed features
+    from the caller, so it keeps no imputer).
 
     With `trials` set, the agent plays that many trials in lockstep, its
     ridge state a RidgeStack and its schedule a copy whose divergence sum
@@ -228,7 +229,6 @@ def make_agent(
         arm_count=int(arm_count),
         ridge=ridge,
         schedule=schedule,
-        imputer=imputer,
         selection_form=selection_form,
         trials=trials,
     )
@@ -250,24 +250,30 @@ def current_gamma(agent):
     return gamma_at(agent.schedule, t)
 
 
-def _ball_scores(factor, gram, theta, gamma, feats, quads):
-    """Scores through the explicit maximizers over one trial's ball."""
+def _ball_scores(gram, theta, gamma, feats, quads, sigma_inv_feats):
+    """Scores through the explicit maximizers over the ball.
+
+    One trial's arrays are `gram` (d, d), `theta` (d,), `gamma` a scalar,
+    `feats` and `sigma_inv_feats`, Sigma^{-1} of each row, (k, d) and
+    `quads` (k,); a lockstep agent's carry a leading trial axis.
+    """
+    gamma = np.asarray(gamma)
+    center = theta[..., None, :]
     # an arm with a zero form has the ball's center as its maximizer
-    scores = feats @ theta
     live = quads != 0.0
-    x = feats[live]
-    # explicit maximizers over the ball, then cross-check membership
-    directions = _sigma_inv(factor, x.T).T / np.sqrt(quads[live])[:, None]
-    theta_star = theta + math.sqrt(gamma) * directions
-    diff = theta_star - theta
-    radius = np.einsum("ij,ij->i", diff @ gram, diff)
-    if (radius > gamma * (1.0 + _BALL_CHECK_RTOL)).any():
+    directions = sigma_inv_feats / np.sqrt(np.where(live, quads, 1.0))[..., None]
+    theta_star = center + np.where(
+        live[..., None], np.sqrt(gamma)[..., None, None] * directions, 0.0
+    )
+    # cross-check that every explicit maximizer lies in its ball
+    diff = theta_star - center
+    radius = np.einsum("...kd,...de,...ke->...k", diff, gram, diff)
+    if (radius > gamma[..., None] * (1.0 + _BALL_CHECK_RTOL)).any():
         raise InputError(
             "ball-maximization optimizer left the confidence ball "
-            f"({radius.max()} > {gamma})"
+            f"({radius.max()} > {gamma.max()})"
         )
-    scores[live] = np.einsum("ij,ij->i", theta_star, x)
-    return scores
+    return np.einsum("...kd,...kd->...k", theta_star, feats)
 
 
 def arm_ucb_scores(agent, arm_features):
@@ -277,9 +283,11 @@ def arm_ucb_scores(agent, arm_features):
     directly; ball maximization materializes the maximizing theta on the
     confidence ball and scores through it, cross-checking membership.
     Both forms agree up to floating point, and both take every arm's
-    x^T Sigma^{-1} x from one stacked solve; ball maximization takes every
-    maximizer from one more.  A lockstep agent takes (trials, n_arms, dim)
-    features and scores every trial's arms as one (trials, n_arms) array.
+    x^T Sigma^{-1} x from one stacked call; ball maximization takes every
+    Sigma^{-1} x from one more (a solve against the factor of a one-trial
+    agent, a product with the tracked inverses of a lockstep one).  A
+    lockstep agent takes (trials, n_arms, dim) features and scores every
+    trial's arms as one (trials, n_arms) array.
     """
     if not agent.is_ucb:
         raise UsageError(f"{agent.kind.value} agents have no UCB scores")
@@ -296,15 +304,13 @@ def arm_ucb_scores(agent, arm_features):
         quads = quadratic_form_inv(ridge, feats)
 
     gamma = current_gamma(agent)
-    agent.last_gamma = gamma
     theta = ridge.theta_hat
     if agent.selection_form is SelectionForm.BALL_MAXIMIZATION:
-        if not lockstep:
-            return _ball_scores(ridge.factor, ridge.gram, theta, gamma, feats, quads)
-        return np.stack([
-            _ball_scores(*trial)
-            for trial in zip(ridge.factor, ridge.gram, theta, gamma, feats, quads)
-        ])
+        if lockstep:
+            sigma_inv_feats = np.einsum("nde,nke->nkd", ridge.inv, feats)
+        else:
+            sigma_inv_feats = _sigma_inv(ridge.factor, feats.T).T
+        return _ball_scores(ridge.gram, theta, gamma, feats, quads, sigma_inv_feats)
     if not lockstep:
         return feats @ theta + math.sqrt(gamma) * np.sqrt(quads)
     # one matrix-vector product per trial, as the one-trial form takes

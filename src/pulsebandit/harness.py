@@ -1122,7 +1122,8 @@ def _output_dir(config, out_dir):
 def run_experiment(config, out_dir=None, overrides_echo=()):
     """Pretrain, run all trials, and write raw/aggregate/metadata files.
 
-    Returns a summary dict with output paths and final mean regrets.
+    Returns a summary dict with output paths, final mean regrets and each
+    agent's final cumulative regret per trial, in trial order.
     """
     if config.environment["kind"] == "replay":
         return run_replay(config, out_dir=out_dir, overrides_echo=overrides_echo)
@@ -1163,6 +1164,10 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
             imputer_sha = hashlib.sha256(fh.read()).hexdigest()
 
     max_abs_reward = max(res["max_abs_reward"] for res in results)
+    final_cum_regret = {
+        name: [float(res["agents"][name]["cum_regret"][-1]) for res in results]
+        for name in results[0]["names"]
+    }
     timings["write"] = time.perf_counter() - clock
     meta_path = _write_metadata(
         out_dir,
@@ -1185,6 +1190,7 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
             },
             "final_dt_cumsum": _per_trial(results, "final_dt_cumsum"),
             "final_gamma": _per_trial(results, "final_gamma"),
+            "final_cum_regret": final_cum_regret,
             "summary": summary,
         },
         timings,
@@ -1197,6 +1203,7 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
         "metadata_path": meta_path,
         "summary": summary,
         "max_abs_reward": max_abs_reward,
+        "final_cum_regret": final_cum_regret,
     }
 
 

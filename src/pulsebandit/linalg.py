@@ -21,11 +21,22 @@ floating-point drift.  Matrices are dense; dimensions here are tiny.
 
 `RidgeStack` holds the states of many independent problems of one
 dimension, one per trial, and advances them in lockstep: one call updates
-every trial.  It computes what the single-state kernel computes, bit for
-bit, because it runs the same functions: each trial's rank-one factor
-update is `_chol_update` on that trial's rows, every triangular solve is
-the per-trial LAPACK call the single state makes, and the refactor
-counter, pivot-floor check and refactor fallback act per trial.
+every trial with a fixed number of numpy calls, whatever the trial count.
+It tracks each trial's inverse Sigma^{-1} in place of a factor, next to the
+exact Gram matrix.  The Sherman-Morrison identity
+
+    (Sigma + x x^T)^{-1} = Sigma^{-1} - u u^T / (1 + q),
+    u = Sigma^{-1} x,  q = x^T u,
+
+advances it, and q gives the Sylvester increment log(1 + q).  A trial
+re-inverts from its exact Gram matrix (a Cholesky factorization, which
+also resets its log-determinant) when its own counter reaches
+`REFACTOR_INTERVAL`, and when its 1 + q or a diagonal entry of its updated
+inverse is not finite and positive; only that trial's counter restarts.
+The stack's forms, `theta_hat` and log-determinants therefore agree with
+the one-trial kernel's to rounding, not bit for bit.  The tests bound the
+gap, and the gap to a dense solve, by 1e-9 relative; over 1000 updates at
+dimension up to 9 it stays within 3e-15.
 """
 
 import math
@@ -48,8 +59,9 @@ __all__ = [
     "REFACTOR_INTERVAL",
 ]
 
-# Forced refactorization cadence and relative pivot floor.  The floor is
-# compared against squared factor diagonals, i.e. against matrix pivots.
+# Forced refactorization (RidgeStack: re-inversion) cadence, and the
+# relative pivot floor of RidgeState.  The floor is compared against
+# squared factor diagonals, i.e. against matrix pivots.
 REFACTOR_INTERVAL = 512
 PIVOT_FLOOR = 1e-12
 
@@ -102,11 +114,13 @@ class RidgeState:
 class RidgeStack:
     """Ridge states of `trials` independent problems, updated in lockstep.
 
-    The attributes are RidgeState's with a leading trial axis: `gram` and
-    `factor` are (trials, dim, dim), `xr_sum` and `theta_hat` (trials,
-    dim), `log_det` (trials,).  Every trial takes one update per call, so
-    `update_count` is shared; the refactor counter is per trial, since a
-    trial refactors early when its own factor degrades.
+    The attributes are RidgeState's with a leading trial axis, except that
+    the stack keeps `inv`, the tracked inverse of `gram`, in place of a
+    factor: `gram` and `inv` are (trials, dim, dim), `xr_sum` and
+    `theta_hat` (trials, dim), `log_det` (trials,).  Every trial takes one
+    update per call, so `update_count` is shared; the re-inversion counter
+    is per trial, since a trial re-inverts early when its own inverse
+    degrades.
     """
 
     __slots__ = (
@@ -114,7 +128,7 @@ class RidgeStack:
         "dim",
         "lam",
         "gram",
-        "factor",
+        "inv",
         "xr_sum",
         "theta_hat",
         "log_det",
@@ -127,7 +141,7 @@ class RidgeStack:
         self.dim = dim
         self.lam = lam
         self.gram = np.tile(np.eye(dim) * lam, (trials, 1, 1))
-        self.factor = np.tile(np.eye(dim) * math.sqrt(lam), (trials, 1, 1))
+        self.inv = np.tile(np.eye(dim) / lam, (trials, 1, 1))
         self.xr_sum = np.zeros((trials, dim))
         self.theta_hat = np.zeros((trials, dim))
         self.log_det = np.full(trials, dim * math.log(lam))
@@ -218,8 +232,8 @@ def quadratic_form_inv(state, v):
 def stack_quadratic_forms(stack, v):
     """Every trial's forms v^T Sigma^{-1} v of its own k rows.
 
-    `v` is (trials, k, dim) and the result (trials, k); row i is what
-    quadratic_form_inv gives for trial i's state and rows.
+    `v` is (trials, k, dim) and the result (trials, k), read from the
+    tracked inverses in one contraction; a zero row's form is exactly 0.0.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 3 or v.shape[0] != stack.trials or v.shape[2] != stack.dim:
@@ -228,7 +242,7 @@ def stack_quadratic_forms(stack, v):
         )
     if not np.isfinite(v).all():
         raise InputError("v contains non-finite entries")
-    return np.stack([_forms(factor, rows) for factor, rows in zip(stack.factor, v)])
+    return np.einsum("nkd,nde,nke->nk", v, stack.inv, v)
 
 
 def _cholesky(gram):
@@ -308,14 +322,29 @@ def rank_one_update(state, x, reward):
     return state
 
 
+def _reinvert(stack, trials):
+    """Re-invert the listed trials from their exact Gram matrices.
+
+    One batched Cholesky factorization gives each trial's log-determinant
+    and, through the inverse of its factor, an exactly symmetric inverse.
+    """
+    factor = _cholesky(stack.gram[trials])
+    factor_inv = np.linalg.inv(factor)
+    stack.inv[trials] = np.einsum("nki,nkj->nij", factor_inv, factor_inv)
+    stack.log_det[trials] = 2.0 * np.log(np.diagonal(factor, axis1=1, axis2=2)).sum(axis=1)
+    stack._since_refactor[trials] = 0
+
+
 def stack_rank_one_update(stack, x, reward):
     """Fold one observation per trial into the stack, in place.
 
     Row i of `x` (trials, dim) and `reward[i]` go to trial i, as
-    rank_one_update would fold them into trial i's own state.  A trial
-    refactors when its own counter reaches REFACTOR_INTERVAL, its update
-    hits a bad pivot, or a squared pivot falls below the floor, and only
-    that trial's counter restarts.  Returns the same (mutated) stack.
+    rank_one_update would fold them into trial i's own state.  Each
+    trial's inverse takes the Sherman-Morrison update.  A trial re-inverts
+    from its exact Gram matrix when its own counter reaches
+    REFACTOR_INTERVAL, or when its 1 + x^T Sigma^{-1} x or a diagonal
+    entry of its updated inverse is not finite and positive; only that
+    trial's counter restarts.  Returns the same (mutated) stack.
     """
     x = np.asarray(x, dtype=float)
     reward = np.asarray(reward, dtype=float)
@@ -328,29 +357,26 @@ def stack_rank_one_update(stack, x, reward):
     if not np.isfinite(reward).all():
         raise InputError("reward contains non-finite entries")
 
-    stack.log_det += [math.log1p(_quad(f, v)) for f, v in zip(stack.factor, x)]
+    u = np.einsum("nde,ne->nd", stack.inv, x)
+    q = np.einsum("nd,nd->n", x, u)
+    denom = 1.0 + q
+    healthy = np.isfinite(denom) & (denom > 0.0)
+    # an unhealthy trial is re-inverted below; a zero increment and a unit
+    # denominator keep its arithmetic from raising floating-point warnings
+    stack.log_det += np.log1p(np.where(healthy, q, 0.0))
+    stack.inv -= u[:, :, None] * u[:, None, :] / np.where(healthy, denom, 1.0)[:, None, None]
     stack.gram += x[:, :, None] * x[:, None, :]
     stack.xr_sum += reward[:, None] * x
     stack._since_refactor += 1
 
-    rows = stack.factor.tolist()
-    rebuild = np.zeros(stack.trials, dtype=bool)
-    for i, (trial_rows, trial_x) in enumerate(zip(rows, x.tolist())):
-        try:
-            _chol_update(trial_rows, trial_x)
-        except NumericalError:
-            rebuild[i] = True
-    factor = np.array(rows)
-    diag = np.diagonal(factor, axis1=1, axis2=2)
-    rebuild |= (diag * diag < PIVOT_FLOOR * stack.lam).any(axis=1)
-    rebuild |= stack._since_refactor >= REFACTOR_INTERVAL
-    for i in np.flatnonzero(rebuild):
-        factor[i] = _cholesky(stack.gram[i])
-        stack._since_refactor[i] = 0
+    diag = np.diagonal(stack.inv, axis1=1, axis2=2)
+    healthy &= (np.isfinite(diag) & (diag > 0.0)).all(axis=1)
+    stale = ~healthy | (stack._since_refactor >= REFACTOR_INTERVAL)
+    if stale.any():
+        _reinvert(stack, np.flatnonzero(stale))
 
-    stack.factor = factor
     stack.update_count += 1
-    stack.theta_hat = np.stack([_sigma_inv(f, b) for f, b in zip(factor, stack.xr_sum)])
+    stack.theta_hat = np.einsum("nde,ne->nd", stack.inv, stack.xr_sum)
     return stack
 
 

@@ -58,13 +58,10 @@ def shipped_config(name):
 
 
 def final_regrets(result, agent):
-    """Per-trial cumulative regret at the last step, ordered by trial."""
-    rows = np.genfromtxt(
-        result["raw_path"], delimiter=",", names=True, dtype=None, encoding="utf-8"
-    )
-    mask = (rows["agent"] == agent) & (rows["t"] == rows["t"].max())
-    sel = rows[mask]
-    return sel["cum_regret"][np.argsort(sel["trial"])]
+    """Per-trial cumulative regret at the last step, ordered by trial (the
+    raw CSV's last row of each trial; see
+    test_final_cum_regret_is_the_last_raw_row)."""
+    return np.array(result["final_cum_regret"][agent])
 
 
 def no_significant_drop(low, high):

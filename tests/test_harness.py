@@ -460,6 +460,26 @@ def test_final_gamma_reports_every_trial(tmp_path):
     assert all(isinstance(g, float) and g > 0 for g in gammas["pulse_ucb"])
 
 
+def test_final_cum_regret_is_the_last_raw_row(tmp_path):
+    cfg = ExperimentConfig(tiny_raw(trials=3))
+    res = run_experiment(cfg, out_dir=str(tmp_path / "sim"))
+    last = {}
+    with open(res["raw_path"], encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        for line in fh:
+            row = dict(zip(header, line.rstrip("\n").split(",")))
+            if row["t"] == "40":
+                last[row["agent"], int(row["trial"])] = float(row["cum_regret"])
+    assert len(last) == 3 * 4
+    expected = {name: [last[name, trial] for trial in range(3)] for name, _ in last}
+    assert res["final_cum_regret"] == expected
+    meta = json.loads(open(res["metadata_path"]).read())
+    assert meta["run"]["final_cum_regret"] == expected
+    assert "final_cum_regret" not in meta["config"]
+    assert expected["oracle_best"] == [0.0] * 3
+    assert len(set(expected["pulse_ucb"])) == 3
+
+
 @pytest.mark.parametrize("arma", [[1.5, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 def test_nonstationary_arma_is_a_config_error(arma):
     raw = tiny_raw()

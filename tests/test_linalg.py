@@ -315,10 +315,26 @@ def _lockstep_pair(trials, dim, k, form, lam=0.8):
     return lockstep, singles
 
 
-def _assert_same_states(stack, states):
-    for key in ("factor", "gram", "theta_hat", "log_det", "_since_refactor"):
-        assert np.array_equal(getattr(stack, key), [getattr(s, key) for s in states]), key
-    assert {s.update_count for s in states} == {stack.update_count}
+# Tolerance, fixed before the tests ran: the stack's tracked inverse agrees
+# with a dense solve, and with the one-trial Cholesky kernel, to 1e-9
+# relative.  Its drift over at most REFACTOR_INTERVAL Sherman-Morrison
+# updates is orders of magnitude smaller at these dimensions.
+RTOL = 1e-9
+
+
+def _assert_tracks_dense(stack):
+    """Every trial's theta_hat, inverse and log_det against np.linalg.solve
+    and slogdet of its own Gram matrix; the inverse is exactly symmetric."""
+    gram = stack.gram
+    theta = np.linalg.solve(gram, stack.xr_sum[..., None])[..., 0]
+    theta_scale = np.maximum(1.0, np.abs(theta).max(axis=1, keepdims=True))
+    assert (np.abs(stack.theta_hat - theta) <= RTOL * theta_scale).all()
+    assert np.array_equal(stack.inv, stack.inv.transpose(0, 2, 1))
+    residual = np.abs(stack.inv @ gram - np.eye(stack.dim))
+    assert (residual <= RTOL * np.abs(gram).max(axis=(1, 2), keepdims=True)).all()
+    sign, logdet = np.linalg.slogdet(gram)
+    assert (sign > 0).all()
+    assert (np.abs(stack.log_det - logdet) <= RTOL * np.maximum(1.0, np.abs(logdet))).all()
 
 
 @pytest.mark.parametrize(
@@ -332,64 +348,108 @@ def _assert_same_states(stack, states):
         (20, 9, 2, "closed_form"),
     ],
 )
-def test_lockstep_kernel_is_bitwise_the_single_kernel(trials, dim, k, form):
+def test_lockstep_kernel_matches_the_dense_reference(trials, dim, k, form):
     # 600 steps pass REFACTOR_INTERVAL; every 50th step trial 0 sees only
-    # zero rows (so observes one) and every other trial's arm 0 is zero
+    # zero rows (so observes one) and every other trial's arm 0 is zero.
+    # Each trial is checked against a dense solve of its own Gram matrix,
+    # and against a one-trial agent fed the same rows.
     from pulsebandit import arm_ucb_scores, current_gamma, observe, select_arm
 
     rng = np.random.default_rng(1000 * trials + 10 * dim + k)
     lockstep, singles = _lockstep_pair(trials, dim, k, form)
+    stack = lockstep.ridge
+    grams = np.tile(0.8 * np.eye(dim), (trials, 1, 1))
     for step in range(600):
         feats = rng.standard_normal((trials, k, dim))
         if step % 50 == 0:
             feats[0] = 0.0
             feats[1::2, 0] = 0.0
         scores = arm_ucb_scores(lockstep, feats)
-        assert np.array_equal(scores, np.stack([arm_ucb_scores(a, f) for a, f in zip(singles, feats)]))
+        gamma = current_gamma(lockstep)
+        assert gamma.tolist() == [current_gamma(a) for a in singles]
+        theta = np.linalg.solve(grams, stack.xr_sum[..., None])[..., 0]
+        sigma_inv_feats = np.linalg.solve(grams, feats.transpose(0, 2, 1)).transpose(0, 2, 1)
+        forms = np.einsum("nkd,nkd->nk", feats, sigma_inv_feats)
+        ref = np.einsum("nkd,nd->nk", feats, theta) + np.sqrt(gamma[:, None] * forms)
+        atol = RTOL * np.maximum(1.0, np.abs(ref).max(axis=1, keepdims=True))
+        singles_scores = np.stack([arm_ucb_scores(a, f) for a, f in zip(singles, feats)])
+        assert (np.abs(scores - ref) <= atol).all()
+        assert (np.abs(scores - singles_scores) <= atol).all()
         arms = select_arm(lockstep, feats)
-        assert arms.tolist() == [select_arm(a, f) for a, f in zip(singles, feats)]
+        assert np.array_equal(arms, np.argmax(scores, axis=1))
+        if step % 50 == 0:
+            assert arms[0] == 0  # all-zero rows tie, and ties go to the lowest index
         chosen = feats[np.arange(trials), arms]
         rewards = rng.standard_normal(trials)
         dts = rng.uniform(0.0, 0.01, trials)
         observe(lockstep, chosen, rewards, dt_value=dts)
         for i, agent in enumerate(singles):
             observe(agent, chosen[i], rewards[i], dt_value=dts[i])
-        _assert_same_states(lockstep.ridge, [a.ridge for a in singles])
+        grams += chosen[:, :, None] * chosen[:, None, :]
+        assert np.array_equal(stack.gram, grams)
+        _assert_tracks_dense(stack)
+        single_theta = np.array([a.ridge.theta_hat for a in singles])
+        single_log_det = np.array([a.ridge.log_det for a in singles])
+        theta_scale = np.maximum(1.0, np.abs(single_theta).max(axis=1))
+        assert (np.abs(stack.theta_hat - single_theta).max(axis=1) <= RTOL * theta_scale).all()
+        assert (np.abs(stack.log_det - single_log_det)
+                <= RTOL * np.maximum(1.0, np.abs(single_log_det))).all()
         assert lockstep.schedule.dt_cumsum.tolist() == [a.schedule.dt_cumsum for a in singles]
+        assert stack.update_count == step + 1
     assert current_gamma(lockstep).tolist() == [current_gamma(a) for a in singles]
-    # every trial took the forced refactor at update REFACTOR_INTERVAL
-    assert lockstep.ridge._since_refactor.tolist() == [600 - REFACTOR_INTERVAL] * trials
+    # every trial took the forced re-inversion at update REFACTOR_INTERVAL
+    assert stack._since_refactor.tolist() == [600 - REFACTOR_INTERVAL] * trials
 
 
-def test_lockstep_refactors_only_the_trials_that_need_it():
-    # after 40 updates, trial 1's factor gets a pivot below the floor (and
-    # a zero update that keeps it there) and trial 2's a negative pivot,
-    # which fails the rank-one update; only they refactor, and from then
-    # on each counter reaches REFACTOR_INTERVAL on its own
-    from pulsebandit.linalg import new_ridge_stack, stack_rank_one_update
+def _plant(stack, trigger, x):
+    """Corrupt trial 1's inverse so that the named check trips at the next
+    update, whose rows `x` it adjusts in place."""
+    if trigger == "nonpositive_diagonal":
+        # a zero row leaves the inverse as it is, and its 1 + q = 1 is healthy
+        stack.inv[1, 0, 0] = -1.0
+        x[1] = 0.0
+    elif trigger == "nonpositive_denominator":
+        # an indefinite inverse with a positive diagonal: 1 + q = -7, and
+        # the updated diagonal, 1 + 16 / 7, stays positive
+        stack.inv[1] = [[1.0, -5.0], [-5.0, 1.0]]
+        x[1] = [1.0, 1.0]
+    else:
+        # a NaN makes 1 + q and the updated diagonal NaN
+        stack.inv[1, 0, 1] = stack.inv[1, 1, 0] = np.nan
 
-    rng = np.random.default_rng(21)
-    dim, lam = 3, 1.0
-    stack = new_ridge_stack(3, dim, lam)
-    states = [new_ridge_state(dim, lam) for _ in range(3)]
-    for step in range(560):
-        x = rng.standard_normal((3, dim))
-        r = rng.standard_normal(3)
-        if step == 40:
-            for factor in (stack.factor[1], states[1].factor):
-                factor[2, 2] = 0.5 * math.sqrt(PIVOT_FLOOR * lam)
-            for factor in (stack.factor[2], states[2].factor):
-                factor[1, 1] = -1.0
-            x[1] = 0.0
-        stack_rank_one_update(stack, x, r)
-        for state, xi, ri in zip(states, x, r):
-            rank_one_update(state, xi, ri)
-        _assert_same_states(stack, states)
-        if step == 40:
-            assert stack._since_refactor.tolist() == [41, 0, 0]
-    assert stack._since_refactor.tolist() == [560 - REFACTOR_INTERVAL, 7, 7]
-    for i in range(3):
-        np.testing.assert_allclose(stack.factor[i] @ stack.factor[i].T, stack.gram[i], rtol=1e-12)
+
+@pytest.mark.parametrize(
+    "trigger", ["nonpositive_diagonal", "nonpositive_denominator", "nonfinite"]
+)
+def test_stack_reinverts_only_the_flagged_trial(trigger):
+    # a planted stack and a clean one take the same rows; at update 21 the
+    # plant flags trial 1, which alone re-inverts and restarts its counter.
+    # With the interval at 25, trials 0 and 2 re-invert at updates 25 and
+    # 50 and trial 1 at 46, and trials 0 and 2 stay equal to the clean
+    # stack's bit for bit.
+    from pulsebandit import linalg
+
+    rng = np.random.default_rng(23)
+    planted = linalg.new_ridge_stack(3, 2, 1.0)
+    clean = linalg.new_ridge_stack(3, 2, 1.0)
+    keys = ("gram", "inv", "xr_sum", "theta_hat", "log_det", "_since_refactor")
+    counters = {20: [21, 0, 21], 24: [0, 4, 0], 45: [21, 0, 21], 59: [10, 14, 10]}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "REFACTOR_INTERVAL", 25)
+        for step in range(60):
+            x = rng.standard_normal((3, 2))
+            r = rng.standard_normal(3)
+            if step == 20:
+                _plant(planted, trigger, x)
+            linalg.stack_rank_one_update(planted, x, r)
+            linalg.stack_rank_one_update(clean, x, r)
+            for key in keys:
+                assert np.array_equal(getattr(planted, key)[[0, 2]], getattr(clean, key)[[0, 2]])
+            assert np.array_equal(planted.gram, clean.gram)
+            _assert_tracks_dense(planted)
+            if step in counters:
+                assert planted._since_refactor.tolist() == counters[step]
+    assert clean._since_refactor.tolist() == [10, 10, 10]
 
 
 def test_lockstep_ball_membership_check_still_raises():
@@ -435,16 +495,23 @@ def test_lockstep_kernel_rejects_bad_input():
     steps=st.integers(1, 40),
     seed=st.integers(0, 2**32 - 1),
     events=st.lists(
-        st.tuples(st.integers(0, 39), st.integers(0, 3), st.sampled_from(["zero", "floor", "bad"])),
+        st.tuples(
+            st.integers(0, 39),
+            st.integers(0, 3),
+            st.sampled_from(["zero", "diagonal", "indefinite", "nan"]),
+        ),
         max_size=12,
+        unique_by=lambda event: event[:2],  # two plants could cancel out
     ),
 )
-def test_ridge_stack_invariants(trials, dim, lam, interval, steps, seed, events):
-    # events zero a trial's row at a step and may first plant a pivot below
-    # the floor or a nonpositive one in its factor; the zero row keeps the
-    # planted pivot in place and the Sylvester increment exact, so the
-    # update must refactor that trial.  A small REFACTOR_INTERVAL forces
-    # the periodic refactor too.
+def test_ridge_stack_tracks_the_inverse_of_its_gram(
+    trials, dim, lam, interval, steps, seed, events
+):
+    # events zero a trial's row at a step, or corrupt its inverse first: a
+    # nonpositive diagonal entry (with the zero row, which keeps it in
+    # place), a sign flip that makes the inverse negative definite, or a
+    # NaN.  Each corruption must make the update re-invert that trial.  A
+    # small REFACTOR_INTERVAL forces the periodic re-inversion too.
     from pulsebandit import linalg
 
     rng = np.random.default_rng(seed)
@@ -456,20 +523,15 @@ def test_ridge_stack_invariants(trials, dim, lam, interval, steps, seed, events)
             for at, trial, event in events:
                 if at != step or trial >= trials:
                     continue
-                x[trial] = 0.0
                 k = rng.integers(dim)
-                if event == "floor":
-                    stack.factor[trial, k, k] = 0.5 * math.sqrt(PIVOT_FLOOR * lam)
-                elif event == "bad":
-                    stack.factor[trial, k, k] = -1.0
+                if event in ("zero", "diagonal"):
+                    x[trial] = 0.0
+                if event == "diagonal":
+                    stack.inv[trial, k, k] = -1.0
+                elif event == "indefinite":
+                    stack.inv[trial] *= -1.0
+                elif event == "nan":
+                    stack.inv[trial, k, rng.integers(dim)] = np.nan
             linalg.stack_rank_one_update(stack, x, rng.standard_normal(trials))
             assert (stack._since_refactor < interval).all()
-            for i in range(trials):
-                gram, factor, theta = stack.gram[i], stack.factor[i], stack.theta_hat[i]
-                scale = np.abs(gram).max()
-                np.testing.assert_allclose(factor @ factor.T, gram, rtol=1e-10, atol=1e-10 * scale)
-                sign, logdet = np.linalg.slogdet(gram)
-                assert sign > 0
-                assert abs(stack.log_det[i] - logdet) <= 1e-9 * max(1.0, abs(logdet))
-                residual = np.abs(gram @ theta - stack.xr_sum[i]).max()
-                assert residual <= 1e-9 * (scale * np.abs(theta).max() + 1.0)
+            _assert_tracks_dense(stack)
