@@ -23,7 +23,6 @@ from .errors import (
 )
 from .rng import label_words, seed_sequence, substream
 from .linalg import (
-    RidgeState,
     new_ridge_state,
     potential_bound_check,
     quadratic_form_inv,
@@ -118,7 +117,6 @@ __all__ = [
     "seed_sequence",
     "substream",
     # linalg
-    "RidgeState",
     "new_ridge_state",
     "quadratic_form_inv",
     "rank_one_update",

@@ -24,14 +24,16 @@ both selection forms are implemented and must agree, the ball form also
 cross-checks that its optimizer lies in the ball.  Ties go to the lowest
 arm index.
 
-An agent made with `trials=n` plays n independent trials in lockstep on a
-`RidgeStack`: it takes (n, n_arms, dim) features per decision, returns n
-arms, and its divergence sum and radius are (n,) arrays.  The stack tracks
-each trial's Sigma^{-1} by Sherman-Morrison updates and re-inverts a trial
-from its exact Gram matrix every `REFACTOR_INTERVAL` updates or when its
-inverse loses health, so trial i's scores and state agree with those of a
-one-trial agent fed trial i's data to rounding (see `linalg`), not bit for
-bit; its divergence sum and radius agree exactly.
+Every UCB agent keeps its ridge state in a `RidgeStack` (see `linalg`).
+An agent made with `trials=n` plays n independent trials in lockstep: it
+takes (n, n_arms, dim) features per decision, returns n arms, and its
+divergence sum and radius are (n,) arrays.  A one-trial agent is the same
+code over the empty batch shape: it takes (n_arms, dim) features and
+returns one int arm, and its radius is a float.  A one-trial agent's rows
+come from its caller at every step, so they go through the checking
+one-state entry points of `linalg`; a lockstep agent's rows are slices of
+blocks checked once before the first decision (the harness's views and
+rewards), so its steps skip that scan.
 """
 
 import math
@@ -42,9 +44,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, ParameterError, UsageError
 from .linalg import (
-    _sigma_inv,
     new_ridge_stack,
-    new_ridge_state,
     quadratic_form_inv,
     rank_one_update,
     stack_quadratic_forms,
@@ -97,7 +97,9 @@ class GammaSchedule:
     constant_dt: float = 0.0
     sigma_eps: float = DEFAULT_SIGMA_EPS
     scale: float = 1.0
-    dt_cumsum: float = 0.0  # an (n,) array for an agent of n lockstep trials
+    # an agent holds its own copy, with one sum per trial: a 0-d array for
+    # a one-trial agent, an (n,) array for an agent of n lockstep trials
+    dt_cumsum: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > 0):
@@ -166,7 +168,7 @@ class SelectionForm(Enum):
 _UCB_KINDS = (AgentKind.PULSE_UCB, AgentKind.OFUL_OBSERVED, AgentKind.OFUL_FULL)
 
 # relative slack for the ball-membership cross-check of the explicit
-# optimizer; covers triangular-solve round-off only
+# optimizer; covers the round-off of the tracked inverse only
 _BALL_CHECK_RTOL = 1e-9
 
 
@@ -199,14 +201,15 @@ def make_agent(
     an imputer (checked here only: the agent takes its imputed features
     from the caller, so it keeps no imputer).
 
-    With `trials` set, the agent plays that many trials in lockstep, its
-    ridge state a RidgeStack and its schedule a copy whose divergence sum
-    is per trial.
+    With `trials` set, the agent plays that many trials in lockstep.  A UCB
+    agent's ridge state is a RidgeStack of batch shape (trials,), or () for
+    one trial, and its schedule a copy whose divergence sum has that shape.
     """
     kind = AgentKind(kind)
     selection_form = SelectionForm(selection_form)
     if arm_count < 1:
         raise ParameterError("arm_count must be positive")
+    ridge = None
     if kind in _UCB_KINDS:
         if dim is None or schedule is None:
             raise ParameterError(f"{kind.value} agents need dim and schedule")
@@ -214,13 +217,8 @@ def make_agent(
             raise ParameterError(
                 f"schedule.dim = {schedule.dim} does not match feature dim {dim}"
             )
-        if trials is None:
-            ridge = new_ridge_state(dim, schedule.lam)
-        else:
-            ridge = new_ridge_stack(trials, dim, schedule.lam)
-            schedule = replace(schedule, dt_cumsum=np.full(ridge.trials, schedule.dt_cumsum))
-    else:
-        ridge = None
+        ridge = new_ridge_stack(trials, dim, schedule.lam)
+        schedule = replace(schedule, dt_cumsum=np.full(ridge.shape, schedule.dt_cumsum))
     if kind is AgentKind.PULSE_UCB and imputer is None:
         raise ParameterError("pulse_ucb agents need an imputer")
     return AgentState(
@@ -238,15 +236,15 @@ def current_gamma(agent):
     """Radius of the ball used for the next selection.
 
     Before any observation this is gamma_1^(0); after t observations it is
-    gamma_t with dt_cumsum through step t.  A lockstep agent gets one
-    radius per trial.
+    gamma_t with dt_cumsum through step t.  A one-trial agent gets a float,
+    a lockstep agent one radius per trial.
     """
     if not agent.is_ucb:
         raise UsageError(f"{agent.kind.value} agents have no confidence schedule")
     t = agent.ridge.update_count
     if t == 0:
         gamma = agent.schedule.scale * gamma_zero(agent.schedule, 1)
-        return gamma if agent.trials is None else np.full(agent.trials, gamma)
+        return np.full(agent.ridge.shape, gamma)[()]  # [()]: a 0-d array as a float
     return gamma_at(agent.schedule, t)
 
 
@@ -257,7 +255,6 @@ def _ball_scores(gram, theta, gamma, feats, quads, sigma_inv_feats):
     `feats` and `sigma_inv_feats`, Sigma^{-1} of each row, (k, d) and
     `quads` (k,); a lockstep agent's carry a leading trial axis.
     """
-    gamma = np.asarray(gamma)
     center = theta[..., None, :]
     # an arm with a zero form has the ball's center as its maximizer
     live = quads != 0.0
@@ -284,8 +281,8 @@ def arm_ucb_scores(agent, arm_features):
     confidence ball and scores through it, cross-checking membership.
     Both forms agree up to floating point, and both take every arm's
     x^T Sigma^{-1} x from one stacked call; ball maximization takes every
-    Sigma^{-1} x from one more (a solve against the factor of a one-trial
-    agent, a product with the tracked inverses of a lockstep one).  A
+    Sigma^{-1} x from one product with the tracked inverse.  A one-trial
+    agent takes (n_arms, dim) features and gives (n_arms,) scores; a
     lockstep agent takes (trials, n_arms, dim) features and scores every
     trial's arms as one (trials, n_arms) array.
     """
@@ -293,32 +290,25 @@ def arm_ucb_scores(agent, arm_features):
         raise UsageError(f"{agent.kind.value} agents have no UCB scores")
     feats = np.asarray(arm_features, dtype=float)
     ridge = agent.ridge
-    lockstep = agent.trials is not None
-    if lockstep:
-        quads = stack_quadratic_forms(ridge, feats)
-    else:
-        if feats.ndim != 2:
-            raise InputError(
-                f"arm features must have shape (n_arms, {ridge.dim}), got {feats.shape}"
-            )
-        quads = quadratic_form_inv(ridge, feats)
+    if feats.ndim != len(ridge.shape) + 2:
+        raise InputError(
+            f"arm features must have shape {ridge.shape} + (n_arms, {ridge.dim}), "
+            f"got {feats.shape}"
+        )
+    forms = stack_quadratic_forms if ridge.shape else quadratic_form_inv
+    quads = forms(ridge, feats)
 
-    gamma = current_gamma(agent)
+    gamma = np.asarray(current_gamma(agent))
     theta = ridge.theta_hat
     if agent.selection_form is SelectionForm.BALL_MAXIMIZATION:
-        if lockstep:
-            sigma_inv_feats = np.einsum("nde,nke->nkd", ridge.inv, feats)
-        else:
-            sigma_inv_feats = _sigma_inv(ridge.factor, feats.T).T
+        sigma_inv_feats = np.einsum("...de,...ke->...kd", ridge.inv, feats)
         return _ball_scores(ridge.gram, theta, gamma, feats, quads, sigma_inv_feats)
-    if not lockstep:
-        return feats @ theta + math.sqrt(gamma) * np.sqrt(quads)
-    # one matrix-vector product per trial, as the one-trial form takes
-    return (feats @ theta[:, :, None])[..., 0] + np.sqrt(gamma)[:, None] * np.sqrt(quads)
+    # one matrix-vector product per trial
+    return (feats @ theta[..., None])[..., 0] + np.sqrt(gamma)[..., None] * np.sqrt(quads)
 
 
 def select_arm(agent, arm_features, optimal_arm=None, rng=None):
-    """Index of the chosen arm.
+    """Index of the chosen arm, an int.
 
     UCB agents maximize the optimistic score over the current ball;
     oracle-best agents require the environment's optimal arm injected;
@@ -327,21 +317,20 @@ def select_arm(agent, arm_features, optimal_arm=None, rng=None):
     arms; its optimal arm is one per trial and its rng a list of the
     trials' own generators.
     """
-    lockstep = agent.trials is not None
     if agent.kind is AgentKind.ORACLE_BEST:
         if optimal_arm is None:
             raise UsageError("oracle_best requires the optimal arm to be injected")
-        return np.array(optimal_arm, dtype=int) if lockstep else int(optimal_arm)
-    if agent.kind is AgentKind.UNIFORM_RANDOM:
+        arms = np.array(optimal_arm, dtype=int)
+    elif agent.kind is AgentKind.UNIFORM_RANDOM:
         if rng is None:
             raise UsageError("uniform_random requires an rng")
-        if lockstep:
-            return np.array([r.integers(0, agent.arm_count) for r in rng], dtype=int)
-        return int(rng.integers(0, agent.arm_count))
-    scores = arm_ucb_scores(agent, arm_features)
-    if lockstep:
-        return np.argmax(scores, axis=1)  # first maximum per trial
-    return int(np.argmax(scores))  # first maximum: lowest index
+        # one draw from each generator, in the shape of `rng`
+        draws = [r.integers(0, agent.arm_count) for r in np.ravel(rng)]
+        arms = np.array(draws, dtype=int).reshape(np.shape(rng))
+    else:
+        # first maximum per trial: ties go to the lowest index
+        arms = np.argmax(arm_ucb_scores(agent, arm_features), axis=-1)
+    return arms if arms.ndim else int(arms)
 
 
 def observe(agent, chosen_features, reward, dt_value=None):
@@ -349,15 +338,14 @@ def observe(agent, chosen_features, reward, dt_value=None):
 
     dt_value feeds the divergence accumulator for ORACLE and PLUG_IN
     schedules; CONSTANT adds its configured value and ZERO ignores
-    everything.  A lockstep agent takes (trials, dim) features, (trials,)
-    rewards and one dt_value per trial or one for all.
+    everything.  A one-trial agent takes a (dim,) row and a scalar reward;
+    a lockstep agent takes (trials, dim) features, (trials,) rewards and
+    one dt_value per trial or one for all.
     """
     if not agent.is_ucb:
         raise UsageError(f"{agent.kind.value} agents do not update")
-    if agent.trials is None:
-        rank_one_update(agent.ridge, chosen_features, reward)
-    else:
-        stack_rank_one_update(agent.ridge, chosen_features, reward)
+    update = stack_rank_one_update if agent.ridge.shape else rank_one_update
+    update(agent.ridge, chosen_features, reward)
     sched = agent.schedule
     if sched.dt_source is DtSource.ZERO:
         return agent
@@ -368,7 +356,7 @@ def observe(agent, chosen_features, reward, dt_value=None):
         raise InputError(
             f"dt_source {sched.dt_source.value} requires a dt_value at observe time"
         )
-    dt_value = float(dt_value) if agent.trials is None else np.asarray(dt_value, dtype=float)
+    dt_value = np.asarray(dt_value, dtype=float)
     if not np.all(np.isfinite(dt_value) & (dt_value >= 0)):
         raise InputError(f"dt_value must be finite and nonnegative, got {dt_value!r}")
     sched.dt_cumsum += dt_value
@@ -376,7 +364,8 @@ def observe(agent, chosen_features, reward, dt_value=None):
 
 
 def theta_in_ball(agent, theta_true):
-    """True iff (theta_hat - theta)^T Sigma_t (theta_hat - theta) <= gamma_t."""
+    """True iff (theta_hat - theta)^T Sigma_t (theta_hat - theta) <= gamma_t,
+    for a one-trial agent."""
     if not agent.is_ucb:
         raise UsageError(f"{agent.kind.value} agents have no confidence ball")
     theta_true = np.asarray(theta_true, dtype=float)
@@ -386,4 +375,4 @@ def theta_in_ball(agent, theta_true):
         )
     diff = agent.ridge.theta_hat - theta_true
     val = float(diff @ (agent.ridge.gram @ diff))
-    return val <= current_gamma(agent)
+    return bool(val <= current_gamma(agent))

@@ -66,7 +66,7 @@ from .environments import (
     generate_history,
     load_replay_log,
 )
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .features import arm_feature_matrix  # unused: views come from phi_batch; kept for tracers
 from .features import calibrate_feat_norm_bound, phi_batch
 from .imputation import expected_feature_matrix  # unused: see arm_feature_matrix
@@ -692,6 +692,13 @@ class _Seat:
     rng: object
 
 
+def _require_finite(block, what):
+    """Check a whole block before the first decision: the per-step kernels
+    that read its slices do not scan them again."""
+    if not np.isfinite(block).all():
+        raise InputError(f"{what} contain non-finite entries")
+
+
 def _seat_agents(config, trials, arm_count, view_for):
     """Build every configured agent, in config order, with its view, each
     to play the listed trials in lockstep.
@@ -945,12 +952,14 @@ def run_trials(config, trial_indices, fitted_imputer, plug_in_dt, feat_norm_boun
     lanes = np.arange(len(built))
     optimal_arms = np.stack([trial.rollout.optimal_arm for trial in built], axis=1)
     potential = np.stack([trial.rollout.potential_rewards for trial in built], axis=1)
+    _require_finite(potential, "potential rewards")
 
     def view_for(kind, name):
         if built[0].features[name] is None:
             return None
         imputer = built[0].imputer if kind is AgentKind.PULSE_UCB else None
         stacked = np.stack([trial.features[name] for trial in built], axis=1)
+        _require_finite(stacked, f"agent {name!r} features")
         return _View(feat_norm_bound, stacked, imputer=imputer)
 
     seats = _seat_agents(config, trial_indices, built[0].arm_count, view_for)
@@ -1233,6 +1242,9 @@ def _replay_views(config, log, imputer):
             [imputer.conditional_mean(log.observed[j][None, :]) for j in range(log.n_rows)]
         )
         tables[AgentKind.PULSE_UCB] = np.concatenate([log.observed, mus], axis=1)
+    # the log's rewards need no check here: a ReplayLog holds binary ones
+    for kind, table in tables.items():
+        _require_finite(table, f"{kind.value} replay features")
     return {
         kind: _View(
             bound=(

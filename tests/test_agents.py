@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulsebandit import (
     AgentKind,
@@ -196,6 +198,88 @@ def test_selection_forms_agree_on_random_instances():
         assert select_arm(cf, feats) == select_arm(bm, feats)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    trials=st.integers(2, 6),
+    dim=st.integers(1, 6),
+    arms=st.integers(2, 20),
+    updates=st.integers(0, 30),
+    lam=st.floats(0.3, 3.0),
+    scale=st.floats(0.05, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lockstep_selection_forms_agree(trials, dim, arms, updates, lam, scale, seed):
+    # A5's property on the lockstep path: the two forms score every trial's
+    # arms within 1e-9 of each other and pick the same arm in every trial
+    # whose top two scores differ by more than that; some rows are zero
+    rng = np.random.default_rng(seed)
+    kw = dict(lam=lam, sigma_eta=0.1, delta=0.1, feat_norm_bound=1.5, dim=dim,
+              dt_source=DtSource.CONSTANT, constant_dt=0.01, scale=scale)
+    cf = make_agent("cf", AgentKind.OFUL_FULL, arms, dim=dim, schedule=GammaSchedule(**kw),
+                    trials=trials)
+    bm = make_agent("bm", AgentKind.OFUL_FULL, arms, dim=dim, schedule=GammaSchedule(**kw),
+                    selection_form=SelectionForm.BALL_MAXIMIZATION, trials=trials)
+    for _ in range(updates):
+        x = rng.normal(0.0, 1.0, (trials, dim))
+        r = rng.normal(0.0, 1.0, trials)
+        observe(cf, x, r)
+        observe(bm, x, r)
+    feats = rng.normal(0.0, 1.0, (trials, arms, dim))
+    feats[rng.random((trials, arms)) < 0.1] = 0.0
+    s_cf = arm_ucb_scores(cf, feats)
+    s_bm = arm_ucb_scores(bm, feats)
+    assert s_cf.shape == (trials, arms)
+    assert np.abs(s_cf - s_bm).max() <= 1e-9
+    top_two = np.sort(s_cf, axis=1)[:, -2:]
+    decisive = top_two[:, 1] - top_two[:, 0] > 1e-9
+    assert np.array_equal(select_arm(cf, feats)[decisive], select_arm(bm, feats)[decisive])
+
+
+def test_one_trial_api_returns_python_types():
+    # a one-trial agent runs on the stacked kernel with an empty batch
+    # shape; its public functions still take one row and give plain values
+    rng = substream(45, "types")
+    kinds = [
+        ("closed", AgentKind.OFUL_FULL, SelectionForm.CLOSED_FORM),
+        ("ball", AgentKind.OFUL_FULL, SelectionForm.BALL_MAXIMIZATION),
+    ]
+    for name, kind, form in kinds:
+        agent = make_agent(name, kind, arm_count=3, dim=4, selection_form=form,
+                           schedule=simple_schedule(dim=4, feat_norm_bound=1.5,
+                                                    dt_source=DtSource.ORACLE))
+        for step in range(3):
+            gamma = current_gamma(agent)
+            assert isinstance(gamma, float)
+            feats = rng.standard_normal((3, 4))
+            scores = arm_ucb_scores(agent, feats)
+            assert scores.shape == (3,)
+            arm = select_arm(agent, feats)
+            assert type(arm) is int and 0 <= arm < 3
+            assert observe(agent, feats[arm], 0.5, dt_value=0.1) is agent
+            assert agent.ridge.theta_hat.shape == (4,)
+            assert agent.ridge.gram.shape == (4, 4)
+            assert agent.ridge.log_det.shape == () and math.isfinite(agent.ridge.log_det)
+        assert agent.schedule.dt_cumsum == pytest.approx(0.3, rel=1e-15)
+        assert isinstance(current_gamma(agent), float)
+        inside = theta_in_ball(agent, agent.ridge.theta_hat)
+        assert type(inside) is bool and inside
+        with pytest.raises(InputError):
+            observe(agent, feats[:2], 0.5, dt_value=0.1)  # not one (dim,) row
+        with pytest.raises(InputError):
+            observe(agent, np.array([1.0, np.nan, 0.0, 0.0]), 0.5, dt_value=0.1)
+        with pytest.raises(InputError):
+            observe(agent, feats[0], float("nan"), dt_value=0.1)
+        with pytest.raises(InputError):
+            select_arm(agent, feats[0])  # one row, not (n_arms, dim)
+    assert agent.ridge.update_count == 3
+    oracle = make_agent("o", AgentKind.ORACLE_BEST, arm_count=3)
+    assert type(select_arm(oracle, None, optimal_arm=np.int64(2))) is int
+    uniform = make_agent("u", AgentKind.UNIFORM_RANDOM, arm_count=3)
+    assert type(select_arm(uniform, None, rng=rng)) is int
+    lockstep = make_agent("u", AgentKind.UNIFORM_RANDOM, arm_count=3, trials=2)
+    assert select_arm(lockstep, None, rng=[rng, substream(45, "other")]).shape == (2,)
+
+
 def test_theta_in_ball_basic_geometry():
     sched = simple_schedule(dim=2, feat_norm_bound=1.0)
     agent = make_agent("f", AgentKind.OFUL_FULL, arm_count=2, dim=2, schedule=sched)
@@ -256,8 +340,8 @@ def test_ball_maximization_zero_arm_and_membership_check():
     scores = arm_ucb_scores(bm, feats)
     assert scores[2] == 0.0
     np.testing.assert_allclose(scores, arm_ucb_scores(cf, feats), rtol=0, atol=1e-12)
-    # a Gram matrix that disagrees with the factor puts the maximizers
-    # outside the ball, which the cross-check refuses
+    # a Gram matrix that disagrees with the tracked inverse puts the
+    # maximizers outside the ball, which the cross-check refuses
     bm.ridge.gram *= 4.0
     with pytest.raises(InputError, match="left the confidence ball"):
         arm_ucb_scores(bm, feats)

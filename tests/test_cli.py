@@ -1,9 +1,12 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 
+import pulsebandit
 from pulsebandit.cli import main
 
 
@@ -185,3 +188,18 @@ def test_profile_flag_writes_a_pstats_dump(tmp_path):
     hashes = [json.loads((d / "metadata.json").read_text())["run"]["config_sha256"]
               for d in (plain, profiled)]
     assert hashes[0] == hashes[1]
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # the ridge kernel is numpy only: importing scipy.linalg would add
+    # about 0.35 s to the start of every command (2-CPU VM measurement)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pulsebandit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, pulsebandit.cli, pulsebandit.linalg as linalg; "
+        "print('scipy.linalg' in sys.modules, hasattr(linalg, 'dtrtrs'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "False"]

@@ -7,6 +7,7 @@ import pytest
 from pulsebandit import (
     ConfigError,
     ExperimentConfig,
+    InputError,
     load_config,
     pretrain,
     run_experiment,
@@ -367,6 +368,48 @@ def test_every_decision_goes_through_harness_select_arm(tmp_path, monkeypatch):
     raw = replay_raw(tmp_path, horizon=12, trials=3)
     run_replay(ExperimentConfig(raw), out_dir=str(tmp_path / "rep"))
     assert calls == [raw["trials"]] * 12 * len(raw["agents"])
+
+
+@pytest.mark.parametrize("planted", ["features", "rewards"])
+def test_simulate_checks_its_blocks_before_the_first_decision(tmp_path, monkeypatch, planted):
+    # the stacked kernel does not scan the rows it is given, so a NaN in
+    # one trial's built feature block or potential rewards must fail before
+    # any agent decides
+    import pulsebandit.harness as harness
+    calls = _count_decisions(monkeypatch)
+    original = harness._build_trial
+
+    def plant(config, trial_index, fitted_imputer):
+        trial = original(config, trial_index, fitted_imputer)
+        if trial_index == 1:
+            if planted == "features":
+                trial.features["oful_full"][7, 1, 2] = np.nan
+            else:
+                trial.rollout.potential_rewards[7, 1] = np.nan
+        return trial
+
+    monkeypatch.setattr(harness, "_build_trial", plant)
+    with pytest.raises(InputError, match="non-finite"):
+        run_experiment(ExperimentConfig(tiny_raw(horizon=15)), out_dir=str(tmp_path))
+    assert calls == []
+
+
+@pytest.mark.parametrize("planted", ["features", "rewards"])
+def test_replay_checks_its_blocks_before_the_first_decision(tmp_path, monkeypatch, planted):
+    # a NaN in the full features or the reward of one online row, far past
+    # the horizon, fails before any agent decides
+    calls = _count_decisions(monkeypatch)
+    raw = replay_raw(tmp_path, horizon=12)
+    lines = open(raw["environment"]["path"]).read().splitlines()
+    cells = lines[1000].split(",")
+    cells[-1 if planted == "features" else 2] = "nan"
+    lines[1000] = ",".join(cells)
+    log_path = tmp_path / "log.csv"
+    log_path.write_text("\n".join(lines) + "\n")
+    raw["environment"]["path"] = str(log_path)
+    with pytest.raises(InputError):
+        run_replay(ExperimentConfig(raw), out_dir=str(tmp_path / "out"))
+    assert calls == []
 
 
 def test_replay_trial_rows_do_not_depend_on_the_trial_count(tmp_path):

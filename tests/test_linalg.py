@@ -14,7 +14,7 @@ from pulsebandit import (
     quadratic_form_inv,
     rank_one_update,
 )
-from pulsebandit.linalg import PIVOT_FLOOR, REFACTOR_INTERVAL
+from pulsebandit.linalg import REFACTOR_INTERVAL
 
 
 def dense_oracle(dim, lam, updates):
@@ -194,82 +194,6 @@ def test_potential_bound_rejects_bad_args():
         potential_bound_check(state, 10, -1.0)
 
 
-class _SliceReference:
-    """The ridge kernel as scipy's `solve_triangular` wrapper and numpy
-    column-slice updates compute it; the direct LAPACK kernel must match it
-    bit for bit on single vectors."""
-
-    def __init__(self, dim, lam):
-        self.lam = lam
-        self.gram = np.eye(dim) * lam
-        self.factor = np.eye(dim) * math.sqrt(lam)
-        self.xr_sum = np.zeros(dim)
-        self.theta_hat = np.zeros(dim)
-        self.since = 0
-
-    def quad(self, v):
-        from scipy.linalg import solve_triangular
-
-        if not np.any(v):
-            return 0.0
-        z = solve_triangular(self.factor, v, lower=True, check_finite=False)
-        return float(z @ z)
-
-    def _chol_update(self, x):
-        L, v = self.factor, x.copy()
-        d = L.shape[0]
-        for k in range(d):
-            lkk = L[k, k]
-            r = math.hypot(lkk, v[k])
-            c = r / lkk
-            s = v[k] / lkk
-            L[k, k] = r
-            if k + 1 < d:
-                L[k + 1 :, k] = (L[k + 1 :, k] + s * v[k + 1 :]) / c
-                v[k + 1 :] = c * v[k + 1 :] - s * L[k + 1 :, k]
-
-    def update(self, x, reward):
-        from scipy.linalg import solve_triangular
-
-        self.gram += np.outer(x, x)
-        self.xr_sum += reward * x
-        self.since += 1
-        if self.since >= REFACTOR_INTERVAL:
-            self.factor, self.since = np.linalg.cholesky(self.gram), 0
-        else:
-            self._chol_update(x)
-            diag = np.diagonal(self.factor)
-            if np.any(diag * diag < PIVOT_FLOOR * self.lam):
-                self.factor, self.since = np.linalg.cholesky(self.gram), 0
-        if np.any(self.xr_sum):
-            z = solve_triangular(self.factor, self.xr_sum, lower=True, check_finite=False)
-            self.theta_hat = solve_triangular(
-                self.factor.T, z, lower=False, check_finite=False
-            )
-
-
-@pytest.mark.parametrize("dim,steps", [(1, 200), (3, 600), (4, 200), (5, 200), (9, 200)])
-def test_single_vector_kernel_is_bitwise_the_slice_reference(dim, steps):
-    # dim 3 runs past REFACTOR_INTERVAL; every 50th update (the first one
-    # included, while the reward sum is still zero) and probe is zero
-    rng = np.random.default_rng(100 + dim)
-    lam = 0.8
-    state = new_ridge_state(dim, lam)
-    ref = _SliceReference(dim, lam)
-    for step in range(steps):
-        x = np.zeros(dim) if step % 50 == 0 else rng.standard_normal(dim)
-        r = float(rng.standard_normal())
-        assert quadratic_form_inv(state, x) == ref.quad(x)
-        rank_one_update(state, x, r)
-        ref.update(x, r)
-        assert np.array_equal(state.factor, ref.factor)
-        assert np.array_equal(state.theta_hat, ref.theta_hat)
-        assert state.factor.flags.c_contiguous and state.factor.dtype == np.float64
-        probe = np.zeros(dim) if step % 50 == 7 else rng.standard_normal(dim)
-        assert quadratic_form_inv(state, probe) == ref.quad(probe)
-    assert state.update_count == steps
-
-
 def test_stacked_forms_match_single_forms():
     rng = np.random.default_rng(17)
     for dim in (1, 3, 4, 5, 9):
@@ -300,25 +224,20 @@ def test_stacked_forms_reject_bad_stacks():
 # -- lockstep trials ----------------------------------------------------------
 
 
-def _lockstep_pair(trials, dim, k, form, lam=0.8):
-    """A lockstep agent over `trials` trials and one one-trial agent per trial."""
-    from dataclasses import replace
-
+def _lockstep_agent(trials, dim, k, form, lam=0.8):
+    """A lockstep agent over `trials` trials, on the oracle divergence."""
     from pulsebandit import AgentKind, DtSource, GammaSchedule, make_agent
 
     schedule = GammaSchedule(lam=lam, sigma_eta=0.1, delta=0.1, feat_norm_bound=2.0, dim=dim,
                              dt_source=DtSource.ORACLE, scale=0.05)
-    kw = dict(dim=dim, selection_form=form)
-    singles = [make_agent("a", AgentKind.OFUL_FULL, k, schedule=replace(schedule), **kw)
-               for _ in range(trials)]
-    lockstep = make_agent("a", AgentKind.OFUL_FULL, k, schedule=schedule, trials=trials, **kw)
-    return lockstep, singles
+    return make_agent("a", AgentKind.OFUL_FULL, k, dim=dim, schedule=schedule,
+                      selection_form=form, trials=trials)
 
 
 # Tolerance, fixed before the tests ran: the stack's tracked inverse agrees
-# with a dense solve, and with the one-trial Cholesky kernel, to 1e-9
-# relative.  Its drift over at most REFACTOR_INTERVAL Sherman-Morrison
-# updates is orders of magnitude smaller at these dimensions.
+# with a dense solve to 1e-9 relative.  Its drift over at most
+# REFACTOR_INTERVAL Sherman-Morrison updates is orders of magnitude smaller
+# at these dimensions.
 RTOL = 1e-9
 
 
@@ -337,6 +256,34 @@ def _assert_tracks_dense(stack):
     assert (np.abs(stack.log_det - logdet) <= RTOL * np.maximum(1.0, np.abs(logdet))).all()
 
 
+@pytest.mark.parametrize("dim", [1, 3, 4, 5, 9])
+def test_one_state_matches_the_dense_reference(dim):
+    # a one-state RidgeStack (empty batch shape) through its checking entry
+    # points: 600 updates pass REFACTOR_INTERVAL, and every 50th update
+    # (the first one included, while the reward sum is still zero) and
+    # probe is zero
+    from types import SimpleNamespace
+
+    rng = np.random.default_rng(100 + dim)
+    state = new_ridge_state(dim, 0.8)
+    for step in range(600):
+        x = np.zeros(dim) if step % 50 == 0 else rng.standard_normal(dim)
+        assert rank_one_update(state, x, float(rng.standard_normal())) is state
+        assert state.theta_hat.shape == (dim,) and state.log_det.shape == ()
+        batched = SimpleNamespace(
+            dim=dim, **{key: getattr(state, key)[None]
+                        for key in ("gram", "inv", "xr_sum", "theta_hat", "log_det")}
+        )
+        _assert_tracks_dense(batched)
+        probe = np.zeros(dim) if step % 50 == 7 else rng.standard_normal(dim)
+        form = quadratic_form_inv(state, probe)
+        assert type(form) is float
+        ref = float(probe @ np.linalg.solve(state.gram, probe))
+        assert form == ref if step % 50 == 7 else abs(form - ref) <= RTOL * ref
+    assert state.update_count == 600
+    assert state._since_refactor == 600 - REFACTOR_INTERVAL
+
+
 @pytest.mark.parametrize(
     "trials, dim, k, form",
     [
@@ -351,14 +298,14 @@ def _assert_tracks_dense(stack):
 def test_lockstep_kernel_matches_the_dense_reference(trials, dim, k, form):
     # 600 steps pass REFACTOR_INTERVAL; every 50th step trial 0 sees only
     # zero rows (so observes one) and every other trial's arm 0 is zero.
-    # Each trial is checked against a dense solve of its own Gram matrix,
-    # and against a one-trial agent fed the same rows.
-    from pulsebandit import arm_ucb_scores, current_gamma, observe, select_arm
+    # Each trial is checked against a dense solve of its own Gram matrix.
+    from pulsebandit import arm_ucb_scores, current_gamma, gamma_zero, observe, select_arm
 
     rng = np.random.default_rng(1000 * trials + 10 * dim + k)
-    lockstep, singles = _lockstep_pair(trials, dim, k, form)
+    lockstep = _lockstep_agent(trials, dim, k, form)
     stack = lockstep.ridge
     grams = np.tile(0.8 * np.eye(dim), (trials, 1, 1))
+    dt_sums = np.zeros(trials)
     for step in range(600):
         feats = rng.standard_normal((trials, k, dim))
         if step % 50 == 0:
@@ -366,15 +313,15 @@ def test_lockstep_kernel_matches_the_dense_reference(trials, dim, k, form):
             feats[1::2, 0] = 0.0
         scores = arm_ucb_scores(lockstep, feats)
         gamma = current_gamma(lockstep)
-        assert gamma.tolist() == [current_gamma(a) for a in singles]
+        # each trial's radius from its own divergence sum; 0.05 is the scale
+        radius = gamma_zero(lockstep.schedule, max(step, 1)) + 3.0 * dim**2 * dt_sums
+        assert np.array_equal(gamma, 0.05 * radius)
         theta = np.linalg.solve(grams, stack.xr_sum[..., None])[..., 0]
         sigma_inv_feats = np.linalg.solve(grams, feats.transpose(0, 2, 1)).transpose(0, 2, 1)
         forms = np.einsum("nkd,nkd->nk", feats, sigma_inv_feats)
         ref = np.einsum("nkd,nd->nk", feats, theta) + np.sqrt(gamma[:, None] * forms)
         atol = RTOL * np.maximum(1.0, np.abs(ref).max(axis=1, keepdims=True))
-        singles_scores = np.stack([arm_ucb_scores(a, f) for a, f in zip(singles, feats)])
         assert (np.abs(scores - ref) <= atol).all()
-        assert (np.abs(scores - singles_scores) <= atol).all()
         arms = select_arm(lockstep, feats)
         assert np.array_equal(arms, np.argmax(scores, axis=1))
         if step % 50 == 0:
@@ -383,20 +330,12 @@ def test_lockstep_kernel_matches_the_dense_reference(trials, dim, k, form):
         rewards = rng.standard_normal(trials)
         dts = rng.uniform(0.0, 0.01, trials)
         observe(lockstep, chosen, rewards, dt_value=dts)
-        for i, agent in enumerate(singles):
-            observe(agent, chosen[i], rewards[i], dt_value=dts[i])
+        dt_sums += dts
         grams += chosen[:, :, None] * chosen[:, None, :]
         assert np.array_equal(stack.gram, grams)
         _assert_tracks_dense(stack)
-        single_theta = np.array([a.ridge.theta_hat for a in singles])
-        single_log_det = np.array([a.ridge.log_det for a in singles])
-        theta_scale = np.maximum(1.0, np.abs(single_theta).max(axis=1))
-        assert (np.abs(stack.theta_hat - single_theta).max(axis=1) <= RTOL * theta_scale).all()
-        assert (np.abs(stack.log_det - single_log_det)
-                <= RTOL * np.maximum(1.0, np.abs(single_log_det))).all()
-        assert lockstep.schedule.dt_cumsum.tolist() == [a.schedule.dt_cumsum for a in singles]
+        assert np.array_equal(lockstep.schedule.dt_cumsum, dt_sums)
         assert stack.update_count == step + 1
-    assert current_gamma(lockstep).tolist() == [current_gamma(a) for a in singles]
     # every trial took the forced re-inversion at update REFACTOR_INTERVAL
     assert stack._since_refactor.tolist() == [600 - REFACTOR_INTERVAL] * trials
 
@@ -456,19 +395,22 @@ def test_lockstep_ball_membership_check_still_raises():
     from pulsebandit import arm_ucb_scores, observe
 
     rng = np.random.default_rng(22)
-    lockstep, _ = _lockstep_pair(3, 3, 4, "ball_maximization")
+    lockstep = _lockstep_agent(3, 3, 4, "ball_maximization")
     for _ in range(12):
         observe(lockstep, rng.standard_normal((3, 3)), rng.standard_normal(3),
                 dt_value=np.zeros(3))
     feats = rng.standard_normal((3, 4, 3))
     arm_ucb_scores(lockstep, feats)
-    # a Gram matrix that disagrees with its factor, in one trial only
+    # a Gram matrix that disagrees with its tracked inverse, in one trial only
     lockstep.ridge.gram[1] *= 4.0
     with pytest.raises(InputError, match="left the confidence ball"):
         arm_ucb_scores(lockstep, feats)
 
 
 def test_lockstep_kernel_rejects_bad_input():
+    # the stacked kernel checks shapes only; the finiteness of a lockstep
+    # run's rows is checked once per block, before the first decision
+    # (tests/test_harness.py), and the one-state entry points check theirs
     from pulsebandit.linalg import new_ridge_stack, stack_quadratic_forms, stack_rank_one_update
 
     with pytest.raises(ParameterError):
@@ -477,13 +419,14 @@ def test_lockstep_kernel_rejects_bad_input():
     with pytest.raises(InputError):
         stack_rank_one_update(stack, np.ones((3, 3)), np.zeros(3))
     with pytest.raises(InputError):
-        stack_rank_one_update(stack, np.ones((2, 3)), np.array([0.0, np.inf]))
+        stack_rank_one_update(stack, np.ones((2, 3)), np.zeros(3))
     with pytest.raises(InputError):
         stack_quadratic_forms(stack, np.ones((2, 3)))
-    bad = np.ones((2, 4, 3))
-    bad[1, 2, 0] = np.nan
     with pytest.raises(InputError):
-        stack_quadratic_forms(stack, bad)
+        stack_quadratic_forms(stack, np.ones((2, 4, 2)))
+    with pytest.raises(InputError):
+        stack_quadratic_forms(new_ridge_state(3, 1.0), np.ones((2, 4, 3)))
+    assert stack.update_count == 0
 
 
 @settings(max_examples=100, deadline=None)
