@@ -97,8 +97,9 @@ class GammaSchedule:
     constant_dt: float = 0.0
     sigma_eps: float = DEFAULT_SIGMA_EPS
     scale: float = 1.0
-    # an agent holds its own copy, with one sum per trial: a 0-d array for
-    # a one-trial agent, an (n,) array for an agent of n lockstep trials
+    # an agent holds its own copy, with one sum per trial: a numpy float for
+    # a one-trial agent, an (n,) array for an agent of n lockstep trials;
+    # observe rebinds it, so a sum read earlier keeps its own value
     dt_cumsum: float = 0.0
 
     def __post_init__(self):
@@ -218,7 +219,7 @@ def make_agent(
                 f"schedule.dim = {schedule.dim} does not match feature dim {dim}"
             )
         ridge = new_ridge_stack(trials, dim, schedule.lam)
-        schedule = replace(schedule, dt_cumsum=np.full(ridge.shape, schedule.dt_cumsum))
+        schedule = replace(schedule, dt_cumsum=np.full(ridge.shape, schedule.dt_cumsum)[()])
     if kind is AgentKind.PULSE_UCB and imputer is None:
         raise ParameterError("pulse_ucb agents need an imputer")
     return AgentState(
@@ -350,7 +351,7 @@ def observe(agent, chosen_features, reward, dt_value=None):
     if sched.dt_source is DtSource.ZERO:
         return agent
     if sched.dt_source is DtSource.CONSTANT:
-        sched.dt_cumsum += sched.constant_dt
+        sched.dt_cumsum = sched.dt_cumsum + sched.constant_dt
         return agent
     if dt_value is None:
         raise InputError(
@@ -359,7 +360,7 @@ def observe(agent, chosen_features, reward, dt_value=None):
     dt_value = np.asarray(dt_value, dtype=float)
     if not np.all(np.isfinite(dt_value) & (dt_value >= 0)):
         raise InputError(f"dt_value must be finite and nonnegative, got {dt_value!r}")
-    sched.dt_cumsum += dt_value
+    sched.dt_cumsum = sched.dt_cumsum + dt_value
     return agent
 
 

@@ -74,8 +74,10 @@ class RidgeStack:
         sum of reward-weighted feature vectors.
     theta_hat : shape + (dim,) ndarray
         inv @ xr_sum.
-    log_det : shape ndarray
-        log det(gram), advanced via the Sylvester identity.
+    log_det : float, or shape ndarray
+        log det(gram), advanced via the Sylvester identity: a numpy float
+        for one problem.  Updates rebind it rather than write into it, so
+        a value read before an update keeps its own value.
     update_count : int
         Updates taken; every problem takes one per call.
 
@@ -104,7 +106,7 @@ class RidgeStack:
         self.inv = np.tile(np.eye(dim) / lam, shape + (1, 1))
         self.xr_sum = np.zeros(shape + (dim,))
         self.theta_hat = np.zeros(shape + (dim,))
-        self.log_det = np.full(shape, dim * math.log(lam))
+        self.log_det = np.full(shape, dim * math.log(lam))[()]  # [()]: a 0-d array as a float
         self.update_count = 0
         self._since_refactor = np.zeros(shape, dtype=int)
 
@@ -185,7 +187,9 @@ def _reinvert(stack, stale):
     factor = _cholesky(stack.gram[stale])
     factor_inv = np.linalg.inv(factor)
     stack.inv[stale] = np.einsum("nki,nkj->nij", factor_inv, factor_inv)
-    stack.log_det[stale] = 2.0 * np.log(np.diagonal(factor, axis1=1, axis2=2)).sum(axis=1)
+    log_det = np.array(stack.log_det)
+    log_det[stale] = 2.0 * np.log(np.diagonal(factor, axis1=1, axis2=2)).sum(axis=1)
+    stack.log_det = log_det[()]
     stack._since_refactor[stale] = 0
 
 
@@ -213,7 +217,7 @@ def stack_rank_one_update(stack, x, reward):
     healthy = np.isfinite(denom) & (denom > 0.0)
     # an unhealthy problem is re-inverted below; a zero increment and a unit
     # denominator keep its arithmetic from raising floating-point warnings
-    stack.log_det += np.log1p(np.where(healthy, q, 0.0))
+    stack.log_det = stack.log_det + np.log1p(np.where(healthy, q, 0.0))
     stack.inv -= u[..., :, None] * u[..., None, :] / np.where(healthy, denom, 1.0)[..., None, None]
     stack.gram += x[..., :, None] * x[..., None, :]
     stack.xr_sum += reward[..., None] * x

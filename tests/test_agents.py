@@ -163,6 +163,22 @@ def test_observe_dt_policies():
     assert o.schedule.dt_cumsum == 0.75
 
 
+def test_dt_cumsum_read_before_observe_keeps_its_value():
+    # observe rebinds the divergence sum rather than add into it, for one
+    # trial and for lockstep trials, under both accumulating sources
+    for trials in (None, 3):
+        for source, dt in ((DtSource.CONSTANT, None), (DtSource.ORACLE, 0.5)):
+            agent = make_agent("a", AgentKind.OFUL_FULL, arm_count=2, dim=1, trials=trials,
+                               schedule=simple_schedule(dt_source=source, constant_dt=0.25))
+            row = np.ones(1) if trials is None else np.ones((trials, 1))
+            reward = 0.0 if trials is None else np.zeros(trials)
+            before = agent.schedule.dt_cumsum
+            frozen = np.copy(before)
+            observe(agent, row, reward, dt_value=dt)
+            assert np.array_equal(before, frozen)
+            assert np.all(agent.schedule.dt_cumsum > before)
+
+
 def test_gamma_increases_after_divergence():
     # two agents at the same update count isolate the 3 d^2 sum(D) term
     clean = make_agent("a", AgentKind.OFUL_FULL, arm_count=2, dim=2,
@@ -258,7 +274,8 @@ def test_one_trial_api_returns_python_types():
             assert observe(agent, feats[arm], 0.5, dt_value=0.1) is agent
             assert agent.ridge.theta_hat.shape == (4,)
             assert agent.ridge.gram.shape == (4, 4)
-            assert agent.ridge.log_det.shape == () and math.isfinite(agent.ridge.log_det)
+            assert isinstance(agent.ridge.log_det, float) and math.isfinite(agent.ridge.log_det)
+        assert isinstance(agent.schedule.dt_cumsum, float)
         assert agent.schedule.dt_cumsum == pytest.approx(0.3, rel=1e-15)
         assert isinstance(current_gamma(agent), float)
         inside = theta_in_ball(agent, agent.ridge.theta_hat)

@@ -186,6 +186,31 @@ def test_zero_update_is_a_noop_on_estimates():
     assert state.update_count == 2
 
 
+def test_log_det_read_before_an_update_keeps_its_value():
+    # updates rebind log_det rather than write into it, on the Sylvester
+    # step and on a re-inversion alike, for one state and for a stack;
+    # with the interval at 3, the third update re-inverts
+    from pulsebandit import linalg
+
+    rng = np.random.default_rng(31)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "REFACTOR_INTERVAL", 3)
+        state = new_ridge_state(2, 1.0)
+        stack = linalg.new_ridge_stack(3, 2, 1.0)
+        assert isinstance(state.log_det, float)
+        for step in range(4):
+            one, many = state.log_det, stack.log_det
+            frozen_one, frozen_many = float(one), many.copy()
+            rank_one_update(state, rng.standard_normal(2), 1.0)
+            linalg.stack_rank_one_update(stack, rng.standard_normal((3, 2)), np.ones(3))
+            assert isinstance(state.log_det, float)
+            assert one == frozen_one and one < state.log_det
+            assert np.array_equal(many, frozen_many) and (many < stack.log_det).all()
+            if step == 2:
+                assert state._since_refactor == 0
+                assert stack._since_refactor.tolist() == [0, 0, 0]
+
+
 def test_potential_bound_rejects_bad_args():
     state = new_ridge_state(2, 1.0)
     with pytest.raises(ParameterError):
