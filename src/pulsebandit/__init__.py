@@ -33,11 +33,9 @@ from .features import (
     MapKind,
     arm_feature_matrix,
     calibrate_feat_norm_bound,
-    custom_map,
     lower_bound_two_arm_map,
     phi,
     phi_batch,
-    register_custom_map,
     synthetic_interaction_map,
 )
 from .imputation import (
@@ -129,8 +127,6 @@ __all__ = [
     "arm_feature_matrix",
     "synthetic_interaction_map",
     "lower_bound_two_arm_map",
-    "register_custom_map",
-    "custom_map",
     "calibrate_feat_norm_bound",
     # imputation
     "ImputerKind",

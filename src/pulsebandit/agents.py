@@ -32,8 +32,8 @@ code over the empty batch shape: it takes (n_arms, dim) features and
 returns one int arm, and its radius is a float.  A one-trial agent's rows
 come from its caller at every step, so they go through the checking
 one-state entry points of `linalg`; a lockstep agent's rows are slices of
-blocks checked once before the first decision (the harness's views and
-rewards), so its steps skip that scan.
+blocks checked once before the first decision (the harness's views,
+rewards and divergence charges), so its steps skip that scan.
 """
 
 import math
@@ -44,6 +44,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, ParameterError, UsageError
 from .linalg import (
+    _batch_shape,
     new_ridge_stack,
     quadratic_form_inv,
     rank_one_update,
@@ -194,22 +195,23 @@ def make_agent(
     arm_count,
     dim=None,
     schedule=None,
-    imputer=None,
     selection_form=SelectionForm.CLOSED_FORM,
     trials=None,
 ):
-    """Assemble an agent; UCB kinds require dim and schedule, and pulse_ucb
-    an imputer (checked here only: the agent takes its imputed features
-    from the caller, so it keeps no imputer).
+    """Assemble an agent; UCB kinds require dim and schedule.  A pulse_ucb
+    agent takes its imputed features from the caller, so it needs no
+    imputer.
 
-    With `trials` set, the agent plays that many trials in lockstep.  A UCB
-    agent's ridge state is a RidgeStack of batch shape (trials,), or () for
-    one trial, and its schedule a copy whose divergence sum has that shape.
+    With `trials` set, a positive count, the agent plays that many trials
+    in lockstep.  A UCB agent's ridge state is a RidgeStack of batch shape
+    (trials,), or () for one trial, and its schedule a copy whose
+    divergence sum has that shape.
     """
     kind = AgentKind(kind)
     selection_form = SelectionForm(selection_form)
     if arm_count < 1:
         raise ParameterError("arm_count must be positive")
+    _batch_shape(trials)  # every kind plays a valid trial count
     ridge = None
     if kind in _UCB_KINDS:
         if dim is None or schedule is None:
@@ -220,8 +222,6 @@ def make_agent(
             )
         ridge = new_ridge_stack(trials, dim, schedule.lam)
         schedule = replace(schedule, dt_cumsum=np.full(ridge.shape, schedule.dt_cumsum)[()])
-    if kind is AgentKind.PULSE_UCB and imputer is None:
-        raise ParameterError("pulse_ucb agents need an imputer")
     return AgentState(
         name=name,
         kind=kind,
@@ -341,7 +341,9 @@ def observe(agent, chosen_features, reward, dt_value=None):
     schedules; CONSTANT adds its configured value and ZERO ignores
     everything.  A one-trial agent takes a (dim,) row and a scalar reward;
     a lockstep agent takes (trials, dim) features, (trials,) rewards and
-    one dt_value per trial or one for all.
+    one dt_value per trial or one for all.  Only a one-trial agent's
+    dt_value is checked here: a lockstep agent's values come from blocks
+    its caller checks once before the first decision.
     """
     if not agent.is_ucb:
         raise UsageError(f"{agent.kind.value} agents do not update")
@@ -358,7 +360,7 @@ def observe(agent, chosen_features, reward, dt_value=None):
             f"dt_source {sched.dt_source.value} requires a dt_value at observe time"
         )
     dt_value = np.asarray(dt_value, dtype=float)
-    if not np.all(np.isfinite(dt_value) & (dt_value >= 0)):
+    if not agent.ridge.shape and not np.all(np.isfinite(dt_value) & (dt_value >= 0)):
         raise InputError(f"dt_value must be finite and nonnegative, got {dt_value!r}")
     sched.dt_cumsum = sched.dt_cumsum + dt_value
     return agent
@@ -369,6 +371,8 @@ def theta_in_ball(agent, theta_true):
     for a one-trial agent."""
     if not agent.is_ucb:
         raise UsageError(f"{agent.kind.value} agents have no confidence ball")
+    if agent.ridge.shape:
+        raise UsageError("theta_in_ball takes a one-trial agent, not a lockstep one")
     theta_true = np.asarray(theta_true, dtype=float)
     if theta_true.shape != (agent.ridge.dim,):
         raise InputError(

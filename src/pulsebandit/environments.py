@@ -129,7 +129,7 @@ def _rollout(env, t_end, contexts, eta, cond_sd_w):
     """
     n = contexts.shape[1]
     flat = contexts.reshape(2 * n, -1)
-    feats = phi_batch(env.feature_map, flat, flat[:, : env.d_s])
+    feats = phi_batch(env.feature_map, flat)
     arm_means, cond_arm_means = (feats @ env.theta_star).reshape(2, n, -1)
     if not np.isfinite(arm_means).all():
         raise EnvError("environment produced non-finite arm means")
@@ -490,13 +490,15 @@ def save_replay_log(log, path):
 
 
 def load_replay_log(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"replay log {path} is empty")
-        rows = list(reader)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except OSError as exc:
+        raise InputError(f"cannot read replay log: {exc}") from exc
+    if header is None:
+        raise InputError(f"replay log {path} is empty")
     expected_prefix = ["row_id", "pool_id", "reward"]
     if header[:3] != expected_prefix:
         raise InputError(
@@ -565,7 +567,7 @@ class ReplayStream:
         return candidates, reveal
 
 
-def generate_history(make_env, n_traj, t0, base_seed, seed_labels=("pretrain",)):
+def generate_history(make_env, n_traj, t0, base_seed):
     """HistoricalDataset of n_traj independent trajectories of length t0.
 
     Each trajectory uses a fresh environment instance reset on its own
@@ -582,7 +584,7 @@ def generate_history(make_env, n_traj, t0, base_seed, seed_labels=("pretrain",))
     w = np.empty((n_traj, t0, probe.d_w))
     for i in range(n_traj):
         env = make_env()
-        rng = substream(base_seed, *seed_labels, i)
+        rng = substream(base_seed, "pretrain", i)
         env.reset(rng)
         rollout = env.rollout(rng, t0)
         s[i] = rollout.observed

@@ -6,8 +6,9 @@ pure and deterministic; all state lives in the frozen map object.  Arm
 indices follow one convention everywhere: for two-armed maps, index 0 is
 the arm a = -1 and index 1 is the arm a = +1.
 
-Custom maps are registered under a name at setup time; configs refer to
-them by name only, never by code.
+Phi reads the full context Y alone; its first d_S coordinates are S.
+Both maps are affine in W for each fixed (S, a), so expected features
+under an imputer can be evaluated at the imputed conditional mean.
 """
 
 from dataclasses import dataclass, field
@@ -22,8 +23,6 @@ __all__ = [
     "FeatureMap",
     "synthetic_interaction_map",
     "lower_bound_two_arm_map",
-    "register_custom_map",
-    "custom_map",
     "phi",
     "phi_batch",
     "arm_feature_matrix",
@@ -34,7 +33,6 @@ __all__ = [
 class MapKind(Enum):
     SYNTHETIC_INTERACTION = "synthetic_interaction"
     LOWER_BOUND_TWO_ARM = "lower_bound_two_arm"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -42,10 +40,7 @@ class FeatureMap:
     """Immutable description of an arm-feature map.
 
     d_s and d_w give the layout of the full context: Y = (S, W) with S the
-    observed prefix and W the late-observed suffix.  `affine_in_w` records
-    whether every coordinate of Phi is affine in W for each fixed (S, a);
-    when true, expected features under an imputer reduce to evaluating Phi
-    at the imputed conditional mean.
+    observed prefix and W the late-observed suffix.
     """
 
     kind: MapKind
@@ -53,7 +48,6 @@ class FeatureMap:
     arm_count: int
     d_s: int
     d_w: int
-    affine_in_w: bool
     params: dict = field(default_factory=dict)
 
     def assemble_context(self, observed, w):
@@ -75,7 +69,6 @@ def synthetic_interaction_map():
         arm_count=2,
         d_s=1,
         d_w=1,
-        affine_in_w=True,
     )
 
 
@@ -94,49 +87,17 @@ def lower_bound_two_arm_map(d_lin, d_non):
         arm_count=2,
         d_s=d_lin + d_non,
         d_w=1,
-        affine_in_w=True,
         params={"d_lin": int(d_lin), "d_non": int(d_non)},
     )
 
 
-_CUSTOM_REGISTRY = {}
-
-
-def register_custom_map(name, fn, output_dim, arm_count, d_s, d_w, affine_in_w):
-    """Register a named pure function fn(full_context, observed, arm) -> vec.
-
-    Registration happens at harness setup; there is no dynamic code loading
-    from configs.
-    """
-    if not isinstance(name, str) or not name:
-        raise ParameterError("custom map name must be a nonempty string")
-    _CUSTOM_REGISTRY[name] = FeatureMap(
-        kind=MapKind.CUSTOM,
-        output_dim=int(output_dim),
-        arm_count=int(arm_count),
-        d_s=int(d_s),
-        d_w=int(d_w),
-        affine_in_w=bool(affine_in_w),
-        params={"name": name, "fn": fn},
-    )
-    return _CUSTOM_REGISTRY[name]
-
-
-def custom_map(name):
-    if name not in _CUSTOM_REGISTRY:
-        raise ParameterError(f"no custom feature map registered under {name!r}")
-    return _CUSTOM_REGISTRY[name]
-
-
-def phi_batch(feature_map, full_contexts, observed):
+def phi_batch(feature_map, full_contexts):
     """Features of every arm at every step: a (T, arm_count, output_dim)
     block whose [t, a] row is Phi(Y_t, a).
 
-    `full_contexts` is (T, d_S + d_W) and `observed` holds one observed
-    row per step (read by custom maps only).  The block is validated once:
-    contexts must have the map's layout and be finite, and a custom map's
-    rows must have its output dimension.  Pure; identical inputs give
-    identical outputs bit for bit.
+    `full_contexts` is (T, d_S + d_W).  The block is validated once:
+    contexts must have the map's layout and be finite.  Pure; identical
+    inputs give identical outputs bit for bit.
     """
     y = np.asarray(full_contexts, dtype=float)
     expected = feature_map.d_s + feature_map.d_w
@@ -148,7 +109,7 @@ def phi_batch(feature_map, full_contexts, observed):
         raise InputError("full context contains non-finite entries")
 
     kind = feature_map.kind
-    n, arms, dim = y.shape[0], feature_map.arm_count, feature_map.output_dim
+    n = y.shape[0]
     if kind is MapKind.SYNTHETIC_INTERACTION:
         # (1, S, W, S * a) with a = -1 for arm 0 and a = +1 for arm 1
         s = y[:, 0]
@@ -160,79 +121,50 @@ def phi_batch(feature_map, full_contexts, observed):
         return out
     if kind is MapKind.LOWER_BOUND_TWO_ARM:
         d_lin = feature_map.params["d_lin"]
-        out = np.zeros((n, 2, dim))
+        out = np.zeros((n, 2, feature_map.output_dim))
         out[:, 0] = y
         out[:, 1, :d_lin] = -y[:, :d_lin]
         return out
-    if kind is MapKind.CUSTOM:
-        fn = feature_map.params["fn"]
-        s = np.asarray(observed, dtype=float)
-        rows = [
-            np.asarray(fn(y[t], s[t], a), dtype=float) for t in range(n) for a in range(arms)
-        ]
-        for row in rows:
-            if row.shape != (dim,):
-                raise InputError(
-                    f"custom map returned shape {row.shape}, expected ({dim},)"
-                )
-        return np.array(rows).reshape(n, arms, dim)
     raise ParameterError(f"unknown feature map kind {kind!r}")
 
 
-def _one_context(feature_map, full_context, observed):
-    """A single (Y, S) pair as the one-step block phi_batch takes."""
+def phi(feature_map, full_context, arm):
+    """Feature vector Phi(Y, a): row `arm` of the one-step phi_batch."""
+    if not isinstance(arm, (int, np.integer)) or isinstance(arm, bool):
+        raise InputError(f"arm must be an integer index, got {arm!r}")
+    if not 0 <= arm < feature_map.arm_count:
+        raise InputError(f"arm index {arm} out of range for {feature_map.arm_count} arms")
+    return arm_feature_matrix(feature_map, full_context)[int(arm)]
+
+
+def arm_feature_matrix(feature_map, full_context):
+    """Stack of phi over all arm indices; row a is arm a's features."""
     y = np.atleast_1d(np.asarray(full_context, dtype=float))
     expected = feature_map.d_s + feature_map.d_w
     if y.shape != (expected,):
         raise InputError(f"full context must have shape ({expected},), got {y.shape}")
-    return y[None, :], np.asarray(observed, dtype=float)[None]
+    return phi_batch(feature_map, y[None, :])[0]
 
 
-def _arm_index(feature_map, arm):
-    """`arm` as an int, checked against the map's arm count."""
-    if not isinstance(arm, (int, np.integer)) or isinstance(arm, bool):
-        raise InputError(f"arm must be an integer index, got {arm!r}")
-    arm = int(arm)
-    if not 0 <= arm < feature_map.arm_count:
-        raise InputError(
-            f"arm index {arm} out of range for {feature_map.arm_count} arms"
-        )
-    return arm
-
-
-def phi(feature_map, full_context, observed, arm):
-    """Feature vector Phi(Y, a): row `arm` of the one-step phi_batch."""
-    arm = _arm_index(feature_map, arm)
-    return phi_batch(feature_map, *_one_context(feature_map, full_context, observed))[0, arm]
-
-
-def arm_feature_matrix(feature_map, full_context, observed):
-    """Stack of phi over all arm indices; row a is arm a's features."""
-    return phi_batch(feature_map, *_one_context(feature_map, full_context, observed))[0]
-
-
-def calibrate_feat_norm_bound(feature_map, full_contexts, observed, quantile=0.999):
+def calibrate_feat_norm_bound(feature_map, full_contexts, quantile=0.999):
     """Empirical feature-norm bound B from a dry run.
 
-    `full_contexts` (n, d_S + d_W) and `observed` (n, d_S) hold one row per
-    dry-run step drawn from the target context law.  Returns (bound,
-    diagnostics) where the bound is the `quantile` quantile of
-    max-over-arms Euclidean feature norms and diagnostics reports the
-    sup-norm violation rate of the nominal ||Phi||_inf <= 1 assumption
-    (monitored, never enforced).
+    `full_contexts` (n, d_S + d_W) holds one row per dry-run step drawn
+    from the target context law.  Returns (bound, diagnostics) where the
+    bound is the `quantile` quantile of max-over-arms Euclidean feature
+    norms and diagnostics reports the sup-norm violation rate of the
+    nominal ||Phi||_inf <= 1 assumption (monitored, never enforced).
     """
     if not 0.0 < quantile <= 1.0:
         raise ParameterError("quantile must lie in (0, 1]")
     ys = np.asarray(full_contexts, dtype=float)
-    ss = np.asarray(observed, dtype=float)
     width = feature_map.d_s + feature_map.d_w
     n_steps = len(ys) if ys.ndim == 2 and ys.shape[1] == width else 0
-    if n_steps < 1 or ss.shape != (n_steps, feature_map.d_s):
+    if n_steps < 1:
         raise InputError(
-            f"dry-run contexts have shapes {ys.shape} and {ss.shape}, expected "
-            f"(n, {width}) and (n, {feature_map.d_s}) with n >= 1"
+            f"dry-run contexts have shape {ys.shape}, expected (n, {width}) with n >= 1"
         )
-    mats = phi_batch(feature_map, ys, ss)
+    mats = phi_batch(feature_map, ys)
     norms = np.sqrt((mats * mats).sum(axis=2).max(axis=1))
     inf_violations = int((np.abs(mats).max(axis=(1, 2)) > 1.0).sum())
     bound = float(np.quantile(norms, quantile))

@@ -428,6 +428,9 @@ class ExperimentConfig:
 
         if replay and self.imputer["path"] is not None:
             raise ConfigError("imputer.path", "replay fits its imputer on the log; it loads none")
+        if replay and self.imputer["lag"] != 0:
+            # a log row's context is one i.i.d. draw: there are no lags to fit
+            raise ConfigError("imputer.lag", f"must be 0 for replay, got {self.imputer['lag']}")
 
         if (
             self.imputer["kind"] in _FITTED_IMPUTERS
@@ -547,18 +550,14 @@ def pretrain(config):
     """Fit (or load, or wire) the configured imputer and calibrate B.
 
     Returns a dict with the fitted imputer (None for oracle kind, which is
-    wired per trial), the historical dataset (None when not needed), the
-    feature-norm bound with its dry-run diagnostics, and the plug-in
-    divergence surrogate when some agent asks for it.
+    wired per trial), the feature-norm bound with its dry-run diagnostics,
+    and the plug-in divergence surrogate when some agent asks for it.
     """
-    imp_cfg = config.imputer
-    env_kind = config.environment["kind"]
-    dataset = None
-    imputer = None
-
-    if env_kind == "replay":
+    if config.environment["kind"] == "replay":
         return _pretrain_replay(config)
 
+    imp_cfg = config.imputer
+    dataset = imputer = None
     probe = config.make_env()
     if imp_cfg["path"] is not None:
         imputer = load_imputer(imp_cfg["path"])
@@ -582,7 +581,7 @@ def pretrain(config):
         env.reset(rng)
         rollout = env.rollout(rng, FEAT_NORM_DRY_RUN_STEPS)
         bound, diagnostics = calibrate_feat_norm_bound(
-            env.feature_map, rollout.full_context, rollout.observed, FEAT_NORM_QUANTILE
+            env.feature_map, rollout.full_context, FEAT_NORM_QUANTILE
         )
         diagnostics["source"] = "dry_run"
 
@@ -601,7 +600,6 @@ def pretrain(config):
 
     return {
         "imputer": imputer,
-        "dataset": dataset,
         "feat_norm_bound": bound,
         "feat_norm_diagnostics": diagnostics,
         "plug_in_dt": plug_in_dt,
@@ -635,7 +633,12 @@ def _band_target_fitter(config):
 
 
 def _pretrain_replay(config):
-    log = load_replay_log(config.environment["path"])
+    try:
+        log = load_replay_log(config.environment["path"])
+    except InputError as exc:
+        if not isinstance(exc.__cause__, OSError):
+            raise  # a readable log with bad rows
+        raise ConfigError("environment.path", str(exc)) from exc
     n0 = int(round(config.pretrain["fraction"] * log.n_rows))
     needs_fit = config.imputer["kind"] in _FITTED_IMPUTERS
     uses_full = needs_fit or any(a["kind"] == "oful_full" for a in config.agents)
@@ -679,7 +682,6 @@ class _View:
 
     bound: float
     features: np.ndarray
-    imputer: object = None
 
 
 @dataclass(frozen=True)
@@ -692,11 +694,13 @@ class _Seat:
     rng: object
 
 
-def _require_finite(block, what):
+def _require_finite(block, what, nonnegative=False):
     """Check a whole block before the first decision: the per-step kernels
     that read its slices do not scan them again."""
     if not np.isfinite(block).all():
         raise InputError(f"{what} contain non-finite entries")
+    if nonnegative and not (np.asarray(block) >= 0).all():
+        raise InputError(f"{what} contain negative entries")
 
 
 def _seat_agents(config, trials, arm_count, view_for):
@@ -731,7 +735,6 @@ def _seat_agents(config, trials, arm_count, view_for):
             arm_count=arm_count,
             dim=dim,
             schedule=schedule,
-            imputer=None if view is None else view.imputer,
             selection_form=SelectionForm(spec["selection_form"]),
             trials=len(trials),
         )
@@ -855,14 +858,12 @@ def _oracle_charges(rollout, w_law):
 @dataclass(frozen=True)
 class _Trial:
     """One simulated trial before any decision: its rollout, each agent's
-    (T, n_arms, dim) features (None for the kinds without a view), the
-    pulse_ucb imputer and, for the agents on the oracle divergence, their
-    (T,) charges."""
+    (T, n_arms, dim) features (None for the kinds without a view) and, for
+    the agents on the oracle divergence, their (T,) charges."""
 
     rollout: object
     arm_count: int
     features: dict
-    imputer: object
     charges: dict
     kernel_fallbacks: int
 
@@ -890,12 +891,12 @@ def _build_trial(config, trial_index, fitted_imputer):
     blocks = {}
     w_laws = {AgentKind.OFUL_FULL: None}
     if AgentKind.OFUL_FULL in kinds:
-        blocks[AgentKind.OFUL_FULL] = phi_batch(fmap, rollout.full_context, observed)
+        blocks[AgentKind.OFUL_FULL] = phi_batch(fmap, rollout.full_context)
     if AgentKind.OFUL_OBSERVED in kinds:
         # the observed view zeroes W and models it as N(0, true sd)
         zeros_w = np.zeros_like(rollout.cond_mean_w)
         blocks[AgentKind.OFUL_OBSERVED] = phi_batch(
-            fmap, np.concatenate([observed, zeros_w], axis=1), observed
+            fmap, np.concatenate([observed, zeros_w], axis=1)
         )
         w_laws[AgentKind.OFUL_OBSERVED] = (zeros_w, truth_sd)
     imputer = None
@@ -929,7 +930,6 @@ def _build_trial(config, trial_index, fitted_imputer):
         rollout,
         fmap.arm_count,
         features,
-        imputer,
         charges,
         0 if fitted_imputer is None else fitted_imputer.fallback_count - fallbacks_before,
     )
@@ -954,21 +954,28 @@ def run_trials(config, trial_indices, fitted_imputer, plug_in_dt, feat_norm_boun
     potential = np.stack([trial.rollout.potential_rewards for trial in built], axis=1)
     _require_finite(potential, "potential rewards")
 
+    # (T, trials) oracle charges of each agent on the oracle divergence
+    charges = {
+        name: np.stack([trial.charges[name] for trial in built], axis=1)
+        for name in built[0].charges
+    }
+    for name, block in charges.items():
+        _require_finite(block, f"agent {name!r} divergence charges", nonnegative=True)
+    if plug_in_dt is not None:
+        _require_finite(plug_in_dt, "plug_in_dt values", nonnegative=True)
+
     def view_for(kind, name):
         if built[0].features[name] is None:
             return None
-        imputer = built[0].imputer if kind is AgentKind.PULSE_UCB else None
         stacked = np.stack([trial.features[name] for trial in built], axis=1)
         _require_finite(stacked, f"agent {name!r} features")
-        return _View(feat_norm_bound, stacked, imputer=imputer)
+        return _View(feat_norm_bound, stacked)
 
     seats = _seat_agents(config, trial_indices, built[0].arm_count, view_for)
 
     def steps_for(seat):
-        name = seat.agent.name
-        dt_values = repeat(plug_in_dt)  # ZERO ignores the value, CONSTANT adds its own
-        if name in built[0].charges:
-            dt_values = np.stack([trial.charges[name] for trial in built], axis=1)
+        # ZERO ignores the value, CONSTANT adds its own
+        dt_values = charges.get(seat.agent.name, repeat(plug_in_dt))
         features = repeat(None) if seat.view is None else seat.view.features
         # each step pays every trial's chosen arm
         pays = ((lambda arms, step=step: step[lanes, arms]) for step in potential)
@@ -1238,9 +1245,7 @@ def _replay_views(config, log, imputer):
     if AgentKind.PULSE_UCB in kinds:
         if imputer is None:
             raise ConfigError("imputer.kind", "pulse_ucb replay needs a fitted imputer")
-        mus = np.stack(
-            [imputer.conditional_mean(log.observed[j][None, :]) for j in range(log.n_rows)]
-        )
+        mus = _conditional_means(imputer, log.observed)
         tables[AgentKind.PULSE_UCB] = np.concatenate([log.observed, mus], axis=1)
     # the log's rewards need no check here: a ReplayLog holds binary ones
     for kind, table in tables.items():
@@ -1253,7 +1258,6 @@ def _replay_views(config, log, imputer):
                 else bound
             ),
             features=table,
-            imputer=imputer if kind is AgentKind.PULSE_UCB else None,
         )
         for kind, table in tables.items()
     }

@@ -6,7 +6,8 @@ S_{1:t}.  Expected arm features are
     phi_hat(t, a) = E_model[ Phi(Y_t, a) | S_{1:t} ],
 
 approximated by a Monte-Carlo average over model draws, or evaluated
-exactly at the conditional mean when the feature map is affine in W.
+exactly at the conditional mean (the `analytic` path): both feature maps
+are affine in W, so the two agree up to Monte-Carlo error.
 
 Two estimators can be fit from historical full-context trajectories:
 
@@ -234,18 +235,13 @@ def fit_linear_ar(data, lag, ridge_eps=1e-10, mc_samples=DEFAULT_MC_SAMPLES):
         )
 
     n, t0, d_s = data.n_traj, data.t0, data.d_s
-    rows_per_traj = t0 - lag
     p = (lag + 1) * d_s
-    design = np.empty((n * rows_per_traj, p + 1))
-    target = np.empty((n * rows_per_traj, data.d_w))
+    # one row per (trajectory, t) with t in [lag, t0), trajectory-major
+    design = np.empty((n * (t0 - lag), p + 1))
     design[:, 0] = 1.0
-    r = 0
-    for i in range(n):
-        for t in range(lag, t0):
-            for j in range(lag + 1):
-                design[r, 1 + j * d_s : 1 + (j + 1) * d_s] = data.s[i, t - j]
-            target[r] = data.w[i, t]
-            r += 1
+    for j in range(lag + 1):
+        design[:, 1 + j * d_s : 1 + (j + 1) * d_s] = data.s[:, lag - j : t0 - j].reshape(-1, d_s)
+    target = data.w[:, lag:].reshape(-1, data.d_w)
 
     gram = design.T @ design
     if ridge_eps == 0.0:
@@ -385,15 +381,16 @@ def _expected_feature_block(imputer, feature_map, observed, law, rng=None):
 
     `observed` is the (T, d_S) observed part of each step and `law` the
     model's conditional law of W there, as (means (T, d_W), sd (d_W,)).
-    The analytic path evaluates Phi at the means.  The Monte-Carlo path
+    The analytic path evaluates Phi at the means, which is exact because
+    both feature maps are affine in W.  The Monte-Carlo path
     draws mc_samples Gaussians per (step, arm) in one standard-normal
     block, step by step and arm 0 first, and averages each arm's features
     over its own draws.
     """
     _check_imputes_for(imputer, feature_map)
     means, sd = law
-    if imputer.analytic and feature_map.affine_in_w:
-        return phi_batch(feature_map, np.concatenate([observed, means], axis=1), observed)
+    if imputer.analytic:
+        return phi_batch(feature_map, np.concatenate([observed, means], axis=1))
     if rng is None:
         raise InputError("Monte-Carlo expected features require an rng")
     n_steps, d_s = observed.shape
@@ -401,7 +398,7 @@ def _expected_feature_block(imputer, feature_map, observed, law, rng=None):
     draws = means[:, None, None, :] + rng.standard_normal((n_steps, arms, n, imputer.d_w)) * sd
     s = np.broadcast_to(observed[:, None, None, :], draws.shape[:3] + (d_s,))
     contexts = np.concatenate([s, draws], axis=3).reshape(n_steps * arms * n, -1)
-    block = phi_batch(feature_map, contexts, contexts[:, :d_s]).reshape(n_steps, arms, n, arms, -1)
+    block = phi_batch(feature_map, contexts).reshape(n_steps, arms, n, arms, -1)
     # the draws of arm a feed arm a's features only
     return np.stack([block[:, a, :, a] for a in range(arms)], axis=1).mean(axis=2)
 

@@ -120,15 +120,20 @@ def _check_dim_lam(dim, lam):
     return int(dim), lam
 
 
+def _batch_shape(trials):
+    """() for one problem (`trials` None), else (trials,) for a positive
+    integer count."""
+    if trials is None:
+        return ()
+    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool) or trials < 1:
+        raise ParameterError(f"trials must be a positive integer, got {trials!r}")
+    return (int(trials),)
+
+
 def new_ridge_stack(trials, dim, lam):
     """Fresh states with gram = lam * I: `trials` of them on a leading
     trial axis, or one state without that axis for `trials` None."""
-    shape = ()
-    if trials is not None:
-        if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool) or trials < 1:
-            raise ParameterError(f"trials must be a positive integer, got {trials!r}")
-        shape = (int(trials),)
-    return RidgeStack(shape, *_check_dim_lam(dim, lam))
+    return RidgeStack(_batch_shape(trials), *_check_dim_lam(dim, lam))
 
 
 def new_ridge_state(dim, lam):

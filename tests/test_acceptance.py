@@ -212,7 +212,7 @@ def test_a4_confidence_ball_coverage(acceptance_report):
     env_b = SyntheticEnv(nonlinearity="linear")
     env_b.reset(substream(2024, "feat-norm"))
     dry_run = env_b.rollout(substream(2024, "feat-norm", "draws"), 4000)
-    bound, _ = calibrate_feat_norm_bound(fmap, dry_run.full_context, dry_run.observed)
+    bound, _ = calibrate_feat_norm_bound(fmap, dry_run.full_context)
 
     trials, horizon = 200, 500
     covered = 0
@@ -231,10 +231,7 @@ def test_a4_confidence_ball_coverage(acceptance_report):
             sigma_eps=0.05,
             scale=1.0,
         )
-        agent = make_agent(
-            "pulse", AgentKind.PULSE_UCB, arm_count=2, dim=4, schedule=sched,
-            imputer=imp,
-        )
+        agent = make_agent("pulse", AgentKind.PULSE_UCB, arm_count=2, dim=4, schedule=sched)
         inside_all = True
         for _ in range(horizon):
             step = env.step(rng)

@@ -87,10 +87,26 @@ def test_make_agent_requirements():
     sched = simple_schedule(dim=3)
     with pytest.raises(ParameterError):
         make_agent("a", AgentKind.OFUL_FULL, arm_count=2, dim=2, schedule=sched)
-    with pytest.raises(ParameterError):
-        make_agent("p", AgentKind.PULSE_UCB, arm_count=2, dim=3, schedule=sched)
+    # pulse_ucb takes its imputed features from the caller: no imputer
+    assert make_agent("p", AgentKind.PULSE_UCB, arm_count=2, dim=3, schedule=sched).is_ucb
     agent = make_agent("u", AgentKind.UNIFORM_RANDOM, arm_count=4)
     assert not agent.is_ucb and agent.ridge is None
+
+
+@pytest.mark.parametrize("kind", list(AgentKind), ids=lambda k: k.value)
+def test_make_agent_rejects_a_trial_count_below_one(kind):
+    sched = simple_schedule(dim=2)
+    for trials in (0, -3, 1.5, True):
+        with pytest.raises(ParameterError, match="trials"):
+            make_agent("a", kind, arm_count=2, dim=2, schedule=sched, trials=trials)
+    assert make_agent("a", kind, arm_count=2, dim=2, schedule=sched, trials=1).trials == 1
+
+
+def test_theta_in_ball_rejects_a_lockstep_agent():
+    sched = simple_schedule(dim=2, feat_norm_bound=1.0)
+    agent = make_agent("f", AgentKind.OFUL_FULL, arm_count=2, dim=2, schedule=sched, trials=4)
+    with pytest.raises(UsageError, match="one-trial"):
+        theta_in_ball(agent, np.zeros(2))
 
 
 def test_fresh_agent_gamma_is_t1_value():

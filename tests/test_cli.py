@@ -172,6 +172,18 @@ def test_replay_cli_roundtrip(tmp_path):
     assert "run_replay" in {name for _, _, name in pstats.Stats(str(dump)).stats}
 
 
+def test_replay_with_an_unreadable_log_names_its_field(tmp_path, capsys):
+    import importlib.resources as ir
+    import pulsebandit.configs as configs
+    cfg = str(ir.files(configs) / "replay_demo.json")
+    missing = json.dumps(str(tmp_path / "nonexistent.csv"))
+    rc = main(["replay", "--config", cfg, "--out", str(tmp_path / "rep"), "--quiet",
+               "--set", f"environment.path={missing}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "environment.path" in err and "nonexistent.csv" in err
+
+
 def test_profile_flag_writes_a_pstats_dump(tmp_path):
     import pstats
 

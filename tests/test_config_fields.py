@@ -132,6 +132,8 @@ BAD = {
     ("replay", "imputer.kind"): ["oracle", MISSING],
     # replay fits its imputer on the log and would ignore a loaded one
     ("replay", "imputer.path"): ["imputer.json"],
+    # replay fits its imputer at lag 0 and would ignore any other lag
+    ("replay", "imputer.lag"): [1],
 }
 
 # fields that take any value and keep it as a string
@@ -165,6 +167,7 @@ CROSS_KIND = {
     ("lower_bound", "agents[0].dt_source"),
     ("replay", "imputer.kind"),
     ("replay", "imputer.path"),
+    ("replay", "imputer.lag"),
 }
 
 
@@ -364,9 +367,10 @@ def configs(draw):
         raw["horizon"] = draw(count if kind != "replay" else optional(count))
     imputer = raw.get("imputer", {})
     if kind == "replay":
-        # replay fits its imputer on the log and loads none; a pulse_ucb
-        # agent needs that fitted (or null) model, not the oracle
+        # replay fits its imputer on the log, at lag 0, and loads none; a
+        # pulse_ucb agent needs that fitted (or null) model, not the oracle
         imputer.pop("path", None)
+        imputer.pop("lag", None)
         if imputer.get("kind", "oracle") == "oracle" and any(
             agent["kind"] == "pulse_ucb" for agent in agents
         ):

@@ -198,6 +198,12 @@ def test_replay_log_round_trip_bitexact(tmp_path):
     np.testing.assert_array_equal(back.pool_ids, log.pool_ids)
 
 
+def test_unreadable_replay_log_is_an_input_error(tmp_path):
+    for path in (tmp_path / "nonexistent.csv", tmp_path):  # missing, a directory
+        with pytest.raises(InputError, match="cannot read replay log"):
+            load_replay_log(str(path))
+
+
 def test_replay_log_rejects_nonbinary_rewards():
     with pytest.raises(InputError):
         ReplayLog(observed=np.zeros((3, 1)), rewards=np.array([0.0, 0.5, 1.0]))
@@ -303,8 +309,8 @@ def scalar_synthetic_steps(env, rng, n_steps):
         w = mu + draw(env.xi_sd)
         eta = draw(env.eta_sd)
         y, s_vec = np.array([s, w]), np.array([s])
-        means = np.stack([phi(fmap, y, s_vec, a) for a in range(2)]) @ env.theta_star
-        cond = np.stack([phi(fmap, np.array([s, mu]), s_vec, a) for a in range(2)])
+        means = np.stack([phi(fmap, y, a) for a in range(2)]) @ env.theta_star
+        cond = np.stack([phi(fmap, np.array([s, mu]), a) for a in range(2)])
         steps.append(
             dict(t=t, full=y, observed=s_vec, means=means, rewards=means + eta,
                  cond_mean=np.array([mu]), cond_means=cond @ env.theta_star)
@@ -329,8 +335,8 @@ def scalar_lower_bound_steps(env, rng, n_steps):
         y = np.concatenate([q, o, [w]])
         y_cond = np.concatenate([q, o, [f_o]])
         s_vec = y[: env.d_s]
-        means = np.stack([phi(fmap, y, s_vec, a) for a in range(2)]) @ env.theta_star
-        cond = np.stack([phi(fmap, y_cond, s_vec, a) for a in range(2)])
+        means = np.stack([phi(fmap, y, a) for a in range(2)]) @ env.theta_star
+        cond = np.stack([phi(fmap, y_cond, a) for a in range(2)])
         steps.append(
             dict(t=t, full=y, observed=s_vec, means=means, rewards=means + eta,
                  cond_mean=np.array([f_o]), cond_means=cond @ env.theta_star)

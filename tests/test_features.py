@@ -4,14 +4,11 @@ import pytest
 from pulsebandit import (
     InputError,
     ParameterError,
-    UsageError,
     arm_feature_matrix,
     calibrate_feat_norm_bound,
-    custom_map,
     lower_bound_two_arm_map,
     phi,
     phi_batch,
-    register_custom_map,
     synthetic_interaction_map,
 )
 
@@ -19,21 +16,21 @@ from pulsebandit import (
 def test_interaction_map_positive_arm():
     fmap = synthetic_interaction_map()
     y = np.array([0.2, 0.5])
-    out = phi(fmap, y, np.array([0.2]), 1)
+    out = phi(fmap, y, 1)
     np.testing.assert_allclose(out, [1.0, 0.2, 0.5, 0.2], atol=0)
 
 
 def test_interaction_map_negative_arm():
     fmap = synthetic_interaction_map()
     y = np.array([0.2, 0.5])
-    out = phi(fmap, y, np.array([0.2]), 0)
+    out = phi(fmap, y, 0)
     np.testing.assert_allclose(out, [1.0, 0.2, 0.5, -0.2], atol=0)
 
 
 def test_arm_feature_matrix_stacks_both_arms():
     fmap = synthetic_interaction_map()
     y = np.array([-0.3, 0.1])
-    mat = arm_feature_matrix(fmap, y, y[:1])
+    mat = arm_feature_matrix(fmap, y)
     assert mat.shape == (2, 4)
     np.testing.assert_allclose(mat[0], [1.0, -0.3, 0.1, 0.3])
     np.testing.assert_allclose(mat[1], [1.0, -0.3, 0.1, -0.3])
@@ -45,8 +42,8 @@ def test_lower_bound_map_branch_structure():
     o = np.array([0.2, -0.1, 0.4])
     w = np.array([0.35])
     y = np.concatenate([q, o, w])
-    arm0 = phi(fmap, y, y[:5], 0)
-    arm1 = phi(fmap, y, y[:5], 1)
+    arm0 = phi(fmap, y, 0)
+    arm1 = phi(fmap, y, 1)
     np.testing.assert_allclose(arm0, y)
     np.testing.assert_allclose(arm1, np.concatenate([-q, np.zeros(4)]))
     assert fmap.output_dim == 6 and fmap.arm_count == 2
@@ -56,17 +53,17 @@ def test_invalid_arm_rejected():
     fmap = synthetic_interaction_map()
     y = np.array([0.0, 0.0])
     with pytest.raises(InputError):
-        phi(fmap, y, y[:1], 2)
+        phi(fmap, y, 2)
     with pytest.raises(InputError):
-        phi(fmap, y, y[:1], -1)
+        phi(fmap, y, -1)
 
 
 def test_bad_context_shape_rejected():
     fmap = synthetic_interaction_map()
     with pytest.raises(InputError):
-        phi(fmap, np.array([1.0, 2.0, 3.0]), np.array([1.0]), 0)
+        phi(fmap, np.array([1.0, 2.0, 3.0]), 0)
     with pytest.raises(InputError):
-        phi(fmap, np.array([np.nan, 0.0]), np.array([np.nan]), 0)
+        phi(fmap, np.array([np.nan, 0.0]), 0)
 
 
 def test_assemble_context_concatenates():
@@ -75,23 +72,10 @@ def test_assemble_context_concatenates():
     np.testing.assert_allclose(y, [0.4, 0.7])
 
 
-def test_custom_map_registration_roundtrip():
-    def my_phi(y, s, arm):
-        return np.array([y[0] * (arm + 1.0)])
-
-    register_custom_map("test-doubler", my_phi, output_dim=1, arm_count=2,
-                        d_s=1, d_w=0, affine_in_w=False)
-    fmap = custom_map("test-doubler")
-    y = np.array([3.0])
-    np.testing.assert_allclose(phi(fmap, y, y, 1), [6.0])
-    with pytest.raises(ParameterError):
-        custom_map("never-registered")
-
-
 def test_calibrate_feat_norm_bound_constant_stream():
     fmap = synthetic_interaction_map()
     ys = np.tile([0.2, 0.5], (50, 1))
-    bound, diag = calibrate_feat_norm_bound(fmap, ys, ys[:, :1], quantile=1.0)
+    bound, diag = calibrate_feat_norm_bound(fmap, ys, quantile=1.0)
     expected = float(np.linalg.norm([1.0, 0.2, 0.5, 0.2]))
     assert bound == pytest.approx(expected, rel=1e-12)
     assert diag["max_feature_norm"] == pytest.approx(expected, rel=1e-12)
@@ -102,44 +86,34 @@ def test_calibrate_feat_norm_bound_validates():
     fmap = synthetic_interaction_map()
     ys = np.zeros((5, 2))
     with pytest.raises(ParameterError):
-        calibrate_feat_norm_bound(fmap, ys, ys[:, :1], quantile=1.5)
-    # wrong context width, wrong observed width, mismatched rows, no rows
-    for full, observed in ((np.zeros((5, 3)), ys[:, :1]), (ys, ys), (ys, ys[:4, :1]),
-                           (ys[:0], ys[:0, :1]), (np.zeros(2), np.zeros(1))):
+        calibrate_feat_norm_bound(fmap, ys, quantile=1.5)
+    # wrong context width, no rows, one row without the step axis
+    for full in (np.zeros((5, 3)), ys[:0], np.zeros(2)):
         with pytest.raises(InputError):
-            calibrate_feat_norm_bound(fmap, full, observed)
+            calibrate_feat_norm_bound(fmap, full)
 
 
-def _map_kinds():
-    def cubic(y, s, arm):
-        return np.array([y[0] ** 3, s[0] * (arm - 1.0), y[1]])
-
-    register_custom_map("test-cubic", cubic, output_dim=3, arm_count=3,
-                        d_s=1, d_w=1, affine_in_w=True)
-    return [
-        synthetic_interaction_map(),
-        lower_bound_two_arm_map(2, 3),
-        custom_map("test-cubic"),
-    ]
-
-
-@pytest.mark.parametrize("fmap", _map_kinds(), ids=lambda m: m.kind.value)
+@pytest.mark.parametrize(
+    "fmap",
+    [synthetic_interaction_map(), lower_bound_two_arm_map(2, 3)],
+    ids=lambda m: m.kind.value,
+)
 def test_phi_batch_rows_are_phi(fmap):
     rng = np.random.default_rng(5)
     n, d_y = 25, fmap.d_s + fmap.d_w
     ys = rng.uniform(-2.0, 2.0, (n, d_y))
-    block = phi_batch(fmap, ys, ys[:, : fmap.d_s])
+    block = phi_batch(fmap, ys)
     assert block.shape == (n, fmap.arm_count, fmap.output_dim)
     for t in range(n):
-        mat = arm_feature_matrix(fmap, ys[t], ys[t, : fmap.d_s])
+        mat = arm_feature_matrix(fmap, ys[t])
         assert mat.tobytes() == block[t].tobytes()
         for a in range(fmap.arm_count):
-            assert phi(fmap, ys[t], ys[t, : fmap.d_s], a).tobytes() == block[t, a].tobytes()
+            assert phi(fmap, ys[t], a).tobytes() == block[t, a].tobytes()
 
 
 def test_phi_batch_interaction_formula():
     ys = np.array([[0.2, 0.5], [-0.3, 0.1]])
-    block = phi_batch(synthetic_interaction_map(), ys, ys[:, :1])
+    block = phi_batch(synthetic_interaction_map(), ys)
     np.testing.assert_array_equal(
         block,
         [[[1.0, 0.2, 0.5, -0.2], [1.0, 0.2, 0.5, 0.2]],
@@ -150,27 +124,23 @@ def test_phi_batch_interaction_formula():
 def test_phi_batch_validates_the_block():
     fmap = synthetic_interaction_map()
     with pytest.raises(InputError):
-        phi_batch(fmap, np.zeros((3, 3)), np.zeros((3, 1)))
+        phi_batch(fmap, np.zeros((3, 3)))
     with pytest.raises(InputError):
-        phi_batch(fmap, np.zeros(2), np.zeros(1))
+        phi_batch(fmap, np.zeros(2))
     bad = np.zeros((4, 2))
     bad[2, 1] = np.inf
     with pytest.raises(InputError):
-        phi_batch(fmap, bad, bad[:, :1])
-    register_custom_map("test-short", lambda y, s, arm: np.zeros(1 + arm), output_dim=1,
-                        arm_count=2, d_s=1, d_w=0, affine_in_w=False)
-    with pytest.raises(InputError):
-        phi_batch(custom_map("test-short"), np.zeros((2, 1)), np.zeros((2, 1)))
+        phi_batch(fmap, bad)
 
 
 def test_calibrate_feat_norm_bound_matches_per_step_reference():
     fmap = lower_bound_two_arm_map(2, 2)
     rng = np.random.default_rng(9)
     ys = rng.uniform(-1.2, 1.2, (500, 5))
-    bound, diag = calibrate_feat_norm_bound(fmap, ys, ys[:, :4], quantile=0.9)
+    bound, diag = calibrate_feat_norm_bound(fmap, ys, quantile=0.9)
     norms, violations = [], 0
     for y in ys:
-        mat = np.stack([phi(fmap, y, y[:4], a) for a in range(2)])
+        mat = np.stack([phi(fmap, y, a) for a in range(2)])
         norms.append(np.sqrt((mat * mat).sum(axis=1).max()))
         violations += int(np.abs(mat).max() > 1.0)
     assert bound == float(np.quantile(np.array(norms), 0.9))

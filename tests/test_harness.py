@@ -394,6 +394,33 @@ def test_simulate_checks_its_blocks_before_the_first_decision(tmp_path, monkeypa
     assert calls == []
 
 
+@pytest.mark.parametrize("planted", ["charge", "plug_in_dt"])
+def test_simulate_checks_divergence_charges_before_the_first_decision(monkeypatch, planted):
+    # a lockstep observe does not check its dt_value, so a negative oracle
+    # charge in one trial, or a non-finite plug-in value, fails before any
+    # agent decides
+    import pulsebandit.harness as harness
+    calls = _count_decisions(monkeypatch)
+    original = harness._build_trial
+
+    def plant(config, trial_index, fitted_imputer):
+        trial = original(config, trial_index, fitted_imputer)
+        if trial_index == 1 and planted == "charge":
+            trial.charges["pulse_ucb"][7] = -1e-3
+        return trial
+
+    monkeypatch.setattr(harness, "_build_trial", plant)
+    raw = tiny_raw(horizon=15)
+    raw["agents"].append({"name": "pulse_plug_in", "kind": "pulse_ucb", "dt_source": "plug_in"})
+    config = ExperimentConfig(raw)
+    imputer, plug_in_dt, bound = fitted(config)
+    if planted == "plug_in_dt":
+        plug_in_dt = float("nan")
+    with pytest.raises(InputError, match="non-finite" if planted == "plug_in_dt" else "negative"):
+        harness.run_trials(config, range(2), imputer, plug_in_dt, bound)
+    assert calls == []
+
+
 @pytest.mark.parametrize("planted", ["features", "rewards"])
 def test_replay_checks_its_blocks_before_the_first_decision(tmp_path, monkeypatch, planted):
     # a NaN in the full features or the reward of one online row, far past
@@ -578,7 +605,7 @@ def test_oracle_imputer_trial_matches_a_per_step_reference():
     mc = substream(123, "trial", 0, "mc", "pulse")
     schedule = GammaSchedule(lam=1.0, sigma_eta=0.05, delta=0.1, feat_norm_bound=2.0, dim=4,
                              dt_source=DtSource.ORACLE, sigma_eps=1.0, scale=0.02)
-    agent = make_agent("pulse", AgentKind.PULSE_UCB, 2, dim=4, schedule=schedule, imputer=imp)
+    agent = make_agent("pulse", AgentKind.PULSE_UCB, 2, dim=4, schedule=schedule)
     arms, rewards = [], []
     for _ in range(60):
         step = env.step(rng_env)

@@ -308,7 +308,7 @@ def test_expected_feature_matrix_makes_one_query_per_decision():
     assert imp.fallback_count == 1  # one query, not one per arm
     fallback = fmap.assemble_context(far[-1], imp.params["global_mean"])
     for a in range(2):
-        assert mat[a].tobytes() == phi(fmap, fallback, far[-1], a).tobytes()
+        assert mat[a].tobytes() == phi(fmap, fallback, a).tobytes()
 
 
 def test_monte_carlo_matrix_matches_per_draw_reference():
@@ -324,7 +324,7 @@ def test_monte_carlo_matrix_matches_per_draw_reference():
     for a in range(2):
         draws = imp.sample(hist, rng, 16)
         feats = np.stack(
-            [phi(fmap, fmap.assemble_context(hist[-1], w), hist[-1], a) for w in draws]
+            [phi(fmap, fmap.assemble_context(hist[-1], w), a) for w in draws]
         )
         assert mat[a].tobytes() == feats.mean(axis=0).tobytes()
 
