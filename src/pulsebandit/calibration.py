@@ -44,13 +44,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaussianConditional:
-    """A univariate Gaussian conditional law N(mean, sd^2)."""
+    """A univariate Gaussian conditional law N(mean, sd^2).
+
+    `mean` may also be a (T,) array: the laws of T steps sharing one sd,
+    which gaussian_kl and gaussian_dt evaluate step by step.  `sample`
+    takes a scalar mean.
+    """
 
     mean: float
     sd: float
 
     def __post_init__(self):
-        if not math.isfinite(self.mean):
+        if not np.isfinite(self.mean).all():
             raise ParameterError(f"mean must be finite, got {self.mean!r}")
         if not math.isfinite(self.sd) or self.sd <= 0.0:
             raise ParameterError(f"sd must be finite and positive, got {self.sd!r}")
@@ -60,7 +65,8 @@ class GaussianConditional:
 
 
 def gaussian_kl(truth, model):
-    """KL( N(mu, s^2) || N(mu_hat, s_hat^2) ), exact."""
+    """KL( N(mu, s^2) || N(mu_hat, s_hat^2) ), exact; per step, as a (T,)
+    array, for laws with (T,) means."""
     s2 = truth.sd * truth.sd
     sh2 = model.sd * model.sd
     dmu = truth.mean - model.mean

@@ -18,11 +18,10 @@ import sys
 
 import numpy as np
 
-from .calibration import estimate_dt_band
 from .environments import generate_history
 from .errors import ConfigError, PulseBanditError
 from .harness import (
-    _band_target_fitter,
+    _dt_band,
     _save_imputer,
     load_config,
     pretrain,
@@ -193,15 +192,7 @@ def _cmd_calibrate(args):
     if config.calibration["grid_points"] is not None:
         lo, hi = np.quantile(dataset.s.ravel(), [0.05, 0.95])
         query_points = np.linspace(lo, hi, config.calibration["grid_points"])[:, None]
-    band = estimate_dt_band(
-        dataset,
-        query_points=query_points,
-        alpha=config.calibration["alpha"],
-        split_seed=config.calibration["split_seed"],
-        bootstrap_draws=config.calibration["bootstrap_draws"],
-        bandwidth=config.calibration["bandwidth"],
-        fit_target=_band_target_fitter(config),
-    )
+    band = _dt_band(config, dataset, query_points)
     os.makedirs(args.out, exist_ok=True)
     band_path = os.path.join(args.out, "band.csv")
     d_w = band.centers.shape[1]

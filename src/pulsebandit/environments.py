@@ -495,7 +495,7 @@ def load_replay_log(path):
             reader = csv.reader(fh)
             header = next(reader, None)
             rows = list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read replay log: {exc}") from exc
     if header is None:
         raise InputError(f"replay log {path} is empty")

@@ -7,6 +7,9 @@ choice changes the stream, so a trial takes it as one rollout and builds
 each view's features for the whole horizon at once.  Once every trial is
 built, each agent plays all trials in lockstep, one decision per step for
 every trial at once, through the per-agent loop that replay uses too.
+The play keeps that shape up to the CSV writers: each agent's per-step
+columns are (trials, T) blocks, one row per trial, and each per-trial
+figure is a list with one entry per trial.
 
 * pulse_ucb      expected features under the configured imputer,
 * oful_observed  features with the late block W forced to 0,
@@ -510,7 +513,7 @@ def load_config(path_or_dict, overrides=()):
         try:
             with open(path_or_dict, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError("", f"cannot read config: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError("", f"config is not valid JSON: {exc}")
@@ -588,15 +591,7 @@ def pretrain(config):
     plug_in_dt = None
     if any(a["dt_source"] == "plug_in" for a in config.agents):
         # ExperimentConfig saw to it that the history exists
-        band = estimate_dt_band(
-            dataset,
-            alpha=config.calibration["alpha"],
-            split_seed=config.calibration["split_seed"],
-            bootstrap_draws=config.calibration["bootstrap_draws"],
-            bandwidth=config.calibration["bandwidth"],
-            fit_target=_band_target_fitter(config),
-        )
-        plug_in_dt = band.dhat_sq
+        plug_in_dt = _dt_band(config, dataset).dhat_sq
 
     return {
         "imputer": imputer,
@@ -627,16 +622,28 @@ def _build_imputer(imp_cfg, d_s, d_w, dataset=None, lag=0):
     return imputer
 
 
-def _band_target_fitter(config):
-    # band data are i.i.d. pairs; a linear-AR target audits the lag-0 projection
-    return lambda half: _build_imputer(config.imputer, half.d_s, half.d_w, half)
+def _dt_band(config, dataset, query_points=None):
+    """The configured divergence band on the history `dataset`, at the
+    estimator's default grid or at `query_points`, auditing the configured
+    imputer refit on the band's target half."""
+    calibration = config.calibration
+    return estimate_dt_band(
+        dataset,
+        query_points=query_points,
+        alpha=calibration["alpha"],
+        split_seed=calibration["split_seed"],
+        bootstrap_draws=calibration["bootstrap_draws"],
+        bandwidth=calibration["bandwidth"],
+        # band data are i.i.d. pairs; a linear-AR target audits the lag-0 projection
+        fit_target=lambda half: _build_imputer(config.imputer, half.d_s, half.d_w, half),
+    )
 
 
 def _pretrain_replay(config):
     try:
         log = load_replay_log(config.environment["path"])
     except InputError as exc:
-        if not isinstance(exc.__cause__, OSError):
+        if not isinstance(exc.__cause__, (OSError, UnicodeDecodeError)):
             raise  # a readable log with bad rows
         raise ConfigError("environment.path", str(exc)) from exc
     n0 = int(round(config.pretrain["fraction"] * log.n_rows))
@@ -768,60 +775,48 @@ def _play(seat, horizon, steps):
 
 
 def _play_trials(seats, horizon, steps_for, columns):
-    """Play every seat over all its trials, then split the play by trial.
+    """Play every seat over all its trials in lockstep.
 
     `steps_for(seat)` gives the seat's per-decision steps for `_play`, and
-    `columns(lane, arms)` the extra per-step columns of the arms chosen in
-    one trial lane.  Returns one dict per lane: each agent's columns,
-    running ones included, under "agents", the agent names, and each
-    agent's divergence sum and radius after its last observation (None for
-    the kinds without a confidence schedule).
+    `columns(arms)` the extra per-step columns of a (trials, T) block of
+    chosen arms.  Returns each agent's (trials, T) columns, running ones
+    included, under "agents", and each agent's divergence sum and radius
+    after its last observation, one per trial (None for the kinds without a
+    confidence schedule), under "final_dt_cumsum" and "final_gamma".
     """
-    played = {seat.agent.name: _play(seat, horizon, steps_for(seat)) for seat in seats}
-    trials = seats[0].agent.trials
-    finals = {
-        seat.agent.name: (
-            (seat.agent.schedule.dt_cumsum.tolist(), current_gamma(seat.agent).tolist())
-            if seat.agent.is_ucb
-            else ([None] * trials, [None] * trials)
-        )
-        for seat in seats
-    }
-    results = []
-    for lane in range(trials):
-        agents = {
-            name: _add_running_columns(
-                {"arm": arms[lane], "reward": rewards[lane], **columns(lane, arms[lane])}
-            )
-            for name, (arms, rewards) in played.items()
-        }
-        results.append(
-            {
-                "agents": agents,
-                "names": list(agents),
-                "final_dt_cumsum": {name: dt[lane] for name, (dt, _) in finals.items()},
-                "final_gamma": {name: gamma[lane] for name, (_, gamma) in finals.items()},
-            }
-        )
-    return results
+    agents, final_dt_cumsum, final_gamma = {}, {}, {}
+    for seat in seats:
+        agent, name = seat.agent, seat.agent.name
+        arms, rewards = _play(seat, horizon, steps_for(seat))
+        agents[name] = _add_running_columns({"arm": arms, "reward": rewards, **columns(arms)})
+        if agent.is_ucb:
+            final_dt_cumsum[name] = agent.schedule.dt_cumsum.tolist()
+            final_gamma[name] = current_gamma(agent).tolist()
+        else:
+            final_dt_cumsum[name], final_gamma[name] = [None] * agent.trials, [None] * agent.trials
+    return {"agents": agents, "final_dt_cumsum": final_dt_cumsum, "final_gamma": final_gamma}
 
 
 def _add_running_columns(cols):
-    """Derive an agent's running columns from its per-step ones, in place:
-    cumulative regret (both flavors) and the moving-average reward where
-    regret is known, the cumulative click-through rate where it is not."""
+    """Derive an agent's running (trials, T) columns from its per-step ones,
+    in place, along each trial's row: cumulative regret (both flavors) and
+    the moving-average reward where regret is known, the cumulative
+    click-through rate where it is not."""
     reward = cols["reward"]
+    horizon = reward.shape[1]
     if "inst_regret" in cols:
-        cols["cum_regret"] = np.cumsum(cols["inst_regret"])
-        cols["cond_cum"] = np.cumsum(cols["cond_inst"])
+        cols["cum_regret"] = np.cumsum(cols["inst_regret"], axis=1)
+        cols["cond_cum"] = np.cumsum(cols["cond_inst"], axis=1)
         # rows before the first full window average the prefix; each mean
         # sums its own window, as a slice mean would, not a running sum
-        window = min(MA_WINDOW, len(reward))
-        ma = [reward[: i + 1].mean() for i in range(window - 1)]
-        ma.extend(sliding_window_view(reward, window).mean(axis=1))
-        cols["ma_reward"] = np.array(ma)
+        window = min(MA_WINDOW, horizon)
+        ma = np.empty_like(reward)
+        for i in range(window - 1):
+            ma[:, i] = reward[:, : i + 1].mean(axis=1)
+        ma[:, window - 1 :] = sliding_window_view(reward, window, axis=1).mean(axis=2)
+        cols["ma_reward"] = ma
     else:
-        cols["cum_ctr"] = np.cumsum(reward) / np.arange(1, len(reward) + 1)
+        cols["cum_ctr"] = np.cumsum(reward, axis=1) / np.arange(1, horizon + 1)
     return cols
 
 
@@ -843,15 +838,12 @@ def _oracle_charges(rollout, w_law):
             "agents.dt_source",
             "oracle divergence is undefined for a degenerate conditional law",
         )
-    sd = sd.tolist()
-    charges = np.empty(truth.shape[0])
-    for i, (truth_row, mean_row) in enumerate(zip(truth.tolist(), means.tolist())):
-        total = 0.0
-        for mu, mu_hat, sd_hat in zip(truth_row, mean_row, sd):
-            total += gaussian_dt(
-                GaussianConditional(mu, truth_sd), GaussianConditional(mu_hat, sd_hat)
-            )
-        charges[i] = total
+    # one closed form per coordinate over all steps, summed in coordinate order
+    charges = np.zeros(truth.shape[0])
+    for j, sd_hat in enumerate(sd.tolist()):
+        charges += gaussian_dt(
+            GaussianConditional(truth[:, j], truth_sd), GaussianConditional(means[:, j], sd_hat)
+        )
     return charges
 
 
@@ -942,9 +934,10 @@ def run_trials(config, trial_indices, fitted_imputer, plug_in_dt, feat_norm_boun
     from the trial's own substreams.  Then each agent plays all the trials
     at once, one decision per step for every trial, so the loop's Python
     overhead is paid once per (agent, step), not per (trial, agent, step).
-    Returns one dict per trial, in the order given, each exactly what the
-    trial gives when run alone: {agent_name: arrays} plus trial-level
-    diagnostics.
+    Returns `_play_trials`'s result, whose lanes follow the order given,
+    plus each trial's kernel-imputer fallback count ("kernel_fallbacks")
+    and largest |potential reward| ("max_abs_reward"), one per lane.  Lane
+    j holds exactly what trial_indices[j] gives when run alone.
     """
     trial_indices = list(trial_indices)
     built = [_build_trial(config, i, fitted_imputer) for i in trial_indices]
@@ -981,27 +974,30 @@ def run_trials(config, trial_indices, fitted_imputer, plug_in_dt, feat_norm_boun
         pays = ((lambda arms, step=step: step[lanes, arms]) for step in potential)
         return zip(features, optimal_arms, pays, dt_values)
 
-    rows = np.arange(horizon)
+    # the optimal (trials, T) and the (trials, T, n_arms) arm means, noiseless
+    # and S-conditional
+    optimal_means = np.stack([trial.rollout.optimal_mean for trial in built])
+    arm_means = np.stack([trial.rollout.arm_means for trial in built])
+    cond_means = np.stack([trial.rollout.cond_arm_means for trial in built])
+    best_cond_means = cond_means.max(axis=2)
 
-    def regret_columns(lane, arms):
-        rollout = built[lane].rollout
-        cond_means = rollout.cond_arm_means
+    def regret_columns(arms):
+        chosen = arms[:, :, None]
         return {
-            "inst_regret": rollout.optimal_mean - rollout.arm_means[rows, arms],
-            "cond_inst": cond_means.max(axis=1) - cond_means[rows, arms],
+            "inst_regret": optimal_means - np.take_along_axis(arm_means, chosen, 2)[:, :, 0],
+            "cond_inst": best_cond_means - np.take_along_axis(cond_means, chosen, 2)[:, :, 0],
         }
 
     results = _play_trials(seats, horizon, steps_for, regret_columns)
-    for res, trial in zip(results, built):
-        res["max_abs_reward"] = float(np.abs(trial.rollout.potential_rewards).max())
-        res["kernel_fallbacks"] = trial.kernel_fallbacks
+    results["max_abs_reward"] = np.abs(potential).max(axis=(0, 2)).tolist()
+    results["kernel_fallbacks"] = [trial.kernel_fallbacks for trial in built]
     return results
 
 
 def run_trial(config, trial_index, fitted_imputer, plug_in_dt, feat_norm_bound):
     """All configured agents over one exogenous context stream: the
-    one-trial case of run_trials."""
-    return run_trials(config, [trial_index], fitted_imputer, plug_in_dt, feat_norm_bound)[0]
+    one-trial case of run_trials, in the same layout with one lane."""
+    return run_trials(config, [trial_index], fitted_imputer, plug_in_dt, feat_norm_bound)
 
 
 # -- outputs ----------------------------------------------------------------------
@@ -1027,47 +1023,42 @@ def _cells(values):
     return [fmt(v) for v in values.tolist()]
 
 
-def _write_rows(path, results, columns):
-    """One CSV row per (trial, t, agent) holding the given columns.
+def _write_rows(path, agents, columns):
+    """One CSV row per (trial, t, agent) holding the given columns of each
+    agent's (trials, T) blocks in `agents`.
 
     Integers print as such and floats in shortest round-trip form.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(["trial", "t", "agent"] + [h for h, _ in columns]) + "\n")
-        for trial_index, res in enumerate(results):
-            lines = {
-                name: [
-                    ",".join(cells)
-                    for cells in zip(*(_cells(res["agents"][name][key]) for _, key in columns))
-                ]
-                for name in res["names"]
-            }
-            for i in range(len(lines[res["names"][0]])):
-                for name in res["names"]:
-                    fh.write(f"{trial_index},{i + 1},{name},{lines[name][i]}\n")
+        trials = next(iter(agents.values()))["arm"].shape[0]
+        for lane in range(trials):
+            lines = {}
+            for name, cols in agents.items():
+                cells = (_cells(cols[key][lane]) for _, key in columns)
+                lines[name] = [",".join(row) for row in zip(*cells)]
+            for t, row in enumerate(zip(*lines.values()), start=1):
+                for name, line in zip(lines, row):
+                    fh.write(f"{lane},{t},{name},{line}\n")
 
 
 def _se(values):
-    values = np.asarray(values)
     if values.shape[0] < 2:
         return np.zeros(values.shape[1:])
     return values.std(axis=0, ddof=1) / math.sqrt(values.shape[0])
 
 
-def _write_aggregate_csv(path, results, keys):
-    """Per (agent, t) mean and standard error over trials of each column.
-
-    `results` lists the trials in index order.  Returns each agent's final
-    {column: (mean, se)}.
+def _write_aggregate_csv(path, agents, keys):
+    """Per (agent, t) mean and standard error over the trial axis of each
+    (trials, T) column.  Returns each agent's final {column: (mean, se)}.
     """
     finals = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("agent,t," + ",".join(f"mean_{key},se_{key}" for key in keys) + "\n")
-        for name in results[0]["names"]:
+        for name, cols in agents.items():
             stats = []
             for key in keys:
-                values = np.stack([res["agents"][name][key] for res in results])
-                stats += [values.mean(axis=0), _se(values)]
+                stats += [cols[key].mean(axis=0), _se(cols[key])]
             for i in range(len(stats[0])):
                 fh.write(f"{name},{i + 1}," + ",".join(_fmt(s[i]) for s in stats) + "\n")
             finals[name] = {
@@ -1075,11 +1066,6 @@ def _write_aggregate_csv(path, results, keys):
                 for j, key in enumerate(keys)
             }
     return finals
-
-
-def _per_trial(results, key):
-    """{agent: [the trial's value of `key`, one per trial]}."""
-    return {name: [res[key][name] for res in results] for name in results[0][key]}
 
 
 def _write_metadata(out_dir, config, overrides_echo, facts, timings):
@@ -1158,8 +1144,9 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
 
     raw_path = os.path.join(out_dir, "raw_records.csv")
     agg_path = os.path.join(out_dir, "aggregate.csv")
-    _write_rows(raw_path, results, _RAW_COLUMNS)
-    finals = _write_aggregate_csv(agg_path, results, ("cum_regret", "ma_reward"))
+    agents = results["agents"]
+    _write_rows(raw_path, agents, _RAW_COLUMNS)
+    finals = _write_aggregate_csv(agg_path, agents, ("cum_regret", "ma_reward"))
     summary = {
         name: {
             "mean_final_cum_regret": final["cum_regret"][0],
@@ -1171,7 +1158,7 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
     cond_path = None
     if config.record_conditional_regret:
         cond_path = os.path.join(out_dir, "conditional_regret.csv")
-        _write_rows(cond_path, results, _CONDITIONAL_COLUMNS)
+        _write_rows(cond_path, agents, _CONDITIONAL_COLUMNS)
 
     imputer_path = _save_imputer(imputer, out_dir)
     imputer_sha = None
@@ -1179,11 +1166,8 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
         with open(imputer_path, "rb") as fh:
             imputer_sha = hashlib.sha256(fh.read()).hexdigest()
 
-    max_abs_reward = max(res["max_abs_reward"] for res in results)
-    final_cum_regret = {
-        name: [float(res["agents"][name]["cum_regret"][-1]) for res in results]
-        for name in results[0]["names"]
-    }
+    max_abs_reward = max(results["max_abs_reward"])
+    final_cum_regret = {name: cols["cum_regret"][:, -1].tolist() for name, cols in agents.items()}
     timings["write"] = time.perf_counter() - clock
     meta_path = _write_metadata(
         out_dir,
@@ -1200,12 +1184,10 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
                 "kind": config.imputer["kind"],
                 "saved_to": "imputer.json" if imputer_path else None,
                 "sha256": imputer_sha,
-                "kernel_fallbacks": (
-                    None if imputer is None else sum(res["kernel_fallbacks"] for res in results)
-                ),
+                "kernel_fallbacks": None if imputer is None else sum(results["kernel_fallbacks"]),
             },
-            "final_dt_cumsum": _per_trial(results, "final_dt_cumsum"),
-            "final_gamma": _per_trial(results, "final_gamma"),
+            "final_dt_cumsum": results["final_dt_cumsum"],
+            "final_gamma": results["final_gamma"],
             "final_cum_regret": final_cum_regret,
             "summary": summary,
         },
@@ -1316,15 +1298,15 @@ def run_replay(config, out_dir=None, overrides_echo=()):
 
     seats = _seat_agents(config, list(range(config.trials)), k, lambda kind, name: views.get(kind))
     results = _play_trials(
-        seats, horizon, lambda seat: _replay_steps(config, seat, online_log, k), lambda *_: {}
+        seats, horizon, lambda seat: _replay_steps(config, seat, online_log, k), lambda arms: {}
     )
     timings["trials"] = time.perf_counter() - clock
     clock = time.perf_counter()
 
     raw_path = os.path.join(out_dir, "raw_replay.csv")
-    _write_rows(raw_path, results, _REPLAY_COLUMNS)
+    _write_rows(raw_path, results["agents"], _REPLAY_COLUMNS)
     agg_path = os.path.join(out_dir, "aggregate_replay.csv")
-    finals = _write_aggregate_csv(agg_path, results, ("cum_ctr",))
+    finals = _write_aggregate_csv(agg_path, results["agents"], ("cum_ctr",))
     summary = {
         name: {"final_mean_cum_ctr": final["cum_ctr"][0]} for name, final in finals.items()
     }
@@ -1343,7 +1325,7 @@ def run_replay(config, out_dir=None, overrides_echo=()):
                 seat.agent.name: seat.view.bound for seat in seats if seat.view is not None
             },
             "feat_norm_diagnostics": pre["feat_norm_diagnostics"],
-            "final_gamma": _per_trial(results, "final_gamma"),
+            "final_gamma": results["final_gamma"],
             "summary": summary,
         },
         timings,

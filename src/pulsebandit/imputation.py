@@ -477,7 +477,7 @@ def load_imputer(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise PersistenceError(f"cannot parse imputer file: {exc}")
     version = _require(doc, "format_version", "")
     if version != FORMAT_VERSION:

@@ -50,6 +50,22 @@ def test_gaussian_kl_identical_is_exactly_zero():
     assert gaussian_kl(p, GaussianConditional(0.7, 0.3)) == 0.0
 
 
+def test_gaussian_dt_over_step_means_is_the_per_step_value():
+    # laws of T steps sharing one sd give each step's closed form, bit for bit
+    rng = substream(22, "kl-steps")
+    mu, mu_hat = rng.normal(0, 2, 50), rng.normal(0, 2, 50)
+    dts = gaussian_dt(GaussianConditional(mu, 0.4), GaussianConditional(mu_hat, 1.3))
+    assert dts.shape == (50,)
+    for i in range(50):
+        step = gaussian_dt(
+            GaussianConditional(float(mu[i]), 0.4), GaussianConditional(float(mu_hat[i]), 1.3)
+        )
+        assert dts[i] == step
+    mu[7] = np.nan
+    with pytest.raises(ParameterError, match="mean must be finite"):
+        GaussianConditional(mu, 0.4)
+
+
 def test_gaussian_kl_matches_quadrature():
     rng = substream(21, "kl")
     for _ in range(25):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import pulsebandit
 from pulsebandit.cli import main
@@ -182,6 +183,35 @@ def test_replay_with_an_unreadable_log_names_its_field(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "environment.path" in err and "nonexistent.csv" in err
+
+
+@pytest.mark.parametrize(
+    "read_as, status, names",
+    [
+        ("config", 1, "config field ''"),
+        ("environment.path", 1, "config field 'environment.path'"),
+        ("imputer.path", 2, "cannot parse imputer file"),
+    ],
+    ids=["config", "environment.path", "imputer.path"],
+)
+def test_a_file_that_is_not_utf8_fails_with_a_message(tmp_path, capsys, read_as, status, names):
+    import importlib.resources as ir
+    import pulsebandit.configs as configs
+    binary = tmp_path / "binary"
+    binary.write_bytes(bytes([0xFF, 0xFE, 0x00, 0x01, 0x80, 0x81]))
+    out = ["--out", str(tmp_path / "out"), "--quiet"]
+    if read_as == "config":
+        argv = ["validate-config", "--config", str(binary)]
+    elif read_as == "environment.path":
+        argv = ["replay", "--config", str(ir.files(configs) / "replay_demo.json"), *out,
+                "--set", f"environment.path={json.dumps(str(binary))}"]
+    else:
+        cfg = write_tiny(tmp_path, imputer={"kind": "linear_ar", "lag": 1, "path": str(binary)})
+        argv = ["simulate", "--config", cfg, *out]
+    assert main(argv) == status
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert names in err and "codec can't decode" in err
 
 
 def test_profile_flag_writes_a_pstats_dump(tmp_path):

@@ -11,14 +11,18 @@ Monte-Carlo and analytic expected features, the linear-AR and kernel
 imputers, the feature-norm dry run, and every replay feature view.  LONG
 and LONG_REPLAY run 4 and 3 trials past `REFACTOR_INTERVAL` decisions, so
 forced refactors and batches of more than two trials are pinned for
-simulate and replay alike.
+simulate and replay alike.  On SYNTHETIC and LOWER_BOUND every trial run
+alone must also equal its lane of the lockstep batch.
 """
 
 import hashlib
 import importlib.resources
 
+import numpy as np
+import pytest
+
 import pulsebandit.configs
-from pulsebandit import ExperimentConfig, run_experiment, run_replay
+from pulsebandit import ExperimentConfig, pretrain, run_experiment, run_replay, run_trials
 
 REPLAY_LOG = str(importlib.resources.files(pulsebandit.configs) / "replay_demo_log.csv")
 
@@ -174,3 +178,25 @@ def test_long_replay_raw_digest(tmp_path):
     assert _sha256(res["raw_path"]) == (
         "33d8cbfa39cb69f38ccf9dc874c0f22a44e8deff17d11614abaeace421b1c9f0"
     )
+
+
+@pytest.mark.parametrize("raw", [SYNTHETIC, LOWER_BOUND], ids=["synthetic", "lower_bound"])
+def test_a_trial_lane_does_not_depend_on_the_batch(raw):
+    # trial i run alone gives exactly lane i of all trials run in lockstep:
+    # every (trials, T) column and every per-trial list
+    config = ExperimentConfig(raw)
+    pre = pretrain(config)
+    args = (pre["imputer"], pre["plug_in_dt"], pre["feat_norm_bound"])
+    together = run_trials(config, range(config.trials), *args)
+    for i in range(config.trials):
+        alone = run_trials(config, [i], *args)
+        assert alone["agents"].keys() == together["agents"].keys()
+        for name, cols in together["agents"].items():
+            assert alone["agents"][name].keys() == cols.keys()
+            for key, block in cols.items():
+                assert alone["agents"][name][key].shape == (1, config.horizon)
+                assert np.array_equal(alone["agents"][name][key][0], block[i]), (name, key)
+        for key in ("final_dt_cumsum", "final_gamma"):
+            assert alone[key] == {name: v[i : i + 1] for name, v in together[key].items()}
+        for key in ("kernel_fallbacks", "max_abs_reward"):
+            assert alone[key] == together[key][i : i + 1]

@@ -13,6 +13,7 @@ from pulsebandit import (
     run_experiment,
     run_replay,
     run_trial,
+    run_trials,
 )
 
 
@@ -114,24 +115,23 @@ def test_load_config_unwraps_run_metadata(tmp_path):
 def test_run_trial_deterministic_and_regret_signs():
     cfg = ExperimentConfig(tiny_raw())
     imp, plug, bound = fitted(cfg)
-    a = run_trial(cfg, 0, imp, plug, bound)
-    b = run_trial(cfg, 0, imp, plug, bound)
-    for name in a["names"]:
-        assert np.array_equal(a["agents"][name]["cum_regret"],
-                              b["agents"][name]["cum_regret"])
-    oracle = a["agents"]["oracle_best"]
+    a = run_trial(cfg, 0, imp, plug, bound)["agents"]
+    b = run_trial(cfg, 0, imp, plug, bound)["agents"]
+    for name in a:
+        assert a[name]["cum_regret"].shape == (1, 40)
+        assert np.array_equal(a[name]["cum_regret"], b[name]["cum_regret"])
+    oracle = a["oracle_best"]
     assert np.all(oracle["inst_regret"] == 0.0)
-    assert a["agents"]["uniform_random"]["cum_regret"][-1] > 0.0
+    assert a["uniform_random"]["cum_regret"][0, -1] > 0.0
     # running regret equals the step-by-step sum it is derived from
-    for name in a["names"]:
+    for name in a:
         total = 0.0
-        for inst, cum in zip(a["agents"][name]["inst_regret"], a["agents"][name]["cum_regret"]):
+        for inst, cum in zip(a[name]["inst_regret"][0], a[name]["cum_regret"][0]):
             total += inst
             assert cum == total
     # different trial index gives a different draw
-    c = run_trial(cfg, 1, imp, plug, bound)
-    assert not np.array_equal(a["agents"]["uniform_random"]["reward"],
-                              c["agents"]["uniform_random"]["reward"])
+    c = run_trial(cfg, 1, imp, plug, bound)["agents"]
+    assert not np.array_equal(a["uniform_random"]["reward"], c["uniform_random"]["reward"])
 
 
 def test_common_random_numbers_across_agent_lists():
@@ -149,16 +149,17 @@ def test_common_random_numbers_across_agent_lists():
 
 
 def test_moving_average_window():
-    # exactly the mean of each row's own window, also below one full window
+    # exactly the mean of each row's own window in every trial lane, also
+    # below one full window
     for horizon in (150, 40):
-        cfg = ExperimentConfig(tiny_raw(horizon=horizon, trials=1))
+        cfg = ExperimentConfig(tiny_raw(horizon=horizon, trials=3))
         imp, plug, bound = fitted(cfg)
-        out = run_trial(cfg, 0, imp, plug, bound)
+        out = run_trials(cfg, range(3), imp, plug, bound)
         for agent in out["agents"].values():
-            r, ma = agent["reward"], agent["ma_reward"]
-            assert ma.shape == (horizon,)
-            for i in range(horizon):
-                assert ma[i] == r[max(0, i - 99) : i + 1].mean()
+            assert agent["ma_reward"].shape == (3, horizon)
+            for r, ma in zip(agent["reward"], agent["ma_reward"]):
+                for i in range(horizon):
+                    assert ma[i] == r[max(0, i - 99) : i + 1].mean()
 
 
 def test_run_experiment_outputs(tmp_path):
@@ -335,7 +336,7 @@ def test_kernel_fallbacks_sum_per_trial_counts(tmp_path):
     # pretraining queries no imputer, so the count is the trials' own
     imputer, plug_in_dt, bound = fitted(cfg)
     assert imputer.fallback_count == 0
-    trial_counts = [run_trial(cfg, tr, imputer, plug_in_dt, bound)["kernel_fallbacks"]
+    trial_counts = [run_trial(cfg, tr, imputer, plug_in_dt, bound)["kernel_fallbacks"][0]
                     for tr in range(2)]
     assert meta["run"]["imputer"]["kernel_fallbacks"] == sum(trial_counts)
     assert meta["run"]["imputer"]["kernel_fallbacks"] == 206
@@ -496,7 +497,7 @@ def test_final_dt_cumsum_reports_every_trial(tmp_path):
     imputer, plug_in_dt, bound = fitted(cfg)
     for trial in range(2):
         out = run_trial(cfg, trial, imputer, plug_in_dt, bound)
-        for name, value in out["final_dt_cumsum"].items():
+        for name, (value,) in out["final_dt_cumsum"].items():
             assert sums[name][trial] == value
     assert sums["oracle_best"] == [None, None]
     assert sums["pulse_ucb"][0] != sums["pulse_ucb"][1]
@@ -513,12 +514,14 @@ def test_final_gamma_reports_every_trial(tmp_path):
     imputer, plug_in_dt, bound = fitted(cfg)
     for trial in range(3):
         out = run_trial(cfg, trial, imputer, plug_in_dt, bound)
-        assert {name: values[trial] for name, values in gammas.items()} == out["final_gamma"]
+        assert {name: values[trial:trial + 1] for name, values in gammas.items()} == (
+            out["final_gamma"]
+        )
         # the radius after the last observation: gamma_T with the trial's divergence sum
         schedule = GammaSchedule(lam=1.0, sigma_eta=0.05, delta=0.1, feat_norm_bound=bound,
                                  dim=4, dt_source=DtSource.ORACLE, sigma_eps=1.0, scale=0.02,
-                                 dt_cumsum=out["final_dt_cumsum"]["pulse_ucb"])
-        assert out["final_gamma"]["pulse_ucb"] == gamma_at(schedule, 40)
+                                 dt_cumsum=out["final_dt_cumsum"]["pulse_ucb"][0])
+        assert out["final_gamma"]["pulse_ucb"][0] == gamma_at(schedule, 40)
     assert gammas["oracle_best"] == gammas["uniform_random"] == [None] * 3
     assert len(set(gammas["pulse_ucb"])) == 3  # oracle charges differ by trial
     assert "final_gamma" not in meta["config"]
@@ -596,6 +599,7 @@ def test_oracle_imputer_trial_matches_a_per_step_reference():
     raw["agents"] = [{"name": "pulse", "kind": "pulse_ucb", "dt_source": "oracle"}]
     cfg = ExperimentConfig(raw)
     out = run_trial(cfg, 0, None, None, 2.0)["agents"]["pulse"]
+    assert out["arm"].shape == (1, 60)
 
     env = cfg.make_env()
     rng_env = substream(123, "trial", 0, "env")
@@ -620,8 +624,8 @@ def test_oracle_imputer_trial_matches_a_per_step_reference():
         observe(agent, feats[arm], reward, dt_value=dt)
         arms.append(arm)
         rewards.append(reward)
-    assert out["arm"].tolist() == arms
-    assert out["reward"].tolist() == rewards
+    assert out["arm"][0].tolist() == arms
+    assert out["reward"][0].tolist() == rewards
     assert len(set(arms)) == 2
 
 
