@@ -24,6 +24,7 @@ pairs; higher-dimensional observed contexts need a different reference.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,6 +166,10 @@ def tv_kl_check(truth, model, test_functions=None, dt=None, n_samples=200_000, r
 
 # -- data-driven band ---------------------------------------------------------
 
+# multipliers per bootstrap block (1 MiB of float64); a block holds
+# max(1, BOOTSTRAP_BLOCK_ELEMENTS // n_reference) draws
+BOOTSTRAP_BLOCK_ELEMENTS = 2**17
+
 
 @dataclass
 class BandEstimate:
@@ -239,11 +244,29 @@ def estimate_dt_band(
     itself is audited (p_hat_0 = p_hat) and the cross term is identically
     zero.  Coordinates of W are combined by a Bonferroni split of alpha.
     Needs d_S = 1; sorted windows and prefix sums make it O(n log n).
+
+    The bootstrap draws its multipliers in blocks of
+    max(1, BOOTSTRAP_BLOCK_ELEMENTS // n_reference) draws, first to last:
+    each block is the next rows of one (bootstrap_draws, n_reference)
+    standard-normal fill, and leaves only each draw's sup.  Its memory is a
+    few arrays of one block's size plus the (d_W, bootstrap_draws) sups,
+    however long the history.  The band, and the state it leaves `rng` in,
+    are those of drawing every multiplier at once.
     """
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    if bootstrap_draws < 10:
-        raise ParameterError("bootstrap_draws must be at least 10")
+    if (
+        isinstance(bootstrap_draws, bool)
+        or not isinstance(bootstrap_draws, numbers.Integral)
+        or bootstrap_draws < 10
+    ):
+        raise ParameterError(f"bootstrap_draws must be an integer >= 10, got {bootstrap_draws!r}")
+    if bandwidth is not None and (
+        isinstance(bandwidth, bool)
+        or not isinstance(bandwidth, numbers.Real)
+        or not (math.isfinite(bandwidth) and bandwidth > 0)
+    ):
+        raise ParameterError(f"bandwidth must be finite and positive, got {bandwidth!r}")
     s_flat, w_flat = history.flatten()
     n = s_flat.shape[0]
     if n < 10:
@@ -304,15 +327,16 @@ def estimate_dt_band(
     # G_b(s_j) = sum_i e_{b,i} 1{i in window j} eps_i / count_j over se(s_j);
     # Gaussian multipliers e, drawn in split order, then sorted with the points
     alpha_coord = alpha / d_w
-    half_widths = np.empty_like(centers)
-    multipliers = rng.standard_normal((bootstrap_draws, half)).T[order]
-    for k in range(d_w):
-        boot = _window_sums(multipliers * resid[:, k, None], grid_lo, grid_hi)
-        boot /= counts_safe[:, None]
-        stud = np.abs(boot) / se[:, k, None]
-        sup_draws = stud.max(axis=0)
-        q = np.quantile(sup_draws, 1.0 - alpha_coord)
-        half_widths[:, k] = q * se[:, k]
+    sup_draws = np.empty((d_w, bootstrap_draws))
+    block = max(1, BOOTSTRAP_BLOCK_ELEMENTS // half)
+    for start in range(0, bootstrap_draws, block):
+        stop = min(start + block, bootstrap_draws)
+        multipliers = rng.standard_normal((stop - start, half)).T[order]
+        for k in range(d_w):
+            boot = _window_sums(multipliers * resid[:, k, None], grid_lo, grid_hi)
+            boot /= counts_safe[:, None]
+            sup_draws[k, start:stop] = (np.abs(boot) / se[:, k, None]).max(axis=0)
+    half_widths = np.quantile(sup_draws, 1.0 - alpha_coord, axis=1) * se
 
     if fit_target is None:
         cross = np.zeros_like(centers)

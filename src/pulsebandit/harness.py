@@ -45,6 +45,11 @@ import numpy as np
 import scipy
 from numpy.lib.stride_tricks import sliding_window_view
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 from . import __version__
 from .agents import (
     DEFAULT_SIGMA_EPS,
@@ -554,7 +559,8 @@ def pretrain(config):
 
     Returns a dict with the fitted imputer (None for oracle kind, which is
     wired per trial), the feature-norm bound with its dry-run diagnostics,
-    and the plug-in divergence surrogate when some agent asks for it.
+    and the plug-in divergence surrogate with its band's metadata, grid
+    size and largest cross term when some agent asks for it.
     """
     if config.environment["kind"] == "replay":
         return _pretrain_replay(config)
@@ -588,16 +594,23 @@ def pretrain(config):
         )
         diagnostics["source"] = "dry_run"
 
-    plug_in_dt = None
+    plug_in_dt = plug_in_band = None
     if any(a["dt_source"] == "plug_in" for a in config.agents):
         # ExperimentConfig saw to it that the history exists
-        plug_in_dt = _dt_band(config, dataset).dhat_sq
+        band = _dt_band(config, dataset)
+        plug_in_dt = band.dhat_sq
+        plug_in_band = {
+            **band.metadata,
+            "grid_size": int(band.grid.shape[0]),
+            "max_cross_term": float(band.cross_term.max()),
+        }
 
     return {
         "imputer": imputer,
         "feat_norm_bound": bound,
         "feat_norm_diagnostics": diagnostics,
         "plug_in_dt": plug_in_dt,
+        "plug_in_band": plug_in_band,
     }
 
 
@@ -674,6 +687,7 @@ def _pretrain_replay(config):
         "feat_norm_bound": bound,
         "feat_norm_diagnostics": {"source": "per_agent_view" if bound is None else "config"},
         "plug_in_dt": None,
+        "plug_in_band": None,
     }
 
 
@@ -1072,8 +1086,9 @@ def _write_metadata(out_dir, config, overrides_echo, facts, timings):
     """metadata.json: the resolved config plus the run's facts.
 
     The config hash covers the resolved config (see config_hash);
-    timestamps, stage wall times (`timings`, seconds), library versions and
-    other environment-dependent run facts stay outside it.
+    timestamps, stage wall times (`timings`, seconds), the process's peak
+    resident memory so far (MiB; None where `resource` is missing), library
+    versions and other environment-dependent run facts stay outside it.
     """
     metadata = {
         "schema_version": SCHEMA_VERSION,
@@ -1086,6 +1101,7 @@ def _write_metadata(out_dir, config, overrides_echo, facts, timings):
             "overrides": list(overrides_echo),
             "timestamp_utc": datetime.now(timezone.utc).isoformat(),
             "timings_s": timings,
+            "peak_rss_mib": _peak_rss_mib(),
             "versions": {
                 "python": sys.version.split()[0],
                 "numpy": np.__version__,
@@ -1098,6 +1114,14 @@ def _write_metadata(out_dir, config, overrides_echo, facts, timings):
         json.dump(metadata, fh, indent=1)
         fh.write("\n")
     return path
+
+
+def _peak_rss_mib():
+    if resource is None:
+        return None
+    # ru_maxrss counts KiB on Linux and bytes on macOS
+    scale = 2**20 if sys.platform == "darwin" else 2**10
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale
 
 
 def _save_imputer(imputer, out_dir):
@@ -1179,6 +1203,7 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
             "feat_norm_bound": bound,
             "feat_norm_diagnostics": pre["feat_norm_diagnostics"],
             "plug_in_dt": pre["plug_in_dt"],
+            "plug_in_band": pre["plug_in_band"],
             "realized_max_abs_reward": max_abs_reward,
             "imputer": {
                 "kind": config.imputer["kind"],

@@ -364,15 +364,23 @@ def expected_feature_matrix(imputer, feature_map, observed_history, rng=None):
 
 def _conditional_means(imputer, observed):
     """(T, d_W) model conditional means of W over a (T, d_S) observed
-    stream: one conditional_mean query per step, over the rows it reads
-    (the last lag + 1 for a linear-AR model, the last one otherwise).  Not
-    for an oracle imputer, which knows only its environment's latest step.
+    stream, each step's from the rows up to it.  A linear-AR model takes
+    them as one stacked product over the zero-padded lag rows: `(T, 1, p)
+    @ (p, d_W)` runs the one-row query's matmul per step, so each row is
+    that query's bit for bit.  Other models make one conditional_mean query
+    per step on its last row.  Not for an oracle imputer, which knows only
+    its environment's latest step.
     """
-    window = imputer.params["lag"] + 1 if imputer.kind == ImputerKind.LINEAR_AR else 1
-    return np.stack(
-        [imputer.conditional_mean(observed[max(0, i + 1 - window) : i + 1])
-         for i in range(observed.shape[0])]
-    )
+    if imputer.kind != ImputerKind.LINEAR_AR:
+        return np.stack(
+            [imputer.conditional_mean(observed[i : i + 1]) for i in range(observed.shape[0])]
+        )
+    hist = _as_history(observed, imputer.d_s)
+    n_steps, d_s = hist.shape
+    lags = np.zeros((n_steps, (imputer.params["lag"] + 1) * d_s))
+    for j in range(min(imputer.params["lag"] + 1, n_steps)):
+        lags[j:, j * d_s : (j + 1) * d_s] = hist[: n_steps - j]
+    return imputer.params["intercept"] + (lags[:, None, :] @ imputer.params["coef"])[:, 0, :]
 
 
 def _expected_feature_block(imputer, feature_map, observed, law, rng=None):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,32 @@ def test_band_rejects_bad_grid():
         estimate_dt_band(wide)
 
 
+@pytest.mark.parametrize(
+    "bad, name",
+    [
+        ({"bandwidth": -1.0}, "bandwidth"),
+        ({"bandwidth": 0.0}, "bandwidth"),
+        ({"bandwidth": math.inf}, "bandwidth"),
+        ({"bandwidth": math.nan}, "bandwidth"),
+        ({"bandwidth": True}, "bandwidth"),
+        ({"bandwidth": "0.3"}, "bandwidth"),
+        ({"bootstrap_draws": 200.0}, "bootstrap_draws"),
+        ({"bootstrap_draws": True}, "bootstrap_draws"),
+        ({"bootstrap_draws": 9}, "bootstrap_draws"),
+    ],
+)
+def test_band_rejects_bad_bandwidth_and_draw_count(bad, name):
+    data = make_band_dataset(substream(37, "band"), 100, lambda s: s)
+    with pytest.raises(ParameterError, match=name):
+        estimate_dt_band(data, **bad)
+
+
+def test_band_takes_numpy_scalars():
+    data = make_band_dataset(substream(37, "band"), 100, lambda s: s)
+    band = estimate_dt_band(data, bandwidth=np.float64(0.5), bootstrap_draws=np.int64(20))
+    assert band.metadata["bootstrap_draws"] == 20
+
+
 def test_band_empirical_modulus_reports_refinement_stability():
     data = make_band_dataset(substream(38, "band"), 1200, lambda s: 0.2 * s)
     band = estimate_dt_band(data, alpha=0.1)
@@ -303,6 +330,82 @@ def test_band_matches_dense_reference(case):
     assert band.metadata["grid_points_without_support"] == empty
     if case == 2:
         assert empty > 0
+
+
+# -- the streamed bootstrap against one (draws, half) multiplier fill -----------
+
+
+def one_shot_band(data, grid, split_seed, bootstrap_draws, rng, alpha=0.1):
+    """Centers and half-widths of the default band on `grid` with every
+    bootstrap multiplier drawn by one (bootstrap_draws, half) call."""
+    from pulsebandit.calibration import _box_windows, _window_sums
+
+    s, w = data.flatten()
+    half = s.shape[0] // 2
+    i0 = np.random.default_rng(split_seed).permutation(s.shape[0])[:half]
+    order = np.argsort(s[i0, 0], kind="stable")
+    s0, w0 = s[i0[order], 0], w[i0[order]]
+    h = float(half ** (-1.0 / 3.0))
+    lo, hi = _box_windows(s0, grid, h)
+    counts = np.maximum(hi - lo, 1)
+    centers = _window_sums(w0, lo, hi) / counts[:, None]
+    centers[hi == lo] = w0.mean(axis=0)
+    own_lo, own_hi = _box_windows(s0, s0, h)
+    own = own_hi - own_lo
+    resid = w0 - _window_sums(w0, own_lo, own_hi) / own[:, None]
+    sigma_sq = (resid * resid).sum(axis=0) / max(float((1.0 - 1.0 / own).sum()), 1e-12)
+    se = np.maximum(np.sqrt(np.maximum(sigma_sq, 0.0)[None, :] / counts[:, None]), 1e-12)
+    multipliers = rng.standard_normal((bootstrap_draws, half)).T[order]
+    widths = np.empty_like(centers)
+    for k in range(w0.shape[1]):
+        boot = _window_sums(multipliers * resid[:, k, None], lo, hi) / counts[:, None]
+        sup = (np.abs(boot) / se[:, k, None]).max(axis=0)
+        widths[:, k] = np.quantile(sup, 1.0 - alpha / w0.shape[1]) * se[:, k]
+    return centers, widths
+
+
+@pytest.mark.parametrize("d_w", [1, 2])
+@pytest.mark.parametrize(
+    "draws, block",
+    # below, equal to and one above a 16-draw block, 2.5 blocks, and the
+    # module's own block (436 draws at 300 reference points) crossed once
+    [(10, 16), (16, 16), (17, 16), (40, 16), (500, None)],
+)
+def test_streamed_bootstrap_is_the_one_shot_band_bit_for_bit(monkeypatch, d_w, draws, block):
+    import pulsebandit.calibration as calibration
+
+    rng = substream(42, "stream", d_w)
+    s = rng.uniform(-2.0, 2.0, (600, 1, 1))
+    w = np.concatenate([np.sin(s), 0.5 * s][:d_w], axis=2)
+    data = HistoricalDataset(s=s, w=w + rng.normal(0.0, 0.2, w.shape))
+    if block is not None:
+        monkeypatch.setattr(calibration, "BOOTSTRAP_BLOCK_ELEMENTS", block * 300)
+    streamed_rng, one_shot_rng = substream(42, "boot"), substream(42, "boot")
+    band = estimate_dt_band(data, split_seed=3, bootstrap_draws=draws, rng=streamed_rng)
+    centers, widths = one_shot_band(data, band.grid[:, 0], 3, draws, one_shot_rng)
+    assert band.metadata["n_reference"] == 300
+    assert (band.centers == centers).all()
+    assert (band.half_widths == widths).all()
+    assert band.dhat == float(widths.max())
+    # a shared generator is left where the one-shot fill leaves it
+    assert streamed_rng.standard_normal() == one_shot_rng.standard_normal()
+
+
+def test_band_bootstrap_memory_does_not_grow_with_the_draws():
+    # 20,000 pairs x 200 draws: one multiplier fill of (200, 10,000) floats
+    # is 15 MiB, and the one-shot bootstrap held four such arrays at once
+    rng = substream(43, "band")
+    s = rng.uniform(-2.0, 2.0, (20_000, 1, 1))
+    w = np.concatenate([0.5 * s, np.cos(s)], axis=2) + rng.normal(0.0, 0.2, (20_000, 1, 2))
+    data = HistoricalDataset(s=s, w=w)
+    boot_rng = substream(43, "boot")
+    tracemalloc.start()
+    try:
+        estimate_dt_band(data, bootstrap_draws=200, rng=boot_rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_calibration_demo_plug_in_dt_is_pinned():

@@ -577,6 +577,10 @@ def test_metadata_records_stage_timings_and_versions(tmp_path):
         assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
         assert set(meta["run"]["versions"]) == {"python", "numpy", "scipy"}
         assert "timings_s" not in meta["config"] and "versions" not in meta["config"]
+        # the process has run numpy at least, so its peak is megabytes
+        assert isinstance(meta["run"]["peak_rss_mib"], float)
+        assert 1.0 < meta["run"]["peak_rss_mib"] < 1e5
+        assert "peak_rss_mib" not in meta["config"]
         # the hash is the config's own: rebuilding it from the metadata agrees
         assert meta["run"]["config_sha256"] == load_config(meta).config_hash()
     rerun = run_experiment(cfg, out_dir=str(tmp_path / "sim2"))
@@ -584,6 +588,23 @@ def test_metadata_records_stage_timings_and_versions(tmp_path):
         json.load(open(r["metadata_path"]))["run"]["config_sha256"] for r in (simulated, rerun)
     ]
     assert hashes[0] == hashes[1]
+    # no agent charges plug_in, so no band was estimated
+    assert json.load(open(simulated["metadata_path"]))["run"]["plug_in_band"] is None
+
+
+def test_metadata_records_the_plug_in_band(tmp_path):
+    agents = [{"name": "pulse_ucb", "kind": "pulse_ucb", "dt_source": "plug_in"}]
+    cfg = ExperimentConfig(tiny_raw(horizon=10, trials=1, agents=agents))
+    with open(run_experiment(cfg, out_dir=str(tmp_path))["metadata_path"]) as fh:
+        run = json.load(fh)["run"]
+    band = pretrain(cfg)["plug_in_band"]
+    assert run["plug_in_band"] == band
+    assert band["bootstrap_draws"] == 200
+    assert band["n_reference"] + band["n_target"] == 60 * 20
+    assert band["grid_size"] >= 9
+    assert 0 <= band["grid_points_without_support"] < band["grid_size"]
+    assert band["bandwidth"] > 0.0 and band["max_cross_term"] >= 0.0
+    assert run["plug_in_dt"] > 0.0
 
 
 def test_oracle_imputer_trial_matches_a_per_step_reference():

@@ -345,3 +345,25 @@ def test_feature_block_matches_one_step_matrices(analytic):
     for i in range(25):
         one = expected_feature_matrix(imp, fmap, observed[max(0, i - 2) : i + 1], rng=mc)
         assert block[i].tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize(
+    "steps, lag, d_s, d_w",
+    # short streams fall inside the zero padding; (2, 4, ...) never fills it
+    [(200, 2, 1, 1), (500, 3, 2, 3), (300, 0, 3, 2), (1000, 4, 1, 2), (2, 4, 1, 1), (3, 2, 2, 1)],
+)
+def test_linear_ar_stream_means_are_the_one_row_queries(steps, lag, d_s, d_w):
+    # the stacked product equals each step's own query bit for bit
+    from pulsebandit.imputation import _conditional_means
+
+    rng = substream(44, "ar-stream", steps, lag)
+    data = HistoricalDataset(s=rng.normal(size=(20, 30, d_s)), w=rng.normal(size=(20, 30, d_w)))
+    imp = fit_linear_ar(data, lag)
+    observed = rng.normal(0.0, 3.0, (steps, d_s))
+    means = _conditional_means(imp, observed)
+    assert means.shape == (steps, d_w)
+    for i in range(steps):
+        assert means[i].tobytes() == imp.conditional_mean(observed[max(0, i - lag) : i + 1]).tobytes()
+    observed[steps // 2, 0] = np.nan
+    with pytest.raises(InputError, match="non-finite"):
+        _conditional_means(imp, observed)
