@@ -325,9 +325,10 @@ def select_arm(agent, arm_features, optimal_arm=None, rng=None):
     elif agent.kind is AgentKind.UNIFORM_RANDOM:
         if rng is None:
             raise UsageError("uniform_random requires an rng")
-        # one draw from each generator, in the shape of `rng`
-        draws = [r.integers(0, agent.arm_count) for r in np.ravel(rng)]
-        arms = np.array(draws, dtype=int).reshape(np.shape(rng))
+        # one draw from each trial's generator, in trial order
+        if agent.trials is None:
+            return int(rng.integers(0, agent.arm_count))
+        arms = np.array([r.integers(0, agent.arm_count) for r in rng], dtype=int)
     else:
         # first maximum per trial: ties go to the lowest index
         arms = np.argmax(arm_ucb_scores(agent, arm_features), axis=-1)

@@ -23,8 +23,8 @@ the nonparametric signal vanishes.  W_t = f(O_t); rewards are Gaussian
 around theta . Phi(Y_t, a).
 
 ReplayLog: offline logged rows with observed features, optional full
-features, and a binary reward; a replay stream serves k-candidate steps,
-consuming only the chosen row.
+features, and a binary reward; a replay stream serves k-candidate steps
+to one trial or to several in lockstep, consuming only the chosen row.
 """
 
 import cmath
@@ -526,45 +526,87 @@ def load_replay_log(path):
 
 
 class ReplayStream:
-    """Serves k-candidate steps from a log.
+    """Serves k-candidate steps from a log to one trial, or to several
+    trials in lockstep.
 
-    Each step samples k candidates uniformly without replacement from the
-    not-yet-consumed rows; only the row the agent picks is consumed, so a
-    log of n rows supports up to n - k + 1 steps of k candidates.
+    `rng` is one Generator, for one trial, or a list of the trials' own
+    Generators.  `step(k)` samples each trial's k candidates uniformly
+    without replacement from that trial's unconsumed rows, with one
+    `rng.choice(n, size=k, replace=False)` per trial in list order, n being
+    the count of rows left.  It returns the candidates' row indices, (k,)
+    for one trial or (trials, k), and `reveal`.  `reveal` takes the chosen
+    candidate position, an int for one trial or one per trial, consumes
+    the chosen rows and returns their logged rewards, a float or a
+    (trials,) array; a step may be revealed once.  Only the chosen row is
+    consumed, so a log of n rows supports up to n - k + 1 steps of k
+    candidates.
+
+    Every trial consumes one row per step, so the trials' unconsumed rows
+    are one (trials, n_rows) array whose first n columns are live, each
+    row in ascending order.  Consuming a row shifts the live entries after
+    it one place left, which keeps that order.  The draws depend only on
+    each trial's generator and on n, so a trial's candidates and rewards
+    do not depend on which other trials share its stream.
     """
 
     def __init__(self, log, rng):
+        one = isinstance(rng, np.random.Generator)
+        rngs = [rng] if one else list(rng) if isinstance(rng, (list, tuple)) else []
+        if not rngs or not all(isinstance(r, np.random.Generator) for r in rngs):
+            raise ParameterError("rng must be a Generator or a nonempty list of Generators")
         self.log = log
-        self.rng = rng
-        self._remaining = list(range(log.n_rows))
+        self._rngs = rngs
+        self._shape = () if one else (len(rngs),)
+        self._lanes = np.arange(len(rngs))
+        self._remaining = np.tile(np.arange(log.n_rows), (len(rngs), 1))
+        self._n = log.n_rows
 
     @property
     def n_remaining(self):
-        return len(self._remaining)
+        """Unconsumed rows left, the same count in every trial."""
+        return self._n
+
+    def _check_choices(self, choices, k):
+        """The chosen positions as a list with one int per trial, each
+        checked to be an integer, not a bool, in [0, k)."""
+        values = choices.tolist() if isinstance(choices, np.ndarray) else choices
+        if not self._shape:
+            values = [values]
+        elif not isinstance(values, (list, tuple)) or len(values) != len(self._rngs):
+            raise InputError(
+                f"reveal takes one choice per trial ({len(self._rngs)}), got {choices!r}"
+            )
+        for lane, c in enumerate(values):
+            if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or not 0 <= c < k:
+                raise InputError(f"choice {c!r} of trial lane {lane} is not an integer in [0, {k})")
+        return values
 
     def step(self, k):
-        if k < 1:
-            raise ParameterError("candidate count k must be positive")
-        if len(self._remaining) < k:
-            raise EndOfLog(
-                f"only {len(self._remaining)} unconsumed rows remain, need {k}"
-            )
-        pick = self.rng.choice(len(self._remaining), size=k, replace=False)
-        candidates = [self._remaining[j] for j in pick]
+        if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
+            raise ParameterError(f"candidate count k must be a positive integer, got {k!r}")
+        n = self._n
+        if n < k:
+            raise EndOfLog(f"only {n} unconsumed rows remain, need {k}")
+        lanes = self._lanes
+        picks = np.array([rng.choice(n, size=k, replace=False) for rng in self._rngs])
+        candidates = self._remaining[lanes[:, None], picks]
         spent = []
 
-        def reveal(choice):
-            """Consume the chosen candidate; returns its logged reward only."""
+        def reveal(choices):
+            """Consume each trial's chosen candidate; returns the chosen
+            rows' logged rewards only."""
             if spent:
                 raise InputError("reveal may be called once per step")
-            if not 0 <= choice < k:
-                raise InputError(f"choice {choice} out of range for {k} candidates")
-            row = candidates[choice]
-            self._remaining.remove(row)
-            spent.append(row)
-            return float(self.log.rewards[row])
+            chosen = self._check_choices(choices, k)
+            spent.append(chosen)
+            remaining = self._remaining
+            for lane, p in enumerate(picks[lanes, chosen].tolist()):
+                remaining[lane, p : n - 1] = remaining[lane, p + 1 : n]
+            self._n = n - 1
+            rewards = self.log.rewards[candidates[lanes, chosen]]
+            return rewards if self._shape else float(rewards[0])
 
-        return candidates, reveal
+        return candidates.reshape(self._shape + (k,)), reveal
 
 
 def generate_history(make_env, n_traj, t0, base_seed):

@@ -1271,30 +1271,30 @@ def _replay_views(config, log, imputer):
 
 
 def _replay_steps(config, seat, log, k):
-    """What `_play` takes per decision of a replay seat: each trial's own
-    stream of k candidates from `log`, whose reveal pays the arm chosen in
-    that trial."""
-    streams = [
-        ReplayStream(log, substream(config.base_seed, "trial", i, "replay", seat.agent.name))
-        for i in range(config.trials)
-    ]
+    """What `_play` takes per decision of a replay seat: k candidates per
+    trial from one lockstep stream over `log`, each trial drawing from its
+    own generator, whose reveal pays the arm chosen in every trial."""
+    stream = ReplayStream(
+        log,
+        [
+            substream(config.base_seed, "trial", i, "replay", seat.agent.name)
+            for i in range(config.trials)
+        ],
+    )
     table = None if seat.view is None else seat.view.features
     while True:
-        candidates, reveals = zip(*(stream.step(k) for stream in streams))
-
-        def pay(arms, reveals=reveals):
-            return [reveal(arm) for reveal, arm in zip(reveals, arms)]
-
-        yield None if table is None else table[np.array(candidates)], None, pay, None
+        candidates, reveal = stream.step(k)
+        yield None if table is None else table[candidates], None, reveal, None
 
 
 def run_replay(config, out_dir=None, overrides_echo=()):
     """Offline replay: per step, k logged candidates, the chosen row's
     reward revealed, cumulative click-through rate tracked per agent.
 
-    Each agent replays the online portion on its own candidate stream per
-    trial, so its rows do not depend on which other agents or trials run;
-    trials are independent seeds, played in lockstep.
+    Each agent replays the online portion on its own candidate stream,
+    which serves all trials in lockstep, each trial drawing from its own
+    generator, so an agent's rows do not depend on which other agents or
+    trials run.
     """
     out_dir = _output_dir(config, out_dir)
 
@@ -1328,13 +1328,15 @@ def run_replay(config, out_dir=None, overrides_echo=()):
     timings["trials"] = time.perf_counter() - clock
     clock = time.perf_counter()
 
+    agents = results["agents"]
     raw_path = os.path.join(out_dir, "raw_replay.csv")
-    _write_rows(raw_path, results["agents"], _REPLAY_COLUMNS)
+    _write_rows(raw_path, agents, _REPLAY_COLUMNS)
     agg_path = os.path.join(out_dir, "aggregate_replay.csv")
-    finals = _write_aggregate_csv(agg_path, results["agents"], ("cum_ctr",))
+    finals = _write_aggregate_csv(agg_path, agents, ("cum_ctr",))
     summary = {
         name: {"final_mean_cum_ctr": final["cum_ctr"][0]} for name, final in finals.items()
     }
+    final_cum_ctr = {name: cols["cum_ctr"][:, -1].tolist() for name, cols in agents.items()}
     timings["write"] = time.perf_counter() - clock
     meta_path = _write_metadata(
         out_dir,
@@ -1350,7 +1352,9 @@ def run_replay(config, out_dir=None, overrides_echo=()):
                 seat.agent.name: seat.view.bound for seat in seats if seat.view is not None
             },
             "feat_norm_diagnostics": pre["feat_norm_diagnostics"],
+            "final_dt_cumsum": results["final_dt_cumsum"],
             "final_gamma": results["final_gamma"],
+            "final_cum_ctr": final_cum_ctr,
             "summary": summary,
         },
         timings,
@@ -1361,6 +1365,7 @@ def run_replay(config, out_dir=None, overrides_echo=()):
         "aggregate_path": agg_path,
         "metadata_path": meta_path,
         "summary": summary,
+        "final_cum_ctr": final_cum_ctr,
     }
 
 

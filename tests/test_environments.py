@@ -209,21 +209,82 @@ def test_replay_log_rejects_nonbinary_rewards():
         ReplayLog(observed=np.zeros((3, 1)), rewards=np.array([0.0, 0.5, 1.0]))
 
 
+class _ListStream:
+    """The list-based one-trial stream, as a reference: k candidates drawn
+    from a list of unconsumed rows, the chosen one removed from it."""
+
+    def __init__(self, log, rng):
+        self.log, self.rng, self.remaining = log, rng, list(range(log.n_rows))
+
+    def step(self, k):
+        if len(self.remaining) < k:
+            raise EndOfLog("exhausted")
+        candidates = [self.remaining[j] for j in self.rng.choice(len(self.remaining), k, False)]
+
+        def reveal(choice):
+            self.remaining.remove(candidates[choice])
+            return float(self.log.rewards[candidates[choice]])
+
+        return candidates, reveal
+
+
+@pytest.mark.parametrize("k", [1, 3, 10])
+@pytest.mark.parametrize("lanes", [None, 1, 3], ids=["generator", "one_lane", "three_lanes"])
+def test_lockstep_stream_matches_the_list_reference(k, lanes):
+    # lane i of a stream on generators seeded 0, 1, 2 is the reference
+    # stream on a fresh generator of seed i, at every step until the log
+    # is exhausted; one Generator (lanes None) is the one-trial case
+    n = 24
+    pick = np.random.default_rng(5)
+    log = ReplayLog(observed=np.zeros((n, 1)), rewards=pick.integers(0, 2, n).astype(float))
+    seeds = range(lanes or 1)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    stream = ReplayStream(log, rngs[0] if lanes is None else rngs)
+    refs = [_ListStream(log, np.random.default_rng(seed)) for seed in seeds]
+    shape = () if lanes is None else (lanes,)
+    for step in range(n - k + 1):
+        candidates, reveal = stream.step(k)
+        expected = [ref.step(k) for ref in refs]
+        assert candidates.shape == shape + (k,)
+        assert np.array_equal(candidates.reshape(-1, k), [c for c, _ in expected])
+        # random positions, with 0 and k - 1 in turn in one lane each step
+        choices = pick.integers(0, k, len(refs))
+        choices[step % len(refs)] = (0, k - 1)[step % 2]
+        rewards = reveal(choices if lanes else int(choices[0]))
+        want = [ref_reveal(int(c)) for (_, ref_reveal), c in zip(expected, choices)]
+        if lanes is None:
+            assert type(rewards) is float and rewards == want[0]
+        else:
+            assert rewards.shape == (lanes,) and rewards.tolist() == want
+        assert stream.n_remaining == n - step - 1
+        assert all(len(ref.remaining) == n - step - 1 for ref in refs)
+    with pytest.raises(EndOfLog):  # step n - k + 2
+        stream.step(k)
+
+
 def test_replay_stream_consumes_only_chosen():
-    log = ReplayLog(
-        observed=np.arange(10, dtype=float)[:, None],
-        rewards=np.zeros(10),
-    )
-    stream = ReplayStream(log, substream(15, "rep"))
-    candidates, reveal = stream.step(4)
-    assert len(candidates) == 4
-    assert stream.n_remaining == 10
-    reveal(2)
-    assert stream.n_remaining == 9
-    assert candidates[2] not in stream._remaining
-    # the other three candidates stay available
-    for j in (0, 1, 3):
-        assert candidates[j] in stream._remaining
+    # each step's chosen rows are never offered again; the rows never
+    # chosen are the last step's unchosen candidates, so a candidate that
+    # was not chosen stayed available
+    n, k = 10, 4
+    log = ReplayLog(observed=np.zeros((n, 1)), rewards=np.zeros(n))
+    stream = ReplayStream(log, [substream(15, "rep", i) for i in range(2)])
+    chosen = [[], []]
+    for step in range(n - k + 1):
+        candidates, reveal = stream.step(k)
+        assert stream.n_remaining == n - step
+        for lane in range(2):
+            assert len(set(candidates[lane].tolist())) == k
+            assert not set(candidates[lane].tolist()) & set(chosen[lane])
+        arms = np.array([step % k, (step + 1) % k])
+        reveal(arms)
+        assert stream.n_remaining == n - step - 1
+        for lane in range(2):
+            chosen[lane].append(int(candidates[lane, arms[lane]]))
+    for lane in range(2):
+        unchosen = set(np.delete(candidates[lane], arms[lane]).tolist())
+        assert len(set(chosen[lane])) == n - k + 1
+        assert unchosen | set(chosen[lane]) == set(range(n))
 
 
 def test_replay_stream_reveal_once_and_bounds():
@@ -232,9 +293,11 @@ def test_replay_stream_reveal_once_and_bounds():
     _, reveal = stream.step(3)
     with pytest.raises(InputError):
         reveal(7)
+    assert stream.n_remaining == 6  # a refused choice consumes nothing
     reveal(0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="once"):
         reveal(1)
+    assert stream.n_remaining == 5
 
 
 def test_replay_stream_end_of_log():
@@ -245,6 +308,44 @@ def test_replay_stream_end_of_log():
         reveal(0)
     with pytest.raises(EndOfLog):
         stream.step(3)
+
+
+def test_replay_stream_checks_its_inputs():
+    log = ReplayLog(observed=np.zeros((6, 1)), rewards=np.zeros(6))
+    for rng in ([], [substream(1, "rep"), 3], None, 7):
+        with pytest.raises(ParameterError, match="Generator"):
+            ReplayStream(log, rng)
+    stream = ReplayStream(log, [substream(18, "rep", i) for i in range(3)])
+    for k in (0, -1, 2.5, True, "3", None):
+        with pytest.raises(ParameterError, match="k must be a positive integer"):
+            stream.step(k)
+    candidates, reveal = stream.step(np.int64(3))
+    assert candidates.shape == (3, 3)
+    bad_lanes = [
+        ([0, 1.0, 2], 1),
+        ([0, 1, True], 2),
+        ([3, 0, 0], 0),
+        ([0, -1, 0], 1),
+        (np.array([0.0, 1.0, 2.0]), 0),
+        (np.array([True, False, True]), 0),
+        (np.zeros((3, 1), dtype=int), 0),
+    ]
+    for choices, lane in bad_lanes:
+        with pytest.raises(InputError, match=f"lane {lane} is not an integer in \\[0, 3\\)"):
+            reveal(choices)
+    for choices in ([0, 1], 1, "012"):
+        with pytest.raises(InputError, match="one choice per trial"):
+            reveal(choices)
+    assert stream.n_remaining == 6  # no refused reveal consumed a row
+    assert reveal((np.int64(2), 0, 1)).shape == (3,)
+    assert stream.n_remaining == 5
+
+    one = ReplayStream(log, substream(19, "rep"))
+    _, reveal = one.step(3)
+    for choice in (1.0, True, np.bool_(True), 3, -1, [0], np.float64(1.0)):
+        with pytest.raises(InputError, match="lane 0"):
+            reveal(choice)
+    assert type(reveal(np.int64(2))) is float
 
 
 def test_generate_history_shapes_and_determinism():

@@ -526,11 +526,34 @@ def test_final_gamma_reports_every_trial(tmp_path):
     assert len(set(gammas["pulse_ucb"])) == 3  # oracle charges differ by trial
     assert "final_gamma" not in meta["config"]
 
-    replayed = run_replay(ExperimentConfig(replay_raw(tmp_path)), out_dir=str(tmp_path / "rep"))
-    gammas = json.loads(open(replayed["metadata_path"]).read())["run"]["final_gamma"]
-    assert set(gammas) == {"oful_full", "pulse_ucb", "uniform_random"}
+    # replay records the same per-trial facts, and each agent's final
+    # cumulative CTR, which is its last raw row in every trial
+    raw = replay_raw(tmp_path)
+    raw["agents"].append({"name": "oful_observed", "kind": "oful_observed",
+                          "dt_source": "constant", "constant_dt": 0.001})
+    replayed = run_replay(ExperimentConfig(raw), out_dir=str(tmp_path / "rep"))
+    meta = json.loads(open(replayed["metadata_path"]).read())
+    gammas = meta["run"]["final_gamma"]
+    assert set(gammas) == {"oful_full", "pulse_ucb", "uniform_random", "oful_observed"}
     assert gammas["uniform_random"] == [None, None]
     assert all(isinstance(g, float) and g > 0 for g in gammas["pulse_ucb"])
+    sums = meta["run"]["final_dt_cumsum"]
+    constant_sum = 0.0
+    for _ in range(50):  # the horizon
+        constant_sum += 0.001
+    assert sums == {"oful_full": [0.0, 0.0], "pulse_ucb": [0.0, 0.0],
+                    "uniform_random": [None, None], "oful_observed": [constant_sum] * 2}
+    last = {}
+    with open(replayed["raw_path"], encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        for line in fh:
+            row = dict(zip(header, line.rstrip("\n").split(",")))
+            if row["t"] == "50":
+                last[row["agent"], int(row["trial"])] = float(row["cum_ctr"])
+    assert len(last) == 2 * 4
+    ctr = {name: [last[name, trial] for trial in range(2)] for name in gammas}
+    assert meta["run"]["final_cum_ctr"] == replayed["final_cum_ctr"] == ctr
+    assert not {"final_dt_cumsum", "final_cum_ctr"} & set(meta["config"])
 
 
 def test_final_cum_regret_is_the_last_raw_row(tmp_path):

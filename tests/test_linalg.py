@@ -365,32 +365,49 @@ def test_lockstep_kernel_matches_the_dense_reference(trials, dim, k, form):
     assert stack._since_refactor.tolist() == [600 - REFACTOR_INTERVAL] * trials
 
 
-def _plant(stack, trigger, x):
-    """Corrupt trial 1's inverse so that the named check trips at the next
-    update, whose rows `x` it adjusts in place."""
+def _plant(inv, x, trigger):
+    """Corrupt one problem's inverse `inv` so that the named check trips at
+    its next update, whose row `x` it adjusts; both are changed in place."""
     if trigger == "nonpositive_diagonal":
         # a zero row leaves the inverse as it is, and its 1 + q = 1 is healthy
-        stack.inv[1, 0, 0] = -1.0
-        x[1] = 0.0
+        inv[0, 0] = -1.0
+        x[:] = 0.0
     elif trigger == "nonpositive_denominator":
         # an indefinite inverse with a positive diagonal: 1 + q = -7, and
         # the updated diagonal, 1 + 16 / 7, stays positive
-        stack.inv[1] = [[1.0, -5.0], [-5.0, 1.0]]
-        x[1] = [1.0, 1.0]
+        inv[:] = [[1.0, -5.0], [-5.0, 1.0]]
+        x[:] = [1.0, 1.0]
+    elif trigger == "infinite_denominator":
+        # Sigma^{-1} x overflows in its first entry, so 1 + q = +inf
+        inv[:] = [[1e308, 1e-3], [1e-3, 1.0]]
+        x[:] = [10.0, 0.0]
+    elif trigger == "infinite_diagonal":
+        # +inf times the row's zero entry makes 1 + q and the diagonal NaN
+        inv[1, 1] = np.inf
+        x[:] = [1.0, 0.0]
     else:
         # a NaN makes 1 + q and the updated diagonal NaN
-        stack.inv[1, 0, 1] = stack.inv[1, 1, 0] = np.nan
+        inv[0, 1] = inv[1, 0] = np.nan
 
 
-@pytest.mark.parametrize(
-    "trigger", ["nonpositive_diagonal", "nonpositive_denominator", "nonfinite"]
-)
+TRIGGERS = [
+    "nonpositive_diagonal",
+    "nonpositive_denominator",
+    "infinite_denominator",
+    "infinite_diagonal",
+    "nonfinite",
+]
+
+
+@pytest.mark.parametrize("trigger", TRIGGERS)
 def test_stack_reinverts_only_the_flagged_trial(trigger):
     # a planted stack and a clean one take the same rows; at update 21 the
     # plant flags trial 1, which alone re-inverts and restarts its counter.
     # With the interval at 25, trials 0 and 2 re-invert at updates 25 and
     # 50 and trial 1 at 46, and trials 0 and 2 stay equal to the clean
-    # stack's bit for bit.
+    # stack's bit for bit.  No update raises a floating-point error: the
+    # flagged trial's masked increment and denominator keep the planted
+    # values out of its arithmetic.
     from pulsebandit import linalg
 
     rng = np.random.default_rng(23)
@@ -398,13 +415,13 @@ def test_stack_reinverts_only_the_flagged_trial(trigger):
     clean = linalg.new_ridge_stack(3, 2, 1.0)
     keys = ("gram", "inv", "xr_sum", "theta_hat", "log_det", "_since_refactor")
     counters = {20: [21, 0, 21], 24: [0, 4, 0], 45: [21, 0, 21], 59: [10, 14, 10]}
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="raise"):
         mp.setattr(linalg, "REFACTOR_INTERVAL", 25)
         for step in range(60):
             x = rng.standard_normal((3, 2))
             r = rng.standard_normal(3)
             if step == 20:
-                _plant(planted, trigger, x)
+                _plant(planted.inv[1], x[1], trigger)
             linalg.stack_rank_one_update(planted, x, r)
             linalg.stack_rank_one_update(clean, x, r)
             for key in keys:
@@ -414,6 +431,41 @@ def test_stack_reinverts_only_the_flagged_trial(trigger):
             if step in counters:
                 assert planted._since_refactor.tolist() == counters[step]
     assert clean._since_refactor.tolist() == [10, 10, 10]
+
+
+@pytest.mark.parametrize("trigger", TRIGGERS)
+def test_one_trial_agent_reinverts_after_a_plant(trigger):
+    # the same plants in a one-trial agent's state, through observe: the
+    # planted update re-inverts it and restarts its counter, without a
+    # floating-point error, and it keeps the clean agent's Gram matrix and
+    # reward sum bit for bit.  With the interval at 25, the clean agent
+    # re-inverts at updates 25 and 50 and the planted one at 21 and 46.
+    from types import SimpleNamespace
+
+    from pulsebandit import linalg, observe
+
+    rng = np.random.default_rng(29)
+    planted = _lockstep_agent(None, 2, 2, "closed_form", lam=1.0)
+    clean = _lockstep_agent(None, 2, 2, "closed_form", lam=1.0)
+    counters = {19: (20, 20), 20: (0, 21), 24: (4, 0), 45: (0, 21), 49: (4, 0)}
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="raise"):
+        mp.setattr(linalg, "REFACTOR_INTERVAL", 25)
+        for step in range(50):
+            x = rng.standard_normal(2)
+            r = float(rng.standard_normal())
+            if step == 20:
+                _plant(planted.ridge.inv, x, trigger)
+            observe(planted, x, r, dt_value=0.0)
+            observe(clean, x, r, dt_value=0.0)
+            state = planted.ridge
+            assert np.array_equal(state.gram, clean.ridge.gram)
+            assert np.array_equal(state.xr_sum, clean.ridge.xr_sum)
+            _assert_tracks_dense(SimpleNamespace(
+                dim=2, **{key: getattr(state, key)[None]
+                          for key in ("gram", "inv", "xr_sum", "theta_hat", "log_det")}
+            ))
+            if step in counters:
+                assert (state._since_refactor, clean.ridge._since_refactor) == counters[step]
 
 
 def test_lockstep_ball_membership_check_still_raises():
