@@ -27,7 +27,7 @@ document that embeds the fully resolved config; rerunning `simulate` on
 the metadata file reproduces the raw CSV byte for byte.  Randomness is
 organized as labeled substreams of (base_seed, trial): the environment
 stream never depends on which agents are present, and each agent's
-Monte-Carlo and tie-breaking draws are isolated.
+tie-breaking draws are isolated.
 """
 
 import copy
@@ -79,16 +79,13 @@ from .features import arm_feature_matrix  # unused: views come from phi_batch; k
 from .features import calibrate_feat_norm_bound, phi_batch
 from .imputation import expected_feature_matrix  # unused: see arm_feature_matrix
 from .imputation import (
-    DEFAULT_MC_SAMPLES,
     HistoricalDataset,
     ImputerKind,
     _conditional_means,
-    _expected_feature_block,
     fit_kernel,
     fit_linear_ar,
     load_imputer,
     null_imputer,
-    oracle_imputer,
     save_imputer,
 )
 from .rng import substream
@@ -297,8 +294,6 @@ _IMPUTER = (
     ("ridge_eps", 1e-10, _float(nonnegative=True)),
     ("bandwidth", None, _optional(_float(positive=True))),
     ("beta", 1.0, _float(positive=True)),
-    ("mc_samples", DEFAULT_MC_SAMPLES, _int(1)),
-    ("analytic", True, _bool),
     ("path", None, _optional(_text)),
 )
 # a null name or dt_source takes its default after the table pass
@@ -361,7 +356,7 @@ class ExperimentConfig:
     """
 
     def __init__(self, raw):
-        vars(self).update(_section(raw, "", _CONFIG))
+        vars(self).update(_section(_without_retired_keys(raw), "", _CONFIG))
         env_kind = self.environment["kind"]
         replay = env_kind == "replay"
         if self.horizon is None and not replay:
@@ -492,6 +487,23 @@ class ExperimentConfig:
         raise ConfigError("environment.kind", "replay configs do not build an env")
 
 
+def _without_retired_keys(raw):
+    """`raw`, or a copy without the retired Monte-Carlo keys of older
+    files: `imputer.analytic: true` and any `imputer.mc_samples` are
+    dropped, as Phi at the conditional mean is the only path left; any
+    other `analytic` value is refused."""
+    imputer = raw.get("imputer") if isinstance(raw, dict) else None
+    if not isinstance(imputer, dict) or not {"analytic", "mc_samples"} & imputer.keys():
+        return raw
+    if imputer.get("analytic", True) is not True:
+        raise ConfigError(
+            "imputer.analytic",
+            f"Monte-Carlo features are retired; only true is accepted, got {imputer['analytic']!r}",
+        )
+    kept = {key: value for key, value in imputer.items() if key not in ("analytic", "mc_samples")}
+    return {**raw, "imputer": kept}
+
+
 def _set_dotted(raw, key, value):
     """raw[a][b]...[z] = value for the dotted key "a.b. ... .z"; a missing
     or non-mapping section on the way becomes an empty mapping."""
@@ -570,6 +582,12 @@ def pretrain(config):
     probe = config.make_env()
     if imp_cfg["path"] is not None:
         imputer = load_imputer(imp_cfg["path"])
+        if (imputer.d_s, imputer.d_w) != (probe.d_s, probe.d_w):
+            raise ConfigError(
+                "imputer.path",
+                f"{imp_cfg['path']} imputes for (d_S, d_W) = ({imputer.d_s}, {imputer.d_w}), "
+                f"but the environment has ({probe.d_s}, {probe.d_w})",
+            )
     elif imp_cfg["kind"] != ImputerKind.ORACLE:
         if imp_cfg["kind"] in _FITTED_IMPUTERS:
             dataset = generate_history(
@@ -616,23 +634,12 @@ def pretrain(config):
 
 def _build_imputer(imp_cfg, d_s, d_w, dataset=None, lag=0):
     """The configured null imputer over (d_s, d_w), or linear-AR or kernel
-    imputer fit on `dataset`, with the config's Monte-Carlo sample count
-    and analytic flag; `lag` is the linear-AR lag order."""
+    imputer fit on `dataset`; `lag` is the linear-AR lag order."""
     if imp_cfg["kind"] == ImputerKind.NULL:
-        imputer = null_imputer(d_s, d_w, mc_samples=imp_cfg["mc_samples"])
-    elif imp_cfg["kind"] == ImputerKind.LINEAR_AR:
-        imputer = fit_linear_ar(
-            dataset, lag=lag, ridge_eps=imp_cfg["ridge_eps"], mc_samples=imp_cfg["mc_samples"]
-        )
-    else:
-        imputer = fit_kernel(
-            dataset,
-            bandwidth=imp_cfg["bandwidth"],
-            beta=imp_cfg["beta"],
-            mc_samples=imp_cfg["mc_samples"],
-        )
-    imputer.analytic = imp_cfg["analytic"]
-    return imputer
+        return null_imputer(d_s, d_w)
+    if imp_cfg["kind"] == ImputerKind.LINEAR_AR:
+        return fit_linear_ar(dataset, lag=lag, ridge_eps=imp_cfg["ridge_eps"])
+    return fit_kernel(dataset, bandwidth=imp_cfg["bandwidth"], beta=imp_cfg["beta"])
 
 
 def _dt_band(config, dataset, query_points=None):
@@ -837,16 +844,16 @@ def _add_running_columns(cols):
 # -- simulate -----------------------------------------------------------------------
 
 
-def _oracle_charges(rollout, w_law):
+def _oracle_charges(rollout, means, sd):
     """(T,) divergence between the true conditional law of W at each step
-    and the agent's model `w_law` of it, the Gaussian closed form summed
-    over the coordinates of W; zero for an agent that sees W itself."""
+    and an agent's model of it, N(means (T, d_W), sd (d_W,)), the Gaussian
+    closed form summed over the coordinates of W; zero for an agent that
+    sees W itself (sd None)."""
     truth = rollout.cond_mean_w
     truth_sd = float(rollout.cond_sd_w)
     # a degenerate truth (sd 0) is at divergence 0 from an exact model only
-    if w_law is None or (truth_sd == 0.0 and np.array_equal(w_law[0], truth)):
+    if sd is None or (truth_sd == 0.0 and np.array_equal(means, truth)):
         return np.zeros(truth.shape[0])
-    means, sd = w_law
     if truth_sd == 0.0:
         raise ConfigError(
             "agents.dt_source",
@@ -875,67 +882,54 @@ class _Trial:
 
 
 def _build_trial(config, trial_index, fitted_imputer):
-    """The trial's rollout and every view of it, from its own substreams.
+    """The trial's rollout and every view of it, from its own substream.
 
-    The environment stream is a pure function of (base_seed, trial_index)
-    and each agent's Monte-Carlo draws come from its own labeled
-    substream, so what a trial builds does not depend on the other trials
-    or on the agent list.
+    Each view kind's features are Phi at [observed | its W block], one
+    block for all agents of the kind: the realized W for oful_full, zeros
+    for oful_observed and the imputed conditional means for pulse_ucb.
+    The environment stream is a pure function of (base_seed, trial_index),
+    so a trial's build depends on neither the other trials nor the agents.
     """
     env = config.make_env()
     rng_env = substream(config.base_seed, "trial", trial_index, "env")
     env.reset(rng_env)
     rollout = env.rollout(rng_env, config.horizon)
-    fmap = env.feature_map
     observed = rollout.observed
     fallbacks_before = 0 if fitted_imputer is None else fitted_imputer.fallback_count
 
-    # each configured view's features and its model of the law of W per
-    # step, (means (T, d_W), sd (d_W,)); None for the view that sees W itself
+    # each configured view kind's (W block (T, d_W), sd (d_W,)) of its model
+    # of the law of W; sd None for the view that sees W itself
     kinds = {AgentKind(spec["kind"]) for spec in config.agents}
     truth_sd = np.full(env.d_w, float(rollout.cond_sd_w))
-    blocks = {}
-    w_laws = {AgentKind.OFUL_FULL: None}
+    w_blocks = {}
     if AgentKind.OFUL_FULL in kinds:
-        blocks[AgentKind.OFUL_FULL] = phi_batch(fmap, rollout.full_context)
+        w_blocks[AgentKind.OFUL_FULL] = (rollout.full_context[:, env.d_s :], None)
     if AgentKind.OFUL_OBSERVED in kinds:
         # the observed view zeroes W and models it as N(0, true sd)
-        zeros_w = np.zeros_like(rollout.cond_mean_w)
-        blocks[AgentKind.OFUL_OBSERVED] = phi_batch(
-            fmap, np.concatenate([observed, zeros_w], axis=1)
-        )
-        w_laws[AgentKind.OFUL_OBSERVED] = (zeros_w, truth_sd)
-    imputer = None
+        w_blocks[AgentKind.OFUL_OBSERVED] = (np.zeros_like(rollout.cond_mean_w), truth_sd)
     if AgentKind.PULSE_UCB in kinds:
         if config.imputer["kind"] == ImputerKind.ORACLE:
-            imputer = oracle_imputer(env, mc_samples=config.imputer["mc_samples"])
-            imputer.analytic = config.imputer["analytic"]
-            w_laws[AgentKind.PULSE_UCB] = (rollout.cond_mean_w, truth_sd)
+            w_blocks[AgentKind.PULSE_UCB] = (rollout.cond_mean_w, truth_sd)
         else:
-            imputer = fitted_imputer
-            w_laws[AgentKind.PULSE_UCB] = (
-                _conditional_means(imputer, observed),
-                imputer.conditional_sd(),
+            w_blocks[AgentKind.PULSE_UCB] = (
+                _conditional_means(fitted_imputer, observed),
+                fitted_imputer.conditional_sd(),
             )
+    blocks = {
+        kind: phi_batch(env.feature_map, np.concatenate([observed, w], axis=1))
+        for kind, (w, _) in w_blocks.items()
+    }
 
-    features = {}
-    charges = {}
-    for spec in config.agents:
-        name, kind = spec["name"], AgentKind(spec["kind"])
-        if kind is AgentKind.PULSE_UCB:
-            mc_rng = substream(config.base_seed, "trial", trial_index, "mc", name)
-            features[name] = _expected_feature_block(
-                imputer, fmap, observed, w_laws[kind], rng=mc_rng
-            )
-        else:
-            features[name] = blocks.get(kind)
-        if features[name] is not None and spec["dt_source"] == DtSource.ORACLE.value:
-            charges[name] = _oracle_charges(rollout, w_laws[kind])
-
+    views = [(spec, AgentKind(spec["kind"])) for spec in config.agents]
+    charges = {
+        spec["name"]: _oracle_charges(rollout, *w_blocks[kind])
+        for spec, kind in views
+        if kind in w_blocks and spec["dt_source"] == DtSource.ORACLE.value
+    }
     return _Trial(
         rollout,
-        fmap.arm_count,
-        features,
+        env.feature_map.arm_count,
+        {spec["name"]: blocks.get(kind) for spec, kind in views},
         charges,
         0 if fitted_imputer is None else fitted_imputer.fallback_count - fallbacks_before,
     )
@@ -945,7 +939,7 @@ def run_trials(config, trial_indices, fitted_imputer, plug_in_dt, feat_norm_boun
     """All configured agents over the given trials, played in lockstep.
 
     Every trial's rollout, views and oracle charges are built first, each
-    from the trial's own substreams.  Then each agent plays all the trials
+    from the trial's own substream.  Then each agent plays all the trials
     at once, one decision per step for every trial, so the loop's Python
     overhead is paid once per (agent, step), not per (trial, agent, step).
     Returns `_play_trials`'s result, whose lanes follow the order given,

@@ -5,9 +5,8 @@ S_{1:t}.  Expected arm features are
 
     phi_hat(t, a) = E_model[ Phi(Y_t, a) | S_{1:t} ],
 
-approximated by a Monte-Carlo average over model draws, or evaluated
-exactly at the conditional mean (the `analytic` path): both feature maps
-are affine in W, so the two agree up to Monte-Carlo error.
+evaluated exactly as Phi at the model's conditional mean of W: both
+feature maps are affine in W.
 
 Two estimators can be fit from historical full-context trajectories:
 
@@ -20,8 +19,8 @@ Two estimators can be fit from historical full-context trajectories:
   K(u) = 1{||u||_inf <= 1/2}; an empty window falls back to the global
   training mean and increments a fallback counter.
 
-Both store a residual standard deviation and sample from a Gaussian with
-that scale around the conditional mean.  The Oracle imputer wraps a live
+Both store a residual standard deviation, the scale of their Gaussian
+model of W around the conditional mean.  The Oracle imputer wraps a live
 environment and returns the environment's own conditional mean bit for
 bit; it cannot be persisted.  The Null imputer imputes W = 0.
 """
@@ -53,10 +52,7 @@ __all__ = [
     "expected_feature_matrix",
     "save_imputer",
     "load_imputer",
-    "DEFAULT_MC_SAMPLES",
 ]
-
-DEFAULT_MC_SAMPLES = 64
 
 
 class ImputerKind:
@@ -128,16 +124,12 @@ class Imputer:
     d_s: int
     d_w: int
     params: dict = field(default_factory=dict)
-    mc_samples: int = DEFAULT_MC_SAMPLES
-    analytic: bool = True
     # diagnostics: number of kernel queries that fell back to the global mean
     fallback_count: int = 0
 
     def __post_init__(self):
         if self.kind not in ImputerKind.ALL:
             raise ParameterError(f"unknown imputer kind {self.kind!r}")
-        if self.mc_samples < 1:
-            raise ParameterError("mc_samples must be positive")
 
     # -- conditional law ---------------------------------------------------
 
@@ -160,7 +152,7 @@ class Imputer:
         raise UsageError(f"imputer kind {self.kind!r} has no conditional mean")
 
     def conditional_sd(self):
-        """Per-coordinate sampling scale of the model law."""
+        """Per-coordinate scale of the model law."""
         if self.kind == ImputerKind.NULL:
             return np.zeros(self.d_w)
         if self.kind == ImputerKind.ORACLE:
@@ -168,14 +160,6 @@ class Imputer:
         if self.kind in (ImputerKind.LINEAR_AR, ImputerKind.KERNEL):
             return np.asarray(self.params["noise_sd"], dtype=float)
         raise UsageError(f"imputer kind {self.kind!r} has no sampling scale")
-
-    def sample(self, observed_history, rng, n):
-        """n model draws of W_t; shape (n, d_W)."""
-        if n < 1:
-            raise ParameterError("sample count must be positive")
-        mean = self.conditional_mean(observed_history)
-        sd = self.conditional_sd()
-        return mean[None, :] + rng.standard_normal((n, self.d_w)) * sd[None, :]
 
     # -- internals ---------------------------------------------------------
 
@@ -217,13 +201,13 @@ def _lag_stack(hist, lag, d_s):
 # -- fitting ----------------------------------------------------------------
 
 
-def fit_linear_ar(data, lag, ridge_eps=1e-10, mc_samples=DEFAULT_MC_SAMPLES):
+def fit_linear_ar(data, lag, ridge_eps=1e-10):
     """Pooled OLS of W_t on (1, S_t, ..., S_{t-lag}) over t in [lag+1, T0].
 
     A tiny ridge `ridge_eps * I` is added to the normal equations; with
     ridge_eps = 0 a rank-deficient design raises FitError naming the rank.
     The residual standard deviation per W coordinate is stored as the
-    sampling scale.
+    model's scale.
     """
     if lag < 0:
         raise ParameterError(f"lag must be nonnegative, got {lag}")
@@ -268,11 +252,10 @@ def fit_linear_ar(data, lag, ridge_eps=1e-10, mc_samples=DEFAULT_MC_SAMPLES):
             "noise_sd": noise_sd,
             "ridge_eps": float(ridge_eps),
         },
-        mc_samples=mc_samples,
     )
 
 
-def fit_kernel(data, bandwidth=None, beta=1.0, mc_samples=DEFAULT_MC_SAMPLES):
+def fit_kernel(data, bandwidth=None, beta=1.0):
     """Nadaraya-Watson estimator over the flattened (S, W) pairs.
 
     The default bandwidth follows the smoothness-rate recipe
@@ -320,25 +303,18 @@ def fit_kernel(data, bandwidth=None, beta=1.0, mc_samples=DEFAULT_MC_SAMPLES):
             "global_mean": global_mean,
             "noise_sd": noise_sd,
         },
-        mc_samples=mc_samples,
     )
 
 
-def null_imputer(d_s, d_w, mc_samples=DEFAULT_MC_SAMPLES):
+def null_imputer(d_s, d_w):
     """Imputes W = 0 deterministically."""
-    return Imputer(kind=ImputerKind.NULL, d_s=d_s, d_w=d_w, mc_samples=mc_samples)
+    return Imputer(kind=ImputerKind.NULL, d_s=d_s, d_w=d_w)
 
 
-def oracle_imputer(env, mc_samples=DEFAULT_MC_SAMPLES):
+def oracle_imputer(env):
     """Wraps a live environment; returns the true conditional mean of W_t
     for the environment's current step, bit for bit."""
-    return Imputer(
-        kind=ImputerKind.ORACLE,
-        d_s=env.d_s,
-        d_w=env.d_w,
-        params={"env": env},
-        mc_samples=mc_samples,
-    )
+    return Imputer(kind=ImputerKind.ORACLE, d_s=env.d_s, d_w=env.d_w, params={"env": env})
 
 
 # -- expected features -------------------------------------------------------
@@ -352,14 +328,16 @@ def _check_imputes_for(imputer, feature_map):
         )
 
 
-def expected_feature_matrix(imputer, feature_map, observed_history, rng=None):
+def expected_feature_matrix(imputer, feature_map, observed_history):
     """Stack of expected features over all arms; row a is arm a.
 
-    The one-step case of the block below, from one conditional_mean query.
+    Phi at [S_t | the model's conditional mean of W_t], from one
+    conditional_mean query.
     """
+    _check_imputes_for(imputer, feature_map)
     hist = _as_history(observed_history, imputer.d_s)
-    law = (imputer.conditional_mean(hist)[None, :], imputer.conditional_sd())
-    return _expected_feature_block(imputer, feature_map, hist[-1:], law, rng=rng)[0]
+    context = np.concatenate([hist[-1], imputer.conditional_mean(hist)])
+    return phi_batch(feature_map, context[None, :])[0]
 
 
 def _conditional_means(imputer, observed):
@@ -381,34 +359,6 @@ def _conditional_means(imputer, observed):
     for j in range(min(imputer.params["lag"] + 1, n_steps)):
         lags[j:, j * d_s : (j + 1) * d_s] = hist[: n_steps - j]
     return imputer.params["intercept"] + (lags[:, None, :] @ imputer.params["coef"])[:, 0, :]
-
-
-def _expected_feature_block(imputer, feature_map, observed, law, rng=None):
-    """Expected features of every arm at T steps: a (T, arm_count,
-    output_dim) block whose [t, a] row is phi_hat(t, a).
-
-    `observed` is the (T, d_S) observed part of each step and `law` the
-    model's conditional law of W there, as (means (T, d_W), sd (d_W,)).
-    The analytic path evaluates Phi at the means, which is exact because
-    both feature maps are affine in W.  The Monte-Carlo path
-    draws mc_samples Gaussians per (step, arm) in one standard-normal
-    block, step by step and arm 0 first, and averages each arm's features
-    over its own draws.
-    """
-    _check_imputes_for(imputer, feature_map)
-    means, sd = law
-    if imputer.analytic:
-        return phi_batch(feature_map, np.concatenate([observed, means], axis=1))
-    if rng is None:
-        raise InputError("Monte-Carlo expected features require an rng")
-    n_steps, d_s = observed.shape
-    arms, n = feature_map.arm_count, imputer.mc_samples
-    draws = means[:, None, None, :] + rng.standard_normal((n_steps, arms, n, imputer.d_w)) * sd
-    s = np.broadcast_to(observed[:, None, None, :], draws.shape[:3] + (d_s,))
-    contexts = np.concatenate([s, draws], axis=3).reshape(n_steps * arms * n, -1)
-    block = phi_batch(feature_map, contexts).reshape(n_steps, arms, n, arms, -1)
-    # the draws of arm a feed arm a's features only
-    return np.stack([block[:, a, :, a] for a in range(arms)], axis=1).mean(axis=2)
 
 
 # -- persistence --------------------------------------------------------------
@@ -434,8 +384,6 @@ def save_imputer(imputer, path):
         "kind": imputer.kind,
         "d_s": imputer.d_s,
         "d_w": imputer.d_w,
-        "mc_samples": imputer.mc_samples,
-        "analytic": imputer.analytic,
         "params": {},
     }
     p = imputer.params
@@ -463,32 +411,64 @@ def save_imputer(imputer, path):
 
 
 def _require(doc, key, where):
-    if key not in doc:
+    if not isinstance(doc, dict) or key not in doc:
         raise PersistenceError("missing required entry", field=f"{where}{key}")
     return doc[key]
 
 
-def _array(values, shape, name):
+def _count(doc, key, where, minimum):
+    """The integer entry `key`, at least `minimum`; a bool is not one."""
+    value = _require(doc, key, where)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise PersistenceError(
+            f"must be an integer >= {minimum}, got {value!r}", field=f"{where}{key}"
+        )
+    return value
+
+
+def _number(raw, key, positive=False):
+    """The finite number entry params.`key`, nonnegative or, with
+    `positive`, positive; a bool is not one."""
+    value = _require(raw, key, "params.")
+    sign, name = ("positive" if positive else "nonnegative"), f"params.{key}"
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        math.isfinite(value) and (value > 0 if positive else value >= 0)
+    ):
+        raise PersistenceError(f"must be a finite {sign} number, got {value!r}", field=name)
+    return float(value)
+
+
+def _array(raw, key, shape, nonnegative=False):
+    """The flat list entry params.`key` as a finite array of `shape`."""
+    name = f"params.{key}"
     try:
-        arr = np.asarray([float(v) for v in values], dtype=float)
+        arr = np.asarray([float(v) for v in _require(raw, key, "params.")], dtype=float)
     except (TypeError, ValueError) as exc:
         raise PersistenceError(f"not a flat numeric list ({exc})", field=name)
     if arr.size != int(np.prod(shape)):
         raise PersistenceError(
             f"expected {int(np.prod(shape))} entries, got {arr.size}", field=name
         )
+    if not np.isfinite(arr).all():
+        raise PersistenceError("contains non-finite entries", field=name)
+    if nonnegative and (arr < 0).any():
+        raise PersistenceError("contains negative entries", field=name)
     return arr.reshape(shape, order="C")
 
 
 def load_imputer(path):
-    """Inverse of save_imputer; bit-exact round trip for all parameters."""
+    """Inverse of save_imputer; bit-exact round trip for all parameters.
+
+    Every entry is checked here, at the boundary: a malformed one is a
+    PersistenceError naming its field.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise PersistenceError(f"cannot parse imputer file: {exc}")
     version = _require(doc, "format_version", "")
-    if version != FORMAT_VERSION:
+    if isinstance(version, bool) or version != FORMAT_VERSION:
         raise PersistenceError(
             f"unsupported value {version!r} (expected {FORMAT_VERSION})",
             field="format_version",
@@ -496,54 +476,38 @@ def load_imputer(path):
     kind = _require(doc, "kind", "")
     if kind not in ImputerKind.PERSISTABLE:
         raise PersistenceError(f"unsupported value {kind!r}", field="kind")
-    d_s = int(_require(doc, "d_s", ""))
-    d_w = int(_require(doc, "d_w", ""))
-    mc_samples = int(doc.get("mc_samples", DEFAULT_MC_SAMPLES))
-    analytic = bool(doc.get("analytic", True))
+    # files of older versions carry the retired Monte-Carlo keys, whose
+    # default, features at the conditional mean, is the only path left
+    if doc.get("analytic", True) is not True:
+        raise PersistenceError(
+            f"Monte-Carlo features are retired; only true is supported, got {doc['analytic']!r}",
+            field="analytic",
+        )
+    d_s = _count(doc, "d_s", "", 1)
+    d_w = _count(doc, "d_w", "", 1)
     raw = _require(doc, "params", "")
+    if not isinstance(raw, dict):
+        raise PersistenceError(f"must be a mapping, got {raw!r}", field="params")
 
     if kind == ImputerKind.NULL:
         params = {}
     elif kind == ImputerKind.LINEAR_AR:
-        lag = int(_require(raw, "lag", "params."))
+        lag = _count(raw, "lag", "params.", 0)
         params = {
             "lag": lag,
-            "intercept": _array(
-                _require(raw, "intercept", "params."), (d_w,), "params.intercept"
-            ),
-            "coef": _array(
-                _require(raw, "coef", "params."),
-                ((lag + 1) * d_s, d_w),
-                "params.coef",
-            ),
-            "noise_sd": _array(
-                _require(raw, "noise_sd", "params."), (d_w,), "params.noise_sd"
-            ),
-            "ridge_eps": float(_require(raw, "ridge_eps", "params.")),
+            "intercept": _array(raw, "intercept", (d_w,)),
+            "coef": _array(raw, "coef", ((lag + 1) * d_s, d_w)),
+            "noise_sd": _array(raw, "noise_sd", (d_w,), nonnegative=True),
+            "ridge_eps": _number(raw, "ridge_eps"),
         }
     else:
-        n_train = int(_require(raw, "n_train", "params."))
+        n_train = _count(raw, "n_train", "params.", 1)
         params = {
-            "bandwidth": float(_require(raw, "bandwidth", "params.")),
-            "beta": float(_require(raw, "beta", "params.")),
-            "train_s": _array(
-                _require(raw, "train_s", "params."), (n_train, d_s), "params.train_s"
-            ),
-            "train_w": _array(
-                _require(raw, "train_w", "params."), (n_train, d_w), "params.train_w"
-            ),
-            "global_mean": _array(
-                _require(raw, "global_mean", "params."), (d_w,), "params.global_mean"
-            ),
-            "noise_sd": _array(
-                _require(raw, "noise_sd", "params."), (d_w,), "params.noise_sd"
-            ),
+            "bandwidth": _number(raw, "bandwidth", positive=True),
+            "beta": _number(raw, "beta", positive=True),
+            "train_s": _array(raw, "train_s", (n_train, d_s)),
+            "train_w": _array(raw, "train_w", (n_train, d_w)),
+            "global_mean": _array(raw, "global_mean", (d_w,)),
+            "noise_sd": _array(raw, "noise_sd", (d_w,), nonnegative=True),
         }
-    return Imputer(
-        kind=kind,
-        d_s=d_s,
-        d_w=d_w,
-        params=params,
-        mc_samples=mc_samples,
-        analytic=analytic,
-    )
+    return Imputer(kind=kind, d_s=d_s, d_w=d_w, params=params)

@@ -235,7 +235,7 @@ def test_a4_confidence_ball_coverage(acceptance_report):
         inside_all = True
         for _ in range(horizon):
             step = env.step(rng)
-            feats = expected_feature_matrix(imp, fmap, step.observed[None, :], rng=None)
+            feats = expected_feature_matrix(imp, fmap, step.observed[None, :])
             arm = select_arm(agent, feats)
             observe(agent, feats[arm], step.potential_rewards[arm], dt_value=0.0)
             if not theta_in_ball(agent, env.theta_star):
@@ -520,7 +520,7 @@ def test_a10_bitexact_reruns(tmp_path, acceptance_report):
         "gamma_scale": 0.05,
         "environment": {"kind": "synthetic", "nonlinearity": "linear"},
         "schedule": {"lambda": 1.0, "delta": 0.1, "sigma_eta": 0.05, "sigma_eps": 1.0},
-        "imputer": {"kind": "linear_ar", "lag": 2, "mc_samples": 16, "analytic": True},
+        "imputer": {"kind": "linear_ar", "lag": 2},
         "pretrain": {"n": 80, "t0": 30, "seed": 3},
         "agents": [
             {"name": "pulse_ucb", "kind": "pulse_ucb", "dt_source": "oracle"},

@@ -24,52 +24,52 @@ CONFIG_DIR = os.path.join(os.path.dirname(pulsebandit.__file__), "configs")
 # name -> (sha256 of json.dumps(to_dict()), config_hash())
 PINNED = {
     "calibration_demo.json": (
-        "a0253cf7f75113e292e9c9dd858b29bbc16b8668d66bab214bb782979b696614",
-        "b71637bcdfa7abd2cb8cdef5772c29e8083c09bce8efc22d3632d10914fce1a0",
+        "bb080abbb8a75e35a7dae6d96d810c479bbe7ac5a25bf0316d8d00e6266a85d7",
+        "8092b329d3f95168b266da29a14bb7f940961c54670e200bb56dc01772f261d2",
     ),
     "lower_bound_dgp.json": (
-        "7bf0e6d16d4903ae0e5a4cf0869f847bb3c6c75e8fbc299847975c2efa0a632b",
-        "8bb690f8dfefe68f6d36d06d1384538188f8cf24accdc7562278166795494282",
+        "e0e1fb6e6a7c766152cbd878660d124cc023b89bbd6f15d2642c4a6e2fa35169",
+        "ca091a05c8f37d1a7a0c204d9d858181e82f6291e9786d2938598e8840301fce",
     ),
     "replay_demo.json": (
-        "0b672de9305efe714a21076b16083b8667ece30e9e5f48ce3ad176cf582ea380",
-        "72e4a198549524eeafbe07a1190cbdfd3e03ce2326bf04d1b2bbfebf4ba96f80",
+        "72ff1234322e0d629280d83d965171d46957a1e79a4e9c5f1935716dc7a81582",
+        "0a84012f46c8cd78e6a6ed3d0d024941be397318da599894dd9e05f52623aed5",
     ),
     "synthetic_linear.json": (
-        "7a77e5b88a7781f853a727a71e41f6a6ddb367ac757919c23013ca911cec1b44",
-        "ed957848ae86862226916609fd43cc5a64cacf8dfaa9639cddd8b6c7b12a4d16",
+        "640f9e67b5eace83a2d030571635ea3bab66a5bbcd36f33b985aabb26dd8096c",
+        "219099ecb8838e34a3c2b0b3c17db84a3c31fd164a5c194f9b03b8b848e65499",
     ),
     "synthetic_nonlinear_rho0.1.json": (
-        "bde161e046855768a69a2cdbea2413c2ecc31cb9512b064d5b2d8af1c4b2d14a",
-        "fcf2984a61092197360054ddebe0256f7b452e24cbf770f0cb3825712af288ee",
+        "5a85fcf3e49e1e474c8c3d98857a75a69bb475046e972866340cb04640eda5b8",
+        "2988028342a8be5b910adf9475d9f07a4187aa5cf6ab1f3a87b199d3c5b3942c",
     ),
     "synthetic_nonlinear_rho1.json": (
-        "b613f25764d53e787fe067e248d1319fcb44c037abbdb544228abceea1763cb8",
-        "72c9eb4d9ec45a767380f7449bafb9046f15f92e974f46e24e493676c9d4115f",
+        "37aa9defe5523c44e7777e7b3d93f29ca03472728bb74b62c6414007da0a71c3",
+        "ace0e1888e2b98349495524461d0d6f1ba8cacc6e1b15095033bf1d120853862",
     ),
     "synthetic_nonlinear_rho10.json": (
-        "39b039a85fcc91dd928bcb80e442ea03b062554352316706737f625495525be5",
-        "c27236aa11bf065b4823bf7c7a19c4a95fda4dd139b109cf9fc601c2f581494e",
+        "5f3cf3c095345b086486c2db19b5c0c7c47725b7e2ed45e170e0c2eb54277a2b",
+        "dee6058e413ff94c64866e482c73a7a6691a5d7bc64d44f0200894ad9b9c933e",
     ),
     "SYNTHETIC": (
-        "7bef4e2ec784713cd338e764d6f373bb28d2999f9aec04e565f8e5863eb8cbf2",
-        "36b07538c042a81d979552fc9286850f72f4808bad13addc9c63a521dc3a36ad",
+        "4c754c373fd778e5fb9539604dc53dad1d9b5f57dae4d855e20934d8973abd7f",
+        "eae171a1c29e61d1dd545d61f463deb69417bb4b45fdd1157843400e753723ef",
     ),
     "LOWER_BOUND": (
-        "d72f57c8086122872551292093ae262b799be545bfa65c3c2208ba25e8323c25",
-        "85a1d1a05d95cc2a0ac80dbb7ea2e802193d86e881ba5fac2a3304f3ca665fdb",
+        "6ce376befcc05ab863df63f027c72c0ab80a1326d518f110d0daa65a32d50371",
+        "3f3b2583054431979844a9a61cef9e1c97d926060f99562d1a068f5f178f7823",
     ),
     "LONG": (
-        "c4629b44e1c81e59c7552212b532fb9c8049efa8a0e5142bc9b964973c5c1669",
-        "7bca2ce0632b7a872d4ec44c6f6e01b6cd69e71dc3c991decec7d31eab15839b",
+        "cd08fe4324980566129bb233dd6ade450573a10fd16c99c63b919313fbd81e6f",
+        "dd3fdf19e15e37ae06b2abe0718fec0b75229fe9b5cca1f701771ccfcf9f47f8",
     ),
     "REPLAY": (
-        "8a93cf91cf2e1681db6ed2a25c1620d7edc4c3b513bd474a7d868daae64f0e16",
-        "8e2dd55b7421b9104764ac80d92691993a36d58d502d8e2cb4c8a8aaa38446af",
+        "0c85f4b54d2e5951a617773af2b8a4883af0079422bbf6923d065546f98c124e",
+        "66756e30e7c0655e51aff6135df7f1d6b75cee7d61ce98fff455b9755f15da60",
     ),
     "LONG_REPLAY": (
-        "84d4ceaf11197f9291a5a9ec5e37c485192fe824aa12459a8bd5b2aef3845cef",
-        "d2bb5ada6edcf435d68b608368081ce2f0861ae7827ab5d7ff3a4da34f127467",
+        "46ff542b826f335474d7147078bd4de097fc14d5bffa119115c66d946b2221e1",
+        "9eec6b785810c93690546f6851bd0b32f1221cbe91c782a969b1bc97d57b99dc",
     ),
 }
 

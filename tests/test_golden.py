@@ -6,9 +6,9 @@ digests pin the raw outputs themselves.  A change that alters the numerics
 on purpose updates the digests and says why in CHANGES.md.
 
 Between them the configs cover all five agent kinds, every divergence
-source (oracle, plug_in, constant, zero), both selection forms,
-Monte-Carlo and analytic expected features, the linear-AR and kernel
-imputers, the feature-norm dry run, and every replay feature view.  LONG
+source (oracle, plug_in, constant, zero), both selection forms, the
+linear-AR and kernel imputers, the feature-norm dry run, and every replay
+feature view.  LONG
 and LONG_REPLAY run 4 and 3 trials past `REFACTOR_INTERVAL` decisions, so
 forced refactors and batches of more than two trials are pinned for
 simulate and replay alike.  On SYNTHETIC and LOWER_BOUND every trial run
@@ -35,7 +35,7 @@ SYNTHETIC = {
     "gamma_scale": 0.02,
     "environment": {"kind": "synthetic", "nonlinearity": 1.0},
     "schedule": {"lambda": 1.0, "delta": 0.1, "sigma_eta": 0.05, "sigma_eps": 1.0},
-    "imputer": {"kind": "linear_ar", "lag": 1, "mc_samples": 8, "analytic": False},
+    "imputer": {"kind": "linear_ar", "lag": 1},
     "pretrain": {"n": 40, "t0": 20, "seed": 5},
     "calibration": {"bootstrap_draws": 10, "split_seed": 3},
     "agents": [
@@ -148,7 +148,7 @@ def _sha256(path):
 def test_synthetic_raw_records_digest(tmp_path):
     res = run_experiment(ExperimentConfig(SYNTHETIC), out_dir=str(tmp_path))
     assert _sha256(res["raw_path"]) == (
-        "968c551e9cd30ecfdaf4574ffc8eec0892748f66933378de47ba4ab94f198e05"
+        "92018db37bba793bef2367861a60b0aac75ee24bc4d722e7824eb48c75facd32"
     )
 
 

@@ -214,6 +214,21 @@ def test_metadata_naming_workers_reruns_bit_exact(tmp_path):
     assert err.value.field == "workers"
 
 
+def test_metadata_naming_monte_carlo_keys_reruns_bit_exact(tmp_path):
+    # metadata of older versions names the retired imputer.analytic and
+    # imputer.mc_samples, at the exact path they defaulted to
+    first = run_experiment(ExperimentConfig(tiny_raw()), out_dir=str(tmp_path / "first"))
+    with open(first["metadata_path"]) as fh:
+        meta = json.load(fh)
+    meta["config"]["imputer"].update(analytic=True, mc_samples=64)
+    path = tmp_path / "old_metadata.json"
+    path.write_text(json.dumps(meta))
+    again = run_experiment(load_config(str(path)), out_dir=str(tmp_path / "again"))
+    assert filecmp.cmp(first["raw_path"], again["raw_path"], shallow=False)
+    configs = [json.load(open(r["metadata_path"]))["config"] for r in (first, again)]
+    assert configs[0] == configs[1]
+
+
 def test_run_experiment_runs_trials_in_index_order(tmp_path, monkeypatch):
     # every trial is built, in index order, before the first decision
     import pulsebandit.harness as harness
@@ -631,14 +646,14 @@ def test_metadata_records_the_plug_in_band(tmp_path):
 
 
 def test_oracle_imputer_trial_matches_a_per_step_reference():
-    # no golden config uses the oracle imputer; pin its Monte-Carlo path
-    # against a loop over the public per-step API
+    # no golden config uses the oracle imputer; pin its trial against a
+    # loop over the public per-step API
     from pulsebandit import (
         AgentKind, DtSource, GammaSchedule, GaussianConditional, expected_feature_matrix,
         gaussian_dt, make_agent, observe, oracle_imputer, select_arm, substream,
     )
     raw = tiny_raw(horizon=60, trials=1)
-    raw["imputer"] = {"kind": "oracle", "analytic": False, "mc_samples": 6}
+    raw["imputer"] = {"kind": "oracle"}
     raw["schedule"]["feat_norm_bound"] = 2.0
     raw["agents"] = [{"name": "pulse", "kind": "pulse_ucb", "dt_source": "oracle"}]
     cfg = ExperimentConfig(raw)
@@ -648,16 +663,14 @@ def test_oracle_imputer_trial_matches_a_per_step_reference():
     env = cfg.make_env()
     rng_env = substream(123, "trial", 0, "env")
     env.reset(rng_env)
-    imp = oracle_imputer(env, mc_samples=6)
-    imp.analytic = False
-    mc = substream(123, "trial", 0, "mc", "pulse")
+    imp = oracle_imputer(env)
     schedule = GammaSchedule(lam=1.0, sigma_eta=0.05, delta=0.1, feat_norm_bound=2.0, dim=4,
                              dt_source=DtSource.ORACLE, sigma_eps=1.0, scale=0.02)
     agent = make_agent("pulse", AgentKind.PULSE_UCB, 2, dim=4, schedule=schedule)
     arms, rewards = [], []
     for _ in range(60):
         step = env.step(rng_env)
-        feats = expected_feature_matrix(imp, env.feature_map, step.observed[None, :], rng=mc)
+        feats = expected_feature_matrix(imp, env.feature_map, step.observed[None, :])
         arm = select_arm(agent, feats)
         reward = float(step.potential_rewards[arm])
         dt = gaussian_dt(
@@ -695,8 +708,9 @@ def test_run_trial_takes_one_rollout_and_no_steps(monkeypatch):
 
 
 def test_trials_build_only_the_configured_views(monkeypatch):
-    # pulse_ucb takes expected features from its imputer and oful_full the
-    # full-context block, so no trial builds the observed view's block
+    # one block per configured view kind: pulse_ucb's at the imputed means
+    # and oful_full's at the realized W, so no trial builds the observed
+    # view's block
     import pulsebandit.harness as harness
     raw = tiny_raw(horizon=20, trials=3)
     raw["agents"] = [
@@ -714,7 +728,7 @@ def test_trials_build_only_the_configured_views(monkeypatch):
 
     monkeypatch.setattr(harness, "phi_batch", counted)
     harness.run_trials(cfg, range(3), imp, plug, bound)
-    assert len(calls) == 3
+    assert len(calls) == 2 * 3
 
 
 def test_null_imputer_with_oracle_pulse_is_a_config_error():
@@ -747,19 +761,36 @@ def test_plug_in_without_a_fitted_imputer_is_a_config_error(imputer):
 
 def test_null_imputer_keeps_its_config(tmp_path):
     from pulsebandit.harness import _pretrain_replay
-    null = {"kind": "null", "analytic": False, "mc_samples": 5}
+    # the retired Monte-Carlo keys load at their exact-path value and go
+    null = {"kind": "null", "analytic": True, "mc_samples": 5}
     raw = tiny_raw(horizon=10, trials=1)
     raw["imputer"] = dict(null)
     raw["agents"][2]["dt_source"] = "zero"
     cfg = ExperimentConfig(raw)
+    assert cfg.imputer["kind"] == "null" and raw["imputer"] == null
     imputer = pretrain(cfg)["imputer"]
-    assert (imputer.kind, imputer.analytic, imputer.mc_samples) == ("null", False, 5)
+    assert (imputer.kind, imputer.d_s, imputer.d_w) == ("null", 1, 1)
     res = run_experiment(cfg, out_dir=str(tmp_path / "sim"))
     saved = json.loads(open(tmp_path / "sim" / "imputer.json").read())
-    assert (saved["analytic"], saved["mc_samples"]) == (False, 5)
+    assert (saved["kind"], saved["params"]) == ("null", {})
+    assert "analytic" not in saved and "mc_samples" not in saved
     assert res["summary"]
 
     raw = replay_raw(tmp_path)
     raw["imputer"] = dict(null)
     imputer = _pretrain_replay(ExperimentConfig(raw))["imputer"]
-    assert (imputer.kind, imputer.analytic, imputer.mc_samples) == ("null", False, 5)
+    assert imputer.kind == "null"
+
+
+@pytest.mark.parametrize("layout", [(2, 1), (1, 2)], ids=["d_s_2", "d_w_2"])
+def test_loaded_imputer_layout_must_match_the_environment(tmp_path, layout):
+    from pulsebandit import null_imputer, save_imputer
+    path = tmp_path / "imputer.json"
+    save_imputer(null_imputer(*layout), str(path))
+    raw = tiny_raw(horizon=10, trials=1)
+    raw["imputer"] = {"kind": "null", "path": str(path)}
+    raw["agents"][2]["dt_source"] = "zero"
+    with pytest.raises(ConfigError) as err:
+        pretrain(ExperimentConfig(raw))
+    assert err.value.field == "imputer.path"
+    assert f"{layout}" in str(err.value) and "(1, 1)" in str(err.value)

@@ -17,10 +17,14 @@ from pulsebandit import (
     load_imputer,
     null_imputer,
     phi,
+    phi_batch,
     save_imputer,
     substream,
     synthetic_interaction_map,
 )
+
+
+MISSING = object()  # the entry is left out
 
 
 def make_linear_dataset(rng, n, t0, coef, intercept, noise_sd=0.0):
@@ -78,34 +82,9 @@ def test_expected_features_analytic_matches_map():
     )
     fmap = synthetic_interaction_map()
     hist = np.array([[0.4]])
-    out = expected_feature_matrix(imp, fmap, hist)  # analytic path: no rng needed
+    out = expected_feature_matrix(imp, fmap, hist)
     mu = 0.5 - 0.14 * 0.4
     np.testing.assert_allclose(out[1], [1.0, 0.4, mu, 0.4], atol=1e-15)
-
-
-def test_expected_features_mc_agrees_with_analytic():
-    params = {
-        "lag": 0,
-        "intercept": np.array([0.2]),
-        "coef": np.array([[0.6]]),
-        "noise_sd": np.array([0.05]),
-    }
-    analytic = Imputer(
-        kind=ImputerKind.LINEAR_AR, d_s=1, d_w=1, params=params
-    )
-    sampler = Imputer(
-        kind=ImputerKind.LINEAR_AR, d_s=1, d_w=1, params=params,
-        mc_samples=4000, analytic=False,
-    )
-    fmap = synthetic_interaction_map()
-    hist = np.array([[0.4]])
-    out = expected_feature_matrix(analytic, fmap, hist)  # closed form: no rng needed
-    out_mc = expected_feature_matrix(sampler, fmap, hist, rng=substream(33, "mc"))
-    np.testing.assert_allclose(out_mc, out, atol=5e-3)
-
-    # the sampling path refuses to run without its own rng
-    with pytest.raises(InputError):
-        expected_feature_matrix(sampler, fmap, hist)
 
 
 def test_lag_zero_padding_before_history_fills():
@@ -236,34 +215,77 @@ def test_save_load_roundtrip_keeps_every_field(tmp_path, kind):
     s = rng.standard_normal((40, 5, 1))
     data = HistoricalDataset(s=s, w=0.5 * s + rng.normal(0, 0.1, s.shape))
     if kind == "linear_ar":
-        imp = fit_linear_ar(data, lag=1, mc_samples=7)
+        imp = fit_linear_ar(data, lag=1)
     elif kind == "kernel":
-        imp = fit_kernel(data, mc_samples=7)
+        imp = fit_kernel(data)
     else:
-        imp = null_imputer(1, 1, mc_samples=7)
-    imp.analytic = False
+        imp = null_imputer(1, 1)
     path = tmp_path / f"{kind}.json"
     save_imputer(imp, str(path))
-    back = load_imputer(str(path))
-    assert (back.kind, back.d_s, back.d_w) == (imp.kind, imp.d_s, imp.d_w)
-    assert (back.mc_samples, back.analytic) == (7, False)
-    assert back.params.keys() == imp.params.keys()
-    for key, value in imp.params.items():
-        assert np.asarray(back.params[key]).tobytes() == np.asarray(value).tobytes(), key
+    doc = json.loads(path.read_text())
+    assert "analytic" not in doc and "mc_samples" not in doc
+    # format-1 files of older versions carry the retired Monte-Carlo keys
+    old = tmp_path / f"old_{kind}.json"
+    old.write_text(json.dumps({**doc, "mc_samples": 64, "analytic": True}))
+    for back in (load_imputer(str(path)), load_imputer(str(old))):
+        assert (back.kind, back.d_s, back.d_w) == (imp.kind, imp.d_s, imp.d_w)
+        assert back.params.keys() == imp.params.keys()
+        for key, value in imp.params.items():
+            assert np.asarray(back.params[key]).tobytes() == np.asarray(value).tobytes(), key
+
+
+# (imputer kind, dotted entry, bad value) of a saved file; every case must
+# be a PersistenceError naming the entry
+CORRUPT = [
+    ("linear_ar", "params.coef", MISSING),
+    ("linear_ar", "format_version", True),
+    ("linear_ar", "params", 5),
+    ("linear_ar", "analytic", False),
+    ("linear_ar", "analytic", "false"),
+    ("linear_ar", "analytic", 0),
+    ("linear_ar", "d_s", "one"),
+    ("linear_ar", "d_s", 1.7),
+    ("linear_ar", "d_s", True),
+    ("linear_ar", "d_s", -1),
+    ("linear_ar", "d_w", "1"),
+    ("linear_ar", "d_w", 0),
+    ("linear_ar", "params.lag", "x"),
+    ("linear_ar", "params.lag", -1),
+    ("linear_ar", "params.ridge_eps", "tiny"),
+    ("linear_ar", "params.ridge_eps", -1e-3),
+    ("linear_ar", "params.noise_sd", [-1.0]),
+    ("linear_ar", "params.intercept", [float("nan")]),
+    ("kernel", "params.n_train", "many"),
+    ("kernel", "params.n_train", 0),
+    ("kernel", "params.bandwidth", "wide"),
+    ("kernel", "params.beta", float("inf")),
+    ("kernel", "params.train_s", [float("nan")] * 20),
+]
 
 
 def test_corrupt_imputer_file_names_field(tmp_path):
     rng = substream(57, "persist")
-    data = make_linear_dataset(rng, 10, 10, coef=(0.4, 0.2), intercept=0.0)
-    imp = fit_linear_ar(data, lag=1)
-    path = tmp_path / "imp.json"
-    save_imputer(imp, str(path))
-    doc = json.loads(path.read_text())
-    del doc["params"]["coef"]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(PersistenceError) as err:
-        load_imputer(str(path))
-    assert "coef" in str(err.value)
+    data = make_linear_dataset(rng, 2, 10, coef=(0.4, 0.2), intercept=0.0)
+    saved = {}
+    for kind, imp in (("linear_ar", fit_linear_ar(data, lag=1)), ("kernel", fit_kernel(data))):
+        save_imputer(imp, str(tmp_path / "imp.json"))
+        saved[kind] = (tmp_path / "imp.json").read_text()
+    path = tmp_path / "corrupt.json"
+    for kind, field, value in CORRUPT:
+        doc = json.loads(saved[kind])
+        *sections, last = field.split(".")
+        node = doc["params"] if sections else doc
+        if value is MISSING:
+            del node[last]
+        else:
+            node[last] = value
+        path.write_text(json.dumps(doc))
+        try:
+            load_imputer(str(path))
+        except PersistenceError as exc:
+            assert exc.field == field, (kind, field, value)
+        else:
+            pytest.fail(f"a {kind} file with {field} = {value!r} loaded")
 
 
 def test_unsupported_format_version_rejected(tmp_path):
@@ -278,6 +300,10 @@ def test_unsupported_format_version_rejected(tmp_path):
     with pytest.raises(PersistenceError) as err:
         load_imputer(str(path))
     assert "format_version" in str(err.value)
+    # a document that is not a mapping has no format_version entry
+    path.write_text("5")
+    with pytest.raises(PersistenceError, match="format_version"):
+        load_imputer(str(path))
 
 
 def test_oracle_imputer_not_persistable(tmp_path):
@@ -311,39 +337,20 @@ def test_expected_feature_matrix_makes_one_query_per_decision():
         assert mat[a].tobytes() == phi(fmap, fallback, a).tobytes()
 
 
-def test_monte_carlo_matrix_matches_per_draw_reference():
-    imp = Imputer(
-        kind=ImputerKind.LINEAR_AR, d_s=1, d_w=1, mc_samples=16, analytic=False,
-        params={"lag": 1, "intercept": np.array([0.2]), "coef": np.array([[0.6], [-0.3]]),
-                "noise_sd": np.array([0.05])},
-    )
-    fmap = synthetic_interaction_map()
-    hist = np.array([[0.4], [-0.7]])
-    mat = expected_feature_matrix(imp, fmap, hist, rng=substream(34, "mc"))
-    rng = substream(34, "mc")  # each arm draws its samples in turn, arm 0 first
-    for a in range(2):
-        draws = imp.sample(hist, rng, 16)
-        feats = np.stack(
-            [phi(fmap, fmap.assemble_context(hist[-1], w), a) for w in draws]
-        )
-        assert mat[a].tobytes() == feats.mean(axis=0).tobytes()
-
-
-@pytest.mark.parametrize("analytic", [True, False])
-def test_feature_block_matches_one_step_matrices(analytic):
-    # T steps at once equal T one-step calls: lag windows, draws and means
-    from pulsebandit.imputation import _conditional_means, _expected_feature_block
+@pytest.mark.parametrize("kind", ["linear_ar", "kernel"])
+def test_feature_block_matches_one_step_matrices(kind):
+    # the trial build's pulse block, Phi at [observed | the stream's means],
+    # equals T one-step calls over the lag windows
+    from pulsebandit.imputation import _conditional_means
     rng = np.random.default_rng(5)
     data = make_linear_dataset(rng, 30, 12, coef=[0.6, -0.3], intercept=0.2, noise_sd=0.1)
-    imp = fit_linear_ar(data, lag=2, mc_samples=9)
-    imp.analytic = analytic
+    imp = fit_linear_ar(data, lag=2) if kind == "linear_ar" else fit_kernel(data)
     fmap = synthetic_interaction_map()
     observed = rng.standard_normal((25, 1))
-    law = (_conditional_means(imp, observed), imp.conditional_sd())
-    block = _expected_feature_block(imp, fmap, observed, law, rng=substream(6, "mc"))
-    mc = substream(6, "mc")
+    w_block = _conditional_means(imp, observed)
+    block = phi_batch(fmap, np.concatenate([observed, w_block], axis=1))
     for i in range(25):
-        one = expected_feature_matrix(imp, fmap, observed[max(0, i - 2) : i + 1], rng=mc)
+        one = expected_feature_matrix(imp, fmap, observed[max(0, i - 2) : i + 1])
         assert block[i].tobytes() == one.tobytes()
 
 
