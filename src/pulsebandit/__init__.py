@@ -47,7 +47,6 @@ from .imputation import (
     fit_linear_ar,
     load_imputer,
     null_imputer,
-    oracle_imputer,
     save_imputer,
 )
 from .calibration import (
@@ -135,7 +134,6 @@ __all__ = [
     "fit_linear_ar",
     "fit_kernel",
     "null_imputer",
-    "oracle_imputer",
     "expected_feature_matrix",
     "save_imputer",
     "load_imputer",

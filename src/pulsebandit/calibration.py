@@ -47,9 +47,9 @@ __all__ = [
 class GaussianConditional:
     """A univariate Gaussian conditional law N(mean, sd^2).
 
-    `mean` may also be a (T,) array: the laws of T steps sharing one sd,
-    which gaussian_kl and gaussian_dt evaluate step by step.  `sample`
-    takes a scalar mean.
+    `mean` may also be an array, such as (T,) or (T, trials): the laws of
+    many steps sharing one sd, which gaussian_kl and gaussian_dt evaluate
+    step by step.  `sample` takes a scalar mean.
     """
 
     mean: float
@@ -66,8 +66,8 @@ class GaussianConditional:
 
 
 def gaussian_kl(truth, model):
-    """KL( N(mu, s^2) || N(mu_hat, s_hat^2) ), exact; per step, as a (T,)
-    array, for laws with (T,) means."""
+    """KL( N(mu, s^2) || N(mu_hat, s_hat^2) ), exact; per step, as an
+    array of the means' shape, for laws with array means."""
     s2 = truth.sd * truth.sd
     sh2 = model.sd * model.sd
     dmu = truth.mean - model.mean

@@ -214,13 +214,11 @@ class SyntheticEnv:
         self._s1 = self._s2 = 0.0
         self._e1 = self._e2 = 0.0
         self._t = 0
-        self._last_cond_mean = None
 
     def reset(self, rng):
         self._s1 = self._s2 = 0.0
         self._e1 = self._e2 = 0.0
         self._t = 0
-        self._last_cond_mean = None
         if self.innovation_sd > 0:
             self._arma((rng.standard_normal(BURN_IN_STEPS) * self.innovation_sd).tolist())
         else:
@@ -277,7 +275,6 @@ class SyntheticEnv:
         lags += s
         mu = [self.conditional_mean_w(s_t, lags[i + 1], lags[i]) for i, s_t in enumerate(s)]
         self._t += n_steps
-        self._last_cond_mean = mu[-1]
 
         contexts = np.empty((2, n_steps, 2))
         contexts[:, :, 0] = s
@@ -287,16 +284,6 @@ class SyntheticEnv:
 
     def step(self, rng):
         return self.rollout(rng, 1).step_at(0)
-
-    # oracle accessors used by the oracle imputer, valid for the most
-    # recent step only
-    def oracle_mean_w(self):
-        if self._last_cond_mean is None:
-            raise EnvError("no step has been generated yet")
-        return np.array([self._last_cond_mean])
-
-    def oracle_sd_w(self):
-        return self.xi_sd
 
 
 def bump_function(beta=1.0, amplitude=0.5):
@@ -369,11 +356,9 @@ class LowerBoundEnv:
             [self.theta_q, np.zeros(self.d_non), [0.5]]
         )
         self._t = 0
-        self._last_cond_mean = None
 
     def reset(self, rng):
         self._t = 0
-        self._last_cond_mean = None
         return self
 
     def rollout(self, rng, n_steps):
@@ -402,20 +387,11 @@ class LowerBoundEnv:
             y[-1] = f_o + (rng.normal(0.0, self.w_noise_sd) if self.w_noise_sd > 0 else 0.0)
             eta[i] = rng.normal(0.0, self.reward_sd) if self.reward_sd > 0 else 0.0
         self._t += n_steps
-        self._last_cond_mean = f_o
         contexts[1, :, : self.d_s] = contexts[0, :, : self.d_s]
         return _rollout(self, self._t, contexts, eta, self.w_noise_sd)
 
     def step(self, rng):
         return self.rollout(rng, 1).step_at(0)
-
-    def oracle_mean_w(self):
-        if self._last_cond_mean is None:
-            raise EnvError("no step has been generated yet")
-        return np.array([self._last_cond_mean])
-
-    def oracle_sd_w(self):
-        return self.w_noise_sd
 
 
 # -- replay -------------------------------------------------------------------

@@ -3,10 +3,11 @@
 One trial = one exogenous context stream faced by every configured agent
 (common random numbers): each agent sees the same steps and the same
 shared reward noise, but only its permitted view of the context.  No
-choice changes the stream, so a trial takes it as one rollout and builds
-each view's features for the whole horizon at once.  Once every trial is
-built, each agent plays all trials in lockstep, one decision per step for
-every trial at once, through the per-agent loop that replay uses too.
+choice changes the stream, so a trial takes it as one rollout.  The
+trials' rollouts are stacked, and each view's features are built for every
+trial and the whole horizon at once.  Then each agent plays all trials in
+lockstep, one decision per step for every trial at once, through the
+per-agent loop that replay uses too.
 The play keeps that shape up to the CSV writers: each agent's per-step
 columns are (trials, T) blocks, one row per trial, and each per-trial
 figure is a list with one entry per trial.
@@ -37,7 +38,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from itertools import repeat
 
@@ -68,6 +69,7 @@ from .environments import (
     LowerBoundEnv,
     ReplayLog,
     ReplayStream,
+    Rollout,
     SyntheticEnv,
     ar_root_moduli,
     bump_function,
@@ -567,12 +569,14 @@ def load_config(path_or_dict, overrides=()):
 
 
 def pretrain(config):
-    """Fit (or load, or wire) the configured imputer and calibrate B.
+    """Fit (or load) the configured imputer and calibrate B.
 
-    Returns a dict with the fitted imputer (None for oracle kind, which is
-    wired per trial), the feature-norm bound with its dry-run diagnostics,
-    and the plug-in divergence surrogate with its band's metadata, grid
-    size and largest cross term when some agent asks for it.
+    Returns a dict with the fitted imputer (None for the oracle kind, whose
+    trials read the true law of W from their rollouts), the feature-norm
+    bound with its dry-run diagnostics, and the plug-in divergence
+    surrogate with its band's metadata, grid size and largest cross term
+    when some agent asks for it.  A loaded imputer must have the
+    environment's layout and the configured kind.
     """
     if config.environment["kind"] == "replay":
         return _pretrain_replay(config)
@@ -587,6 +591,12 @@ def pretrain(config):
                 "imputer.path",
                 f"{imp_cfg['path']} imputes for (d_S, d_W) = ({imputer.d_s}, {imputer.d_w}), "
                 f"but the environment has ({probe.d_s}, {probe.d_w})",
+            )
+        if imputer.kind != imp_cfg["kind"]:
+            raise ConfigError(
+                "imputer.path",
+                f"{imp_cfg['path']} holds a {imputer.kind!r} imputer, "
+                f"but imputer.kind is {imp_cfg['kind']!r}",
             )
     elif imp_cfg["kind"] != ImputerKind.ORACLE:
         if imp_cfg["kind"] in _FITTED_IMPUTERS:
@@ -845,102 +855,51 @@ def _add_running_columns(cols):
 
 
 def _oracle_charges(rollout, means, sd):
-    """(T,) divergence between the true conditional law of W at each step
-    and an agent's model of it, N(means (T, d_W), sd (d_W,)), the Gaussian
-    closed form summed over the coordinates of W; zero for an agent that
-    sees W itself (sd None)."""
+    """(T, trials) divergence between the true conditional law of W at each
+    step of each lane of the stacked `rollout` and an agent's model of it,
+    N(means (T, trials, d_W), sd (d_W,)), the Gaussian closed form summed
+    over the coordinates of W; zero for an agent that sees W itself (sd
+    None).  Every entry is its own step's charge."""
     truth = rollout.cond_mean_w
     truth_sd = float(rollout.cond_sd_w)
     # a degenerate truth (sd 0) is at divergence 0 from an exact model only
     if sd is None or (truth_sd == 0.0 and np.array_equal(means, truth)):
-        return np.zeros(truth.shape[0])
+        return np.zeros(truth.shape[:-1])
     if truth_sd == 0.0:
         raise ConfigError(
             "agents.dt_source",
             "oracle divergence is undefined for a degenerate conditional law",
         )
     # one closed form per coordinate over all steps, summed in coordinate order
-    charges = np.zeros(truth.shape[0])
+    charges = np.zeros(truth.shape[:-1])
     for j, sd_hat in enumerate(sd.tolist()):
         charges += gaussian_dt(
-            GaussianConditional(truth[:, j], truth_sd), GaussianConditional(means[:, j], sd_hat)
+            GaussianConditional(truth[..., j], truth_sd),
+            GaussianConditional(means[..., j], sd_hat),
         )
     return charges
 
 
-@dataclass(frozen=True)
-class _Trial:
-    """One simulated trial before any decision: its rollout, each agent's
-    (T, n_arms, dim) features (None for the kinds without a view) and, for
-    the agents on the oracle divergence, their (T,) charges."""
-
-    rollout: object
-    arm_count: int
-    features: dict
-    charges: dict
-    kernel_fallbacks: int
-
-
-def _build_trial(config, trial_index, fitted_imputer):
-    """The trial's rollout and every view of it, from its own substream.
-
-    Each view kind's features are Phi at [observed | its W block], one
-    block for all agents of the kind: the realized W for oful_full, zeros
-    for oful_observed and the imputed conditional means for pulse_ucb.
-    The environment stream is a pure function of (base_seed, trial_index),
-    so a trial's build depends on neither the other trials nor the agents.
-    """
-    env = config.make_env()
-    rng_env = substream(config.base_seed, "trial", trial_index, "env")
-    env.reset(rng_env)
-    rollout = env.rollout(rng_env, config.horizon)
-    observed = rollout.observed
-    fallbacks_before = 0 if fitted_imputer is None else fitted_imputer.fallback_count
-
-    # each configured view kind's (W block (T, d_W), sd (d_W,)) of its model
-    # of the law of W; sd None for the view that sees W itself
-    kinds = {AgentKind(spec["kind"]) for spec in config.agents}
-    truth_sd = np.full(env.d_w, float(rollout.cond_sd_w))
-    w_blocks = {}
-    if AgentKind.OFUL_FULL in kinds:
-        w_blocks[AgentKind.OFUL_FULL] = (rollout.full_context[:, env.d_s :], None)
-    if AgentKind.OFUL_OBSERVED in kinds:
-        # the observed view zeroes W and models it as N(0, true sd)
-        w_blocks[AgentKind.OFUL_OBSERVED] = (np.zeros_like(rollout.cond_mean_w), truth_sd)
-    if AgentKind.PULSE_UCB in kinds:
-        if config.imputer["kind"] == ImputerKind.ORACLE:
-            w_blocks[AgentKind.PULSE_UCB] = (rollout.cond_mean_w, truth_sd)
-        else:
-            w_blocks[AgentKind.PULSE_UCB] = (
-                _conditional_means(fitted_imputer, observed),
-                fitted_imputer.conditional_sd(),
-            )
-    blocks = {
-        kind: phi_batch(env.feature_map, np.concatenate([observed, w], axis=1))
-        for kind, (w, _) in w_blocks.items()
-    }
-
-    views = [(spec, AgentKind(spec["kind"])) for spec in config.agents]
-    charges = {
-        spec["name"]: _oracle_charges(rollout, *w_blocks[kind])
-        for spec, kind in views
-        if kind in w_blocks and spec["dt_source"] == DtSource.ORACLE.value
-    }
-    return _Trial(
-        rollout,
-        env.feature_map.arm_count,
-        {spec["name"]: blocks.get(kind) for spec, kind in views},
-        charges,
-        0 if fitted_imputer is None else fitted_imputer.fallback_count - fallbacks_before,
-    )
+def _stack_rollouts(rollouts):
+    """The lanes' rollouts as one Rollout whose array fields are (T, trials,
+    ...) blocks; cond_sd_w, a constant of the environment, stays a scalar."""
+    names = [f.name for f in fields(Rollout) if f.name != "cond_sd_w"]
+    stacked = {name: np.stack([getattr(r, name) for r in rollouts], axis=1) for name in names}
+    return Rollout(cond_sd_w=rollouts[0].cond_sd_w, **stacked)
 
 
 def run_trials(config, trial_indices, fitted_imputer, plug_in_dt, feat_norm_bound):
     """All configured agents over the given trials, played in lockstep.
 
-    Every trial's rollout, views and oracle charges are built first, each
-    from the trial's own substream.  Then each agent plays all the trials
-    at once, one decision per step for every trial, so the loop's Python
+    Each lane's rollout comes from its trial's own substream; the rollouts
+    are stacked once, as (T, trials, ...) blocks.  Each configured view
+    kind's features are Phi at [observed | its W block], one phi_batch call
+    over all lanes for all agents of the kind: the realized W for
+    oful_full, zeros for oful_observed and, for pulse_ucb, the true
+    conditional means under the oracle imputer, else the fitted model's,
+    each lane's from its own lag history.  The oracle divergence charges
+    come from the same W blocks.  Then each agent plays all the trials at
+    once, one decision per step for every trial, so the loop's Python
     overhead is paid once per (agent, step), not per (trial, agent, step).
     Returns `_play_trials`'s result, whose lanes follow the order given,
     plus each trial's kernel-imputer fallback count ("kernel_fallbacks")
@@ -948,17 +907,51 @@ def run_trials(config, trial_indices, fitted_imputer, plug_in_dt, feat_norm_boun
     j holds exactly what trial_indices[j] gives when run alone.
     """
     trial_indices = list(trial_indices)
-    built = [_build_trial(config, i, fitted_imputer) for i in trial_indices]
-    horizon = config.horizon
-    lanes = np.arange(len(built))
-    optimal_arms = np.stack([trial.rollout.optimal_arm for trial in built], axis=1)
-    potential = np.stack([trial.rollout.potential_rewards for trial in built], axis=1)
+    env = config.make_env()
+    lane_rollouts = []
+    for i in trial_indices:
+        rng = substream(config.base_seed, "trial", i, "env")
+        lane_rollouts.append(env.reset(rng).rollout(rng, config.horizon))
+    rollout = _stack_rollouts(lane_rollouts)
+    horizon, trials = rollout.optimal_arm.shape
+    lanes = np.arange(trials)
+    potential = rollout.potential_rewards
     _require_finite(potential, "potential rewards")
 
+    # each configured view kind's (W block (T, trials, d_W), sd (d_W,)) of
+    # its model of the law of W; sd None for the view that sees W itself
+    kinds = {AgentKind(spec["kind"]) for spec in config.agents}
+    truth_sd = np.full(env.d_w, float(rollout.cond_sd_w))
+    w_blocks = {}
+    fallbacks = [0] * trials
+    if AgentKind.OFUL_FULL in kinds:
+        w_blocks[AgentKind.OFUL_FULL] = (rollout.full_context[..., env.d_s :], None)
+    if AgentKind.OFUL_OBSERVED in kinds:
+        # the observed view zeroes W and models it as N(0, true sd)
+        w_blocks[AgentKind.OFUL_OBSERVED] = (np.zeros_like(rollout.cond_mean_w), truth_sd)
+    if AgentKind.PULSE_UCB in kinds:
+        if config.imputer["kind"] == ImputerKind.ORACLE:
+            w_blocks[AgentKind.PULSE_UCB] = (rollout.cond_mean_w, truth_sd)
+        else:
+            means = np.empty_like(rollout.cond_mean_w)
+            for lane in range(trials):
+                before = fitted_imputer.fallback_count
+                means[:, lane] = _conditional_means(fitted_imputer, rollout.observed[:, lane])
+                fallbacks[lane] = fitted_imputer.fallback_count - before
+            w_blocks[AgentKind.PULSE_UCB] = (means, fitted_imputer.conditional_sd())
+    features = {}
+    for kind, (w, _) in w_blocks.items():
+        contexts = np.concatenate([rollout.observed, w], axis=2)
+        block = phi_batch(env.feature_map, contexts.reshape(horizon * trials, -1))
+        features[kind] = block.reshape((horizon, trials) + block.shape[1:])
+        _require_finite(features[kind], f"{kind.value} view features")
+
     # (T, trials) oracle charges of each agent on the oracle divergence
+    views = [(spec, AgentKind(spec["kind"])) for spec in config.agents]
     charges = {
-        name: np.stack([trial.charges[name] for trial in built], axis=1)
-        for name in built[0].charges
+        spec["name"]: _oracle_charges(rollout, *w_blocks[kind])
+        for spec, kind in views
+        if kind in w_blocks and spec["dt_source"] == DtSource.ORACLE.value
     }
     for name, block in charges.items():
         _require_finite(block, f"agent {name!r} divergence charges", nonnegative=True)
@@ -966,39 +959,36 @@ def run_trials(config, trial_indices, fitted_imputer, plug_in_dt, feat_norm_boun
         _require_finite(plug_in_dt, "plug_in_dt values", nonnegative=True)
 
     def view_for(kind, name):
-        if built[0].features[name] is None:
-            return None
-        stacked = np.stack([trial.features[name] for trial in built], axis=1)
-        _require_finite(stacked, f"agent {name!r} features")
-        return _View(feat_norm_bound, stacked)
+        return _View(feat_norm_bound, features[kind]) if kind in features else None
 
-    seats = _seat_agents(config, trial_indices, built[0].arm_count, view_for)
+    seats = _seat_agents(config, trial_indices, env.feature_map.arm_count, view_for)
 
     def steps_for(seat):
         # ZERO ignores the value, CONSTANT adds its own
         dt_values = charges.get(seat.agent.name, repeat(plug_in_dt))
-        features = repeat(None) if seat.view is None else seat.view.features
+        feats = repeat(None) if seat.view is None else seat.view.features
         # each step pays every trial's chosen arm
         pays = ((lambda arms, step=step: step[lanes, arms]) for step in potential)
-        return zip(features, optimal_arms, pays, dt_values)
+        return zip(feats, rollout.optimal_arm, pays, dt_values)
 
-    # the optimal (trials, T) and the (trials, T, n_arms) arm means, noiseless
-    # and S-conditional
-    optimal_means = np.stack([trial.rollout.optimal_mean for trial in built])
-    arm_means = np.stack([trial.rollout.arm_means for trial in built])
-    cond_means = np.stack([trial.rollout.cond_arm_means for trial in built])
-    best_cond_means = cond_means.max(axis=2)
+    best_cond_means = rollout.cond_arm_means.max(axis=2)
 
     def regret_columns(arms):
-        chosen = arms[:, :, None]
+        chosen = arms.T[:, :, None]
+
+        def gap(best, means):
+            # C-ordered (trials, T) rows, so that the aggregate's mean over
+            # trials sums them in the same order as ever
+            return (best - np.take_along_axis(means, chosen, 2)[:, :, 0]).T.copy()
+
         return {
-            "inst_regret": optimal_means - np.take_along_axis(arm_means, chosen, 2)[:, :, 0],
-            "cond_inst": best_cond_means - np.take_along_axis(cond_means, chosen, 2)[:, :, 0],
+            "inst_regret": gap(rollout.optimal_mean, rollout.arm_means),
+            "cond_inst": gap(best_cond_means, rollout.cond_arm_means),
         }
 
     results = _play_trials(seats, horizon, steps_for, regret_columns)
     results["max_abs_reward"] = np.abs(potential).max(axis=(0, 2)).tolist()
-    results["kernel_fallbacks"] = [trial.kernel_fallbacks for trial in built]
+    results["kernel_fallbacks"] = fallbacks
     return results
 
 
@@ -1119,9 +1109,9 @@ def _peak_rss_mib():
 
 
 def _save_imputer(imputer, out_dir):
-    """Write a persistable imputer to out_dir/imputer.json; the path, or
-    None when there is nothing to save."""
-    if imputer is None or imputer.kind not in ImputerKind.PERSISTABLE:
+    """Write the run's imputer to out_dir/imputer.json; the path, or None
+    when there is nothing to save."""
+    if imputer is None:
         return None
     path = os.path.join(out_dir, "imputer.json")
     save_imputer(imputer, path)

@@ -20,9 +20,10 @@ Two estimators can be fit from historical full-context trajectories:
   training mean and increments a fallback counter.
 
 Both store a residual standard deviation, the scale of their Gaussian
-model of W around the conditional mean.  The Oracle imputer wraps a live
-environment and returns the environment's own conditional mean bit for
-bit; it cannot be persisted.  The Null imputer imputes W = 0.
+model of W around the conditional mean.  The Null imputer imputes W = 0.
+Every imputer can be saved and loaded.  The "oracle" config kind builds
+no imputer: the harness reads the true conditional law of W from each
+trial's rollout.
 """
 
 import json
@@ -31,13 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    FitError,
-    InputError,
-    ParameterError,
-    PersistenceError,
-    UsageError,
-)
+from .errors import FitError, InputError, ParameterError, PersistenceError
 from .features import phi  # unused: features come from phi_batch; kept for tracers
 from .features import phi_batch
 
@@ -48,7 +43,6 @@ __all__ = [
     "fit_linear_ar",
     "fit_kernel",
     "null_imputer",
-    "oracle_imputer",
     "expected_feature_matrix",
     "save_imputer",
     "load_imputer",
@@ -62,8 +56,8 @@ class ImputerKind:
     NULL = "null"
 
     ALL = (ORACLE, LINEAR_AR, KERNEL, NULL)
-    # kinds save_imputer can write; an oracle holds a live environment
-    PERSISTABLE = (LINEAR_AR, KERNEL, NULL)
+    # the kinds an Imputer is built for; an oracle run reads the true law
+    MODELS = (LINEAR_AR, KERNEL, NULL)
 
 
 @dataclass
@@ -118,7 +112,7 @@ class HistoricalDataset:
 
 @dataclass
 class Imputer:
-    """A fitted (or wired) conditional model of W given observed history."""
+    """A fitted conditional model of W given observed history."""
 
     kind: str
     d_s: int
@@ -128,8 +122,8 @@ class Imputer:
     fallback_count: int = 0
 
     def __post_init__(self):
-        if self.kind not in ImputerKind.ALL:
-            raise ParameterError(f"unknown imputer kind {self.kind!r}")
+        if self.kind not in ImputerKind.MODELS:
+            raise ParameterError(f"no imputer model of kind {self.kind!r}")
 
     # -- conditional law ---------------------------------------------------
 
@@ -142,24 +136,16 @@ class Imputer:
         hist = _as_history(observed_history, self.d_s)
         if self.kind == ImputerKind.NULL:
             return np.zeros(self.d_w)
-        if self.kind == ImputerKind.ORACLE:
-            return np.asarray(self.params["env"].oracle_mean_w(), dtype=float)
         if self.kind == ImputerKind.LINEAR_AR:
             stacked = _lag_stack(hist, self.params["lag"], self.d_s)
             return self.params["intercept"] + stacked @ self.params["coef"]
-        if self.kind == ImputerKind.KERNEL:
-            return self._kernel_predict(hist[-1])
-        raise UsageError(f"imputer kind {self.kind!r} has no conditional mean")
+        return self._kernel_predict(hist[-1])
 
     def conditional_sd(self):
         """Per-coordinate scale of the model law."""
         if self.kind == ImputerKind.NULL:
             return np.zeros(self.d_w)
-        if self.kind == ImputerKind.ORACLE:
-            return np.full(self.d_w, float(self.params["env"].oracle_sd_w()))
-        if self.kind in (ImputerKind.LINEAR_AR, ImputerKind.KERNEL):
-            return np.asarray(self.params["noise_sd"], dtype=float)
-        raise UsageError(f"imputer kind {self.kind!r} has no sampling scale")
+        return np.asarray(self.params["noise_sd"], dtype=float)
 
     # -- internals ---------------------------------------------------------
 
@@ -311,12 +297,6 @@ def null_imputer(d_s, d_w):
     return Imputer(kind=ImputerKind.NULL, d_s=d_s, d_w=d_w)
 
 
-def oracle_imputer(env):
-    """Wraps a live environment; returns the true conditional mean of W_t
-    for the environment's current step, bit for bit."""
-    return Imputer(kind=ImputerKind.ORACLE, d_s=env.d_s, d_w=env.d_w, params={"env": env})
-
-
 # -- expected features -------------------------------------------------------
 
 
@@ -346,8 +326,7 @@ def _conditional_means(imputer, observed):
     them as one stacked product over the zero-padded lag rows: `(T, 1, p)
     @ (p, d_W)` runs the one-row query's matmul per step, so each row is
     that query's bit for bit.  Other models make one conditional_mean query
-    per step on its last row.  Not for an oracle imputer, which knows only
-    its environment's latest step.
+    per step on its last row.
     """
     if imputer.kind != ImputerKind.LINEAR_AR:
         return np.stack(
@@ -374,11 +353,8 @@ def save_imputer(imputer, path):
     """Write a fitted imputer as a structured text document.
 
     Arrays are stored as flat row-major decimal lists; floats round-trip
-    bit-exactly through the shortest-repr encoding.  Oracle imputers hold
-    a live environment and cannot be persisted.
+    bit-exactly through the shortest-repr encoding.
     """
-    if imputer.kind not in ImputerKind.PERSISTABLE:
-        raise UsageError(f"imputer kind {imputer.kind!r} is not persistable")
     doc = {
         "format_version": FORMAT_VERSION,
         "kind": imputer.kind,
@@ -439,12 +415,15 @@ def _number(raw, key, positive=False):
 
 
 def _array(raw, key, shape, nonnegative=False):
-    """The flat list entry params.`key` as a finite array of `shape`."""
+    """The flat list entry params.`key` as a finite array of `shape`; a
+    bool or a string is not a number."""
     name = f"params.{key}"
-    try:
-        arr = np.asarray([float(v) for v in _require(raw, key, "params.")], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise PersistenceError(f"not a flat numeric list ({exc})", field=name)
+    values = _require(raw, key, "params.")
+    if not isinstance(values, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+    ):
+        raise PersistenceError(f"not a flat list of numbers, got {values!r:.80}", field=name)
+    arr = np.asarray(values, dtype=float)
     if arr.size != int(np.prod(shape)):
         raise PersistenceError(
             f"expected {int(np.prod(shape))} entries, got {arr.size}", field=name
@@ -474,7 +453,7 @@ def load_imputer(path):
             field="format_version",
         )
     kind = _require(doc, "kind", "")
-    if kind not in ImputerKind.PERSISTABLE:
+    if kind not in ImputerKind.MODELS:
         raise PersistenceError(f"unsupported value {kind!r}", field="kind")
     # files of older versions carry the retired Monte-Carlo keys, whose
     # default, features at the conditional mean, is the only path left

@@ -29,7 +29,6 @@ from pulsebandit import (
     arm_ucb_scores,
     calibrate_feat_norm_bound,
     estimate_dt_band,
-    expected_feature_matrix,
     fit_kernel,
     fit_linear_ar,
     gaussian_kl,
@@ -37,7 +36,7 @@ from pulsebandit import (
     make_agent,
     new_ridge_state,
     observe,
-    oracle_imputer,
+    phi_batch,
     potential_bound_check,
     quadratic_form_inv,
     rank_one_update,
@@ -204,7 +203,8 @@ def test_a3_imputer_error_rates(acceptance_report):
 def test_a4_confidence_ball_coverage(acceptance_report):
     """theta* stays inside the unscaled confidence ball on every step.
 
-    Oracle imputation in the linear interaction environment, so the
+    Oracle imputation in the linear interaction environment: features are
+    Phi at [S_t | the rollout's true conditional mean of W_t], so the
     per-step divergence is exactly zero; the noise proxy 0.05 + 0.05
     dominates the true residual scale sqrt(eta^2 + theta_W^2 xi^2) ~ 0.055.
     """
@@ -220,7 +220,8 @@ def test_a4_confidence_ball_coverage(acceptance_report):
         env = SyntheticEnv(nonlinearity="linear")
         rng = substream(2024, "trial", i, "env")
         env.reset(rng)
-        imp = oracle_imputer(env)
+        rollout = env.rollout(rng, horizon)
+        blocks = phi_batch(fmap, np.concatenate([rollout.observed, rollout.cond_mean_w], axis=1))
         sched = GammaSchedule(
             lam=1.0,
             sigma_eta=0.05,
@@ -233,11 +234,9 @@ def test_a4_confidence_ball_coverage(acceptance_report):
         )
         agent = make_agent("pulse", AgentKind.PULSE_UCB, arm_count=2, dim=4, schedule=sched)
         inside_all = True
-        for _ in range(horizon):
-            step = env.step(rng)
-            feats = expected_feature_matrix(imp, fmap, step.observed[None, :])
+        for feats, rewards in zip(blocks, rollout.potential_rewards):
             arm = select_arm(agent, feats)
-            observe(agent, feats[arm], step.potential_rewards[arm], dt_value=0.0)
+            observe(agent, feats[arm], rewards[arm], dt_value=0.0)
             if not theta_in_ball(agent, env.theta_star):
                 inside_all = False
                 break

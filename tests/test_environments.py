@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from pulsebandit import (
     EndOfLog,
-    EnvError,
     InputError,
     LowerBoundEnv,
     ParameterError,
@@ -109,17 +108,6 @@ def test_optimal_arm_is_argmax_of_means():
         step = env.step(rng)
         assert step.optimal_arm == int(np.argmax(step.arm_means))
         assert step.optimal_mean == step.arm_means[step.optimal_arm]
-
-
-def test_oracle_accessors_track_last_step():
-    env = SyntheticEnv()
-    rng = substream(11, "env")
-    env.reset(rng)
-    with pytest.raises(EnvError):
-        env.oracle_mean_w()
-    step = env.step(rng)
-    assert env.oracle_mean_w()[0] == step.cond_mean_w[0]
-    assert env.oracle_sd_w() == step.cond_sd_w == 0.1
 
 
 def test_bump_function_shape():
@@ -480,7 +468,6 @@ def test_synthetic_rollout_matches_scalar_reference(params):
     rollout = env.rollout(rng, 500)
     assert_rollout_is(rollout, ref)
     assert rollout.cond_sd_w == env.xi_sd
-    assert env.oracle_mean_w()[0] == ref[-1]["cond_mean"][0]
 
 
 @pytest.mark.parametrize("params", [{}, {"w_noise_sd": 0.05}, {"reward_sd": 0.0}])
@@ -491,7 +478,6 @@ def test_lower_bound_rollout_matches_per_step_draws(params):
     env.reset(rng)
     rollout = env.rollout(rng, 400)
     assert_rollout_is(rollout, ref)
-    assert env.oracle_mean_w()[0] == ref[-1]["cond_mean"][0]
 
 
 def make_env(kind):
@@ -520,7 +506,6 @@ def test_rollouts_split_anywhere_give_the_same_steps(kind, a, b, seed):
         joined = np.concatenate([getattr(first, name), getattr(second, name)])
         assert_bitwise(joined, getattr(whole, name))
         assert_bitwise(np.stack([getattr(s, name) for s in stepped]), getattr(whole, name))
-    assert envs[0].oracle_mean_w()[0] == envs[2].oracle_mean_w()[0] == whole.cond_mean_w[-1, 0]
     # the streams are left in the same place
     assert rngs[0].random() == rngs[1].random() == rngs[2].random()
 

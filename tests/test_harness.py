@@ -230,20 +230,30 @@ def test_metadata_naming_monte_carlo_keys_reruns_bit_exact(tmp_path):
 
 
 def test_run_experiment_runs_trials_in_index_order(tmp_path, monkeypatch):
-    # every trial is built, in index order, before the first decision
+    # every trial is rolled out on its own env stream, in index order,
+    # before the first decision
     import pulsebandit.harness as harness
-    seen = []
-    build, decide = harness._build_trial, harness.select_arm
+    from pulsebandit.environments import SyntheticEnv
+    seen, labels_of = [], {}
+    make_stream, roll, decide = harness.substream, SyntheticEnv.rollout, harness.select_arm
 
-    def recorded_build(config, trial_index, *args):
-        seen.append(trial_index)
-        return build(config, trial_index, *args)
+    def recorded_stream(*labels):
+        rng = make_stream(*labels)
+        labels_of[id(rng)] = labels
+        return rng
+
+    def recorded_rollout(self, rng, n_steps):
+        labels = labels_of.get(id(rng), ())
+        if labels[1::2] == ("trial", "env"):
+            seen.append(labels[2])
+        return roll(self, rng, n_steps)
 
     def recorded_decide(agent, *args, **kwargs):
         seen.append("decide")
         return decide(agent, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "_build_trial", recorded_build)
+    monkeypatch.setattr(harness, "substream", recorded_stream)
+    monkeypatch.setattr(SyntheticEnv, "rollout", recorded_rollout)
     monkeypatch.setattr(harness, "select_arm", recorded_decide)
     run_experiment(ExperimentConfig(tiny_raw(horizon=10, trials=4)), out_dir=str(tmp_path))
     assert seen == [0, 1, 2, 3] + ["decide"] * 10 * 4
@@ -389,22 +399,31 @@ def test_every_decision_goes_through_harness_select_arm(tmp_path, monkeypatch):
 @pytest.mark.parametrize("planted", ["features", "rewards"])
 def test_simulate_checks_its_blocks_before_the_first_decision(tmp_path, monkeypatch, planted):
     # the stacked kernel does not scan the rows it is given, so a NaN in
-    # one trial's built feature block or potential rewards must fail before
-    # any agent decides
+    # one trial's feature rows or potential rewards must fail before any
+    # agent decides
     import pulsebandit.harness as harness
+    from pulsebandit.environments import SyntheticEnv
     calls = _count_decisions(monkeypatch)
-    original = harness._build_trial
+    build_features, roll = harness.phi_batch, SyntheticEnv.rollout
+    rollouts = []
 
-    def plant(config, trial_index, fitted_imputer):
-        trial = original(config, trial_index, fitted_imputer)
-        if trial_index == 1:
-            if planted == "features":
-                trial.features["oful_full"][7, 1, 2] = np.nan
-            else:
-                trial.rollout.potential_rewards[7, 1] = np.nan
-        return trial
+    def plant_features(fmap, contexts):
+        block = build_features(fmap, contexts)
+        block.reshape(15, 2, *block.shape[1:])[7, 1, 1, 2] = np.nan  # step 7 of lane 1
+        return block
 
-    monkeypatch.setattr(harness, "_build_trial", plant)
+    def plant_rewards(self, rng, n_steps):
+        rollout = roll(self, rng, n_steps)
+        if n_steps == 15:  # the trials' rollouts, not pretraining's
+            rollouts.append(rollout)
+            if len(rollouts) == 2:
+                rollout.potential_rewards[7, 1] = np.nan
+        return rollout
+
+    if planted == "features":
+        monkeypatch.setattr(harness, "phi_batch", plant_features)
+    else:
+        monkeypatch.setattr(SyntheticEnv, "rollout", plant_rewards)
     with pytest.raises(InputError, match="non-finite"):
         run_experiment(ExperimentConfig(tiny_raw(horizon=15)), out_dir=str(tmp_path))
     assert calls == []
@@ -417,15 +436,16 @@ def test_simulate_checks_divergence_charges_before_the_first_decision(monkeypatc
     # agent decides
     import pulsebandit.harness as harness
     calls = _count_decisions(monkeypatch)
-    original = harness._build_trial
+    original = harness._oracle_charges
 
-    def plant(config, trial_index, fitted_imputer):
-        trial = original(config, trial_index, fitted_imputer)
-        if trial_index == 1 and planted == "charge":
-            trial.charges["pulse_ucb"][7] = -1e-3
-        return trial
+    def plant(rollout, means, sd):
+        charges = original(rollout, means, sd)
+        if sd is not None:  # pulse_ucb's, not oful_full's zeros
+            charges[7, 1] = -1e-3  # step 7 of lane 1
+        return charges
 
-    monkeypatch.setattr(harness, "_build_trial", plant)
+    if planted == "charge":
+        monkeypatch.setattr(harness, "_oracle_charges", plant)
     raw = tiny_raw(horizon=15)
     raw["agents"].append({"name": "pulse_plug_in", "kind": "pulse_ucb", "dt_source": "plug_in"})
     config = ExperimentConfig(raw)
@@ -649,8 +669,8 @@ def test_oracle_imputer_trial_matches_a_per_step_reference():
     # no golden config uses the oracle imputer; pin its trial against a
     # loop over the public per-step API
     from pulsebandit import (
-        AgentKind, DtSource, GammaSchedule, GaussianConditional, expected_feature_matrix,
-        gaussian_dt, make_agent, observe, oracle_imputer, select_arm, substream,
+        AgentKind, DtSource, GammaSchedule, GaussianConditional, arm_feature_matrix,
+        gaussian_dt, make_agent, observe, select_arm, substream,
     )
     raw = tiny_raw(horizon=60, trials=1)
     raw["imputer"] = {"kind": "oracle"}
@@ -663,21 +683,20 @@ def test_oracle_imputer_trial_matches_a_per_step_reference():
     env = cfg.make_env()
     rng_env = substream(123, "trial", 0, "env")
     env.reset(rng_env)
-    imp = oracle_imputer(env)
     schedule = GammaSchedule(lam=1.0, sigma_eta=0.05, delta=0.1, feat_norm_bound=2.0, dim=4,
                              dt_source=DtSource.ORACLE, sigma_eps=1.0, scale=0.02)
     agent = make_agent("pulse", AgentKind.PULSE_UCB, 2, dim=4, schedule=schedule)
     arms, rewards = [], []
     for _ in range(60):
         step = env.step(rng_env)
-        feats = expected_feature_matrix(imp, env.feature_map, step.observed[None, :])
+        # the oracle's features and model law are the step's true law of W
+        feats = arm_feature_matrix(
+            env.feature_map, np.concatenate([step.observed, step.cond_mean_w])
+        )
         arm = select_arm(agent, feats)
         reward = float(step.potential_rewards[arm])
-        dt = gaussian_dt(
-            GaussianConditional(float(step.cond_mean_w[0]), step.cond_sd_w),
-            GaussianConditional(float(imp.conditional_mean(step.observed)[0]),
-                                float(imp.conditional_sd()[0])),
-        )
+        truth = GaussianConditional(float(step.cond_mean_w[0]), step.cond_sd_w)
+        dt = gaussian_dt(truth, truth)
         observe(agent, feats[arm], reward, dt_value=dt)
         arms.append(arm)
         rewards.append(reward)
@@ -708,9 +727,9 @@ def test_run_trial_takes_one_rollout_and_no_steps(monkeypatch):
 
 
 def test_trials_build_only_the_configured_views(monkeypatch):
-    # one block per configured view kind: pulse_ucb's at the imputed means
-    # and oful_full's at the realized W, so no trial builds the observed
-    # view's block
+    # one block over all trials per configured view kind: pulse_ucb's at
+    # the imputed means and oful_full's at the realized W, and none for the
+    # observed view
     import pulsebandit.harness as harness
     raw = tiny_raw(horizon=20, trials=3)
     raw["agents"] = [
@@ -728,7 +747,7 @@ def test_trials_build_only_the_configured_views(monkeypatch):
 
     monkeypatch.setattr(harness, "phi_batch", counted)
     harness.run_trials(cfg, range(3), imp, plug, bound)
-    assert len(calls) == 2 * 3
+    assert len(calls) == 2
 
 
 def test_null_imputer_with_oracle_pulse_is_a_config_error():
@@ -782,15 +801,24 @@ def test_null_imputer_keeps_its_config(tmp_path):
     assert imputer.kind == "null"
 
 
-@pytest.mark.parametrize("layout", [(2, 1), (1, 2)], ids=["d_s_2", "d_w_2"])
-def test_loaded_imputer_layout_must_match_the_environment(tmp_path, layout):
+@pytest.mark.parametrize(
+    "layout, kind",
+    [((2, 1), "null"), ((1, 2), "null"), ((1, 1), "linear_ar"), ((1, 1), "oracle")],
+    ids=["d_s_2", "d_w_2", "null_as_linear_ar", "null_as_oracle"],
+)
+def test_loaded_imputer_layout_must_match_the_environment(tmp_path, layout, kind):
+    # a loaded file must also hold the configured kind: an oracle run reads
+    # no file, and a null one is no linear-AR model
     from pulsebandit import null_imputer, save_imputer
     path = tmp_path / "imputer.json"
     save_imputer(null_imputer(*layout), str(path))
     raw = tiny_raw(horizon=10, trials=1)
-    raw["imputer"] = {"kind": "null", "path": str(path)}
+    raw["imputer"] = {"kind": kind, "path": str(path)}
     raw["agents"][2]["dt_source"] = "zero"
     with pytest.raises(ConfigError) as err:
         pretrain(ExperimentConfig(raw))
     assert err.value.field == "imputer.path"
-    assert f"{layout}" in str(err.value) and "(1, 1)" in str(err.value)
+    if layout == (1, 1):
+        assert "'null'" in str(err.value) and repr(kind) in str(err.value)
+    else:
+        assert f"{layout}" in str(err.value) and "(1, 1)" in str(err.value)

@@ -10,7 +10,6 @@ from pulsebandit import (
     ImputerKind,
     InputError,
     PersistenceError,
-    UsageError,
     expected_feature_matrix,
     fit_kernel,
     fit_linear_ar,
@@ -255,6 +254,8 @@ CORRUPT = [
     ("linear_ar", "params.ridge_eps", -1e-3),
     ("linear_ar", "params.noise_sd", [-1.0]),
     ("linear_ar", "params.intercept", [float("nan")]),
+    ("linear_ar", "params.intercept", [True]),
+    ("linear_ar", "params.coef", ["0.5", "0.5"]),
     ("kernel", "params.n_train", "many"),
     ("kernel", "params.n_train", 0),
     ("kernel", "params.bandwidth", "wide"),
@@ -304,16 +305,6 @@ def test_unsupported_format_version_rejected(tmp_path):
     path.write_text("5")
     with pytest.raises(PersistenceError, match="format_version"):
         load_imputer(str(path))
-
-
-def test_oracle_imputer_not_persistable(tmp_path):
-    from pulsebandit import SyntheticEnv, oracle_imputer
-
-    env = SyntheticEnv()
-    env.reset(substream(1, "env"))
-    imp = oracle_imputer(env)
-    with pytest.raises(UsageError):
-        save_imputer(imp, str(tmp_path / "oracle.json"))
 
 
 def test_expected_feature_matrix_shape():
