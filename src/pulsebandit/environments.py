@@ -8,7 +8,8 @@ of (seed, t) and never depend on chosen actions, so the same stream can be
 replayed against any set of agents.  The generative environments produce
 their steps as Rollouts, T steps of arrays at a time; `step` is the
 one-step rollout, and any split of a stream into rollouts gives the same
-steps.
+steps.  `rollout_lanes` rolls out many independent streams (lanes) as one
+Rollout, each lane exactly the reset and rollout of its own stream.
 
 SyntheticEnv: scalar S_t follows an ARMA(2, 2) recursion; the late
 coordinate W_t is a linear (optionally sinusoidally perturbed) function of
@@ -58,6 +59,8 @@ __all__ = [
 
 BURN_IN_STEPS = 50
 LAG_WINDOW = 3
+_ARMA_REST = (0.0, 0.0, 0.0, 0.0)  # (S_{t-1}, S_{t-2}, e_{t-1}, e_{t-2})
+_math_sin = np.frompyfunc(math.sin, 1, 1)  # math.sin on each value, as a Python float
 
 
 @dataclass(frozen=True)
@@ -90,8 +93,10 @@ class Rollout:
 
     Every field mirrors the EnvironmentStep field of the same name with a
     leading T axis (cond_sd_w, constant over steps, stays a scalar); row i
-    is the step with index t[i].  `step_at(i)` reads row i out as an
-    EnvironmentStep.
+    is the step with index t[i].  A rollout of several lanes
+    (`rollout_lanes`) has a lanes axis after the T axis in every array
+    field, so field[:, j] is lane j's own rollout.  `step_at(i)` reads row
+    i of a one-environment rollout out as an EnvironmentStep.
     """
 
     t: np.ndarray
@@ -120,30 +125,49 @@ class Rollout:
         )
 
 
-def _rollout(env, t_end, contexts, eta, cond_sd_w):
-    """Rollout of T steps ending at step t_end from their contexts.
+def _positive_int(value, name):
+    """`value` as an int; a bool, a string or a non-integer number is
+    refused by name, as is a value below 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
-    `contexts` is (2, T, d_Y): each step's full context with the realized W,
-    then with W at its conditional mean; `eta` is the (T,) shared reward
-    noise.  Arm means of both come from one feature block.
+
+def _lane_rngs(rngs):
+    """`rngs` as a nonempty list of Generators, one per lane."""
+    if not isinstance(rngs, (list, tuple)) or not rngs or not all(
+        isinstance(r, np.random.Generator) for r in rngs
+    ):
+        raise ParameterError("rngs must be a nonempty list of Generators, one per lane")
+    return list(rngs)
+
+
+def _rollout(env, t_end, contexts, eta, cond_sd_w):
+    """Rollout of the T steps ending at step t_end from their contexts.
+
+    `contexts` is (2, T, ..., d_Y): each step's full context with the
+    realized W, then with W at its conditional mean, with a lanes axis
+    after T for a lane rollout; `eta` is the (T, ...) shared reward noise.
+    Arm means of both come from one feature block.
     """
-    n = contexts.shape[1]
-    flat = contexts.reshape(2 * n, -1)
-    feats = phi_batch(env.feature_map, flat)
-    arm_means, cond_arm_means = (feats @ env.theta_star).reshape(2, n, -1)
+    lead = eta.shape
+    feats = phi_batch(env.feature_map, contexts.reshape(-1, contexts.shape[-1]))
+    arm_means, cond_arm_means = (feats @ env.theta_star).reshape((2,) + lead + (-1,))
     if not np.isfinite(arm_means).all():
         raise EnvError("environment produced non-finite arm means")
-    optimal_arm = np.argmax(arm_means, axis=1)  # first maximum: lowest index
+    optimal_arm = np.argmax(arm_means, axis=-1)  # first maximum: lowest index
+    rows = arm_means.reshape(-1, arm_means.shape[-1])
     full = contexts[0]
+    t = np.arange(t_end - lead[0] + 1, t_end + 1)
     return Rollout(
-        t=np.arange(t_end - n + 1, t_end + 1),
+        t=t.repeat(eta[0].size).reshape(lead),
         full_context=full,
-        observed=full[:, : env.d_s],
-        potential_rewards=arm_means + eta[:, None],
+        observed=full[..., : env.d_s],
+        potential_rewards=arm_means + eta[..., None],
         arm_means=arm_means,
         optimal_arm=optimal_arm,
-        optimal_mean=arm_means[np.arange(n), optimal_arm],
-        cond_mean_w=contexts[1, :, env.d_s :],
+        optimal_mean=rows[np.arange(rows.shape[0]), optimal_arm.ravel()].reshape(lead),
+        cond_mean_w=contexts[1, ..., env.d_s :],
         cond_sd_w=cond_sd_w,
         cond_arm_means=cond_arm_means,
     )
@@ -211,36 +235,52 @@ class SyntheticEnv:
                 "1 - ar1 z - ar2 z^2 has a root on or inside the unit circle"
             )
         self.feature_map = synthetic_interaction_map()
-        self._s1 = self._s2 = 0.0
-        self._e1 = self._e2 = 0.0
+        self._state = _ARMA_REST
         self._t = 0
 
     def reset(self, rng):
-        self._s1 = self._s2 = 0.0
-        self._e1 = self._e2 = 0.0
+        self._state = self._burn_in(rng)
         self._t = 0
-        if self.innovation_sd > 0:
-            self._arma((rng.standard_normal(BURN_IN_STEPS) * self.innovation_sd).tolist())
-        else:
-            self._arma([0.0] * BURN_IN_STEPS)
         return self
 
-    def _arma(self, innovations):
-        """Advance S over the given innovations e_t; returns the S values.
+    def _burn_in(self, rng):
+        """The ARMA state after BURN_IN_STEPS steps from rest, drawing the
+        burn-in innovations as one block (none when innovation_sd is 0)."""
+        if self.innovation_sd > 0:
+            innovations = (rng.standard_normal(BURN_IN_STEPS) * self.innovation_sd).tolist()
+        else:
+            innovations = [0.0] * BURN_IN_STEPS
+        return self._arma(_ARMA_REST, innovations)[1]
+
+    def _arma(self, state, innovations):
+        """S over the given innovations e_t from `state` = (S_{t-1}, S_{t-2},
+        e_{t-1}, e_{t-2}); returns the S values and the state after them.
 
         Runs on Python floats: the operation order of the recursion is
         fixed, so every platform rounds it alike.
         """
         ar1, ar2, ma1, ma2 = self.ar1, self.ar2, self.ma1, self.ma2
-        s1, s2, e1, e2 = self._s1, self._s2, self._e1, self._e2
+        s1, s2, e1, e2 = state
         out = []
         for e in innovations:
             s = ar1 * s1 + ar2 * s2 + e + ma1 * e1 + ma2 * e2
             out.append(s)
             s2, s1 = s1, s
             e2, e1 = e1, e
-        self._s1, self._s2, self._e1, self._e2 = s1, s2, e1, e2
-        return out
+        return out, (s1, s2, e1, e2)
+
+    def _draws(self, rng, n_steps):
+        """(3, n_steps) draws of e_t, xi_t and eta_t.
+
+        Each step draws them in that order, skipping a draw whose sd is 0;
+        they are taken as one standard-normal block scaled by column, which
+        gives the same numbers as one N(0, sd^2) draw at a time.
+        """
+        sds = np.array([self.innovation_sd, self.xi_sd, self.eta_sd])
+        live = sds > 0
+        draws = np.zeros((3, n_steps))
+        draws[live] = sds[live, None] * rng.standard_normal((n_steps, int(live.sum()))).T
+        return draws
 
     def conditional_mean_w(self, s_t, s_lag1, s_lag2):
         """E[W_t | S history]; exact because W depends on S only through x_t."""
@@ -250,37 +290,64 @@ class SyntheticEnv:
             mu += math.sin(self.rho * x2)
         return mu
 
+    def _contexts(self, lags, xi):
+        """(2, T, ..., 2) contexts of T steps, with the realized W and with
+        W at its conditional mean, from their S values and xi_t draws.
+
+        lags[i], lags[i + 1] and lags[i + 2] along the first axis are
+        S_{t-2}, S_{t-1} and S_t of step i.  The conditional means are
+        conditional_mean_w's elementwise in its operation order, with
+        math.sin on each value, never numpy's sine, whose rounding varies
+        by CPU.
+        """
+        x2 = (lags[2:] + lags[1:-1] + lags[:-2]) / LAG_WINDOW
+        mu = self.beta_star[0] + self.beta_star[1] * x2
+        if self.rho is not None:
+            mu += _math_sin(self.rho * x2).astype(float)
+        contexts = np.empty((2,) + mu.shape + (2,))
+        contexts[..., 0] = lags[2:]
+        contexts[1, ..., 1] = mu
+        contexts[0, ..., 1] = mu + xi
+        return contexts
+
     def rollout(self, rng, n_steps):
         """The next `n_steps` steps as a Rollout, continuing from the
         current state.
 
-        Each step draws e_t, xi_t and eta_t in that order, skipping a draw
-        whose sd is 0; the draws are taken as one standard-normal block
-        scaled by column, which gives the same numbers as one
-        N(0, sd^2) draw at a time.  Any split of a rollout into shorter
-        ones, or into single steps, gives the same steps.
+        Each step draws e_t, xi_t and eta_t (see `_draws`).  Any split of a
+        rollout into shorter ones, or into single steps, gives the same
+        steps.
         """
-        n_steps = int(n_steps)
-        if n_steps < 1:
-            raise ParameterError("a rollout needs at least one step")
-        sds = np.array([self.innovation_sd, self.xi_sd, self.eta_sd])
-        live = sds > 0
-        draws = np.zeros((3, n_steps))
-        draws[live] = sds[live, None] * rng.standard_normal((n_steps, int(live.sum()))).T
-        e, xi, eta = draws
-
-        # lags[i], lags[i + 1], lags[i + 2] are S_{t-2}, S_{t-1}, S_t of step i
-        lags = [self._s2, self._s1]
-        s = self._arma(e.tolist())
-        lags += s
-        mu = [self.conditional_mean_w(s_t, lags[i + 1], lags[i]) for i, s_t in enumerate(s)]
+        n_steps = _positive_int(n_steps, "n_steps")
+        e, xi, eta = self._draws(rng, n_steps)
+        s, state = self._arma(self._state, e.tolist())
+        lags = np.array([self._state[1], self._state[0]] + s)
+        self._state = state
         self._t += n_steps
+        return _rollout(self, self._t, self._contexts(lags, xi), eta, self.xi_sd)
 
-        contexts = np.empty((2, n_steps, 2))
-        contexts[:, :, 0] = s
-        contexts[1, :, 1] = mu
-        contexts[0, :, 1] = contexts[1, :, 1] + xi
-        return _rollout(self, self._t, contexts, eta, self.xi_sd)
+    def _lane_contexts(self, rngs, n_lanes, n_steps):
+        """Contexts (2, T, lanes, 2) and reward noise (T, lanes) of one
+        reset and `n_steps`-step rollout on each of the `n_lanes`
+        generators that `rngs` yields; only the draws and the ARMA
+        recursion run per lane."""
+        lags = np.empty((n_steps + 2, n_lanes))
+        xi = np.empty((n_steps, n_lanes))
+        eta = np.empty((n_steps, n_lanes))
+        for j, rng in enumerate(rngs):
+            state = self._burn_in(rng)
+            e, xi[:, j], eta[:, j] = self._draws(rng, n_steps)
+            lags[:2, j] = state[1], state[0]
+            lags[2:, j] = self._arma(state, e.tolist())[0]
+        return self._contexts(lags, xi), eta
+
+    def rollout_lanes(self, rngs, n_steps):
+        """Each lane's `reset(rngs[j])` and `rollout(rngs[j], n_steps)` as
+        one Rollout with a lanes axis; the environment's own state is left
+        as it is."""
+        rngs, n_steps = _lane_rngs(rngs), _positive_int(n_steps, "n_steps")
+        contexts, eta = self._lane_contexts(rngs, len(rngs), n_steps)
+        return _rollout(self, n_steps, contexts, eta, self.xi_sd)
 
     def step(self, rng):
         return self.rollout(rng, 1).step_at(0)
@@ -361,34 +428,49 @@ class LowerBoundEnv:
         self._t = 0
         return self
 
-    def rollout(self, rng, n_steps):
-        """The next `n_steps` steps as a Rollout.
+    def _lane_contexts(self, rngs, n_lanes, n_steps):
+        """Contexts (2, T, lanes, d_Y) and reward noise (T, lanes) of
+        `n_steps` steps on each of the `n_lanes` generators that `rngs`
+        yields.
 
         The draws stay one step at a time, in step order (coin, then the
         branch's draws, then the W noise and the reward noise), because
         which draws a step makes depends on its coin.
         """
-        n_steps = int(n_steps)
-        if n_steps < 1:
-            raise ParameterError("a rollout needs at least one step")
-        contexts = np.zeros((2, n_steps, self.d_s + 1))
-        eta = np.empty(n_steps)
-        for i in range(n_steps):
-            y = contexts[0, i]  # (Q, O, W), filled in place
-            if int(rng.integers(0, 2)) == 0:
-                y[self.d_lin : self.d_s] = rng.uniform(-1.0, 1.0, self.d_non)
-            else:
-                y[int(rng.integers(0, self.d_lin))] = 1.0
-                y[self.d_lin : self.d_s] = self.o0
-            f_o = float(self.f(y[self.d_lin : self.d_s]))
-            if not math.isfinite(f_o):
-                raise EnvError("f returned a non-finite value")
-            contexts[1, i, -1] = f_o
-            y[-1] = f_o + (rng.normal(0.0, self.w_noise_sd) if self.w_noise_sd > 0 else 0.0)
-            eta[i] = rng.normal(0.0, self.reward_sd) if self.reward_sd > 0 else 0.0
+        contexts = np.zeros((2, n_steps, n_lanes, self.d_s + 1))
+        eta = np.empty((n_steps, n_lanes))
+        for j, rng in enumerate(rngs):
+            for i in range(n_steps):
+                y = contexts[0, i, j]  # (Q, O, W), filled in place
+                if int(rng.integers(0, 2)) == 0:
+                    y[self.d_lin : self.d_s] = rng.uniform(-1.0, 1.0, self.d_non)
+                else:
+                    y[int(rng.integers(0, self.d_lin))] = 1.0
+                    y[self.d_lin : self.d_s] = self.o0
+                f_o = float(self.f(y[self.d_lin : self.d_s]))
+                if not math.isfinite(f_o):
+                    raise EnvError("f returned a non-finite value")
+                contexts[1, i, j, -1] = f_o
+                y[-1] = f_o + (rng.normal(0.0, self.w_noise_sd) if self.w_noise_sd > 0 else 0.0)
+                eta[i, j] = rng.normal(0.0, self.reward_sd) if self.reward_sd > 0 else 0.0
+        contexts[1, ..., : self.d_s] = contexts[0, ..., : self.d_s]
+        return contexts, eta
+
+    def rollout(self, rng, n_steps):
+        """The next `n_steps` steps as a Rollout.  A step does not depend
+        on the ones before it, so these are the steps of one lane."""
+        n_steps = _positive_int(n_steps, "n_steps")
+        contexts, eta = self._lane_contexts([rng], 1, n_steps)
         self._t += n_steps
-        contexts[1, :, : self.d_s] = contexts[0, :, : self.d_s]
-        return _rollout(self, self._t, contexts, eta, self.w_noise_sd)
+        return _rollout(self, self._t, contexts[:, :, 0], eta[:, 0], self.w_noise_sd)
+
+    def rollout_lanes(self, rngs, n_steps):
+        """Each lane's `reset(rngs[j])` and `rollout(rngs[j], n_steps)` as
+        one Rollout with a lanes axis; the environment's own state is left
+        as it is."""
+        rngs, n_steps = _lane_rngs(rngs), _positive_int(n_steps, "n_steps")
+        contexts, eta = self._lane_contexts(rngs, len(rngs), n_steps)
+        return _rollout(self, n_steps, contexts, eta, self.w_noise_sd)
 
     def step(self, rng):
         return self.rollout(rng, 1).step_at(0)
@@ -588,23 +670,19 @@ class ReplayStream:
 def generate_history(make_env, n_traj, t0, base_seed):
     """HistoricalDataset of n_traj independent trajectories of length t0.
 
-    Each trajectory uses a fresh environment instance reset on its own
-    labeled substream, so trajectories are i.i.d. draws from the same
-    context law as the bandit phase (including burn-in).
+    Trajectory i is one lane of a single environment's lane rollout, reset
+    on its own labeled substream, so trajectories are i.i.d. draws from the
+    same context law as the bandit phase (including burn-in).  Only S and
+    W are kept: no features or arm means are built.
     """
     from .imputation import HistoricalDataset
     from .rng import substream
 
-    if n_traj < 1 or t0 < 1:
-        raise ParameterError("n_traj and t0 must be positive")
-    probe = make_env()
-    s = np.empty((n_traj, t0, probe.d_s))
-    w = np.empty((n_traj, t0, probe.d_w))
-    for i in range(n_traj):
-        env = make_env()
-        rng = substream(base_seed, "pretrain", i)
-        env.reset(rng)
-        rollout = env.rollout(rng, t0)
-        s[i] = rollout.observed
-        w[i] = rollout.full_context[:, env.d_s :]
-    return HistoricalDataset(s=s, w=w)
+    n_traj = _positive_int(n_traj, "n_traj")
+    t0 = _positive_int(t0, "t0")
+    env = make_env()
+    # each lane's generator lives only while its lane is drawn
+    rngs = (substream(base_seed, "pretrain", i) for i in range(n_traj))
+    contexts, _ = env._lane_contexts(rngs, n_traj, t0)
+    full = contexts[0].swapaxes(0, 1)  # realized contexts, (n_traj, t0, d_Y)
+    return HistoricalDataset(s=full[..., : env.d_s].copy(), w=full[..., env.d_s :].copy())

@@ -3,11 +3,11 @@
 One trial = one exogenous context stream faced by every configured agent
 (common random numbers): each agent sees the same steps and the same
 shared reward noise, but only its permitted view of the context.  No
-choice changes the stream, so a trial takes it as one rollout.  The
-trials' rollouts are stacked, and each view's features are built for every
-trial and the whole horizon at once.  Then each agent plays all trials in
-lockstep, one decision per step for every trial at once, through the
-per-agent loop that replay uses too.
+choice changes the stream, so a trial takes it as one rollout: all trials
+are one lane rollout of the environment, one lane per trial, and each
+view's features are built for every trial and the whole horizon at once.
+Then each agent plays all trials in lockstep, one decision per step for
+every trial at once, through the per-agent loop that replay uses too.
 The play keeps that shape up to the CSV writers: each agent's per-step
 columns are (trials, T) blocks, one row per trial, and each per-trial
 figure is a list with one entry per trial.
@@ -38,7 +38,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import repeat
 
@@ -69,7 +69,6 @@ from .environments import (
     LowerBoundEnv,
     ReplayLog,
     ReplayStream,
-    Rollout,
     SyntheticEnv,
     ar_root_moduli,
     bump_function,
@@ -571,6 +570,9 @@ def load_config(path_or_dict, overrides=()):
 def pretrain(config):
     """Fit (or load) the configured imputer and calibrate B.
 
+    The fitted imputers learn from `generate_history`'s trajectories; B,
+    unless the config sets it, is a quantile of the feature norms over a
+    one-lane rollout of FEAT_NORM_DRY_RUN_STEPS steps (the dry run).
     Returns a dict with the fitted imputer (None for the oracle kind, whose
     trials read the true law of W from their rollouts), the feature-norm
     bound with its dry-run diagnostics, and the plug-in divergence
@@ -583,14 +585,14 @@ def pretrain(config):
 
     imp_cfg = config.imputer
     dataset = imputer = None
-    probe = config.make_env()
+    env = config.make_env()
     if imp_cfg["path"] is not None:
         imputer = load_imputer(imp_cfg["path"])
-        if (imputer.d_s, imputer.d_w) != (probe.d_s, probe.d_w):
+        if (imputer.d_s, imputer.d_w) != (env.d_s, env.d_w):
             raise ConfigError(
                 "imputer.path",
                 f"{imp_cfg['path']} imputes for (d_S, d_W) = ({imputer.d_s}, {imputer.d_w}), "
-                f"but the environment has ({probe.d_s}, {probe.d_w})",
+                f"but the environment has ({env.d_s}, {env.d_w})",
             )
         if imputer.kind != imp_cfg["kind"]:
             raise ConfigError(
@@ -606,19 +608,17 @@ def pretrain(config):
                 config.pretrain["t0"],
                 config.pretrain["seed"],
             )
-        imputer = _build_imputer(imp_cfg, probe.d_s, probe.d_w, dataset, lag=imp_cfg["lag"])
+        imputer = _build_imputer(imp_cfg, env.d_s, env.d_w, dataset, lag=imp_cfg["lag"])
 
     # feature-norm bound B: config value, or the dry-run empirical quantile
     if config.schedule["feat_norm_bound"] is not None:
         bound = config.schedule["feat_norm_bound"]
         diagnostics = {"source": "config"}
     else:
-        env = config.make_env()
         rng = substream(config.pretrain["seed"], "feat-norm")
-        env.reset(rng)
-        rollout = env.rollout(rng, FEAT_NORM_DRY_RUN_STEPS)
+        rollout = env.rollout_lanes([rng], FEAT_NORM_DRY_RUN_STEPS)
         bound, diagnostics = calibrate_feat_norm_bound(
-            env.feature_map, rollout.full_context, FEAT_NORM_QUANTILE
+            env.feature_map, rollout.full_context[:, 0], FEAT_NORM_QUANTILE
         )
         diagnostics["source"] = "dry_run"
 
@@ -880,27 +880,20 @@ def _oracle_charges(rollout, means, sd):
     return charges
 
 
-def _stack_rollouts(rollouts):
-    """The lanes' rollouts as one Rollout whose array fields are (T, trials,
-    ...) blocks; cond_sd_w, a constant of the environment, stays a scalar."""
-    names = [f.name for f in fields(Rollout) if f.name != "cond_sd_w"]
-    stacked = {name: np.stack([getattr(r, name) for r in rollouts], axis=1) for name in names}
-    return Rollout(cond_sd_w=rollouts[0].cond_sd_w, **stacked)
-
-
 def run_trials(config, trial_indices, fitted_imputer, plug_in_dt, feat_norm_bound):
     """All configured agents over the given trials, played in lockstep.
 
-    Each lane's rollout comes from its trial's own substream; the rollouts
-    are stacked once, as (T, trials, ...) blocks.  Each configured view
-    kind's features are Phi at [observed | its W block], one phi_batch call
-    over all lanes for all agents of the kind: the realized W for
-    oful_full, zeros for oful_observed and, for pulse_ucb, the true
-    conditional means under the oracle imputer, else the fitted model's,
-    each lane's from its own lag history.  The oracle divergence charges
-    come from the same W blocks.  Then each agent plays all the trials at
-    once, one decision per step for every trial, so the loop's Python
-    overhead is paid once per (agent, step), not per (trial, agent, step).
+    The trials are one lane rollout of the environment, lane j on trial
+    trial_indices[j]'s own substream, read as (T, trials, ...) blocks.
+    Each configured view kind's features are Phi at [observed | its W
+    block], one phi_batch call over all lanes for all agents of the kind:
+    the realized W for oful_full, zeros for oful_observed and, for
+    pulse_ucb, the true conditional means under the oracle imputer, else
+    the fitted model's, each lane's from its own lag history.  The oracle
+    divergence charges come from the same W blocks.  Then each agent plays
+    all the trials at once, one decision per step for every trial, so the
+    loop's Python overhead is paid once per (agent, step), not per (trial,
+    agent, step).
     Returns `_play_trials`'s result, whose lanes follow the order given,
     plus each trial's kernel-imputer fallback count ("kernel_fallbacks")
     and largest |potential reward| ("max_abs_reward"), one per lane.  Lane
@@ -908,11 +901,8 @@ def run_trials(config, trial_indices, fitted_imputer, plug_in_dt, feat_norm_boun
     """
     trial_indices = list(trial_indices)
     env = config.make_env()
-    lane_rollouts = []
-    for i in trial_indices:
-        rng = substream(config.base_seed, "trial", i, "env")
-        lane_rollouts.append(env.reset(rng).rollout(rng, config.horizon))
-    rollout = _stack_rollouts(lane_rollouts)
+    rngs = [substream(config.base_seed, "trial", i, "env") for i in trial_indices]
+    rollout = env.rollout_lanes(rngs, config.horizon)
     horizon, trials = rollout.optimal_arm.shape
     lanes = np.arange(trials)
     potential = rollout.potential_rewards

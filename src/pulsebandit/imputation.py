@@ -407,11 +407,15 @@ def _number(raw, key, positive=False):
     `positive`, positive; a bool is not one."""
     value = _require(raw, key, "params.")
     sign, name = ("positive" if positive else "nonnegative"), f"params.{key}"
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
-        math.isfinite(value) and (value > 0 if positive else value >= 0)
-    ):
-        raise PersistenceError(f"must be a finite {sign} number, got {value!r}", field=name)
-    return float(value)
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int past the float range
+            pass
+    if not (math.isfinite(number) and (number > 0 if positive else number >= 0)):
+        raise PersistenceError(f"must be a finite {sign} number, got {value!r:.80}", field=name)
+    return number
 
 
 def _array(raw, key, shape, nonnegative=False):
@@ -423,7 +427,10 @@ def _array(raw, key, shape, nonnegative=False):
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
     ):
         raise PersistenceError(f"not a flat list of numbers, got {values!r:.80}", field=name)
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except OverflowError:  # an int past the float range
+        raise PersistenceError("contains non-finite entries", field=name) from None
     if arr.size != int(np.prod(shape)):
         raise PersistenceError(
             f"expected {int(np.prod(shape))} entries, got {arr.size}", field=name

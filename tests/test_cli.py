@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 import os
 import subprocess
@@ -131,6 +132,9 @@ def test_calibrate_writes_band(tmp_path):
     rows = np.genfromtxt(out / "band.csv", delimiter=",", names=True)
     assert rows.shape[0] == 9
     assert np.all(rows["half_width_0"] >= 0.0)
+    assert hashlib.sha256((out / "band.csv").read_bytes()).hexdigest() == (
+        "4c636a9e7d8b571112cf73e622dde7a6d417b50824ff620c82b24830eaa2f1f5"
+    )
 
 
 def test_calibrate_rejects_lower_bound_by_field(tmp_path, capsys):

@@ -79,7 +79,7 @@ def test_burn_in_runs_on_reset():
     env2 = SyntheticEnv()
     rng2 = substream(5, "env")
     env2.reset(rng2)
-    assert env2._s1 != 0.0
+    assert env2._state[0] != 0.0  # S_0
 
 
 def test_conditional_mean_formula():
@@ -526,3 +526,89 @@ def test_rollout_needs_a_step():
 def test_nonstationary_arma_rejected(arma):
     with pytest.raises(ParameterError, match="stationary"):
         SyntheticEnv(arma=arma)
+
+
+@pytest.mark.parametrize("bad", [2.7, np.float64(2.0), True, "3", 0, -1, None])
+def test_integer_arguments_are_refused_by_name(bad):
+    rng = substream(0, "env")
+    for env in (SyntheticEnv().reset(rng), LowerBoundEnv(1, 1).reset(rng)):
+        with pytest.raises(ParameterError, match="n_steps"):
+            env.rollout(rng, bad)
+        with pytest.raises(ParameterError, match="n_steps"):
+            env.rollout_lanes([rng], bad)
+    with pytest.raises(ParameterError, match="n_traj"):
+        generate_history(SyntheticEnv, bad, 5, 1)
+    with pytest.raises(ParameterError, match="t0"):
+        generate_history(SyntheticEnv, 2, bad, 1)
+
+
+@pytest.mark.parametrize("rngs", [[], (), substream(0, "env"), [substream(0, "env"), None]])
+def test_a_lane_rollout_needs_one_generator_per_lane(rngs):
+    for env in (SyntheticEnv(), LowerBoundEnv(1, 1)):
+        with pytest.raises(ParameterError, match="rngs"):
+            env.rollout_lanes(rngs, 3)
+
+
+def test_numpy_integer_counts_are_accepted():
+    rngs = [substream(0, "env", i) for i in range(2)]
+    assert SyntheticEnv().rollout_lanes(rngs, np.int64(3)).t.shape == (3, 2)
+    data = generate_history(SyntheticEnv, np.int32(2), np.int64(4), 1)
+    assert data.s.shape == (2, 4, 1)
+
+
+# -- lane rollouts ----------------------------------------------------------------
+
+LANE_ENVS = {
+    "linear": SyntheticEnv,
+    "rho1": lambda: SyntheticEnv(nonlinearity=1.0),
+    "rho10": lambda: SyntheticEnv(nonlinearity=10.0),
+    "lower_bound": lambda: LowerBoundEnv(2, 3, w_noise_sd=0.05),
+}
+ROLLOUT_FIELDS = ("t", "full_context", "observed", "potential_rewards", "arm_means",
+                  "optimal_arm", "optimal_mean", "cond_mean_w", "cond_arm_means")
+
+
+@pytest.mark.parametrize("kind", sorted(LANE_ENVS))
+@pytest.mark.parametrize("lanes", [[0, 1, 2, 3, 4], [3, 0, 4, 1, 2], [4, 1], [2]])
+def test_each_lane_is_its_own_reset_and_rollout(kind, lanes):
+    rngs = [substream(61, "lane", i) for i in lanes]
+    batch = LANE_ENVS[kind]().rollout_lanes(rngs, 40)
+    for j, i in enumerate(lanes):
+        rng = substream(61, "lane", i)
+        alone = LANE_ENVS[kind]().reset(rng).rollout(rng, 40)
+        for name in ROLLOUT_FIELDS:
+            assert_bitwise(getattr(batch, name)[:, j], getattr(alone, name))
+        assert batch.cond_sd_w == alone.cond_sd_w
+        # each lane's stream is left where its own rollout leaves it
+        assert rngs[j].random() == rng.random()
+
+
+@pytest.mark.parametrize("kind", sorted(LANE_ENVS))
+def test_a_lane_rollout_leaves_the_environment_as_it_was(kind):
+    env, whole = LANE_ENVS[kind](), LANE_ENVS[kind]()
+    rng, rng_whole = substream(63, "env"), substream(63, "env")
+    env.reset(rng).rollout(rng, 7)
+    env.rollout_lanes([substream(63, "lane", i) for i in range(3)], 11)
+    second = env.rollout(rng, 5)
+    joined = whole.reset(rng_whole).rollout(rng_whole, 12)
+    for name in ROLLOUT_FIELDS:
+        assert_bitwise(getattr(second, name), getattr(joined, name)[7:])
+
+
+def test_lane_conditional_means_are_the_scalar_formula_bit_for_bit():
+    env = SyntheticEnv(nonlinearity=10.0)
+    rngs = [substream(62, "cm", i) for i in range(3)]
+    batch = env.rollout_lanes(rngs, 300)
+    for j in range(3):
+        rng = substream(62, "cm", j)
+        s1, s2 = SyntheticEnv(nonlinearity=10.0).reset(rng)._state[:2]
+        s = [s2, s1] + batch.observed[:, j, 0].tolist()
+        expected = [env.conditional_mean_w(s[i + 2], s[i + 1], s[i]) for i in range(300)]
+        assert_bitwise(batch.cond_mean_w[:, j, 0], np.array(expected))
+    # far from the stationary range too, where sin takes large arguments
+    lags = substream(62, "wide").normal(0.0, 100.0, (52, 4))
+    means = env._contexts(lags, np.zeros((50, 4)))[1, ..., 1]
+    for i in range(50):
+        for j in range(4):
+            mu = env.conditional_mean_w(lags[i + 2, j], lags[i + 1, j], lags[i, j])
+            assert_bitwise(means[i, j], np.float64(mu))

@@ -12,7 +12,9 @@ feature view.  LONG
 and LONG_REPLAY run 4 and 3 trials past `REFACTOR_INTERVAL` decisions, so
 forced refactors and batches of more than two trials are pinned for
 simulate and replay alike.  On SYNTHETIC and LOWER_BOUND every trial run
-alone must also equal its lane of the lockstep batch.
+alone must also equal its lane of the lockstep batch.  The pretraining
+histories of shipped configs are pinned as well, as the digest of their S
+and W blocks.
 """
 
 import hashlib
@@ -22,7 +24,15 @@ import numpy as np
 import pytest
 
 import pulsebandit.configs
-from pulsebandit import ExperimentConfig, pretrain, run_experiment, run_replay, run_trials
+from pulsebandit import (
+    ExperimentConfig,
+    generate_history,
+    load_config,
+    pretrain,
+    run_experiment,
+    run_replay,
+    run_trials,
+)
 
 REPLAY_LOG = str(importlib.resources.files(pulsebandit.configs) / "replay_demo_log.csv")
 
@@ -200,3 +210,20 @@ def test_a_trial_lane_does_not_depend_on_the_batch(raw):
             assert alone[key] == {name: v[i : i + 1] for name, v in together[key].items()}
         for key in ("kernel_fallbacks", "max_abs_reward"):
             assert alone[key] == together[key][i : i + 1]
+
+
+# sha256 of s.tobytes() + w.tobytes() of each shipped config's pretraining history
+HISTORY_DIGESTS = {
+    "calibration_demo": "301537895e03982736bbcea00362480ccf2cd182f407abd1e9939b1a8eea5032",
+    "lower_bound_dgp": "94015e49349d5bdfb7453ac363cdd1d7d8b5720ec2cf4cf57ce2898d6b4552b8",
+    "synthetic_linear": "7708412fe6a6fbef969d872f7fa6183a6b2e004183ef90a1389f5372f1c890fe",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HISTORY_DIGESTS))
+def test_pretrain_history_digest(name):
+    config = load_config(str(importlib.resources.files(pulsebandit.configs) / f"{name}.json"))
+    p = config.pretrain
+    data = generate_history(config.make_env, p["n"], p["t0"], p["seed"])
+    digest = hashlib.sha256(data.s.tobytes() + data.w.tobytes()).hexdigest()
+    assert digest == HISTORY_DIGESTS[name]

@@ -235,25 +235,26 @@ def test_run_experiment_runs_trials_in_index_order(tmp_path, monkeypatch):
     import pulsebandit.harness as harness
     from pulsebandit.environments import SyntheticEnv
     seen, labels_of = [], {}
-    make_stream, roll, decide = harness.substream, SyntheticEnv.rollout, harness.select_arm
+    make_stream, roll, decide = harness.substream, SyntheticEnv.rollout_lanes, harness.select_arm
 
     def recorded_stream(*labels):
         rng = make_stream(*labels)
         labels_of[id(rng)] = labels
         return rng
 
-    def recorded_rollout(self, rng, n_steps):
-        labels = labels_of.get(id(rng), ())
-        if labels[1::2] == ("trial", "env"):
-            seen.append(labels[2])
-        return roll(self, rng, n_steps)
+    def recorded_rollout(self, rngs, n_steps):
+        for rng in rngs:
+            labels = labels_of.get(id(rng), ())
+            if labels[1::2] == ("trial", "env"):
+                seen.append(labels[2])
+        return roll(self, rngs, n_steps)
 
     def recorded_decide(agent, *args, **kwargs):
         seen.append("decide")
         return decide(agent, *args, **kwargs)
 
     monkeypatch.setattr(harness, "substream", recorded_stream)
-    monkeypatch.setattr(SyntheticEnv, "rollout", recorded_rollout)
+    monkeypatch.setattr(SyntheticEnv, "rollout_lanes", recorded_rollout)
     monkeypatch.setattr(harness, "select_arm", recorded_decide)
     run_experiment(ExperimentConfig(tiny_raw(horizon=10, trials=4)), out_dir=str(tmp_path))
     assert seen == [0, 1, 2, 3] + ["decide"] * 10 * 4
@@ -404,26 +405,23 @@ def test_simulate_checks_its_blocks_before_the_first_decision(tmp_path, monkeypa
     import pulsebandit.harness as harness
     from pulsebandit.environments import SyntheticEnv
     calls = _count_decisions(monkeypatch)
-    build_features, roll = harness.phi_batch, SyntheticEnv.rollout
-    rollouts = []
+    build_features, roll = harness.phi_batch, SyntheticEnv.rollout_lanes
 
     def plant_features(fmap, contexts):
         block = build_features(fmap, contexts)
         block.reshape(15, 2, *block.shape[1:])[7, 1, 1, 2] = np.nan  # step 7 of lane 1
         return block
 
-    def plant_rewards(self, rng, n_steps):
-        rollout = roll(self, rng, n_steps)
-        if n_steps == 15:  # the trials' rollouts, not pretraining's
-            rollouts.append(rollout)
-            if len(rollouts) == 2:
-                rollout.potential_rewards[7, 1] = np.nan
+    def plant_rewards(self, rngs, n_steps):
+        rollout = roll(self, rngs, n_steps)
+        if n_steps == 15:  # the trials' rollout, not the dry run's
+            rollout.potential_rewards[7, 1, 1] = np.nan  # step 7 of lane 1, arm 1
         return rollout
 
     if planted == "features":
         monkeypatch.setattr(harness, "phi_batch", plant_features)
     else:
-        monkeypatch.setattr(SyntheticEnv, "rollout", plant_rewards)
+        monkeypatch.setattr(SyntheticEnv, "rollout_lanes", plant_rewards)
     with pytest.raises(InputError, match="non-finite"):
         run_experiment(ExperimentConfig(tiny_raw(horizon=15)), out_dir=str(tmp_path))
     assert calls == []
@@ -710,20 +708,27 @@ def test_run_trial_takes_one_rollout_and_no_steps(monkeypatch):
     cfg = ExperimentConfig(tiny_raw(horizon=30, trials=3))
     imp, plug, bound = fitted(cfg)
     rollouts = []
-    original = SyntheticEnv.rollout
+    original = SyntheticEnv.rollout_lanes
 
-    def counted(self, rng, n_steps):
-        rollouts.append(n_steps)
-        return original(self, rng, n_steps)
+    def counted(self, rngs, n_steps):
+        rollouts.append((len(rngs), n_steps))
+        return original(self, rngs, n_steps)
 
     def no_step(self, rng):
         raise AssertionError("run_trial stepped the environment")
 
-    monkeypatch.setattr(SyntheticEnv, "rollout", counted)
+    def no_one_env_rollout(self, rng, n_steps):
+        raise AssertionError("run_trial rolled out one environment at a time")
+
+    monkeypatch.setattr(SyntheticEnv, "rollout_lanes", counted)
     monkeypatch.setattr(SyntheticEnv, "step", no_step)
+    monkeypatch.setattr(SyntheticEnv, "rollout", no_one_env_rollout)
     for trial in range(3):
         run_trial(cfg, trial, imp, plug, bound)
-    assert rollouts == [30, 30, 30]
+    assert rollouts == [(1, 30)] * 3
+    # the lockstep trials take one lane rollout between them
+    run_trials(cfg, range(3), imp, plug, bound)
+    assert rollouts == [(1, 30)] * 3 + [(3, 30)]
 
 
 def test_trials_build_only_the_configured_views(monkeypatch):

@@ -252,9 +252,11 @@ CORRUPT = [
     ("linear_ar", "params.lag", -1),
     ("linear_ar", "params.ridge_eps", "tiny"),
     ("linear_ar", "params.ridge_eps", -1e-3),
+    ("linear_ar", "params.ridge_eps", 10**400),
     ("linear_ar", "params.noise_sd", [-1.0]),
     ("linear_ar", "params.intercept", [float("nan")]),
     ("linear_ar", "params.intercept", [True]),
+    ("linear_ar", "params.intercept", [10**400]),
     ("linear_ar", "params.coef", ["0.5", "0.5"]),
     ("kernel", "params.n_train", "many"),
     ("kernel", "params.n_train", 0),
