@@ -23,6 +23,7 @@ from .errors import ConfigError, PulseBanditError
 from .harness import (
     _dt_band,
     _save_imputer,
+    _write_json,
     load_config,
     pretrain,
     run_experiment,
@@ -97,23 +98,6 @@ def _say(args, message):
         print(message)
 
 
-def _profiled(args, run, *run_args, **run_kwargs):
-    """run(*run_args, **run_kwargs), under cProfile when --profile is given.
-
-    The dump covers the whole run, every trial included, and is written
-    even when the run fails.
-    """
-    if args.profile is None:
-        return run(*run_args, **run_kwargs)
-    import cProfile
-
-    profiler = cProfile.Profile()
-    try:
-        return profiler.runcall(run, *run_args, **run_kwargs)
-    finally:
-        profiler.dump_stats(args.profile)
-
-
 def _cmd_validate(args):
     config, _ = _load(args)
     _say(args, f"ok: {config.name} (hash {config.config_hash()[:12]})")
@@ -122,29 +106,23 @@ def _cmd_validate(args):
     return 0
 
 
-def _cmd_simulate(args):
+def _cmd_run(args):
     config, overrides = _load(args)
-    result = _profiled(args, run_experiment, config, overrides_echo=overrides)
-    for name, stats in result["summary"].items():
-        if "mean_final_cum_regret" in stats:
-            _say(
-                args,
-                f"{name}: final regret {stats['mean_final_cum_regret']:.4f}"
-                f" +/- {stats['se_final_cum_regret']:.4f}",
-            )
-        else:
-            _say(args, f"{name}: final CTR {stats['final_mean_cum_ctr']:.4f}")
-    _say(args, f"wrote {result['raw_path']}")
-    return 0
+    # picked by name at call time, so that a wrapper installed on either applies
+    run = run_replay if args.command == "replay" else run_experiment
+    if args.profile is None:
+        result = run(config, overrides_echo=overrides)
+    else:
+        import cProfile
 
-
-def _cmd_replay(args):
-    config, overrides = _load(args)
-    if config.environment["kind"] != "replay":
-        raise ConfigError("environment.kind", "the replay command needs a replay config")
-    result = _profiled(args, run_replay, config, overrides_echo=overrides)
-    for name, stats in result["summary"].items():
-        _say(args, f"{name}: final CTR {stats['final_mean_cum_ctr']:.4f}")
+        # the dump covers the whole run and is written even when it fails
+        profiler = cProfile.Profile()
+        try:
+            result = profiler.runcall(run, config, overrides_echo=overrides)
+        finally:
+            profiler.dump_stats(args.profile)
+    for name, (mean, se) in result["finals"].items():
+        _say(args, f"{name}: final mean {mean:.4f} +/- {se:.4f}")
     _say(args, f"wrote {result['raw_path']}")
     return 0
 
@@ -164,9 +142,7 @@ def _cmd_pretrain(args):
         "plug_in_dt": pre["plug_in_dt"],
     }
     path = os.path.join(args.out, "pretrain.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_json(path, doc)
     _say(args, f"wrote {path}" + (f" and {saved}" if saved else ""))
     return 0
 
@@ -220,9 +196,7 @@ def _cmd_calibrate(args):
         "metadata": band.metadata,
     }
     summary_path = os.path.join(args.out, "band.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
+    _write_json(summary_path, summary)
     _say(args, f"dhat = {band.dhat:.6g} (alpha = {band.alpha}); wrote {band_path}")
     return 0
 
@@ -234,8 +208,9 @@ def _cmd_sweep(args):
         raise ConfigError("--param", "must be of the form key=[v1,v2,...]")
     try:
         values = json.loads(raw_values)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("--param", f"values are not valid JSON: {exc}")
+    except ValueError as exc:
+        # malformed JSON, or an integer past Python's digit limit
+        raise ConfigError("--param", f"cannot parse values: {exc}")
     if not isinstance(values, list):
         raise ConfigError("--param", "values must be a JSON list")
     result = run_sweep(config, key, values, args.out, overrides_echo=overrides)
@@ -243,15 +218,15 @@ def _cmd_sweep(args):
         _say(
             args,
             f"{row['param']}={row['value']} {row['agent']}: "
-            f"final regret {row['mean_final_regret']:.4f}",
+            f"final mean {row['mean_final_regret']:.4f} +/- {row['se_final_regret']:.4f}",
         )
     _say(args, f"wrote {result['table_path']}")
     return 0
 
 
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "replay": _cmd_replay,
+    "simulate": _cmd_run,
+    "replay": _cmd_run,
     "pretrain": _cmd_pretrain,
     "calibrate": _cmd_calibrate,
     "sweep": _cmd_sweep,

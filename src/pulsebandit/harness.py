@@ -533,8 +533,9 @@ def load_config(path_or_dict, overrides=()):
                 raw = json.load(fh)
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError("", f"cannot read config: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError("", f"config is not valid JSON: {exc}")
+        except ValueError as exc:
+            # malformed JSON, or an integer past Python's digit limit
+            raise ConfigError("", f"cannot parse config {path_or_dict}: {exc}")
         base = os.path.dirname(os.path.abspath(path_or_dict))
     if isinstance(raw, dict) and raw.get("kind") == "run_metadata" and "config" in raw:
         # the embedded config is resolved: its data paths are absolute
@@ -560,6 +561,9 @@ def load_config(path_or_dict, overrides=()):
             parsed = json.loads(value)
         except json.JSONDecodeError:
             parsed = value
+        except ValueError as exc:
+            # JSON Python cannot hold, such as an integer past the digit limit
+            raise ConfigError(key, f"cannot parse override value: {exc}")
         _set_dotted(raw, key, parsed)
     return ExperimentConfig(raw)
 
@@ -1038,7 +1042,8 @@ def _se(values):
 
 def _write_aggregate_csv(path, agents, keys):
     """Per (agent, t) mean and standard error over the trial axis of each
-    (trials, T) column.  Returns each agent's final {column: (mean, se)}.
+    (trials, T) column.  Returns each agent's final (mean, se) of the first
+    column.
     """
     finals = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -1049,11 +1054,15 @@ def _write_aggregate_csv(path, agents, keys):
                 stats += [cols[key].mean(axis=0), _se(cols[key])]
             for i in range(len(stats[0])):
                 fh.write(f"{name},{i + 1}," + ",".join(_fmt(s[i]) for s in stats) + "\n")
-            finals[name] = {
-                key: (float(stats[2 * j][-1]), float(stats[2 * j + 1][-1]))
-                for j, key in enumerate(keys)
-            }
+            finals[name] = (float(stats[0][-1]), float(stats[1][-1]))
     return finals
+
+
+def _write_json(path, doc):
+    """Write `doc` to `path` as indented JSON with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
 def _write_metadata(out_dir, config, overrides_echo, facts, timings):
@@ -1084,9 +1093,7 @@ def _write_metadata(out_dir, config, overrides_echo, facts, timings):
         },
     }
     path = os.path.join(out_dir, "metadata.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(metadata, fh, indent=1)
-        fh.write("\n")
+    _write_json(path, metadata)
     return path
 
 
@@ -1108,12 +1115,74 @@ def _save_imputer(imputer, out_dir):
     return path
 
 
-def _output_dir(config, out_dir):
+# -- the run driver -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _FileSpec:
+    """A command's outputs for the run driver: the raw CSV's name and
+    (header, column) pairs, the aggregate CSV's name and columns (the first
+    is the headline), the summary's names for the headline's final (mean,
+    se) (one name keeps the mean alone) and the command's result entries."""
+
+    raw: tuple
+    aggregate: tuple
+    summary_keys: tuple
+    extra: dict
+
+
+def _run(config, out_dir, overrides_echo, play):
+    """Play one command and write its raw and aggregate CSVs and metadata.
+
+    `play(config, out_dir, lap)` calls lap("pretrain") and lap("trials") as
+    those stages end, then writes its own files; it returns `_play_trials`'s
+    result, its metadata facts and its `_FileSpec`.  The result adds each
+    agent's final headline (mean, se) under "finals".
+    """
     out_dir = out_dir or config.output["dir"]
     if out_dir is None:
         raise ConfigError("output.dir", "no output directory configured")
     os.makedirs(out_dir, exist_ok=True)
-    return out_dir
+    timings, start = {}, time.perf_counter()
+
+    def lap(stage):
+        nonlocal start
+        now = time.perf_counter()
+        timings[stage], start = now - start, now
+
+    played, facts, files = play(config, out_dir, lap)
+    agents = played["agents"]
+    (raw_name, raw_columns), (agg_name, agg_keys) = files.raw, files.aggregate
+    raw_path = os.path.join(out_dir, raw_name)
+    _write_rows(raw_path, agents, raw_columns)
+    agg_path = os.path.join(out_dir, agg_name)
+    finals = _write_aggregate_csv(agg_path, agents, agg_keys)
+    headline = agg_keys[0]
+    ends = {name: cols[headline][:, -1].tolist() for name, cols in agents.items()}
+    summary = {name: dict(zip(files.summary_keys, final)) for name, final in finals.items()}
+    lap("write")
+    meta_path = _write_metadata(
+        out_dir,
+        config,
+        overrides_echo,
+        {
+            **facts,
+            "final_dt_cumsum": played["final_dt_cumsum"],
+            "final_gamma": played["final_gamma"],
+            f"final_{headline}": ends,
+            "summary": summary,
+        },
+        timings,
+    )
+    return {
+        "raw_path": raw_path,
+        "aggregate_path": agg_path,
+        "metadata_path": meta_path,
+        "summary": summary,
+        "finals": finals,
+        f"final_{headline}": ends,
+        **files.extra,
+    }
 
 
 # -- experiment -------------------------------------------------------------------
@@ -1123,40 +1192,25 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
     """Pretrain, run all trials, and write raw/aggregate/metadata files.
 
     Returns a summary dict with output paths, final mean regrets and each
-    agent's final cumulative regret per trial, in trial order.
+    agent's final cumulative regret per trial, in trial order; a replay
+    config runs `run_replay`'s protocol.
     """
-    if config.environment["kind"] == "replay":
-        return run_replay(config, out_dir=out_dir, overrides_echo=overrides_echo)
-    out_dir = _output_dir(config, out_dir)
+    play = _play_replay if config.environment["kind"] == "replay" else _play_simulate
+    return _run(config, out_dir, overrides_echo, play)
 
-    clock = time.perf_counter()
+
+def _play_simulate(config, out_dir, lap):
     pre = pretrain(config)
-    timings = {"pretrain": time.perf_counter() - clock}
-    clock = time.perf_counter()
+    lap("pretrain")
     bound = pre["feat_norm_bound"]
     imputer = pre["imputer"]
-
-    results = run_trials(config, range(config.trials), imputer, pre["plug_in_dt"], bound)
-    timings["trials"] = time.perf_counter() - clock
-    clock = time.perf_counter()
-
-    raw_path = os.path.join(out_dir, "raw_records.csv")
-    agg_path = os.path.join(out_dir, "aggregate.csv")
-    agents = results["agents"]
-    _write_rows(raw_path, agents, _RAW_COLUMNS)
-    finals = _write_aggregate_csv(agg_path, agents, ("cum_regret", "ma_reward"))
-    summary = {
-        name: {
-            "mean_final_cum_regret": final["cum_regret"][0],
-            "se_final_cum_regret": final["cum_regret"][1],
-        }
-        for name, final in finals.items()
-    }
+    played = run_trials(config, range(config.trials), imputer, pre["plug_in_dt"], bound)
+    lap("trials")
 
     cond_path = None
     if config.record_conditional_regret:
         cond_path = os.path.join(out_dir, "conditional_regret.csv")
-        _write_rows(cond_path, agents, _CONDITIONAL_COLUMNS)
+        _write_rows(cond_path, played["agents"], _CONDITIONAL_COLUMNS)
 
     imputer_path = _save_imputer(imputer, out_dir)
     imputer_sha = None
@@ -1164,44 +1218,28 @@ def run_experiment(config, out_dir=None, overrides_echo=()):
         with open(imputer_path, "rb") as fh:
             imputer_sha = hashlib.sha256(fh.read()).hexdigest()
 
-    max_abs_reward = max(results["max_abs_reward"])
-    final_cum_regret = {name: cols["cum_regret"][:, -1].tolist() for name, cols in agents.items()}
-    timings["write"] = time.perf_counter() - clock
-    meta_path = _write_metadata(
-        out_dir,
-        config,
-        overrides_echo,
-        {
-            "regret_flavor": "realized_mean_gap",
-            "gamma_scale": config.gamma_scale,
-            "feat_norm_bound": bound,
-            "feat_norm_diagnostics": pre["feat_norm_diagnostics"],
-            "plug_in_dt": pre["plug_in_dt"],
-            "plug_in_band": pre["plug_in_band"],
-            "realized_max_abs_reward": max_abs_reward,
-            "imputer": {
-                "kind": config.imputer["kind"],
-                "saved_to": "imputer.json" if imputer_path else None,
-                "sha256": imputer_sha,
-                "kernel_fallbacks": None if imputer is None else sum(results["kernel_fallbacks"]),
-            },
-            "final_dt_cumsum": results["final_dt_cumsum"],
-            "final_gamma": results["final_gamma"],
-            "final_cum_regret": final_cum_regret,
-            "summary": summary,
+    max_abs_reward = max(played["max_abs_reward"])
+    facts = {
+        "regret_flavor": "realized_mean_gap",
+        "gamma_scale": config.gamma_scale,
+        "feat_norm_bound": bound,
+        "feat_norm_diagnostics": pre["feat_norm_diagnostics"],
+        "plug_in_dt": pre["plug_in_dt"],
+        "plug_in_band": pre["plug_in_band"],
+        "realized_max_abs_reward": max_abs_reward,
+        "imputer": {
+            "kind": config.imputer["kind"],
+            "saved_to": "imputer.json" if imputer_path else None,
+            "sha256": imputer_sha,
+            "kernel_fallbacks": None if imputer is None else sum(played["kernel_fallbacks"]),
         },
-        timings,
-    )
-
-    return {
-        "raw_path": raw_path,
-        "aggregate_path": agg_path,
-        "conditional_path": cond_path,
-        "metadata_path": meta_path,
-        "summary": summary,
-        "max_abs_reward": max_abs_reward,
-        "final_cum_regret": final_cum_regret,
     }
+    return played, facts, _FileSpec(
+        raw=("raw_records.csv", _RAW_COLUMNS),
+        aggregate=("aggregate.csv", ("cum_regret", "ma_reward")),
+        summary_keys=("mean_final_cum_regret", "se_final_cum_regret"),
+        extra={"conditional_path": cond_path, "max_abs_reward": max_abs_reward},
+    )
 
 
 # -- replay -----------------------------------------------------------------------
@@ -1268,11 +1306,16 @@ def run_replay(config, out_dir=None, overrides_echo=()):
     Each agent replays the online portion on its own candidate stream,
     which serves all trials in lockstep, each trial drawing from its own
     generator, so an agent's rows do not depend on which other agents or
-    trials run.
+    trials run.  A config of another environment kind is a ConfigError.
     """
-    out_dir = _output_dir(config, out_dir)
+    if config.environment["kind"] != "replay":
+        raise ConfigError(
+            "environment.kind", f"replay needs a replay config, got {config.environment['kind']!r}"
+        )
+    return _run(config, out_dir, overrides_echo, _play_replay)
 
-    clock = time.perf_counter()
+
+def _play_replay(config, out_dir, lap):
     pre = _pretrain_replay(config)
     log = pre["log"]
     n0 = pre["n_pretrain_rows"]
@@ -1292,55 +1335,31 @@ def run_replay(config, out_dir=None, overrides_echo=()):
     max_steps = online_log.n_rows - k + 1
     horizon = max_steps if config.horizon is None else min(config.horizon, max_steps)
     views = _replay_views(config, online_log, pre["imputer"])
-    timings = {"pretrain": time.perf_counter() - clock}
-    clock = time.perf_counter()
+    lap("pretrain")
 
     seats = _seat_agents(config, list(range(config.trials)), k, lambda kind, name: views.get(kind))
-    results = _play_trials(
+    played = _play_trials(
         seats, horizon, lambda seat: _replay_steps(config, seat, online_log, k), lambda arms: {}
     )
-    timings["trials"] = time.perf_counter() - clock
-    clock = time.perf_counter()
+    lap("trials")
 
-    agents = results["agents"]
-    raw_path = os.path.join(out_dir, "raw_replay.csv")
-    _write_rows(raw_path, agents, _REPLAY_COLUMNS)
-    agg_path = os.path.join(out_dir, "aggregate_replay.csv")
-    finals = _write_aggregate_csv(agg_path, agents, ("cum_ctr",))
-    summary = {
-        name: {"final_mean_cum_ctr": final["cum_ctr"][0]} for name, final in finals.items()
-    }
-    final_cum_ctr = {name: cols["cum_ctr"][:, -1].tolist() for name, cols in agents.items()}
-    timings["write"] = time.perf_counter() - clock
-    meta_path = _write_metadata(
-        out_dir,
-        config,
-        overrides_echo,
-        {
-            "protocol": "k_candidate_replay",
-            "k": k,
-            "n_pretrain_rows": n0,
-            "n_online_rows": int(online_log.n_rows),
-            "horizon": horizon,
-            "feat_norm_bounds": {
-                seat.agent.name: seat.view.bound for seat in seats if seat.view is not None
-            },
-            "feat_norm_diagnostics": pre["feat_norm_diagnostics"],
-            "final_dt_cumsum": results["final_dt_cumsum"],
-            "final_gamma": results["final_gamma"],
-            "final_cum_ctr": final_cum_ctr,
-            "summary": summary,
+    facts = {
+        "protocol": "k_candidate_replay",
+        "k": k,
+        "n_pretrain_rows": n0,
+        "n_online_rows": int(online_log.n_rows),
+        "horizon": horizon,
+        "feat_norm_bounds": {
+            seat.agent.name: seat.view.bound for seat in seats if seat.view is not None
         },
-        timings,
-    )
-
-    return {
-        "raw_path": raw_path,
-        "aggregate_path": agg_path,
-        "metadata_path": meta_path,
-        "summary": summary,
-        "final_cum_ctr": final_cum_ctr,
+        "feat_norm_diagnostics": pre["feat_norm_diagnostics"],
     }
+    return played, facts, _FileSpec(
+        raw=("raw_replay.csv", _REPLAY_COLUMNS),
+        aggregate=("aggregate_replay.csv", ("cum_ctr",)),
+        summary_keys=("final_mean_cum_ctr",),
+        extra={},
+    )
 
 
 # -- sweeps -----------------------------------------------------------------------
@@ -1364,17 +1383,15 @@ def run_sweep(config, param_key, values, out_dir, overrides_echo=()):
         child = ExperimentConfig(child_raw)
         result = run_experiment(child, out_dir=child_dir, overrides_echo=overrides_echo)
         child_summaries.append((value, result))
-        for agent_name, stats in result["summary"].items():
+        for agent_name, (mean, se) in result["finals"].items():
             rows.append(
                 {
                     "param": param_key,
                     "value": value,
                     "agent": agent_name,
                     # replay children report CTR instead of regret
-                    "mean_final_regret": stats.get(
-                        "mean_final_cum_regret", stats.get("final_mean_cum_ctr")
-                    ),
-                    "se_final_regret": stats.get("se_final_cum_regret", 0.0),
+                    "mean_final_regret": mean,
+                    "se_final_regret": se,
                 }
             )
 

@@ -451,8 +451,10 @@ def load_imputer(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise PersistenceError(f"cannot parse imputer file: {exc}")
+    except (OSError, ValueError) as exc:
+        # ValueError covers a bad encoding, malformed JSON and an integer
+        # past Python's digit limit
+        raise PersistenceError(f"cannot parse imputer file {path}: {exc}")
     version = _require(doc, "format_version", "")
     if isinstance(version, bool) or version != FORMAT_VERSION:
         raise PersistenceError(

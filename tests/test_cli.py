@@ -218,6 +218,44 @@ def test_a_file_that_is_not_utf8_fails_with_a_message(tmp_path, capsys, read_as,
     assert names in err and "codec can't decode" in err
 
 
+@pytest.mark.parametrize(
+    "reader, status, names",
+    [
+        ("config", 1, "config field ''"),
+        ("--set", 1, "config field 'horizon'"),
+        ("imputer.path", 2, "cannot parse imputer file"),
+        ("--param", 1, "config field '--param'"),
+    ],
+)
+def test_an_integer_past_the_digit_limit_fails_naming_its_file_or_field(
+    tmp_path, capsys, reader, status, names
+):
+    # Python refuses to parse an integer of more than 4,300 digits by default
+    if not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5001:
+        pytest.skip("this Python parses a 5,001-digit integer")
+    huge = "1" + "0" * 5000
+    cfg = write_tiny(tmp_path)
+    out = ["--out", str(tmp_path / "out"), "--quiet"]
+    named = names
+    if reader == "config":
+        bad = tmp_path / "huge.json"
+        bad.write_text(open(cfg).read().replace('"horizon": 30', f'"horizon": {huge}'))
+        argv, named = ["validate-config", "--config", str(bad)], str(bad)
+    elif reader == "--set":
+        argv = ["validate-config", "--config", cfg, "--set", f"horizon={huge}"]
+    elif reader == "imputer.path":
+        bad = tmp_path / "imputer.json"
+        bad.write_text(f'{{"format_version": {huge}}}')
+        cfg = write_tiny(tmp_path, imputer={"kind": "linear_ar", "lag": 1, "path": str(bad)})
+        argv, named = ["simulate", "--config", cfg, *out], str(bad)
+    else:
+        argv = ["sweep", "--config", cfg, *out, "--param", f"gamma_scale=[{huge}]"]
+    assert main(argv) == status
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert names in err and named in err and "5001 digits" in err
+
+
 def test_profile_flag_writes_a_pstats_dump(tmp_path):
     import pstats
 

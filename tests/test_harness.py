@@ -12,6 +12,7 @@ from pulsebandit import (
     pretrain,
     run_experiment,
     run_replay,
+    run_sweep,
     run_trial,
     run_trials,
 )
@@ -330,6 +331,28 @@ def test_replay_horizon_capped_by_pool(tmp_path):
     assert meta["run"]["n_pretrain_rows"] == 240
 
 
+def test_run_replay_refuses_a_config_of_another_kind(tmp_path):
+    out = tmp_path / "never"
+    with pytest.raises(ConfigError) as err:
+        run_replay(ExperimentConfig(tiny_raw()), out_dir=str(out))
+    assert err.value.field == "environment.kind"
+    assert not out.exists()
+
+
+def test_the_replay_sweep_reports_each_childs_final_standard_error(tmp_path):
+    cfg = ExperimentConfig(replay_raw(tmp_path, horizon=30, trials=3))
+    result = run_sweep(cfg, "environment.k", [5, 10], str(tmp_path / "sweep"))
+    with open(result["table_path"]) as fh:
+        table = [line.strip().split(",") for line in fh][1:]
+    assert len(table) == 2 * len(cfg.agents)
+    for _, value, agent, _, se in table:
+        with open(tmp_path / "sweep" / f"k={value}" / "aggregate_replay.csv") as fh:
+            final = [line.strip().split(",") for line in fh if line.startswith(agent + ",")][-1]
+        # agent, t, mean_cum_ctr, se_cum_ctr: the sweep's se is the child's, as printed
+        assert se == final[3]
+    assert any(float(row[4]) > 0.0 for row in table)
+
+
 def test_synthetic_config_rejects_missing_path_for_replay():
     raw = replay_raw(None)
     del raw["environment"]["path"]
@@ -625,9 +648,34 @@ def test_metadata_records_stage_timings_and_versions(tmp_path):
         ExperimentConfig(replay_raw(tmp_path, horizon=10, trials=1)),
         out_dir=str(tmp_path / "rep"),
     )
-    for result in (simulated, replayed):
+    # every key each command reports, so that a dropped or renamed one fails
+    shared_run = {
+        "config_sha256", "package_version", "feat_norm_diagnostics", "final_dt_cumsum",
+        "final_gamma", "summary", "overrides", "timestamp_utc", "timings_s", "peak_rss_mib",
+        "versions",
+    }
+    run_keys = {
+        "simulate": shared_run | {
+            "regret_flavor", "gamma_scale", "feat_norm_bound", "plug_in_dt", "plug_in_band",
+            "realized_max_abs_reward", "imputer", "final_cum_regret",
+        },
+        "replay": shared_run | {
+            "protocol", "k", "n_pretrain_rows", "n_online_rows", "horizon", "feat_norm_bounds",
+            "final_cum_ctr",
+        },
+    }
+    shared_result = {"raw_path", "aggregate_path", "metadata_path", "summary", "finals"}
+    result_keys = {
+        "simulate": shared_result | {"conditional_path", "max_abs_reward", "final_cum_regret"},
+        "replay": shared_result | {"final_cum_ctr"},
+    }
+    for command, result in (("simulate", simulated), ("replay", replayed)):
+        assert set(result) == result_keys[command]
         with open(result["metadata_path"]) as fh:
             meta = json.load(fh)
+        assert set(meta["run"]) == run_keys[command]
+        headline = result["final_cum_regret" if command == "simulate" else "final_cum_ctr"]
+        assert set(result["finals"]) == set(headline) == set(meta["run"]["summary"])
         timings = meta["run"]["timings_s"]
         assert set(timings) == {"pretrain", "trials", "write"}
         assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
