@@ -347,8 +347,8 @@ def estimate_dt_band(
         target = fit_target(
             HistoricalDataset(s_flat[i1][:, None, :], w_flat[i1][:, None, :])
         )
-        target_centers = np.stack([target.conditional_mean(g[None, :]) for g in grid])
-        cross = np.abs(centers - target_centers)
+        # each grid point is a lane of one step
+        cross = np.abs(centers - target.conditional_means(grid[None])[0][0])
         target_desc = target.kind
 
     dhat = float((half_widths + cross).max())

@@ -82,7 +82,6 @@ from .imputation import expected_feature_matrix  # unused: see arm_feature_matri
 from .imputation import (
     HistoricalDataset,
     ImputerKind,
-    _conditional_means,
     fit_kernel,
     fit_linear_ar,
     load_imputer,
@@ -118,7 +117,8 @@ _REQUIRED = object()  # default of a field that must be given
 
 
 def _as_int(v, field_name, minimum=None):
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or int(v) != v:
+    # v % 1 is nan for inf and nan, which int() cannot convert
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or v % 1 != 0:
         raise ConfigError(field_name, f"must be an integer, got {v!r}")
     v = int(v)
     if minimum is not None and v < minimum:
@@ -129,7 +129,10 @@ def _as_int(v, field_name, minimum=None):
 def _as_float(v, field_name, positive=False, nonnegative=False):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(field_name, f"must be a number, got {v!r}")
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:  # an int past the float range
+        raise ConfigError(field_name, f"must be finite, got {v!r:.80}") from None
     if not math.isfinite(v):
         raise ConfigError(field_name, f"must be finite, got {v!r}")
     if positive and v <= 0:
@@ -917,7 +920,7 @@ def run_trials(config, trial_indices, fitted_imputer, plug_in_dt, feat_norm_boun
     kinds = {AgentKind(spec["kind"]) for spec in config.agents}
     truth_sd = np.full(env.d_w, float(rollout.cond_sd_w))
     w_blocks = {}
-    fallbacks = [0] * trials
+    fallbacks = np.zeros((horizon, trials), dtype=bool)
     if AgentKind.OFUL_FULL in kinds:
         w_blocks[AgentKind.OFUL_FULL] = (rollout.full_context[..., env.d_s :], None)
     if AgentKind.OFUL_OBSERVED in kinds:
@@ -927,11 +930,7 @@ def run_trials(config, trial_indices, fitted_imputer, plug_in_dt, feat_norm_boun
         if config.imputer["kind"] == ImputerKind.ORACLE:
             w_blocks[AgentKind.PULSE_UCB] = (rollout.cond_mean_w, truth_sd)
         else:
-            means = np.empty_like(rollout.cond_mean_w)
-            for lane in range(trials):
-                before = fitted_imputer.fallback_count
-                means[:, lane] = _conditional_means(fitted_imputer, rollout.observed[:, lane])
-                fallbacks[lane] = fitted_imputer.fallback_count - before
+            means, fallbacks = fitted_imputer.conditional_means(rollout.observed)
             w_blocks[AgentKind.PULSE_UCB] = (means, fitted_imputer.conditional_sd())
     features = {}
     for kind, (w, _) in w_blocks.items():
@@ -982,7 +981,7 @@ def run_trials(config, trial_indices, fitted_imputer, plug_in_dt, feat_norm_boun
 
     results = _play_trials(seats, horizon, steps_for, regret_columns)
     results["max_abs_reward"] = np.abs(potential).max(axis=(0, 2)).tolist()
-    results["kernel_fallbacks"] = fallbacks
+    results["kernel_fallbacks"] = fallbacks.sum(axis=0).tolist()
     return results
 
 
@@ -1264,7 +1263,7 @@ def _replay_views(config, log, imputer):
     if AgentKind.PULSE_UCB in kinds:
         if imputer is None:
             raise ConfigError("imputer.kind", "pulse_ucb replay needs a fitted imputer")
-        mus = _conditional_means(imputer, log.observed)
+        mus, _ = imputer.conditional_means(log.observed)
         tables[AgentKind.PULSE_UCB] = np.concatenate([log.observed, mus], axis=1)
     # the log's rewards need no check here: a ReplayLog holds binary ones
     for kind, table in tables.items():

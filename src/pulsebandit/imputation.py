@@ -17,13 +17,15 @@ Two estimators can be fit from historical full-context trajectories:
   exactly (m+1) * d_S * d_W entries; the intercept is kept separately.
 * Kernel: Nadaraya-Watson regression with the box kernel
   K(u) = 1{||u||_inf <= 1/2}; an empty window falls back to the global
-  training mean and increments a fallback counter.
+  training mean.
 
 Both store a residual standard deviation, the scale of their Gaussian
 model of W around the conditional mean.  The Null imputer imputes W = 0.
-Every imputer can be saved and loaded.  The "oracle" config kind builds
-no imputer: the harness reads the true conditional law of W from each
-trial's rollout.
+Every imputer answers one query, `conditional_means`, over a (T, ..., d_S)
+block of observed streams, with the mask of the kernel queries that fell
+back; `conditional_mean` is its one-history form.  Every imputer can be
+saved and loaded.  The "oracle" config kind builds no imputer: the
+harness reads the true conditional law of W from each trial's rollout.
 """
 
 import json
@@ -118,8 +120,6 @@ class Imputer:
     d_s: int
     d_w: int
     params: dict = field(default_factory=dict)
-    # diagnostics: number of kernel queries that fell back to the global mean
-    fallback_count: int = 0
 
     def __post_init__(self):
         if self.kind not in ImputerKind.MODELS:
@@ -127,19 +127,40 @@ class Imputer:
 
     # -- conditional law ---------------------------------------------------
 
+    def conditional_means(self, observed):
+        """Model conditional means of W over a (T, ..., d_S) observed block,
+        each lane's step-t mean from that lane's own rows up to t.
+
+        Returns the (T, ..., d_W) means and the (T, ...) mask of the kernel
+        queries that fell back to the global training mean.
+        """
+        block = _as_block(observed, self.d_s)
+        lanes, p = block.shape[:-1], self.params
+        if self.kind == ImputerKind.NULL:
+            return np.zeros(lanes + (self.d_w,)), np.zeros(lanes, dtype=bool)
+        if self.kind == ImputerKind.KERNEL:
+            means, fell_back = _box_kernel_means(p, block.reshape(-1, self.d_s))
+            return means.reshape(lanes + (self.d_w,)), fell_back.reshape(lanes)
+        # one product over the zero-padded lag rows: (..., 1, p) @ (p, d_W)
+        # runs the one-row matmul per step and lane, so each mean is the
+        # one-row query's bit for bit
+        lags = np.zeros(lanes + ((p["lag"] + 1) * self.d_s,))
+        for j in range(min(p["lag"] + 1, len(block))):
+            lags[j:, ..., j * self.d_s : (j + 1) * self.d_s] = block[: len(block) - j]
+        means = p["intercept"] + (lags[..., None, :] @ p["coef"])[..., 0, :]
+        return means, np.zeros(lanes, dtype=bool)
+
     def conditional_mean(self, observed_history):
-        """Model conditional mean of W_t given the observed history.
+        """Model conditional mean of W_t given one observed history.
 
         `observed_history` is a (t, d_S) array (or a single (d_S,) row);
-        the last row is S_t.
+        the last row is S_t.  This is the last row of conditional_means
+        over the rows the model reads: the last lag + 1 of a linear-AR
+        model, the last one otherwise.
         """
         hist = _as_history(observed_history, self.d_s)
-        if self.kind == ImputerKind.NULL:
-            return np.zeros(self.d_w)
-        if self.kind == ImputerKind.LINEAR_AR:
-            stacked = _lag_stack(hist, self.params["lag"], self.d_s)
-            return self.params["intercept"] + stacked @ self.params["coef"]
-        return self._kernel_predict(hist[-1])
+        memory = self.params["lag"] + 1 if self.kind == ImputerKind.LINEAR_AR else 1
+        return self.conditional_means(hist[-memory:])[0][-1]
 
     def conditional_sd(self):
         """Per-coordinate scale of the model law."""
@@ -147,41 +168,50 @@ class Imputer:
             return np.zeros(self.d_w)
         return np.asarray(self.params["noise_sd"], dtype=float)
 
-    # -- internals ---------------------------------------------------------
 
-    def _kernel_predict(self, s_t):
-        train_s = self.params["train_s"]
-        train_w = self.params["train_w"]
-        h = self.params["bandwidth"]
-        inside = (np.abs(train_s - s_t[None, :]) <= 0.5 * h).all(axis=1)
-        count = int(inside.sum())
-        if count == 0:
-            self.fallback_count += 1
-            return self.params["global_mean"].copy()
-        return train_w[inside].mean(axis=0)
+def _as_block(observed, d_s):
+    block = np.asarray(observed, dtype=float)
+    if block.ndim < 2 or block.shape[-1] != d_s or block.shape[0] < 1:
+        raise InputError(
+            f"observed block must have shape (T, ..., {d_s}) with T >= 1, got {block.shape}"
+        )
+    if not np.all(np.isfinite(block)):
+        raise InputError("observed history contains non-finite entries")
+    return block
 
 
 def _as_history(observed_history, d_s):
     hist = np.asarray(observed_history, dtype=float)
-    if hist.ndim == 1:
-        hist = hist[None, :]
-    if hist.ndim != 2 or hist.shape[1] != d_s or hist.shape[0] < 1:
-        raise InputError(
-            f"observed history must have shape (t, {d_s}) with t >= 1, got {hist.shape}"
-        )
-    if not np.all(np.isfinite(hist)):
-        raise InputError("observed history contains non-finite entries")
-    return hist
+    hist = hist[None, :] if hist.ndim == 1 else hist
+    if hist.ndim != 2:
+        raise InputError(f"observed history must be one (t, {d_s}) stream, got {hist.shape}")
+    return _as_block(hist, d_s)
 
 
-def _lag_stack(hist, lag, d_s):
-    """Row (S_t, S_{t-1}, ..., S_{t-lag}) with zero padding before t = 1."""
-    t = hist.shape[0]
-    out = np.zeros((lag + 1) * d_s)
-    for j in range(lag + 1):
-        if t - 1 - j >= 0:
-            out[j * d_s : (j + 1) * d_s] = hist[t - 1 - j]
-    return out
+def _box_kernel_means(params, queries):
+    """A kernel model's means at each (n, d_S) query row, and the (n,) mask
+    of the rows whose box held no training point and fell back to the
+    global mean.  Each mean is a full scan's bit for bit, over the points
+    in training order, but only a window is tested: a binary search on the
+    coordinate with the most distinct values, padded by a few ulps so that
+    it holds every point |s - q| <= h/2 accepts however q -+ h/2 round.
+    """
+    train_s, train_w, half = params["train_s"], params["train_w"], 0.5 * params["bandwidth"]
+    col = max(range(train_s.shape[1]), key=lambda c: np.unique(train_s[:, c]).size)
+    order = np.argsort(train_s[:, col])
+    sorted_s = train_s[order]
+    q = queries[:, col]
+    pad = 4.0 * np.spacing(np.abs(q) + half)
+    lo = np.searchsorted(sorted_s[:, col], q - half - pad, "left")
+    hi = np.searchsorted(sorted_s[:, col], q + half + pad, "right")
+    means = np.empty((len(queries), train_w.shape[1]))
+    fell_back = np.zeros(len(queries), dtype=bool)
+    for i, query in enumerate(queries):
+        test = (np.abs(sorted_s[lo[i] : hi[i]] - query) <= half).all(axis=1)
+        inside = np.sort(order[lo[i] : hi[i]][test])
+        fell_back[i] = inside.size == 0
+        means[i] = params["global_mean"] if fell_back[i] else train_w[inside].mean(axis=0)
+    return means, fell_back
 
 
 # -- fitting ----------------------------------------------------------------
@@ -247,7 +277,7 @@ def fit_kernel(data, bandwidth=None, beta=1.0):
     The default bandwidth follows the smoothness-rate recipe
     h = n^{-1/(2 beta + d_S)} for n training pairs.  The box kernel gives
     piecewise-constant predictions; queries with no training point within
-    the window fall back to the global mean (counted in fallback_count).
+    the window fall back to the global mean.
     """
     if beta <= 0 or beta > 1:
         raise ParameterError(f"beta must lie in (0, 1], got {beta}")
@@ -259,37 +289,20 @@ def fit_kernel(data, bandwidth=None, beta=1.0):
     if not math.isfinite(bandwidth) or bandwidth <= 0:
         raise ParameterError(f"bandwidth must be positive, got {bandwidth!r}")
 
-    global_mean = w_flat.mean(axis=0)
+    params = {
+        "bandwidth": bandwidth,
+        "beta": float(beta),
+        "train_s": s_flat.copy(),
+        "train_w": w_flat.copy(),
+        "global_mean": w_flat.mean(axis=0),
+    }
     # in-sample residual scale on a capped, evenly spaced subset; each
     # window contains its own point, so the estimate is slightly optimistic
     # but stable
-    m = min(n, 1000)
-    idx = np.linspace(0, n - 1, m).astype(int)
-    fits = np.empty((m, data.d_w))
-    for lo in range(0, m, 200):
-        hi = min(lo + 200, m)
-        inside = (
-            np.abs(s_flat[idx[lo:hi], None, :] - s_flat[None, :, :])
-            <= 0.5 * bandwidth
-        ).all(axis=2)
-        counts = np.maximum(inside.sum(axis=1), 1)
-        fits[lo:hi] = (inside @ w_flat) / counts[:, None]
-    resid = w_flat[idx] - fits
-    noise_sd = np.sqrt((resid * resid).mean(axis=0))
-
-    return Imputer(
-        kind=ImputerKind.KERNEL,
-        d_s=data.d_s,
-        d_w=data.d_w,
-        params={
-            "bandwidth": bandwidth,
-            "beta": float(beta),
-            "train_s": s_flat.copy(),
-            "train_w": w_flat.copy(),
-            "global_mean": global_mean,
-            "noise_sd": noise_sd,
-        },
-    )
+    idx = np.linspace(0, n - 1, min(n, 1000)).astype(int)
+    resid = w_flat[idx] - _box_kernel_means(params, s_flat[idx])[0]
+    params["noise_sd"] = np.sqrt((resid * resid).mean(axis=0))
+    return Imputer(kind=ImputerKind.KERNEL, d_s=data.d_s, d_w=data.d_w, params=params)
 
 
 def null_imputer(d_s, d_w):
@@ -318,26 +331,6 @@ def expected_feature_matrix(imputer, feature_map, observed_history):
     hist = _as_history(observed_history, imputer.d_s)
     context = np.concatenate([hist[-1], imputer.conditional_mean(hist)])
     return phi_batch(feature_map, context[None, :])[0]
-
-
-def _conditional_means(imputer, observed):
-    """(T, d_W) model conditional means of W over a (T, d_S) observed
-    stream, each step's from the rows up to it.  A linear-AR model takes
-    them as one stacked product over the zero-padded lag rows: `(T, 1, p)
-    @ (p, d_W)` runs the one-row query's matmul per step, so each row is
-    that query's bit for bit.  Other models make one conditional_mean query
-    per step on its last row.
-    """
-    if imputer.kind != ImputerKind.LINEAR_AR:
-        return np.stack(
-            [imputer.conditional_mean(observed[i : i + 1]) for i in range(observed.shape[0])]
-        )
-    hist = _as_history(observed, imputer.d_s)
-    n_steps, d_s = hist.shape
-    lags = np.zeros((n_steps, (imputer.params["lag"] + 1) * d_s))
-    for j in range(min(imputer.params["lag"] + 1, n_steps)):
-        lags[j:, j * d_s : (j + 1) * d_s] = hist[: n_steps - j]
-    return imputer.params["intercept"] + (lags[:, None, :] @ imputer.params["coef"])[:, 0, :]
 
 
 # -- persistence --------------------------------------------------------------

@@ -256,6 +256,34 @@ def test_an_integer_past_the_digit_limit_fails_naming_its_file_or_field(
     assert names in err and named in err and "5001 digits" in err
 
 
+@pytest.mark.parametrize("given_in", ["--set", "config", "list"])
+@pytest.mark.parametrize(
+    "key, value",
+    [("horizon", "1e400"), ("trials", "Infinity"), ("horizon", "NaN"), ("gamma_scale", "1" + "0" * 400)],
+    ids=["horizon=1e400", "trials=Infinity", "horizon=NaN", "gamma_scale=10^400"],
+)
+def test_a_non_finite_or_oversized_number_fails_naming_its_field(
+    tmp_path, capsys, key, value, given_in
+):
+    # JSON reads 1e400 as inf; 10^400 is an int that no float holds
+    cfg = write_tiny(tmp_path)
+    if given_in == "--set":
+        argv = ["validate-config", "--config", cfg, "--set", f"{key}={value}"]
+    else:
+        raw = json.loads(open(cfg).read())
+        if given_in == "config":
+            raw[key] = "VALUE"
+        else:
+            key = "environment.arma"
+            raw["environment"]["arma"] = [0.75, "VALUE", 0.65, 0.35]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw).replace('"VALUE"', value))
+        argv = ["validate-config", "--config", str(bad)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field '{key}': must be")
+
+
 def test_profile_flag_writes_a_pstats_dump(tmp_path):
     import pstats
 

@@ -15,6 +15,7 @@ from pulsebandit import (
     run_sweep,
     run_trial,
     run_trials,
+    substream,
 )
 
 
@@ -382,11 +383,14 @@ def test_kernel_fallbacks_sum_per_trial_counts(tmp_path):
                                        "schedule.feat_norm_bound=2.0"))
     res = run_experiment(cfg, out_dir=str(tmp_path / "run"))
     meta = json.loads(open(res["metadata_path"]).read())
-    # pretraining queries no imputer, so the count is the trials' own
     imputer, plug_in_dt, bound = fitted(cfg)
-    assert imputer.fallback_count == 0
     trial_counts = [run_trial(cfg, tr, imputer, plug_in_dt, bound)["kernel_fallbacks"][0]
                     for tr in range(2)]
+    # each trial's count is its lane's column of the block query's mask
+    rngs = [substream(cfg.base_seed, "trial", tr, "env") for tr in range(2)]
+    rollout = cfg.make_env().rollout_lanes(rngs, cfg.horizon)
+    _, fell_back = imputer.conditional_means(rollout.observed)
+    assert fell_back.sum(axis=0).tolist() == trial_counts
     assert meta["run"]["imputer"]["kernel_fallbacks"] == sum(trial_counts)
     assert meta["run"]["imputer"]["kernel_fallbacks"] == 206
 

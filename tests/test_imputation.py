@@ -39,6 +39,43 @@ def make_linear_dataset(rng, n, t0, coef, intercept, noise_sd=0.0):
     return HistoricalDataset(s=s, w=w)
 
 
+def reference_lag_stack_mean(imp, hist):
+    """The one-row linear-AR query: the zero-padded lag row (S_t, ...,
+    S_{t-lag}) of a (t, d_S) history times the coefficients."""
+    lag, d_s, t = imp.params["lag"], imp.d_s, hist.shape[0]
+    row = np.zeros((lag + 1) * d_s)
+    for j in range(lag + 1):
+        if t - 1 - j >= 0:
+            row[j * d_s : (j + 1) * d_s] = hist[t - 1 - j]
+    return imp.params["intercept"] + row @ imp.params["coef"]
+
+
+def reference_box_kernel_mean(imp, s_t):
+    """The full-scan box kernel at one row: (mean, fell back)."""
+    p = imp.params
+    inside = (np.abs(p["train_s"] - s_t[None, :]) <= 0.5 * p["bandwidth"]).all(axis=1)
+    if not inside.any():
+        return p["global_mean"].copy(), True
+    return p["train_w"][inside].mean(axis=0), False
+
+
+def reference_means(imp, observed):
+    """conditional_means of a (T, ..., d_S) block, one row at a time."""
+    means = np.empty(observed.shape[:-1] + (imp.d_w,))
+    fell_back = np.zeros(observed.shape[:-1], dtype=bool)
+    for lane in np.ndindex(observed.shape[1:-1]):
+        stream = observed[(slice(None),) + lane]
+        for t in range(stream.shape[0]):
+            at = (t,) + lane
+            if imp.kind == ImputerKind.NULL:
+                means[at] = 0.0
+            elif imp.kind == ImputerKind.LINEAR_AR:
+                means[at] = reference_lag_stack_mean(imp, stream[: t + 1])
+            else:
+                means[at], fell_back[at] = reference_box_kernel_mean(imp, stream[t])
+    return means, fell_back
+
+
 def test_linear_ar_exact_recovery_noiseless():
     rng = substream(101, "fit")
     data = make_linear_dataset(rng, 40, 30, coef=(0.8, -0.3), intercept=0.25)
@@ -127,10 +164,12 @@ def test_kernel_box_average_hand_example():
     w = np.array([[[1.0]], [[3.0]], [[10.0]]])
     imp = fit_kernel(HistoricalDataset(s=s, w=w), bandwidth=0.2)
     assert imp.conditional_mean(np.array([[0.025]]))[0] == pytest.approx(2.0)
-    # query far from all points: global-mean fallback
+    # query far from all points: global-mean fallback, flagged in the mask
     far = imp.conditional_mean(np.array([[50.0]]))
     assert far[0] == pytest.approx((1.0 + 3.0 + 10.0) / 3.0)
-    assert imp.fallback_count == 1
+    means, fell_back = imp.conditional_means(np.array([[[0.025], [50.0]]]))
+    assert means[0, :, 0].tolist() == [2.0, far[0]]
+    assert fell_back.tolist() == [[False, True]]
 
 
 def test_kernel_default_bandwidth_rate():
@@ -166,6 +205,11 @@ def test_history_shape_validation():
         imp.conditional_mean(np.zeros((4, 3)))  # wrong d_S
     with pytest.raises(InputError):
         imp.conditional_mean(np.zeros((0, 2)))  # empty history
+    with pytest.raises(InputError):
+        imp.conditional_mean(np.zeros((4, 3, 2)))  # a block is not one history
+    for block in (np.zeros(2), np.zeros((4, 3, 3)), np.zeros((0, 3, 2))):
+        with pytest.raises(InputError, match="observed block"):
+            imp.conditional_means(block)
 
 
 def test_dataset_validation():
@@ -317,14 +361,23 @@ def test_expected_feature_matrix_shape():
     np.testing.assert_allclose(mat[1], [1.0, 0.3, 0.0, 0.3])
 
 
-def test_expected_feature_matrix_makes_one_query_per_decision():
+def test_expected_feature_matrix_makes_one_query_per_decision(monkeypatch):
     s = np.array([[[0.0]], [[0.05]], [[1.0]]])
     w = np.array([[[1.0]], [[3.0]], [[10.0]]])
     imp = fit_kernel(HistoricalDataset(s=s, w=w), bandwidth=0.2)
     fmap = synthetic_interaction_map()
     far = np.array([[50.0]])
+    masks = []
+    query = Imputer.conditional_means
+
+    def recorded(self, observed):
+        means, fell_back = query(self, observed)
+        masks.append(fell_back.tolist())
+        return means, fell_back
+
+    monkeypatch.setattr(Imputer, "conditional_means", recorded)
     mat = expected_feature_matrix(imp, fmap, far)
-    assert imp.fallback_count == 1  # one query, not one per arm
+    assert masks == [[True]]  # one query, not one per arm, and it fell back
     fallback = fmap.assemble_context(far[-1], imp.params["global_mean"])
     for a in range(2):
         assert mat[a].tobytes() == phi(fmap, fallback, a).tobytes()
@@ -334,13 +387,12 @@ def test_expected_feature_matrix_makes_one_query_per_decision():
 def test_feature_block_matches_one_step_matrices(kind):
     # the trial build's pulse block, Phi at [observed | the stream's means],
     # equals T one-step calls over the lag windows
-    from pulsebandit.imputation import _conditional_means
     rng = np.random.default_rng(5)
     data = make_linear_dataset(rng, 30, 12, coef=[0.6, -0.3], intercept=0.2, noise_sd=0.1)
     imp = fit_linear_ar(data, lag=2) if kind == "linear_ar" else fit_kernel(data)
     fmap = synthetic_interaction_map()
     observed = rng.standard_normal((25, 1))
-    w_block = _conditional_means(imp, observed)
+    w_block, _ = imp.conditional_means(observed)
     block = phi_batch(fmap, np.concatenate([observed, w_block], axis=1))
     for i in range(25):
         one = expected_feature_matrix(imp, fmap, observed[max(0, i - 2) : i + 1])
@@ -353,17 +405,78 @@ def test_feature_block_matches_one_step_matrices(kind):
     [(200, 2, 1, 1), (500, 3, 2, 3), (300, 0, 3, 2), (1000, 4, 1, 2), (2, 4, 1, 1), (3, 2, 2, 1)],
 )
 def test_linear_ar_stream_means_are_the_one_row_queries(steps, lag, d_s, d_w):
-    # the stacked product equals each step's own query bit for bit
-    from pulsebandit.imputation import _conditional_means
-
+    # the stacked product equals each step's zero-padded lag row bit for bit
     rng = substream(44, "ar-stream", steps, lag)
     data = HistoricalDataset(s=rng.normal(size=(20, 30, d_s)), w=rng.normal(size=(20, 30, d_w)))
     imp = fit_linear_ar(data, lag)
     observed = rng.normal(0.0, 3.0, (steps, d_s))
-    means = _conditional_means(imp, observed)
-    assert means.shape == (steps, d_w)
+    means, fell_back = imp.conditional_means(observed)
+    assert means.shape == (steps, d_w) and not fell_back.any()
     for i in range(steps):
-        assert means[i].tobytes() == imp.conditional_mean(observed[max(0, i - lag) : i + 1]).tobytes()
+        assert means[i].tobytes() == reference_lag_stack_mean(imp, observed[: i + 1]).tobytes()
+        one = imp.conditional_mean(observed[max(0, i - lag) : i + 1])
+        assert one.tobytes() == means[i].tobytes()
     observed[steps // 2, 0] = np.nan
     with pytest.raises(InputError, match="non-finite"):
-        _conditional_means(imp, observed)
+        imp.conditional_means(observed)
+
+
+@pytest.mark.parametrize("lanes", [(), (3,)], ids=["stream", "lanes"])
+@pytest.mark.parametrize("d_s", [1, 3])
+@pytest.mark.parametrize(
+    "kind, lag", [("linear_ar", lag) for lag in range(5)] + [("kernel", 0), ("null", 0)]
+)
+def test_block_query_is_the_one_row_reference(kind, lag, d_s, lanes):
+    # every step of every lane, bit for bit, with the same fallbacks; the
+    # streams of 1 and 3 steps are shorter than lags 2-4
+    rng = np.random.default_rng([lag, d_s, len(lanes), ImputerKind.MODELS.index(kind)])
+    data = HistoricalDataset(s=rng.normal(size=(20, 30, d_s)), w=rng.normal(size=(20, 30, 2)))
+    imp = {
+        "linear_ar": lambda: fit_linear_ar(data, lag),
+        "kernel": lambda: fit_kernel(data, bandwidth=0.1 * d_s**2),
+        "null": lambda: null_imputer(d_s, 2),
+    }[kind]()
+    fallbacks = []
+    for steps in (1, 3, 40):
+        observed = rng.normal(0.0, 2.5, (steps,) + lanes + (d_s,))
+        means, fell_back = imp.conditional_means(observed)
+        expected, expected_fell_back = reference_means(imp, observed)
+        assert means.shape == expected.shape and fell_back.shape == expected_fell_back.shape
+        assert means.tobytes() == expected.tobytes()
+        assert (fell_back == expected_fell_back).all()
+        fallbacks.extend(fell_back.ravel().tolist())
+    if kind == "kernel":  # both branches of the kernel ran
+        assert any(fallbacks) and not all(fallbacks)
+
+
+def test_box_kernel_window_holds_every_point_of_the_exact_test():
+    # h = 2^28 puts the box faces near +-1.34e8, where q - h/2 rounds and
+    # s - q does not: an unpadded window [q - h/2, q + h/2] misses a point
+    # the exact test |s - q| <= h/2 accepts, one below it at q = 0.7 and
+    # one above it at q = -0.7.  q = 1 has its faces exactly on points.
+    h = 2.0**28
+    half = 0.5 * h
+    below = np.nextafter(0.7 - half, -np.inf)
+    above = np.nextafter(-0.7 + half, np.inf)
+    assert below < 0.7 - half and abs(below - 0.7) <= half
+    assert above > -0.7 + half and abs(above + 0.7) <= half
+    faces = [1.0 - half, 1.0 + half]
+    planted = [below, np.nextafter(below, -np.inf), above, np.nextafter(above, np.inf)]
+    planted += faces + [np.nextafter(faces[0], -np.inf), np.nextafter(faces[1], np.inf)]
+    s = np.array(planted + [0.0, 0.7, -0.7, 1.0])
+    # a second coordinate with fewer distinct values: the window is cut on
+    # the first, and one point inside it fails the test on the second
+    second = np.zeros_like(s)
+    second[-1] = 1e9
+    train_s = np.stack([s, second], axis=1)
+    train_w = np.stack([np.arange(s.size) * 1.1 + 0.3, np.arange(s.size) ** 2 / 7.0], axis=1)
+    imp = fit_kernel(HistoricalDataset(train_s[:, None, :], train_w[:, None, :]), bandwidth=h)
+    # 5e8 has an empty window: its means are the global mean
+    queries = np.array([[[0.7, 0.0], [-0.7, 0.0], [1.0, 0.0], [5e8, 0.0]]])
+    means, fell_back = imp.conditional_means(queries)
+    expected, expected_fell_back = reference_means(imp, queries)
+    assert means.tobytes() == expected.tobytes()
+    assert fell_back.tolist() == expected_fell_back.tolist() == [[False, False, False, True]]
+    # an unpadded window would have left out `below` and `above`
+    in_box = (np.abs(train_s[None] - queries[0][:, None]) <= half).all(axis=2)
+    assert in_box[0, 0] and in_box[1, 2] and in_box[2, 4] and in_box[2, 5]
