@@ -73,7 +73,6 @@ from .environments import (
 from .agents import (
     AgentKind,
     AgentState,
-    DtSource,
     GammaSchedule,
     SelectionForm,
     arm_ucb_scores,
@@ -157,7 +156,6 @@ __all__ = [
     "load_replay_log",
     "generate_history",
     # agents
-    "DtSource",
     "GammaSchedule",
     "gamma_zero",
     "gamma_at",

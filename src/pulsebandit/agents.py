@@ -29,11 +29,13 @@ An agent made with `trials=n` plays n independent trials in lockstep: it
 takes (n, n_arms, dim) features per decision, returns n arms, and its
 divergence sum and radius are (n,) arrays.  A one-trial agent is the same
 code over the empty batch shape: it takes (n_arms, dim) features and
-returns one int arm, and its radius is a float.  A one-trial agent's rows
-come from its caller at every step, so they go through the checking
-one-state entry points of `linalg`; a lockstep agent's rows are slices of
-blocks checked once before the first decision (the harness's views,
-rewards and divergence charges), so its steps skip that scan.
+returns one int arm, and its radius is a float.  Each observation adds the
+step's divergence charge D_tau, which the caller gives, to the sum.  A
+one-trial agent's rows come from its caller at every step, so they go
+through the checking one-state entry points of `linalg`; a lockstep
+agent's rows are slices of blocks checked once before the first decision
+(the harness's views, rewards and divergence charges), so its steps skip
+that scan.
 """
 
 import math
@@ -53,7 +55,6 @@ from .linalg import (
 )
 
 __all__ = [
-    "DtSource",
     "GammaSchedule",
     "gamma_zero",
     "gamma_at",
@@ -72,21 +73,12 @@ __all__ = [
 DEFAULT_SIGMA_EPS = 2.0
 
 
-class DtSource(Enum):
-    ORACLE = "oracle"
-    PLUG_IN = "plug_in"
-    CONSTANT = "constant"
-    ZERO = "zero"
-
-
 @dataclass
 class GammaSchedule:
     """Confidence-radius schedule state.
 
-    dt_cumsum accumulates the per-step divergences D_tau according to
-    dt_source: ORACLE and PLUG_IN add the value supplied at observe time,
-    CONSTANT adds `constant_dt` each step, ZERO keeps the sum at 0
-    regardless of what is supplied.
+    dt_cumsum accumulates the per-step divergences D_tau that observe
+    receives.
     """
 
     lam: float
@@ -94,8 +86,6 @@ class GammaSchedule:
     delta: float
     feat_norm_bound: float
     dim: int
-    dt_source: DtSource = DtSource.ZERO
-    constant_dt: float = 0.0
     sigma_eps: float = DEFAULT_SIGMA_EPS
     scale: float = 1.0
     # an agent holds its own copy, with one sum per trial: a numpy float for
@@ -125,10 +115,6 @@ class GammaSchedule:
             )
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ConfigError("schedule.gamma_scale", f"must be positive, got {self.scale!r}")
-        if self.constant_dt < 0:
-            raise ConfigError(
-                "schedule.constant_dt", f"must be nonnegative, got {self.constant_dt!r}"
-            )
 
 
 def gamma_zero(schedule, t):
@@ -335,50 +321,41 @@ def select_arm(agent, arm_features, optimal_arm=None, rng=None):
     return arms if arms.ndim else int(arms)
 
 
-def observe(agent, chosen_features, reward, dt_value=None):
-    """Fold the observed (features, reward) pair into the agent.
+def observe(agent, chosen_features, reward, dt_value=0.0):
+    """Fold the observed (features, reward) pair into the agent and add
+    dt_value, the step's divergence charge D_tau, to its divergence sum.
 
-    dt_value feeds the divergence accumulator for ORACLE and PLUG_IN
-    schedules; CONSTANT adds its configured value and ZERO ignores
-    everything.  A one-trial agent takes a (dim,) row and a scalar reward;
-    a lockstep agent takes (trials, dim) features, (trials,) rewards and
-    one dt_value per trial or one for all.  Only a one-trial agent's
-    dt_value is checked here: a lockstep agent's values come from blocks
-    its caller checks once before the first decision.
+    A one-trial agent takes a (dim,) row, a scalar reward and one finite,
+    nonnegative dt_value, checked here before the agent changes; a lockstep
+    agent takes (trials, dim) features, (trials,) rewards and one dt_value
+    per trial or one for all, unchecked: they are slices of blocks its
+    caller checks once before the first decision.
     """
     if not agent.is_ucb:
         raise UsageError(f"{agent.kind.value} agents do not update")
-    update = stack_rank_one_update if agent.ridge.shape else rank_one_update
-    update(agent.ridge, chosen_features, reward)
-    sched = agent.schedule
-    if sched.dt_source is DtSource.ZERO:
-        return agent
-    if sched.dt_source is DtSource.CONSTANT:
-        sched.dt_cumsum = sched.dt_cumsum + sched.constant_dt
-        return agent
-    if dt_value is None:
-        raise InputError(
-            f"dt_source {sched.dt_source.value} requires a dt_value at observe time"
-        )
-    dt_value = np.asarray(dt_value, dtype=float)
-    if not agent.ridge.shape and not np.all(np.isfinite(dt_value) & (dt_value >= 0)):
-        raise InputError(f"dt_value must be finite and nonnegative, got {dt_value!r}")
-    sched.dt_cumsum = sched.dt_cumsum + dt_value
+    if agent.ridge.shape:
+        stack_rank_one_update(agent.ridge, chosen_features, reward)
+    else:
+        dt_value = np.asarray(dt_value, dtype=float)
+        if dt_value.shape or not (np.isfinite(dt_value) and dt_value >= 0):
+            raise InputError(f"dt_value must be one finite, nonnegative number, got {dt_value!r}")
+        rank_one_update(agent.ridge, chosen_features, reward)
+    agent.schedule.dt_cumsum = agent.schedule.dt_cumsum + dt_value
     return agent
 
 
 def theta_in_ball(agent, theta_true):
-    """True iff (theta_hat - theta)^T Sigma_t (theta_hat - theta) <= gamma_t,
-    for a one-trial agent."""
+    """Whether (theta_hat - theta)^T Sigma_t (theta_hat - theta) <= gamma_t:
+    a bool for a one-trial agent, one flag per trial, a (trials,) bool
+    array, for a lockstep agent."""
     if not agent.is_ucb:
         raise UsageError(f"{agent.kind.value} agents have no confidence ball")
-    if agent.ridge.shape:
-        raise UsageError("theta_in_ball takes a one-trial agent, not a lockstep one")
     theta_true = np.asarray(theta_true, dtype=float)
     if theta_true.shape != (agent.ridge.dim,):
         raise InputError(
             f"theta must have shape ({agent.ridge.dim},), got {theta_true.shape}"
         )
     diff = agent.ridge.theta_hat - theta_true
-    val = float(diff @ (agent.ridge.gram @ diff))
-    return bool(val <= current_gamma(agent))
+    val = np.einsum("...d,...de,...e->...", diff, agent.ridge.gram, diff)
+    inside = val <= current_gamma(agent)
+    return inside if inside.ndim else bool(inside)

@@ -215,11 +215,8 @@ def _cmd_sweep(args):
         raise ConfigError("--param", "values must be a JSON list")
     result = run_sweep(config, key, values, args.out, overrides_echo=overrides)
     for row in result["rows"]:
-        _say(
-            args,
-            f"{row['param']}={row['value']} {row['agent']}: "
-            f"final mean {row['mean_final_regret']:.4f} +/- {row['se_final_regret']:.4f}",
-        )
+        param, value, agent, mean, se = row.values()
+        _say(args, f"{param}={value} {agent}: final mean {mean:.4f} +/- {se:.4f}")
     _say(args, f"wrote {result['table_path']}")
     return 0
 

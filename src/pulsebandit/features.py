@@ -50,16 +50,6 @@ class FeatureMap:
     d_w: int
     params: dict = field(default_factory=dict)
 
-    def assemble_context(self, observed, w):
-        """Full context vector Y from the observed part and a W value."""
-        s = np.atleast_1d(np.asarray(observed, dtype=float))
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        if s.shape != (self.d_s,):
-            raise InputError(f"observed part must have shape ({self.d_s},), got {s.shape}")
-        if w.shape != (self.d_w,):
-            raise InputError(f"late part must have shape ({self.d_w},), got {w.shape}")
-        return np.concatenate([s, w])
-
 
 def synthetic_interaction_map():
     """Phi(Y, a) = (1, S, W, S*a) for scalar S, W and arms a in {-1, +1}."""

@@ -40,6 +40,7 @@ import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -56,7 +57,6 @@ from .agents import (
     DEFAULT_SIGMA_EPS,
     AgentKind,
     AgentState,
-    DtSource,
     GammaSchedule,
     SelectionForm,
     current_gamma,
@@ -144,6 +144,23 @@ def _as_float(v, field_name, positive=False, nonnegative=False):
 
 def _int(minimum):
     return lambda v, field_name: _as_int(v, field_name, minimum)
+
+
+# numpy's largest array dimension: a larger count could only fail in numpy
+_MAX_COUNT = int(np.iinfo(np.intp).max)
+
+
+def _count(minimum):
+    """A field that sizes arrays: an integer from `minimum` to _MAX_COUNT.
+    Seeds are plain `_int` fields, since SeedSequence takes any one."""
+
+    def parse(v, field_name):
+        v = _as_int(v, field_name, minimum)
+        if v > _MAX_COUNT:
+            raise ConfigError(field_name, f"must be <= {_MAX_COUNT}, got {v}")
+        return v
+
+    return parse
 
 
 def _float(positive=False, nonnegative=False):
@@ -265,16 +282,16 @@ _ENVIRONMENTS = {
     ),
     "lower_bound": (
         _ENV_KIND,
-        ("d_lin", _REQUIRED, _int(1)),
-        ("d_non", _REQUIRED, _int(1)),
+        ("d_lin", _REQUIRED, _count(1)),
+        ("d_non", _REQUIRED, _count(1)),
         ("bump_beta", 1.0, _float(positive=True)),
         ("bump_amplitude", 0.5, _float(positive=True)),
         ("theta_q_magnitude", None, _optional(_float(positive=True))),
-        ("scaling_horizon", 1000, _int(1)),
+        ("scaling_horizon", 1000, _count(1)),
         ("reward_sd", 0.1, _float(nonnegative=True)),
         ("w_noise_sd", 0.0, _float(nonnegative=True)),
     ),
-    "replay": (_ENV_KIND, ("path", _REQUIRED, _text), ("k", 20, _int(1))),
+    "replay": (_ENV_KIND, ("path", _REQUIRED, _text), ("k", 20, _count(1))),
 }
 
 
@@ -294,17 +311,19 @@ _SCHEDULE = (
 )
 _IMPUTER = (
     ("kind", ImputerKind.ORACLE, _choice(ImputerKind.ALL)),
-    ("lag", 0, _int(0)),
+    ("lag", 0, _count(0)),
     ("ridge_eps", 1e-10, _float(nonnegative=True)),
     ("bandwidth", None, _optional(_float(positive=True))),
     ("beta", 1.0, _float(positive=True)),
     ("path", None, _optional(_text)),
 )
+# where each step's divergence charge D_tau comes from; see _charge_block
+_DT_SOURCES = ("oracle", "plug_in", "constant", "zero")
 # a null name or dt_source takes its default after the table pass
 _AGENT = (
     ("name", None, _optional(_text)),
     ("kind", _REQUIRED, _choice(k.value for k in AgentKind)),
-    ("dt_source", None, _optional(_choice(s.value for s in DtSource))),
+    ("dt_source", None, _optional(_choice(_DT_SOURCES))),
     ("constant_dt", 0.0, _float(nonnegative=True)),
     ("selection_form", "closed_form", _choice(f.value for f in SelectionForm)),
 )
@@ -317,8 +336,8 @@ def _agents(raw, where):
 
 
 _PRETRAIN = (
-    ("n", 0, _int(0)),
-    ("t0", 0, _int(0)),
+    ("n", 0, _count(0)),
+    ("t0", 0, _count(0)),
     ("seed", None, _optional(_int(0))),  # null: base_seed
     ("fraction", 0.2, _unit_interval(")")),
 )
@@ -326,18 +345,18 @@ _PRETRAIN = (
 # band uses the estimator's default grid
 _CALIBRATION = (
     ("alpha", 0.1, _unit_interval(")")),
-    ("bootstrap_draws", 200, _int(10)),
+    ("bootstrap_draws", 200, _count(10)),
     ("split_seed", 0, _int(0)),
     ("bandwidth", None, _optional(_float(positive=True))),
-    ("grid_points", None, _optional(_int(9))),
+    ("grid_points", None, _optional(_count(9))),
 )
 # the top level, in to_dict order; every entry is an ExperimentConfig attribute
 _CONFIG = (
     ("schema_version", _REQUIRED, _schema_version),
     ("name", "experiment", _text),
     ("base_seed", 0, _int(0)),
-    ("horizon", None, _optional(_int(1))),  # null: the whole log, replay only
-    ("trials", 1, _int(1)),
+    ("horizon", None, _optional(_count(1))),  # null: the whole log, replay only
+    ("trials", 1, _count(1)),
     ("gamma_scale", 1.0, _float(positive=True)),
     ("environment", _REQUIRED, _environment),
     ("schedule", {}, _table(_SCHEDULE)),
@@ -385,7 +404,7 @@ class ExperimentConfig:
                 agent["dt_source"] = "oracle" if env_kind == "synthetic" else "zero"
             if (
                 agent["kind"] == AgentKind.PULSE_UCB.value
-                and agent["dt_source"] == DtSource.ORACLE.value
+                and agent["dt_source"] == "oracle"
                 and self.imputer["kind"] == ImputerKind.NULL
             ):
                 # a null model puts all of W's mass on 0: sd 0, so the
@@ -394,7 +413,7 @@ class ExperimentConfig:
                     f"{where}.dt_source",
                     "oracle divergence is undefined for a null imputer; use zero or constant",
                 )
-            if env_kind == "lower_bound" and agent["dt_source"] == DtSource.PLUG_IN.value:
+            if env_kind == "lower_bound" and agent["dt_source"] == "plug_in":
                 d_s = self.environment["d_lin"] + self.environment["d_non"]
                 raise ConfigError(
                     f"{where}.dt_source",
@@ -403,7 +422,7 @@ class ExperimentConfig:
                 )
             if (
                 env_kind == "synthetic"
-                and agent["dt_source"] == DtSource.PLUG_IN.value
+                and agent["dt_source"] == "plug_in"
                 and not fits_on_history
             ):
                 raise ConfigError(
@@ -417,7 +436,7 @@ class ExperimentConfig:
                 # pretraining estimates no plug-in band
                 if agent["kind"] == AgentKind.ORACLE_BEST.value:
                     raise ConfigError(f"{where}.kind", "oracle_best is undefined for replay logs")
-                if agent["dt_source"] in (DtSource.ORACLE.value, DtSource.PLUG_IN.value):
+                if agent["dt_source"] in ("oracle", "plug_in"):
                     raise ConfigError(
                         f"{where}.dt_source",
                         f"{agent['dt_source']} divergence is undefined for replay logs; "
@@ -732,11 +751,14 @@ class _View:
 @dataclass(frozen=True)
 class _Seat:
     """One configured agent in the loop: its lockstep state over all trials,
-    its view and the list of its trials' choice streams."""
+    its view, the list of its trials' choice streams and, for a UCB agent,
+    its (T, trials) block of divergence charges, the D_tau that each step
+    adds to its divergence sum (None for the kinds that do not observe)."""
 
     agent: AgentState
     view: _View
     rng: object
+    charges: np.ndarray
 
 
 def _require_finite(block, what, nonnegative=False):
@@ -748,19 +770,37 @@ def _require_finite(block, what, nonnegative=False):
         raise InputError(f"{what} contain negative entries")
 
 
-def _seat_agents(config, trials, arm_count, view_for):
+def _charge_block(spec, shape, plug_in_dt=None, oracle=None):
+    """The (T, trials) divergence charges D_tau of the UCB agent of config
+    `spec`, one per step and trial, from its dt_source: 0 for zero, its
+    constant_dt for constant, `plug_in_dt` for plug_in, and the block that
+    `oracle()` returns for oracle.  The block is checked here, once, before
+    the first decision, naming the agent."""
+    source = spec["dt_source"]
+    if source == "oracle":
+        block = oracle()
+    else:
+        value = {"zero": 0.0, "constant": spec["constant_dt"], "plug_in": plug_in_dt}[source]
+        block = np.full(shape, value, dtype=float)  # a missing plug_in_dt is nan
+    _require_finite(block, f"agent {spec['name']!r} divergence charges", nonnegative=True)
+    return block
+
+
+def _seat_agents(config, trials, arm_count, view_for, charges_for):
     """Build every configured agent, in config order, with its view, each
     to play the listed trials in lockstep.
 
-    `view_for(kind, name)` returns the agent's view, or None for the kinds
-    that decide without features (oracle_best, uniform_random).
+    `view_for(kind)` returns the agent's view, or None for the kinds that
+    decide without features (oracle_best, uniform_random), and
+    `charges_for(spec)` a UCB agent's block of divergence charges (see
+    `_charge_block`).
     """
     seats = []
     for spec in config.agents:
         name = spec["name"]
         kind = AgentKind(spec["kind"])
-        view = view_for(kind, name)
-        dim = schedule = None
+        view = view_for(kind)
+        dim = schedule = charges = None
         if view is not None:
             dim = view.features.shape[-1]
             schedule = GammaSchedule(
@@ -769,11 +809,10 @@ def _seat_agents(config, trials, arm_count, view_for):
                 delta=config.schedule["delta"],
                 feat_norm_bound=view.bound,
                 dim=dim,
-                dt_source=DtSource(spec["dt_source"]),
-                constant_dt=spec["constant_dt"],
                 sigma_eps=config.schedule["sigma_eps"],
                 scale=config.gamma_scale,
             )
+            charges = charges_for(spec)
         agent = make_agent(
             name=name,
             kind=kind,
@@ -784,7 +823,7 @@ def _seat_agents(config, trials, arm_count, view_for):
             trials=len(trials),
         )
         rngs = [substream(config.base_seed, "trial", i, "agent", name) for i in trials]
-        seats.append(_Seat(agent, view, rngs))
+        seats.append(_Seat(agent, view, rngs, charges))
     return seats
 
 
@@ -794,19 +833,19 @@ def _play(seat, horizon, steps):
 
     `steps` yields, per decision, the (trials, n_arms, dim) features of the
     seat's view (None for kinds without one), the optimal arm per trial
-    (None when unknown), `pay(arms)`, which takes the chosen arm per trial
-    and returns their rewards, and the divergence value that observe
-    receives.  Returns (arms, rewards), each (trials, horizon).
+    (None when unknown) and `pay(arms)`, which takes the chosen arm per
+    trial and returns their rewards.  Step i's row of the seat's charge
+    block goes to observe.  Returns (arms, rewards), each (trials, horizon).
     """
     shape = (seat.agent.trials, horizon)
     arms = np.empty(shape, dtype=int)
     rewards = np.empty(shape)
     lanes = np.arange(seat.agent.trials)
-    for i, (feats, optimal_arm, pay, dt_value) in zip(range(horizon), steps):
+    for i, (feats, optimal_arm, pay) in zip(range(horizon), steps):
         arm = select_arm(seat.agent, feats, optimal_arm=optimal_arm, rng=seat.rng)
         reward = pay(arm)
         if seat.view is not None:
-            observe(seat.agent, feats[lanes, arm], reward, dt_value=dt_value)
+            observe(seat.agent, feats[lanes, arm], reward, dt_value=seat.charges[i])
         arms[:, i] = arm
         rewards[:, i] = reward
     return arms, rewards
@@ -897,7 +936,8 @@ def run_trials(config, trial_indices, fitted_imputer, plug_in_dt, feat_norm_boun
     the realized W for oful_full, zeros for oful_observed and, for
     pulse_ucb, the true conditional means under the oracle imputer, else
     the fitted model's, each lane's from its own lag history.  The oracle
-    divergence charges come from the same W blocks.  Then each agent plays
+    divergence charges come from the same W blocks; a plug_in agent's
+    charge is `plug_in_dt` at every step.  Then each agent plays
     all the trials at once, one decision per step for every trial, so the
     loop's Python overhead is paid once per (agent, step), not per (trial,
     agent, step).
@@ -939,30 +979,20 @@ def run_trials(config, trial_indices, fitted_imputer, plug_in_dt, feat_norm_boun
         features[kind] = block.reshape((horizon, trials) + block.shape[1:])
         _require_finite(features[kind], f"{kind.value} view features")
 
-    # (T, trials) oracle charges of each agent on the oracle divergence
-    views = [(spec, AgentKind(spec["kind"])) for spec in config.agents]
-    charges = {
-        spec["name"]: _oracle_charges(rollout, *w_blocks[kind])
-        for spec, kind in views
-        if kind in w_blocks and spec["dt_source"] == DtSource.ORACLE.value
-    }
-    for name, block in charges.items():
-        _require_finite(block, f"agent {name!r} divergence charges", nonnegative=True)
-    if plug_in_dt is not None:
-        _require_finite(plug_in_dt, "plug_in_dt values", nonnegative=True)
-
-    def view_for(kind, name):
+    def view_for(kind):
         return _View(feat_norm_bound, features[kind]) if kind in features else None
 
-    seats = _seat_agents(config, trial_indices, env.feature_map.arm_count, view_for)
+    def charges_for(spec):
+        oracle = partial(_oracle_charges, rollout, *w_blocks[AgentKind(spec["kind"])])
+        return _charge_block(spec, (horizon, trials), plug_in_dt, oracle)
+
+    seats = _seat_agents(config, trial_indices, env.feature_map.arm_count, view_for, charges_for)
 
     def steps_for(seat):
-        # ZERO ignores the value, CONSTANT adds its own
-        dt_values = charges.get(seat.agent.name, repeat(plug_in_dt))
         feats = repeat(None) if seat.view is None else seat.view.features
         # each step pays every trial's chosen arm
         pays = ((lambda arms, step=step: step[lanes, arms]) for step in potential)
-        return zip(feats, rollout.optimal_arm, pays, dt_values)
+        return zip(feats, rollout.optimal_arm, pays)
 
     best_cond_means = rollout.cond_arm_means.max(axis=2)
 
@@ -1295,7 +1325,7 @@ def _replay_steps(config, seat, log, k):
     table = None if seat.view is None else seat.view.features
     while True:
         candidates, reveal = stream.step(k)
-        yield None if table is None else table[candidates], None, reveal, None
+        yield None if table is None else table[candidates], None, reveal
 
 
 def run_replay(config, out_dir=None, overrides_echo=()):
@@ -1336,7 +1366,8 @@ def _play_replay(config, out_dir, lap):
     views = _replay_views(config, online_log, pre["imputer"])
     lap("pretrain")
 
-    seats = _seat_agents(config, list(range(config.trials)), k, lambda kind, name: views.get(kind))
+    charges_for = partial(_charge_block, shape=(horizon, config.trials))
+    seats = _seat_agents(config, list(range(config.trials)), k, views.get, charges_for)
     played = _play_trials(
         seats, horizon, lambda seat: _replay_steps(config, seat, online_log, k), lambda arms: {}
     )
@@ -1366,9 +1397,13 @@ def _play_replay(config, out_dir, lap):
 
 def run_sweep(config, param_key, values, out_dir, overrides_echo=()):
     """Expand a list-valued parameter into child experiments sharing the
-    base seed, then tabulate final mean regret ordered by the given values."""
+    base seed, then tabulate each child's final headline mean and standard
+    error, ordered by the given values: the cumulative regret of simulate
+    children, the cumulative CTR of replay ones."""
     if not values:
         raise ConfigError(param_key, "sweep needs at least one value")
+    headline = "cum_ctr" if config.environment["kind"] == "replay" else "cum_regret"
+    mean_key, se_key = f"mean_final_{headline}", f"se_final_{headline}"
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     child_summaries = []
@@ -1384,22 +1419,13 @@ def run_sweep(config, param_key, values, out_dir, overrides_echo=()):
         child_summaries.append((value, result))
         for agent_name, (mean, se) in result["finals"].items():
             rows.append(
-                {
-                    "param": param_key,
-                    "value": value,
-                    "agent": agent_name,
-                    # replay children report CTR instead of regret
-                    "mean_final_regret": mean,
-                    "se_final_regret": se,
-                }
+                {"param": param_key, "value": value, "agent": agent_name, mean_key: mean, se_key: se}
             )
 
     table_path = os.path.join(out_dir, "sweep_summary.csv")
     with open(table_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("param,value,agent,mean_final_regret,se_final_regret\n")
+        fh.write(f"param,value,agent,{mean_key},{se_key}\n")
         for row in rows:
-            fh.write(
-                f"{row['param']},{row['value']},{row['agent']},"
-                f"{_fmt(row['mean_final_regret'])},{_fmt(row['se_final_regret'])}\n"
-            )
+            param, value, agent, mean, se = row.values()
+            fh.write(f"{param},{value},{agent},{_fmt(mean)},{_fmt(se)}\n")
     return {"table_path": table_path, "rows": rows, "children": child_summaries}

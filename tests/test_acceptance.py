@@ -19,7 +19,6 @@ from scipy import integrate, stats
 import pulsebandit.configs
 from pulsebandit import (
     AgentKind,
-    DtSource,
     GammaSchedule,
     GaussianConditional,
     HistoricalDataset,
@@ -214,33 +213,34 @@ def test_a4_confidence_ball_coverage(acceptance_report):
     dry_run = env_b.rollout(substream(2024, "feat-norm", "draws"), 4000)
     bound, _ = calibrate_feat_norm_bound(fmap, dry_run.full_context)
 
+    # every trial is one lane of a lockstep agent over one lane rollout
     trials, horizon = 200, 500
-    covered = 0
-    for i in range(trials):
-        env = SyntheticEnv(nonlinearity="linear")
-        rng = substream(2024, "trial", i, "env")
-        env.reset(rng)
-        rollout = env.rollout(rng, horizon)
-        blocks = phi_batch(fmap, np.concatenate([rollout.observed, rollout.cond_mean_w], axis=1))
-        sched = GammaSchedule(
-            lam=1.0,
-            sigma_eta=0.05,
-            delta=0.1,
-            feat_norm_bound=bound,
-            dim=4,
-            dt_source=DtSource.ORACLE,
-            sigma_eps=0.05,
-            scale=1.0,
-        )
-        agent = make_agent("pulse", AgentKind.PULSE_UCB, arm_count=2, dim=4, schedule=sched)
-        inside_all = True
-        for feats, rewards in zip(blocks, rollout.potential_rewards):
-            arm = select_arm(agent, feats)
-            observe(agent, feats[arm], rewards[arm], dt_value=0.0)
-            if not theta_in_ball(agent, env.theta_star):
-                inside_all = False
-                break
-        covered += inside_all
+    env = SyntheticEnv(nonlinearity="linear")
+    rollout = env.rollout_lanes(
+        [substream(2024, "trial", i, "env") for i in range(trials)], horizon
+    )
+    contexts = np.concatenate([rollout.observed, rollout.cond_mean_w], axis=2)
+    blocks = phi_batch(fmap, contexts.reshape(horizon * trials, -1))
+    blocks = blocks.reshape((horizon, trials) + blocks.shape[1:])
+    sched = GammaSchedule(
+        lam=1.0,
+        sigma_eta=0.05,
+        delta=0.1,
+        feat_norm_bound=bound,
+        dim=4,
+        sigma_eps=0.05,
+        scale=1.0,
+    )
+    agent = make_agent(
+        "pulse", AgentKind.PULSE_UCB, arm_count=2, dim=4, schedule=sched, trials=trials
+    )
+    lanes = np.arange(trials)
+    inside_all = np.ones(trials, dtype=bool)
+    for feats, rewards in zip(blocks, rollout.potential_rewards):
+        arms = select_arm(agent, feats)
+        observe(agent, feats[lanes, arms], rewards[lanes, arms], dt_value=0.0)
+        inside_all &= theta_in_ball(agent, env.theta_star)
+    covered = int(inside_all.sum())
     coverage = covered / trials
     ok = coverage >= 0.88
     acceptance_report(
@@ -264,11 +264,11 @@ def test_a5_selection_form_agreement(acceptance_report):
             delta=float(rng.uniform(0.02, 0.5)),
             feat_norm_bound=float(rng.uniform(0.0, 2.0)),
             dim=dim,
-            dt_source=DtSource.CONSTANT,
-            constant_dt=float(rng.uniform(0.0, 0.1)),
-            sigma_eps=float(rng.uniform(0.2, 2.0)),
-            scale=float(rng.uniform(0.05, 2.0)),
         )
+        # the charge each observation adds; drawn between feat_norm_bound and
+        # sigma_eps, an order that fixes the rng sequence and so the instances
+        dt_value = float(rng.uniform(0.0, 0.1))
+        kw.update(sigma_eps=float(rng.uniform(0.2, 2.0)), scale=float(rng.uniform(0.05, 2.0)))
         closed = make_agent(
             "cf", AgentKind.OFUL_FULL, arms, dim=dim, schedule=GammaSchedule(**kw)
         )
@@ -283,8 +283,8 @@ def test_a5_selection_form_agreement(acceptance_report):
         for _ in range(int(rng.integers(0, 9))):
             x = rng.normal(0.0, 1.0, dim)
             r = float(rng.normal())
-            observe(closed, x, r)
-            observe(ball, x, r)
+            observe(closed, x, r, dt_value=dt_value)
+            observe(ball, x, r, dt_value=dt_value)
         feats = rng.normal(0.0, 1.0, (arms, dim))
         s_cf = arm_ucb_scores(closed, feats)
         s_bm = arm_ucb_scores(ball, feats)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from pulsebandit import (
     AgentKind,
     ConfigError,
-    DtSource,
     GammaSchedule,
     InputError,
     ParameterError,
@@ -29,7 +28,7 @@ from pulsebandit import (
 def simple_schedule(**kw):
     base = dict(
         lam=1.0, sigma_eta=0.0, delta=1.0, feat_norm_bound=0.0, dim=1,
-        dt_source=DtSource.ZERO, sigma_eps=2.0, scale=1.0,
+        sigma_eps=2.0, scale=1.0,
     )
     base.update(kw)
     return GammaSchedule(**base)
@@ -43,7 +42,7 @@ def test_gamma_zero_worked_example():
 
 def test_gamma_additive_divergence_term():
     # 3 d^2 sum(D): d=4 and sum(D)=1 adds exactly 48
-    sched = simple_schedule(dim=4, dt_source=DtSource.ORACLE)
+    sched = simple_schedule(dim=4)
     sched.dt_cumsum = 1.0
     assert gamma_at(sched, 1) == pytest.approx(gamma_zero(sched, 1) + 48.0, abs=1e-10)
 
@@ -74,9 +73,6 @@ def test_schedule_validation_names_fields():
     with pytest.raises(ConfigError) as err:
         simple_schedule(sigma_eta=-1.0)
     assert "sigma_eta" in str(err.value)
-    with pytest.raises(ConfigError) as err:
-        simple_schedule(constant_dt=-0.5)
-    assert "constant_dt" in str(err.value)
     # delta = 1 is allowed (pure-exploit corner used by worked examples)
     simple_schedule(delta=1.0)
 
@@ -102,11 +98,30 @@ def test_make_agent_rejects_a_trial_count_below_one(kind):
     assert make_agent("a", kind, arm_count=2, dim=2, schedule=sched, trials=1).trials == 1
 
 
-def test_theta_in_ball_rejects_a_lockstep_agent():
-    sched = simple_schedule(dim=2, feat_norm_bound=1.0)
-    agent = make_agent("f", AgentKind.OFUL_FULL, arm_count=2, dim=2, schedule=sched, trials=4)
-    with pytest.raises(UsageError, match="one-trial"):
-        theta_in_ball(agent, np.zeros(2))
+def test_theta_in_ball_flags_each_lane_as_its_one_trial_agent():
+    # one flag per lane of a lockstep agent, each the answer of a one-trial
+    # agent fed that lane's rows; the lanes' data make some flags differ
+    rng = substream(46, "ball")
+    trials, dim = 6, 2
+    sched = simple_schedule(dim=dim, feat_norm_bound=1.0, sigma_eps=0.05)
+    lockstep = make_agent("f", AgentKind.OFUL_FULL, arm_count=2, dim=dim, schedule=sched,
+                          trials=trials)
+    alone = [make_agent("f", AgentKind.OFUL_FULL, arm_count=2, dim=dim, schedule=sched)
+             for _ in range(trials)]
+    theta = np.array([0.5, -0.25])
+    seen = set()
+    for _ in range(40):
+        rows = rng.standard_normal((trials, dim))
+        rewards = rows @ theta + rng.normal(0.0, 0.05, trials) + (np.arange(trials) > 2)
+        dts = rng.uniform(0.0, 0.01, trials)
+        observe(lockstep, rows, rewards, dt_value=dts)
+        for lane, agent in enumerate(alone):
+            observe(agent, rows[lane], rewards[lane], dt_value=dts[lane])
+        flags = theta_in_ball(lockstep, theta)
+        assert flags.shape == (trials,) and flags.dtype == bool
+        assert flags.tolist() == [theta_in_ball(agent, theta) for agent in alone]
+        seen.update(flags.tolist())
+    assert seen == {True, False}
 
 
 def test_fresh_agent_gamma_is_t1_value():
@@ -155,54 +170,49 @@ def test_observe_scalar_worked_example():
 
 
 def test_observe_dt_policies():
-    # zero: ignores dt; constant: adds the configured value each step;
-    # oracle: requires an explicit nonnegative value
-    z = make_agent("z", AgentKind.OFUL_FULL, arm_count=2, dim=1,
-                   schedule=simple_schedule(dt_source=DtSource.ZERO))
-    observe(z, np.array([1.0]), 0.0)
-    assert z.schedule.dt_cumsum == 0.0
+    # observe adds the charge it is given, 0 by default; a one-trial agent
+    # refuses a negative or non-finite charge, or more than one, before it
+    # changes, and a lockstep agent adds one charge per trial or one for all
+    agent = make_agent("a", AgentKind.OFUL_FULL, arm_count=2, dim=1,
+                       schedule=simple_schedule())
+    observe(agent, np.array([1.0]), 0.0)
+    assert agent.schedule.dt_cumsum == 0.0
+    observe(agent, np.array([1.0]), 0.0, dt_value=0.25)
+    observe(agent, np.array([1.0]), 0.0, dt_value=0.5)
+    assert agent.schedule.dt_cumsum == 0.75
+    for bad in (-0.1, float("nan"), float("inf"), [0.1, 0.2]):
+        with pytest.raises(InputError, match="dt_value"):
+            observe(agent, np.array([1.0]), 0.0, dt_value=bad)
+    assert agent.schedule.dt_cumsum == 0.75 and agent.ridge.update_count == 3
 
-    c = make_agent("c", AgentKind.OFUL_FULL, arm_count=2, dim=1,
-                   schedule=simple_schedule(dt_source=DtSource.CONSTANT,
-                                            constant_dt=0.25))
-    observe(c, np.array([1.0]), 0.0)
-    observe(c, np.array([1.0]), 0.0)
-    assert c.schedule.dt_cumsum == pytest.approx(0.5, abs=1e-15)
-
-    o = make_agent("o", AgentKind.OFUL_FULL, arm_count=2, dim=1,
-                   schedule=simple_schedule(dt_source=DtSource.ORACLE))
-    with pytest.raises(InputError):
-        observe(o, np.array([1.0]), 0.0)
-    with pytest.raises(InputError):
-        observe(o, np.array([1.0]), 0.0, dt_value=-0.1)
-    observe(o, np.array([1.0]), 0.0, dt_value=0.75)
-    assert o.schedule.dt_cumsum == 0.75
+    lockstep = make_agent("l", AgentKind.OFUL_FULL, arm_count=2, dim=1, trials=3,
+                          schedule=simple_schedule())
+    observe(lockstep, np.ones((3, 1)), np.zeros(3), dt_value=np.array([0.0, 0.25, 0.5]))
+    observe(lockstep, np.ones((3, 1)), np.zeros(3), dt_value=0.25)
+    assert lockstep.schedule.dt_cumsum.tolist() == [0.25, 0.5, 0.75]
 
 
 def test_dt_cumsum_read_before_observe_keeps_its_value():
     # observe rebinds the divergence sum rather than add into it, for one
-    # trial and for lockstep trials, under both accumulating sources
+    # trial and for lockstep trials
     for trials in (None, 3):
-        for source, dt in ((DtSource.CONSTANT, None), (DtSource.ORACLE, 0.5)):
-            agent = make_agent("a", AgentKind.OFUL_FULL, arm_count=2, dim=1, trials=trials,
-                               schedule=simple_schedule(dt_source=source, constant_dt=0.25))
-            row = np.ones(1) if trials is None else np.ones((trials, 1))
-            reward = 0.0 if trials is None else np.zeros(trials)
-            before = agent.schedule.dt_cumsum
-            frozen = np.copy(before)
-            observe(agent, row, reward, dt_value=dt)
-            assert np.array_equal(before, frozen)
-            assert np.all(agent.schedule.dt_cumsum > before)
+        agent = make_agent("a", AgentKind.OFUL_FULL, arm_count=2, dim=1, trials=trials,
+                           schedule=simple_schedule())
+        row = np.ones(1) if trials is None else np.ones((trials, 1))
+        reward = 0.0 if trials is None else np.zeros(trials)
+        before = agent.schedule.dt_cumsum
+        frozen = np.copy(before)
+        observe(agent, row, reward, dt_value=0.5)
+        assert np.array_equal(before, frozen)
+        assert np.all(agent.schedule.dt_cumsum > before)
 
 
 def test_gamma_increases_after_divergence():
     # two agents at the same update count isolate the 3 d^2 sum(D) term
     clean = make_agent("a", AgentKind.OFUL_FULL, arm_count=2, dim=2,
-                       schedule=simple_schedule(dim=2, feat_norm_bound=1.0,
-                                                dt_source=DtSource.ORACLE))
+                       schedule=simple_schedule(dim=2, feat_norm_bound=1.0))
     noisy = make_agent("b", AgentKind.OFUL_FULL, arm_count=2, dim=2,
-                       schedule=simple_schedule(dim=2, feat_norm_bound=1.0,
-                                                dt_source=DtSource.ORACLE))
+                       schedule=simple_schedule(dim=2, feat_norm_bound=1.0))
     for dt_clean, dt_noisy in [(0.0, 0.0), (0.0, 2.0)]:
         observe(clean, np.array([1.0, 0.0]), 0.0, dt_value=dt_clean)
         observe(noisy, np.array([1.0, 0.0]), 0.0, dt_value=dt_noisy)
@@ -246,7 +256,7 @@ def test_lockstep_selection_forms_agree(trials, dim, arms, updates, lam, scale, 
     # whose top two scores differ by more than that; some rows are zero
     rng = np.random.default_rng(seed)
     kw = dict(lam=lam, sigma_eta=0.1, delta=0.1, feat_norm_bound=1.5, dim=dim,
-              dt_source=DtSource.CONSTANT, constant_dt=0.01, scale=scale)
+              scale=scale)
     cf = make_agent("cf", AgentKind.OFUL_FULL, arms, dim=dim, schedule=GammaSchedule(**kw),
                     trials=trials)
     bm = make_agent("bm", AgentKind.OFUL_FULL, arms, dim=dim, schedule=GammaSchedule(**kw),
@@ -254,8 +264,8 @@ def test_lockstep_selection_forms_agree(trials, dim, arms, updates, lam, scale, 
     for _ in range(updates):
         x = rng.normal(0.0, 1.0, (trials, dim))
         r = rng.normal(0.0, 1.0, trials)
-        observe(cf, x, r)
-        observe(bm, x, r)
+        observe(cf, x, r, dt_value=0.01)
+        observe(bm, x, r, dt_value=0.01)
     feats = rng.normal(0.0, 1.0, (trials, arms, dim))
     feats[rng.random((trials, arms)) < 0.1] = 0.0
     s_cf = arm_ucb_scores(cf, feats)
@@ -277,8 +287,7 @@ def test_one_trial_api_returns_python_types():
     ]
     for name, kind, form in kinds:
         agent = make_agent(name, kind, arm_count=3, dim=4, selection_form=form,
-                           schedule=simple_schedule(dim=4, feat_norm_bound=1.5,
-                                                    dt_source=DtSource.ORACLE))
+                           schedule=simple_schedule(dim=4, feat_norm_bound=1.5))
         for step in range(3):
             gamma = current_gamma(agent)
             assert isinstance(gamma, float)

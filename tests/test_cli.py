@@ -104,9 +104,47 @@ def test_sweep_emits_summary_table(tmp_path):
                "--param", "gamma_scale=[0.01, 0.05]"])
     assert rc == 0
     table = (out / "sweep_summary.csv").read_text().strip().splitlines()
-    assert table[0] == "param,value,agent,mean_final_regret,se_final_regret"
+    assert table[0] == "param,value,agent,mean_final_cum_regret,se_final_cum_regret"
     assert len(table) == 1 + 2 * 2  # two values x two agents
     assert (out / "gamma_scale=0.01" / "metadata.json").exists()
+
+
+def test_replay_sweep_names_its_cum_ctr_columns(tmp_path, capsys):
+    # a replay child's headline is its cumulative CTR, and the table says so
+    import pulsebandit.configs as configs
+    import importlib.resources as ir
+    cfg = write_tiny(
+        tmp_path,
+        environment={"kind": "replay", "k": 10,
+                     "path": str(ir.files(configs) / "replay_demo_log.csv")},
+        imputer={"kind": "linear_ar"},
+        pretrain={"fraction": 0.2},
+        agents=[{"name": "oful_full", "kind": "oful_full"}],
+    )
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out),
+                 "--param", "environment.k=[5, 10]"]) == 0
+    table = (out / "sweep_summary.csv").read_text().strip().splitlines()
+    assert table[0] == "param,value,agent,mean_final_cum_ctr,se_final_cum_ctr"
+    assert [line.split(",")[:3] for line in table[1:]] == [
+        ["environment.k", "5", "oful_full"], ["environment.k", "10", "oful_full"]]
+    printed = capsys.readouterr().out.splitlines()
+    mean, se = (float(cell) for cell in table[1].split(",")[3:])
+    assert printed[0] == f"environment.k=5 oful_full: final mean {mean:.4f} +/- {se:.4f}"
+
+
+@pytest.mark.parametrize("command", ["validate-config", "simulate"])
+def test_an_oversized_count_is_a_config_error(tmp_path, capsys, command):
+    # a size field past numpy's largest array dimension is refused by name,
+    # before any array is built; a seed takes any nonnegative integer
+    cfg = write_tiny(tmp_path)
+    huge = str(10**30)
+    out = ["--out", str(tmp_path / "run")] if command == "simulate" else []
+    assert main([command, "--config", cfg, "--quiet", *out, "--set", f"horizon={huge}"]) == 1
+    err = capsys.readouterr().err
+    assert "config field 'horizon'" in err and huge in err
+    assert not (tmp_path / "run").exists()
+    assert main(["validate-config", "--config", cfg, "--quiet", "--set", f"base_seed={huge}"]) == 0
 
 
 def test_sweep_rejects_malformed_param(tmp_path, capsys):

@@ -10,6 +10,7 @@ hypothesis property checks that valid configs round-trip through
 import copy
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +64,24 @@ def with_value(raw, field, value):
         node[last] = value
     return raw
 
+
+# one past numpy's largest array dimension, which no size field takes
+TOO_BIG = int(np.iinfo(np.intp).max) + 1
+# the fields that size arrays; every other integer field is a seed
+SIZES = [
+    ("synthetic", "horizon"),
+    ("synthetic", "trials"),
+    ("synthetic", "imputer.lag"),
+    ("synthetic", "pretrain.n"),
+    ("synthetic", "pretrain.t0"),
+    ("synthetic", "calibration.bootstrap_draws"),
+    ("synthetic", "calibration.grid_points"),
+    ("lower_bound", "environment.d_lin"),
+    ("lower_bound", "environment.d_non"),
+    ("lower_bound", "environment.scaling_horizon"),
+    ("replay", "environment.k"),
+]
+SEEDS = ["base_seed", "pretrain.seed", "calibration.split_seed"]
 
 # (environment kind, dotted field) -> values that must be rejected
 BAD = {
@@ -136,6 +155,8 @@ BAD = {
     # replay fits its imputer at lag 0 and would ignore any other lag
     ("replay", "imputer.lag"): [1],
 }
+for size in SIZES:
+    BAD[size] = BAD[size] + [TOO_BIG]
 
 # fields that take any value and keep it as a string
 TEXT = {("synthetic", "name"), ("synthetic", "imputer.path"), ("synthetic", "agents[0].name")}
@@ -193,6 +214,22 @@ def test_bad_value_names_its_field(env_kind, field, value):
         ExperimentConfig(raw)
     assert err.value.field == field
     assert "not recognized" not in str(err.value)
+
+
+@pytest.mark.parametrize("env_kind, field", SIZES)
+def test_a_size_field_takes_numpys_largest_dimension(env_kind, field):
+    node = ExperimentConfig(with_value(base(env_kind), field, TOO_BIG - 1)).to_dict()
+    for key in keys(field):
+        node = node[key]
+    assert node == TOO_BIG - 1
+
+
+@pytest.mark.parametrize("field", SEEDS)
+def test_a_seed_takes_any_nonnegative_integer(field):
+    node = ExperimentConfig(with_value(base(), field, 10**30)).to_dict()
+    for key in keys(field):
+        node = node[key]
+    assert node == 10**30
 
 
 @pytest.mark.parametrize("env_kind, field", sorted(TEXT))

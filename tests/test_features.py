@@ -66,12 +66,6 @@ def test_bad_context_shape_rejected():
         phi(fmap, np.array([np.nan, 0.0]), 0)
 
 
-def test_assemble_context_concatenates():
-    fmap = synthetic_interaction_map()
-    y = fmap.assemble_context(np.array([0.4]), np.array([0.7]))
-    np.testing.assert_allclose(y, [0.4, 0.7])
-
-
 def test_calibrate_feat_norm_bound_constant_stream():
     fmap = synthetic_interaction_map()
     ys = np.tile([0.2, 0.5], (50, 1))

@@ -193,8 +193,11 @@ def test_long_replay_raw_digest(tmp_path):
 @pytest.mark.parametrize("raw", [SYNTHETIC, LOWER_BOUND], ids=["synthetic", "lower_bound"])
 def test_a_trial_lane_does_not_depend_on_the_batch(raw):
     # trial i run alone gives exactly lane i of all trials run in lockstep:
-    # every (trials, T) column and every per-trial list
-    config = ExperimentConfig(raw)
+    # every (trials, T) column and every per-trial list, for every charge
+    # source, a constant one included
+    const = {"name": "oful_observed_const", "kind": "oful_observed", "dt_source": "constant",
+             "constant_dt": 0.002}
+    config = ExperimentConfig({**raw, "agents": raw["agents"] + [const]})
     pre = pretrain(config)
     args = (pre["imputer"], pre["plug_in_dt"], pre["feat_norm_bound"])
     together = run_trials(config, range(config.trials), *args)

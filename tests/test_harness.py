@@ -457,8 +457,8 @@ def test_simulate_checks_its_blocks_before_the_first_decision(tmp_path, monkeypa
 @pytest.mark.parametrize("planted", ["charge", "plug_in_dt"])
 def test_simulate_checks_divergence_charges_before_the_first_decision(monkeypatch, planted):
     # a lockstep observe does not check its dt_value, so a negative oracle
-    # charge in one trial, or a non-finite plug-in value, fails before any
-    # agent decides
+    # charge in one trial, or a missing, non-finite or negative plug-in
+    # value, fails before any agent decides, naming the agent
     import pulsebandit.harness as harness
     calls = _count_decisions(monkeypatch)
     original = harness._oracle_charges
@@ -475,11 +475,64 @@ def test_simulate_checks_divergence_charges_before_the_first_decision(monkeypatc
     raw["agents"].append({"name": "pulse_plug_in", "kind": "pulse_ucb", "dt_source": "plug_in"})
     config = ExperimentConfig(raw)
     imputer, plug_in_dt, bound = fitted(config)
-    if planted == "plug_in_dt":
-        plug_in_dt = float("nan")
-    with pytest.raises(InputError, match="non-finite" if planted == "plug_in_dt" else "negative"):
-        harness.run_trials(config, range(2), imputer, plug_in_dt, bound)
+    if planted == "charge":
+        cases = [(plug_in_dt, "'pulse_ucb' divergence charges contain negative")]
+    else:
+        cases = [(value, f"'pulse_plug_in' divergence charges contain {what}")
+                 for value, what in ((None, "non-finite"), (float("nan"), "non-finite"),
+                                     (-1.0, "negative"))]
+    for value, match in cases:
+        with pytest.raises(InputError, match=match):
+            harness.run_trials(config, range(2), imputer, value, bound)
     assert calls == []
+
+
+def _recorded_charges(monkeypatch):
+    """Each seat's charge block, by agent name, as the harness builds it."""
+    import pulsebandit.harness as harness
+    blocks = {}
+    original = harness._charge_block
+
+    def recorded(spec, *args, **kwargs):
+        blocks[spec["name"]] = block = original(spec, *args, **kwargs)
+        return block
+
+    monkeypatch.setattr(harness, "_charge_block", recorded)
+    return blocks
+
+
+@pytest.mark.parametrize("command, source", [
+    ("simulate", "zero"), ("simulate", "constant"), ("simulate", "plug_in"),
+    ("simulate", "oracle"), ("replay", "zero"), ("replay", "constant"),
+])
+def test_final_dt_cumsum_sums_the_seats_charge_block(tmp_path, monkeypatch, command, source):
+    # each step adds its row of the seat's (T, trials) block of D_tau, so
+    # the recorded sum of each trial is the left-to-right float sum of its
+    # column; the block holds 0, constant_dt, plug_in_dt or the oracle charges
+    blocks = _recorded_charges(monkeypatch)
+    agents = [{"name": "pulse", "kind": "pulse_ucb", "dt_source": source, "constant_dt": 0.003},
+              {"name": "uniform_random", "kind": "uniform_random"}]
+    if command == "simulate":
+        res = run_experiment(ExperimentConfig(tiny_raw(horizon=15, trials=3, agents=agents)),
+                             out_dir=str(tmp_path))
+    else:
+        res = run_replay(ExperimentConfig(replay_raw(tmp_path, horizon=15, trials=3,
+                                                     agents=agents)), out_dir=str(tmp_path))
+    run = json.load(open(res["metadata_path"]))["run"]
+    block = blocks.pop("pulse")
+    assert blocks == {} and block.shape == (15, 3)
+    if source == "oracle":
+        assert (block > 0).all() and len(set(block.ravel().tolist())) == block.size
+    else:
+        constant = {"zero": 0.0, "constant": 0.003, "plug_in": run.get("plug_in_dt")}[source]
+        assert constant is not None and (block == constant).all()
+    sums = []
+    for column in block.T.tolist():
+        total = 0.0
+        for value in column:
+            total += value
+        sums.append(total)
+    assert run["final_dt_cumsum"] == {"pulse": sums, "uniform_random": [None] * 3}
 
 
 @pytest.mark.parametrize("planted", ["features", "rewards"])
@@ -565,7 +618,6 @@ def test_final_dt_cumsum_reports_every_trial(tmp_path):
 
 def test_final_gamma_reports_every_trial(tmp_path):
     from pulsebandit import GammaSchedule, gamma_at
-    from pulsebandit.agents import DtSource
 
     cfg = ExperimentConfig(tiny_raw(trials=3))
     res = run_experiment(cfg, out_dir=str(tmp_path / "sim"))
@@ -579,7 +631,7 @@ def test_final_gamma_reports_every_trial(tmp_path):
         )
         # the radius after the last observation: gamma_T with the trial's divergence sum
         schedule = GammaSchedule(lam=1.0, sigma_eta=0.05, delta=0.1, feat_norm_bound=bound,
-                                 dim=4, dt_source=DtSource.ORACLE, sigma_eps=1.0, scale=0.02,
+                                 dim=4, sigma_eps=1.0, scale=0.02,
                                  dt_cumsum=out["final_dt_cumsum"]["pulse_ucb"][0])
         assert out["final_gamma"]["pulse_ucb"][0] == gamma_at(schedule, 40)
     assert gammas["oracle_best"] == gammas["uniform_random"] == [None] * 3
@@ -719,7 +771,7 @@ def test_oracle_imputer_trial_matches_a_per_step_reference():
     # no golden config uses the oracle imputer; pin its trial against a
     # loop over the public per-step API
     from pulsebandit import (
-        AgentKind, DtSource, GammaSchedule, GaussianConditional, arm_feature_matrix,
+        AgentKind, GammaSchedule, GaussianConditional, arm_feature_matrix,
         gaussian_dt, make_agent, observe, select_arm, substream,
     )
     raw = tiny_raw(horizon=60, trials=1)
@@ -734,7 +786,7 @@ def test_oracle_imputer_trial_matches_a_per_step_reference():
     rng_env = substream(123, "trial", 0, "env")
     env.reset(rng_env)
     schedule = GammaSchedule(lam=1.0, sigma_eta=0.05, delta=0.1, feat_norm_bound=2.0, dim=4,
-                             dt_source=DtSource.ORACLE, sigma_eps=1.0, scale=0.02)
+                             sigma_eps=1.0, scale=0.02)
     agent = make_agent("pulse", AgentKind.PULSE_UCB, 2, dim=4, schedule=schedule)
     arms, rewards = [], []
     for _ in range(60):

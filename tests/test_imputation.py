@@ -378,7 +378,7 @@ def test_expected_feature_matrix_makes_one_query_per_decision(monkeypatch):
     monkeypatch.setattr(Imputer, "conditional_means", recorded)
     mat = expected_feature_matrix(imp, fmap, far)
     assert masks == [[True]]  # one query, not one per arm, and it fell back
-    fallback = fmap.assemble_context(far[-1], imp.params["global_mean"])
+    fallback = np.concatenate([far[-1], imp.params["global_mean"]])
     for a in range(2):
         assert mat[a].tobytes() == phi(fmap, fallback, a).tobytes()
 

@@ -250,11 +250,11 @@ def test_stacked_forms_reject_bad_stacks():
 
 
 def _lockstep_agent(trials, dim, k, form, lam=0.8):
-    """A lockstep agent over `trials` trials, on the oracle divergence."""
-    from pulsebandit import AgentKind, DtSource, GammaSchedule, make_agent
+    """A lockstep agent over `trials` trials."""
+    from pulsebandit import AgentKind, GammaSchedule, make_agent
 
     schedule = GammaSchedule(lam=lam, sigma_eta=0.1, delta=0.1, feat_norm_bound=2.0, dim=dim,
-                             dt_source=DtSource.ORACLE, scale=0.05)
+                             scale=0.05)
     return make_agent("a", AgentKind.OFUL_FULL, k, dim=dim, schedule=schedule,
                       selection_form=form, trials=trials)
 
