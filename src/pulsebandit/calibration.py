@@ -169,6 +169,8 @@ def tv_kl_check(truth, model, test_functions=None, dt=None, n_samples=200_000, r
 # multipliers per bootstrap block (1 MiB of float64); a block holds
 # max(1, BOOTSTRAP_BLOCK_ELEMENTS // n_reference) draws
 BOOTSTRAP_BLOCK_ELEMENTS = 2**17
+# historical (S, W) pairs the band needs at least
+MIN_BAND_PAIRS = 10
 
 
 @dataclass
@@ -269,8 +271,8 @@ def estimate_dt_band(
         raise ParameterError(f"bandwidth must be finite and positive, got {bandwidth!r}")
     s_flat, w_flat = history.flatten()
     n = s_flat.shape[0]
-    if n < 10:
-        raise InputError("need at least 10 historical pairs to form a band")
+    if n < MIN_BAND_PAIRS:
+        raise InputError(f"need at least {MIN_BAND_PAIRS} historical pairs to form a band")
     d_s, d_w = s_flat.shape[1], w_flat.shape[1]
     if d_s != 1:
         raise InputError(f"the band's box-kernel reference needs d_S = 1, got d_S = {d_s}")

@@ -22,6 +22,7 @@ from .environments import generate_history
 from .errors import ConfigError, PulseBanditError
 from .harness import (
     _dt_band,
+    _require_band_pairs,
     _save_imputer,
     _write_json,
     load_config,
@@ -156,8 +157,7 @@ def _cmd_calibrate(args):
         raise ConfigError(
             "environment.kind", "calibrate's band needs a synthetic environment (d_S = 1)"
         )
-    if config.pretrain["n"] < 2 or config.pretrain["t0"] < 1:
-        raise ConfigError("pretrain.n", "calibrate needs pretrain.n >= 2 and t0 >= 1")
+    _require_band_pairs(config.pretrain, "calibrate's band")
     dataset = generate_history(
         config.make_env,
         config.pretrain["n"],

@@ -25,7 +25,8 @@ around theta . Phi(Y_t, a).
 
 ReplayLog: offline logged rows with observed features, optional full
 features, and a binary reward; a replay stream serves k-candidate steps
-to one trial or to several in lockstep, consuming only the chosen row.
+from the rows' rewards to trials in lockstep, consuming only the chosen
+row.
 """
 
 import cmath
@@ -44,7 +45,6 @@ from .features import (
 )
 
 __all__ = [
-    "EnvironmentStep",
     "Rollout",
     "SyntheticEnv",
     "ar_root_moduli",
@@ -64,39 +64,18 @@ _math_sin = np.frompyfunc(math.sin, 1, 1)  # math.sin on each value, as a Python
 
 
 @dataclass(frozen=True)
-class EnvironmentStep:
-    """One exogenous draw of the environment.
-
-    potential_rewards[a] = arm_means[a] + eta_t for every arm, sharing the
-    same eta_t.  optimal_arm maximizes arm_means with ties resolved to the
-    lower index; optimal_mean is its mean reward.  cond_mean_w / cond_sd_w
-    describe the true conditional law of W_t given the observed history
-    (None when the environment does not expose it), and cond_arm_means are
-    the arm mean rewards with W_t replaced by its conditional mean.
-    """
-
-    t: int
-    full_context: np.ndarray
-    observed: np.ndarray
-    potential_rewards: np.ndarray
-    arm_means: np.ndarray
-    optimal_arm: int
-    optimal_mean: float
-    cond_mean_w: np.ndarray = None
-    cond_sd_w: float = None
-    cond_arm_means: np.ndarray = None
-
-
-@dataclass(frozen=True)
 class Rollout:
-    """T consecutive steps of an environment, as arrays.
+    """T consecutive exogenous steps of an environment, as arrays; row i is
+    the step with index t[i].
 
-    Every field mirrors the EnvironmentStep field of the same name with a
-    leading T axis (cond_sd_w, constant over steps, stays a scalar); row i
-    is the step with index t[i].  A rollout of several lanes
-    (`rollout_lanes`) has a lanes axis after the T axis in every array
-    field, so field[:, j] is lane j's own rollout.  `step_at(i)` reads row
-    i of a one-environment rollout out as an EnvironmentStep.
+    potential_rewards[i, a] = arm_means[i, a] + eta_t for every arm, sharing
+    the same eta_t.  optimal_arm maximizes arm_means with ties resolved to
+    the lower index; optimal_mean is its mean reward.  cond_mean_w and
+    cond_sd_w (a scalar, constant over steps) describe the true conditional
+    law of W_t given the observed history, and cond_arm_means are the arm
+    mean rewards with W_t replaced by its conditional mean.  A rollout of
+    several lanes (`rollout_lanes`) has a lanes axis after the T axis in
+    every array field, so field[:, j] is lane j's own rollout.
     """
 
     t: np.ndarray
@@ -109,20 +88,6 @@ class Rollout:
     cond_mean_w: np.ndarray
     cond_sd_w: float
     cond_arm_means: np.ndarray
-
-    def step_at(self, i):
-        return EnvironmentStep(
-            t=int(self.t[i]),
-            full_context=self.full_context[i],
-            observed=self.observed[i],
-            potential_rewards=self.potential_rewards[i],
-            arm_means=self.arm_means[i],
-            optimal_arm=int(self.optimal_arm[i]),
-            optimal_mean=float(self.optimal_mean[i]),
-            cond_mean_w=self.cond_mean_w[i],
-            cond_sd_w=self.cond_sd_w,
-            cond_arm_means=self.cond_arm_means[i],
-        )
 
 
 def _positive_int(value, name):
@@ -350,7 +315,8 @@ class SyntheticEnv:
         return _rollout(self, n_steps, contexts, eta, self.xi_sd)
 
     def step(self, rng):
-        return self.rollout(rng, 1).step_at(0)
+        # the one-step rollout; kept only for the benchmark's tracer
+        return self.rollout(rng, 1)
 
 
 def bump_function(beta=1.0, amplitude=0.5):
@@ -473,7 +439,8 @@ class LowerBoundEnv:
         return _rollout(self, n_steps, contexts, eta, self.w_noise_sd)
 
     def step(self, rng):
-        return self.rollout(rng, 1).step_at(0)
+        # the one-step rollout; kept only for the benchmark's tracer
+        return self.rollout(rng, 1)
 
 
 # -- replay -------------------------------------------------------------------
@@ -584,19 +551,18 @@ def load_replay_log(path):
 
 
 class ReplayStream:
-    """Serves k-candidate steps from a log to one trial, or to several
-    trials in lockstep.
+    """Serves k-candidate steps from a log's rows to several trials in
+    lockstep, one lane per trial.
 
-    `rng` is one Generator, for one trial, or a list of the trials' own
-    Generators.  `step(k)` samples each trial's k candidates uniformly
-    without replacement from that trial's unconsumed rows, with one
-    `rng.choice(n, size=k, replace=False)` per trial in list order, n being
-    the count of rows left.  It returns the candidates' row indices, (k,)
-    for one trial or (trials, k), and `reveal`.  `reveal` takes the chosen
-    candidate position, an int for one trial or one per trial, consumes
-    the chosen rows and returns their logged rewards, a float or a
-    (trials,) array; a step may be revealed once.  Only the chosen row is
-    consumed, so a log of n rows supports up to n - k + 1 steps of k
+    `rewards` holds the logged reward of each row and `rngs` the trials'
+    own Generators, one per lane.  `step(k)` samples each trial's k
+    candidates uniformly without replacement from that trial's unconsumed
+    rows, with one `rng.choice(n, size=k, replace=False)` per lane in list
+    order, n being the count of rows left.  It returns the candidates' row
+    indices, (trials, k), and `reveal`.  `reveal` takes the chosen
+    candidate position of every trial, consumes the chosen rows and returns
+    their logged rewards, (trials,); a step may be revealed once.  Only the
+    chosen row is consumed, so n rows support up to n - k + 1 steps of k
     candidates.
 
     Every trial consumes one row per step, so the trials' unconsumed rows
@@ -607,30 +573,18 @@ class ReplayStream:
     do not depend on which other trials share its stream.
     """
 
-    def __init__(self, log, rng):
-        one = isinstance(rng, np.random.Generator)
-        rngs = [rng] if one else list(rng) if isinstance(rng, (list, tuple)) else []
-        if not rngs or not all(isinstance(r, np.random.Generator) for r in rngs):
-            raise ParameterError("rng must be a Generator or a nonempty list of Generators")
-        self.log = log
-        self._rngs = rngs
-        self._shape = () if one else (len(rngs),)
-        self._lanes = np.arange(len(rngs))
-        self._remaining = np.tile(np.arange(log.n_rows), (len(rngs), 1))
-        self._n = log.n_rows
-
-    @property
-    def n_remaining(self):
-        """Unconsumed rows left, the same count in every trial."""
-        return self._n
+    def __init__(self, rewards, rngs):
+        self._rngs = _lane_rngs(rngs)
+        self._rewards = np.asarray(rewards)
+        self._lanes = np.arange(len(self._rngs))
+        self._n = len(self._rewards)
+        self._remaining = np.tile(np.arange(self._n), (len(self._rngs), 1))
 
     def _check_choices(self, choices, k):
         """The chosen positions as a list with one int per trial, each
         checked to be an integer, not a bool, in [0, k)."""
         values = choices.tolist() if isinstance(choices, np.ndarray) else choices
-        if not self._shape:
-            values = [values]
-        elif not isinstance(values, (list, tuple)) or len(values) != len(self._rngs):
+        if not isinstance(values, (list, tuple)) or len(values) != len(self._rngs):
             raise InputError(
                 f"reveal takes one choice per trial ({len(self._rngs)}), got {choices!r}"
             )
@@ -661,10 +615,9 @@ class ReplayStream:
             for lane, p in enumerate(picks[lanes, chosen].tolist()):
                 remaining[lane, p : n - 1] = remaining[lane, p + 1 : n]
             self._n = n - 1
-            rewards = self.log.rewards[candidates[lanes, chosen]]
-            return rewards if self._shape else float(rewards[0])
+            return self._rewards[candidates[lanes, chosen]]
 
-        return candidates.reshape(self._shape + (k,)), reveal
+        return candidates, reveal
 
 
 def generate_history(make_env, n_traj, t0, base_seed):

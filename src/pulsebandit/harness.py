@@ -64,10 +64,9 @@ from .agents import (
     observe,
     select_arm,
 )
-from .calibration import GaussianConditional, estimate_dt_band, gaussian_dt
+from .calibration import MIN_BAND_PAIRS, GaussianConditional, estimate_dt_band, gaussian_dt
 from .environments import (
     LowerBoundEnv,
-    ReplayLog,
     ReplayStream,
     SyntheticEnv,
     ar_root_moduli,
@@ -275,8 +274,8 @@ _ENVIRONMENTS = {
         ("nonlinearity", "linear", _nonlinearity),
         ("arma", [0.75, -0.25, 0.65, 0.35], _arma),
         ("innovation_sd", 0.1, _float(nonnegative=True)),
-        ("beta_star", [0.50, -0.14], _floats()),
-        ("theta_star", [0.65, 1.52, -0.23, -0.23], _floats()),
+        ("beta_star", [0.50, -0.14], _floats(2)),
+        ("theta_star", [0.65, 1.52, -0.23, -0.23], _floats(4)),
         ("xi_sd", 0.1, _float(nonnegative=True)),
         ("eta_sd", 0.05, _float(nonnegative=True)),
     ),
@@ -284,7 +283,7 @@ _ENVIRONMENTS = {
         _ENV_KIND,
         ("d_lin", _REQUIRED, _count(1)),
         ("d_non", _REQUIRED, _count(1)),
-        ("bump_beta", 1.0, _float(positive=True)),
+        ("bump_beta", 1.0, _unit_interval("]")),
         ("bump_amplitude", 0.5, _float(positive=True)),
         ("theta_q_magnitude", None, _optional(_float(positive=True))),
         ("scaling_horizon", 1000, _count(1)),
@@ -314,7 +313,7 @@ _IMPUTER = (
     ("lag", 0, _count(0)),
     ("ridge_eps", 1e-10, _float(nonnegative=True)),
     ("bandwidth", None, _optional(_float(positive=True))),
-    ("beta", 1.0, _float(positive=True)),
+    ("beta", 1.0, _unit_interval("]")),
     ("path", None, _optional(_text)),
 )
 # where each step's divergence charge D_tau comes from; see _charge_block
@@ -368,6 +367,18 @@ _CONFIG = (
     ("record_conditional_regret", True, _bool),
 )
 _FITTED_IMPUTERS = (ImputerKind.LINEAR_AR, ImputerKind.KERNEL)
+
+
+def _require_band_pairs(pretrain, user):
+    """Refuse, on pretrain.n, a history of fewer (S, W) pairs than the
+    divergence band needs."""
+    n, t0 = pretrain["n"], pretrain["t0"]
+    if n * t0 < MIN_BAND_PAIRS:
+        raise ConfigError(
+            "pretrain.n",
+            f"{user} needs pretrain.n * pretrain.t0 >= {MIN_BAND_PAIRS} historical pairs, "
+            f"got {n} * {t0}",
+        )
 
 
 class ExperimentConfig:
@@ -458,15 +469,18 @@ class ExperimentConfig:
             # a log row's context is one i.i.d. draw: there are no lags to fit
             raise ConfigError("imputer.lag", f"must be 0 for replay, got {self.imputer['lag']}")
 
-        if (
-            self.imputer["kind"] in _FITTED_IMPUTERS
-            and not replay
-            and self.imputer["path"] is None
-            and (self.pretrain["n"] < 1 or self.pretrain["t0"] < 1)
-        ):
-            raise ConfigError(
-                "pretrain.n", "fitted imputers need pretrain.n >= 1 and pretrain.t0 >= 1"
-            )
+        if fits_on_history and not replay:
+            t0, lag = self.pretrain["t0"], self.imputer["lag"]
+            if self.pretrain["n"] < 1 or t0 < 1:
+                raise ConfigError(
+                    "pretrain.n", "fitted imputers need pretrain.n >= 1 and pretrain.t0 >= 1"
+                )
+            if self.imputer["kind"] == ImputerKind.LINEAR_AR and t0 <= lag:
+                raise ConfigError(
+                    "imputer.lag", f"a linear_ar fit needs lag < pretrain.t0 = {t0}, got {lag}"
+                )
+        if any(a["dt_source"] == "plug_in" for a in self.agents):
+            _require_band_pairs(self.pretrain, "a plug_in agent's band")
 
     # -- views ----------------------------------------------------------------
 
@@ -1151,12 +1165,10 @@ def _save_imputer(imputer, out_dir):
 class _FileSpec:
     """A command's outputs for the run driver: the raw CSV's name and
     (header, column) pairs, the aggregate CSV's name and columns (the first
-    is the headline), the summary's names for the headline's final (mean,
-    se) (one name keeps the mean alone) and the command's result entries."""
+    is the headline) and the command's result entries."""
 
     raw: tuple
     aggregate: tuple
-    summary_keys: tuple
     extra: dict
 
 
@@ -1188,7 +1200,8 @@ def _run(config, out_dir, overrides_echo, play):
     finals = _write_aggregate_csv(agg_path, agents, agg_keys)
     headline = agg_keys[0]
     ends = {name: cols[headline][:, -1].tolist() for name, cols in agents.items()}
-    summary = {name: dict(zip(files.summary_keys, final)) for name, final in finals.items()}
+    summary_keys = (f"mean_final_{headline}", f"se_final_{headline}")
+    summary = {name: dict(zip(summary_keys, final)) for name, final in finals.items()}
     lap("write")
     meta_path = _write_metadata(
         out_dir,
@@ -1266,7 +1279,6 @@ def _play_simulate(config, out_dir, lap):
     return played, facts, _FileSpec(
         raw=("raw_records.csv", _RAW_COLUMNS),
         aggregate=("aggregate.csv", ("cum_regret", "ma_reward")),
-        summary_keys=("mean_final_cum_regret", "se_final_cum_regret"),
         extra={"conditional_path": cond_path, "max_abs_reward": max_abs_reward},
     )
 
@@ -1274,8 +1286,9 @@ def _play_simulate(config, out_dir, lap):
 # -- replay -----------------------------------------------------------------------
 
 
-def _replay_views(config, log, imputer):
-    """The feature view of each configured UCB kind over the online rows.
+def _replay_views(config, observed, full, imputer):
+    """The feature view of each configured UCB kind over the online rows,
+    whose observed and full features are `observed` and `full`.
 
     A view's features are rows of one table built once per log: the full
     features, the observed ones, or the observed ones followed by the
@@ -1287,15 +1300,14 @@ def _replay_views(config, log, imputer):
     kinds = {AgentKind(spec["kind"]) for spec in config.agents}
     tables = {}
     if AgentKind.OFUL_FULL in kinds:
-        tables[AgentKind.OFUL_FULL] = log.full
+        tables[AgentKind.OFUL_FULL] = full
     if AgentKind.OFUL_OBSERVED in kinds:
-        tables[AgentKind.OFUL_OBSERVED] = log.observed
+        tables[AgentKind.OFUL_OBSERVED] = observed
     if AgentKind.PULSE_UCB in kinds:
         if imputer is None:
             raise ConfigError("imputer.kind", "pulse_ucb replay needs a fitted imputer")
-        mus, _ = imputer.conditional_means(log.observed)
-        tables[AgentKind.PULSE_UCB] = np.concatenate([log.observed, mus], axis=1)
-    # the log's rewards need no check here: a ReplayLog holds binary ones
+        mus, _ = imputer.conditional_means(observed)
+        tables[AgentKind.PULSE_UCB] = np.concatenate([observed, mus], axis=1)
     for kind, table in tables.items():
         _require_finite(table, f"{kind.value} replay features")
     return {
@@ -1311,12 +1323,13 @@ def _replay_views(config, log, imputer):
     }
 
 
-def _replay_steps(config, seat, log, k):
+def _replay_steps(config, seat, rewards, k):
     """What `_play` takes per decision of a replay seat: k candidates per
-    trial from one lockstep stream over `log`, each trial drawing from its
-    own generator, whose reveal pays the arm chosen in every trial."""
+    trial from one lockstep stream over the online rows, whose logged
+    rewards are `rewards`, each trial drawing from its own generator, whose
+    reveal pays the arm chosen in every trial."""
     stream = ReplayStream(
-        log,
+        rewards,
         [
             substream(config.base_seed, "trial", i, "replay", seat.agent.name)
             for i in range(config.trials)
@@ -1350,26 +1363,21 @@ def _play_replay(config, out_dir, lap):
     n0 = pre["n_pretrain_rows"]
     k = config.environment["k"]
 
-    online = np.arange(n0, log.n_rows)
-    if online.shape[0] < k:
+    n_online = log.n_rows - n0
+    if n_online < k:
         raise ConfigError("environment.k", "online portion smaller than k")
-    online_log = ReplayLog(
-        observed=log.observed[online],
-        rewards=log.rewards[online],
-        full=None if log.full is None else log.full[online],
-        pool_ids=log.pool_ids[online],
-        row_ids=log.row_ids[online],
-    )
     # each step consumes one row, so this many steps never exhaust the log
-    max_steps = online_log.n_rows - k + 1
+    max_steps = n_online - k + 1
     horizon = max_steps if config.horizon is None else min(config.horizon, max_steps)
-    views = _replay_views(config, online_log, pre["imputer"])
+    full = None if log.full is None else log.full[n0:]
+    views = _replay_views(config, log.observed[n0:], full, pre["imputer"])
+    rewards = log.rewards[n0:]  # binary, as a ReplayLog holds them: no check needed
     lap("pretrain")
 
     charges_for = partial(_charge_block, shape=(horizon, config.trials))
     seats = _seat_agents(config, list(range(config.trials)), k, views.get, charges_for)
     played = _play_trials(
-        seats, horizon, lambda seat: _replay_steps(config, seat, online_log, k), lambda arms: {}
+        seats, horizon, lambda seat: _replay_steps(config, seat, rewards, k), lambda arms: {}
     )
     lap("trials")
 
@@ -1377,7 +1385,7 @@ def _play_replay(config, out_dir, lap):
         "protocol": "k_candidate_replay",
         "k": k,
         "n_pretrain_rows": n0,
-        "n_online_rows": int(online_log.n_rows),
+        "n_online_rows": n_online,
         "horizon": horizon,
         "feat_norm_bounds": {
             seat.agent.name: seat.view.bound for seat in seats if seat.view is not None
@@ -1387,7 +1395,6 @@ def _play_replay(config, out_dir, lap):
     return played, facts, _FileSpec(
         raw=("raw_replay.csv", _REPLAY_COLUMNS),
         aggregate=("aggregate_replay.csv", ("cum_ctr",)),
-        summary_keys=("final_mean_cum_ctr",),
         extra={},
     )
 

@@ -470,18 +470,17 @@ def test_a9_stress_env_branch_statistics(acceptance_report):
 
     n = 100_000
     v_ones = 0
-    sums = np.zeros((2, 2))
-    sq_sums = np.zeros((2, 2))
-    counts = np.zeros((2, 2), dtype=int)
-    for _ in range(n):
-        step = env.step(rng)
-        v = int(np.any(step.full_context[:d_lin] != 0.0))
+    # running sums over the steps in order, indexed [v][arm]
+    sums, sq_sums, counts = [[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], [[0, 0], [0, 0]]
+    rollout = env.rollout(rng, n)
+    for y, rewards in zip(rollout.full_context.tolist(), rollout.potential_rewards.tolist()):
+        v = int(any(q != 0.0 for q in y[:d_lin]))
         v_ones += v
         for arm in (0, 1):
-            r = float(step.potential_rewards[arm])
-            sums[v, arm] += r
-            sq_sums[v, arm] += r * r
-            counts[v, arm] += 1
+            r = rewards[arm]
+            sums[v][arm] += r
+            sq_sums[v][arm] += r * r
+            counts[v][arm] += 1
 
     p_hat = v_ones / n
     ci_99 = 2.576 * math.sqrt(0.25 / n)
@@ -493,9 +492,9 @@ def test_a9_stress_env_branch_statistics(acceptance_report):
     expected = {(1, 0): signal, (1, 1): -signal, (0, 0): 0.5 / (d_non + 1) / 2.0, (0, 1): 0.0}
     worst_z = 0.0
     for (v, arm), target in expected.items():
-        m = counts[v, arm]
-        mean = sums[v, arm] / m
-        var = sq_sums[v, arm] / m - mean * mean
+        m = counts[v][arm]
+        mean = sums[v][arm] / m
+        var = sq_sums[v][arm] / m - mean * mean
         se = math.sqrt(max(var, 1e-30) / m)
         worst_z = max(worst_z, abs(mean - target) / se)
     ok = ok_coin and worst_z <= 3.0

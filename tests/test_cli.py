@@ -147,6 +147,39 @@ def test_an_oversized_count_is_a_config_error(tmp_path, capsys, command):
     assert main(["validate-config", "--config", cfg, "--quiet", "--set", f"base_seed={huge}"]) == 0
 
 
+@pytest.mark.parametrize(
+    "config, items, field",
+    [
+        ("lower_bound_dgp.json", ["environment.bump_beta=2"], "environment.bump_beta"),
+        ("lower_bound_dgp.json", ["imputer.beta=2"], "imputer.beta"),
+        ("calibration_demo.json", ["environment.beta_star=[1,2,3]"], "environment.beta_star"),
+        ("calibration_demo.json", ["environment.theta_star=[1,2]"], "environment.theta_star"),
+        ("calibration_demo.json", ["imputer.lag=60"], "imputer.lag"),
+        ("calibration_demo.json", ["pretrain.n=2", "pretrain.t0=3"], "pretrain.n"),
+    ],
+)
+def test_validate_config_refuses_what_a_run_would_fail_on(tmp_path, capsys, config, items, field):
+    path = os.path.join(os.path.dirname(pulsebandit.__file__), "configs", config)
+    sets = [arg for item in items for arg in ("--set", item)]
+    assert main(["validate-config", "--config", path, "--quiet", *sets]) == 1
+    assert f"config field '{field}'" in capsys.readouterr().err
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--config", path, "--quiet", "--out", out, *sets]) == 1
+    assert not os.path.exists(out)
+
+
+def test_calibrate_needs_ten_historical_pairs(tmp_path, capsys):
+    # without a plug_in agent the config is valid; calibrate's band is not
+    cfg = write_tiny(tmp_path, pretrain={"n": 3, "t0": 3, "seed": 3})
+    assert main(["calibrate", "--config", cfg, "--out", str(tmp_path / "cal")]) == 1
+    assert "config field 'pretrain.n'" in capsys.readouterr().err
+    for n, t0 in ((2, 5), (1, 10)):
+        cfg = write_tiny(tmp_path, pretrain={"n": n, "t0": t0, "seed": 3})
+        out = tmp_path / f"cal_{n}"
+        assert main(["calibrate", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        assert (out / "band.json").exists()
+
+
 def test_sweep_rejects_malformed_param(tmp_path, capsys):
     cfg = write_tiny(tmp_path)
     rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "x"),

@@ -107,7 +107,7 @@ BAD = {
     ("synthetic", "imputer.lag"): [-1, 0.5],
     ("synthetic", "imputer.ridge_eps"): [-1e-3],
     ("synthetic", "imputer.bandwidth"): [0.0, "wide"],
-    ("synthetic", "imputer.beta"): [0.0],
+    ("synthetic", "imputer.beta"): [0.0, 2.0],
     # a retired key: only its exact-path value, true, still loads
     ("synthetic", "imputer.analytic"): ["False", 0, "yes", False],
     ("synthetic", "agents[0]"): ["oful_full", None],
@@ -130,14 +130,14 @@ BAD = {
     ("synthetic", "environment.nonlinearity"): ["quadratic", None],
     ("synthetic", "environment.arma"): [[0.1, 0.1], 3, ["a", 0, 0, 0], [1.5, 0.0, 0.0, 0.0]],
     ("synthetic", "environment.innovation_sd"): [-0.1],
-    ("synthetic", "environment.beta_star"): ["x", ["x"]],
-    ("synthetic", "environment.theta_star"): [1.0, [1.0, None]],
+    ("synthetic", "environment.beta_star"): ["x", ["x"], [1.0, 2.0, 3.0]],
+    ("synthetic", "environment.theta_star"): [1.0, [1.0, None], [1.0, 2.0]],
     ("synthetic", "environment.xi_sd"): [-0.1],
     ("synthetic", "environment.eta_sd"): ["x"],
     ("lower_bound", "environment.kind"): ["lowerbound"],
     ("lower_bound", "environment.d_lin"): [0, MISSING],
     ("lower_bound", "environment.d_non"): [0, 1.5, MISSING],
-    ("lower_bound", "environment.bump_beta"): [0.0],
+    ("lower_bound", "environment.bump_beta"): [0.0, 2.0],
     ("lower_bound", "environment.bump_amplitude"): [0.0],
     ("lower_bound", "environment.theta_q_magnitude"): [0.0, "x"],
     ("lower_bound", "environment.scaling_horizon"): [0],
@@ -214,6 +214,45 @@ def test_bad_value_names_its_field(env_kind, field, value):
         ExperimentConfig(raw)
     assert err.value.field == field
     assert "not recognized" not in str(err.value)
+
+
+LINEAR_AR = {"imputer": {"kind": "linear_ar", "lag": 2}, "pretrain": {"n": 400, "t0": 50}}
+PLUG_IN = {
+    "imputer": {"kind": "linear_ar"},
+    "pretrain": {"n": 2, "t0": 5},
+    "agents": [{"kind": "pulse_ucb", "dt_source": "plug_in"}],
+}
+
+
+@pytest.mark.parametrize(
+    "over, field",
+    [
+        # a linear-AR fit on history regresses on lags inside each trajectory
+        ({**LINEAR_AR, "imputer": {"kind": "linear_ar", "lag": 60}}, "imputer.lag"),
+        ({**LINEAR_AR, "imputer": {"kind": "linear_ar", "lag": 50}}, "imputer.lag"),
+        # the plug-in band needs 10 historical (S, W) pairs
+        ({**PLUG_IN, "pretrain": {"n": 2, "t0": 3}}, "pretrain.n"),
+        ({**PLUG_IN, "pretrain": {"n": 9, "t0": 1}}, "pretrain.n"),
+    ],
+)
+def test_a_cross_field_limit_names_its_field(over, field):
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig({**base(), **over})
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        {**LINEAR_AR, "imputer": {"kind": "linear_ar", "lag": 49}},
+        # the lag limit binds only a linear-AR fit on history
+        {**LINEAR_AR, "imputer": {"kind": "kernel", "lag": 60}},
+        {**LINEAR_AR, "imputer": {"kind": "linear_ar", "lag": 60, "path": "imputer.json"}},
+        PLUG_IN,
+    ],
+)
+def test_a_config_inside_its_cross_field_limits_is_valid(over):
+    ExperimentConfig({**base(), **over})
 
 
 @pytest.mark.parametrize("env_kind, field", SIZES)
@@ -302,6 +341,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 positive = st.floats(min_value=1e-6, max_value=1e6)
 nonnegative = st.floats(min_value=0.0, max_value=1e6)
 unit_open = st.floats(min_value=1e-6, max_value=1 - 1e-6)
+unit_closed = st.floats(min_value=1e-6, max_value=1.0)
 seed = st.integers(min_value=0, max_value=2**32)
 count = st.integers(min_value=1, max_value=10_000)
 
@@ -312,7 +352,7 @@ def optional(strategy):
 
 SCHEDULE = {
     "lambda": positive,
-    "delta": st.floats(min_value=1e-6, max_value=1.0),
+    "delta": unit_closed,
     "sigma_eta": nonnegative,
     "sigma_eps": nonnegative,
     "feat_norm_bound": optional(positive),
@@ -322,7 +362,7 @@ IMPUTER = {
     "lag": st.integers(min_value=0, max_value=5),
     "ridge_eps": nonnegative,
     "bandwidth": optional(positive),
-    "beta": positive,
+    "beta": unit_closed,
     "path": optional(st.text(max_size=8)),
 }
 PRETRAIN = {
@@ -349,13 +389,13 @@ ENV = {
             finite,
         ).map(list),
         "innovation_sd": nonnegative,
-        "beta_star": st.lists(finite, min_size=1, max_size=3),
-        "theta_star": st.lists(finite, min_size=1, max_size=5),
+        "beta_star": st.lists(finite, min_size=2, max_size=2),
+        "theta_star": st.lists(finite, min_size=4, max_size=4),
         "xi_sd": nonnegative,
         "eta_sd": nonnegative,
     },
     "lower_bound": {
-        "bump_beta": positive,
+        "bump_beta": unit_closed,
         "bump_amplitude": positive,
         "theta_q_magnitude": optional(positive),
         "scaling_horizon": count,
@@ -435,8 +475,12 @@ def configs(draw):
     if kind != "replay" and imputer.get("kind") in ("linear_ar", "kernel") and not imputer.get(
         "path"
     ):
-        # fitted imputers need pretraining data unless they are loaded
-        raw.setdefault("pretrain", {}).update(n=draw(count), t0=draw(count))
+        # fitted imputers need pretraining data unless they are loaded: a
+        # linear-AR fit needs t0 above its lag, and a plug-in band n * t0 >= 10
+        lag = imputer.get("lag", 0) if imputer["kind"] == "linear_ar" else 0
+        n = draw(count)
+        t0 = draw(st.integers(min_value=max(lag + 1, -(-10 // n)), max_value=10_000))
+        raw.setdefault("pretrain", {}).update(n=n, t0=t0)
     if imputer.get("kind") == "null":
         # a null model has no oracle divergence
         default = "oracle" if kind == "synthetic" else "zero"

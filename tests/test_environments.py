@@ -43,7 +43,7 @@ def test_stationary_variance_matches_ma_expansion():
     env = SyntheticEnv()
     rng = substream(71, "env")
     env.reset(rng)
-    draws = np.array([env.step(rng).observed[0] for _ in range(60_000)])
+    draws = env.rollout(rng, 60_000).observed[:, 0]
     target = arma_variance_oracle(0.75, -0.25, 0.65, 0.35, 0.1)
     assert draws.var() == pytest.approx(target, rel=0.06)
     assert abs(draws.mean()) < 4 * math.sqrt(target / draws.size) * 10
@@ -52,10 +52,10 @@ def test_stationary_variance_matches_ma_expansion():
 def test_noiseless_fixed_point_rewards():
     env = SyntheticEnv(innovation_sd=0.0, xi_sd=0.0, eta_sd=0.0)
     env.reset(substream(0, "none"))
-    step = env.step(substream(0, "none"))
+    rollout = env.rollout(substream(0, "none"), 1)
     # zero state: x = (1, 0), W = 0.5, both arm means 0.65 - 0.23 * 0.5
-    np.testing.assert_allclose(step.arm_means, [0.535, 0.535], atol=1e-15)
-    np.testing.assert_allclose(step.potential_rewards, [0.535, 0.535], atol=1e-15)
+    np.testing.assert_allclose(rollout.arm_means, [[0.535, 0.535]], atol=1e-15)
+    np.testing.assert_allclose(rollout.potential_rewards, [[0.535, 0.535]], atol=1e-15)
 
 
 def test_noiseless_nonlinear_matches_linear_at_zero():
@@ -65,7 +65,7 @@ def test_noiseless_nonlinear_matches_linear_at_zero():
     lin.reset(r)
     non.reset(r)
     np.testing.assert_allclose(
-        lin.step(r).arm_means, non.step(r).arm_means, atol=1e-15
+        lin.rollout(r, 1).arm_means, non.rollout(r, 1).arm_means, atol=1e-15
     )
 
 
@@ -73,8 +73,7 @@ def test_burn_in_runs_on_reset():
     env = SyntheticEnv()
     env.reset(substream(5, "env"))
     assert env._t == 0
-    step = env.step(substream(5, "other"))
-    assert step.t == 1
+    assert env.rollout(substream(5, "other"), 1).t.tolist() == [1]
     # after burn-in the state is generically nonzero
     env2 = SyntheticEnv()
     rng2 = substream(5, "env")
@@ -94,20 +93,20 @@ def test_same_stream_reproduces_steps():
     r1, r2 = substream(9, "env"), substream(9, "env")
     env1.reset(r1)
     env2.reset(r2)
-    for _ in range(20):
-        s1, s2 = env1.step(r1), env2.step(r2)
-        np.testing.assert_array_equal(s1.full_context, s2.full_context)
-        np.testing.assert_array_equal(s1.potential_rewards, s2.potential_rewards)
+    s1, s2 = env1.rollout(r1, 20), env2.rollout(r2, 20)
+    np.testing.assert_array_equal(s1.full_context, s2.full_context)
+    np.testing.assert_array_equal(s1.potential_rewards, s2.potential_rewards)
 
 
 def test_optimal_arm_is_argmax_of_means():
     env = SyntheticEnv()
     rng = substream(10, "env")
     env.reset(rng)
-    for _ in range(200):
-        step = env.step(rng)
-        assert step.optimal_arm == int(np.argmax(step.arm_means))
-        assert step.optimal_mean == step.arm_means[step.optimal_arm]
+    rollout = env.rollout(rng, 200)
+    np.testing.assert_array_equal(rollout.optimal_arm, np.argmax(rollout.arm_means, axis=1))
+    np.testing.assert_array_equal(
+        rollout.optimal_mean, rollout.arm_means[np.arange(200), rollout.optimal_arm]
+    )
 
 
 def test_bump_function_shape():
@@ -133,30 +132,26 @@ def test_lower_bound_branch_means():
     env = LowerBoundEnv(d_lin=3, d_non=2)
     rng = substream(12, "lb")
     env.reset(rng)
-    for _ in range(300):
-        step = env.step(rng)
-        q = step.full_context[:3]
-        o = step.full_context[3:5]
+    rollout = env.rollout(rng, 300)
+    for y, arm_means in zip(rollout.full_context, rollout.arm_means):
+        q, o = y[:3], y[3:5]
         if q.any():  # V = 1 branch: Q is a basis vector, O pinned at o0
             np.testing.assert_array_equal(o, env.o0)
             lin = float(env.theta_q @ q)
-            np.testing.assert_allclose(step.arm_means, [lin, -lin], atol=1e-12)
+            np.testing.assert_allclose(arm_means, [lin, -lin], atol=1e-12)
         else:  # V = 0 branch: O uniform in the cube, arm means (f(O)/2, 0)
             assert np.abs(o).max() <= 1.0
-            np.testing.assert_allclose(
-                step.arm_means, [0.5 * env.f(o), 0.0], atol=1e-12
-            )
+            np.testing.assert_allclose(arm_means, [0.5 * env.f(o), 0.0], atol=1e-12)
 
 
 def test_lower_bound_w_equals_f_of_o():
     env = LowerBoundEnv(d_lin=2, d_non=2)
     rng = substream(13, "lb")
     env.reset(rng)
-    for _ in range(50):
-        step = env.step(rng)
-        o = step.full_context[2:4]
-        assert step.full_context[-1] == pytest.approx(float(env.f(o)), abs=1e-15)
-        assert step.cond_sd_w == 0.0
+    rollout = env.rollout(rng, 50)
+    for y in rollout.full_context:
+        assert y[-1] == pytest.approx(float(env.f(y[2:4])), abs=1e-15)
+    assert rollout.cond_sd_w == 0.0
 
 
 def test_lower_bound_validation():
@@ -217,35 +212,27 @@ class _ListStream:
 
 
 @pytest.mark.parametrize("k", [1, 3, 10])
-@pytest.mark.parametrize("lanes", [None, 1, 3], ids=["generator", "one_lane", "three_lanes"])
+@pytest.mark.parametrize("lanes", [1, 3], ids=["one_lane", "three_lanes"])
 def test_lockstep_stream_matches_the_list_reference(k, lanes):
     # lane i of a stream on generators seeded 0, 1, 2 is the reference
     # stream on a fresh generator of seed i, at every step until the log
-    # is exhausted; one Generator (lanes None) is the one-trial case
+    # is exhausted; one lane is the one-trial case
     n = 24
     pick = np.random.default_rng(5)
     log = ReplayLog(observed=np.zeros((n, 1)), rewards=pick.integers(0, 2, n).astype(float))
-    seeds = range(lanes or 1)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    stream = ReplayStream(log, rngs[0] if lanes is None else rngs)
-    refs = [_ListStream(log, np.random.default_rng(seed)) for seed in seeds]
-    shape = () if lanes is None else (lanes,)
+    stream = ReplayStream(log.rewards, [np.random.default_rng(seed) for seed in range(lanes)])
+    refs = [_ListStream(log, np.random.default_rng(seed)) for seed in range(lanes)]
     for step in range(n - k + 1):
         candidates, reveal = stream.step(k)
         expected = [ref.step(k) for ref in refs]
-        assert candidates.shape == shape + (k,)
-        assert np.array_equal(candidates.reshape(-1, k), [c for c, _ in expected])
+        assert candidates.shape == (lanes, k)
+        assert np.array_equal(candidates, [c for c, _ in expected])
         # random positions, with 0 and k - 1 in turn in one lane each step
-        choices = pick.integers(0, k, len(refs))
-        choices[step % len(refs)] = (0, k - 1)[step % 2]
-        rewards = reveal(choices if lanes else int(choices[0]))
+        choices = pick.integers(0, k, lanes)
+        choices[step % lanes] = (0, k - 1)[step % 2]
+        rewards = reveal(choices)
         want = [ref_reveal(int(c)) for (_, ref_reveal), c in zip(expected, choices)]
-        if lanes is None:
-            assert type(rewards) is float and rewards == want[0]
-        else:
-            assert rewards.shape == (lanes,) and rewards.tolist() == want
-        assert stream.n_remaining == n - step - 1
-        assert all(len(ref.remaining) == n - step - 1 for ref in refs)
+        assert rewards.shape == (lanes,) and rewards.tolist() == want
     with pytest.raises(EndOfLog):  # step n - k + 2
         stream.step(k)
 
@@ -255,55 +242,63 @@ def test_replay_stream_consumes_only_chosen():
     # chosen are the last step's unchosen candidates, so a candidate that
     # was not chosen stayed available
     n, k = 10, 4
-    log = ReplayLog(observed=np.zeros((n, 1)), rewards=np.zeros(n))
-    stream = ReplayStream(log, [substream(15, "rep", i) for i in range(2)])
+    stream = ReplayStream(np.zeros(n), [substream(15, "rep", i) for i in range(2)])
     chosen = [[], []]
     for step in range(n - k + 1):
         candidates, reveal = stream.step(k)
-        assert stream.n_remaining == n - step
         for lane in range(2):
             assert len(set(candidates[lane].tolist())) == k
             assert not set(candidates[lane].tolist()) & set(chosen[lane])
         arms = np.array([step % k, (step + 1) % k])
         reveal(arms)
-        assert stream.n_remaining == n - step - 1
         for lane in range(2):
             chosen[lane].append(int(candidates[lane, arms[lane]]))
     for lane in range(2):
         unchosen = set(np.delete(candidates[lane], arms[lane]).tolist())
         assert len(set(chosen[lane])) == n - k + 1
         assert unchosen | set(chosen[lane]) == set(range(n))
+    with pytest.raises(EndOfLog):
+        stream.step(k)
+
+
+def _steps_before_end_of_log(stream, k):
+    """Steps the stream serves, each revealed at position 0, until EndOfLog."""
+    steps = 0
+    while True:
+        try:
+            candidates, reveal = stream.step(k)
+        except EndOfLog:
+            return steps
+        reveal(np.zeros(len(candidates), dtype=int))
+        steps += 1
 
 
 def test_replay_stream_reveal_once_and_bounds():
-    log = ReplayLog(observed=np.zeros((6, 1)), rewards=np.zeros(6))
-    stream = ReplayStream(log, substream(16, "rep"))
+    stream = ReplayStream(np.zeros(6), [substream(16, "rep")])
     _, reveal = stream.step(3)
     with pytest.raises(InputError):
-        reveal(7)
-    assert stream.n_remaining == 6  # a refused choice consumes nothing
-    reveal(0)
+        reveal([7])
+    reveal([0])
     with pytest.raises(InputError, match="once"):
-        reveal(1)
-    assert stream.n_remaining == 5
+        reveal([1])
+    # a refused choice consumed nothing: 6 rows, one consumed, serve 3 more
+    assert _steps_before_end_of_log(stream, 3) == 3
 
 
 def test_replay_stream_end_of_log():
-    log = ReplayLog(observed=np.zeros((5, 1)), rewards=np.zeros(5))
-    stream = ReplayStream(log, substream(17, "rep"))
-    for _ in range(3):  # 5 rows, k=3: exactly 3 steps then exhaustion
-        _, reveal = stream.step(3)
-        reveal(0)
+    stream = ReplayStream(np.zeros(5), [substream(17, "rep")])
+    # 5 rows, k=3: exactly 3 steps then exhaustion
+    assert _steps_before_end_of_log(stream, 3) == 3
     with pytest.raises(EndOfLog):
         stream.step(3)
 
 
 def test_replay_stream_checks_its_inputs():
-    log = ReplayLog(observed=np.zeros((6, 1)), rewards=np.zeros(6))
-    for rng in ([], [substream(1, "rep"), 3], None, 7):
+    rewards = np.zeros(6)
+    for rngs in ([], (), [substream(1, "rep"), 3], None, 7, substream(1, "rep")):
         with pytest.raises(ParameterError, match="Generator"):
-            ReplayStream(log, rng)
-    stream = ReplayStream(log, [substream(18, "rep", i) for i in range(3)])
+            ReplayStream(rewards, rngs)
+    stream = ReplayStream(rewards, [substream(18, "rep", i) for i in range(3)])
     for k in (0, -1, 2.5, True, "3", None):
         with pytest.raises(ParameterError, match="k must be a positive integer"):
             stream.step(k)
@@ -324,16 +319,19 @@ def test_replay_stream_checks_its_inputs():
     for choices in ([0, 1], 1, "012"):
         with pytest.raises(InputError, match="one choice per trial"):
             reveal(choices)
-    assert stream.n_remaining == 6  # no refused reveal consumed a row
     assert reveal((np.int64(2), 0, 1)).shape == (3,)
-    assert stream.n_remaining == 5
+    # no refused reveal consumed a row: 6 rows, one consumed, serve 3 more
+    assert _steps_before_end_of_log(stream, 3) == 3
 
-    one = ReplayStream(log, substream(19, "rep"))
+    one = ReplayStream(rewards, [substream(19, "rep")])
     _, reveal = one.step(3)
-    for choice in (1.0, True, np.bool_(True), 3, -1, [0], np.float64(1.0)):
+    for choice in (1.0, True, np.bool_(True), 3, -1, np.float64(1.0)):
         with pytest.raises(InputError, match="lane 0"):
+            reveal([choice])
+    for choice in (1, np.int64(2), [0, 1]):
+        with pytest.raises(InputError, match="one choice per trial"):
             reveal(choice)
-    assert type(reveal(np.int64(2))) is float
+    assert reveal([np.int64(2)]).shape == (1,)
 
 
 def test_generate_history_shapes_and_determinism():
@@ -351,10 +349,9 @@ def test_lower_bound_step_draw_reproducibility():
     r1, r2 = substream(18, "lb"), substream(18, "lb")
     e1.reset(r1)
     e2.reset(r2)
-    for _ in range(25):
-        s1, s2 = e1.step(r1), e2.step(r2)
-        np.testing.assert_array_equal(s1.full_context, s2.full_context)
-        np.testing.assert_array_equal(s1.potential_rewards, s2.potential_rewards)
+    s1, s2 = e1.rollout(r1, 25), e2.rollout(r2, 25)
+    np.testing.assert_array_equal(s1.full_context, s2.full_context)
+    np.testing.assert_array_equal(s1.potential_rewards, s2.potential_rewards)
 
 
 # -- rollouts -------------------------------------------------------------------
@@ -505,7 +502,7 @@ def test_rollouts_split_anywhere_give_the_same_steps(kind, a, b, seed):
                  "optimal_arm", "optimal_mean", "cond_mean_w", "cond_arm_means"):
         joined = np.concatenate([getattr(first, name), getattr(second, name)])
         assert_bitwise(joined, getattr(whole, name))
-        assert_bitwise(np.stack([getattr(s, name) for s in stepped]), getattr(whole, name))
+        assert_bitwise(np.concatenate([getattr(s, name) for s in stepped]), getattr(whole, name))
     # the streams are left in the same place
     assert rngs[0].random() == rngs[1].random() == rngs[2].random()
 

@@ -303,7 +303,8 @@ def test_replay_runs_and_is_deterministic(tmp_path):
     header = open(res1["raw_path"]).readline().strip()
     assert header == "trial,t,agent,choice,reward,cum_ctr"
     for stats in res1["summary"].values():
-        assert 0.0 <= stats["final_mean_cum_ctr"] <= 1.0
+        assert set(stats) == {"mean_final_cum_ctr", "se_final_cum_ctr"}
+        assert 0.0 <= stats["mean_final_cum_ctr"] <= 1.0 and stats["se_final_cum_ctr"] >= 0.0
     meta = json.loads(open(res1["metadata_path"]).read())
     assert meta["run"]["protocol"] == "k_candidate_replay"
 
@@ -769,7 +770,7 @@ def test_metadata_records_the_plug_in_band(tmp_path):
 
 def test_oracle_imputer_trial_matches_a_per_step_reference():
     # no golden config uses the oracle imputer; pin its trial against a
-    # loop over the public per-step API
+    # loop of the public one-trial agent over one rollout
     from pulsebandit import (
         AgentKind, GammaSchedule, GaussianConditional, arm_feature_matrix,
         gaussian_dt, make_agent, observe, select_arm, substream,
@@ -788,16 +789,16 @@ def test_oracle_imputer_trial_matches_a_per_step_reference():
     schedule = GammaSchedule(lam=1.0, sigma_eta=0.05, delta=0.1, feat_norm_bound=2.0, dim=4,
                              sigma_eps=1.0, scale=0.02)
     agent = make_agent("pulse", AgentKind.PULSE_UCB, 2, dim=4, schedule=schedule)
+    rollout = env.rollout(rng_env, 60)
     arms, rewards = [], []
-    for _ in range(60):
-        step = env.step(rng_env)
+    for i in range(60):
         # the oracle's features and model law are the step's true law of W
         feats = arm_feature_matrix(
-            env.feature_map, np.concatenate([step.observed, step.cond_mean_w])
+            env.feature_map, np.concatenate([rollout.observed[i], rollout.cond_mean_w[i]])
         )
         arm = select_arm(agent, feats)
-        reward = float(step.potential_rewards[arm])
-        truth = GaussianConditional(float(step.cond_mean_w[0]), step.cond_sd_w)
+        reward = float(rollout.potential_rewards[i, arm])
+        truth = GaussianConditional(float(rollout.cond_mean_w[i, 0]), rollout.cond_sd_w)
         dt = gaussian_dt(truth, truth)
         observe(agent, feats[arm], reward, dt_value=dt)
         arms.append(arm)
