@@ -29,13 +29,16 @@ An agent made with `trials=n` plays n independent trials in lockstep: it
 takes (n, n_arms, dim) features per decision, returns n arms, and its
 divergence sum and radius are (n,) arrays.  A one-trial agent is the same
 code over the empty batch shape: it takes (n_arms, dim) features and
-returns one int arm, and its radius is a float.  Each observation adds the
-step's divergence charge D_tau, which the caller gives, to the sum.  A
-one-trial agent's rows come from its caller at every step, so they go
-through the checking one-state entry points of `linalg`; a lockstep
-agent's rows are slices of blocks checked once before the first decision
-(the harness's views, rewards and divergence charges), so its steps skip
-that scan.
+returns one int arm, and its radius is a float.  A lane group is a
+lockstep agent whose lanes are the trials of several members whose
+schedules differ only in their feature-norm bound B: each member's
+gamma^(0) is its own Python float, repeated over its block of lanes.  Each
+observation adds the step's divergence charge D_tau, which the caller
+gives, to the sum.  A one-trial agent's rows come from its caller at every
+step, so they go through the checking one-state entry points of `linalg`;
+a lockstep agent's rows are slices of blocks checked once before the first
+decision (the harness's views, rewards and divergence charges), so its
+steps skip that scan.
 """
 
 import math
@@ -78,13 +81,14 @@ class GammaSchedule:
     """Confidence-radius schedule state.
 
     dt_cumsum accumulates the per-step divergences D_tau that observe
-    receives.
+    receives.  A lane group's schedule (see `make_agent`) holds a tuple of
+    feature-norm bounds, one per member.
     """
 
     lam: float
     sigma_eta: float
     delta: float
-    feat_norm_bound: float
+    feat_norm_bound: float  # or a tuple of floats, one per member
     dim: int
     sigma_eps: float = DEFAULT_SIGMA_EPS
     scale: float = 1.0
@@ -102,11 +106,14 @@ class GammaSchedule:
             raise ConfigError(
                 "schedule.sigma_eta", f"must be nonnegative, got {self.sigma_eta!r}"
             )
-        if not (math.isfinite(self.feat_norm_bound) and self.feat_norm_bound >= 0):
-            raise ConfigError(
-                "schedule.feat_norm_bound",
-                f"must be nonnegative, got {self.feat_norm_bound!r}",
-            )
+        bounds = self.feat_norm_bound
+        if bounds == ():
+            raise ConfigError("schedule.feat_norm_bound", "needs one bound per member, got none")
+        for bound in bounds if isinstance(bounds, tuple) else (bounds,):
+            if not (math.isfinite(bound) and bound >= 0):
+                raise ConfigError(
+                    "schedule.feat_norm_bound", f"must be nonnegative, got {bound!r}"
+                )
         if self.dim < 1:
             raise ConfigError("schedule.dim", f"must be positive, got {self.dim}")
         if not (math.isfinite(self.sigma_eps) and self.sigma_eps >= 0):
@@ -118,26 +125,42 @@ class GammaSchedule:
 
 
 def gamma_zero(schedule, t):
-    """Divergence-free radius gamma_t^(0), before the scale factor."""
+    """Divergence-free radius gamma_t^(0), before the scale factor: a float,
+    or a tuple of one float per member for a lane group's schedule."""
     if t < 1:
         raise ParameterError(f"t must be >= 1, got {t}")
     s = schedule
+    if isinstance(s.feat_norm_bound, tuple):
+        return tuple(_gamma_zero(s, t, bound) for bound in s.feat_norm_bound)
+    return _gamma_zero(s, t, s.feat_norm_bound)
+
+
+def _gamma_zero(s, t, bound):
     log_term = (
         math.log(4.0)
         + 2.0 * math.log(t)
         - math.log(s.delta)
-        + s.dim
-        * math.log1p(t * s.feat_norm_bound * s.feat_norm_bound / (s.dim * s.lam))
+        + s.dim * math.log1p(t * bound * bound / (s.dim * s.lam))
     )
     width = s.sigma_eta + s.sigma_eps
     return 3.0 * s.lam + 6.0 * width * width * log_term
 
 
+def _per_lane(values, shape):
+    """A float as it is; a tuple of one float per member as an array of the
+    lane shape `shape`, each member's float repeated over its block of
+    lanes (one member's as its float)."""
+    if not isinstance(values, tuple):
+        return values
+    if len(values) == 1:
+        return values[0]
+    return np.array(values).repeat(shape[0] // len(values))
+
+
 def gamma_at(schedule, t):
     """Scaled radius gamma_t; dt_cumsum must be current through step t."""
-    return schedule.scale * (
-        gamma_zero(schedule, t) + 3.0 * schedule.dim**2 * schedule.dt_cumsum
-    )
+    zero = _per_lane(gamma_zero(schedule, t), np.shape(schedule.dt_cumsum))
+    return schedule.scale * (zero + 3.0 * schedule.dim**2 * schedule.dt_cumsum)
 
 
 class AgentKind(Enum):
@@ -191,7 +214,9 @@ def make_agent(
     With `trials` set, a positive count, the agent plays that many trials
     in lockstep.  A UCB agent's ridge state is a RidgeStack of batch shape
     (trials,), or () for one trial, and its schedule a copy whose
-    divergence sum has that shape.
+    divergence sum has that shape.  A schedule whose feat_norm_bound is a
+    tuple of m bounds makes a lane group: its trial lanes fall into m equal
+    blocks, one per member, and lane block j's radius reads bound j.
     """
     kind = AgentKind(kind)
     selection_form = SelectionForm(selection_form)
@@ -205,6 +230,12 @@ def make_agent(
         if schedule.dim != dim:
             raise ParameterError(
                 f"schedule.dim = {schedule.dim} does not match feature dim {dim}"
+            )
+        bounds = schedule.feat_norm_bound
+        if isinstance(bounds, tuple) and (trials is None or trials % len(bounds)):
+            raise ParameterError(
+                f"{len(bounds)} feature-norm bounds, one per member, need a multiple of "
+                f"{len(bounds)} trial lanes, got {trials}"
             )
         ridge = new_ridge_stack(trials, dim, schedule.lam)
         schedule = replace(schedule, dt_cumsum=np.full(ridge.shape, schedule.dt_cumsum)[()])
@@ -230,8 +261,9 @@ def current_gamma(agent):
         raise UsageError(f"{agent.kind.value} agents have no confidence schedule")
     t = agent.ridge.update_count
     if t == 0:
-        gamma = agent.schedule.scale * gamma_zero(agent.schedule, 1)
-        return np.full(agent.ridge.shape, gamma)[()]  # [()]: a 0-d array as a float
+        zero = _per_lane(gamma_zero(agent.schedule, 1), agent.ridge.shape)
+        # [()]: a 0-d array as a float
+        return np.full(agent.ridge.shape, agent.schedule.scale * zero)[()]
     return gamma_at(agent.schedule, t)
 
 

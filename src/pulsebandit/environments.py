@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EndOfLog, EnvError, InputError, ParameterError
+from .errors import EndOfLog, EnvError, InputError, ParameterError, UsageError
 from .features import (
     arm_feature_matrix,  # unused: rollouts build features with phi_batch; kept for tracers
     lower_bound_two_arm_map,
@@ -550,39 +550,97 @@ def load_replay_log(path):
     )
 
 
+# steps of candidates drawn at once: one `integers` call per lane draws a
+# block of 64 x (2k - 1) numbers, whatever the length of the log
+_BLOCK_STEPS = 64
+
+
+def _draw_picks(rngs, n, k, steps):
+    """The (steps, lanes, k) candidate positions of `steps` consecutive
+    steps from n, n - 1, ... rows, lane j drawing from rngs[j].
+
+    Step s of lane j equals rngs[j].choice(n - s, k, replace=False) bit for
+    bit wherever numpy's `choice` runs Floyd's sampling (Bentley and Floyd
+    1987) and then a Fisher-Yates shuffle: all their bounded draws are ones
+    that `integers` makes too, in order, so one call per lane draws the
+    block's Floyd highs n - s - k + t and shuffle highs k - 1 - i.  Floyd's
+    rule (a repeated draw takes n - s - k + t) and the swaps then run as k
+    passes over every (step, lane).  Past 10,000 rows with k > rows // 50,
+    `choice` takes a tail shuffle instead; these picks remain k uniform
+    distinct positions there.
+    """
+    tops = (n - np.arange(steps))[:, None] - k + np.arange(k)  # Floyd's highs
+    highs = np.concatenate([tops, np.broadcast_to(np.arange(k - 1, 0, -1), (steps, k - 1))], 1)
+    draws = np.empty((highs.size, len(rngs)), dtype=np.int64)
+    for lane, rng in enumerate(rngs):
+        draws[:, lane] = rng.integers(0, highs.ravel(), endpoint=True)
+    # one row per draw of a step, one column per (step, lane)
+    cols = steps * len(rngs)
+    draws = draws.reshape(steps, 2 * k - 1, -1).transpose(1, 0, 2).reshape(2 * k - 1, cols)
+    tops = np.repeat(tops.T, len(rngs), axis=1)
+    picks = np.empty((k, cols), dtype=np.int64)
+    for t in range(k):
+        drawn = draws[t]
+        picks[t] = np.where((picks[:t] == drawn).any(axis=0), tops[t], drawn)
+    every = np.arange(cols)
+    for i in range(k - 1, 0, -1):  # swap position i with the drawn j <= i
+        j = draws[2 * k - 1 - i]
+        held = picks[j, every]
+        picks[j, every] = picks[i]
+        picks[i] = held
+    return picks.T.reshape(steps, len(rngs), k)
+
+
 class ReplayStream:
-    """Serves k-candidate steps from a log's rows to several trials in
-    lockstep, one lane per trial.
+    """Serves k-candidate steps from a log's rows to several lanes in
+    lockstep, each lane drawing from its own Generator.
 
-    `rewards` holds the logged reward of each row and `rngs` the trials'
-    own Generators, one per lane.  `step(k)` samples each trial's k
-    candidates uniformly without replacement from that trial's unconsumed
-    rows, with one `rng.choice(n, size=k, replace=False)` per lane in list
-    order, n being the count of rows left.  It returns the candidates' row
-    indices, (trials, k), and `reveal`.  `reveal` takes the chosen
-    candidate position of every trial, consumes the chosen rows and returns
-    their logged rewards, (trials,); a step may be revealed once.  Only the
-    chosen row is consumed, so n rows support up to n - k + 1 steps of k
-    candidates.
+    `rewards` holds the logged reward of each row, `rngs` the lanes'
+    Generators, one per lane, and `k` the candidate count.  `step()`
+    samples each lane's k candidates uniformly without replacement from
+    that lane's unconsumed rows; it returns their row indices, (lanes, k),
+    and `reveal`.  `reveal` takes the chosen candidate position of every
+    lane, consumes the chosen rows and returns their logged rewards,
+    (lanes,); a step may be revealed once, and must be before the next
+    step.  Only the chosen row is consumed, so n rows support up to n - k +
+    1 steps of k candidates.
 
-    Every trial consumes one row per step, so the trials' unconsumed rows
-    are one (trials, n_rows) array whose first n columns are live, each
-    row in ascending order.  Consuming a row shifts the live entries after
-    it one place left, which keeps that order.  The draws depend only on
-    each trial's generator and on n, so a trial's candidates and rewards
-    do not depend on which other trials share its stream.
+    Lane j's candidates with n rows left are the positions that
+    rngs[j].choice(n, k, replace=False) gives (see `_draw_picks`), drawn
+    _BLOCK_STEPS steps ahead.  Every lane consumes one row per step, so the
+    lanes' unconsumed rows are one (lanes, n_rows) array whose first n
+    columns are live, each row in ascending order.  Consuming a row shifts
+    the live entries after it one place left, which keeps that order.  The
+    draws depend only on each lane's generator and on n, so a lane's
+    candidates and rewards do not depend on which other lanes share its
+    stream.
     """
 
-    def __init__(self, rewards, rngs):
+    def __init__(self, rewards, rngs, k):
         self._rngs = _lane_rngs(rngs)
+        if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
+            raise ParameterError(f"candidate count k must be a positive integer, got {k!r}")
+        self._k = int(k)
         self._rewards = np.asarray(rewards)
         self._lanes = np.arange(len(self._rngs))
         self._n = len(self._rewards)
         self._remaining = np.tile(np.arange(self._n), (len(self._rngs), 1))
+        self._picks = ()  # the drawn block, one (lanes, k) row per step
+        self._next = 0  # the block's next row
+        self._open = False  # a step was served and not revealed
 
-    def _check_choices(self, choices, k):
-        """The chosen positions as a list with one int per trial, each
-        checked to be an integer, not a bool, in [0, k)."""
+    def _check_choices(self, choices):
+        """The chosen positions as one int per lane, each checked to be an
+        integer, not a bool, in [0, k)."""
+        k = self._k
+        if (
+            isinstance(choices, np.ndarray)
+            and choices.shape == self._lanes.shape
+            and choices.dtype.kind in "iu"
+            and choices.min() >= 0
+            and choices.max() < k
+        ):
+            return choices
         values = choices.tolist() if isinstance(choices, np.ndarray) else choices
         if not isinstance(values, (list, tuple)) or len(values) != len(self._rngs):
             raise InputError(
@@ -593,28 +651,32 @@ class ReplayStream:
                 raise InputError(f"choice {c!r} of trial lane {lane} is not an integer in [0, {k})")
         return values
 
-    def step(self, k):
-        if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-            raise ParameterError(f"candidate count k must be a positive integer, got {k!r}")
-        n = self._n
+    def step(self):
+        if self._open:
+            raise UsageError("reveal each step before the next")
+        n, k = self._n, self._k
         if n < k:
             raise EndOfLog(f"only {n} unconsumed rows remain, need {k}")
+        if self._next == len(self._picks):
+            self._picks = _draw_picks(self._rngs, n, k, min(_BLOCK_STEPS, n - k + 1))
+            self._next = 0
+        picks = self._picks[self._next]
+        self._next += 1
+        self._open = True
         lanes = self._lanes
-        picks = np.array([rng.choice(n, size=k, replace=False) for rng in self._rngs])
         candidates = self._remaining[lanes[:, None], picks]
-        spent = []
 
         def reveal(choices):
-            """Consume each trial's chosen candidate; returns the chosen
+            """Consume each lane's chosen candidate; returns the chosen
             rows' logged rewards only."""
-            if spent:
+            if not self._open or self._n != n:
                 raise InputError("reveal may be called once per step")
-            chosen = self._check_choices(choices, k)
-            spent.append(chosen)
+            chosen = self._check_choices(choices)
             remaining = self._remaining
             for lane, p in enumerate(picks[lanes, chosen].tolist()):
                 remaining[lane, p : n - 1] = remaining[lane, p + 1 : n]
             self._n = n - 1
+            self._open = False
             return self._rewards[candidates[lanes, chosen]]
 
         return candidates, reveal

@@ -6,8 +6,10 @@ shared reward noise, but only its permitted view of the context.  No
 choice changes the stream, so a trial takes it as one rollout: all trials
 are one lane rollout of the environment, one lane per trial, and each
 view's features are built for every trial and the whole horizon at once.
-Then each agent plays all trials in lockstep, one decision per step for
-every trial at once, through the per-agent loop that replay uses too.
+Then each lane group plays all trials in lockstep, one decision per step
+for every lane at once, through the loop that replay uses too: the UCB
+agents that share a feature dim and selection form make one group, whose
+lanes are their (agent, trial) pairs, and every other agent plays alone.
 The play keeps that shape up to the CSV writers: each agent's per-step
 columns are (trials, T) blocks, one row per trial, and each per-trial
 figure is a list with one entry per trial.
@@ -764,13 +766,18 @@ class _View:
 
 @dataclass(frozen=True)
 class _Seat:
-    """One configured agent in the loop: its lockstep state over all trials,
-    its view, the list of its trials' choice streams and, for a UCB agent,
-    its (T, trials) block of divergence charges, the D_tau that each step
-    adds to its divergence sum (None for the kinds that do not observe)."""
+    """One lane group in the loop: the configured agents `names`, played as
+    one lockstep agent of len(names) x trials lanes, member-major (lane
+    m * trials + i plays trial i of member m).  The UCB agents of one
+    (feature dim, selection form) share a seat; every other agent has its
+    own.  `views` holds each member's view (None for the kinds without
+    one), `rng` each lane's choice stream and, for UCB members, `charges`
+    the (T, lanes) divergence charges, the D_tau that each step adds to a
+    lane's divergence sum (None for the kinds that do not observe)."""
 
     agent: AgentState
-    view: _View
+    names: tuple
+    views: tuple
     rng: object
     charges: np.ndarray
 
@@ -801,55 +808,63 @@ def _charge_block(spec, shape, plug_in_dt=None, oracle=None):
 
 
 def _seat_agents(config, trials, arm_count, view_for, charges_for):
-    """Build every configured agent, in config order, with its view, each
-    to play the listed trials in lockstep.
+    """Seat every configured agent, each to play the listed trials in
+    lockstep: one seat per lane group (see `_Seat`), in the config order of
+    each group's first member.
 
-    `view_for(kind)` returns the agent's view, or None for the kinds that
+    `view_for(kind)` returns an agent's view, or None for the kinds that
     decide without features (oracle_best, uniform_random), and
     `charges_for(spec)` a UCB agent's block of divergence charges (see
-    `_charge_block`).
+    `_charge_block`).  A group's agent has its first member's kind, as the
+    UCB kinds differ only in their views, and one feature-norm bound per
+    member, which its radius reads per lane.
     """
-    seats = []
+    groups = {}
     for spec in config.agents:
-        name = spec["name"]
-        kind = AgentKind(spec["kind"])
-        view = view_for(kind)
-        dim = schedule = charges = None
-        if view is not None:
-            dim = view.features.shape[-1]
+        view = view_for(AgentKind(spec["kind"]))
+        key = spec["name"] if view is None else (view.features.shape[-1], spec["selection_form"])
+        groups.setdefault(key, []).append((spec, view))
+    seats = []
+    for members in groups.values():
+        specs = [spec for spec, _ in members]
+        names = tuple(spec["name"] for spec in specs)
+        views = dim = schedule = charges = None
+        if members[0][1] is not None:
+            views = tuple(view for _, view in members)
+            dim = views[0].features.shape[-1]
             schedule = GammaSchedule(
                 lam=config.schedule["lambda"],
                 sigma_eta=config.schedule["sigma_eta"],
                 delta=config.schedule["delta"],
-                feat_norm_bound=view.bound,
+                feat_norm_bound=tuple(view.bound for view in views),
                 dim=dim,
                 sigma_eps=config.schedule["sigma_eps"],
                 scale=config.gamma_scale,
             )
-            charges = charges_for(spec)
+            charges = np.concatenate([charges_for(spec) for spec in specs], axis=1)
         agent = make_agent(
-            name=name,
-            kind=kind,
+            name="+".join(names),
+            kind=specs[0]["kind"],
             arm_count=arm_count,
             dim=dim,
             schedule=schedule,
-            selection_form=SelectionForm(spec["selection_form"]),
-            trials=len(trials),
+            selection_form=SelectionForm(specs[0]["selection_form"]),
+            trials=len(names) * len(trials),
         )
-        rngs = [substream(config.base_seed, "trial", i, "agent", name) for i in trials]
-        seats.append(_Seat(agent, view, rngs, charges))
+        rngs = [substream(config.base_seed, "trial", i, "agent", n) for n in names for i in trials]
+        seats.append(_Seat(agent, names, views, rngs, charges))
     return seats
 
 
 def _play(seat, horizon, steps):
-    """One seat's decision loop over its whole horizon, every trial at each
+    """One seat's decision loop over its whole horizon, every lane at each
     step, for simulate and replay alike.
 
-    `steps` yields, per decision, the (trials, n_arms, dim) features of the
-    seat's view (None for kinds without one), the optimal arm per trial
+    `steps` yields, per decision, the (lanes, n_arms, dim) features of the
+    seat's views (None for kinds without one), the optimal arm per lane
     (None when unknown) and `pay(arms)`, which takes the chosen arm per
-    trial and returns their rewards.  Step i's row of the seat's charge
-    block goes to observe.  Returns (arms, rewards), each (trials, horizon).
+    lane and returns their rewards.  Step i's row of the seat's charge
+    block goes to observe.  Returns (arms, rewards), each (lanes, horizon).
     """
     shape = (seat.agent.trials, horizon)
     arms = np.empty(shape, dtype=int)
@@ -858,34 +873,43 @@ def _play(seat, horizon, steps):
     for i, (feats, optimal_arm, pay) in zip(range(horizon), steps):
         arm = select_arm(seat.agent, feats, optimal_arm=optimal_arm, rng=seat.rng)
         reward = pay(arm)
-        if seat.view is not None:
+        if seat.views is not None:
             observe(seat.agent, feats[lanes, arm], reward, dt_value=seat.charges[i])
         arms[:, i] = arm
         rewards[:, i] = reward
     return arms, rewards
 
 
-def _play_trials(seats, horizon, steps_for, columns):
-    """Play every seat over all its trials in lockstep.
+def _play_trials(config, seats, horizon, steps_for, columns):
+    """Play every seat over all its lanes in lockstep.
 
     `steps_for(seat)` gives the seat's per-decision steps for `_play`, and
-    `columns(arms)` the extra per-step columns of a (trials, T) block of
-    chosen arms.  Returns each agent's (trials, T) columns, running ones
-    included, under "agents", and each agent's divergence sum and radius
-    after its last observation, one per trial (None for the kinds without a
-    confidence schedule), under "final_dt_cumsum" and "final_gamma".
+    `columns(arms)` the extra per-step columns of one agent's (trials, T)
+    block of chosen arms.  Returns each agent's (trials, T) columns,
+    running ones included, under "agents", and each agent's divergence sum
+    and radius after its last observation, one per trial (None for the
+    kinds without a confidence schedule), under "final_dt_cumsum" and
+    "final_gamma", each in config order.
     """
     agents, final_dt_cumsum, final_gamma = {}, {}, {}
     for seat in seats:
-        agent, name = seat.agent, seat.agent.name
+        agent = seat.agent
         arms, rewards = _play(seat, horizon, steps_for(seat))
-        agents[name] = _add_running_columns({"arm": arms, "reward": rewards, **columns(arms)})
+        dt_cumsum = gamma = [None] * agent.trials
         if agent.is_ucb:
-            final_dt_cumsum[name] = agent.schedule.dt_cumsum.tolist()
-            final_gamma[name] = current_gamma(agent).tolist()
-        else:
-            final_dt_cumsum[name], final_gamma[name] = [None] * agent.trials, [None] * agent.trials
-    return {"agents": agents, "final_dt_cumsum": final_dt_cumsum, "final_gamma": final_gamma}
+            dt_cumsum, gamma = agent.schedule.dt_cumsum.tolist(), current_gamma(agent).tolist()
+        trials = agent.trials // len(seat.names)
+        for m, name in enumerate(seat.names):
+            lanes = slice(m * trials, (m + 1) * trials)
+            cols = {"arm": arms[lanes], "reward": rewards[lanes], **columns(arms[lanes])}
+            agents[name] = _add_running_columns(cols)
+            final_dt_cumsum[name], final_gamma[name] = dt_cumsum[lanes], gamma[lanes]
+    order = [spec["name"] for spec in config.agents]
+    return {
+        "agents": {name: agents[name] for name in order},
+        "final_dt_cumsum": {name: final_dt_cumsum[name] for name in order},
+        "final_gamma": {name: final_gamma[name] for name in order},
+    }
 
 
 def _add_running_columns(cols):
@@ -951,10 +975,10 @@ def run_trials(config, trial_indices, fitted_imputer, plug_in_dt, feat_norm_boun
     pulse_ucb, the true conditional means under the oracle imputer, else
     the fitted model's, each lane's from its own lag history.  The oracle
     divergence charges come from the same W blocks; a plug_in agent's
-    charge is `plug_in_dt` at every step.  Then each agent plays
-    all the trials at once, one decision per step for every trial, so the
-    loop's Python overhead is paid once per (agent, step), not per (trial,
-    agent, step).
+    charge is `plug_in_dt` at every step.  Then each lane group (see
+    `_Seat`) plays all the trials at once, one decision per step for every
+    lane, so the loop's Python overhead is paid once per (group, step), not
+    per (trial, agent, step).
     Returns `_play_trials`'s result, whose lanes follow the order given,
     plus each trial's kernel-imputer fallback count ("kernel_fallbacks")
     and largest |potential reward| ("max_abs_reward"), one per lane.  Lane
@@ -1003,9 +1027,12 @@ def run_trials(config, trial_indices, fitted_imputer, plug_in_dt, feat_norm_boun
     seats = _seat_agents(config, trial_indices, env.feature_map.arm_count, view_for, charges_for)
 
     def steps_for(seat):
-        feats = repeat(None) if seat.view is None else seat.view.features
-        # each step pays every trial's chosen arm
-        pays = ((lambda arms, step=step: step[lanes, arms]) for step in potential)
+        feats = repeat(None)
+        if seat.views is not None:
+            feats = np.concatenate([view.features for view in seat.views], axis=1)
+        # each step pays every lane's chosen arm at its trial's step
+        trial = np.tile(lanes, len(seat.names))
+        pays = ((lambda arms, step=step: step[trial, arms]) for step in potential)
         return zip(feats, rollout.optimal_arm, pays)
 
     best_cond_means = rollout.cond_arm_means.max(axis=2)
@@ -1023,7 +1050,7 @@ def run_trials(config, trial_indices, fitted_imputer, plug_in_dt, feat_norm_boun
             "cond_inst": gap(best_cond_means, rollout.cond_arm_means),
         }
 
-    results = _play_trials(seats, horizon, steps_for, regret_columns)
+    results = _play_trials(config, seats, horizon, steps_for, regret_columns)
     results["max_abs_reward"] = np.abs(potential).max(axis=(0, 2)).tolist()
     results["kernel_fallbacks"] = fallbacks.sum(axis=0).tolist()
     return results
@@ -1325,30 +1352,38 @@ def _replay_views(config, observed, full, imputer):
 
 def _replay_steps(config, seat, rewards, k):
     """What `_play` takes per decision of a replay seat: k candidates per
-    trial from one lockstep stream over the online rows, whose logged
-    rewards are `rewards`, each trial drawing from its own generator, whose
-    reveal pays the arm chosen in every trial."""
+    lane from one lockstep stream over the online rows, whose logged
+    rewards are `rewards`, each (member, trial) lane drawing from its own
+    generator, whose reveal pays the arm chosen in every lane.  A lane's
+    features are rows of its member's view."""
     stream = ReplayStream(
         rewards,
         [
-            substream(config.base_seed, "trial", i, "replay", seat.agent.name)
+            substream(config.base_seed, "trial", i, "replay", name)
+            for name in seat.names
             for i in range(config.trials)
         ],
+        k,
     )
-    table = None if seat.view is None else seat.view.features
+    if seat.views is None:
+        while True:
+            yield None, None, stream.step()[1]
+    table = np.stack([view.features for view in seat.views])  # (members, rows, dim)
+    member = np.repeat(np.arange(len(seat.names)), config.trials)[:, None]
     while True:
-        candidates, reveal = stream.step(k)
-        yield None if table is None else table[candidates], None, reveal
+        candidates, reveal = stream.step()
+        yield table[member, candidates], None, reveal
 
 
 def run_replay(config, out_dir=None, overrides_echo=()):
     """Offline replay: per step, k logged candidates, the chosen row's
     reward revealed, cumulative click-through rate tracked per agent.
 
-    Each agent replays the online portion on its own candidate stream,
-    which serves all trials in lockstep, each trial drawing from its own
-    generator, so an agent's rows do not depend on which other agents or
-    trials run.  A config of another environment kind is a ConfigError.
+    Each lane group (see `_Seat`) replays the online portion on one
+    candidate stream, which serves all its lanes in lockstep, each (agent,
+    trial) lane drawing from its own generator, so an agent's rows do not
+    depend on which other agents or trials run.  A config of another
+    environment kind is a ConfigError.
     """
     if config.environment["kind"] != "replay":
         raise ConfigError(
@@ -1376,9 +1411,8 @@ def _play_replay(config, out_dir, lap):
 
     charges_for = partial(_charge_block, shape=(horizon, config.trials))
     seats = _seat_agents(config, list(range(config.trials)), k, views.get, charges_for)
-    played = _play_trials(
-        seats, horizon, lambda seat: _replay_steps(config, seat, rewards, k), lambda arms: {}
-    )
+    steps_for = partial(_replay_steps, config, rewards=rewards, k=k)
+    played = _play_trials(config, seats, horizon, steps_for, lambda arms: {})
     lap("trials")
 
     facts = {
@@ -1388,7 +1422,9 @@ def _play_replay(config, out_dir, lap):
         "n_online_rows": n_online,
         "horizon": horizon,
         "feat_norm_bounds": {
-            seat.agent.name: seat.view.bound for seat in seats if seat.view is not None
+            spec["name"]: views[AgentKind(spec["kind"])].bound
+            for spec in config.agents
+            if AgentKind(spec["kind"]) in views
         },
         "feat_norm_diagnostics": pre["feat_norm_diagnostics"],
     }

@@ -207,6 +207,36 @@ def test_dt_cumsum_read_before_observe_keeps_its_value():
         assert np.all(agent.schedule.dt_cumsum > before)
 
 
+def test_a_lane_group_reads_each_members_radius():
+    # a schedule of two bounds makes a lane group of 2 x 3 lanes: lane block
+    # j's radius is, bit for bit, that of an agent on bound j alone, before
+    # and after observations
+    bounds = (1.5, 0.75)
+    group = make_agent("g", AgentKind.OFUL_FULL, arm_count=2, dim=2, trials=6,
+                       schedule=simple_schedule(dim=2, feat_norm_bound=bounds))
+    alone = [make_agent(f"a{j}", AgentKind.OFUL_FULL, arm_count=2, dim=2, trials=3,
+                        schedule=simple_schedule(dim=2, feat_norm_bound=b))
+             for j, b in enumerate(bounds)]
+    assert gamma_zero(group.schedule, 4) == tuple(gamma_zero(a.schedule, 4) for a in alone)
+    rng = np.random.default_rng(3)
+    for step in range(3):
+        want = np.concatenate([current_gamma(a) for a in alone])
+        assert current_gamma(group).tolist() == want.tolist()
+        rows, dt = rng.standard_normal((6, 2)), rng.random(6)
+        observe(group, rows, np.zeros(6), dt_value=dt)
+        for j, a in enumerate(alone):
+            observe(a, rows[3 * j : 3 * j + 3], np.zeros(3), dt_value=dt[3 * j : 3 * j + 3])
+    with pytest.raises(ParameterError, match="multiple of 2"):
+        make_agent("g", AgentKind.OFUL_FULL, arm_count=2, dim=2, trials=5,
+                   schedule=simple_schedule(dim=2, feat_norm_bound=bounds))
+    with pytest.raises(ParameterError, match="multiple of 2"):
+        make_agent("g", AgentKind.OFUL_FULL, arm_count=2, dim=2,
+                   schedule=simple_schedule(dim=2, feat_norm_bound=bounds))
+    for bad in ((), (1.0, -1.0), (1.0, math.inf)):
+        with pytest.raises(ConfigError, match="schedule.feat_norm_bound"):
+            simple_schedule(feat_norm_bound=bad)
+
+
 def test_gamma_increases_after_divergence():
     # two agents at the same update count isolate the 3 d^2 sum(D) term
     clean = make_agent("a", AgentKind.OFUL_FULL, arm_count=2, dim=2,

@@ -13,6 +13,7 @@ from pulsebandit import (
     ReplayLog,
     ReplayStream,
     SyntheticEnv,
+    UsageError,
     bump_function,
     generate_history,
     load_replay_log,
@@ -20,7 +21,7 @@ from pulsebandit import (
     save_replay_log,
     substream,
 )
-from pulsebandit.environments import ar_root_moduli
+from pulsebandit.environments import _BLOCK_STEPS, ar_root_moduli
 
 
 def arma_variance_oracle(ar1, ar2, ma1, ma2, sigma, terms=4000):
@@ -194,7 +195,8 @@ def test_replay_log_rejects_nonbinary_rewards():
 
 class _ListStream:
     """The list-based one-trial stream, as a reference: k candidates drawn
-    from a list of unconsumed rows, the chosen one removed from it."""
+    from a list of unconsumed rows by `Generator.choice`, the chosen one
+    removed from it."""
 
     def __init__(self, log, rng):
         self.log, self.rng, self.remaining = log, rng, list(range(log.n_rows))
@@ -211,19 +213,25 @@ class _ListStream:
         return candidates, reveal
 
 
-@pytest.mark.parametrize("k", [1, 3, 10])
+# long enough for k = 1, 3 and 10 to cross three draw blocks in every lane
+N_LONG = 3 * _BLOCK_STEPS + 20
+
+
+@pytest.mark.parametrize("k", [1, 3, 10, pytest.param(N_LONG, id="n")])
 @pytest.mark.parametrize("lanes", [1, 3], ids=["one_lane", "three_lanes"])
 def test_lockstep_stream_matches_the_list_reference(k, lanes):
     # lane i of a stream on generators seeded 0, 1, 2 is the reference
     # stream on a fresh generator of seed i, at every step until the log
-    # is exhausted; one lane is the one-trial case
-    n = 24
+    # is exhausted; one lane is the one-trial case.  The stream draws its
+    # candidates in blocks, the reference with one `choice` per step.
+    n = N_LONG
+    assert k == n or n - k + 1 > 2 * _BLOCK_STEPS
     pick = np.random.default_rng(5)
     log = ReplayLog(observed=np.zeros((n, 1)), rewards=pick.integers(0, 2, n).astype(float))
-    stream = ReplayStream(log.rewards, [np.random.default_rng(seed) for seed in range(lanes)])
+    stream = ReplayStream(log.rewards, [np.random.default_rng(seed) for seed in range(lanes)], k)
     refs = [_ListStream(log, np.random.default_rng(seed)) for seed in range(lanes)]
     for step in range(n - k + 1):
-        candidates, reveal = stream.step(k)
+        candidates, reveal = stream.step()
         expected = [ref.step(k) for ref in refs]
         assert candidates.shape == (lanes, k)
         assert np.array_equal(candidates, [c for c, _ in expected])
@@ -234,7 +242,26 @@ def test_lockstep_stream_matches_the_list_reference(k, lanes):
         want = [ref_reveal(int(c)) for (_, ref_reveal), c in zip(expected, choices)]
         assert rewards.shape == (lanes,) and rewards.tolist() == want
     with pytest.raises(EndOfLog):  # step n - k + 2
-        stream.step(k)
+        stream.step()
+
+
+def test_a_large_log_serves_distinct_unconsumed_rows():
+    # past 10,000 rows with k > rows // 50, numpy's `choice` leaves Floyd's
+    # algorithm, so no equality with it is claimed; every lane still gets k
+    # distinct unconsumed rows at every step, across a block boundary
+    n, k, lanes = 10_050, 250, 2
+    stream = ReplayStream(np.zeros(n), [substream(20, "rep", i) for i in range(lanes)], k)
+    consumed = [set() for _ in range(lanes)]
+    for step in range(_BLOCK_STEPS + 3):
+        candidates, reveal = stream.step()
+        for lane in range(lanes):
+            rows = set(candidates[lane].tolist())
+            assert len(rows) == k and not rows & consumed[lane]
+            assert min(rows) >= 0 and max(rows) < n
+        arms = np.array([step % k, (7 * step) % k])
+        reveal(arms)
+        for lane in range(lanes):
+            consumed[lane].add(int(candidates[lane, arms[lane]]))
 
 
 def test_replay_stream_consumes_only_chosen():
@@ -242,10 +269,10 @@ def test_replay_stream_consumes_only_chosen():
     # chosen are the last step's unchosen candidates, so a candidate that
     # was not chosen stayed available
     n, k = 10, 4
-    stream = ReplayStream(np.zeros(n), [substream(15, "rep", i) for i in range(2)])
+    stream = ReplayStream(np.zeros(n), [substream(15, "rep", i) for i in range(2)], k)
     chosen = [[], []]
     for step in range(n - k + 1):
-        candidates, reveal = stream.step(k)
+        candidates, reveal = stream.step()
         for lane in range(2):
             assert len(set(candidates[lane].tolist())) == k
             assert not set(candidates[lane].tolist()) & set(chosen[lane])
@@ -258,15 +285,15 @@ def test_replay_stream_consumes_only_chosen():
         assert len(set(chosen[lane])) == n - k + 1
         assert unchosen | set(chosen[lane]) == set(range(n))
     with pytest.raises(EndOfLog):
-        stream.step(k)
+        stream.step()
 
 
-def _steps_before_end_of_log(stream, k):
+def _steps_before_end_of_log(stream):
     """Steps the stream serves, each revealed at position 0, until EndOfLog."""
     steps = 0
     while True:
         try:
-            candidates, reveal = stream.step(k)
+            candidates, reveal = stream.step()
         except EndOfLog:
             return steps
         reveal(np.zeros(len(candidates), dtype=int))
@@ -274,35 +301,41 @@ def _steps_before_end_of_log(stream, k):
 
 
 def test_replay_stream_reveal_once_and_bounds():
-    stream = ReplayStream(np.zeros(6), [substream(16, "rep")])
-    _, reveal = stream.step(3)
+    stream = ReplayStream(np.zeros(6), [substream(16, "rep")], 3)
+    _, reveal = stream.step()
+    with pytest.raises(UsageError, match="before the next"):
+        stream.step()
     with pytest.raises(InputError):
         reveal([7])
     reveal([0])
     with pytest.raises(InputError, match="once"):
         reveal([1])
-    # a refused choice consumed nothing: 6 rows, one consumed, serve 3 more
-    assert _steps_before_end_of_log(stream, 3) == 3
+    _, later = stream.step()
+    with pytest.raises(InputError, match="once"):  # an earlier step's reveal
+        reveal([1])
+    later([0])
+    # a refused choice consumed nothing: 6 rows, two consumed, serve 2 more
+    assert _steps_before_end_of_log(stream) == 2
 
 
 def test_replay_stream_end_of_log():
-    stream = ReplayStream(np.zeros(5), [substream(17, "rep")])
+    stream = ReplayStream(np.zeros(5), [substream(17, "rep")], 3)
     # 5 rows, k=3: exactly 3 steps then exhaustion
-    assert _steps_before_end_of_log(stream, 3) == 3
+    assert _steps_before_end_of_log(stream) == 3
     with pytest.raises(EndOfLog):
-        stream.step(3)
+        stream.step()
 
 
 def test_replay_stream_checks_its_inputs():
     rewards = np.zeros(6)
     for rngs in ([], (), [substream(1, "rep"), 3], None, 7, substream(1, "rep")):
         with pytest.raises(ParameterError, match="Generator"):
-            ReplayStream(rewards, rngs)
-    stream = ReplayStream(rewards, [substream(18, "rep", i) for i in range(3)])
+            ReplayStream(rewards, rngs, 3)
     for k in (0, -1, 2.5, True, "3", None):
         with pytest.raises(ParameterError, match="k must be a positive integer"):
-            stream.step(k)
-    candidates, reveal = stream.step(np.int64(3))
+            ReplayStream(rewards, [substream(18, "rep")], k)
+    stream = ReplayStream(rewards, [substream(18, "rep", i) for i in range(3)], np.int64(3))
+    candidates, reveal = stream.step()
     assert candidates.shape == (3, 3)
     bad_lanes = [
         ([0, 1.0, 2], 1),
@@ -312,19 +345,21 @@ def test_replay_stream_checks_its_inputs():
         (np.array([0.0, 1.0, 2.0]), 0),
         (np.array([True, False, True]), 0),
         (np.zeros((3, 1), dtype=int), 0),
+        (np.array([0, 3, 1]), 1),
+        (np.array([0, 1, -1]), 2),
     ]
     for choices, lane in bad_lanes:
         with pytest.raises(InputError, match=f"lane {lane} is not an integer in \\[0, 3\\)"):
             reveal(choices)
-    for choices in ([0, 1], 1, "012"):
+    for choices in ([0, 1], 1, "012", np.zeros(2, dtype=int)):
         with pytest.raises(InputError, match="one choice per trial"):
             reveal(choices)
     assert reveal((np.int64(2), 0, 1)).shape == (3,)
     # no refused reveal consumed a row: 6 rows, one consumed, serve 3 more
-    assert _steps_before_end_of_log(stream, 3) == 3
+    assert _steps_before_end_of_log(stream) == 3
 
-    one = ReplayStream(rewards, [substream(19, "rep")])
-    _, reveal = one.step(3)
+    one = ReplayStream(rewards, [substream(19, "rep")], 3)
+    _, reveal = one.step()
     for choice in (1.0, True, np.bool_(True), 3, -1, np.float64(1.0)):
         with pytest.raises(InputError, match="lane 0"):
             reveal([choice])

@@ -12,13 +12,15 @@ feature view.  LONG
 and LONG_REPLAY run 4 and 3 trials past `REFACTOR_INTERVAL` decisions, so
 forced refactors and batches of more than two trials are pinned for
 simulate and replay alike.  On SYNTHETIC and LOWER_BOUND every trial run
-alone must also equal its lane of the lockstep batch.  The pretraining
+alone must also equal its lane of the lockstep batch, and every UCB agent
+run alone its lanes of its lane group, as on replay_demo.  The pretraining
 histories of shipped configs are pinned as well, as the digest of their S
 and W blocks.
 """
 
 import hashlib
 import importlib.resources
+import json
 
 import numpy as np
 import pytest
@@ -34,7 +36,11 @@ from pulsebandit import (
     run_trials,
 )
 
-REPLAY_LOG = str(importlib.resources.files(pulsebandit.configs) / "replay_demo_log.csv")
+CONFIGS = importlib.resources.files(pulsebandit.configs)
+REPLAY_LOG = str(CONFIGS / "replay_demo_log.csv")
+REPLAY_DEMO = json.loads((CONFIGS / "replay_demo.json").read_text(encoding="utf-8"))
+REPLAY_DEMO["environment"]["path"] = REPLAY_LOG
+UCB_KINDS = ("pulse_ucb", "oful_observed", "oful_full")
 
 SYNTHETIC = {
     "schema_version": 1,
@@ -213,6 +219,51 @@ def test_a_trial_lane_does_not_depend_on_the_batch(raw):
             assert alone[key] == {name: v[i : i + 1] for name, v in together[key].items()}
         for key in ("kernel_fallbacks", "max_abs_reward"):
             assert alone[key] == together[key][i : i + 1]
+    # agent lanes: the UCB agents of one (dim, form) play as one lane group,
+    # and each run as the only agent of its config gives exactly its lanes
+    ucb = [spec for spec in config.agents if spec["kind"] in UCB_KINDS]
+    assert len(ucb) >= 3
+    for spec in ucb:
+        solo = ExperimentConfig({**raw, "agents": [spec]})
+        alone = run_trials(solo, range(config.trials), *args)
+        name = spec["name"]
+        assert alone["agents"].keys() == {name}
+        for key, block in together["agents"][name].items():
+            assert np.array_equal(alone["agents"][name][key], block), (name, key)
+        for key in ("final_dt_cumsum", "final_gamma"):
+            assert alone[key] == {name: together[key][name]}
+
+
+def test_an_agent_lane_does_not_depend_on_its_replay_group(tmp_path):
+    # oful_full and pulse_ucb share a lane group on replay_demo, with
+    # feature-norm bounds of their own, so each lane reads its own member's
+    # radius; each agent replayed alone gives exactly its rows and finals
+    agents = REPLAY_DEMO["agents"][:2]
+    raw = {**REPLAY_DEMO, "horizon": 80, "agents": agents}
+    together = _replay_facts(raw, tmp_path / "together")
+    bounds = together["feat_norm_bounds"]
+    assert bounds.keys() == {"oful_full", "pulse_ucb"}
+    assert bounds["oful_full"] != bounds["pulse_ucb"]
+    for spec in agents:
+        name = spec["name"]
+        alone = _replay_facts({**raw, "agents": [spec]}, tmp_path / name)
+        assert alone["rows"][name] == together["rows"][name]
+        for key in ("final_dt_cumsum", "final_gamma", "feat_norm_bounds"):
+            assert alone[key] == {name: together[key][name]}
+
+
+def _replay_facts(raw, out_dir):
+    """A replay run's raw CSV lines per agent and its per-agent metadata."""
+    res = run_replay(load_config(raw), out_dir=str(out_dir))
+    rows = {}
+    with open(res["raw_path"], encoding="utf-8") as fh:
+        next(fh)
+        for line in fh:
+            rows.setdefault(line.split(",")[2], []).append(line)
+    with open(res["metadata_path"], encoding="utf-8") as fh:
+        run = json.load(fh)["run"]
+    facts = {key: run[key] for key in ("final_dt_cumsum", "final_gamma", "feat_norm_bounds")}
+    return {"rows": rows, **facts}
 
 
 # sha256 of s.tobytes() + w.tobytes() of each shipped config's pretraining history

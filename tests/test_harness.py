@@ -259,7 +259,9 @@ def test_run_experiment_runs_trials_in_index_order(tmp_path, monkeypatch):
     monkeypatch.setattr(SyntheticEnv, "rollout_lanes", recorded_rollout)
     monkeypatch.setattr(harness, "select_arm", recorded_decide)
     run_experiment(ExperimentConfig(tiny_raw(horizon=10, trials=4)), out_dir=str(tmp_path))
-    assert seen == [0, 1, 2, 3] + ["decide"] * 10 * 4
+    # three seats decide: oracle_best, the lane group {oful_full, pulse_ucb}
+    # and uniform_random
+    assert seen == [0, 1, 2, 3] + ["decide"] * 10 * 3
 
 
 def test_conditional_regret_toggle(tmp_path):
@@ -413,16 +415,26 @@ def _count_decisions(monkeypatch):
 
 def test_every_decision_goes_through_harness_select_arm(tmp_path, monkeypatch):
     # the benchmark marks the first decision by swapping harness.select_arm;
-    # simulate and replay alike decide for all trials of an agent in one call
+    # simulate and replay alike decide for all lanes of a lane group in one
+    # call: per step, one call per group, whose lanes add up to trials x
+    # agents.  oful_full and pulse_ucb share a group (same dim and form).
     calls = _count_decisions(monkeypatch)
     raw = tiny_raw(horizon=15)
     run_experiment(ExperimentConfig(raw), out_dir=str(tmp_path / "sim"))
-    assert calls == [raw["trials"]] * 15 * len(raw["agents"])
+    trials = raw["trials"]
+    groups = [trials, 2 * trials, trials]  # oracle_best, the group, uniform_random
+    assert calls == [lanes for lanes in groups for _ in range(15)]
+    assert len(calls) == 15 * len(groups)
+    assert sum(calls) == 15 * trials * len(raw["agents"])
 
     del calls[:]
     raw = replay_raw(tmp_path, horizon=12, trials=3)
     run_replay(ExperimentConfig(raw), out_dir=str(tmp_path / "rep"))
-    assert calls == [raw["trials"]] * 12 * len(raw["agents"])
+    trials = raw["trials"]
+    groups = [2 * trials, trials]  # the group, uniform_random
+    assert calls == [lanes for lanes in groups for _ in range(12)]
+    assert len(calls) == 12 * len(groups)
+    assert sum(calls) == 12 * trials * len(raw["agents"])
 
 
 @pytest.mark.parametrize("planted", ["features", "rewards"])
