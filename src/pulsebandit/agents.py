@@ -27,18 +27,18 @@ arm index.
 Every UCB agent keeps its ridge state in a `RidgeStack` (see `linalg`).
 An agent made with `trials=n` plays n independent trials in lockstep: it
 takes (n, n_arms, dim) features per decision, returns n arms, and its
-divergence sum and radius are (n,) arrays.  A one-trial agent is the same
-code over the empty batch shape: it takes (n_arms, dim) features and
-returns one int arm, and its radius is a float.  A lane group is a
-lockstep agent whose lanes are the trials of several members whose
-schedules differ only in their feature-norm bound B: each member's
-gamma^(0) is its own Python float, repeated over its block of lanes.  Each
-observation adds the step's divergence charge D_tau, which the caller
-gives, to the sum.  A one-trial agent's rows come from its caller at every
-step, so they go through the checking one-state entry points of `linalg`;
-a lockstep agent's rows are slices of blocks checked once before the first
-decision (the harness's views, rewards and divergence charges), so its
-steps skip that scan.
+divergence sum and radius are (n,) arrays; a one-trial agent is the same
+code over the empty batch shape, with one int arm and a float radius.  A
+lane group is a lockstep agent whose lanes are the trials of members whose
+schedules differ only in their bound B: each member's gamma^(0) is its own
+Python float, repeated over its lanes.  As in LinUCB (Li et al. 2010), a
+closed-form lockstep agent forms each arm's Sigma^{-1} x once per step,
+scores from it, and updates from the chosen arms' rows of it.  Each
+observation adds the charge D_tau its caller gives.  A one-trial agent's
+rows come from its caller at every step, so they go through the checking
+one-state entry points of `linalg`; a lockstep agent's rows are slices of
+blocks checked once before the first decision (the harness's views,
+rewards and divergence charges), so its steps skip that scan.
 """
 
 import math
@@ -146,20 +146,20 @@ def _gamma_zero(s, t, bound):
     return 3.0 * s.lam + 6.0 * width * width * log_term
 
 
-def _per_lane(values, shape):
-    """A float as it is; a tuple of one float per member as an array of the
-    lane shape `shape`, each member's float repeated over its block of
-    lanes (one member's as its float)."""
-    if not isinstance(values, tuple):
-        return values
-    if len(values) == 1:
-        return values[0]
-    return np.array(values).repeat(shape[0] // len(values))
+def _gamma_zero_rows(s, first, count, shape):
+    """gamma_t^(0) for t = first, ..., first + count - 1, one row per step
+    over the lane shape `shape`: each member's Python float, repeated over
+    its block of lanes."""
+    bounds = s.feat_norm_bound if isinstance(s.feat_norm_bound, tuple) else (s.feat_norm_bound,)
+    rows = np.array([[_gamma_zero(s, t, b) for b in bounds] for t in range(first, first + count)])
+    return rows.repeat(shape[0] // len(bounds), axis=1) if shape else rows.reshape(count)
 
 
 def gamma_at(schedule, t):
     """Scaled radius gamma_t; dt_cumsum must be current through step t."""
-    zero = _per_lane(gamma_zero(schedule, t), np.shape(schedule.dt_cumsum))
+    if t < 1:
+        raise ParameterError(f"t must be >= 1, got {t}")
+    zero = _gamma_zero_rows(schedule, t, 1, np.shape(schedule.dt_cumsum))[0]
     return schedule.scale * (zero + 3.0 * schedule.dim**2 * schedule.dt_cumsum)
 
 
@@ -192,6 +192,8 @@ class AgentState:
     schedule: GammaSchedule = None
     selection_form: SelectionForm = SelectionForm.CLOSED_FORM
     trials: int = None  # lockstep trial count; None for a one-trial agent
+    scored: tuple = None  # see arm_ucb_scores and observe
+    radius_rows: tuple = None  # (t0, rows): row i holds gamma_{t0 + i}^(0) of each lane
 
     @property
     def is_ucb(self):
@@ -253,18 +255,19 @@ def make_agent(
 def current_gamma(agent):
     """Radius of the ball used for the next selection.
 
-    Before any observation this is gamma_1^(0); after t observations it is
-    gamma_t with dt_cumsum through step t.  A one-trial agent gets a float,
-    a lockstep agent one radius per trial.
+    After t observations this is gamma_t with dt_cumsum through step t, and
+    before any it is gamma_1^(0) (the divergence sum is still 0).  A
+    one-trial agent gets a float, a lockstep agent one radius per trial.
+    gamma_t^(0) is read from rows computed 64 steps at a time.
     """
     if not agent.is_ucb:
         raise UsageError(f"{agent.kind.value} agents have no confidence schedule")
-    t = agent.ridge.update_count
-    if t == 0:
-        zero = _per_lane(gamma_zero(agent.schedule, 1), agent.ridge.shape)
-        # [()]: a 0-d array as a float
-        return np.full(agent.ridge.shape, agent.schedule.scale * zero)[()]
-    return gamma_at(agent.schedule, t)
+    t = max(agent.ridge.update_count, 1)
+    s = agent.schedule
+    first, rows = agent.radius_rows or (0, ())
+    if not first <= t < first + len(rows):
+        first, rows = agent.radius_rows = t, _gamma_zero_rows(s, t, 64, agent.ridge.shape)
+    return s.scale * (rows[t - first] + 3.0 * s.dim**2 * s.dt_cumsum)
 
 
 def _ball_scores(gram, theta, gamma, feats, quads, sigma_inv_feats):
@@ -298,26 +301,34 @@ def arm_ucb_scores(agent, arm_features):
     Closed form evaluates theta_hat . x + sqrt(gamma x^T Sigma^{-1} x)
     directly; ball maximization materializes the maximizing theta on the
     confidence ball and scores through it, cross-checking membership.
-    Both forms agree up to floating point, and both take every arm's
-    x^T Sigma^{-1} x from one stacked call; ball maximization takes every
-    Sigma^{-1} x from one product with the tracked inverse.  A one-trial
-    agent takes (n_arms, dim) features and gives (n_arms,) scores; a
-    lockstep agent takes (trials, n_arms, dim) features and scores every
-    trial's arms as one (trials, n_arms) array.
+    Both forms agree up to floating point.  A one-trial agent takes
+    (n_arms, dim) features and gives (n_arms,) scores; a lockstep agent
+    takes (trials, n_arms, dim) features, scores every trial's arms as one
+    (trials, n_arms) array and keeps the step as `agent.scored` for
+    `observe(arms=...)`.  Its closed form forms every arm's Sigma^{-1} x
+    once, as one product with the tracked inverses, and scores from it.
     """
     if not agent.is_ucb:
         raise UsageError(f"{agent.kind.value} agents have no UCB scores")
     feats = np.asarray(arm_features, dtype=float)
     ridge = agent.ridge
-    if feats.ndim != len(ridge.shape) + 2:
+    want = ridge.shape + (ridge.dim,)
+    if feats.ndim != len(want) + 1 or feats.shape[:-2] + feats.shape[-1:] != want:
         raise InputError(
             f"arm features must have shape {ridge.shape} + (n_arms, {ridge.dim}), "
             f"got {feats.shape}"
         )
-    forms = stack_quadratic_forms if ridge.shape else quadratic_form_inv
-    quads = forms(ridge, feats)
-
     gamma = np.asarray(current_gamma(agent))
+    if ridge.shape and agent.selection_form is SelectionForm.CLOSED_FORM:
+        sigma_inv_feats = feats @ ridge.inv
+        quads = np.einsum("...kd,...kd->...k", feats, sigma_inv_feats)
+        agent.scored = (feats, sigma_inv_feats, quads)
+        # theta_hat . x = xr_sum . Sigma^{-1} x
+        means = (sigma_inv_feats @ ridge.xr_sum[..., None])[..., 0]
+        return means + np.sqrt(gamma)[..., None] * np.sqrt(quads)
+    quads = (stack_quadratic_forms if ridge.shape else quadratic_form_inv)(ridge, feats)
+    if ridge.shape:
+        agent.scored = (feats, None, None)
     theta = ridge.theta_hat
     if agent.selection_form is SelectionForm.BALL_MAXIMIZATION:
         sigma_inv_feats = np.einsum("...de,...ke->...kd", ridge.inv, feats)
@@ -349,11 +360,11 @@ def select_arm(agent, arm_features, optimal_arm=None, rng=None):
         arms = np.array([r.integers(0, agent.arm_count) for r in rng], dtype=int)
     else:
         # first maximum per trial: ties go to the lowest index
-        arms = np.argmax(arm_ucb_scores(agent, arm_features), axis=-1)
+        arms = arm_ucb_scores(agent, arm_features).argmax(axis=-1)
     return arms if arms.ndim else int(arms)
 
 
-def observe(agent, chosen_features, reward, dt_value=0.0):
+def observe(agent, chosen_features, reward, dt_value=0.0, arms=None):
     """Fold the observed (features, reward) pair into the agent and add
     dt_value, the step's divergence charge D_tau, to its divergence sum.
 
@@ -362,11 +373,26 @@ def observe(agent, chosen_features, reward, dt_value=0.0):
     agent takes (trials, dim) features, (trials,) rewards and one dt_value
     per trial or one for all, unchecked: they are slices of blocks its
     caller checks once before the first decision.
+
+    Given `arms`, a lockstep agent's chosen arms, the update reads their
+    rows (and a closed form's Sigma^{-1} x and forms) from the step it last
+    scored; a UsageError if it scored none since its last observation.
     """
     if not agent.is_ucb:
         raise UsageError(f"{agent.kind.value} agents do not update")
+    scored, agent.scored = agent.scored, None
+    u = q = None
+    if arms is not None:
+        if scored is None:
+            raise UsageError("observe(arms=...) needs a step scored by select_arm since the last")
+        feats, sigma_inv_feats, quads = scored
+        n, k, dim = feats.shape
+        rows = np.arange(0, n * k, k) + arms  # each lane's chosen (lane, arm) row
+        chosen_features = feats.reshape(-1, dim).take(rows, axis=0)
+        if sigma_inv_feats is not None:
+            u, q = sigma_inv_feats.reshape(-1, dim).take(rows, axis=0), quads.take(rows)
     if agent.ridge.shape:
-        stack_rank_one_update(agent.ridge, chosen_features, reward)
+        stack_rank_one_update(agent.ridge, chosen_features, reward, u, q)
     else:
         dt_value = np.asarray(dt_value, dtype=float)
         if dt_value.shape or not (np.isfinite(dt_value) and dt_value >= 0):

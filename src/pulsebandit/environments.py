@@ -625,6 +625,9 @@ class ReplayStream:
         self._lanes = np.arange(len(self._rngs))
         self._n = len(self._rewards)
         self._remaining = np.tile(np.arange(self._n), (len(self._rngs), 1))
+        self._rows = list(self._remaining)  # each lane's row of it
+        # where each lane begins in one step's flat picks and in the flat rows
+        self._pick_starts, self._row_starts = self._lanes * self._k, self._lanes[:, None] * self._n
         self._picks = ()  # the drawn block, one (lanes, k) row per step
         self._next = 0  # the block's next row
         self._open = False  # a step was served and not revealed
@@ -663,21 +666,19 @@ class ReplayStream:
         picks = self._picks[self._next]
         self._next += 1
         self._open = True
-        lanes = self._lanes
-        candidates = self._remaining[lanes[:, None], picks]
+        candidates = self._remaining.take(self._row_starts + picks)
 
         def reveal(choices):
             """Consume each lane's chosen candidate; returns the chosen
             rows' logged rewards only."""
             if not self._open or self._n != n:
                 raise InputError("reveal may be called once per step")
-            chosen = self._check_choices(choices)
-            remaining = self._remaining
-            for lane, p in enumerate(picks[lanes, chosen].tolist()):
-                remaining[lane, p : n - 1] = remaining[lane, p + 1 : n]
+            at = self._pick_starts + self._check_choices(choices)
+            for row, p in zip(self._rows, picks.take(at).tolist()):
+                row[p : n - 1] = row[p + 1 : n]
             self._n = n - 1
             self._open = False
-            return self._rewards[candidates[lanes, chosen]]
+            return self._rewards[candidates.take(at)]
 
         return candidates, reveal
 

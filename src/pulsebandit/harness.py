@@ -6,10 +6,10 @@ shared reward noise, but only its permitted view of the context.  No
 choice changes the stream, so a trial takes it as one rollout: all trials
 are one lane rollout of the environment, one lane per trial, and each
 view's features are built for every trial and the whole horizon at once.
-Then each lane group plays all trials in lockstep, one decision per step
-for every lane at once, through the loop that replay uses too: the UCB
-agents that share a feature dim and selection form make one group, whose
-lanes are their (agent, trial) pairs, and every other agent plays alone.
+Then one step-major loop, shared with replay, plays every lane group: per
+step each group decides for all its lanes at once, and the UCB agents
+that share a feature dim and selection form make one group, whose lanes
+are their (agent, trial) pairs, while every other agent plays alone.
 The play keeps that shape up to the CSV writers: each agent's per-step
 columns are (trials, T) blocks, one row per trial, and each per-trial
 figure is a list with one entry per trial.
@@ -43,7 +43,6 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
-from itertools import repeat
 
 import numpy as np
 import scipy
@@ -771,15 +770,17 @@ class _Seat:
     m * trials + i plays trial i of member m).  The UCB agents of one
     (feature dim, selection form) share a seat; every other agent has its
     own.  `views` holds each member's view (None for the kinds without
-    one), `rng` each lane's choice stream and, for UCB members, `charges`
-    the (T, lanes) divergence charges, the D_tau that each step adds to a
-    lane's divergence sum (None for the kinds that do not observe)."""
+    one), `rng` each lane's choice stream (uniform_random only) and, for
+    UCB members, `charges` the (T, lanes) divergence charges, the D_tau
+    that each step adds to a lane's divergence sum.  `lanes` is the seat's
+    slice of the loop's lanes, which run seat after seat."""
 
     agent: AgentState
     names: tuple
     views: tuple
     rng: object
     charges: np.ndarray
+    lanes: slice
 
 
 def _require_finite(block, what, nonnegative=False):
@@ -824,7 +825,7 @@ def _seat_agents(config, trials, arm_count, view_for, charges_for):
         view = view_for(AgentKind(spec["kind"]))
         key = spec["name"] if view is None else (view.features.shape[-1], spec["selection_form"])
         groups.setdefault(key, []).append((spec, view))
-    seats = []
+    seats, start = [], 0
     for members in groups.values():
         specs = [spec for spec, _ in members]
         names = tuple(spec["name"] for spec in specs)
@@ -851,59 +852,59 @@ def _seat_agents(config, trials, arm_count, view_for, charges_for):
             selection_form=SelectionForm(specs[0]["selection_form"]),
             trials=len(names) * len(trials),
         )
-        rngs = [substream(config.base_seed, "trial", i, "agent", n) for n in names for i in trials]
-        seats.append(_Seat(agent, names, views, rngs, charges))
+        rngs = None
+        if agent.kind is AgentKind.UNIFORM_RANDOM:
+            rngs = [substream(config.base_seed, "trial", i, "agent", names[0]) for i in trials]
+        lanes, start = slice(start, start + agent.trials), start + agent.trials
+        seats.append(_Seat(agent, names, views, rngs, charges, lanes))
     return seats
 
 
-def _play(seat, horizon, steps):
-    """One seat's decision loop over its whole horizon, every lane at each
-    step, for simulate and replay alike.
+def _play_trials(config, seats, horizon, steps, columns):
+    """The decision loop of simulate and replay alike: every seat over all
+    its lanes, step-major.
 
-    `steps` yields, per decision, the (lanes, n_arms, dim) features of the
-    seat's views (None for kinds without one), the optimal arm per lane
-    (None when unknown) and `pay(arms)`, which takes the chosen arm per
-    lane and returns their rewards.  Step i's row of the seat's charge
-    block goes to observe.  Returns (arms, rewards), each (lanes, horizon).
-    """
-    shape = (seat.agent.trials, horizon)
-    arms = np.empty(shape, dtype=int)
-    rewards = np.empty(shape)
-    lanes = np.arange(seat.agent.trials)
-    for i, (feats, optimal_arm, pay) in zip(range(horizon), steps):
-        arm = select_arm(seat.agent, feats, optimal_arm=optimal_arm, rng=seat.rng)
-        reward = pay(arm)
-        if seat.views is not None:
-            observe(seat.agent, feats[lanes, arm], reward, dt_value=seat.charges[i])
-        arms[:, i] = arm
-        rewards[:, i] = reward
-    return arms, rewards
+    At each step every seat chooses an arm for each of its lanes through
+    `select_arm`, one `pay` call pays every lane, and every UCB seat folds
+    its lanes' rewards in through `observe(arms=...)`, which reuses the
+    Sigma^{-1} x its selection formed.  `steps` yields, per decision, each
+    seat's (lanes, n_arms, dim) features (None for the kinds without a
+    view), the optimal arm per trial (None when unknown) and `pay(arms)`,
+    which takes every lane's chosen arm and returns their rewards, in lane
+    order.  Step i's row of a UCB seat's charge block goes to its observe.
 
-
-def _play_trials(config, seats, horizon, steps_for, columns):
-    """Play every seat over all its lanes in lockstep.
-
-    `steps_for(seat)` gives the seat's per-decision steps for `_play`, and
-    `columns(arms)` the extra per-step columns of one agent's (trials, T)
-    block of chosen arms.  Returns each agent's (trials, T) columns,
+    `columns(arms)` gives the extra per-step columns of one agent's (trials,
+    T) block of chosen arms.  Returns each agent's (trials, T) columns,
     running ones included, under "agents", and each agent's divergence sum
     and radius after its last observation, one per trial (None for the
     kinds without a confidence schedule), under "final_dt_cumsum" and
     "final_gamma", each in config order.
     """
+    arms = np.empty((seats[-1].lanes.stop, horizon), dtype=int)
+    rewards = np.empty(arms.shape)
+    learners = [seat for seat in seats if seat.views is not None]
+    for i, (feats, optimal_arm, pay) in zip(range(horizon), steps):
+        chosen = arms[:, i]
+        for seat, seat_feats in zip(seats, feats):
+            chosen[seat.lanes] = select_arm(seat.agent, seat_feats, optimal_arm, seat.rng)
+        reward = rewards[:, i] = pay(chosen)
+        for seat in learners:
+            lanes = seat.lanes
+            observe(seat.agent, None, reward[lanes], dt_value=seat.charges[i], arms=chosen[lanes])
+
     agents, final_dt_cumsum, final_gamma = {}, {}, {}
     for seat in seats:
-        agent = seat.agent
-        arms, rewards = _play(seat, horizon, steps_for(seat))
+        agent, lanes = seat.agent, seat.lanes
         dt_cumsum = gamma = [None] * agent.trials
         if agent.is_ucb:
             dt_cumsum, gamma = agent.schedule.dt_cumsum.tolist(), current_gamma(agent).tolist()
         trials = agent.trials // len(seat.names)
         for m, name in enumerate(seat.names):
-            lanes = slice(m * trials, (m + 1) * trials)
-            cols = {"arm": arms[lanes], "reward": rewards[lanes], **columns(arms[lanes])}
+            own = slice(m * trials, (m + 1) * trials)
+            block = slice(lanes.start + own.start, lanes.start + own.stop)
+            cols = {"arm": arms[block], "reward": rewards[block], **columns(arms[block])}
             agents[name] = _add_running_columns(cols)
-            final_dt_cumsum[name], final_gamma[name] = dt_cumsum[lanes], gamma[lanes]
+            final_dt_cumsum[name], final_gamma[name] = dt_cumsum[own], gamma[own]
     order = [spec["name"] for spec in config.agents]
     return {
         "agents": {name: agents[name] for name in order},
@@ -975,10 +976,10 @@ def run_trials(config, trial_indices, fitted_imputer, plug_in_dt, feat_norm_boun
     pulse_ucb, the true conditional means under the oracle imputer, else
     the fitted model's, each lane's from its own lag history.  The oracle
     divergence charges come from the same W blocks; a plug_in agent's
-    charge is `plug_in_dt` at every step.  Then each lane group (see
-    `_Seat`) plays all the trials at once, one decision per step for every
-    lane, so the loop's Python overhead is paid once per (group, step), not
-    per (trial, agent, step).
+    charge is `plug_in_dt` at every step.  Then `_play_trials` plays every
+    lane group (see `_Seat`) over all the trials, step-major, so the loop's
+    Python overhead is paid once per (group, step), not per (trial, agent,
+    step), and one fancy index pays every lane of a step.
     Returns `_play_trials`'s result, whose lanes follow the order given,
     plus each trial's kernel-imputer fallback count ("kernel_fallbacks")
     and largest |potential reward| ("max_abs_reward"), one per lane.  Lane
@@ -1025,15 +1026,16 @@ def run_trials(config, trial_indices, fitted_imputer, plug_in_dt, feat_norm_boun
         return _charge_block(spec, (horizon, trials), plug_in_dt, oracle)
 
     seats = _seat_agents(config, trial_indices, env.feature_map.arm_count, view_for, charges_for)
-
-    def steps_for(seat):
-        feats = repeat(None)
-        if seat.views is not None:
-            feats = np.concatenate([view.features for view in seat.views], axis=1)
-        # each step pays every lane's chosen arm at its trial's step
-        trial = np.tile(lanes, len(seat.names))
-        pays = ((lambda arms, step=step: step[trial, arms]) for step in potential)
-        return zip(feats, rollout.optimal_arm, pays)
+    blocks = [
+        None if seat.views is None else np.concatenate([v.features for v in seat.views], axis=1)
+        for seat in seats
+    ]
+    # each step pays every lane's chosen arm at its trial's step
+    trial = np.tile(lanes, sum(len(seat.names) for seat in seats))
+    steps = (
+        ([None if b is None else b[i] for b in blocks], optimal, lambda a, p=pay: p[trial, a])
+        for i, (optimal, pay) in enumerate(zip(rollout.optimal_arm, potential))
+    )
 
     best_cond_means = rollout.cond_arm_means.max(axis=2)
 
@@ -1050,7 +1052,7 @@ def run_trials(config, trial_indices, fitted_imputer, plug_in_dt, feat_norm_boun
             "cond_inst": gap(best_cond_means, rollout.cond_arm_means),
         }
 
-    results = _play_trials(config, seats, horizon, steps_for, regret_columns)
+    results = _play_trials(config, seats, horizon, steps, regret_columns)
     results["max_abs_reward"] = np.abs(potential).max(axis=(0, 2)).tolist()
     results["kernel_fallbacks"] = fallbacks.sum(axis=0).tolist()
     return results
@@ -1121,10 +1123,10 @@ def _write_aggregate_csv(path, agents, keys):
         for name, cols in agents.items():
             stats = []
             for key in keys:
-                stats += [cols[key].mean(axis=0), _se(cols[key])]
-            for i in range(len(stats[0])):
-                fh.write(f"{name},{i + 1}," + ",".join(_fmt(s[i]) for s in stats) + "\n")
-            finals[name] = (float(stats[0][-1]), float(stats[1][-1]))
+                stats += [cols[key].mean(axis=0).tolist(), _se(cols[key]).tolist()]
+            rows = enumerate(zip(*stats), start=1)
+            fh.writelines(f"{name},{t}," + ",".join(map(repr, row)) + "\n" for t, row in rows)
+            finals[name] = (stats[0][-1], stats[1][-1])
     return finals
 
 
@@ -1350,37 +1352,41 @@ def _replay_views(config, observed, full, imputer):
     }
 
 
-def _replay_steps(config, seat, rewards, k):
-    """What `_play` takes per decision of a replay seat: k candidates per
+def _replay_steps(config, seats, rewards, k):
+    """What `_play_trials` takes per decision of a replay: k candidates per
     lane from one lockstep stream over the online rows, whose logged
-    rewards are `rewards`, each (member, trial) lane drawing from its own
-    generator, whose reveal pays the arm chosen in every lane.  A lane's
-    features are rows of its member's view."""
+    rewards are `rewards`, each (agent, trial) lane drawing from its own
+    generator, and the stream's reveal, which pays every lane's chosen arm.
+    A lane's features are rows of its member's view."""
     stream = ReplayStream(
         rewards,
         [
             substream(config.base_seed, "trial", i, "replay", name)
+            for seat in seats
             for name in seat.names
             for i in range(config.trials)
         ],
         k,
     )
-    if seat.views is None:
-        while True:
-            yield None, None, stream.step()[1]
-    table = np.stack([view.features for view in seat.views])  # (members, rows, dim)
-    member = np.repeat(np.arange(len(seat.names)), config.trials)[:, None]
+
+    def rows_of(seat):
+        # the members' views one after another, and where each lane's begins
+        table = np.concatenate([view.features for view in seat.views])
+        first = np.repeat(np.arange(len(seat.names)) * len(rewards), config.trials)[:, None]
+        return lambda candidates: table.take(first + candidates[seat.lanes], axis=0)
+
+    rows = [None if seat.views is None else rows_of(seat) for seat in seats]
     while True:
         candidates, reveal = stream.step()
-        yield table[member, candidates], None, reveal
+        yield [None if of is None else of(candidates) for of in rows], None, reveal
 
 
 def run_replay(config, out_dir=None, overrides_echo=()):
     """Offline replay: per step, k logged candidates, the chosen row's
     reward revealed, cumulative click-through rate tracked per agent.
 
-    Each lane group (see `_Seat`) replays the online portion on one
-    candidate stream, which serves all its lanes in lockstep, each (agent,
+    Every lane group (see `_Seat`) replays the online portion on one
+    candidate stream, which serves all their lanes in lockstep, each (agent,
     trial) lane drawing from its own generator, so an agent's rows do not
     depend on which other agents or trials run.  A config of another
     environment kind is a ConfigError.
@@ -1411,8 +1417,8 @@ def _play_replay(config, out_dir, lap):
 
     charges_for = partial(_charge_block, shape=(horizon, config.trials))
     seats = _seat_agents(config, list(range(config.trials)), k, views.get, charges_for)
-    steps_for = partial(_replay_steps, config, rewards=rewards, k=k)
-    played = _play_trials(config, seats, horizon, steps_for, lambda arms: {})
+    steps = _replay_steps(config, seats, rewards, k)
+    played = _play_trials(config, seats, horizon, steps, lambda arms: {})
     lap("trials")
 
     facts = {

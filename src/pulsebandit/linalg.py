@@ -4,9 +4,9 @@ Each state maintains the regularized Gram matrix
 
     Sigma_t = lambda * I + sum_{tau<=t} x_tau x_tau^T,
 
-kept exactly, together with its tracked inverse Sigma_t^{-1}, the running
-least-squares solution theta_hat = Sigma_t^{-1} sum_tau r_tau x_tau and
-the log-determinant of Sigma_t.  The Sherman-Morrison identity
+kept exactly, together with its tracked inverse Sigma_t^{-1}, the reward
+sum b_t = sum_tau r_tau x_tau (theta_hat = Sigma_t^{-1} b_t is formed when
+read) and the log-determinant of Sigma_t.  The Sherman-Morrison identity
 
     (Sigma + x x^T)^{-1} = Sigma^{-1} - u u^T / (1 + q),
     u = Sigma^{-1} x,  q = x^T u,
@@ -15,17 +15,17 @@ advances the inverse, and q gives Sylvester's increment
 
     log det(Sigma + x x^T) = log det(Sigma) + log(1 + q),
 
-so an update costs a few small products and no factorization.  A state
-re-inverts from its exact Gram matrix (a Cholesky factorization, which
-also resets its log-determinant) when its own counter reaches
-`REFACTOR_INTERVAL`, and when its 1 + q or a diagonal entry of its updated
-inverse is not finite and positive; only that state's counter restarts.
-Each check is a min and a max over the batch (NaN fails both), so an
-update of healthy states builds no mask: the masks that pick the states
-to re-invert are built only when a check fails or a counter is due.
-The tests bound the gap to a dense solve by 1e-9 relative; over 1000
-updates at dimension up to 9 it stays within 3e-15.  Matrices are dense;
-dimensions here are tiny.
+so an update costs a few small products and no factorization; a caller
+whose scoring formed every arm's u and q passes the chosen ones.  A state
+re-inverts from its exact Gram matrix (a Cholesky, which also resets its
+log-determinant) when its own counter reaches `REFACTOR_INTERVAL`, and
+when its 1 + q or a diagonal entry of its updated inverse is not finite
+and positive; only that state's counter restarts.  Each check is a min and
+a max over the batch (NaN fails both), so an update of healthy states
+builds no mask: the masks that pick the states to re-invert are built only
+when a check fails or a counter is due.  The tests bound the gap to a
+dense solve by 1e-9 relative; over 1000 updates at dimension up to 9 it
+stays within 3e-15.  Matrices are dense; dimensions here are tiny.
 
 `RidgeStack` holds the states of independent problems of one dimension
 over a batch shape: () for one problem, (trials,) for a trial axis.  Every
@@ -95,10 +95,10 @@ class RidgeStack:
         "gram",
         "inv",
         "xr_sum",
-        "theta_hat",
         "log_det",
         "update_count",
         "_since_refactor",
+        "_inv_diagonal",
     )
 
     def __init__(self, shape, dim, lam):
@@ -108,10 +108,15 @@ class RidgeStack:
         self.gram = np.tile(np.eye(dim) * lam, shape + (1, 1))
         self.inv = np.tile(np.eye(dim) / lam, shape + (1, 1))
         self.xr_sum = np.zeros(shape + (dim,))
-        self.theta_hat = np.zeros(shape + (dim,))
         self.log_det = np.full(shape, dim * math.log(lam))[()]  # [()]: a 0-d array as a float
         self.update_count = 0
         self._since_refactor = np.zeros(shape, dtype=int)
+        # `inv` is only ever written in place, so this view stays its diagonal
+        self._inv_diagonal = np.diagonal(self.inv, axis1=-2, axis2=-1)
+
+    @property
+    def theta_hat(self):
+        return np.einsum("...de,...e->...d", self.inv, self.xr_sum)
 
 
 def _check_dim_lam(dim, lam):
@@ -201,17 +206,17 @@ def _reinvert(stack, stale):
     stack._since_refactor[stale] = 0
 
 
-def stack_rank_one_update(stack, x, reward):
+def stack_rank_one_update(stack, x, reward, u=None, q=None):
     """Fold one observation per problem into the stack, in place.
 
-    `x` is shape + (dim,) and `reward` shape.  Each problem's inverse takes
-    the Sherman-Morrison update, and log_det the Sylvester increment of the
-    pre-update state.  A problem re-inverts from its exact Gram matrix when
-    its own counter reaches REFACTOR_INTERVAL, or when its
-    1 + x^T Sigma^{-1} x or a diagonal entry of its updated inverse is not
-    finite and positive; only that problem's counter restarts.  The
-    masks of those problems are built only when a check fails or a counter
-    is due.  Returns the same (mutated) stack.
+    `x` is shape + (dim,) and `reward` shape; u = Sigma^{-1} x and q = x^T u
+    of the pre-update states are computed unless given.  Each inverse takes
+    the Sherman-Morrison update, and log_det the Sylvester increment.  A
+    problem re-inverts from its exact Gram matrix when its own counter
+    reaches REFACTOR_INTERVAL, or when its 1 + q or a diagonal entry of its
+    updated inverse is not finite and positive; only that problem's counter
+    restarts.  The masks of those problems are built only when a check
+    fails or a counter is due.  Returns the same (mutated) stack.
     """
     x = np.asarray(x, dtype=float)
     reward = np.asarray(reward, dtype=float)
@@ -220,8 +225,9 @@ def stack_rank_one_update(stack, x, reward):
     if reward.shape != stack.shape:
         raise InputError(f"reward must have shape {stack.shape}, got {reward.shape}")
 
-    u = np.einsum("...de,...e->...d", stack.inv, x)
-    q = np.einsum("...d,...d->...", x, u)
+    if u is None:
+        u = np.einsum("...de,...e->...d", stack.inv, x)
+        q = np.einsum("...d,...d->...", x, u)
     denom = 1.0 + q
     # the masks are built only when a check fails: NaN fails both
     # comparisons, so each test holds exactly when every problem passes
@@ -238,7 +244,7 @@ def stack_rank_one_update(stack, x, reward):
     stack.xr_sum += reward[..., None] * x
     stack._since_refactor += 1
 
-    diag = np.diagonal(stack.inv, axis1=-2, axis2=-1)
+    diag = stack._inv_diagonal
     if not (diag.min() > 0.0 and diag.max() < math.inf):
         sick = ~(np.isfinite(diag) & (diag > 0.0)).all(axis=-1)
         stale = sick if stale is None else stale | sick
@@ -249,7 +255,6 @@ def stack_rank_one_update(stack, x, reward):
         _reinvert(stack, stale)
 
     stack.update_count += 1
-    stack.theta_hat = np.einsum("...de,...e->...d", stack.inv, stack.xr_sum)
     return stack
 
 

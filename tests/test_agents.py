@@ -418,3 +418,83 @@ def test_ball_maximization_zero_arm_and_membership_check():
     with pytest.raises(InputError, match="left the confidence ball"):
         arm_ucb_scores(bm, feats)
     assert arm_ucb_scores(bm, feats[2:3]).tolist() == [0.0]
+
+
+def test_the_shared_update_follows_the_recomputed_one():
+    # one lockstep agent folds in the Sigma^{-1} x its selection formed
+    # (observe(arms=...)), its twin recomputes it from the chosen rows; over
+    # 1,000 steps, past REFACTOR_INTERVAL, and through a NaN planted in one
+    # lane's inverse, which the health check re-inverts, they choose the same
+    # arms and keep theta_hat and log-det within 1e-12 relative
+    from pulsebandit.linalg import REFACTOR_INTERVAL
+
+    trials, arms, dim, steps = 4, 6, 3, 1000
+    assert steps > REFACTOR_INTERVAL
+    schedule = simple_schedule(dim=dim, feat_norm_bound=(1.5, 2.5), sigma_eta=0.1, scale=0.05)
+    shared, recomputed = (
+        make_agent(name, AgentKind.OFUL_FULL, arms, dim=dim, schedule=schedule, trials=trials)
+        for name in ("shared", "recomputed")
+    )
+    rng = substream(47, "shared")
+    lanes = np.arange(trials)
+    theta = np.array([0.4, -0.3, 0.2])
+    for step in range(steps):
+        if step == 300:
+            for agent in (shared, recomputed):
+                agent.ridge.inv[1, 0, 2] = np.nan
+        feats = rng.standard_normal((trials, arms, dim))
+        chosen = select_arm(shared, feats)
+        assert np.array_equal(chosen, select_arm(recomputed, feats)), step
+        rows = feats[lanes, chosen]
+        rewards = rows @ theta + rng.normal(0.0, 0.1, trials)
+        dts = rng.uniform(0.0, 0.01, trials)
+        observe(shared, None, rewards, dt_value=dts, arms=chosen)
+        observe(recomputed, rows, rewards, dt_value=dts)
+        for key in ("theta_hat", "log_det"):
+            a, b = getattr(shared.ridge, key), getattr(recomputed.ridge, key)
+            assert np.allclose(a, b, rtol=1e-12, atol=0.0), (step, key)
+    # the planted lane re-inverted at update 301 and on its own interval
+    # after, the others on the interval only
+    expect = [(steps - at) % REFACTOR_INTERVAL for at in (0, 301, 0, 0)]
+    assert shared.ridge._since_refactor.tolist() == expect
+    assert recomputed.ridge._since_refactor.tolist() == expect
+    assert np.array_equal(shared.schedule.dt_cumsum, recomputed.schedule.dt_cumsum)
+
+
+def test_observe_arms_needs_a_scored_step():
+    # observe(arms=...) folds in the step select_arm scored last; without
+    # one (a fresh agent, a step already observed, a one-trial agent) it
+    # is a UsageError, and the agent is left as it was
+    lockstep = make_agent("l", AgentKind.OFUL_FULL, 3, dim=2, trials=2,
+                          schedule=simple_schedule(dim=2, feat_norm_bound=1.0))
+    one = make_agent("o", AgentKind.OFUL_FULL, 3, dim=2,
+                     schedule=simple_schedule(dim=2, feat_norm_bound=1.0))
+    arms, rewards = np.array([0, 2]), np.ones(2)
+    with pytest.raises(UsageError, match="scored"):
+        observe(lockstep, None, rewards, arms=arms)
+    feats = np.arange(12.0).reshape(2, 3, 2) / 10
+    observe(lockstep, None, rewards, arms=select_arm(lockstep, feats))
+    assert lockstep.ridge.update_count == 1
+    with pytest.raises(UsageError, match="scored"):
+        observe(lockstep, None, rewards, arms=arms)
+    assert lockstep.ridge.update_count == 1
+    select_arm(one, feats[0])
+    with pytest.raises(UsageError, match="scored"):
+        observe(one, None, 1.0, arms=0)
+    assert one.ridge.update_count == 0
+
+
+def test_the_radius_rows_equal_gamma_at():
+    # a two-bound lane group with nonzero constant charges: past two blocks
+    # of radius rows, its radius is gamma_at bit for bit
+    dim, trials = 2, 6
+    group = make_agent("g", AgentKind.OFUL_FULL, 2, dim=dim, trials=trials,
+                       schedule=simple_schedule(dim=dim, feat_norm_bound=(0.8, 2.0),
+                                                sigma_eta=0.3, delta=0.1, scale=0.05))
+    charges = np.repeat([0.002, 0.007], trials // 2)
+    rng = substream(48, "rows")
+    for step in range(150):
+        want = gamma_at(group.schedule, max(step, 1))
+        assert current_gamma(group).tolist() == want.tolist(), step
+        observe(group, rng.standard_normal((trials, dim)), np.zeros(trials), dt_value=charges)
+    assert current_gamma(group).tolist() == gamma_at(group.schedule, 150).tolist()

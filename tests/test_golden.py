@@ -235,21 +235,23 @@ def test_a_trial_lane_does_not_depend_on_the_batch(raw):
 
 
 def test_an_agent_lane_does_not_depend_on_its_replay_group(tmp_path):
-    # oful_full and pulse_ucb share a lane group on replay_demo, with
-    # feature-norm bounds of their own, so each lane reads its own member's
-    # radius; each agent replayed alone gives exactly its rows and finals
-    agents = REPLAY_DEMO["agents"][:2]
-    raw = {**REPLAY_DEMO, "horizon": 80, "agents": agents}
+    # on replay_demo one candidate stream serves every lane of every seat:
+    # oful_full and pulse_ucb share a lane group, with feature-norm bounds
+    # of their own, so each lane reads its own member's radius, and
+    # oful_observed's lanes sit between that group's and uniform_random's;
+    # each agent replayed alone gives exactly its rows and finals
+    raw = {**REPLAY_DEMO, "horizon": 80}
     together = _replay_facts(raw, tmp_path / "together")
     bounds = together["feat_norm_bounds"]
-    assert bounds.keys() == {"oful_full", "pulse_ucb"}
+    assert bounds.keys() == {"oful_full", "pulse_ucb", "oful_observed"}
     assert bounds["oful_full"] != bounds["pulse_ucb"]
-    for spec in agents:
+    for spec in raw["agents"]:
         name = spec["name"]
         alone = _replay_facts({**raw, "agents": [spec]}, tmp_path / name)
+        assert len(alone["rows"][name]) == raw["trials"] * raw["horizon"]
         assert alone["rows"][name] == together["rows"][name]
         for key in ("final_dt_cumsum", "final_gamma", "feat_norm_bounds"):
-            assert alone[key] == {name: together[key][name]}
+            assert alone[key] == {k: v for k, v in together[key].items() if k == name}
 
 
 def _replay_facts(raw, out_dir):

@@ -416,14 +416,15 @@ def _count_decisions(monkeypatch):
 def test_every_decision_goes_through_harness_select_arm(tmp_path, monkeypatch):
     # the benchmark marks the first decision by swapping harness.select_arm;
     # simulate and replay alike decide for all lanes of a lane group in one
-    # call: per step, one call per group, whose lanes add up to trials x
-    # agents.  oful_full and pulse_ucb share a group (same dim and form).
+    # call, step-major: per step, one call per group in seat order, whose
+    # lanes add up to trials x agents.  oful_full and pulse_ucb share a
+    # group (same dim and form).
     calls = _count_decisions(monkeypatch)
     raw = tiny_raw(horizon=15)
     run_experiment(ExperimentConfig(raw), out_dir=str(tmp_path / "sim"))
     trials = raw["trials"]
     groups = [trials, 2 * trials, trials]  # oracle_best, the group, uniform_random
-    assert calls == [lanes for lanes in groups for _ in range(15)]
+    assert calls == groups * 15
     assert len(calls) == 15 * len(groups)
     assert sum(calls) == 15 * trials * len(raw["agents"])
 
@@ -432,7 +433,7 @@ def test_every_decision_goes_through_harness_select_arm(tmp_path, monkeypatch):
     run_replay(ExperimentConfig(raw), out_dir=str(tmp_path / "rep"))
     trials = raw["trials"]
     groups = [2 * trials, trials]  # the group, uniform_random
-    assert calls == [lanes for lanes in groups for _ in range(12)]
+    assert calls == groups * 12
     assert len(calls) == 12 * len(groups)
     assert sum(calls) == 12 * trials * len(raw["agents"])
 

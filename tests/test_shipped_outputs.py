@@ -12,6 +12,8 @@ golden ones and says why in CHANGES.md, as `tests/test_golden.py` asks.
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -102,3 +104,28 @@ def test_shipped_config_outputs_are_pinned(name, tmp_path):
 def test_every_shipped_config_is_pinned():
     shipped = {name for name in os.listdir(CONFIG_DIR) if name.endswith(".json")}
     assert set(PINNED) == shipped
+
+
+def test_matmul_outputs_hold_their_pins_on_two_blas_threads(tmp_path):
+    # the lockstep closed form scores through matmul, which BLAS may spread
+    # over threads; replay_demo and calibration_demo, run in a process
+    # with two OpenBLAS threads, write exactly their pinned outputs
+    names = ("replay_demo.json", "calibration_demo.json")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pulsebandit.__file__)))
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="2",
+        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    )
+    code = (
+        "import os, sys\n"
+        "from pulsebandit import load_config, run_experiment\n"
+        "for name in sys.argv[2:]:\n"
+        "    config = load_config(os.path.join(sys.argv[1], name))\n"
+        "    run_experiment(config, out_dir=name)\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code, CONFIG_DIR, *names], env=env, cwd=tmp_path, check=True
+    )
+    for name in names:
+        assert _digests(str(tmp_path / name)) == PINNED[name], name
