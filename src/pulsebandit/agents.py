@@ -30,15 +30,23 @@ takes (n, n_arms, dim) features per decision, returns n arms, and its
 divergence sum and radius are (n,) arrays; a one-trial agent is the same
 code over the empty batch shape, with one int arm and a float radius.  A
 lane group is a lockstep agent whose lanes are the trials of members whose
-schedules differ only in their bound B: each member's gamma^(0) is its own
-Python float, repeated over its lanes.  As in LinUCB (Li et al. 2010), a
-closed-form lockstep agent forms each arm's Sigma^{-1} x once per step,
-scores from it, and updates from the chosen arms' rows of it.  Each
-observation adds the charge D_tau its caller gives.  A one-trial agent's
-rows come from its caller at every step, so they go through the checking
-one-state entry points of `linalg`; a lockstep agent's rows are slices of
-blocks checked once before the first decision (the harness's views,
-rewards and divergence charges), so its steps skip that scan.
+schedules differ only in their bound B and dimension d: each member's
+gamma^(0) and charge factor 3 d^2 are its own Python floats, repeated over
+its lanes.  Its ridge stack has the widest member's dimension, and a
+narrower member's features come zero-padded on the right.  A padded
+coordinate stays decoupled: with x_pad = 0, Sherman-Morrison's u_pad is 0
+and a re-inversion factors a block-diagonal Gram matrix, so the padded
+rows and columns of the inverse keep 1/lam on the diagonal and exact zeros
+off it, and the member scores and learns as at its own dimension (its
+log-determinant gains the padding's (width - d) log lam).  As in LinUCB
+(Li et al. 2010), a closed-form lockstep agent forms each arm's
+Sigma^{-1} x once per step, scores from it, and updates from the chosen
+arms' rows of it.  Each observation adds the charge D_tau its caller
+gives.  A one-trial agent's rows come from its caller at every step, so
+they go through the checking one-state entry points of `linalg`; a
+lockstep agent's rows are slices of blocks checked once before the first
+decision (the harness's views, rewards and divergence charges), so its
+steps skip that scan.
 """
 
 import math
@@ -81,15 +89,16 @@ class GammaSchedule:
     """Confidence-radius schedule state.
 
     dt_cumsum accumulates the per-step divergences D_tau that observe
-    receives.  A lane group's schedule (see `make_agent`) holds a tuple of
-    feature-norm bounds, one per member.
+    receives.  A lane group's schedule (see `make_agent`) may hold a tuple
+    of feature-norm bounds and a tuple of feature dims, one per member of
+    one selection form; a single value holds for every member.
     """
 
     lam: float
     sigma_eta: float
     delta: float
     feat_norm_bound: float  # or a tuple of floats, one per member
-    dim: int
+    dim: int  # or a tuple of ints, one per member
     sigma_eps: float = DEFAULT_SIGMA_EPS
     scale: float = 1.0
     # an agent holds its own copy, with one sum per trial: a numpy float for
@@ -114,8 +123,13 @@ class GammaSchedule:
                 raise ConfigError(
                     "schedule.feat_norm_bound", f"must be nonnegative, got {bound!r}"
                 )
-        if self.dim < 1:
-            raise ConfigError("schedule.dim", f"must be positive, got {self.dim}")
+        dims = self.dim if isinstance(self.dim, tuple) else (self.dim,)
+        if not dims or min(dims) < 1:
+            raise ConfigError("schedule.dim", f"must be positive, one per member, got {self.dim}")
+        if isinstance(bounds, tuple) and isinstance(self.dim, tuple) and len(bounds) != len(dims):
+            raise ConfigError(
+                "schedule.dim", f"needs one dim per member: {len(bounds)} bounds, {len(dims)} dims"
+            )
         if not (math.isfinite(self.sigma_eps) and self.sigma_eps >= 0):
             raise ConfigError(
                 "schedule.sigma_eps", f"must be nonnegative, got {self.sigma_eps!r}"
@@ -124,43 +138,65 @@ class GammaSchedule:
             raise ConfigError("schedule.gamma_scale", f"must be positive, got {self.scale!r}")
 
 
+def _members(s):
+    """Each member's (bound, dim), and whether the schedule is a lane
+    group's, one whose bounds or dims are a tuple."""
+    bounds, dims = s.feat_norm_bound, s.dim
+    group = isinstance(bounds, tuple) or isinstance(dims, tuple)
+    count = len(bounds if isinstance(bounds, tuple) else dims) if group else 1
+    bounds, dims = ((v if isinstance(v, tuple) else (v,) * count) for v in (bounds, dims))
+    return tuple(zip(bounds, dims)), group
+
+
 def gamma_zero(schedule, t):
     """Divergence-free radius gamma_t^(0), before the scale factor: a float,
     or a tuple of one float per member for a lane group's schedule."""
     if t < 1:
         raise ParameterError(f"t must be >= 1, got {t}")
-    s = schedule
-    if isinstance(s.feat_norm_bound, tuple):
-        return tuple(_gamma_zero(s, t, bound) for bound in s.feat_norm_bound)
-    return _gamma_zero(s, t, s.feat_norm_bound)
+    members, group = _members(schedule)
+    zeros = tuple(_gamma_zero(schedule, t, bound, dim) for bound, dim in members)
+    return zeros if group else zeros[0]
 
 
-def _gamma_zero(s, t, bound):
+def _gamma_zero(s, t, bound, dim):
     log_term = (
         math.log(4.0)
         + 2.0 * math.log(t)
         - math.log(s.delta)
-        + s.dim * math.log1p(t * bound * bound / (s.dim * s.lam))
+        + dim * math.log1p(t * bound * bound / (dim * s.lam))
     )
     width = s.sigma_eta + s.sigma_eps
     return 3.0 * s.lam + 6.0 * width * width * log_term
 
 
+def _lane_rows(members, rows, shape):
+    """Per-member values, (..., members), as per-lane ones over the lane
+    shape `shape`: each member's repeated over its block of lanes."""
+    return rows.repeat(shape[0] // len(members), axis=-1) if shape else rows[..., 0]
+
+
 def _gamma_zero_rows(s, first, count, shape):
     """gamma_t^(0) for t = first, ..., first + count - 1, one row per step
-    over the lane shape `shape`: each member's Python float, repeated over
-    its block of lanes."""
-    bounds = s.feat_norm_bound if isinstance(s.feat_norm_bound, tuple) else (s.feat_norm_bound,)
-    rows = np.array([[_gamma_zero(s, t, b) for b in bounds] for t in range(first, first + count)])
-    return rows.repeat(shape[0] // len(bounds), axis=1) if shape else rows.reshape(count)
+    over the lane shape `shape`."""
+    members, _ = _members(s)
+    steps = range(first, first + count)
+    rows = np.array([[_gamma_zero(s, t, *member) for member in members] for t in steps])
+    return _lane_rows(members, rows, shape)
+
+
+def _charge_factor(s, shape):
+    """Each lane's factor 3 d^2 on its divergence sum, over the lane shape."""
+    members, _ = _members(s)
+    return _lane_rows(members, np.array([3.0 * dim**2 for _, dim in members]), shape)
 
 
 def gamma_at(schedule, t):
     """Scaled radius gamma_t; dt_cumsum must be current through step t."""
     if t < 1:
         raise ParameterError(f"t must be >= 1, got {t}")
-    zero = _gamma_zero_rows(schedule, t, 1, np.shape(schedule.dt_cumsum))[0]
-    return schedule.scale * (zero + 3.0 * schedule.dim**2 * schedule.dt_cumsum)
+    shape = np.shape(schedule.dt_cumsum)
+    zero = _gamma_zero_rows(schedule, t, 1, shape)[0]
+    return schedule.scale * (zero + _charge_factor(schedule, shape) * schedule.dt_cumsum)
 
 
 class AgentKind(Enum):
@@ -193,7 +229,10 @@ class AgentState:
     selection_form: SelectionForm = SelectionForm.CLOSED_FORM
     trials: int = None  # lockstep trial count; None for a one-trial agent
     scored: tuple = None  # see arm_ucb_scores and observe
-    radius_rows: tuple = None  # (t0, rows): row i holds gamma_{t0 + i}^(0) of each lane
+    # (t0, rows, factor): row i holds gamma_{t0 + i}^(0) of each lane, and
+    # factor each lane's 3 d^2 (see _charge_factor)
+    radius_rows: tuple = None
+    drawn: tuple = None  # (i, rows): uniform_random's arms, row i the next step's
 
     @property
     def is_ucb(self):
@@ -216,9 +255,12 @@ def make_agent(
     With `trials` set, a positive count, the agent plays that many trials
     in lockstep.  A UCB agent's ridge state is a RidgeStack of batch shape
     (trials,), or () for one trial, and its schedule a copy whose
-    divergence sum has that shape.  A schedule whose feat_norm_bound is a
-    tuple of m bounds makes a lane group: its trial lanes fall into m equal
-    blocks, one per member, and lane block j's radius reads bound j.
+    divergence sum has that shape.  A schedule whose feat_norm_bound or dim
+    is a tuple of m entries makes a lane group of one selection form: its
+    trial lanes fall into m equal blocks, one per member, and lane block
+    j's radius reads bound j and dim j.  The stack has the widest member's
+    dimension, `dim`; a narrower member's features are zero-padded on the
+    right by the caller (see the module docstring).
     """
     kind = AgentKind(kind)
     selection_form = SelectionForm(selection_form)
@@ -229,15 +271,15 @@ def make_agent(
     if kind in _UCB_KINDS:
         if dim is None or schedule is None:
             raise ParameterError(f"{kind.value} agents need dim and schedule")
-        if schedule.dim != dim:
+        members, group = _members(schedule)
+        if max(member_dim for _, member_dim in members) != dim:
             raise ParameterError(
                 f"schedule.dim = {schedule.dim} does not match feature dim {dim}"
             )
-        bounds = schedule.feat_norm_bound
-        if isinstance(bounds, tuple) and (trials is None or trials % len(bounds)):
+        if group and (trials is None or trials % len(members)):
             raise ParameterError(
-                f"{len(bounds)} feature-norm bounds, one per member, need a multiple of "
-                f"{len(bounds)} trial lanes, got {trials}"
+                f"{len(members)} members, each with its own feature-norm bound and dim, "
+                f"need a multiple of {len(members)} trial lanes, got {trials}"
             )
         ridge = new_ridge_stack(trials, dim, schedule.lam)
         schedule = replace(schedule, dt_cumsum=np.full(ridge.shape, schedule.dt_cumsum)[()])
@@ -264,10 +306,12 @@ def current_gamma(agent):
         raise UsageError(f"{agent.kind.value} agents have no confidence schedule")
     t = max(agent.ridge.update_count, 1)
     s = agent.schedule
-    first, rows = agent.radius_rows or (0, ())
+    first, rows, factor = agent.radius_rows or (0, (), None)
     if not first <= t < first + len(rows):
-        first, rows = agent.radius_rows = t, _gamma_zero_rows(s, t, 64, agent.ridge.shape)
-    return s.scale * (rows[t - first] + 3.0 * s.dim**2 * s.dt_cumsum)
+        shape = agent.ridge.shape
+        first, rows, factor = t, _gamma_zero_rows(s, t, 64, shape), _charge_factor(s, shape)
+        agent.radius_rows = first, rows, factor
+    return s.scale * (rows[t - first] + factor * s.dt_cumsum)
 
 
 def _ball_scores(gram, theta, gamma, feats, quads, sigma_inv_feats):
@@ -345,7 +389,9 @@ def select_arm(agent, arm_features, optimal_arm=None, rng=None):
     uniform-random agents require their own rng.  Exact score ties resolve
     to the lowest index.  A lockstep agent returns a (trials,) array of
     arms; its optimal arm is one per trial and its rng a list of the
-    trials' own generators.
+    trials' own generators, the same ones at every step: a uniform-random
+    agent draws each trial's arms 64 steps at a time, the numbers that its
+    one-step draws give.
     """
     if agent.kind is AgentKind.ORACLE_BEST:
         if optimal_arm is None:
@@ -354,10 +400,13 @@ def select_arm(agent, arm_features, optimal_arm=None, rng=None):
     elif agent.kind is AgentKind.UNIFORM_RANDOM:
         if rng is None:
             raise UsageError("uniform_random requires an rng")
-        # one draw from each trial's generator, in trial order
         if agent.trials is None:
             return int(rng.integers(0, agent.arm_count))
-        arms = np.array([r.integers(0, agent.arm_count) for r in rng], dtype=int)
+        i, rows = agent.drawn or (0, ())
+        if i == len(rows):
+            i, rows = 0, np.stack([r.integers(0, agent.arm_count, size=64) for r in rng], 1)
+        agent.drawn = i + 1, rows
+        arms = rows[i]
     else:
         # first maximum per trial: ties go to the lowest index
         arms = arm_ucb_scores(agent, arm_features).argmax(axis=-1)

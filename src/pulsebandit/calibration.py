@@ -40,6 +40,7 @@ __all__ = [
     "tv_kl_check",
     "BandEstimate",
     "estimate_dt_band",
+    "linear_quantile",
 ]
 
 
@@ -209,6 +210,31 @@ class BandEstimate:
         return float(np.abs(np.diff(total, axis=0)).max())
 
 
+def linear_quantile(values, q, axis=None):
+    """numpy's default (linear) quantile of the float `values`, bit for bit.
+
+    `q` is one level or a sequence of levels, the leading axis of the
+    result; `axis` None reads the values flattened.  One sort and numpy's
+    interpolation formula: `np.quantile` itself calls `np.unique`, whose
+    import of `numpy.ma` costs a run about 10 ms.
+    """
+    a = np.sort(np.asarray(values, dtype=float), axis=axis)
+    if axis is not None:
+        a = np.moveaxis(a, axis, 0)
+    n = a.shape[0]
+    levels = np.asarray(q, dtype=float)
+    virtual = (n - 1) * levels
+    top = virtual >= n - 1  # the last value, at any weight
+    below = np.where(top, -1, np.floor(virtual)).astype(np.intp)
+    above = np.where(top, -1, below + 1)
+    weight = (virtual - below).reshape(levels.shape + (1,) * (a.ndim - 1))
+    left, right = a[below], a[above]
+    diff = right - left
+    result = np.where(weight >= 0.5, right - diff * (1 - weight), left + diff * weight)
+    # a slice holding NaN, which sorts last, has quantile NaN
+    return np.where(np.isnan(a[-1]), a[-1], result)[()]
+
+
 def _box_windows(s_sorted, points, h):
     """[lo, hi) bounds in s_sorted of each box {s : |point - s| <= h/2}."""
     lo = np.searchsorted(s_sorted, points - 0.5 * h, "left")
@@ -289,7 +315,7 @@ def estimate_dt_band(
     if bandwidth is None:
         bandwidth = float(half ** (-1.0 / (2.0 * beta + d_s)))
     if query_points is None:
-        lo, hi = np.quantile(s0, [0.05, 0.95])
+        lo, hi = linear_quantile(s0, [0.05, 0.95])
         spacing = bandwidth / 4.0
         count = max(int(math.ceil((hi - lo) / spacing)) + 1, 9)
         grid = np.linspace(lo, hi, count)[:, None]
@@ -338,7 +364,7 @@ def estimate_dt_band(
             boot = _window_sums(multipliers * resid[:, k, None], grid_lo, grid_hi)
             boot /= counts_safe[:, None]
             sup_draws[k, start:stop] = (np.abs(boot) / se[:, k, None]).max(axis=0)
-    half_widths = np.quantile(sup_draws, 1.0 - alpha_coord, axis=1) * se
+    half_widths = linear_quantile(sup_draws, 1.0 - alpha_coord, axis=1) * se
 
     if fit_target is None:
         cross = np.zeros_like(centers)

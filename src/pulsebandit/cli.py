@@ -18,6 +18,7 @@ import sys
 
 import numpy as np
 
+from .calibration import linear_quantile
 from .environments import generate_history
 from .errors import ConfigError, PulseBanditError
 from .harness import (
@@ -166,7 +167,7 @@ def _cmd_calibrate(args):
     )
     query_points = None
     if config.calibration["grid_points"] is not None:
-        lo, hi = np.quantile(dataset.s.ravel(), [0.05, 0.95])
+        lo, hi = linear_quantile(dataset.s.ravel(), [0.05, 0.95])
         query_points = np.linspace(lo, hi, config.calibration["grid_points"])[:, None]
     band = _dt_band(config, dataset, query_points)
     os.makedirs(args.out, exist_ok=True)

@@ -480,7 +480,7 @@ class ReplayLog:
             self.row_ids = np.arange(n)
         else:
             self.row_ids = np.asarray(self.row_ids, dtype=int)
-        if not set(np.unique(self.rewards)) <= {0.0, 1.0}:
+        if not ((self.rewards == 0.0) | (self.rewards == 1.0)).all():
             raise InputError("rewards must be binary (0 or 1)")
 
     @property
@@ -603,20 +603,21 @@ class ReplayStream:
     lane, consumes the chosen rows and returns their logged rewards,
     (lanes,); a step may be revealed once, and must be before the next
     step.  Only the chosen row is consumed, so n rows support up to n - k +
-    1 steps of k candidates.
+    1 steps of k candidates; a `horizon` serves at most that many steps.
 
     Lane j's candidates with n rows left are the positions that
     rngs[j].choice(n, k, replace=False) gives (see `_draw_picks`), drawn
-    _BLOCK_STEPS steps ahead.  Every lane consumes one row per step, so the
-    lanes' unconsumed rows are one (lanes, n_rows) array whose first n
-    columns are live, each row in ascending order.  Consuming a row shifts
-    the live entries after it one place left, which keeps that order.  The
-    draws depend only on each lane's generator and on n, so a lane's
-    candidates and rewards do not depend on which other lanes share its
-    stream.
+    _BLOCK_STEPS steps ahead, or up to the horizon when it is nearer
+    (where a block ends changes no draw).  Every lane consumes one row per
+    step, so the lanes' unconsumed rows are one (lanes, n_rows) array whose
+    first n columns are live, each row in ascending order.  Consuming a row
+    shifts the live entries after it one place left, which keeps that
+    order.  The draws depend only on each lane's generator and on n, so a
+    lane's candidates and rewards do not depend on which other lanes share
+    its stream.
     """
 
-    def __init__(self, rewards, rngs, k):
+    def __init__(self, rewards, rngs, k, horizon=None):
         self._rngs = _lane_rngs(rngs)
         if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
             raise ParameterError(f"candidate count k must be a positive integer, got {k!r}")
@@ -624,6 +625,9 @@ class ReplayStream:
         self._rewards = np.asarray(rewards)
         self._lanes = np.arange(len(self._rngs))
         self._n = len(self._rewards)
+        # the rows left once the last step is served
+        horizon = self._n if horizon is None else _positive_int(horizon, "horizon")
+        self._last_n = self._n - horizon
         self._remaining = np.tile(np.arange(self._n), (len(self._rngs), 1))
         self._rows = list(self._remaining)  # each lane's row of it
         # where each lane begins in one step's flat picks and in the flat rows
@@ -660,8 +664,11 @@ class ReplayStream:
         n, k = self._n, self._k
         if n < k:
             raise EndOfLog(f"only {n} unconsumed rows remain, need {k}")
+        if n == self._last_n:
+            raise EndOfLog(f"the horizon of {len(self._rewards) - n} steps is served")
         if self._next == len(self._picks):
-            self._picks = _draw_picks(self._rngs, n, k, min(_BLOCK_STEPS, n - k + 1))
+            steps = min(_BLOCK_STEPS, n - k + 1, n - self._last_n)
+            self._picks = _draw_picks(self._rngs, n, k, steps)
             self._next = 0
         picks = self._picks[self._next]
         self._next += 1

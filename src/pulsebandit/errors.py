@@ -65,4 +65,4 @@ class EnvError(PulseBanditError, RuntimeError):
 
 class EndOfLog(PulseBanditError):
     """Raised by replay streams when fewer unconsumed rows remain than the
-    requested candidate count."""
+    requested candidate count, or their horizon is served."""

@@ -16,6 +16,7 @@ from enum import Enum
 
 import numpy as np
 
+from .calibration import linear_quantile
 from .errors import InputError, ParameterError
 
 __all__ = [
@@ -157,7 +158,7 @@ def calibrate_feat_norm_bound(feature_map, full_contexts, quantile=0.999):
     mats = phi_batch(feature_map, ys)
     norms = np.sqrt((mats * mats).sum(axis=2).max(axis=1))
     inf_violations = int((np.abs(mats).max(axis=(1, 2)) > 1.0).sum())
-    bound = float(np.quantile(norms, quantile))
+    bound = float(linear_quantile(norms, quantile))
     diagnostics = {
         "n_steps": int(n_steps),
         "quantile": float(quantile),

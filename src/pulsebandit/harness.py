@@ -8,8 +8,8 @@ are one lane rollout of the environment, one lane per trial, and each
 view's features are built for every trial and the whole horizon at once.
 Then one step-major loop, shared with replay, plays every lane group: per
 step each group decides for all its lanes at once, and the UCB agents
-that share a feature dim and selection form make one group, whose lanes
-are their (agent, trial) pairs, while every other agent plays alone.
+that share a selection form make one group, whose lanes are their (agent,
+trial) pairs, while every other agent plays alone.
 The play keeps that shape up to the CSV writers: each agent's per-step
 columns are (trials, T) blocks, one row per trial, and each per-trial
 figure is a list with one entry per trial.
@@ -43,6 +43,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
+from itertools import chain
 
 import numpy as np
 import scipy
@@ -65,7 +66,13 @@ from .agents import (
     observe,
     select_arm,
 )
-from .calibration import MIN_BAND_PAIRS, GaussianConditional, estimate_dt_band, gaussian_dt
+from .calibration import (
+    MIN_BAND_PAIRS,
+    GaussianConditional,
+    estimate_dt_band,
+    gaussian_dt,
+    linear_quantile,
+)
 from .environments import (
     LowerBoundEnv,
     ReplayStream,
@@ -768,12 +775,13 @@ class _Seat:
     """One lane group in the loop: the configured agents `names`, played as
     one lockstep agent of len(names) x trials lanes, member-major (lane
     m * trials + i plays trial i of member m).  The UCB agents of one
-    (feature dim, selection form) share a seat; every other agent has its
-    own.  `views` holds each member's view (None for the kinds without
-    one), `rng` each lane's choice stream (uniform_random only) and, for
-    UCB members, `charges` the (T, lanes) divergence charges, the D_tau
-    that each step adds to a lane's divergence sum.  `lanes` is the seat's
-    slice of the loop's lanes, which run seat after seat."""
+    selection form share a seat; every other agent has its own.  `views`
+    holds each member's view, zero-padded on the right to the widest
+    member's dim (None for the kinds without one), `rng` each lane's choice
+    stream (uniform_random only) and, for UCB members, `charges` the (T,
+    lanes) divergence charges, the D_tau that each step adds to a lane's
+    divergence sum.  `lanes` is the seat's slice of the loop's lanes, which
+    run seat after seat."""
 
     agent: AgentState
     names: tuple
@@ -817,13 +825,16 @@ def _seat_agents(config, trials, arm_count, view_for, charges_for):
     decide without features (oracle_best, uniform_random), and
     `charges_for(spec)` a UCB agent's block of divergence charges (see
     `_charge_block`).  A group's agent has its first member's kind, as the
-    UCB kinds differ only in their views, and one feature-norm bound per
-    member, which its radius reads per lane.
+    UCB kinds differ only in their views, and one feature-norm bound and
+    one dim per member, which its radius reads per lane.  Its ridge stack
+    has the widest member's dim; a narrower member's view is zero-padded on
+    the right here, once (see `agents`: the padded coordinates stay
+    decoupled, so the member plays as at its own dim).
     """
     groups = {}
     for spec in config.agents:
         view = view_for(AgentKind(spec["kind"]))
-        key = spec["name"] if view is None else (view.features.shape[-1], spec["selection_form"])
+        key = spec["name"] if view is None else SelectionForm(spec["selection_form"])
         groups.setdefault(key, []).append((spec, view))
     seats, start = [], 0
     for members in groups.values():
@@ -831,14 +842,15 @@ def _seat_agents(config, trials, arm_count, view_for, charges_for):
         names = tuple(spec["name"] for spec in specs)
         views = dim = schedule = charges = None
         if members[0][1] is not None:
-            views = tuple(view for _, view in members)
-            dim = views[0].features.shape[-1]
+            dims = tuple(view.features.shape[-1] for _, view in members)
+            dim = max(dims)
+            views = tuple(_padded(view, dim) for _, view in members)
             schedule = GammaSchedule(
                 lam=config.schedule["lambda"],
                 sigma_eta=config.schedule["sigma_eta"],
                 delta=config.schedule["delta"],
                 feat_norm_bound=tuple(view.bound for view in views),
-                dim=dim,
+                dim=dims,
                 sigma_eps=config.schedule["sigma_eps"],
                 scale=config.gamma_scale,
             )
@@ -858,6 +870,15 @@ def _seat_agents(config, trials, arm_count, view_for, charges_for):
         lanes, start = slice(start, start + agent.trials), start + agent.trials
         seats.append(_Seat(agent, names, views, rngs, charges, lanes))
     return seats
+
+
+def _padded(view, width):
+    """`view` with its features zero-padded on the right to `width`."""
+    pad = width - view.features.shape[-1]
+    if not pad:
+        return view
+    features = np.pad(view.features, [(0, 0)] * (view.features.ndim - 1) + [(0, pad)])
+    return _View(view.bound, features)
 
 
 def _play_trials(config, seats, horizon, steps, columns):
@@ -1091,19 +1112,24 @@ def _write_rows(path, agents, columns):
     """One CSV row per (trial, t, agent) holding the given columns of each
     agent's (trials, T) blocks in `agents`.
 
-    Integers print as such and floats in shortest round-trip form.
+    Integers print as such and floats in shortest round-trip form.  Each
+    trial's rows go out in one write.
     """
+    trials, horizon = next(iter(agents.values()))["arm"].shape
+    # the ",t,agent," of each row of a trial, in row order
+    heads = [f",{t},{name}," for t in range(1, horizon + 1) for name in agents]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(["trial", "t", "agent"] + [h for h, _ in columns]) + "\n")
-        trials = next(iter(agents.values()))["arm"].shape[0]
         for lane in range(trials):
-            lines = {}
-            for name, cols in agents.items():
-                cells = (_cells(cols[key][lane]) for _, key in columns)
-                lines[name] = [",".join(row) for row in zip(*cells)]
-            for t, row in enumerate(zip(*lines.values()), start=1):
-                for name, line in zip(lines, row):
-                    fh.write(f"{lane},{t},{name},{line}\n")
+            # each agent's lines in turn, so that one agent's cells live at a time
+            lines = [
+                [",".join(row) for row in zip(*(_cells(cols[key][lane]) for _, key in columns))]
+                for cols in agents.values()
+            ]
+            trial = str(lane)
+            # step after step, each agent's line
+            rows = zip(heads, chain.from_iterable(zip(*lines)))
+            fh.write("".join([trial + head + line + "\n" for head, line in rows]))
 
 
 def _se(values):
@@ -1342,7 +1368,7 @@ def _replay_views(config, observed, full, imputer):
     return {
         kind: _View(
             bound=(
-                float(np.quantile(np.linalg.norm(table, axis=1), FEAT_NORM_QUANTILE))
+                float(linear_quantile(np.linalg.norm(table, axis=1), FEAT_NORM_QUANTILE))
                 if bound is None
                 else bound
             ),
@@ -1352,12 +1378,12 @@ def _replay_views(config, observed, full, imputer):
     }
 
 
-def _replay_steps(config, seats, rewards, k):
+def _replay_steps(config, seats, rewards, k, horizon):
     """What `_play_trials` takes per decision of a replay: k candidates per
-    lane from one lockstep stream over the online rows, whose logged
-    rewards are `rewards`, each (agent, trial) lane drawing from its own
-    generator, and the stream's reveal, which pays every lane's chosen arm.
-    A lane's features are rows of its member's view."""
+    lane from one lockstep stream of `horizon` steps over the online rows,
+    whose logged rewards are `rewards`, each (agent, trial) lane drawing
+    from its own generator, and the stream's reveal, which pays every
+    lane's chosen arm.  A lane's features are rows of its member's view."""
     stream = ReplayStream(
         rewards,
         [
@@ -1367,6 +1393,7 @@ def _replay_steps(config, seats, rewards, k):
             for i in range(config.trials)
         ],
         k,
+        horizon,
     )
 
     def rows_of(seat):
@@ -1417,7 +1444,7 @@ def _play_replay(config, out_dir, lap):
 
     charges_for = partial(_charge_block, shape=(horizon, config.trials))
     seats = _seat_agents(config, list(range(config.trials)), k, views.get, charges_for)
-    steps = _replay_steps(config, seats, rewards, k)
+    steps = _replay_steps(config, seats, rewards, k, horizon)
     played = _play_trials(config, seats, horizon, steps, lambda arms: {})
     lap("trials")
 

@@ -188,6 +188,12 @@ def _as_history(observed_history, d_s):
     return _as_block(hist, d_s)
 
 
+def _distinct_count(values):
+    """How many distinct values the finite 1-d `values` holds."""
+    ordered = np.sort(values)
+    return 1 + np.count_nonzero(ordered[1:] != ordered[:-1])
+
+
 def _box_kernel_means(params, queries):
     """A kernel model's means at each (n, d_S) query row, and the (n,) mask
     of the rows whose box held no training point and fell back to the
@@ -197,7 +203,7 @@ def _box_kernel_means(params, queries):
     it holds every point |s - q| <= h/2 accepts however q -+ h/2 round.
     """
     train_s, train_w, half = params["train_s"], params["train_w"], 0.5 * params["bandwidth"]
-    col = max(range(train_s.shape[1]), key=lambda c: np.unique(train_s[:, c]).size)
+    col = max(range(train_s.shape[1]), key=lambda c: _distinct_count(train_s[:, c]))
     order = np.argsort(train_s[:, col])
     sorted_s = train_s[order]
     q = queries[:, col]

@@ -498,3 +498,80 @@ def test_the_radius_rows_equal_gamma_at():
         assert current_gamma(group).tolist() == want.tolist(), step
         observe(group, rng.standard_normal((trials, dim)), np.zeros(trials), dt_value=charges)
     assert current_gamma(group).tolist() == gamma_at(group.schedule, 150).tolist()
+
+
+@pytest.mark.parametrize("k", [2, 7, 20])
+def test_uniform_random_draws_its_arms_in_blocks(k):
+    # a lockstep uniform_random agent draws each trial's arms 64 steps at a
+    # time; past two blocks they are that trial's one-step draws bit for
+    # bit, and each generator ends where 192 one-step draws leave it
+    trials = 3
+    agent = make_agent("u", AgentKind.UNIFORM_RANDOM, arm_count=k, trials=trials)
+    rngs = [substream(42, "pick", i) for i in range(trials)]
+    refs = [substream(42, "pick", i) for i in range(trials)]
+    for step in range(150):
+        arms = select_arm(agent, None, rng=rngs)
+        assert arms.tolist() == [int(r.integers(0, k)) for r in refs], step
+    for r in refs:
+        r.integers(0, k, size=192 - 150)
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in refs]
+
+
+def test_a_padded_member_plays_as_at_its_own_dim():
+    # a 3-dim member zero-padded into a 5-dim lane group picks the arms of
+    # its solo agent over 600 steps, through the re-inversion at step 512,
+    # with lam != 1 and nonzero constant charges; the padded rows and
+    # columns of its inverse stay exactly those of lam I, and its radius is
+    # its own dim's, bit for bit
+    from pulsebandit.linalg import REFACTOR_INTERVAL
+
+    trials, arms, steps, lam = 3, 6, 600, 2.5
+    assert steps > REFACTOR_INTERVAL
+    common = dict(lam=lam, sigma_eta=0.1, delta=0.1, scale=0.05)
+    members = ((5, 1.4, 0.004), (3, 0.9, 0.002))  # (dim, bound, constant charge)
+    group = make_agent("g", AgentKind.OFUL_FULL, arms, dim=5, trials=2 * trials,
+                       schedule=simple_schedule(dim=(5, 3), feat_norm_bound=(1.4, 0.9), **common))
+    solo = [make_agent(f"s{d}", AgentKind.OFUL_FULL, arms, dim=d, trials=trials,
+                       schedule=simple_schedule(dim=d, feat_norm_bound=b, **common))
+            for d, b, _ in members]
+    charges = np.repeat([c for _, _, c in members], trials)
+    rng = substream(49, "padded")
+    thetas = [np.array([0.4, -0.3, 0.2, 0.5, -0.1]), np.array([0.3, 0.6, -0.2])]
+    for step in range(steps):
+        feats = [rng.uniform(-1.0, 1.0, (trials, arms, d)) for d, _, _ in members]
+        padded = np.concatenate([feats[0], np.pad(feats[1], [(0, 0), (0, 0), (0, 2)])])
+        gammas = np.concatenate([current_gamma(a) for a in solo])
+        assert current_gamma(group).tolist() == gammas.tolist(), step
+        chosen = select_arm(group, padded)
+        alone = [select_arm(a, f) for a, f in zip(solo, feats)]
+        assert chosen.tolist() == np.concatenate(alone).tolist(), step
+        rewards = [f[np.arange(trials), c] @ th + rng.normal(0.0, 0.1, trials)
+                   for f, c, th in zip(feats, alone, thetas)]
+        observe(group, None, np.concatenate(rewards), dt_value=charges, arms=chosen)
+        for a, r, c, (_, _, charge) in zip(solo, rewards, alone, members):
+            observe(a, None, r, dt_value=charge, arms=c)
+    lanes = group.ridge.inv[trials:]
+    assert (lanes[:, :3, 3:] == 0.0).all() and (lanes[:, 3:, :3] == 0.0).all()
+    assert (lanes[:, 3:, 3:] == np.eye(2) / lam).all()
+    assert np.allclose(lanes[:, :3, :3], solo[1].ridge.inv, rtol=1e-12, atol=0.0)
+    for t in (1, 7, steps):
+        want = np.concatenate([gamma_at(a.schedule, t) for a in solo])
+        assert gamma_at(group.schedule, t).tolist() == want.tolist(), t
+    assert gamma_zero(group.schedule, 9) == tuple(gamma_zero(a.schedule, 9) for a in solo)
+
+
+def test_a_schedule_takes_one_dim_per_member():
+    with pytest.raises(ConfigError, match="schedule.dim"):
+        simple_schedule(dim=())
+    with pytest.raises(ConfigError, match="schedule.dim"):
+        simple_schedule(dim=(3, 0))
+    with pytest.raises(ConfigError, match="one dim per member: 2 bounds, 3 dims"):
+        simple_schedule(dim=(3, 2, 2), feat_norm_bound=(1.0, 2.0))
+    # the stack is as wide as the widest member
+    schedule = simple_schedule(dim=(2, 4))
+    with pytest.raises(ParameterError, match="does not match"):
+        make_agent("g", AgentKind.OFUL_FULL, 2, dim=2, schedule=schedule, trials=2)
+    with pytest.raises(ParameterError, match="multiple of 2"):
+        make_agent("g", AgentKind.OFUL_FULL, 2, dim=4, schedule=schedule, trials=3)
+    group = make_agent("g", AgentKind.OFUL_FULL, 2, dim=4, schedule=schedule, trials=4)
+    assert group.ridge.dim == 4

@@ -417,3 +417,30 @@ def test_calibration_demo_plug_in_dt_is_pinned():
 
     cfg = load_config(str(ir.files(configs) / "calibration_demo.json"))
     assert pretrain(cfg)["plug_in_dt"] == pytest.approx(0.002133885479790829, rel=1e-12)
+
+
+def _same_bits(a, b):
+    return type(a) is type(b) and np.shape(a) == np.shape(b) and (
+        np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    )
+
+
+@pytest.mark.parametrize("n", list(range(1, 41)) + [200, 960, 10_000])
+def test_linear_quantile_is_np_quantile_bit_for_bit(n):
+    # the run's quantiles (B, the band's grid and half-widths) skip
+    # np.quantile's import of numpy.ma, and keep its every bit: a scalar
+    # level, a list of levels and levels along an axis, ties included
+    from pulsebandit.calibration import linear_quantile
+
+    rng = substream(61, "quantile", n)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 6)
+    values[: n // 4] = values[-1]  # ties
+    for q in (0.0, 0.05, 0.3333, 0.5, 0.95, 0.999, 1.0, [0.05, 0.95], (1.0, 0.0, 0.5)):
+        assert _same_bits(linear_quantile(values, q), np.quantile(values, q)), q
+    block = rng.standard_normal((3, n))
+    for q in (0.9, 1.0 - 0.1 / 3, [0.1, 0.9]):
+        for axis in (None, 0, 1, -1):
+            want = np.quantile(block, q, axis=axis)
+            assert _same_bits(linear_quantile(block, q, axis=axis), want), (q, axis)
+    values[n // 2] = np.nan
+    assert np.isnan(linear_quantile(values, 0.5)) and np.isnan(np.quantile(values, 0.5))

@@ -386,3 +386,25 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.split() == ["False", "False"]
+
+
+def test_a_run_leaves_numpy_ma_unloaded(tmp_path):
+    # np.quantile and np.unique import numpy.ma, about 10 ms of a run's
+    # setup; simulate (dry run, band and all) and replay use neither
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pulsebandit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    configs = os.path.join(os.path.dirname(pulsebandit.__file__), "configs")
+    code = (
+        "import sys\n"
+        "from pulsebandit.cli import main\n"
+        "configs, out = sys.argv[1:]\n"
+        "for command, name in (('simulate', 'calibration_demo'), ('replay', 'replay_demo')):\n"
+        "    main([command, '--config', f'{configs}/{name}.json', '--out', f'{out}/{name}'])\n"
+        "    print('numpy.ma loaded:', 'numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, configs, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    loaded = [line for line in out.stdout.splitlines() if line.startswith("numpy.ma")]
+    assert loaded == ["numpy.ma loaded: False"] * 2

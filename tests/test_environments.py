@@ -245,6 +245,45 @@ def test_lockstep_stream_matches_the_list_reference(k, lanes):
         stream.step()
 
 
+@pytest.mark.parametrize("horizon", [1, _BLOCK_STEPS, 2 * _BLOCK_STEPS + 5])
+def test_a_stream_stops_its_last_block_at_the_horizon(monkeypatch, horizon):
+    # a horizon cuts the last block of draws short and changes no candidate
+    # and no reward: past two blocks, the stream with it serves what the
+    # stream without it does, then ends
+    import pulsebandit.environments as environments
+
+    draw_picks, blocks = environments._draw_picks, []
+
+    def draw(rngs, n, k, steps):
+        blocks.append(steps)
+        return draw_picks(rngs, n, k, steps)
+
+    monkeypatch.setattr(environments, "_draw_picks", draw)
+    n, k = N_LONG, 3
+    rewards = substream(21, "log").integers(0, 2, n).astype(float)
+
+    def serve(**horizon):
+        del blocks[:]
+        stream = ReplayStream(rewards, [substream(21, "rep", i) for i in range(2)], k, **horizon)
+        steps = []
+        for step in range(horizon.get("horizon", n - k + 1)):
+            candidates, reveal = stream.step()
+            steps.append((candidates, reveal(np.array([step % k, (5 * step + 1) % k]))))
+        return stream, steps, list(blocks)
+
+    cut, steps, cut_blocks = serve(horizon=horizon)
+    with pytest.raises(EndOfLog, match="horizon"):
+        cut.step()
+    _, full, full_blocks = serve()
+    for step, ((candidates, paid), (want, want_paid)) in enumerate(zip(steps, full)):
+        assert np.array_equal(candidates, want) and np.array_equal(paid, want_paid), step
+    assert sum(cut_blocks) == horizon and cut_blocks[:-1] == full_blocks[: len(cut_blocks) - 1]
+    assert full_blocks[len(cut_blocks) - 1] == _BLOCK_STEPS
+    for bad in (0, -2, 1.5, True):
+        with pytest.raises(ParameterError, match="horizon"):
+            ReplayStream(rewards, [substream(21, "rep")], k, horizon=bad)
+
+
 def test_a_large_log_serves_distinct_unconsumed_rows():
     # past 10,000 rows with k > rows // 50, numpy's `choice` leaves Floyd's
     # algorithm, so no equality with it is claimed; every lane still gets k

@@ -219,7 +219,7 @@ def test_a_trial_lane_does_not_depend_on_the_batch(raw):
             assert alone[key] == {name: v[i : i + 1] for name, v in together[key].items()}
         for key in ("kernel_fallbacks", "max_abs_reward"):
             assert alone[key] == together[key][i : i + 1]
-    # agent lanes: the UCB agents of one (dim, form) play as one lane group,
+    # agent lanes: the UCB agents of one selection form play as one lane group,
     # and each run as the only agent of its config gives exactly its lanes
     ucb = [spec for spec in config.agents if spec["kind"] in UCB_KINDS]
     assert len(ucb) >= 3
@@ -236,10 +236,11 @@ def test_a_trial_lane_does_not_depend_on_the_batch(raw):
 
 def test_an_agent_lane_does_not_depend_on_its_replay_group(tmp_path):
     # on replay_demo one candidate stream serves every lane of every seat:
-    # oful_full and pulse_ucb share a lane group, with feature-norm bounds
-    # of their own, so each lane reads its own member's radius, and
-    # oful_observed's lanes sit between that group's and uniform_random's;
-    # each agent replayed alone gives exactly its rows and finals
+    # oful_full, pulse_ucb and oful_observed share a lane group, with
+    # feature-norm bounds of their own, and oful_observed's 3-dim view is
+    # zero-padded to the others' 5, so each lane reads its own member's
+    # radius at its own dim; each agent replayed alone gives exactly its
+    # rows and finals
     raw = {**REPLAY_DEMO, "horizon": 80}
     together = _replay_facts(raw, tmp_path / "together")
     bounds = together["feat_norm_bounds"]

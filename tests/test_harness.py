@@ -417,8 +417,9 @@ def test_every_decision_goes_through_harness_select_arm(tmp_path, monkeypatch):
     # the benchmark marks the first decision by swapping harness.select_arm;
     # simulate and replay alike decide for all lanes of a lane group in one
     # call, step-major: per step, one call per group in seat order, whose
-    # lanes add up to trials x agents.  oful_full and pulse_ucb share a
-    # group (same dim and form).
+    # lanes add up to trials x agents.  The UCB agents of one selection
+    # form share a group, in replay oful_observed too, whose narrower view
+    # is zero-padded.
     calls = _count_decisions(monkeypatch)
     raw = tiny_raw(horizon=15)
     run_experiment(ExperimentConfig(raw), out_dir=str(tmp_path / "sim"))
@@ -430,9 +431,10 @@ def test_every_decision_goes_through_harness_select_arm(tmp_path, monkeypatch):
 
     del calls[:]
     raw = replay_raw(tmp_path, horizon=12, trials=3)
+    raw["agents"].insert(2, {"name": "oful_observed", "kind": "oful_observed"})
     run_replay(ExperimentConfig(raw), out_dir=str(tmp_path / "rep"))
     trials = raw["trials"]
-    groups = [2 * trials, trials]  # the group, uniform_random
+    groups = [3 * trials, trials]  # the group, uniform_random
     assert calls == groups * 12
     assert len(calls) == 12 * len(groups)
     assert sum(calls) == 12 * trials * len(raw["agents"])
