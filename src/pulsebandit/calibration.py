@@ -167,9 +167,10 @@ def tv_kl_check(truth, model, test_functions=None, dt=None, n_samples=200_000, r
 
 # -- data-driven band ---------------------------------------------------------
 
-# multipliers per bootstrap block (1 MiB of float64); a block holds
+# multipliers per bootstrap block (128 KiB of float64, so that the few
+# block-sized arrays live at once stay in cache); a block holds
 # max(1, BOOTSTRAP_BLOCK_ELEMENTS // n_reference) draws
-BOOTSTRAP_BLOCK_ELEMENTS = 2**17
+BOOTSTRAP_BLOCK_ELEMENTS = 2**14
 # historical (S, W) pairs the band needs at least
 MIN_BAND_PAIRS = 10
 

@@ -55,12 +55,12 @@ __all__ = [
     "save_replay_log",
     "ReplayStream",
     "generate_history",
+    "realized_contexts",
 ]
 
 BURN_IN_STEPS = 50
 LAG_WINDOW = 3
 _ARMA_REST = (0.0, 0.0, 0.0, 0.0)  # (S_{t-1}, S_{t-2}, e_{t-1}, e_{t-2})
-_math_sin = np.frompyfunc(math.sin, 1, 1)  # math.sin on each value, as a Python float
 
 
 @dataclass(frozen=True)
@@ -268,7 +268,9 @@ class SyntheticEnv:
         x2 = (lags[2:] + lags[1:-1] + lags[:-2]) / LAG_WINDOW
         mu = self.beta_star[0] + self.beta_star[1] * x2
         if self.rho is not None:
-            mu += _math_sin(self.rho * x2).astype(float)
+            arg = self.rho * x2
+            sines = np.fromiter(map(math.sin, arg.ravel().tolist()), float, arg.size)
+            mu += sines.reshape(arg.shape)
         contexts = np.empty((2,) + mu.shape + (2,))
         contexts[..., 0] = lags[2:]
         contexts[1, ..., 1] = mu
@@ -706,6 +708,17 @@ def generate_history(make_env, n_traj, t0, base_seed):
     env = make_env()
     # each lane's generator lives only while its lane is drawn
     rngs = (substream(base_seed, "pretrain", i) for i in range(n_traj))
-    contexts, _ = env._lane_contexts(rngs, n_traj, t0)
-    full = contexts[0].swapaxes(0, 1)  # realized contexts, (n_traj, t0, d_Y)
+    full = realized_contexts(env, rngs, n_traj, t0).swapaxes(0, 1)  # (n_traj, t0, d_Y)
     return HistoricalDataset(s=full[..., : env.d_s].copy(), w=full[..., env.d_s :].copy())
+
+
+def realized_contexts(env, rngs, n_lanes, n_steps):
+    """The realized full contexts, (T, lanes, d_Y), of one reset and
+    `n_steps`-step rollout of `env` on each of the `n_lanes` generators
+    that `rngs` yields: `rollout_lanes`'s full_context, with no features,
+    arm means or rewards built.  A non-finite context is an EnvError."""
+    contexts, _ = env._lane_contexts(rngs, n_lanes, n_steps)
+    full = contexts[0]
+    if not np.isfinite(full).all():
+        raise EnvError("environment produced non-finite contexts")
+    return full

@@ -81,6 +81,7 @@ from .environments import (
     bump_function,
     generate_history,
     load_replay_log,
+    realized_contexts,
 )
 from .errors import ConfigError, InputError
 from .features import arm_feature_matrix  # unused: views come from phi_batch; kept for tracers
@@ -619,8 +620,10 @@ def pretrain(config):
     """Fit (or load) the configured imputer and calibrate B.
 
     The fitted imputers learn from `generate_history`'s trajectories; B,
-    unless the config sets it, is a quantile of the feature norms over a
-    one-lane rollout of FEAT_NORM_DRY_RUN_STEPS steps (the dry run).
+    unless the config sets it, is a quantile of the feature norms over the
+    realized contexts of a one-lane rollout of FEAT_NORM_DRY_RUN_STEPS
+    steps (the dry run), whose features are built once, by
+    `calibrate_feat_norm_bound`.
     Returns a dict with the fitted imputer (None for the oracle kind, whose
     trials read the true law of W from their rollouts), the feature-norm
     bound with its dry-run diagnostics, and the plug-in divergence
@@ -664,9 +667,9 @@ def pretrain(config):
         diagnostics = {"source": "config"}
     else:
         rng = substream(config.pretrain["seed"], "feat-norm")
-        rollout = env.rollout_lanes([rng], FEAT_NORM_DRY_RUN_STEPS)
+        contexts = realized_contexts(env, [rng], 1, FEAT_NORM_DRY_RUN_STEPS)
         bound, diagnostics = calibrate_feat_norm_bound(
-            env.feature_map, rollout.full_context[:, 0], FEAT_NORM_QUANTILE
+            env.feature_map, contexts[:, 0], FEAT_NORM_QUANTILE
         )
         diagnostics["source"] = "dry_run"
 
@@ -1163,13 +1166,14 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def _write_metadata(out_dir, config, overrides_echo, facts, timings):
+def _write_metadata(out_dir, config, overrides_echo, facts, timings, stage_rss):
     """metadata.json: the resolved config plus the run's facts.
 
     The config hash covers the resolved config (see config_hash);
     timestamps, stage wall times (`timings`, seconds), the process's peak
-    resident memory so far (MiB; None where `resource` is missing), library
-    versions and other environment-dependent run facts stay outside it.
+    resident memory at the end of each stage (`stage_rss`) and so far (MiB;
+    None where `resource` is missing), library versions and other
+    environment-dependent run facts stay outside it.
     """
     metadata = {
         "schema_version": SCHEMA_VERSION,
@@ -1182,6 +1186,7 @@ def _write_metadata(out_dir, config, overrides_echo, facts, timings):
             "overrides": list(overrides_echo),
             "timestamp_utc": datetime.now(timezone.utc).isoformat(),
             "timings_s": timings,
+            "stage_peak_rss_mib": stage_rss,
             "peak_rss_mib": _peak_rss_mib(),
             "versions": {
                 "python": sys.version.split()[0],
@@ -1232,19 +1237,21 @@ def _run(config, out_dir, overrides_echo, play):
 
     `play(config, out_dir, lap)` calls lap("pretrain") and lap("trials") as
     those stages end, then writes its own files; it returns `_play_trials`'s
-    result, its metadata facts and its `_FileSpec`.  The result adds each
-    agent's final headline (mean, se) under "finals".
+    result, its metadata facts and its `_FileSpec`.  Each lap records the
+    stage's wall time and the process's peak resident memory at its end.
+    The result adds each agent's final headline (mean, se) under "finals".
     """
     out_dir = out_dir or config.output["dir"]
     if out_dir is None:
         raise ConfigError("output.dir", "no output directory configured")
     os.makedirs(out_dir, exist_ok=True)
-    timings, start = {}, time.perf_counter()
+    timings, stage_rss, start = {}, {}, time.perf_counter()
 
     def lap(stage):
         nonlocal start
         now = time.perf_counter()
         timings[stage], start = now - start, now
+        stage_rss[stage] = _peak_rss_mib()
 
     played, facts, files = play(config, out_dir, lap)
     agents = played["agents"]
@@ -1270,6 +1277,7 @@ def _run(config, out_dir, overrides_echo, play):
             "summary": summary,
         },
         timings,
+        stage_rss,
     )
     return {
         "raw_path": raw_path,

@@ -368,7 +368,7 @@ def one_shot_band(data, grid, split_seed, bootstrap_draws, rng, alpha=0.1):
 @pytest.mark.parametrize(
     "draws, block",
     # below, equal to and one above a 16-draw block, 2.5 blocks, and the
-    # module's own block (436 draws at 300 reference points) crossed once
+    # module's own block (54 draws at 300 reference points) crossed nine times
     [(10, 16), (16, 16), (17, 16), (40, 16), (500, None)],
 )
 def test_streamed_bootstrap_is_the_one_shot_band_bit_for_bit(monkeypatch, d_w, draws, block):

@@ -457,8 +457,7 @@ def test_simulate_checks_its_blocks_before_the_first_decision(tmp_path, monkeypa
 
     def plant_rewards(self, rngs, n_steps):
         rollout = roll(self, rngs, n_steps)
-        if n_steps == 15:  # the trials' rollout, not the dry run's
-            rollout.potential_rewards[7, 1, 1] = np.nan  # step 7 of lane 1, arm 1
+        rollout.potential_rewards[7, 1, 1] = np.nan  # step 7 of lane 1, arm 1
         return rollout
 
     if planted == "features":
@@ -468,6 +467,81 @@ def test_simulate_checks_its_blocks_before_the_first_decision(tmp_path, monkeypa
     with pytest.raises(InputError, match="non-finite"):
         run_experiment(ExperimentConfig(tiny_raw(horizon=15)), out_dir=str(tmp_path))
     assert calls == []
+
+
+@pytest.mark.parametrize("planted", ["history", "dry_run"])
+def test_a_non_finite_pretraining_context_fails_before_any_decision(
+    tmp_path, monkeypatch, planted
+):
+    # pretraining reads the realized contexts without building features or
+    # arm means from them, so it checks them itself: a NaN in the history
+    # or in the dry run is an EnvError before any agent decides
+    from pulsebandit import EnvError
+    from pulsebandit.environments import SyntheticEnv
+    from pulsebandit.harness import FEAT_NORM_DRY_RUN_STEPS
+    calls = _count_decisions(monkeypatch)
+    lane_contexts = SyntheticEnv._lane_contexts
+    steps = {"history": 20, "dry_run": FEAT_NORM_DRY_RUN_STEPS}[planted]
+
+    def plant(self, rngs, n_lanes, n_steps):
+        contexts, eta = lane_contexts(self, rngs, n_lanes, n_steps)
+        if n_steps == steps:  # pretrain.t0 or the dry run, not the trials' 15 steps
+            contexts[0, 13, n_lanes - 1, 1] = np.nan  # W at step 13 of the last lane
+        return contexts, eta
+
+    monkeypatch.setattr(SyntheticEnv, "_lane_contexts", plant)
+    with pytest.raises(EnvError, match="non-finite contexts"):
+        run_experiment(ExperimentConfig(tiny_raw(horizon=15)), out_dir=str(tmp_path))
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "environment",
+    [
+        {"kind": "synthetic", "nonlinearity": "linear"},
+        {"kind": "synthetic", "nonlinearity": 1.0},
+        {"kind": "lower_bound", "d_lin": 3, "d_non": 2},
+    ],
+    ids=["linear", "rho", "lower_bound"],
+)
+def test_the_dry_run_reads_its_rollouts_realized_contexts_bit_for_bit(environment):
+    # B and its diagnostics come from the realized contexts alone; they are
+    # those of the full one-lane rollout's full_context, bit for bit
+    from pulsebandit import calibrate_feat_norm_bound
+    from pulsebandit.environments import realized_contexts
+    from pulsebandit.harness import FEAT_NORM_DRY_RUN_STEPS, FEAT_NORM_QUANTILE
+    config = ExperimentConfig(tiny_raw(environment=environment, imputer={"kind": "oracle"}))
+    pre = pretrain(config)
+    env = config.make_env()
+    seed = config.pretrain["seed"]
+    rollout = env.rollout_lanes([substream(seed, "feat-norm")], FEAT_NORM_DRY_RUN_STEPS)
+    full = rollout.full_context[:, 0]
+    contexts = realized_contexts(env, [substream(seed, "feat-norm")], 1, FEAT_NORM_DRY_RUN_STEPS)
+    assert contexts.shape == rollout.full_context.shape
+    assert contexts.tobytes() == rollout.full_context.tobytes()
+    bound, diagnostics = calibrate_feat_norm_bound(env.feature_map, full, FEAT_NORM_QUANTILE)
+    assert np.float64(pre["feat_norm_bound"]).tobytes() == np.float64(bound).tobytes()
+    assert pre["feat_norm_diagnostics"] == {**diagnostics, "source": "dry_run"}
+    assert diagnostics["n_steps"] == FEAT_NORM_DRY_RUN_STEPS
+
+
+def test_pretraining_calibration_demo_peaks_below_3_mib():
+    # the band bootstraps in cache-sized blocks and the dry run builds no
+    # rollout, so pretraining the shipped plug-in config (20,000 history
+    # pairs, 200 bootstrap draws, a 10,000-step dry run) holds little at once
+    import importlib.resources as ir
+    import tracemalloc
+
+    import pulsebandit.configs as configs
+    config = load_config(str(ir.files(configs) / "calibration_demo.json"))
+    pretrain(config)  # a first call may import or cache what later ones reuse
+    tracemalloc.start()
+    try:
+        pretrain(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, f"pretraining peaked at {peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("planted", ["charge", "plug_in_dt"])
@@ -723,8 +797,8 @@ def test_metadata_records_stage_timings_and_versions(tmp_path):
     # every key each command reports, so that a dropped or renamed one fails
     shared_run = {
         "config_sha256", "package_version", "feat_norm_diagnostics", "final_dt_cumsum",
-        "final_gamma", "summary", "overrides", "timestamp_utc", "timings_s", "peak_rss_mib",
-        "versions",
+        "final_gamma", "summary", "overrides", "timestamp_utc", "timings_s",
+        "stage_peak_rss_mib", "peak_rss_mib", "versions",
     }
     run_keys = {
         "simulate": shared_run | {
@@ -757,6 +831,13 @@ def test_metadata_records_stage_timings_and_versions(tmp_path):
         assert isinstance(meta["run"]["peak_rss_mib"], float)
         assert 1.0 < meta["run"]["peak_rss_mib"] < 1e5
         assert "peak_rss_mib" not in meta["config"]
+        # the peak at each stage's end, which can only grow from stage to stage
+        stage_rss = meta["run"]["stage_peak_rss_mib"]
+        assert list(stage_rss) == ["pretrain", "trials", "write"]
+        assert all(isinstance(v, float) and v > 1.0 for v in stage_rss.values())
+        assert stage_rss["pretrain"] <= stage_rss["trials"] <= stage_rss["write"]
+        assert stage_rss["write"] <= meta["run"]["peak_rss_mib"]
+        assert "stage_peak_rss_mib" not in meta["config"]
         # the hash is the config's own: rebuilding it from the metadata agrees
         assert meta["run"]["config_sha256"] == load_config(meta).config_hash()
     rerun = run_experiment(cfg, out_dir=str(tmp_path / "sim2"))
