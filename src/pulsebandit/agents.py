@@ -39,14 +39,14 @@ and a re-inversion factors a block-diagonal Gram matrix, so the padded
 rows and columns of the inverse keep 1/lam on the diagonal and exact zeros
 off it, and the member scores and learns as at its own dimension (its
 log-determinant gains the padding's (width - d) log lam).  As in LinUCB
-(Li et al. 2010), a closed-form lockstep agent forms each arm's
-Sigma^{-1} x once per step, scores from it, and updates from the chosen
-arms' rows of it.  Each observation adds the charge D_tau its caller
-gives.  A one-trial agent's rows come from its caller at every step, so
-they go through the checking one-state entry points of `linalg`; a
-lockstep agent's rows are slices of blocks checked once before the first
-decision (the harness's views, rewards and divergence charges), so its
-steps skip that scan.
+(Li et al. 2010), every agent, in either form, forms each arm's
+Sigma^{-1} x once per step and scores from it, and a lockstep agent
+updates from the chosen arms' rows of it.  Each observation adds the
+charge D_tau its caller gives.  A one-trial agent's rows come from its
+caller at every step, so it checks that they are finite; a lockstep
+agent's rows are slices of blocks checked once before the first decision
+(the harness's views, rewards and divergence charges), so its steps skip
+that scan.
 """
 
 import math
@@ -59,9 +59,8 @@ from .errors import ConfigError, InputError, ParameterError, UsageError
 from .linalg import (
     _batch_shape,
     new_ridge_stack,
-    quadratic_form_inv,
+    quadratic_form_inv,  # unused: scoring forms Sigma^-1 x itself; kept for tracers
     rank_one_update,
-    stack_quadratic_forms,
     stack_rank_one_update,
 )
 
@@ -349,8 +348,9 @@ def arm_ucb_scores(agent, arm_features):
     (n_arms, dim) features and gives (n_arms,) scores; a lockstep agent
     takes (trials, n_arms, dim) features, scores every trial's arms as one
     (trials, n_arms) array and keeps the step as `agent.scored` for
-    `observe(arms=...)`.  Its closed form forms every arm's Sigma^{-1} x
-    once, as one product with the tracked inverses, and scores from it.
+    `observe(arms=...)`.  Either form, at either shape, forms every arm's
+    Sigma^{-1} x once, as one product with the tracked inverses, and
+    scores from it.
     """
     if not agent.is_ucb:
         raise UsageError(f"{agent.kind.value} agents have no UCB scores")
@@ -362,23 +362,18 @@ def arm_ucb_scores(agent, arm_features):
             f"arm features must have shape {ridge.shape} + (n_arms, {ridge.dim}), "
             f"got {feats.shape}"
         )
+    if not ridge.shape and not np.isfinite(feats).all():
+        raise InputError("arm features contain non-finite entries")
     gamma = np.asarray(current_gamma(agent))
-    if ridge.shape and agent.selection_form is SelectionForm.CLOSED_FORM:
-        sigma_inv_feats = feats @ ridge.inv
-        quads = np.einsum("...kd,...kd->...k", feats, sigma_inv_feats)
-        agent.scored = (feats, sigma_inv_feats, quads)
-        # theta_hat . x = xr_sum . Sigma^{-1} x
-        means = (sigma_inv_feats @ ridge.xr_sum[..., None])[..., 0]
-        return means + np.sqrt(gamma)[..., None] * np.sqrt(quads)
-    quads = (stack_quadratic_forms if ridge.shape else quadratic_form_inv)(ridge, feats)
+    sigma_inv_feats = feats @ ridge.inv
+    quads = np.einsum("...kd,...kd->...k", feats, sigma_inv_feats)
     if ridge.shape:
-        agent.scored = (feats, None, None)
-    theta = ridge.theta_hat
+        agent.scored = (feats, sigma_inv_feats, quads)
     if agent.selection_form is SelectionForm.BALL_MAXIMIZATION:
-        sigma_inv_feats = np.einsum("...de,...ke->...kd", ridge.inv, feats)
-        return _ball_scores(ridge.gram, theta, gamma, feats, quads, sigma_inv_feats)
-    # one matrix-vector product per trial
-    return (feats @ theta[..., None])[..., 0] + np.sqrt(gamma)[..., None] * np.sqrt(quads)
+        return _ball_scores(ridge.gram, ridge.theta_hat, gamma, feats, quads, sigma_inv_feats)
+    # theta_hat . x = xr_sum . Sigma^{-1} x
+    means = (sigma_inv_feats @ ridge.xr_sum[..., None])[..., 0]
+    return means + np.sqrt(gamma)[..., None] * np.sqrt(quads)
 
 
 def select_arm(agent, arm_features, optimal_arm=None, rng=None):
@@ -424,7 +419,7 @@ def observe(agent, chosen_features, reward, dt_value=0.0, arms=None):
     caller checks once before the first decision.
 
     Given `arms`, a lockstep agent's chosen arms, the update reads their
-    rows (and a closed form's Sigma^{-1} x and forms) from the step it last
+    rows, with their Sigma^{-1} x and forms, from the step it last
     scored; a UsageError if it scored none since its last observation.
     """
     if not agent.is_ucb:
@@ -438,8 +433,7 @@ def observe(agent, chosen_features, reward, dt_value=0.0, arms=None):
         n, k, dim = feats.shape
         rows = np.arange(0, n * k, k) + arms  # each lane's chosen (lane, arm) row
         chosen_features = feats.reshape(-1, dim).take(rows, axis=0)
-        if sigma_inv_feats is not None:
-            u, q = sigma_inv_feats.reshape(-1, dim).take(rows, axis=0), quads.take(rows)
+        u, q = sigma_inv_feats.reshape(-1, dim).take(rows, axis=0), quads.take(rows)
     if agent.ridge.shape:
         stack_rank_one_update(agent.ridge, chosen_features, reward, u, q)
     else:

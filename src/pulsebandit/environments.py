@@ -6,10 +6,12 @@ noise draw eta_t, the realized-optimal arm (ties to the lower index), and
 its mean reward.  Context streams are exogenous: they are pure functions
 of (seed, t) and never depend on chosen actions, so the same stream can be
 replayed against any set of agents.  The generative environments produce
-their steps as Rollouts, T steps of arrays at a time; `step` is the
-one-step rollout, and any split of a stream into rollouts gives the same
-steps.  `rollout_lanes` rolls out many independent streams (lanes) as one
-Rollout, each lane exactly the reset and rollout of its own stream.
+their steps as Rollouts, T steps of arrays at a time, and generate them in
+one place, `_lane_contexts`, for many independent streams (lanes) at once.
+`rollout_lanes` gives each lane's reset and rollout as one Rollout;
+`rollout` is its one-lane case, continuing from the environment's own
+state, and `step` the one-step rollout.  Any split of a stream into
+rollouts gives the same steps.
 
 SyntheticEnv: scalar S_t follows an ARMA(2, 2) recursion; the late
 coordinate W_t is a linear (optionally sinusoidally perturbed) function of
@@ -32,7 +34,7 @@ row.
 import cmath
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +68,7 @@ _ARMA_REST = (0.0, 0.0, 0.0, 0.0)  # (S_{t-1}, S_{t-2}, e_{t-1}, e_{t-2})
 @dataclass(frozen=True)
 class Rollout:
     """T consecutive exogenous steps of an environment, as arrays; row i is
-    the step with index t[i].
+    the i-th step.
 
     potential_rewards[i, a] = arm_means[i, a] + eta_t for every arm, sharing
     the same eta_t.  optimal_arm maximizes arm_means with ties resolved to
@@ -78,7 +80,6 @@ class Rollout:
     every array field, so field[:, j] is lane j's own rollout.
     """
 
-    t: np.ndarray
     full_context: np.ndarray
     observed: np.ndarray
     potential_rewards: np.ndarray
@@ -107,8 +108,8 @@ def _lane_rngs(rngs):
     return list(rngs)
 
 
-def _rollout(env, t_end, contexts, eta, cond_sd_w):
-    """Rollout of the T steps ending at step t_end from their contexts.
+def _rollout(env, contexts, eta):
+    """Rollout of T steps from their contexts.
 
     `contexts` is (2, T, ..., d_Y): each step's full context with the
     realized W, then with W at its conditional mean, with a lanes axis
@@ -123,9 +124,7 @@ def _rollout(env, t_end, contexts, eta, cond_sd_w):
     optimal_arm = np.argmax(arm_means, axis=-1)  # first maximum: lowest index
     rows = arm_means.reshape(-1, arm_means.shape[-1])
     full = contexts[0]
-    t = np.arange(t_end - lead[0] + 1, t_end + 1)
     return Rollout(
-        t=t.repeat(eta[0].size).reshape(lead),
         full_context=full,
         observed=full[..., : env.d_s],
         potential_rewards=arm_means + eta[..., None],
@@ -133,9 +132,40 @@ def _rollout(env, t_end, contexts, eta, cond_sd_w):
         optimal_arm=optimal_arm,
         optimal_mean=rows[np.arange(rows.shape[0]), optimal_arm.ravel()].reshape(lead),
         cond_mean_w=contexts[1, ..., env.d_s :],
-        cond_sd_w=cond_sd_w,
+        cond_sd_w=env.cond_sd_w,
         cond_arm_means=cond_arm_means,
     )
+
+
+class _LaneEnv:
+    """The rollout forms of a generative environment, each a case of its
+    `_lane_contexts(rngs, n_lanes, n_steps, states=None)`: the contexts
+    (2, T, lanes, d_Y) and reward noise (T, lanes) of `n_steps` steps on
+    each of the `n_lanes` generators that `rngs` yields, and each lane's
+    state after them.  Lane j continues from `states[j]`, or from a reset
+    on its own generator when `states` is None.  `cond_sd_w` is the sd of
+    W around its conditional mean.
+    """
+
+    def rollout(self, rng, n_steps):
+        """The next `n_steps` steps as a Rollout, continuing from the
+        current state: the one-lane case.  Any split of a rollout into
+        shorter ones, or into single steps, gives the same steps."""
+        n_steps = _positive_int(n_steps, "n_steps")
+        contexts, eta, (self._state,) = self._lane_contexts([rng], 1, n_steps, [self._state])
+        return _rollout(self, contexts[:, :, 0], eta[:, 0])
+
+    def rollout_lanes(self, rngs, n_steps):
+        """Each lane's `reset(rngs[j])` and `rollout(rngs[j], n_steps)` as
+        one Rollout with a lanes axis; the environment's own state is left
+        as it is."""
+        rngs, n_steps = _lane_rngs(rngs), _positive_int(n_steps, "n_steps")
+        contexts, eta, _ = self._lane_contexts(rngs, len(rngs), n_steps)
+        return _rollout(self, contexts, eta)
+
+    def step(self, rng):
+        # the one-step rollout; kept only for the benchmark's tracer
+        return self.rollout(rng, 1)
 
 
 def ar_root_moduli(ar1, ar2):
@@ -149,7 +179,7 @@ def ar_root_moduli(ar1, ar2):
     return np.array([1.0 / abs(u) for u in roots_u if u != 0])
 
 
-class SyntheticEnv:
+class SyntheticEnv(_LaneEnv):
     """ARMA-driven scalar context with a linear or sinusoidal W model.
 
     S_t = ar1 S_{t-1} + ar2 S_{t-2} + e_t + ma1 e_{t-1} + ma2 e_{t-2},
@@ -162,6 +192,7 @@ class SyntheticEnv:
 
     d_s = 1
     d_w = 1
+    cond_sd_w = property(lambda self: self.xi_sd)
 
     def __init__(
         self,
@@ -201,11 +232,9 @@ class SyntheticEnv:
             )
         self.feature_map = synthetic_interaction_map()
         self._state = _ARMA_REST
-        self._t = 0
 
     def reset(self, rng):
         self._state = self._burn_in(rng)
-        self._t = 0
         return self
 
     def _burn_in(self, rng):
@@ -277,48 +306,21 @@ class SyntheticEnv:
         contexts[0, ..., 1] = mu + xi
         return contexts
 
-    def rollout(self, rng, n_steps):
-        """The next `n_steps` steps as a Rollout, continuing from the
-        current state.
-
-        Each step draws e_t, xi_t and eta_t (see `_draws`).  Any split of a
-        rollout into shorter ones, or into single steps, gives the same
-        steps.
-        """
-        n_steps = _positive_int(n_steps, "n_steps")
-        e, xi, eta = self._draws(rng, n_steps)
-        s, state = self._arma(self._state, e.tolist())
-        lags = np.array([self._state[1], self._state[0]] + s)
-        self._state = state
-        self._t += n_steps
-        return _rollout(self, self._t, self._contexts(lags, xi), eta, self.xi_sd)
-
-    def _lane_contexts(self, rngs, n_lanes, n_steps):
-        """Contexts (2, T, lanes, 2) and reward noise (T, lanes) of one
-        reset and `n_steps`-step rollout on each of the `n_lanes`
-        generators that `rngs` yields; only the draws and the ARMA
-        recursion run per lane."""
+    def _lane_contexts(self, rngs, n_lanes, n_steps, states=None):
+        """See `_LaneEnv`; a lane's state is its ARMA state.  Each step
+        draws e_t, xi_t and eta_t (see `_draws`); only the draws and the
+        ARMA recursion run per lane."""
         lags = np.empty((n_steps + 2, n_lanes))
         xi = np.empty((n_steps, n_lanes))
         eta = np.empty((n_steps, n_lanes))
+        ends = []
         for j, rng in enumerate(rngs):
-            state = self._burn_in(rng)
+            state = self._burn_in(rng) if states is None else states[j]
             e, xi[:, j], eta[:, j] = self._draws(rng, n_steps)
             lags[:2, j] = state[1], state[0]
-            lags[2:, j] = self._arma(state, e.tolist())[0]
-        return self._contexts(lags, xi), eta
-
-    def rollout_lanes(self, rngs, n_steps):
-        """Each lane's `reset(rngs[j])` and `rollout(rngs[j], n_steps)` as
-        one Rollout with a lanes axis; the environment's own state is left
-        as it is."""
-        rngs, n_steps = _lane_rngs(rngs), _positive_int(n_steps, "n_steps")
-        contexts, eta = self._lane_contexts(rngs, len(rngs), n_steps)
-        return _rollout(self, n_steps, contexts, eta, self.xi_sd)
-
-    def step(self, rng):
-        # the one-step rollout; kept only for the benchmark's tracer
-        return self.rollout(rng, 1)
+            lags[2:, j], state = self._arma(state, e.tolist())
+            ends.append(state)
+        return self._contexts(lags, xi), eta, ends
 
 
 def bump_function(beta=1.0, amplitude=0.5):
@@ -337,7 +339,7 @@ def bump_function(beta=1.0, amplitude=0.5):
     return f
 
 
-class LowerBoundEnv:
+class LowerBoundEnv(_LaneEnv):
     """Two-armed stress environment with a latent branch coin.
 
     theta = (theta_q, 0, 1/2).  On the V = 0 branch the arm means are
@@ -346,6 +348,9 @@ class LowerBoundEnv:
     E[W_t | S_t] = f(O_t) holds trivially; rewards are Gaussian with sd
     `reward_sd` around the arm means, sharing one draw per step.
     """
+
+    _state = None  # a step does not depend on the ones before it
+    cond_sd_w = property(lambda self: self.w_noise_sd)
 
     def __init__(
         self,
@@ -390,16 +395,12 @@ class LowerBoundEnv:
         self.theta_star = np.concatenate(
             [self.theta_q, np.zeros(self.d_non), [0.5]]
         )
-        self._t = 0
 
     def reset(self, rng):
-        self._t = 0
         return self
 
-    def _lane_contexts(self, rngs, n_lanes, n_steps):
-        """Contexts (2, T, lanes, d_Y) and reward noise (T, lanes) of
-        `n_steps` steps on each of the `n_lanes` generators that `rngs`
-        yields.
+    def _lane_contexts(self, rngs, n_lanes, n_steps, states=None):
+        """See `_LaneEnv`; a lane has no state, so every lane ends at None.
 
         The draws stay one step at a time, in step order (coin, then the
         branch's draws, then the W noise and the reward noise), because
@@ -422,27 +423,7 @@ class LowerBoundEnv:
                 y[-1] = f_o + (rng.normal(0.0, self.w_noise_sd) if self.w_noise_sd > 0 else 0.0)
                 eta[i, j] = rng.normal(0.0, self.reward_sd) if self.reward_sd > 0 else 0.0
         contexts[1, ..., : self.d_s] = contexts[0, ..., : self.d_s]
-        return contexts, eta
-
-    def rollout(self, rng, n_steps):
-        """The next `n_steps` steps as a Rollout.  A step does not depend
-        on the ones before it, so these are the steps of one lane."""
-        n_steps = _positive_int(n_steps, "n_steps")
-        contexts, eta = self._lane_contexts([rng], 1, n_steps)
-        self._t += n_steps
-        return _rollout(self, self._t, contexts[:, :, 0], eta[:, 0], self.w_noise_sd)
-
-    def rollout_lanes(self, rngs, n_steps):
-        """Each lane's `reset(rngs[j])` and `rollout(rngs[j], n_steps)` as
-        one Rollout with a lanes axis; the environment's own state is left
-        as it is."""
-        rngs, n_steps = _lane_rngs(rngs), _positive_int(n_steps, "n_steps")
-        contexts, eta = self._lane_contexts(rngs, len(rngs), n_steps)
-        return _rollout(self, n_steps, contexts, eta, self.w_noise_sd)
-
-    def step(self, rng):
-        # the one-step rollout; kept only for the benchmark's tracer
-        return self.rollout(rng, 1)
+        return contexts, eta, [None] * n_lanes
 
 
 # -- replay -------------------------------------------------------------------
@@ -717,7 +698,7 @@ def realized_contexts(env, rngs, n_lanes, n_steps):
     `n_steps`-step rollout of `env` on each of the `n_lanes` generators
     that `rngs` yields: `rollout_lanes`'s full_context, with no features,
     arm means or rewards built.  A non-finite context is an EnvError."""
-    contexts, _ = env._lane_contexts(rngs, n_lanes, n_steps)
+    contexts = env._lane_contexts(rngs, n_lanes, n_steps)[0]
     full = contexts[0]
     if not np.isfinite(full).all():
         raise EnvError("environment produced non-finite contexts")

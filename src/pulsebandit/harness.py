@@ -35,9 +35,11 @@ tie-breaking draws are isolated.
 
 import copy
 import hashlib
+import importlib.util
 import json
 import math
 import os
+import runpy
 import sys
 import time
 from dataclasses import dataclass
@@ -46,7 +48,6 @@ from functools import partial
 from itertools import chain
 
 import numpy as np
-import scipy
 from numpy.lib.stride_tricks import sliding_window_view
 
 try:
@@ -399,7 +400,7 @@ class ExperimentConfig:
     """
 
     def __init__(self, raw):
-        vars(self).update(_section(_without_retired_keys(raw), "", _CONFIG))
+        vars(self).update(_section(raw, "", _CONFIG))
         env_kind = self.environment["kind"]
         replay = env_kind == "replay"
         if self.horizon is None and not replay:
@@ -533,23 +534,6 @@ class ExperimentConfig:
         raise ConfigError("environment.kind", "replay configs do not build an env")
 
 
-def _without_retired_keys(raw):
-    """`raw`, or a copy without the retired Monte-Carlo keys of older
-    files: `imputer.analytic: true` and any `imputer.mc_samples` are
-    dropped, as Phi at the conditional mean is the only path left; any
-    other `analytic` value is refused."""
-    imputer = raw.get("imputer") if isinstance(raw, dict) else None
-    if not isinstance(imputer, dict) or not {"analytic", "mc_samples"} & imputer.keys():
-        return raw
-    if imputer.get("analytic", True) is not True:
-        raise ConfigError(
-            "imputer.analytic",
-            f"Monte-Carlo features are retired; only true is accepted, got {imputer['analytic']!r}",
-        )
-    kept = {key: value for key, value in imputer.items() if key not in ("analytic", "mc_samples")}
-    return {**raw, "imputer": kept}
-
-
 def _set_dotted(raw, key, value):
     """raw[a][b]...[z] = value for the dotted key "a.b. ... .z"; a missing
     or non-mapping section on the way becomes an empty mapping."""
@@ -585,10 +569,6 @@ def load_config(path_or_dict, overrides=()):
     if isinstance(raw, dict) and raw.get("kind") == "run_metadata" and "config" in raw:
         # the embedded config is resolved: its data paths are absolute
         raw, base = raw["config"], None
-        if isinstance(raw, dict):
-            # metadata of older versions names the retired `workers` field,
-            # a trial-process count that changed no result
-            raw.pop("workers", None)
     if not isinstance(raw, dict):
         raise ConfigError("", "must be a mapping")
     if base is not None:
@@ -1191,13 +1171,30 @@ def _write_metadata(out_dir, config, overrides_echo, facts, timings, stage_rss):
             "versions": {
                 "python": sys.version.split()[0],
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
+                "scipy": _scipy_version(),
             },
         },
     }
     path = os.path.join(out_dir, "metadata.json")
     _write_json(path, metadata)
     return path
+
+
+def _scipy_version():
+    """The installed scipy's version, or None without scipy.  The package
+    computes with numpy alone, so it runs scipy's version.py on its own
+    rather than importing scipy; the import is the fallback."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        return None
+    for location in spec.submodule_search_locations or ():
+        path = os.path.join(location, "version.py")
+        version = runpy.run_path(path).get("version") if os.path.isfile(path) else None
+        if isinstance(version, str):
+            return version
+    import scipy
+
+    return scipy.__version__
 
 
 def _peak_rss_mib():

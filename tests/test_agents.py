@@ -425,40 +425,43 @@ def test_the_shared_update_follows_the_recomputed_one():
     # (observe(arms=...)), its twin recomputes it from the chosen rows; over
     # 1,000 steps, past REFACTOR_INTERVAL, and through a NaN planted in one
     # lane's inverse, which the health check re-inverts, they choose the same
-    # arms and keep theta_hat and log-det within 1e-12 relative
+    # arms and keep theta_hat and log-det within 1e-12 relative, in either
+    # selection form
     from pulsebandit.linalg import REFACTOR_INTERVAL
 
     trials, arms, dim, steps = 4, 6, 3, 1000
     assert steps > REFACTOR_INTERVAL
     schedule = simple_schedule(dim=dim, feat_norm_bound=(1.5, 2.5), sigma_eta=0.1, scale=0.05)
-    shared, recomputed = (
-        make_agent(name, AgentKind.OFUL_FULL, arms, dim=dim, schedule=schedule, trials=trials)
-        for name in ("shared", "recomputed")
-    )
-    rng = substream(47, "shared")
     lanes = np.arange(trials)
     theta = np.array([0.4, -0.3, 0.2])
-    for step in range(steps):
-        if step == 300:
-            for agent in (shared, recomputed):
-                agent.ridge.inv[1, 0, 2] = np.nan
-        feats = rng.standard_normal((trials, arms, dim))
-        chosen = select_arm(shared, feats)
-        assert np.array_equal(chosen, select_arm(recomputed, feats)), step
-        rows = feats[lanes, chosen]
-        rewards = rows @ theta + rng.normal(0.0, 0.1, trials)
-        dts = rng.uniform(0.0, 0.01, trials)
-        observe(shared, None, rewards, dt_value=dts, arms=chosen)
-        observe(recomputed, rows, rewards, dt_value=dts)
-        for key in ("theta_hat", "log_det"):
-            a, b = getattr(shared.ridge, key), getattr(recomputed.ridge, key)
-            assert np.allclose(a, b, rtol=1e-12, atol=0.0), (step, key)
-    # the planted lane re-inverted at update 301 and on its own interval
-    # after, the others on the interval only
-    expect = [(steps - at) % REFACTOR_INTERVAL for at in (0, 301, 0, 0)]
-    assert shared.ridge._since_refactor.tolist() == expect
-    assert recomputed.ridge._since_refactor.tolist() == expect
-    assert np.array_equal(shared.schedule.dt_cumsum, recomputed.schedule.dt_cumsum)
+    for form in SelectionForm:
+        shared, recomputed = (
+            make_agent(name, AgentKind.OFUL_FULL, arms, dim=dim, schedule=schedule, trials=trials,
+                       selection_form=form)
+            for name in ("shared", "recomputed")
+        )
+        rng = substream(47, "shared")
+        for step in range(steps):
+            if step == 300:
+                for agent in (shared, recomputed):
+                    agent.ridge.inv[1, 0, 2] = np.nan
+            feats = rng.standard_normal((trials, arms, dim))
+            chosen = select_arm(shared, feats)
+            assert np.array_equal(chosen, select_arm(recomputed, feats)), (form, step)
+            rows = feats[lanes, chosen]
+            rewards = rows @ theta + rng.normal(0.0, 0.1, trials)
+            dts = rng.uniform(0.0, 0.01, trials)
+            observe(shared, None, rewards, dt_value=dts, arms=chosen)
+            observe(recomputed, rows, rewards, dt_value=dts)
+            for key in ("theta_hat", "log_det"):
+                a, b = getattr(shared.ridge, key), getattr(recomputed.ridge, key)
+                assert np.allclose(a, b, rtol=1e-12, atol=0.0), (form, step, key)
+        # the planted lane re-inverted at update 301 and on its own interval
+        # after, the others on the interval only
+        expect = [(steps - at) % REFACTOR_INTERVAL for at in (0, 301, 0, 0)]
+        assert shared.ridge._since_refactor.tolist() == expect
+        assert recomputed.ridge._since_refactor.tolist() == expect
+        assert np.array_equal(shared.schedule.dt_cumsum, recomputed.schedule.dt_cumsum)
 
 
 def test_observe_arms_needs_a_scored_step():
@@ -575,3 +578,34 @@ def test_a_schedule_takes_one_dim_per_member():
         make_agent("g", AgentKind.OFUL_FULL, 2, dim=4, schedule=schedule, trials=3)
     group = make_agent("g", AgentKind.OFUL_FULL, 2, dim=4, schedule=schedule, trials=4)
     assert group.ridge.dim == 4
+
+
+@pytest.mark.parametrize("form", list(SelectionForm), ids=lambda f: f.value)
+def test_one_trial_agent_is_the_one_lane_lockstep_agent(form):
+    # both shapes score through one Sigma^{-1} x path: fed the same rows over
+    # 700 observations, past REFACTOR_INTERVAL, a one-trial agent and a
+    # trials=1 agent give the same scores, arms, radii and inverses, bit for bit
+    from pulsebandit.linalg import REFACTOR_INTERVAL
+
+    arms, dim, steps = 5, 3, 700
+    assert steps > REFACTOR_INTERVAL
+    schedule = simple_schedule(dim=dim, feat_norm_bound=2.0, sigma_eta=0.1, scale=0.05)
+    one, lane = (
+        make_agent(name, AgentKind.OFUL_FULL, arms, dim=dim, schedule=schedule, trials=trials,
+                   selection_form=form)
+        for name, trials in (("one", None), ("lane", 1))
+    )
+    rng = substream(48, "one_lane")
+    theta = np.array([0.4, -0.3, 0.2])
+    for step in range(steps):
+        feats = rng.standard_normal((arms, dim))
+        scores = arm_ucb_scores(one, feats)
+        assert scores.tobytes() == arm_ucb_scores(lane, feats[None])[0].tobytes(), step
+        arm = select_arm(one, feats)
+        assert [arm] == select_arm(lane, feats[None]).tolist() == [int(scores.argmax())]
+        assert np.float64(current_gamma(one)).tobytes() == current_gamma(lane).tobytes()
+        reward, dt = float(feats[arm] @ theta + rng.normal(0.0, 0.1)), rng.uniform(0.0, 0.01)
+        observe(one, feats[arm], reward, dt_value=dt)
+        observe(lane, feats[arm][None], np.array([reward]), dt_value=np.array([dt]))
+        assert one.ridge.inv.tobytes() == lane.ridge.inv[0].tobytes(), step
+    assert one.ridge.log_det == lane.ridge.log_det[0]

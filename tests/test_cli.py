@@ -375,17 +375,18 @@ def test_profile_flag_writes_a_pstats_dump(tmp_path):
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
     # the ridge kernel is numpy only: importing scipy.linalg would add
-    # about 0.35 s to the start of every command (2-CPU VM measurement)
+    # about 0.35 s to the start of every command (2-CPU VM measurement),
+    # and the package imports no part of scipy at all
     src = os.path.dirname(os.path.dirname(os.path.abspath(pulsebandit.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, pulsebandit.cli, pulsebandit.linalg as linalg; "
-        "print('scipy.linalg' in sys.modules, hasattr(linalg, 'dtrtrs'))"
+        "print('scipy.linalg' in sys.modules, hasattr(linalg, 'dtrtrs'), 'scipy' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.split() == ["False", "False", "False"]
 
 
 def test_a_run_leaves_numpy_ma_unloaded(tmp_path):

@@ -71,10 +71,14 @@ def test_noiseless_nonlinear_matches_linear_at_zero():
 
 
 def test_burn_in_runs_on_reset():
-    env = SyntheticEnv()
-    env.reset(substream(5, "env"))
-    assert env._t == 0
-    assert env.rollout(substream(5, "other"), 1).t.tolist() == [1]
+    # a reset discards the stream so far: a used environment, reset, rolls
+    # out as a fresh one
+    used, fresh = SyntheticEnv(), SyntheticEnv()
+    used.reset(substream(5, "env")).rollout(substream(5, "other"), 9)
+    rng_used, rng_fresh = substream(5, "again"), substream(5, "again")
+    again = used.reset(rng_used).rollout(rng_used, 4)
+    first = fresh.reset(rng_fresh).rollout(rng_fresh, 4)
+    assert_bitwise(again.full_context, first.full_context)
     # after burn-in the state is generically nonzero
     env2 = SyntheticEnv()
     rng2 = substream(5, "env")
@@ -459,7 +463,7 @@ def scalar_synthetic_steps(env, rng, n_steps):
     for _ in range(50):
         advance()
     steps = []
-    for t in range(1, n_steps + 1):
+    for _ in range(n_steps):
         lag1, lag2 = s1, s2
         s = advance()
         x2 = (s + lag1 + lag2) / 3
@@ -472,7 +476,7 @@ def scalar_synthetic_steps(env, rng, n_steps):
         means = np.stack([phi(fmap, y, a) for a in range(2)]) @ env.theta_star
         cond = np.stack([phi(fmap, np.array([s, mu]), a) for a in range(2)])
         steps.append(
-            dict(t=t, full=y, observed=s_vec, means=means, rewards=means + eta,
+            dict(full=y, observed=s_vec, means=means, rewards=means + eta,
                  cond_mean=np.array([mu]), cond_means=cond @ env.theta_star)
         )
     return steps
@@ -482,7 +486,7 @@ def scalar_lower_bound_steps(env, rng, n_steps):
     """Reference law of LowerBoundEnv, one step at a time with per-arm phi."""
     fmap = env.feature_map
     steps = []
-    for t in range(1, n_steps + 1):
+    for _ in range(n_steps):
         q = np.zeros(env.d_lin)
         if int(rng.integers(0, 2)) == 0:
             o = rng.uniform(-1.0, 1.0, env.d_non)
@@ -498,16 +502,19 @@ def scalar_lower_bound_steps(env, rng, n_steps):
         means = np.stack([phi(fmap, y, a) for a in range(2)]) @ env.theta_star
         cond = np.stack([phi(fmap, y_cond, a) for a in range(2)])
         steps.append(
-            dict(t=t, full=y, observed=s_vec, means=means, rewards=means + eta,
+            dict(full=y, observed=s_vec, means=means, rewards=means + eta,
                  cond_mean=np.array([f_o]), cond_means=cond @ env.theta_star)
         )
     return steps
 
 
+ROLLOUT_FIELDS = ("full_context", "observed", "potential_rewards", "arm_means",
+                  "optimal_arm", "optimal_mean", "cond_mean_w", "cond_arm_means")
+
+
 def assert_rollout_is(rollout, steps):
-    assert rollout.t.shape == (len(steps),)
+    assert rollout.optimal_mean.shape == (len(steps),)
     for i, ref in enumerate(steps):
-        assert rollout.t[i] == ref["t"]
         assert_bitwise(rollout.full_context[i], ref["full"])
         assert_bitwise(rollout.observed[i], ref["observed"])
         assert_bitwise(rollout.arm_means[i], ref["means"])
@@ -572,8 +579,7 @@ def test_rollouts_split_anywhere_give_the_same_steps(kind, a, b, seed):
     first, second = envs[0].rollout(rngs[0], a), envs[0].rollout(rngs[0], b)
     whole = envs[1].rollout(rngs[1], a + b)
     stepped = [envs[2].step(rngs[2]) for _ in range(a + b)]
-    for name in ("t", "full_context", "observed", "potential_rewards", "arm_means",
-                 "optimal_arm", "optimal_mean", "cond_mean_w", "cond_arm_means"):
+    for name in ROLLOUT_FIELDS:
         joined = np.concatenate([getattr(first, name), getattr(second, name)])
         assert_bitwise(joined, getattr(whole, name))
         assert_bitwise(np.concatenate([getattr(s, name) for s in stepped]), getattr(whole, name))
@@ -622,7 +628,7 @@ def test_a_lane_rollout_needs_one_generator_per_lane(rngs):
 
 def test_numpy_integer_counts_are_accepted():
     rngs = [substream(0, "env", i) for i in range(2)]
-    assert SyntheticEnv().rollout_lanes(rngs, np.int64(3)).t.shape == (3, 2)
+    assert SyntheticEnv().rollout_lanes(rngs, np.int64(3)).optimal_mean.shape == (3, 2)
     data = generate_history(SyntheticEnv, np.int32(2), np.int64(4), 1)
     assert data.s.shape == (2, 4, 1)
 
@@ -635,8 +641,6 @@ LANE_ENVS = {
     "rho10": lambda: SyntheticEnv(nonlinearity=10.0),
     "lower_bound": lambda: LowerBoundEnv(2, 3, w_noise_sd=0.05),
 }
-ROLLOUT_FIELDS = ("t", "full_context", "observed", "potential_rewards", "arm_means",
-                  "optimal_arm", "optimal_mean", "cond_mean_w", "cond_arm_means")
 
 
 @pytest.mark.parametrize("kind", sorted(LANE_ENVS))
@@ -664,6 +668,19 @@ def test_a_lane_rollout_leaves_the_environment_as_it_was(kind):
     joined = whole.reset(rng_whole).rollout(rng_whole, 12)
     for name in ROLLOUT_FIELDS:
         assert_bitwise(getattr(second, name), getattr(joined, name)[7:])
+
+
+@pytest.mark.parametrize("kind", sorted(LANE_ENVS))
+def test_lanes_continue_from_the_states_they_end_in(kind):
+    env = LANE_ENVS[kind]()
+    rngs = [substream(64, "lane", i) for i in range(3)]
+    first, eta_first, ends = env._lane_contexts(rngs, 3, 7)
+    second, eta_second, last = env._lane_contexts(rngs, 3, 5, ends)
+    rngs = [substream(64, "lane", i) for i in range(3)]
+    whole, eta_whole, whole_ends = env._lane_contexts(rngs, 3, 12)
+    assert_bitwise(np.concatenate([first, second], axis=1), whole)
+    assert_bitwise(np.concatenate([eta_first, eta_second]), eta_whole)
+    assert last == whole_ends
 
 
 def test_lane_conditional_means_are_the_scalar_formula_bit_for_bit():

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 
 from pulsebandit import (
     ConfigError,
@@ -66,6 +67,12 @@ def test_unknown_keys_rejected_with_dotted_path():
     with pytest.raises(ConfigError) as err:
         ExperimentConfig(raw)
     assert "bogus" in str(err.value)
+
+    # a run-metadata document's config is read as any config: the trial
+    # process count `workers` that older versions wrote there is unknown
+    with pytest.raises(ConfigError) as err:
+        load_config({"kind": "run_metadata", "config": tiny_raw(workers=1)})
+    assert err.value.field == "workers" and "not recognized" in str(err.value)
 
 
 def test_config_field_validation():
@@ -200,35 +207,12 @@ def test_metadata_rerun_is_bit_exact(tmp_path):
                        res2["aggregate_path"], shallow=False)
 
 
-def test_metadata_naming_workers_reruns_bit_exact(tmp_path):
-    # metadata of older versions names the retired `workers` field
-    first = run_experiment(ExperimentConfig(tiny_raw()), out_dir=str(tmp_path / "first"))
-    with open(first["metadata_path"]) as fh:
-        meta = json.load(fh)
-    meta["config"]["workers"] = 1
-    path = tmp_path / "old_metadata.json"
-    path.write_text(json.dumps(meta))
-    again = run_experiment(load_config(str(path)), out_dir=str(tmp_path / "again"))
-    assert filecmp.cmp(first["raw_path"], again["raw_path"], shallow=False)
-    # only a run-metadata document drops it; a config naming it is refused
-    with pytest.raises(ConfigError) as err:
-        load_config(meta["config"])
-    assert err.value.field == "workers"
-
-
-def test_metadata_naming_monte_carlo_keys_reruns_bit_exact(tmp_path):
-    # metadata of older versions names the retired imputer.analytic and
-    # imputer.mc_samples, at the exact path they defaulted to
-    first = run_experiment(ExperimentConfig(tiny_raw()), out_dir=str(tmp_path / "first"))
-    with open(first["metadata_path"]) as fh:
-        meta = json.load(fh)
-    meta["config"]["imputer"].update(analytic=True, mc_samples=64)
-    path = tmp_path / "old_metadata.json"
-    path.write_text(json.dumps(meta))
-    again = run_experiment(load_config(str(path)), out_dir=str(tmp_path / "again"))
-    assert filecmp.cmp(first["raw_path"], again["raw_path"], shallow=False)
-    configs = [json.load(open(r["metadata_path"]))["config"] for r in (first, again)]
-    assert configs[0] == configs[1]
+def test_scipy_version_without_its_version_file_or_scipy(monkeypatch):
+    from pulsebandit import harness
+    monkeypatch.setattr(harness.os.path, "isfile", lambda path: False)
+    assert harness._scipy_version() == scipy.__version__  # from the import
+    monkeypatch.setattr(harness.importlib.util, "find_spec", lambda name: None)
+    assert harness._scipy_version() is None
 
 
 def test_run_experiment_runs_trials_in_index_order(tmp_path, monkeypatch):
@@ -483,11 +467,11 @@ def test_a_non_finite_pretraining_context_fails_before_any_decision(
     lane_contexts = SyntheticEnv._lane_contexts
     steps = {"history": 20, "dry_run": FEAT_NORM_DRY_RUN_STEPS}[planted]
 
-    def plant(self, rngs, n_lanes, n_steps):
-        contexts, eta = lane_contexts(self, rngs, n_lanes, n_steps)
+    def plant(self, rngs, n_lanes, n_steps, states=None):
+        contexts, eta, ends = lane_contexts(self, rngs, n_lanes, n_steps, states)
         if n_steps == steps:  # pretrain.t0 or the dry run, not the trials' 15 steps
             contexts[0, 13, n_lanes - 1, 1] = np.nan  # W at step 13 of the last lane
-        return contexts, eta
+        return contexts, eta, ends
 
     monkeypatch.setattr(SyntheticEnv, "_lane_contexts", plant)
     with pytest.raises(EnvError, match="non-finite contexts"):
@@ -826,6 +810,8 @@ def test_metadata_records_stage_timings_and_versions(tmp_path):
         assert set(timings) == {"pretrain", "trials", "write"}
         assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
         assert set(meta["run"]["versions"]) == {"python", "numpy", "scipy"}
+        # read from scipy's version.py, without importing scipy
+        assert meta["run"]["versions"]["scipy"] == scipy.__version__
         assert "timings_s" not in meta["config"] and "versions" not in meta["config"]
         # the process has run numpy at least, so its peak is megabytes
         assert isinstance(meta["run"]["peak_rss_mib"], float)
@@ -986,8 +972,7 @@ def test_plug_in_without_a_fitted_imputer_is_a_config_error(imputer):
 
 def test_null_imputer_keeps_its_config(tmp_path):
     from pulsebandit.harness import _pretrain_replay
-    # the retired Monte-Carlo keys load at their exact-path value and go
-    null = {"kind": "null", "analytic": True, "mc_samples": 5}
+    null = {"kind": "null"}
     raw = tiny_raw(horizon=10, trials=1)
     raw["imputer"] = dict(null)
     raw["agents"][2]["dt_source"] = "zero"
@@ -998,7 +983,6 @@ def test_null_imputer_keeps_its_config(tmp_path):
     res = run_experiment(cfg, out_dir=str(tmp_path / "sim"))
     saved = json.loads(open(tmp_path / "sim" / "imputer.json").read())
     assert (saved["kind"], saved["params"]) == ("null", {})
-    assert "analytic" not in saved and "mc_samples" not in saved
     assert res["summary"]
 
     raw = replay_raw(tmp_path)
