@@ -263,8 +263,8 @@ def make_agent(
     """
     kind = AgentKind(kind)
     selection_form = SelectionForm(selection_form)
-    if arm_count < 1:
-        raise ParameterError("arm_count must be positive")
+    if not isinstance(arm_count, (int, np.integer)) or isinstance(arm_count, bool) or arm_count < 1:
+        raise ParameterError(f"arm_count must be a positive integer, got {arm_count!r}")
     _batch_shape(trials)  # every kind plays a valid trial count
     ridge = None
     if kind in _UCB_KINDS:

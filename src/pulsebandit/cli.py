@@ -15,15 +15,11 @@ accepted anywhere a config is, which reruns the experiment it describes.
 import argparse
 import json
 import sys
+from itertools import chain
 
-import numpy as np
-
-from .calibration import linear_quantile
-from .environments import generate_history
 from .errors import ConfigError, PulseBanditError
 from .harness import (
-    _dt_band,
-    _require_band_pairs,
+    _calibration_band,
     _save_imputer,
     _write_json,
     load_config,
@@ -153,40 +149,25 @@ def _cmd_calibrate(args):
     import os
 
     config, _ = _load(args)
-    if config.environment["kind"] != "synthetic":
-        # a replay log has no generator, and lower_bound has d_S = d_lin + d_non >= 2
-        raise ConfigError(
-            "environment.kind", "calibrate's band needs a synthetic environment (d_S = 1)"
-        )
-    _require_band_pairs(config.pretrain, "calibrate's band")
-    dataset = generate_history(
-        config.make_env,
-        config.pretrain["n"],
-        config.pretrain["t0"],
-        config.pretrain["seed"],
-    )
-    query_points = None
-    if config.calibration["grid_points"] is not None:
-        lo, hi = linear_quantile(dataset.s.ravel(), [0.05, 0.95])
-        query_points = np.linspace(lo, hi, config.calibration["grid_points"])[:, None]
-    band = _dt_band(config, dataset, query_points)
+    band = _calibration_band(config)
     os.makedirs(args.out, exist_ok=True)
     band_path = os.path.join(args.out, "band.csv")
     d_w = band.centers.shape[1]
+    header = ["grid_0"] + [
+        f"{col}_{j}" for j in range(d_w) for col in ("center", "half_width", "cross_term")
+    ]
+    # per grid point: its S, then each W coordinate's center, half-width and cross term
+    rows = zip(
+        band.grid[:, 0].tolist(),
+        band.centers.tolist(),
+        band.half_widths.tolist(),
+        band.cross_term.tolist(),
+    )
     with open(band_path, "w", encoding="utf-8", newline="\n") as fh:
-        cols = ["grid_0"]
-        for j in range(d_w):
-            cols += [f"center_{j}", f"half_width_{j}", f"cross_term_{j}"]
-        fh.write(",".join(cols) + "\n")
-        for i in range(band.grid.shape[0]):
-            row = [repr(float(band.grid[i, 0]))]
-            for j in range(d_w):
-                row += [
-                    repr(float(band.centers[i, j])),
-                    repr(float(band.half_widths[i, j])),
-                    repr(float(band.cross_term[i, j])),
-                ]
-            fh.write(",".join(row) + "\n")
+        fh.writelines(
+            [",".join(header) + "\n"]
+            + [",".join(map(repr, [g, *chain(*zip(c, h, x))])) + "\n" for g, c, h, x in rows]
+        )
     summary = {
         "alpha": band.alpha,
         "dhat": band.dhat,

@@ -350,8 +350,8 @@ _PRETRAIN = (
     ("seed", None, _optional(_int(0))),  # null: base_seed
     ("fraction", 0.2, _unit_interval(")")),
 )
-# grid_points is read by `pulsebandit calibrate` only; simulate's plug-in
-# band uses the estimator's default grid
+# grid_points sets the grid of the one band that simulate, pretrain and
+# calibrate share (`_dt_band`); null: the estimator's default grid
 _CALIBRATION = (
     ("alpha", 0.1, _unit_interval(")")),
     ("bootstrap_draws", 200, _count(10)),
@@ -633,12 +633,7 @@ def pretrain(config):
             )
     elif imp_cfg["kind"] != ImputerKind.ORACLE:
         if imp_cfg["kind"] in _FITTED_IMPUTERS:
-            dataset = generate_history(
-                config.make_env,
-                config.pretrain["n"],
-                config.pretrain["t0"],
-                config.pretrain["seed"],
-            )
+            dataset = _history(config)
         imputer = _build_imputer(imp_cfg, env.d_s, env.d_w, dataset, lag=imp_cfg["lag"])
 
     # feature-norm bound B: config value, or the dry-run empirical quantile
@@ -683,11 +678,22 @@ def _build_imputer(imp_cfg, d_s, d_w, dataset=None, lag=0):
     return fit_kernel(dataset, bandwidth=imp_cfg["bandwidth"], beta=imp_cfg["beta"])
 
 
-def _dt_band(config, dataset, query_points=None):
-    """The configured divergence band on the history `dataset`, at the
-    estimator's default grid or at `query_points`, auditing the configured
-    imputer refit on the band's target half."""
+def _history(config):
+    """The pretraining history: pretrain.n trajectories of pretrain.t0 steps."""
+    p = config.pretrain
+    return generate_history(config.make_env, p["n"], p["t0"], p["seed"])
+
+
+def _dt_band(config, dataset):
+    """The configured divergence band on the history `dataset`, auditing the
+    configured imputer refit on the band's target half.  Its grid is
+    calibration.grid_points evenly spaced points between the 5% and 95%
+    quantiles of the history's S, or the estimator's default grid."""
     calibration = config.calibration
+    query_points = None
+    if calibration["grid_points"] is not None:
+        lo, hi = linear_quantile(dataset.s.ravel(), [0.05, 0.95])
+        query_points = np.linspace(lo, hi, calibration["grid_points"])[:, None]
     return estimate_dt_band(
         dataset,
         query_points=query_points,
@@ -700,6 +706,27 @@ def _dt_band(config, dataset, query_points=None):
     )
 
 
+def _calibration_band(config):
+    """`pulsebandit calibrate`'s band: `_dt_band` on the pretraining history.
+    It audits the configured imputer refit on its target half, which an
+    oracle or loaded imputer is not: both are refused before any draw."""
+    if config.environment["kind"] != "synthetic":
+        # a replay log has no generator, and lower_bound has d_S = d_lin + d_non >= 2
+        raise ConfigError(
+            "environment.kind", "calibrate's band needs a synthetic environment (d_S = 1)"
+        )
+    if config.imputer["kind"] == ImputerKind.ORACLE:
+        raise ConfigError(
+            "imputer.kind", "calibrate audits a null, linear_ar or kernel imputer, not oracle"
+        )
+    if config.imputer["path"] is not None:
+        raise ConfigError(
+            "imputer.path", "calibrate audits the imputer it refits on the history; it loads none"
+        )
+    _require_band_pairs(config.pretrain, "calibrate's band")
+    return _dt_band(config, _history(config))
+
+
 def _pretrain_replay(config):
     try:
         log = load_replay_log(config.environment["path"])
@@ -709,7 +736,8 @@ def _pretrain_replay(config):
         raise ConfigError("environment.path", str(exc)) from exc
     n0 = int(round(config.pretrain["fraction"] * log.n_rows))
     needs_fit = config.imputer["kind"] in _FITTED_IMPUTERS
-    uses_full = needs_fit or any(a["kind"] == "oful_full" for a in config.agents)
+    # pulse_ucb sizes W from the full columns, whatever its imputer
+    uses_full = needs_fit or any(a["kind"] in ("oful_full", "pulse_ucb") for a in config.agents)
     if uses_full and log.full is None:
         raise ConfigError(
             "environment.path", "log has no full-feature columns y_* but they are needed"
@@ -1364,8 +1392,6 @@ def _replay_views(config, observed, full, imputer):
     if AgentKind.OFUL_OBSERVED in kinds:
         tables[AgentKind.OFUL_OBSERVED] = observed
     if AgentKind.PULSE_UCB in kinds:
-        if imputer is None:
-            raise ConfigError("imputer.kind", "pulse_ucb replay needs a fitted imputer")
         mus, _ = imputer.conditional_means(observed)
         tables[AgentKind.PULSE_UCB] = np.concatenate([observed, mus], axis=1)
     for kind, table in tables.items():

@@ -50,7 +50,6 @@ __all__ = [
     "rank_one_update",
     "stack_rank_one_update",
     "quadratic_form_inv",
-    "stack_quadratic_forms",
     "potential_bound_check",
     "REFACTOR_INTERVAL",
 ]
@@ -154,31 +153,21 @@ def _check_finite(name, v):
         raise InputError(f"{name} contains non-finite entries")
 
 
-def stack_quadratic_forms(stack, v):
-    """Every problem's forms v^T Sigma^{-1} v of its own k rows.
-
-    `v` is shape + (k, dim) and the result shape + (k,), read from the
-    tracked inverses in one contraction; a zero row's form is exactly 0.0.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != len(stack.shape) + 2 or v.shape[:-2] != stack.shape or v.shape[-1] != stack.dim:
-        raise InputError(
-            f"v must have shape {stack.shape} + (k, {stack.dim}), got {v.shape}"
-        )
-    return np.einsum("...kd,...de,...ke->...k", v, stack.inv, v)
-
-
 def quadratic_form_inv(state, v):
-    """v^T Sigma^{-1} v of one state, after checking that v is finite.
+    """v^T Sigma^{-1} v of one state, read from its tracked inverse, after
+    checking that v is finite.
 
     `v` is one (dim,) vector, giving a float that is exactly 0.0 for the
     zero vector, or a (k, dim) stack, giving the k forms as a (k,) array.
     """
     v = np.asarray(v, dtype=float)
     _check_finite("v", v)
-    if v.shape == (state.dim,):
-        return float(stack_quadratic_forms(state, v[None])[0])
-    return stack_quadratic_forms(state, v)
+    if state.shape != () or v.ndim not in (1, 2) or v.shape[-1] != state.dim:
+        raise InputError(
+            f"v must be ({state.dim},) or (k, {state.dim}) for one state, got {v.shape}"
+        )
+    forms = np.einsum("...d,de,...e->...", v, state.inv, v)
+    return float(forms) if v.ndim == 1 else forms
 
 
 def _cholesky(gram):

@@ -90,6 +90,17 @@ def test_make_agent_requirements():
 
 
 @pytest.mark.parametrize("kind", list(AgentKind), ids=lambda k: k.value)
+def test_make_agent_rejects_an_arm_count_that_is_not_a_positive_integer(kind):
+    # 2.5 would play 2 arms and True 1; a numpy integer is a count
+    sched = simple_schedule(dim=2)
+    for arm_count in (0, -1, 2.5, 2.0, True, np.float64(3.0)):
+        with pytest.raises(ParameterError, match="arm_count"):
+            make_agent("a", kind, arm_count=arm_count, dim=2, schedule=sched)
+    agent = make_agent("a", kind, arm_count=np.int64(3), dim=2, schedule=sched)
+    assert type(agent.arm_count) is int and agent.arm_count == 3
+
+
+@pytest.mark.parametrize("kind", list(AgentKind), ids=lambda k: k.value)
 def test_make_agent_rejects_a_trial_count_below_one(kind):
     sched = simple_schedule(dim=2)
     for trials in (0, -3, 1.5, True):

@@ -208,6 +208,70 @@ def test_calibrate_writes_band(tmp_path):
     )
 
 
+def _simulated_and_calibrated(cfg, out):
+    """simulate's metadata.run and calibrate's band.json of one config."""
+    assert main(["simulate", "--config", cfg, "--out", str(out / "run"), "--quiet"]) == 0
+    assert main(["calibrate", "--config", cfg, "--out", str(out / "cal"), "--quiet"]) == 0
+    run = json.loads((out / "run" / "metadata.json").read_text())["run"]
+    return run, json.loads((out / "cal" / "band.json").read_text())
+
+
+def test_calibrate_charges_what_simulate_charges_on_the_shipped_demo(tmp_path):
+    cfg = os.path.join(os.path.dirname(pulsebandit.__file__), "configs", "calibration_demo.json")
+    run, band = _simulated_and_calibrated(cfg, tmp_path)
+    assert run["plug_in_dt"] == band["dhat_sq"] == 0.0021338854797907764
+
+
+def test_simulate_and_calibrate_share_the_configured_grid(tmp_path):
+    cfg = write_tiny(
+        tmp_path,
+        environment={"kind": "synthetic", "nonlinearity": 1.0},
+        pretrain={"n": 200, "t0": 30, "seed": 11},
+        calibration={"alpha": 0.1, "bootstrap_draws": 40, "grid_points": 9},
+        agents=[{"name": "pulse_ucb", "kind": "pulse_ucb", "dt_source": "plug_in"}],
+    )
+    run, band = _simulated_and_calibrated(cfg, tmp_path)
+    assert run["plug_in_dt"] == band["dhat_sq"]
+    assert run["plug_in_band"]["grid_size"] == 9
+
+
+@pytest.mark.parametrize(
+    "imputer, field",
+    [
+        ({"kind": "oracle"}, "imputer.kind"),
+        ({"kind": "linear_ar", "path": "none.json"}, "imputer.path"),
+    ],
+    ids=["oracle", "loaded"],
+)
+def test_calibrate_refuses_an_imputer_it_cannot_refit(
+    tmp_path, capsys, monkeypatch, imputer, field
+):
+    # the band audits the configured imputer refit on its target half: an
+    # oracle has no fit and a loaded imputer is not the one refit
+    import pulsebandit.harness as harness
+
+    def no_history(*args):
+        raise AssertionError("calibrate generated a history")
+
+    monkeypatch.setattr(harness, "generate_history", no_history)
+    cfg = write_tiny(
+        tmp_path, imputer=imputer, agents=[{"kind": "oful_full", "dt_source": "zero"}]
+    )
+    out = tmp_path / "cal"
+    assert main(["calibrate", "--config", cfg, "--out", str(out)]) == 1
+    assert f"config field '{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_calibrate_audits_a_null_imputer(tmp_path):
+    cfg = write_tiny(
+        tmp_path, imputer={"kind": "null"}, agents=[{"kind": "oful_full", "dt_source": "zero"}]
+    )
+    out = tmp_path / "cal"
+    assert main(["calibrate", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "band.json").read_text())["metadata"]["target"] == "null"
+
+
 def test_calibrate_rejects_lower_bound_by_field(tmp_path, capsys):
     # the band needs d_S = 1; lower_bound has d_S = d_lin + d_non
     cfg = write_tiny(tmp_path, environment={"kind": "lower_bound", "d_lin": 1, "d_non": 1})

@@ -24,8 +24,8 @@ CONFIG_DIR = os.path.join(os.path.dirname(pulsebandit.__file__), "configs")
 # name -> (sha256 of json.dumps(to_dict()), config_hash())
 PINNED = {
     "calibration_demo.json": (
-        "bb080abbb8a75e35a7dae6d96d810c479bbe7ac5a25bf0316d8d00e6266a85d7",
-        "8092b329d3f95168b266da29a14bb7f940961c54670e200bb56dc01772f261d2",
+        "022270546a554d573eb5d388d709e85a7d8ea0df2418c3f1198d2f9ca7261a64",
+        "c9cbb59d16b65403a87ef7e545e39bb283fbdac688fcc82abb989bf3ea8326b7",
     ),
     "lower_bound_dgp.json": (
         "e0e1fb6e6a7c766152cbd878660d124cc023b89bbd6f15d2642c4a6e2fa35169",

@@ -310,6 +310,24 @@ def test_replay_rejects_ill_posed_agents(tmp_path):
         assert err.value.field == f"agents[{i}].dt_source"
 
 
+def test_null_pulse_ucb_replay_names_the_log_without_full_columns(tmp_path):
+    # a null imputer needs no fit, but pulse_ucb sizes W from the y_* columns
+    with open(replay_raw(tmp_path)["environment"]["path"], encoding="utf-8") as fh:
+        rows = [line.rstrip("\n").split(",") for line in fh]
+    observed = [i for i, col in enumerate(rows[0]) if not col.startswith("y_")]
+    log = tmp_path / "observed_only.csv"
+    log.write_text("".join(",".join(row[i] for i in observed) + "\n" for row in rows))
+    raw = replay_raw(
+        tmp_path,
+        environment={"kind": "replay", "path": str(log), "k": 10},
+        imputer={"kind": "null"},
+        agents=[{"name": "pulse_ucb", "kind": "pulse_ucb"}],
+    )
+    with pytest.raises(ConfigError, match="no full-feature columns") as err:
+        run_replay(ExperimentConfig(raw), out_dir=str(tmp_path / "never"))
+    assert err.value.field == "environment.path"
+
+
 def test_replay_horizon_capped_by_pool(tmp_path):
     # 1200 rows, 20% pretrain -> 960 online rows; k=10 leaves 951 steps max
     cfg = ExperimentConfig(replay_raw(tmp_path, horizon=None, trials=1))

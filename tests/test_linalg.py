@@ -244,6 +244,13 @@ def test_stacked_forms_reject_bad_stacks():
         quadratic_form_inv(state, np.ones((4, 2)))
     with pytest.raises(InputError):
         quadratic_form_inv(state, np.ones((2, 4, 3)))
+    # it reads one state's forms: a lockstep stack is refused whatever the rows
+    from pulsebandit.linalg import new_ridge_stack
+
+    stack = new_ridge_stack(2, 3, 1.0)
+    for rows in (np.ones((2, 3)), np.ones((2, 4, 2)), np.ones((2, 4, 3))):
+        with pytest.raises(InputError):
+            quadratic_form_inv(stack, rows)
 
 
 # -- lockstep trials ----------------------------------------------------------
@@ -488,7 +495,7 @@ def test_lockstep_kernel_rejects_bad_input():
     # the stacked kernel checks shapes only; the finiteness of a lockstep
     # run's rows is checked once per block, before the first decision
     # (tests/test_harness.py), and the one-state entry points check theirs
-    from pulsebandit.linalg import new_ridge_stack, stack_quadratic_forms, stack_rank_one_update
+    from pulsebandit.linalg import new_ridge_stack, stack_rank_one_update
 
     with pytest.raises(ParameterError):
         new_ridge_stack(0, 2, 1.0)
@@ -497,12 +504,6 @@ def test_lockstep_kernel_rejects_bad_input():
         stack_rank_one_update(stack, np.ones((3, 3)), np.zeros(3))
     with pytest.raises(InputError):
         stack_rank_one_update(stack, np.ones((2, 3)), np.zeros(3))
-    with pytest.raises(InputError):
-        stack_quadratic_forms(stack, np.ones((2, 3)))
-    with pytest.raises(InputError):
-        stack_quadratic_forms(stack, np.ones((2, 4, 2)))
-    with pytest.raises(InputError):
-        stack_quadratic_forms(new_ridge_state(3, 1.0), np.ones((2, 4, 3)))
     assert stack.update_count == 0
 
 
